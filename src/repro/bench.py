@@ -32,7 +32,10 @@ per-cause spills, replica delta bytes and IPC round trips) alongside
 ``wall_s``; ``service`` stress-tests the asyncio lock service with
 concurrent in-process clients mixing authorized and unauthorized
 operations and writes ``BENCH_service_stress.json`` with per-op
-throughput and p50/p99 request latencies.
+throughput and p50/p99 request latencies; ``scaling`` runs the default
+serial configuration over 5k / 15k / 50k staggered transactions and
+writes ``BENCH_scaling.json`` with one ``us_per_tick`` row per size — the
+per-tick cost must stay flat while the live population grows.
 
 ``--compare OLD.json NEW.json`` diffs two artifacts of the same bench
 row by row (every numeric column, nested work counters included) and —
@@ -47,6 +50,9 @@ import argparse
 import asyncio
 import dataclasses
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from typing import Callable, Dict, List, Optional
@@ -63,8 +69,10 @@ from .sim import (
     grid_factory,
     grid_factory_names,
     run_grid,
+    run_seed,
     write_bench_artifact,
 )
+from .sim.executor import executor_kind
 
 
 def _scaled(n: int, scale: float) -> int:
@@ -93,6 +101,29 @@ def _positive_float(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
+
+
+def _stamp() -> Dict[str, object]:
+    """What an artifact was measured on, for its ``extra``: interpreter,
+    processor count, and the commit of this checkout (``-dirty`` when the
+    run had uncommitted changes on top of it; ``unknown`` outside git)."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ("git", *args), cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        if git("status", "--porcelain", "--untracked-files=no"):
+            sha += "-dirty"
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "git_sha": sha,
+    }
 
 
 def _preset_stress(scale: float) -> GridSpec:
@@ -326,6 +357,7 @@ def _run_parallel_shards(args: argparse.Namespace) -> int:
         out, "parallel_shards", rows,
         scale=scale, workers=0, wall_s=total,
         extra={
+            **_stamp(),
             "engine": "event",
             "num_txns": _scaled(8000, scale),
             "num_entities": 12_000,
@@ -433,6 +465,7 @@ def _run_service_stress(args: argparse.Namespace) -> int:
         out, "service_stress", rows,
         scale=scale, workers=0, wall_s=wall,
         extra={
+            **_stamp(),
             "clients": clients,
             "rounds": rounds,
             "max_inflight": 8,
@@ -448,10 +481,87 @@ def _run_service_stress(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``(num_txns, num_entities)`` of the scaling curve at scale 1: the
+#: ``mega_stress`` and ``mega_stress_50k`` sizes and one point between.
+_SCALING_POINTS = ((5_000, 8_000), (15_000, 22_000), (50_000, 64_000))
+
+_SCALING_COLUMNS = [
+    "txns", "failures", "ticks", "committed", "mean_active", "wall_s",
+    "us_per_tick",
+]
+
+
+def _run_scaling(args: argparse.Namespace) -> int:
+    """The per-tick-cost curve: 2PL over the ``stress`` factory at three
+    population sizes, every row through the configuration a caller gets
+    by default (event engine, ``lock_shards=1``, serial executor).  The
+    default arrival rate (that of the mega presets) sits just above
+    capacity, so the live population (``mean_active``) grows with the
+    transaction count while the work per tick does not: ``us_per_tick``
+    rising from the first row to the last is a per-tick cost that grows
+    with the population — the regression this bench exists to show.
+    ``--arrival-rate`` overloads the system further, which is how a
+    reduced ``--scale`` run still reaches populations in the hundreds
+    and thousands.  ``wall_s`` is one whole seed-run per row (simulation,
+    schedule assembly, legality and properness checks), so the 5k and
+    50k rows compare with what ``mega_stress`` and ``mega_stress_50k``
+    pay per run."""
+    scale = args.scale
+    arrival_rate = args.arrival_rate or 0.085
+    rows: List[Dict[str, object]] = []
+    start = time.perf_counter()
+    for txns, entities in _SCALING_POINTS:
+        n = _scaled(txns, scale)
+        items, initial, context_kwargs = grid_factory("stress")(
+            0, num_entities=entities, num_txns=n,
+            arrival_rate=arrival_rate, hot_fraction=0.0,
+        )
+        t0 = time.perf_counter()
+        outcome = run_seed(
+            TwoPhasePolicy(), items, initial, 0,
+            context_kwargs=context_kwargs, max_ticks=100_000_000,
+            check_serializability=False,
+        )
+        wall = time.perf_counter() - t0
+        if outcome.failed:
+            print(f"  txns={n} FAILED: {outcome.error}")
+        summary = outcome.summary or {}
+        ticks = int(summary.get("ticks", 0))
+        rows.append({
+            "txns": n,
+            "failures": int(outcome.failed),
+            "ticks": ticks,
+            "committed": int(summary.get("committed", 0)),
+            "mean_active": round(summary.get("mean_active", 0.0), 2),
+            "wall_s": round(wall, 4),
+            "us_per_tick": round(1e6 * wall / ticks, 2) if ticks else 0.0,
+        })
+    total = time.perf_counter() - start
+    print(format_table(rows, _SCALING_COLUMNS))
+    print(f"\n{len(rows)} sizes in {total:.2f}s")
+    out = args.out or "BENCH_scaling.json"
+    write_bench_artifact(
+        out, "scaling", rows,
+        scale=scale, workers=0, wall_s=total,
+        extra={
+            **_stamp(),
+            "engine": "event",
+            "policy": "2PL",
+            "lock_shards": 1,
+            "executor": "serial",
+            "arrival_rate": arrival_rate,
+            "num_entities": [entities for _, entities in _SCALING_POINTS],
+        },
+    )
+    print(f"artifact: {out}")
+    return 1 if any(row["failures"] for row in rows) else 0
+
+
 #: Benches with their own sweep logic (not GridSpec presets); they share
 #: the CLI surface (``--scale``, ``--shard-workers``, ``--out``).
 SPECIAL_BENCHES: Dict[str, Callable[[argparse.Namespace], int]] = {
     "parallel_shards": _run_parallel_shards,
+    "scaling": _run_scaling,
     "service": _run_service_stress,
 }
 
@@ -464,6 +574,7 @@ SPECIAL_BENCHES: Dict[str, Callable[[argparse.Namespace], int]] = {
 #: artifacts must agree on these per row (same sweep, same cells).
 _IDENTITY_KEYS = (
     "policy", "workload", "case", "shards", "shard_workers", "executor",
+    "txns",
 )
 
 _COMPARE_COLUMNS = ["row", "metric", "old", "new", "delta", "delta_pct"]
@@ -632,6 +743,12 @@ def build_parser() -> argparse.ArgumentParser:
              "this filters the sweep to {serial, KIND} rows)",
     )
     parser.add_argument(
+        "--arrival-rate", type=_positive_float, default=None,
+        help="scaling only: transactions admitted per tick (default 0.085, "
+             "just above capacity; a higher rate holds a larger live "
+             "population at a reduced --scale)",
+    )
+    parser.add_argument(
         "--out", default=None,
         help="artifact path (default: BENCH_grid_<preset>.json)",
     )
@@ -666,6 +783,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_compare(args)
     if args.preset is None:
         build_parser().error("a preset is required (or --list, --compare)")
+    if args.arrival_rate is not None and args.preset != "scaling":
+        build_parser().error("--arrival-rate applies to the scaling bench only")
     if args.preset in SPECIAL_BENCHES:
         return SPECIAL_BENCHES[args.preset](args)
     spec = PRESETS[args.preset](args.scale)
@@ -702,11 +821,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         cell_rows_with_work(cells),
         scale=args.scale, workers=args.workers, wall_s=wall,
         extra={
+            **_stamp(),
             "engine": spec.engine,
             "seeds": list(spec.seeds),
             "lock_shards": spec.lock_shards,
             "shard_workers": spec.shard_workers,
-            "executor": spec.executor,
+            "executor": executor_kind(spec.shard_workers, spec.executor),
         },
     )
     print(f"artifact: {out}")

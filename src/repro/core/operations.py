@@ -23,12 +23,42 @@ import enum
 from typing import FrozenSet
 
 
+class LockMode(enum.Enum):
+    """Shared or exclusive lock mode."""
+
+    SHARED = "S"
+    EXCLUSIVE = "X"
+
+    def __str__(self) -> str:
+        return self.value
+
+    def conflicts_with(self, other: "LockMode") -> bool:
+        """Lock-mode compatibility: only SHARED/SHARED is compatible."""
+        return self is LockMode.EXCLUSIVE or other is LockMode.EXCLUSIVE
+
+    @property
+    def lock_op(self) -> Operation:
+        """The LOCK operation acquiring this mode."""
+        return LX if self is LockMode.EXCLUSIVE else LS
+
+    @property
+    def unlock_op(self) -> Operation:
+        """The UNLOCK operation releasing this mode."""
+        return UX if self is LockMode.EXCLUSIVE else US
+
+
 class Operation(enum.Enum):
     """One of the eight operations of ``OL``.
 
     The enum value is the paper's abbreviation, which is also what
     :meth:`__str__` returns so that schedules print exactly like the paper's
     figures, e.g. ``(I a)`` or ``(LX 4)``.
+
+    ``is_lock`` (``LS``/``LX``), ``is_unlock`` (``US``/``UX``) and
+    ``lock_mode`` (the :class:`LockMode` of a lock/unlock operation, else
+    ``None``) are fixed per member, so they are filled in once at member
+    creation and read as plain attributes: the scheduler asks all three
+    about every step it classifies and executes.
     """
 
     READ = "R"
@@ -39,6 +69,17 @@ class Operation(enum.Enum):
     LOCK_EXCLUSIVE = "LX"
     UNLOCK_SHARED = "US"
     UNLOCK_EXCLUSIVE = "UX"
+
+    is_lock: bool
+    is_unlock: bool
+    lock_mode: LockMode | None
+
+    def __init__(self, abbreviation: str) -> None:
+        # The locking abbreviations spell it out: L/U, then the mode S/X.
+        locking = len(abbreviation) == 2
+        self.is_lock = locking and abbreviation[0] == "L"
+        self.is_unlock = locking and abbreviation[0] == "U"
+        self.lock_mode = LockMode(abbreviation[1]) if locking else None
 
     def __str__(self) -> str:
         return self.value
@@ -53,29 +94,10 @@ class Operation(enum.Enum):
         return self in _DATA_OPS
 
     @property
-    def is_lock(self) -> bool:
-        """True for ``LS`` and ``LX``."""
-        return self in _LOCK_OPS
-
-    @property
-    def is_unlock(self) -> bool:
-        """True for ``US`` and ``UX``."""
-        return self in _UNLOCK_OPS
-
-    @property
     def is_structural(self) -> bool:
         """True for ``I`` and ``D`` — the operations that change which
         entities exist (the structural state)."""
         return self in (Operation.INSERT, Operation.DELETE)
-
-    @property
-    def lock_mode(self) -> "LockMode | None":
-        """The lock mode involved in a lock/unlock operation, else ``None``."""
-        if self in (Operation.LOCK_SHARED, Operation.UNLOCK_SHARED):
-            return LockMode.SHARED
-        if self in (Operation.LOCK_EXCLUSIVE, Operation.UNLOCK_EXCLUSIVE):
-            return LockMode.EXCLUSIVE
-        return None
 
     @property
     def requires_present(self) -> bool:
@@ -100,8 +122,6 @@ US = Operation.UNLOCK_SHARED
 UX = Operation.UNLOCK_EXCLUSIVE
 
 _DATA_OPS: FrozenSet[Operation] = frozenset({R, W, I, D})
-_LOCK_OPS: FrozenSet[Operation] = frozenset({LS, LX})
-_UNLOCK_OPS: FrozenSet[Operation] = frozenset({US, UX})
 
 #: Operations that never conflict with each other: a pair of steps on a common
 #: entity conflicts unless *both* operations are in this set (paper, §2).
@@ -112,30 +132,6 @@ DATA_OPERATIONS: FrozenSet[Operation] = _DATA_OPS
 
 #: The locked-transaction alphabet ``OL``.
 ALL_OPERATIONS: FrozenSet[Operation] = frozenset(Operation)
-
-
-class LockMode(enum.Enum):
-    """Shared or exclusive lock mode."""
-
-    SHARED = "S"
-    EXCLUSIVE = "X"
-
-    def __str__(self) -> str:
-        return self.value
-
-    def conflicts_with(self, other: "LockMode") -> bool:
-        """Lock-mode compatibility: only SHARED/SHARED is compatible."""
-        return self is LockMode.EXCLUSIVE or other is LockMode.EXCLUSIVE
-
-    @property
-    def lock_op(self) -> Operation:
-        """The LOCK operation acquiring this mode."""
-        return LX if self is LockMode.EXCLUSIVE else LS
-
-    @property
-    def unlock_op(self) -> Operation:
-        """The UNLOCK operation releasing this mode."""
-        return UX if self is LockMode.EXCLUSIVE else US
 
 
 def operations_conflict(op1: Operation, op2: Operation) -> bool:

@@ -203,8 +203,9 @@ class KernelRun:
         step = entry.session.peek()
         assert step is not None
         name = entry.item.name
-        mode = step.lock_mode
-        if step.is_lock and mode is not None:
+        op = step.op
+        mode = op.lock_mode
+        if op.is_lock and mode is not None:
             self.table.acquire(name, step.entity, mode)
             if self.event_engine:
                 # Sessions whose cached classification assumed this entity
@@ -215,7 +216,7 @@ class KernelRun:
                     self.cache.watchers.get(step.entity, ()), exclude=name
                 )
                 self.classifier.extend_lock_edges(name, step.entity)
-        elif step.is_unlock and mode is not None:
+        elif op.is_unlock and mode is not None:
             weakened = self.event_engine and self.table.would_weaken(
                 name, step.entity, mode
             )

@@ -15,8 +15,9 @@ decides *who gets re-examined when*:
   tick);
 * ``phase1`` — dependency-declaring sessions due a replanning peek (fresh
   admission or just executed: the peek may commit or abort them);
-* ``runnable`` — names currently classified runnable (phase 3 picks among
-  these);
+* ``runnable`` — names currently classified runnable, kept in sorted
+  order (an :class:`OrderedNames`), so phase 3's seeded pick is a length
+  and a k-th element rather than a per-tick sort of the population;
 * ``watchers`` — runnable sessions watching their pending lock's entity,
   so a concurrent acquire invalidates exactly them;
 * the **invalidation-channel subscriptions** (channel → subscribers and
@@ -56,12 +57,14 @@ parallel executor is equivalence-tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Set,
@@ -87,6 +90,7 @@ __all__ = [
     "Classifier",
     "Decision",
     "LiveEntry",
+    "OrderedNames",
     "NEW",
     "RUNNABLE",
     "LOCK_WAIT",
@@ -122,6 +126,52 @@ class Decision:
     blockers_queried: bool = False
 
 
+class OrderedNames:
+    """A set of names that is always in sorted order: the single owner of
+    both the membership and the order of ``AdmissionCache.runnable``.
+
+    It answers to the set mutators its writers already use (``add`` /
+    ``discard``, both idempotent) and reads as the sorted sequence phase 3
+    used to rebuild every tick: ``len``, truthiness, ``in``, ``[k]`` and
+    iteration, all over one bisect-maintained list.  ``random.Random.choice``
+    needs only ``len`` and ``[k]``, so choosing from this container draws
+    exactly what choosing from ``sorted(a_set)`` drew."""
+
+    __slots__ = ("_names",)
+
+    def __init__(self) -> None:
+        self._names: List[str] = []
+
+    def add(self, name: str) -> None:
+        names = self._names
+        i = bisect_left(names, name)
+        if i == len(names) or names[i] != name:
+            names.insert(i, name)
+
+    def discard(self, name: str) -> None:
+        names = self._names
+        i = bisect_left(names, name)
+        if i < len(names) and names[i] == name:
+            del names[i]
+
+    def __contains__(self, name: object) -> bool:
+        names = self._names
+        i = bisect_left(names, name)
+        return i < len(names) and names[i] == name
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __getitem__(self, k: int) -> str:
+        return self._names[k]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __repr__(self) -> str:
+        return f"OrderedNames({self._names!r})"
+
+
 class AdmissionCache:
     """Who-to-re-examine bookkeeping of the event engine (see the module
     docstring).  Holds references to the run's live table and metrics so
@@ -135,7 +185,7 @@ class AdmissionCache:
         self.dynamic: Set[str] = set()
         self.complete: Set[str] = set()
         self.phase1: Set[str] = set()
-        self.runnable: Set[str] = set()
+        self.runnable = OrderedNames()
         self.watchers: Dict[Entity, Set[str]] = {}
         #: Invalidation-channel subscriptions: channel -> subscribed names,
         #: and the reverse index used to re-subscribe/unsubscribe.
@@ -343,10 +393,10 @@ class AdmissionCache:
     ) -> Tuple[List[List[str]], List[str]]:
         """The runnable set partitioned the same way (introspection for
         the partition-invariant property tests; phase 3 itself picks from
-        the merged sorted set)."""
+        the whole ordered set)."""
         slices: List[List[str]] = [[] for _ in range(shards)]
         global_slice: List[str] = []
-        for n in sorted(self.runnable):
+        for n in self.runnable:
             s, _ = self.route(n, shard_of)
             (global_slice if s is None else slices[s]).append(n)
         return slices, global_slice
@@ -411,7 +461,8 @@ class Classifier:
         """Tear down the session's cached classification: runnable flag,
         outgoing waits-for edges, waiter-queue registration, watcher."""
         name = entry.item.name
-        self.cache.runnable.discard(name)
+        if entry.state == RUNNABLE:
+            self.cache.runnable.discard(name)
         self.graph.drop_edges(name)
         if entry.state == LOCK_WAIT:
             self.table.remove_waiter(name)
@@ -460,8 +511,9 @@ class Classifier:
                     subscribe=subscribe,
                     admission_checked=True,
                 )
-        mode = step.lock_mode
-        if step.is_lock and mode is not None:
+        op = step.op
+        mode = op.lock_mode
+        if op.is_lock and mode is not None:
             blockers = self.table.blockers(name, step.entity, mode)
             if blockers:
                 return Decision(

@@ -112,6 +112,7 @@ __all__ = [
     "SerialExecutor",
     "ShardBuffer",
     "derive_slice",
+    "executor_kind",
     "make_executor",
     "shard_phase",
 ]
@@ -345,11 +346,18 @@ class SerialExecutor:
                      spill=None):
         stats = self.stats
         stats.count_slices(slices, global_slice, spill)
-        merged = [n for names in slices for n in names]
-        merged.extend(global_slice)
+        parts = [names for names in slices if names]
+        if global_slice:
+            parts.append(global_slice)
+        # Every slice arrives in sorted order, so a lone non-empty slice
+        # (the rule at ``shards=1``) already is the legacy check sequence;
+        # only several slices need merging back into it.
+        merged = parts[0] if len(parts) == 1 else sorted(
+            n for names in parts for n in names
+        )
         stats.coordinator_classifications += len(merged)
         stats.spill_classifications += len(global_slice)
-        for name in sorted(merged):
+        for name in merged:
             classifier.classify(live[name], aborts)
 
     def snapshot(self) -> Dict[str, object]:
@@ -662,6 +670,13 @@ class ProcessExecutor:
 _MISSING = object()
 
 
+def executor_kind(shard_workers: int, kind: str = "thread") -> str:
+    """The kind of executor :func:`make_executor` builds for this request
+    — what a run reports as ``executor_stats["executor"]``, and what an
+    artifact must record: without workers every request runs serial."""
+    return "serial" if shard_workers == 0 else kind
+
+
 def make_executor(shard_workers: int, kind: str = "thread",
                   min_batch: Optional[int] = None):
     """``shard_workers=0`` (or ``kind="serial"``) → the serial reference;
@@ -674,7 +689,8 @@ def make_executor(shard_workers: int, kind: str = "thread",
         raise ValueError(
             f"unknown executor {kind!r}; expected one of {EXECUTOR_KINDS}"
         )
-    if shard_workers == 0 or kind == "serial":
+    kind = executor_kind(shard_workers, kind)
+    if kind == "serial":
         return SerialExecutor()
     if kind == "process":
         return ProcessExecutor(shard_workers, min_batch=min_batch)

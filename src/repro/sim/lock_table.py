@@ -121,6 +121,10 @@ class LockTable:
         return hash(entity) % self.shards
 
     def _part(self, entity: Entity) -> _Shard:
+        if self.shards == 1:
+            # The default table: every entity's home is the one partition,
+            # so nothing is hashed on the path every query goes through.
+            return self._parts[0]
         return self._parts[self.shard_of(entity)]
 
     # ------------------------------------------------------------------

@@ -381,12 +381,12 @@ class _Run(KernelRun):
 
     def _phase_execute(self) -> None:
         """Phase 3 — execute one step of one runnable session, seeded
-        uniform choice (coordinator only: grants, releases, wake-ups, and
-        the event log are global mutations; invalidation routing keys the
-        *next* tick's shard slices)."""
-        self._execute_step(
-            self.live[self.rng.choice(sorted(self.cache.runnable))]
-        )
+        uniform choice over the runnable names in sorted order — which is
+        how ``cache.runnable`` keeps them, so the draw costs a length and a
+        k-th element whatever the population (coordinator only: grants,
+        releases, wake-ups, and the event log are global mutations;
+        invalidation routing keys the *next* tick's shard slices)."""
+        self._execute_step(self.live[self.rng.choice(self.cache.runnable)])
 
 
 def _pick_deadlock_victim(waits_for, live) -> Optional[str]:

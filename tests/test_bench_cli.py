@@ -37,11 +37,13 @@ class TestPresets:
         }
 
     def test_special_benches_registered_and_listed(self, capsys):
-        assert set(bench.SPECIAL_BENCHES) == {"parallel_shards", "service"}
+        assert set(bench.SPECIAL_BENCHES) == {
+            "parallel_shards", "scaling", "service",
+        }
         assert bench.main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "parallel_shards" in out
-        assert "service" in out
+        for name in bench.SPECIAL_BENCHES:
+            assert name in out
 
     def test_mega_stress_shape(self):
         spec = bench.PRESETS["mega_stress"](1.0)
@@ -154,6 +156,73 @@ class TestArgValidation:
             bench.build_parser().parse_args(["stress", "--executor", "gpu"])
 
 
+class TestScalingBench:
+    def test_writes_one_row_per_size_with_the_curve_columns(self, tmp_path):
+        out = tmp_path / "scaling.json"
+        assert bench.main(["scaling", "--scale", "0.01", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["bench"] == "scaling"
+        assert len(doc["rows"]) == len(bench._SCALING_POINTS)
+        for row in doc["rows"]:
+            assert list(row) == bench._SCALING_COLUMNS
+            assert row["failures"] == 0
+            assert row["committed"] == row["txns"]
+            assert row["us_per_tick"] == pytest.approx(
+                1e6 * row["wall_s"] / row["ticks"], rel=0.01
+            )
+        extra = doc["extra"]
+        assert (extra["lock_shards"], extra["executor"]) == (1, "serial")
+        assert extra["arrival_rate"] == 0.085
+        assert {"python", "cpu_count", "git_sha"} <= set(extra)
+
+    def test_arrival_rate_overloads_the_population(self, tmp_path):
+        means = {}
+        for rate in ("0.085", "0.5"):
+            out = tmp_path / f"scaling_{rate}.json"
+            assert bench.main(
+                ["scaling", "--scale", "0.01", "--arrival-rate", rate,
+                 "--out", str(out)]
+            ) == 0
+            doc = json.loads(out.read_text())
+            assert doc["extra"]["arrival_rate"] == float(rate)
+            means[rate] = doc["rows"][-1]["mean_active"]
+        assert means["0.5"] > 2 * means["0.085"]
+
+    def test_arrival_rate_is_rejected_elsewhere_and_when_non_positive(
+        self, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["stress", "--arrival-rate", "0.3"])
+        assert exc.value.code == 2
+        assert "scaling bench only" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            bench.build_parser().parse_args(["scaling", "--arrival-rate", "0"])
+
+
+class TestArtifactExecutorStamp:
+    """``extra.executor`` names the executor that ran, not the requested
+    kind: without shard workers every run is serial."""
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            ([], "serial"),
+            (["--executor", "process"], "serial"),
+            (["--shard-workers", "2"], "thread"),
+        ],
+    )
+    def test_grid_artifact_records_the_executor_that_ran(
+        self, tmp_path, flags, expected
+    ):
+        out = tmp_path / "grid.json"
+        assert bench.main(
+            ["traversal", "--seeds", "1", "--out", str(out), *flags]
+        ) == 0
+        extra = json.loads(out.read_text())["extra"]
+        assert extra["executor"] == expected
+        assert {"python", "cpu_count", "git_sha"} <= set(extra)
+
+
 def _artifact(tmp_path, name, rows, *, bench_name="parallel_shards",
               wall_s=10.0, schema=1):
     doc = {
@@ -245,6 +314,12 @@ class TestCompare:
         new = _artifact(tmp_path, "new.json", [_row(executor="process")])
         assert bench.main(["--compare", old, new]) == 2
         assert "identity" in capsys.readouterr().out
+
+    def test_scaling_rows_are_identified_by_their_size(self, tmp_path, capsys):
+        old = _artifact(tmp_path, "old.json", [_row(txns=5000)])
+        new = _artifact(tmp_path, "new.json", [_row(txns=500)])
+        assert bench.main(["--compare", old, new]) == 2
+        assert "identity 'txns'" in capsys.readouterr().out
 
     def test_row_count_mismatch_is_a_usage_failure(self, tmp_path, capsys):
         old = _artifact(tmp_path, "old.json", [_row(), _row(shards=8)])
