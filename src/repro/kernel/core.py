@@ -13,11 +13,13 @@ requests::
 
 built from the same state layers the simulator runs on — the sharded
 :class:`~repro.sim.lock_table.LockTable` for holder maps and wait
-queues, the :mod:`~repro.sim.deadlock` oracle (``find_cycle`` +
-``pick_victim``) for resolution — with **no tick, no RNG, and no
-transport**: time is whenever a caller invokes a request, and transports
-(the asyncio JSON-line service, an in-process test harness, a future
-multi-node RPC layer) live entirely above this API.
+queues, the incrementally maintained
+:class:`~repro.sim.waits_for.WaitsForGraph` for detection,
+:func:`~repro.sim.deadlock.pick_victim` for resolution — with **no
+tick, no RNG, and no transport**: time is whenever a caller invokes a
+request, and transports (the asyncio JSON-line service, an in-process
+test harness, a future multi-node RPC layer) live entirely above this
+API.
 
 **Blocking without ticks.**  An acquire that conflicts returns
 ``BLOCKED`` immediately; the request parks in the entity's wait queue
@@ -28,13 +30,36 @@ then-current holders), ``VICTIM`` when deadlock resolution sacrifices
 the transaction, or ``ERROR`` when the kernel drains or the client
 aborts its own blocked transaction.
 
-**Deadlock resolution.**  Every transition into ``BLOCKED`` re-derives
-the waits-for edges of all blocked transactions from the lock table and
-runs the from-scratch oracle.  A fresh block is the only event that can
-close a cycle, and every new cycle passes through the new waiter, so
-resolution loops victim-by-victim (the simulator's deterministic cost
-triple: structural effects, executed work, name) until the graph is
-acyclic again.
+**Deadlock resolution.**  The kernel keeps one
+:class:`~repro.sim.waits_for.WaitsForGraph` and touches it only where an
+edge can change, each time for the waiters of *one* entity — never for
+the parked population:
+
+1. *park* — an acquire that blocks gets its edge set
+   (``set_edges(txn, blockers)``);
+2. *grant* — a grant landing on an entity (direct or woken) can only
+   extend the blocker sets of the waiters queued there
+   (``add_edge_if_tracked(waiter, holder)``; nothing is done when the
+   entity has no queue), and a woken grantee stops waiting
+   (``drop_edges``);
+3. *release* — an explicit release re-derives, from the table, the
+   waiters still queued on that one entity;
+4. *finish* — commit, abort, victim and drain ``forget`` the departing
+   transaction: it holds nothing any more, so every edge at it goes.
+
+Between requests the graph is acyclic, and a fresh block is the only
+transition that can close a cycle: a grantee — direct or woken — is not
+waiting, so the edges a grant adds end at a node with no way out, and
+release and finish only remove edges.  Every new cycle therefore passes
+through the new waiter, and detection is local to it: one forward
+reachability walk from the new waiter's blockers
+(``closes_cycle``), and only when that walk comes back does the kernel
+run the detector and resolve victim-by-victim (the simulator's
+deterministic cost triple: structural effects, executed work, name)
+until the graph is acyclic again.  ``WaitsForGraph.find_cycle`` is
+bit-identical to the from-scratch :func:`repro.sim.deadlock.find_cycle`
+on the table-derived rebuild; that rebuild survives only as the test
+oracle (``tests/test_kernel_api.py``).
 
 **Auditing.**  Every request — including every refusal — appends exactly
 one entry to the :class:`~repro.kernel.audit.AuditLog` before returning,
@@ -57,8 +82,9 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.operations import LockMode
 from ..core.steps import Entity
-from ..sim.deadlock import find_cycle, pick_victim
+from ..sim.deadlock import pick_victim
 from ..sim.lock_table import LockTable
+from ..sim.waits_for import WaitsForGraph
 from .audit import AuditLog
 from .outcomes import KernelResponse, Outcome
 
@@ -81,10 +107,6 @@ class _NullSession:
 
 _NULL_SESSION = _NullSession()
 
-# Transaction states.
-_ACTIVE = "active"
-_BLOCKED = "blocked"
-
 
 class _Txn:
     """One live transaction's kernel-side record.  Exposes the
@@ -92,17 +114,16 @@ class _Txn:
     reads, so the service shares the simulator's deterministic victim
     tie-break."""
 
-    __slots__ = ("name", "session", "state", "step_count", "pending")
+    __slots__ = ("name", "session", "step_count", "pending")
 
     def __init__(self, name: str, session=None) -> None:
         self.name = name
         self.session = session if session is not None else _NULL_SESSION
-        self.state = _ACTIVE
         #: Requests executed (grants + releases) — the victim-cost proxy
         #: for "work lost on abort".
         self.step_count = 0
-        #: The parked acquire while blocked:
-        #: (entity, mode, wake-callback or None).
+        #: The parked acquire — set exactly while the transaction is
+        #: blocked: (entity, mode, wake-callback or None).
         self.pending: Optional[
             Tuple[Entity, LockMode, Optional[WakeCallback]]
         ] = None
@@ -120,6 +141,9 @@ class LockKernel:
         max_live: int = 0,
     ) -> None:
         self.table = LockTable(shards=lock_shards)
+        #: Waits-for edges of the parked transactions, kept equal to what
+        #: the table implies at every request boundary (module docstring).
+        self.graph = WaitsForGraph()
         self.audit = audit if audit is not None else AuditLog()
         self.admission_hook = admission_hook
         #: Admission control: refuse ``begin`` beyond this many live
@@ -139,10 +163,11 @@ class LockKernel:
     def live_txns(self) -> Tuple[str, ...]:
         return tuple(sorted(self._txns))
 
+    def is_live(self, txn: str) -> bool:
+        return txn in self._txns
+
     def blocked_txns(self) -> Tuple[str, ...]:
-        return tuple(
-            sorted(t.name for t in self._txns.values() if t.state == _BLOCKED)
-        )
+        return tuple(sorted(self.graph.waits_for))
 
     def held(self, txn: str) -> Dict[Entity, LockMode]:
         """Locks held by ``txn`` (the *holder-only* view the service's
@@ -152,8 +177,9 @@ class LockKernel:
 
     def state_fingerprint(self) -> Tuple:
         """A hashable digest of all observable kernel state — holder
-        maps, wait queues, live/blocked sets — used by the misuse tests
-        to assert that ``DENIED``/``ERROR`` requests mutated nothing."""
+        maps, wait queues, live/blocked sets, waits-for edges — used by
+        the misuse tests to assert that ``DENIED``/``ERROR`` requests
+        mutated nothing."""
         locked = sorted(self.table.locked_entities(), key=repr)
         holders = tuple(
             (repr(e), tuple(sorted(self.table.holders(e).items(),
@@ -163,7 +189,13 @@ class LockKernel:
         waiters = tuple(
             (repr(e), tuple(self.table.waiter_modes(e))) for e in locked
         )
-        return (holders, waiters, self.live_txns(), self.blocked_txns())
+        edges = tuple(
+            (w, tuple(sorted(bs)))
+            for w, bs in sorted(self.graph.waits_for.items())
+        )
+        return (
+            holders, waiters, self.live_txns(), self.blocked_txns(), edges
+        )
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -211,45 +243,60 @@ class LockKernel:
             return KernelResponse(
                 Outcome.ERROR, f"unknown transaction {txn!r}"
             )
-        if record.state == _BLOCKED and not allow_blocked:
+        if record.pending is not None and not allow_blocked:
             return KernelResponse(
                 Outcome.ERROR,
                 f"transaction {txn!r} is blocked; only abort is allowed",
             )
         return None
 
-    def _waits_for(self) -> Dict[str, Set[str]]:
-        """Re-derive every blocked transaction's waits-for edges from the
-        lock table (fresh by construction — the request-driven kernel has
-        no tick on which to maintain them incrementally)."""
-        graph: Dict[str, Set[str]] = {}
-        for record in self._txns.values():
-            if record.state != _BLOCKED or record.pending is None:
-                continue
-            entity, mode, _ = record.pending
-            graph[record.name] = {
-                b
-                for b in self.table.blockers(record.name, entity, mode)
-                if b in self._txns
-            }
-        return graph
+    def _resolve_deadlocks(self, waiter: str) -> None:
+        """``waiter`` just parked.  Only a cycle through it can be new,
+        so one reachability walk from its blockers decides whether the
+        detector runs at all; when it does, abort victims until the
+        graph is acyclic again (a victim's released locks grant waiters,
+        which extends other waiters' edges, so later cycles need not
+        pass through ``waiter``)."""
+        if not self.graph.closes_cycle(waiter):
+            return
+        cycle = self.graph.find_cycle()
+        while cycle is not None:
+            self._abort_victim(cycle)
+            cycle = self.graph.find_cycle()
 
-    def _resolve_deadlocks(self) -> List[str]:
-        """Abort victims until the waits-for graph is acyclic; returns the
-        victims in resolution order."""
-        victims: List[str] = []
-        while True:
-            cycle = find_cycle(self._waits_for())
-            if cycle is None:
-                return victims
-            victim = pick_victim(cycle, self._txns)
-            victims.append(victim)
-            self.victims.append(victim)
-            self._finish(
-                victim,
-                KernelResponse(Outcome.VICTIM, "deadlock victim"),
-                audit_op="abort",
-                audit_decision=Outcome.VICTIM,
+    def _abort_victim(self, cycle: List[str]) -> None:
+        """Sacrifice ``cycle``'s cheapest member (the simulator's
+        deterministic cost triple)."""
+        victim = pick_victim(cycle, self._txns)
+        self.victims.append(victim)
+        self._finish(
+            victim,
+            KernelResponse(Outcome.VICTIM, "deadlock victim"),
+            audit_op="abort",
+            audit_decision=Outcome.VICTIM,
+        )
+
+    def _granted_on(self, holder: str, entity: Entity) -> None:
+        """``holder`` was just granted a mode on ``entity``: a grant
+        unblocks nobody, it can only join the blocker sets of the waiters
+        queued there (never its own — a grantee is in no queue)."""
+        if not self.graph.waits_for:
+            return
+        queue = self.table.waiter_modes(entity)
+        if not queue:
+            return
+        effective = self.table.mode_held(holder, entity)
+        for waiter, wanted in queue:
+            if wanted.conflicts_with(effective):
+                self.graph.add_edge_if_tracked(waiter, holder)
+
+    def _rederive_waiters(self, entity: Entity) -> None:
+        """Re-derive, from the table, the edges of every waiter still
+        queued on ``entity`` (an explicit release took the releaser out
+        of their blocker sets without necessarily unblocking them)."""
+        for waiter, wanted in self.table.waiter_modes(entity):
+            self.graph.set_edges(
+                waiter, set(self.table.blockers(waiter, entity, wanted))
             )
 
     def _finish(
@@ -272,6 +319,7 @@ class LockKernel:
             if callback is not None:
                 callback(txn, pending_response)
         _, woken = self.table.release_all_wake(txn)
+        self.graph.forget(txn)
         self.audit.append(
             audit_op,
             txn,
@@ -293,7 +341,7 @@ class LockKernel:
             return
         for waiter in woken:
             record = self._txns.get(waiter)
-            if record is None or record.state != _BLOCKED or record.pending is None:
+            if record is None or record.pending is None:
                 continue
             entity, mode, callback = record.pending
             if not self.table.grantable(waiter, entity, mode):
@@ -301,8 +349,9 @@ class LockKernel:
             self.table.remove_waiter(waiter)
             self.table.acquire(waiter, entity, mode)
             record.pending = None
-            record.state = _ACTIVE
             record.step_count += 1
+            self.graph.drop_edges(waiter)
+            self._granted_on(waiter, entity)
             self.audit.append(
                 "grant", waiter, Outcome.GRANTED.value,
                 txn=waiter, entity=entity,
@@ -408,14 +457,15 @@ class LockKernel:
         if not blockers:
             self.table.acquire(txn, entity, mode)
             record.step_count += 1
+            self._granted_on(txn, entity)
             return self._audited(
                 "acquire", KernelResponse(Outcome.GRANTED),
                 actor=actor, txn=txn, entity=entity,
             )
         # Park the request and look for a cycle the new edge closed.
         self.table.add_waiter(txn, entity, mode)
-        record.state = _BLOCKED
         record.pending = (entity, mode, on_wake)
+        self.graph.set_edges(txn, set(blockers))
         response = KernelResponse(
             Outcome.BLOCKED,
             "conflicting holders",
@@ -430,7 +480,7 @@ class LockKernel:
         # if resolution sacrifices the requester (VICTIM) or a victim's
         # released locks grant it (GRANTED), the callback has already
         # fired, synchronously, before this BLOCKED response returns.
-        self._resolve_deadlocks()
+        self._resolve_deadlocks(txn)
         return audited
 
     def release(
@@ -474,6 +524,7 @@ class LockKernel:
                     seen.add(w)
                     woken.append(w)
         record.step_count += 1
+        self._rederive_waiters(entity)
         response = self._audited(
             "release", KernelResponse(Outcome.GRANTED),
             actor=actor, txn=txn, entity=entity,
@@ -502,9 +553,16 @@ class LockKernel:
         )
         return KernelResponse(Outcome.GRANTED)
 
-    def abort(self, txn: str, *, actor: Optional[str] = None) -> KernelResponse:
+    def abort(
+        self,
+        txn: str,
+        *,
+        actor: Optional[str] = None,
+        reason: str = "aborted by client",
+    ) -> KernelResponse:
         """Abort ``txn`` (allowed while blocked: the parked acquire's
-        callback fires with ``ERROR`` before the locks release)."""
+        callback fires with ``ERROR`` before the locks release).
+        ``reason`` is what the audit entry says about who gave it up."""
         misuse = self._misuse("abort", txn, allow_blocked=True)
         if misuse is not None:
             return self._audited("abort", misuse, actor=actor, txn=txn)
@@ -516,10 +574,10 @@ class LockKernel:
             )
         self._finish(
             txn,
-            KernelResponse(Outcome.ERROR, "transaction aborted by client"),
+            KernelResponse(Outcome.ERROR, f"transaction {reason}"),
             audit_op="abort",
             audit_decision=Outcome.GRANTED,
-            reason="aborted by client",
+            reason=reason,
         )
         return KernelResponse(Outcome.GRANTED)
 

@@ -29,6 +29,13 @@ parked request through the kernel (blocked clients receive a terminal
 ``wake`` with outcome ``error``), aborts every live transaction, emits a
 ``drain`` event on every connection, and closes them.  No client is left
 hanging on a response.
+
+**Disconnect.**  A connection remembers the transactions begun on it.
+When the client goes away (EOF, reset) the ones still live are aborted
+through the kernel — one audited ``abort`` each, the parked slot
+returned, the waiters behind their locks woken — so a vanished client
+cannot hold locks or a wait-queue position forever.  A connection that
+leaves nothing live behind leaves no audit entry either.
 """
 
 from __future__ import annotations
@@ -55,13 +62,16 @@ from .transport import memory_pair
 
 class _Connection:
     """Server-side per-connection state: the writer, the in-flight cap,
-    and the actor bound at handshake."""
+    the actor bound at handshake, and the transactions begun here."""
 
     def __init__(self, writer, max_inflight: int, seq: int) -> None:
         self.writer = writer
         self.actor: Optional[str] = None
         self.seq = seq
         self.inflight = asyncio.Semaphore(max_inflight)
+        #: Transactions begun on this connection and not yet seen to
+        #: finish on it; whatever is still live at disconnect is aborted.
+        self.txns: Set[str] = set()
 
     def send(self, message: Dict[str, object]) -> None:
         if not self.writer.is_closing():
@@ -162,9 +172,22 @@ class LockService:
                 await self._handle_request(conn, line)
         except asyncio.CancelledError:
             pass  # drain cancels reader tasks after notifying the client
+        except ConnectionError:
+            pass  # a reset is a disconnect like EOF
         finally:
             self._conns.discard(conn)
             conn.close()
+            await self._abandon(conn)
+
+    async def _abandon(self, conn: _Connection) -> None:
+        """The client is gone: abort what it left live (a parked acquire's
+        wake finds the writer closed and only returns the slot)."""
+        async with self._kernel_lock:
+            for txn in sorted(conn.txns):
+                if self.kernel.is_live(txn):
+                    self.kernel.abort(
+                        txn, actor=conn.actor, reason="client disconnected"
+                    )
 
     async def _handshake(self, conn: _Connection, reader) -> bool:
         """First line must be ``{"op": "hello", "actor": <name>}``."""
@@ -334,10 +357,14 @@ class LockService:
                 response = self.kernel.begin(txn, actor=actor)
                 if response.ok:
                     self.auth.register(txn, actor)
-            elif op == "commit":
-                response = self.kernel.commit(txn, actor=actor)
-            else:  # abort
-                response = self.kernel.abort(txn, actor=actor)
+                    conn.txns.add(txn)
+            else:
+                finish = (
+                    self.kernel.commit if op == "commit" else self.kernel.abort
+                )
+                response = finish(txn, actor=actor)
+                if response.ok:
+                    conn.txns.discard(txn)
         reply = {
             "id": rid, "op": op, "txn": txn,
             "outcome": response.outcome.value,
@@ -443,11 +470,15 @@ class ServiceClient:
         return self._events.popleft()
 
     async def wait_wake(self, rid: object) -> Dict[str, object]:
-        """Block until the wake event for request ``rid`` arrives."""
+        """Block until the wake event for request ``rid`` arrives.  Every
+        other event stays buffered, in arrival order, for its own
+        :meth:`wait_wake` / :meth:`next_event`."""
         while True:
-            event = await self.next_event()
-            if event.get("event") == "wake" and event.get("id") == rid:
-                return event
+            for event in self._events:
+                if event.get("event") == "wake" and event.get("id") == rid:
+                    self._events.remove(event)
+                    return event
+            await self._pump_once()
 
     async def close(self) -> None:
         self._writer.close()

@@ -324,6 +324,25 @@ class WaitsForGraph:
         self.last_visits = visits
         return cycle
 
+    def closes_cycle(self, name: str) -> bool:
+        """Whether ``name`` lies on a cycle: one forward reachability walk
+        from its blockers that stops at the first path back to it.  The
+        request-driven kernel asks this of a freshly parked waiter — in a
+        graph that was acyclic before the block, every cycle passes
+        through the new waiter — so the detector runs only when there is
+        something to find.  Read-only: no certificate, no cached walk."""
+        graph = self.waits_for
+        seen: Set[str] = set()
+        work: List[str] = list(graph.get(name, ()))  # repro: noqa[RPR001] pure-reachability worklist; result is a boolean
+        while work:
+            n = work.pop()
+            if n == name:
+                return True
+            if n not in seen:
+                seen.add(n)
+                work.extend(graph.get(n, ()))  # repro: noqa[RPR001] pure-reachability worklist; result is a boolean
+        return False
+
     def find_cycle(self) -> Optional[List[str]]:
         """Incremental detection: bit-identical to
         :func:`repro.sim.deadlock.find_cycle` on :attr:`waits_for`."""

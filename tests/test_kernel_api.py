@@ -4,9 +4,12 @@ the contract under test throughout — protocol misuse answered with
 ``ERROR``/``DENIED`` while mutating **nothing** and always leaving an
 audit entry (no audit-free path)."""
 
+import random
+
 import pytest
 
 from repro.kernel import AuditLog, LockKernel, LockMode, Outcome
+from repro.sim.deadlock import find_cycle
 
 
 def audited_kernel(**kwargs):
@@ -295,3 +298,151 @@ class TestAdmissionAndDrain:
         with MisuseProbe(k) as probe:
             probe.expect_refusal(k.begin("t3"), Outcome.ERROR, "draining")
         assert k.drain() == ()  # idempotent
+
+
+# ----------------------------------------------------------------------
+# The maintained waits-for graph against the table-derived rebuild
+# ----------------------------------------------------------------------
+
+
+def table_waits_for(kernel):
+    """Every parked transaction's waits-for edges re-derived from the lock
+    table — what ``LockKernel`` used to rebuild on every ``BLOCKED``, kept
+    here as the oracle the maintained graph must equal."""
+    graph = {}
+    for record in kernel._txns.values():
+        if record.pending is None:
+            continue
+        entity, mode, _ = record.pending
+        graph[record.name] = {
+            b
+            for b in kernel.table.blockers(record.name, entity, mode)
+            if b in kernel._txns
+        }
+    return graph
+
+
+class OracleKernel(LockKernel):
+    """The kernel as it decided before it kept a graph: on every block,
+    rebuild waits-for from the table and run the from-scratch detector."""
+
+    def _resolve_deadlocks(self, waiter):
+        cycle = find_cycle(table_waits_for(self))
+        while cycle is not None:
+            self._abort_victim(cycle)  # pick_victim + abort, as the kernel
+            cycle = find_cycle(table_waits_for(self))
+
+
+def assert_graph_matches_table(kernel):
+    kernel.graph.check_consistency()
+    rebuilt = table_waits_for(kernel)
+    assert kernel.graph.snapshot() == rebuilt
+    assert find_cycle(rebuilt) is None, "a cycle survived a request"
+    assert kernel.blocked_txns() == tuple(sorted(rebuilt))
+
+
+class RequestFuzzer:
+    """One seeded request sequence sent to the kernel and to the oracle
+    side by side.  Entities are drawn unordered from a small hot set, so
+    blocks, upgrades, real cycles and multi-victim cascades all occur."""
+
+    ENTITIES = ("a", "b", "c", "d")
+    MAX_LIVE = 9
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.kernel = audited_kernel(lock_shards=2)
+        self.oracle = OracleKernel(audit=AuditLog(), lock_shards=2)
+        self.wakes = {self.kernel: [], self.oracle: []}
+        self.begun = 0
+        self.cascades = 0  # requests that cost two or more victims
+        self.rederived = 0  # releases that left a waiter queued
+
+    def both(self, op, *args, **kwargs):
+        """Send one request to both kernels; the replies must agree and
+        the maintained graph must equal the rebuild afterwards."""
+        replies = []
+        for k in (self.kernel, self.oracle):
+            if op == "acquire":
+                sink = self.wakes[k]
+                kwargs["on_wake"] = lambda t, r, sink=sink: sink.append(
+                    (t, r.outcome, r.reason)
+                )
+            replies.append(getattr(k, op)(*args, **kwargs))
+        assert replies[0] == replies[1], (op, args)
+        assert_graph_matches_table(self.kernel)
+        assert self.kernel.victims == self.oracle.victims
+        return replies[0]
+
+    def step(self):
+        rng, k = self.rng, self.kernel
+        live = k.live_txns()
+        blocked = set(k.blocked_txns())
+        active = [t for t in live if t not in blocked]
+        roll = rng.random()
+        if not live or (roll < 0.15 and len(live) < self.MAX_LIVE):
+            self.begun += 1
+            self.both("begin", f"t{self.begun:03d}")
+        elif roll < 0.70 and active:
+            victims = len(k.victims)
+            self.both(
+                "acquire", rng.choice(active), rng.choice(self.ENTITIES),
+                rng.choice((LockMode.SHARED, LockMode.EXCLUSIVE)),
+            )
+            self.cascades += len(k.victims) - victims >= 2
+        elif roll < 0.82 and active:
+            txn = rng.choice(active)
+            # Mostly something held; now and then an unheld misuse.
+            held = sorted(k.held(txn)) or list(self.ENTITIES)
+            entity = rng.choice(held if rng.random() < 0.9 else self.ENTITIES)
+            self.both("release", txn, entity)
+            self.rederived += bool(k.table.waiters_of(entity))
+        elif roll < 0.92 and active:
+            self.both("commit", rng.choice(active))
+        else:
+            self.both("abort", rng.choice(live))  # blocked ones included
+
+    def run(self, requests):
+        for _ in range(requests):
+            self.step()
+        self.both("drain")
+        assert self.kernel.live_txns() == ()
+        assert self.kernel.graph.snapshot() == {}
+        assert self.wakes[self.kernel] == self.wakes[self.oracle]
+        assert self.kernel.audit.entries() == self.oracle.audit.entries()
+        return self
+
+
+class TestMaintainedWaitsFor:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_requests_match_the_table_rebuild(self, seed):
+        RequestFuzzer(seed).run(400)
+
+    def test_the_sequences_reach_the_hard_cases(self):
+        """The differential test above proves nothing unless deadlocks,
+        multi-victim cascades and releases past a queued waiter occur."""
+        runs = [RequestFuzzer(seed).run(400) for seed in range(12)]
+        assert sum(len(r.kernel.victims) for r in runs) >= 50
+        assert sum(r.cascades for r in runs) >= 2
+        assert sum(r.rederived for r in runs) >= 10
+
+    def test_a_grant_past_a_queued_waiter_extends_its_edges(self):
+        """S holder joins while X waits: the waiter's blocker set grows
+        without it being re-examined, and the cycle that edge belongs to
+        is found when the joiner next blocks."""
+        k = audited_kernel()
+        for name in ("t1", "t2", "t3"):
+            assert k.begin(name).ok
+        assert k.acquire("t1", "a", LockMode.SHARED).ok
+        assert k.acquire("t2", "b").ok
+        assert k.acquire("t2", "a").outcome is Outcome.BLOCKED
+        assert k.graph.snapshot() == {"t2": {"t1"}}
+        assert k.acquire("t3", "a", LockMode.SHARED).ok  # jumps the queue
+        assert k.graph.snapshot() == {"t2": {"t1", "t3"}}
+        wakes = []
+        assert k.acquire(
+            "t3", "b", on_wake=lambda t, r: wakes.append((t, r.outcome))
+        ).outcome is Outcome.BLOCKED
+        assert k.victims == ["t2"]  # equal work; the name breaks the tie
+        assert wakes == [("t3", Outcome.GRANTED)]
+        assert_graph_matches_table(k)

@@ -227,6 +227,121 @@ class TestBlockingAndWake:
         run(scenario())
 
 
+    def test_wait_wake_keeps_the_events_it_skips(self):
+        """One client, two parked acquires, wakes collected in the reverse
+        order of arrival: the skipped wake and the drain event behind it
+        must still be there."""
+
+        async def scenario():
+            svc = await make_service()
+            holder = await svc.connect("holder")
+            waiter = await svc.connect("waiter")
+            await holder.request("begin", txn="h")
+            parked = {}
+            for entity in ("x", "y"):
+                await holder.request("acquire", txn="h", entity=entity)
+                await waiter.request("begin", txn=f"w-{entity}")
+                reply = await waiter.request(
+                    "acquire", txn=f"w-{entity}", entity=entity
+                )
+                assert reply["outcome"] == "blocked"
+                parked[entity] = reply["id"]
+            await holder.request("commit", txn="h")  # wakes x, then y
+            await svc.drain()
+            second = await asyncio.wait_for(waiter.wait_wake(parked["y"]), 5)
+            assert second["txn"] == "w-y"
+            first = await asyncio.wait_for(waiter.wait_wake(parked["x"]), 5)
+            assert (first["txn"], first["outcome"]) == ("w-x", "granted")
+            assert (await waiter.next_event())["event"] == "drain"
+
+        run(scenario())
+
+
+class TestDisconnect:
+    """A client that vanishes leaves nothing behind: its live
+    transactions are aborted (audited), its parked slot is reclaimed, and
+    whoever waited on its locks is woken."""
+
+    @staticmethod
+    async def connect(svc, actor):
+        """A client plus the server task handling it, which ends once the
+        service has noticed the disconnect and cleaned up."""
+        before = set(svc._conn_tasks)
+        client = await svc.connect(actor)
+        (handler,) = svc._conn_tasks - before
+        return client, handler
+
+    def test_disconnect_while_parked(self):
+        async def scenario():
+            svc = await make_service(max_inflight=1)
+            alice = await svc.connect("alice")
+            bob, bob_handler = await self.connect(svc, "bob")
+            await alice.request("begin", txn="a1")
+            await alice.request("acquire", txn="a1", entity="x")
+            await bob.request("begin", txn="b1")
+            blocked = await bob.request("acquire", txn="b1", entity="x")
+            assert blocked["outcome"] == "blocked"
+            (conn,) = [c for c in svc._conns if c.actor == "bob"]
+            assert conn.inflight.locked()  # the parked acquire owns the slot
+            audit_len = len(svc.audit)
+            await bob.close()
+            await asyncio.wait_for(bob_handler, timeout=5)
+            assert svc.kernel.live_txns() == ("a1",)
+            assert svc.kernel.blocked_txns() == ()
+            assert svc.kernel.graph.snapshot() == {}
+            assert svc.kernel.table.waiters_of("x") == []
+            assert not conn.inflight.locked()
+            (entry,) = svc.audit.entries()[audit_len:]
+            assert (entry.op, entry.txn, entry.decision, entry.reason) == (
+                "abort", "b1", "granted", "client disconnected"
+            )
+            # The survivor is untouched and the name stays finished.
+            locks = await alice.request("locks", txn="a1")
+            assert locks["locks"] == [["x", "X"]]
+            assert await svc.drain() == ("a1",)
+
+        run(scenario())
+
+    def test_disconnect_while_holding_a_lock_another_client_waits_on(self):
+        async def scenario():
+            svc = await make_service()
+            alice = await svc.connect("alice")
+            bob = await svc.connect("bob")
+            await alice.request("begin", txn="a1")
+            await alice.request("acquire", txn="a1", entity="x")
+            await alice.request("begin", txn="a2")
+            await alice.request("commit", txn="a2")  # finished: not re-aborted
+            await bob.request("begin", txn="b1")
+            blocked = await bob.request("acquire", txn="b1", entity="x")
+            assert blocked["outcome"] == "blocked"
+            audit_len = len(svc.audit)
+            await alice.close()
+            wake = await asyncio.wait_for(bob.wait_wake(blocked["id"]), 5)
+            assert wake["outcome"] == "granted"
+            assert svc.kernel.live_txns() == ("b1",)
+            assert svc.kernel.graph.snapshot() == {}
+            assert [
+                (e.op, e.txn, e.decision) for e in svc.audit.entries()[audit_len:]
+            ] == [("abort", "a1", "granted"), ("grant", "b1", "granted")]
+            await svc.drain()
+
+        run(scenario())
+
+    def test_a_connection_with_nothing_live_leaves_no_audit_entry(self):
+        async def scenario():
+            svc = await make_service()
+            alice, handler = await self.connect(svc, "alice")
+            await alice.request("begin", txn="a1")
+            await alice.request("commit", txn="a1")
+            audit_len = len(svc.audit)
+            await alice.close()
+            await asyncio.wait_for(handler, timeout=5)
+            assert len(svc.audit) == audit_len
+            await svc.drain()
+
+        run(scenario())
+
+
 class TestStress:
     def test_concurrent_sessions_serializable_audit(self):
         """≥8 concurrent clients mixing authorized and unauthorized ops:
