@@ -140,7 +140,6 @@ def _preset_stress(scale: float) -> GridSpec:
         ),
         seeds=(0, 1, 2),
         max_ticks=2_000_000,
-        check_serializability=False,
     )
 
 
@@ -158,14 +157,12 @@ def _preset_deadlock(scale: float) -> GridSpec:
         ),
         seeds=(0, 1, 2),
         max_ticks=2_000_000,
-        check_serializability=False,
     )
 
 
 def _preset_traversal(scale: float) -> GridSpec:
     """DDAG vs 2PL on random-DAG traversals (the [CHMS94]-substitute
-    comparison); already small, so ``--scale`` leaves it alone and every
-    seed's schedule is serializability-checked."""
+    comparison); already small, so ``--scale`` leaves it alone."""
     return GridSpec(
         policies=(PolicySpec(DdagPolicy), PolicySpec(TwoPhasePolicy)),
         workloads=(
@@ -175,7 +172,6 @@ def _preset_traversal(scale: float) -> GridSpec:
             }),
         ),
         seeds=tuple(range(8)),
-        check_serializability=True,
     )
 
 
@@ -196,7 +192,6 @@ def _preset_mega_stress(scale: float) -> GridSpec:
         ),
         seeds=(0,),
         max_ticks=20_000_000,
-        check_serializability=False,
         lock_shards=8,
     )
 
@@ -218,7 +213,6 @@ def _preset_mega_stress_50k(scale: float) -> GridSpec:
         ),
         seeds=(0,),
         max_ticks=100_000_000,
-        check_serializability=False,
         lock_shards=8,
     )
 
@@ -486,8 +480,8 @@ def _run_service_stress(args: argparse.Namespace) -> int:
 _SCALING_POINTS = ((5_000, 8_000), (15_000, 22_000), (50_000, 64_000))
 
 _SCALING_COLUMNS = [
-    "txns", "failures", "ticks", "committed", "mean_active", "wall_s",
-    "us_per_tick",
+    "txns", "failures", "serializable", "ticks", "committed", "mean_active",
+    "wall_s", "us_per_tick",
 ]
 
 
@@ -503,9 +497,9 @@ def _run_scaling(args: argparse.Namespace) -> int:
     ``--arrival-rate`` overloads the system further, which is how a
     reduced ``--scale`` run still reaches populations in the hundreds
     and thousands.  ``wall_s`` is one whole seed-run per row (simulation,
-    schedule assembly, legality and properness checks), so the 5k and
-    50k rows compare with what ``mega_stress`` and ``mega_stress_50k``
-    pay per run."""
+    schedule assembly, legality and properness checks, serializability
+    verdict), so the 5k and 50k rows compare with what ``mega_stress``
+    and ``mega_stress_50k`` pay per run."""
     scale = args.scale
     arrival_rate = args.arrival_rate or 0.085
     rows: List[Dict[str, object]] = []
@@ -520,7 +514,6 @@ def _run_scaling(args: argparse.Namespace) -> int:
         outcome = run_seed(
             TwoPhasePolicy(), items, initial, 0,
             context_kwargs=context_kwargs, max_ticks=100_000_000,
-            check_serializability=False,
         )
         wall = time.perf_counter() - t0
         if outcome.failed:
@@ -530,6 +523,7 @@ def _run_scaling(args: argparse.Namespace) -> int:
         rows.append({
             "txns": n,
             "failures": int(outcome.failed),
+            "serializable": outcome.serializable is True,
             "ticks": ticks,
             "committed": int(summary.get("committed", 0)),
             "mean_active": round(summary.get("mean_active", 0.0), 2),

@@ -40,7 +40,7 @@ from ..exceptions import (
     ImproperScheduleError,
     MalformedScheduleError,
 )
-from .operations import LockMode
+from .operations import LockMode, Operation
 from .states import StructuralState
 from .steps import Entity, Step
 from .transactions import Transaction, transactions_by_name
@@ -356,16 +356,24 @@ class Schedule:
     ) -> Optional[str]:
         """Describe the first improper step, or None if the schedule is
         proper for ``initial``."""
-        state = initial
+        # Folding StructuralState.apply would copy the whole entity set at
+        # every INSERT / DELETE -- quadratic on a database that keeps
+        # growing -- so this folds over one mutable presence set.
+        present = set(initial.entities)
         for pos, e in enumerate(self._events):
-            if not state.defines(e.step):
-                detail = (
-                    "entity absent" if e.step.op.requires_present else "entity present"
-                )
-                return (
-                    f"event {pos} {e}: step undefined in state {state} ({detail})"
-                )
-            state = state.apply(e.step)
+            op = e.step.op
+            if op.is_lock or op.is_unlock:
+                continue  # defined in every state
+            entity = e.step.entity
+            inserting = op is Operation.INSERT  # R/W/D need it present instead
+            if (entity in present) == inserting:
+                state = StructuralState(frozenset(present))
+                detail = "entity present" if inserting else "entity absent"
+                return f"event {pos} {e}: step undefined in state {state} ({detail})"
+            if inserting:
+                present.add(entity)
+            elif op is Operation.DELETE:
+                present.remove(entity)
         return None
 
     def is_proper(self, initial: StructuralState = StructuralState.empty()) -> bool:

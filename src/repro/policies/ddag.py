@@ -360,8 +360,12 @@ class DdagSession(PolicySession):
             self._structural = True
             if _is_edge_entity(step.entity):
                 _, u, v = step.entity
+                # On an acyclic graph u->v closes a cycle iff v already
+                # reaches u, so the guard walks from v, not the whole DAG.
+                assert u != v and not dag.graph.has_path(v, u), (
+                    "workload created a cycle"
+                )
                 dag.graph.add_edge(u, v)
-                assert dag.graph.is_acyclic(), "workload created a cycle"
                 self.context.notify_changed((ddag_node_channel(v),))
             else:
                 dag.graph.add_node(step.entity)

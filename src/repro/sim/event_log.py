@@ -47,14 +47,20 @@ def assemble(events: Sequence[Optional[Event]]) -> Schedule:
     """Build a Schedule from raw events, reconstructing each transaction
     from its own event subsequence (erased aborts tombstone their positions
     to ``None`` and leave per-transaction gaps in the recorded indices, so
-    tombstones are skipped and events re-indexed)."""
+    tombstones are skipped and events re-indexed).
+
+    A recorded event whose index is already right is reused as is (a
+    restarted attempt records from 0 again, so in simulator logs that is
+    every event): allocating one per event made the cyclic collector
+    re-walk the growing list over and over (more than half of this
+    function's time at 288k events)."""
     steps_by_txn: Dict[str, List[Step]] = {}
     reindexed: List[Event] = []
     for e in events:
         if e is None:
             continue  # erased by an abort
         seq = steps_by_txn.setdefault(e.txn, [])
-        reindexed.append(Event(e.txn, len(seq), e.step))
+        reindexed.append(e if e.index == len(seq) else Event(e.txn, len(seq), e.step))
         seq.append(e.step)
     txns = [Transaction(name, tuple(steps)) for name, steps in steps_by_txn.items()]
     return Schedule(txns, reindexed)

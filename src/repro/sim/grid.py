@@ -87,7 +87,6 @@ class GridSpec:
     seeds: Tuple[int, ...] = ()
     engine: str = "event"
     max_ticks: int = 200_000
-    check_serializability: bool = True
     #: Lock-table shard count for every seed-run (any count produces
     #: byte-identical rows; 1 is the single-partition reference).
     lock_shards: int = 1
@@ -118,7 +117,6 @@ class _SeedTask:
     seed: int
     engine: str
     max_ticks: int
-    check_serializability: bool
     lock_shards: int = 1
     shard_workers: int = 0
     executor: str = "thread"
@@ -132,7 +130,6 @@ def _run_task(task: _SeedTask) -> Tuple[int, int, SeedOutcome]:
         policy, items, initial, task.seed,
         context_kwargs=context_kwargs,
         max_ticks=task.max_ticks,
-        check_serializability=task.check_serializability,
         engine=task.engine,
         lock_shards=task.lock_shards,
         shard_workers=task.shard_workers,
@@ -193,7 +190,6 @@ def run_grid(
         _SeedTask(
             cell=ci, slot=si, policy=p, workload=w, seed=seed,
             engine=spec.engine, max_ticks=spec.max_ticks,
-            check_serializability=spec.check_serializability,
             lock_shards=spec.lock_shards,
             shard_workers=spec.shard_workers,
             executor=spec.executor,
@@ -214,9 +210,7 @@ def run_grid(
             p, w = cells[ci]
             outcomes = buckets[ci]
             assert all(o is not None for o in outcomes)
-            results[ci] = aggregate_outcomes(
-                p.name, w.name, outcomes, spec.check_serializability
-            )
+            results[ci] = aggregate_outcomes(p.name, w.name, outcomes)
             if progress is not None:
                 progress(results[ci])
 
@@ -224,9 +218,7 @@ def run_grid(
         # Degenerate grid: every cell aggregates to an empty (all-failed
         # semantics: not green) result without spinning up a pool.
         for ci, (p, w) in enumerate(cells):
-            results[ci] = aggregate_outcomes(
-                p.name, w.name, [], spec.check_serializability
-            )
+            results[ci] = aggregate_outcomes(p.name, w.name, [])
             if progress is not None:
                 progress(results[ci])
     elif workers == 0 or not tasks:

@@ -53,8 +53,7 @@ class SeedOutcome:
     #: ``metrics.work_summary()`` of a successful run (engine work
     #: counters — what the BENCH artifacts track across PRs).
     work: Optional[Dict[str, float]] = None
-    #: Serializability verdict: ``True``/``False`` when checked, ``None``
-    #: when the run failed or the cell skipped the check.
+    #: Serializability verdict of a successful run; ``None`` if it failed.
     serializable: Optional[bool] = None
     #: ``SimulationError`` text (truncated) when the run failed.
     error: Optional[str] = None
@@ -74,13 +73,10 @@ class CellResult:
     failures: int
     means: Dict[str, float]
     stdevs: Dict[str, float]
-    #: True iff at least one run succeeded and every successful *checked*
-    #: run was serializable.  A cell whose every seed failed reports False —
-    #: it must not read as green.
+    #: True iff at least one run succeeded and every successful run was
+    #: serializable.  A cell whose every seed failed reports False — it
+    #: must not read as green.
     all_serializable: bool
-    #: Whether the serializability check actually ran.  An unchecked cell
-    #: must not read as green either: ``row()`` reports ``"skipped"``.
-    serializability_checked: bool = True
     #: ``(seed, error message)`` pairs for the failed seeds, truncated at
     #: :data:`FAILED_SEEDS_LIMIT` (``failures`` is the true count), so a red
     #: cell in BENCH output is diagnosable without a rerun.
@@ -90,23 +86,13 @@ class CellResult:
     #: in the unified BENCH artifacts).
     work_means: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def serializable(self) -> object:
-        """The value ``row()`` reports: ``False`` for an all-failed cell,
-        ``"skipped"`` when the check did not run, else the checked verdict."""
-        if self.runs == 0:
-            return False
-        if not self.serializability_checked:
-            return "skipped"
-        return self.all_serializable
-
     def row(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "policy": self.policy,
             "workload": self.workload,
             "runs": self.runs,
             "failures": self.failures,
-            "serializable": self.serializable,
+            "serializable": self.all_serializable,
         }
         out.update({k: round(v, 4) for k, v in self.means.items()})
         # The per-seed spread was computed but silently dropped; surface it
@@ -124,7 +110,6 @@ def run_seed(
     seed: int,
     context_kwargs: Optional[dict] = None,
     max_ticks: int = 200_000,
-    check_serializability: bool = True,
     engine: str = "event",
     lock_shards: int = 1,
     shard_workers: int = 0,
@@ -142,12 +127,11 @@ def run_seed(
         result = sim.run(items, initial)
     except SimulationError as exc:
         return SeedOutcome(seed=seed, error=str(exc)[:_ERROR_CHARS])
-    serializable = is_serializable(result.schedule) if check_serializability else None
     return SeedOutcome(
         seed=seed,
         summary=result.metrics.summary(),
         work=result.metrics.work_summary(),
-        serializable=serializable,
+        serializable=is_serializable(result.schedule),
     )
 
 
@@ -166,7 +150,6 @@ def aggregate_outcomes(
     policy_name: str,
     workload_name: str,
     outcomes: Sequence[SeedOutcome],
-    check_serializability: bool = True,
 ) -> CellResult:
     """Fold one cell's seed outcomes (in seed order) into a
     :class:`CellResult` — the shared aggregation path of the serial
@@ -196,7 +179,6 @@ def aggregate_outcomes(
         means=means,
         stdevs=stdevs,
         all_serializable=all_srz,
-        serializability_checked=check_serializability,
         failed_seeds=tuple(failed[:FAILED_SEEDS_LIMIT]),
         work_means=work_means,
     )
@@ -209,7 +191,6 @@ def run_cell(
     seeds: Sequence[int],
     context_kwargs_factory: Optional[Callable[[int], dict]] = None,
     max_ticks: int = 200_000,
-    check_serializability: bool = True,
     engine: str = "event",
     lock_shards: int = 1,
     shard_workers: int = 0,
@@ -229,13 +210,11 @@ def run_cell(
         outcomes.append(run_seed(
             policy, items, initial, seed,
             context_kwargs=kwargs, max_ticks=max_ticks,
-            check_serializability=check_serializability, engine=engine,
+            engine=engine,
             lock_shards=lock_shards, shard_workers=shard_workers,
             executor=executor,
         ))
-    return aggregate_outcomes(
-        policy.name, workload_name, outcomes, check_serializability
-    )
+    return aggregate_outcomes(policy.name, workload_name, outcomes)
 
 
 def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> str:

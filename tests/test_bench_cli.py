@@ -50,7 +50,6 @@ class TestPresets:
         (workload,) = spec.workloads
         assert workload.kwargs["num_txns"] >= 5000
         assert spec.lock_shards > 1
-        assert not spec.check_serializability
         scaled = bench.PRESETS["mega_stress"](0.02)
         assert scaled.workloads[0].kwargs["num_txns"] < 5000
 
@@ -60,7 +59,6 @@ class TestPresets:
         assert workload.kwargs["num_txns"] == 50_000
         assert workload.kwargs["arrival_rate"] < 1.0  # staggered arrivals
         assert spec.lock_shards > 1
-        assert not spec.check_serializability
 
     def test_scale_shrinks_with_floor(self):
         spec = bench.PRESETS["stress"](0.0001)
@@ -166,6 +164,7 @@ class TestScalingBench:
         for row in doc["rows"]:
             assert list(row) == bench._SCALING_COLUMNS
             assert row["failures"] == 0
+            assert row["serializable"] is True
             assert row["committed"] == row["txns"]
             assert row["us_per_tick"] == pytest.approx(
                 1e6 * row["wall_s"] / row["ticks"], rel=0.01
@@ -331,7 +330,7 @@ class TestCompare:
         old = _artifact(tmp_path, "old.json", [_row(spill_fraction=0.1)])
         new = _artifact(tmp_path, "new.json", [_row()])
         assert bench.main(["--compare", old, new]) == 0
-        assert "skipped" in capsys.readouterr().out
+        assert "(skipped)" in capsys.readouterr().out
 
     def test_compare_rejects_a_preset(self, tmp_path):
         old = _artifact(tmp_path, "old.json", [_row()])

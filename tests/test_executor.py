@@ -241,7 +241,6 @@ class TestExecutorEquivalence:
             ),
             seeds=(0, 1),
             max_ticks=500_000,
-            check_serializability=True,
             lock_shards=4,
             shard_workers=0,
         )

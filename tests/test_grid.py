@@ -6,8 +6,8 @@
 2. every registered workload factory is deterministic *across processes*:
    the same seed yields identical items and initial state whether built
    in-process or in a spawned worker (what makes by-name fan-out sound);
-3. ``run_cell(check_serializability=False)`` no longer reads green — rows
-   report ``"skipped"``;
+3. every row carries a real serializability verdict (a bool; an
+   all-failed cell is covered by ``test_scheduler_fixes``);
 4. failed seeds are recorded as diagnosable ``(seed, error)`` pairs,
    truncated like ``SimulationError`` live lists;
 5. mean/stdev aggregation works over the summaries' key intersection, so a
@@ -229,45 +229,18 @@ class TestCrossProcessDeterminism:
 
 
 # ----------------------------------------------------------------------
-# 3. Unchecked serializability must not read green
+# 3. Every row carries a real verdict
 # ----------------------------------------------------------------------
 
 
-class TestSkippedSerializability:
-    def _factory(self, seed):
-        return long_transaction_workload(4, 1, seed=seed)
-
-    def test_unchecked_cell_reports_skipped(self):
+class TestRowVerdict:
+    def test_row_verdict_is_a_bool(self):
         cell = run_cell(
-            TwoPhasePolicy(), "long", self._factory, seeds=range(2),
-            check_serializability=False,
+            TwoPhasePolicy(), "long",
+            lambda seed: long_transaction_workload(4, 1, seed=seed),
+            seeds=range(2),
         )
-        assert cell.serializability_checked is False
-        assert cell.row()["serializable"] == "skipped"
-
-    def test_checked_cell_still_reports_bool(self):
-        cell = run_cell(
-            TwoPhasePolicy(), "long", self._factory, seeds=range(2),
-        )
-        assert cell.serializability_checked is True
         assert cell.row()["serializable"] is True
-
-    def test_all_failed_unchecked_cell_is_false_not_skipped(self):
-        def doomed(seed):
-            items = [
-                WorkloadItem("T1", [Access("a"), Access("b")]),
-                WorkloadItem("T2", [Access("b"), Access("a")]),
-            ]
-            return items, StructuralState.of("a", "b")
-
-        cell = run_cell(
-            TwoPhasePolicy(), "doomed", doomed, seeds=range(3), max_ticks=2,
-            check_serializability=False,
-        )
-        assert cell.runs == 0
-        # every-seed-failed keeps the hard False (not merely "skipped")
-        assert cell.all_serializable is False
-        assert cell.row()["serializable"] is False
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +296,7 @@ class TestKeyIntersectionAggregation:
             SeedOutcome(seed=0, summary={"ticks": 10.0, "experimental": 1.0}),
             SeedOutcome(seed=1, summary={"ticks": 14.0}),
         ]
-        cell = aggregate_outcomes("P", "w", outcomes, check_serializability=False)
+        cell = aggregate_outcomes("P", "w", outcomes)
         assert cell.means == {"ticks": 12.0}
         assert "experimental" not in cell.means
         assert cell.stdevs["ticks"] == pytest.approx(2.0)
@@ -333,7 +306,7 @@ class TestKeyIntersectionAggregation:
             SeedOutcome(seed=0, summary={"b": 1.0, "a": 2.0}),
             SeedOutcome(seed=1, summary={"a": 4.0, "b": 3.0}),
         ]
-        cell = aggregate_outcomes("P", "w", outcomes, check_serializability=False)
+        cell = aggregate_outcomes("P", "w", outcomes)
         assert list(cell.means) == ["b", "a"]
 
     def test_failed_outcomes_excluded_from_aggregation(self):

@@ -157,7 +157,6 @@ class TestFullRunInvariance:
             ),
             seeds=(0, 1),
             max_ticks=500_000,
-            check_serializability=True,
             lock_shards=1,
         )
         reference = run_grid(spec, workers=0)

@@ -72,6 +72,19 @@ class TestSessionRules:
         with pytest.raises(PolicyViolation, match="without holding"):
             session.peek()
 
+    @pytest.mark.parametrize("u, v", [(3, 1), (2, 1), (2, 2)])
+    def test_cycle_closing_edge_insert_trips_the_guard(self, u, v):
+        dag = chain(3)  # 1 -> 2 -> 3
+        ctx = DdagPolicy(auto_release=False).create_context(dag=dag)
+        session = ctx.begin(
+            "T", [Access(1), Access(2), Access(3), InsertEdge(u, v)]
+        )
+        before = dag.graph.edges()
+        with pytest.raises(AssertionError, match="cycle"):
+            while session.peek() is not None:
+                session.executed()
+        assert dag.graph.edges() == before  # tripped before the edge went in
+
     @staticmethod
     def _drain_until_lock_of(session, node):
         """Execute session steps until the pending step is (LX node)."""

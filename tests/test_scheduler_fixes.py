@@ -38,6 +38,7 @@ from repro.policies.base import (
     access_steps,
 )
 from repro.sim import LockTable, Simulator, WorkloadItem, run_cell
+from repro.sim.event_log import EventLog
 from repro.sim.metrics import TxnRecord
 from repro.sim.scheduler import (
     _Live,
@@ -536,6 +537,44 @@ class TestEraseIndex:
             ("T2", 0, Step(Operation.READ, "b")),
             ("T1", 0, Step(Operation.READ, "c")),
         ]
+
+    def test_assemble_reuses_right_indices_and_repairs_wrong_ones(self):
+        def always_reallocate(events):
+            counts, out = {}, []
+            for ev in events:
+                if ev is not None:
+                    k = counts.get(ev.txn, 0)
+                    out.append(Event(ev.txn, k, ev.step))
+                    counts[ev.txn] = k + 1
+            return out
+
+        log = EventLog()
+        first_attempt = [
+            Event("T1", 0, Step(Operation.LOCK_EXCLUSIVE, "a")),
+            Event("T2", 0, Step(Operation.LOCK_SHARED, "b")),
+            Event("T1", 1, Step(Operation.WRITE, "a")),
+            Event("T2", 1, Step(Operation.READ, "b")),
+        ]
+        for ev in first_attempt:
+            log.record(ev.txn, ev)
+        log.erase("T1")
+        second_attempt = [
+            Event("T1", 0, Step(Operation.LOCK_EXCLUSIVE, "c")),
+            Event("T2", 2, Step(Operation.UNLOCK_SHARED, "b")),
+            Event("T1", 1, Step(Operation.WRITE, "c")),
+        ]
+        for ev in second_attempt:
+            log.record(ev.txn, ev)
+        # A log whose surviving indices have a gap (T3 lost its step 0).
+        raw = log.events + [Event("T3", 1, Step(Operation.READ, "d"))]
+
+        schedule = _assemble(raw)  # Schedule.__init__ validates the indices
+        assert list(schedule.events) == always_reallocate(raw)
+        for name, txn in schedule.transactions.items():
+            own = [ev for ev in schedule.events if ev.txn == name]
+            assert [ev.index for ev in own] == list(range(len(txn.steps)))
+        survivors = [ev for ev in raw[:-1] if ev is not None]
+        assert all(a is b for a, b in zip(schedule.events, survivors))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_aborted_attempts_leave_no_events(self, engine):

@@ -99,6 +99,49 @@ class TestProperness:
         with pytest.raises(ImproperScheduleError):
             section2_improper.assert_proper()
 
+    @pytest.mark.parametrize("bad", [
+        "(R z)", "(W z)", "(D z)",   # entity absent
+        "(I p)",                     # entity present
+    ])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_violation_message_matches_the_structural_state_fold(
+        self, bad, position
+    ):
+        def oracle(schedule, initial):
+            """The message as a fold of StructuralState.defines / apply."""
+            state = initial
+            for pos, e in enumerate(schedule.events):
+                if not state.defines(e.step):
+                    detail = ("entity absent" if e.step.op.requires_present
+                              else "entity present")
+                    return (f"event {pos} {e}: step undefined in state "
+                            f"{state} ({detail})")
+                state = state.apply(e.step)
+            return None
+
+        initial = StructuralState.of("p", "q")
+        good = ["(LX n)", "(I n)", "(W n)", "(R q)", "(D q)", "(UX n)"]
+        at = {"first": 0, "middle": 3, "last": len(good)}[position]
+        steps = good[:at] + [bad] + good[at:]
+        t1 = Transaction.from_text("T1", " ".join(steps))
+        t2 = Transaction.from_text("T2", "(LS p) (R p) (US p)")
+        order = ["T2"] + ["T1"] * len(steps) + ["T2", "T2"]
+        schedule = Schedule.from_order([t1, t2], order)
+
+        message = schedule.properness_violation(initial)
+        assert message is not None and f"event {at + 1} T1:{bad}" in message
+        assert message == oracle(schedule, initial)
+        with pytest.raises(ImproperScheduleError) as exc:
+            schedule.assert_proper(initial)
+        assert str(exc.value) == message
+        # Without the bad step the same schedule is proper, for both.
+        clean = Schedule.from_order(
+            [Transaction.from_text("T1", " ".join(good)), t2],
+            ["T2"] + ["T1"] * len(good) + ["T2", "T2"],
+        )
+        assert clean.properness_violation(initial) is None
+        assert oracle(clean, initial) is None
+
     def test_final_state(self, section2_proper):
         final = section2_proper.final_state()
         assert final.entities == frozenset({"a", "c", "d"})

@@ -1,15 +1,37 @@
 """Unit tests for the serializability graph D(S) and equivalence tests."""
 
-import pytest
+import random
 
-from repro import Schedule, Transaction, is_serializable, serializability_graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    Schedule,
+    StructuralState,
+    Transaction,
+    is_serializable,
+    serializability_graph,
+)
+from repro.core.operations import Operation
 from repro.core.serializability import (
     SerializabilityGraph,
+    _reduced_conflict_graph,
     conflict_equivalent,
     equivalent_serial_schedule,
     is_serializable_by_definition,
     serialization_order,
 )
+from repro.core.steps import Step
+from repro.graphs import chain
+from repro.policies import (
+    Access,
+    BrokenAltruisticPolicy,
+    BrokenDdagPolicy,
+    FreeForAllPolicy,
+    Unlock,
+)
+from repro.sim import Simulator, WorkloadItem, dag_structural_state
 
 
 def _pair(order):
@@ -121,3 +143,102 @@ class TestEquivalence:
         s1 = _pair(["T1"] * 6 + ["T2"] * 6)
         s2 = _pair(["T1"] * 6 + ["T2"] * 6).prefix(6)
         assert not conflict_equivalent(s1, s2)
+
+
+# ----------------------------------------------------------------------
+# ``is_serializable`` decides on a reduced graph; the full D(S) is its oracle
+# ----------------------------------------------------------------------
+
+
+def _arbitrary_schedule(rng: random.Random, max_txns: int) -> Schedule:
+    """An arbitrary interleaving of random transactions over all eight
+    operations on 1-3 entities: not lock-respecting, and a transaction
+    may touch the same entity any number of times."""
+    entities = "abc"[: rng.randint(1, 3)]
+    txns = [
+        Transaction(f"T{i}", tuple(
+            Step(rng.choice(list(Operation)), rng.choice(entities))
+            for _ in range(rng.randint(1, 5))
+        ))
+        for i in range(rng.randint(2, max_txns))
+    ]
+    order = [t.name for t in txns for _ in t.steps]
+    rng.shuffle(order)
+    return Schedule.from_order(txns, order)
+
+
+def _verdict_checked_against_full_graph(schedule: Schedule) -> bool:
+    full = serializability_graph(schedule)
+    reduced = _reduced_conflict_graph(schedule)
+    assert is_serializable(schedule) == full.is_acyclic(), str(schedule)
+    assert {(a, b) for a in reduced for b in reduced[a]} <= full.edges
+    return full.is_acyclic()
+
+
+class TestReducedVerdict:
+    def test_agrees_with_the_full_graph_on_fixed_seeds(self):
+        verdicts = {
+            _verdict_checked_against_full_graph(
+                _arbitrary_schedule(random.Random(seed), max_txns=8)
+            )
+            for seed in range(3000)
+        }
+        assert verdicts == {True, False}
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_full_graph_property(self, seed):
+        _verdict_checked_against_full_graph(
+            _arbitrary_schedule(random.Random(seed), max_txns=8)
+        )
+
+    def test_agrees_with_the_definition_on_small_systems(self):
+        verdicts = set()
+        for seed in range(300):
+            s = _arbitrary_schedule(random.Random(seed), max_txns=5)
+            assert is_serializable(s) == is_serializable_by_definition(s), str(s)
+            verdicts.add(is_serializable(s))
+        assert verdicts == {True, False}
+
+    def test_a_reader_reaches_a_later_writer_through_the_next_one(self):
+        # T1's read precedes T3's write with T2's write in between: the
+        # reduced graph drops T1->T3 and must still find the cycle
+        # T3 -> T1 (on b) -> T2 -> T3 (on a).
+        t1 = Transaction.from_text("T1", "(W b) (R a)")
+        t2 = Transaction.from_text("T2", "(W a)")
+        t3 = Transaction.from_text("T3", "(W b) (W a)")
+        s = Schedule.from_order([t1, t2, t3], ["T3", "T1", "T1", "T2", "T3"])
+        assert ("T1", "T3") in serializability_graph(s).edges
+        assert "T3" not in _reduced_conflict_graph(s)["T1"]
+        assert not is_serializable(s)
+
+    def test_unsafe_policy_runs_are_still_rejected(self):
+        """Every schedule the negative-control policies produce gets the
+        verdict the full graph gives it, and some are rejected."""
+        items = [
+            WorkloadItem("LONG", [Access("a"), Access("b"), Access("c")]),
+            WorkloadItem("S", [Access("c"), Access("a")]),
+        ]
+        init = StructuralState.of("a", "b", "c")
+        dag = chain(3)
+        ddag_items = [
+            WorkloadItem("T1", [Access(2), Unlock(2), Access(3)]),
+            WorkloadItem("T2", [Access(3), Unlock(3), Access(2)]),
+        ]
+        rejected = {"free-for-all": 0, "altruistic-noAL2": 0, "ddag-noL5": 0}
+        for seed in range(60):
+            runs = {
+                "free-for-all": Simulator(FreeForAllPolicy(), seed=seed).run(
+                    items, init),
+                "altruistic-noAL2": Simulator(
+                    BrokenAltruisticPolicy(), seed=seed).run(items, init),
+                "ddag-noL5": Simulator(
+                    BrokenDdagPolicy(auto_release=False), seed=seed,
+                    context_kwargs={"dag": chain(3)},
+                ).run(ddag_items, dag_structural_state(dag)),
+            }
+            for name, result in runs.items():
+                rejected[name] += not _verdict_checked_against_full_graph(
+                    result.schedule
+                )
+        assert all(rejected.values()), rejected
