@@ -426,7 +426,7 @@ def _run_service_stress(args: argparse.Namespace) -> int:
         await client.close()
 
     async def drive():
-        svc = LockService(lock_shards=4, max_inflight=8)
+        svc = LockService(max_inflight=8)
         t0 = time.perf_counter()
         await asyncio.gather(*(run_client(svc, i) for i in range(clients)))
         wall = time.perf_counter() - t0
@@ -462,8 +462,8 @@ def _run_service_stress(args: argparse.Namespace) -> int:
             **_stamp(),
             "clients": clients,
             "rounds": rounds,
-            "max_inflight": 8,
-            "lock_shards": 4,
+            "max_inflight": svc.max_inflight,
+            "lock_shards": svc.kernel.table.shards,
             "denied": counts["denied"],
             "blocked": counts["blocked"],
             "woken": counts["woken"],

@@ -8,18 +8,17 @@ log assigns each entry a monotonically increasing sequence number at
 append time, so concurrent client sessions funneled through one kernel
 produce a single serializable audit order that tests can assert on.
 
-Entries are immutable; the log exposes read-only views only — there is
-deliberately no ``remove``/``clear`` surface.
+Entries are immutable (tuple-backed: assigning a field raises); the log
+exposes read-only views only — there is deliberately no
+``remove``/``clear`` surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     """One audited decision."""
 
     #: Position in the log's total order (assigned at append).
@@ -59,16 +58,17 @@ class AuditLog:
         entity: Optional[object] = None,
         reason: Optional[str] = None,
     ) -> AuditEntry:
+        entries = self._entries
         entry = AuditEntry(
-            seq=len(self._entries),
-            op=op,
-            actor=actor,
-            txn=txn,
-            entity=None if entity is None else repr(entity),
-            decision=decision,
-            reason=reason,
+            len(entries),
+            op,
+            actor,
+            txn,
+            None if entity is None else repr(entity),
+            decision,
+            reason,
         )
-        self._entries.append(entry)
+        entries.append(entry)
         return entry
 
     def __len__(self) -> int:

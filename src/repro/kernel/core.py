@@ -86,7 +86,7 @@ from ..sim.deadlock import pick_victim
 from ..sim.lock_table import LockTable
 from ..sim.waits_for import WaitsForGraph
 from .audit import AuditLog
-from .outcomes import KernelResponse, Outcome
+from .outcomes import GRANTED, KernelResponse, Outcome
 
 #: Wake-up callback: fires once with the blocked request's final outcome.
 WakeCallback = Callable[[str, KernelResponse], None]
@@ -357,7 +357,7 @@ class LockKernel:
                 txn=waiter, entity=entity,
             )
             if callback is not None:
-                callback(waiter, KernelResponse(Outcome.GRANTED))
+                callback(waiter, GRANTED)
 
     # ------------------------------------------------------------------
     # The request API
@@ -409,9 +409,7 @@ class LockKernel:
                 actor=actor, txn=name,
             )
         self._txns[name] = _Txn(name, session)
-        return self._audited(
-            "begin", KernelResponse(Outcome.GRANTED), actor=actor, txn=name
-        )
+        return self._audited("begin", GRANTED, actor=actor, txn=name)
 
     def acquire(
         self,
@@ -459,8 +457,7 @@ class LockKernel:
             record.step_count += 1
             self._granted_on(txn, entity)
             return self._audited(
-                "acquire", KernelResponse(Outcome.GRANTED),
-                actor=actor, txn=txn, entity=entity,
+                "acquire", GRANTED, actor=actor, txn=txn, entity=entity
             )
         # Park the request and look for a cycle the new edge closed.
         self.table.add_waiter(txn, entity, mode)
@@ -526,8 +523,7 @@ class LockKernel:
         record.step_count += 1
         self._rederive_waiters(entity)
         response = self._audited(
-            "release", KernelResponse(Outcome.GRANTED),
-            actor=actor, txn=txn, entity=entity,
+            "release", GRANTED, actor=actor, txn=txn, entity=entity
         )
         self._grant_woken(woken)
         return response
@@ -551,7 +547,7 @@ class LockKernel:
             audit_op="commit",
             audit_decision=Outcome.GRANTED,
         )
-        return KernelResponse(Outcome.GRANTED)
+        return GRANTED
 
     def abort(
         self,
@@ -579,7 +575,7 @@ class LockKernel:
             audit_decision=Outcome.GRANTED,
             reason=reason,
         )
-        return KernelResponse(Outcome.GRANTED)
+        return GRANTED
 
     # ------------------------------------------------------------------
     # Drain

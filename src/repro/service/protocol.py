@@ -33,6 +33,13 @@ from ..kernel import LockMode
 #: Bump on incompatible wire changes; echoed in the hello response.
 PROTOCOL_VERSION = 1
 
+#: The frame limit, terminator included, on both transports (``serve_tcp``
+#: hands it to the stream reader, the in-process pipe checks it itself).
+#: A longer request line is refused — audited, answered best-effort —
+#: and the connection closed: the rest of the stream cannot be trusted to
+#: start on a line boundary.
+MAX_LINE_BYTES = 64 * 1024
+
 #: Requests that may change kernel state (all are authorized inline and
 #: audited — see :mod:`repro.service.auth`).
 MUTATING_OPS = frozenset({"begin", "acquire", "release", "commit", "abort"})
@@ -56,20 +63,27 @@ class ProtocolError(ValueError):
     answered (outcome ``error``) and audited, never silently dropped."""
 
 
+# One encoder and one decoder for the life of the process: the wire form
+# is fixed, so nothing about them varies per message.
+_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_from_json = json.JSONDecoder().decode
+
+
 def encode(message: Dict[str, object]) -> bytes:
     """One message, one line: compact JSON with sorted keys (a canonical
     rendering, so transcripts diff cleanly) plus the line terminator."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return (_to_json(message) + "\n").encode("utf-8")
 
 
 def decode(line: bytes) -> Dict[str, object]:
     """Parse one request line; raises :class:`ProtocolError` on anything
     that is not a single JSON object."""
     try:
-        message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        message = _from_json(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8 and bad JSON; RecursionError is the
+        # parser giving up on pathological nesting.  Either way the line
+        # is the client's fault and gets an answer, not a dead handler.
         raise ProtocolError(f"malformed request line: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(

@@ -11,13 +11,28 @@ Every connection binds to an *actor* at handshake; every request is then
    consulted, so a denied request provably changes no lock state and its
    denial is audited with the reason;
 2. **executed on the shared kernel** — one
-   :class:`~repro.kernel.core.LockKernel` behind one asyncio lock, so
-   requests from all sessions apply in a single serializable order (the
-   audit log's sequence numbers *are* that order);
+   :class:`~repro.kernel.core.LockKernel`, with no lock around it: every
+   kernel request (and the disconnect and drain sweeps) is a plain
+   synchronous call, and a coroutine runs uninterrupted until its next
+   ``await``, so on the one event loop no two of them can overlap.
+   Requests from all sessions therefore apply in a single serializable
+   order — the order the loop ran them, which the audit log's sequence
+   numbers record.  The invariant to keep: nothing between reading
+   kernel state and writing the reply may ``await``
+   (``tests/test_service.py::TestSerializedWithoutALock`` wraps every
+   kernel section in a re-entrancy sentinel to hold it);
 3. **answered on the same connection** — one response line per request;
    a ``blocked`` acquire additionally produces one ``wake`` event line
    when the parked request resolves (grant, deadlock victim, client
    abort, or drain).
+
+**Frames.**  A request line longer than
+:data:`~repro.service.protocol.MAX_LINE_BYTES` is refused on either
+transport: one audited ``protocol`` error, a best-effort reply, and the
+connection is closed and cleaned up as for a disconnect.  A line that
+does not parse (bad UTF-8, bad JSON, nesting the parser gives up on) is
+answered with an audited ``protocol`` error and the connection carries
+on.
 
 **Backpressure.**  Each connection has an in-flight cap (a semaphore):
 a parked acquire holds a slot until its wake fires, and once a client
@@ -47,7 +62,7 @@ from typing import Deque, Dict, Optional, Set, Tuple
 from ..kernel import AuditLog, LockKernel, Outcome
 from .auth import Authorizer
 from .protocol import (
-    MUTATING_OPS,
+    MAX_LINE_BYTES,
     OPS,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -58,6 +73,10 @@ from .protocol import (
     require_str,
 )
 from .transport import memory_pair
+
+
+#: Audit actor of a connection that never completed its handshake.
+UNAUTHENTICATED = "<unauthenticated>"
 
 
 class _Connection:
@@ -111,7 +130,7 @@ class LockService:
     def __init__(
         self,
         *,
-        lock_shards: int = 4,
+        lock_shards: int = 1,
         max_inflight: int = 8,
         max_live: int = 0,
         audit: Optional[AuditLog] = None,
@@ -123,7 +142,6 @@ class LockService:
         self.auth = Authorizer()
         self.max_inflight = max_inflight
         self._draining = False
-        self._kernel_lock = asyncio.Lock()
         self._conns: Set[_Connection] = set()
         self._conn_seq = 0
         self._conn_tasks: Set["asyncio.Task"] = set()
@@ -149,7 +167,7 @@ class LockService:
     ) -> Tuple[str, int]:
         """Start the optional TCP listener; returns ``(host, port)``."""
         self._tcp_server = await asyncio.start_server(
-            self.handle_client, host, port
+            self.handle_client, host, port, limit=MAX_LINE_BYTES
         )
         sockname = self._tcp_server.sockets[0].getsockname()
         return sockname[0], sockname[1]
@@ -163,13 +181,23 @@ class LockService:
         self._conn_seq += 1
         self._conns.add(conn)
         try:
-            if not await self._handshake(conn, reader):
-                return
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Either transport's reader, on a line over
+                    # MAX_LINE_BYTES.  What follows it need not start on
+                    # a line boundary, so the connection ends here.
+                    self._refuse(conn, None, "protocol", Outcome.ERROR,
+                                 "request line too long")
+                    break
                 if not line:
                     break
-                await self._handle_request(conn, line)
+                if conn.actor is None:
+                    if not self._handshake(conn, line):
+                        break
+                else:
+                    await self._handle_request(conn, line)
         except asyncio.CancelledError:
             pass  # drain cancels reader tasks after notifying the client
         except ConnectionError:
@@ -177,35 +205,46 @@ class LockService:
         finally:
             self._conns.discard(conn)
             conn.close()
-            await self._abandon(conn)
+            self._abandon(conn)
 
-    async def _abandon(self, conn: _Connection) -> None:
+    def _abandon(self, conn: _Connection) -> None:
         """The client is gone: abort what it left live (a parked acquire's
         wake finds the writer closed and only returns the slot)."""
-        async with self._kernel_lock:
-            for txn in sorted(conn.txns):
-                if self.kernel.is_live(txn):
-                    self.kernel.abort(
-                        txn, actor=conn.actor, reason="client disconnected"
-                    )
+        for txn in sorted(conn.txns):
+            if self.kernel.is_live(txn):
+                self.kernel.abort(
+                    txn, actor=conn.actor, reason="client disconnected"
+                )
 
-    async def _handshake(self, conn: _Connection, reader) -> bool:
+    def _refuse(
+        self,
+        conn: _Connection,
+        rid: object,
+        op: str,
+        outcome: Outcome,
+        reason: str,
+        txn: Optional[str] = None,
+    ) -> None:
+        """A request the service turns away before the kernel sees it:
+        one audit entry with the reason, then the reply."""
+        self.audit.append(op, conn.actor or UNAUTHENTICATED, outcome.value,
+                          txn=txn, reason=reason)
+        reply = {
+            "id": rid, "op": op, "outcome": outcome.value, "reason": reason,
+        }
+        if txn is not None:
+            reply["txn"] = txn
+        conn.send(reply)
+
+    def _handshake(self, conn: _Connection, line: bytes) -> bool:
         """First line must be ``{"op": "hello", "actor": <name>}``."""
-        line = await reader.readline()
-        if not line:
-            return False
         try:
             message = decode(line)
             if message.get("op") != "hello":
                 raise ProtocolError("first request must be 'hello'")
             actor = require_str(message, "actor")
         except ProtocolError as exc:
-            self.audit.append("hello", "<unauthenticated>", "error",
-                              reason=str(exc))
-            conn.send({
-                "id": None, "op": "hello",
-                "outcome": Outcome.ERROR.value, "reason": str(exc),
-            })
+            self._refuse(conn, None, "hello", Outcome.ERROR, str(exc))
             return False
         conn.actor = actor
         self.audit.append("hello", actor, Outcome.GRANTED.value)
@@ -216,7 +255,6 @@ class LockService:
         return True
 
     async def _handle_request(self, conn: _Connection, line: bytes) -> None:
-        actor = conn.actor
         # rid survives the except clause whenever the line decoded far
         # enough to carry one, so even a malformed request (bad op,
         # missing txn) gets a reply the client can correlate — an
@@ -230,50 +268,38 @@ class LockService:
                 raise ProtocolError(f"unknown op {op!r}")
             txn = require_str(message, "txn")
         except ProtocolError as exc:
-            self.audit.append("protocol", actor, Outcome.ERROR.value,
-                              reason=str(exc))
-            conn.send({
-                "id": rid, "op": "protocol",
-                "outcome": Outcome.ERROR.value, "reason": str(exc),
-            })
+            self._refuse(conn, rid, "protocol", Outcome.ERROR, str(exc))
             return
 
         if self._draining:
-            self.audit.append(op, actor, Outcome.ERROR.value, txn=txn,
-                              reason="service draining")
-            conn.send({
-                "id": rid, "op": op, "txn": txn,
-                "outcome": Outcome.ERROR.value, "reason": "service draining",
-            })
+            self._refuse(conn, rid, op, Outcome.ERROR, "service draining",
+                         txn)
             return
 
         # Inline authorization: the owner-only check runs before the
         # kernel sees the request.  A denial is audited here — the kernel
         # was never consulted, so no lock state can have changed.
-        denial = self.auth.check(op, actor, txn)
+        denial = self.auth.check(op, conn.actor, txn)
         if denial is not None:
-            self.audit.append(op, actor, Outcome.DENIED.value, txn=txn,
-                              reason=denial)
-            conn.send({
-                "id": rid, "op": op, "txn": txn,
-                "outcome": Outcome.DENIED.value, "reason": denial,
-            })
+            self._refuse(conn, rid, op, Outcome.DENIED, denial, txn)
             return
 
-        if op == "locks":
-            await self._op_locks(conn, rid, actor, txn)
-            return
-        await self._op_mutating(conn, message, rid, op, actor, txn)
+        # Everything below runs without an ``await`` between reading
+        # kernel state and answering — except the in-flight slot an
+        # acquire takes *before* it calls the kernel.
+        if op == "acquire":
+            await self._op_acquire(conn, message, rid, txn)
+        elif op == "locks":
+            self._op_locks(conn, rid, txn)
+        else:
+            self._op_mutating(conn, message, rid, op, txn)
 
-    async def _op_locks(
-        self, conn: _Connection, rid: object, actor: str, txn: str
-    ) -> None:
+    def _op_locks(self, conn: _Connection, rid: object, txn: str) -> None:
         """Holder-only visibility: an owner sees its own holdings and
         nothing else (non-owners were already denied above; unknown
         transactions read as holding nothing)."""
-        async with self._kernel_lock:
-            held = self.kernel.held(txn)
-        self.audit.append("locks", actor, Outcome.GRANTED.value, txn=txn)
+        held = self.kernel.held(txn)
+        self.audit.append("locks", conn.actor, Outcome.GRANTED.value, txn=txn)
         conn.send({
             "id": rid, "op": "locks", "txn": txn,
             "outcome": Outcome.GRANTED.value,
@@ -282,93 +308,73 @@ class LockService:
             ),
         })
 
-    async def _op_mutating(
+    async def _op_acquire(
+        self,
+        conn: _Connection,
+        message: Dict[str, object],
+        rid: object,
+        txn: str,
+    ) -> None:
+        try:
+            entity = require_str(message, "entity")
+            mode = parse_mode(message.get("mode"))
+        except ProtocolError as exc:
+            self._refuse(conn, rid, "acquire", Outcome.ERROR, str(exc), txn)
+            return
+        # Backpressure: a parked acquire owns an in-flight slot until
+        # its wake fires; at the cap, the connection's read loop stops
+        # here and the client is simply not read from.
+        await conn.inflight.acquire()
+        response = self.kernel.acquire(
+            txn, entity, mode, on_wake=_Parked(conn, rid), actor=conn.actor
+        )
+        if response.outcome is not Outcome.BLOCKED:
+            # Never parked (or resolved synchronously during deadlock
+            # resolution, in which case the wake already released it).
+            conn.inflight.release()
+        reply: Dict[str, object] = {
+            "id": rid, "op": "acquire", "txn": txn, "entity": entity,
+            "mode": mode.value, "outcome": response.outcome.value,
+        }
+        if response.reason is not None:
+            reply["reason"] = response.reason
+        if response.blockers:
+            # Visibility: a client learns how *many* conflicts park
+            # it, never which transactions hold them.
+            reply["conflicts"] = len(response.blockers)
+        conn.send(reply)
+
+    def _op_mutating(
         self,
         conn: _Connection,
         message: Dict[str, object],
         rid: object,
         op: str,
-        actor: str,
         txn: str,
     ) -> None:
-        assert op in MUTATING_OPS
-        if op == "acquire":
-            try:
-                entity = require_str(message, "entity")
-                mode = parse_mode(message.get("mode"))
-            except ProtocolError as exc:
-                self.audit.append(op, actor, Outcome.ERROR.value, txn=txn,
-                                  reason=str(exc))
-                conn.send({
-                    "id": rid, "op": op, "txn": txn,
-                    "outcome": Outcome.ERROR.value, "reason": str(exc),
-                })
-                return
-            # Backpressure: a parked acquire owns an in-flight slot until
-            # its wake fires; at the cap, the connection's read loop stops
-            # here and the client is simply not read from.
-            await conn.inflight.acquire()
-            parked = _Parked(conn, rid)
-            async with self._kernel_lock:
-                response = self.kernel.acquire(
-                    txn, entity, mode, on_wake=parked, actor=actor
-                )
-            if response.outcome is not Outcome.BLOCKED:
-                # Never parked (or resolved synchronously during deadlock
-                # resolution, in which case the wake already released it).
-                conn.inflight.release()
-            reply: Dict[str, object] = {
-                "id": rid, "op": op, "txn": txn, "entity": entity,
-                "mode": mode.value, "outcome": response.outcome.value,
-            }
-            if response.reason is not None:
-                reply["reason"] = response.reason
-            if response.blockers:
-                # Visibility: a client learns how *many* conflicts park
-                # it, never which transactions hold them.
-                reply["conflicts"] = len(response.blockers)
-            conn.send(reply)
-            return
-
+        """``begin`` / ``release`` / ``commit`` / ``abort``: one kernel
+        call, one reply."""
+        actor = conn.actor
+        reply: Dict[str, object] = {"id": rid, "op": op, "txn": txn}
         if op == "release":
             try:
                 entity = require_str(message, "entity")
             except ProtocolError as exc:
-                self.audit.append(op, actor, Outcome.ERROR.value, txn=txn,
-                                  reason=str(exc))
-                conn.send({
-                    "id": rid, "op": op, "txn": txn,
-                    "outcome": Outcome.ERROR.value, "reason": str(exc),
-                })
+                self._refuse(conn, rid, op, Outcome.ERROR, str(exc), txn)
                 return
-            async with self._kernel_lock:
-                response = self.kernel.release(txn, entity, actor=actor)
-            reply = {
-                "id": rid, "op": op, "txn": txn, "entity": entity,
-                "outcome": response.outcome.value,
-            }
-            if response.reason is not None:
-                reply["reason"] = response.reason
-            conn.send(reply)
-            return
-
-        async with self._kernel_lock:
-            if op == "begin":
-                response = self.kernel.begin(txn, actor=actor)
-                if response.ok:
-                    self.auth.register(txn, actor)
-                    conn.txns.add(txn)
-            else:
-                finish = (
-                    self.kernel.commit if op == "commit" else self.kernel.abort
-                )
-                response = finish(txn, actor=actor)
-                if response.ok:
-                    conn.txns.discard(txn)
-        reply = {
-            "id": rid, "op": op, "txn": txn,
-            "outcome": response.outcome.value,
-        }
+            response = self.kernel.release(txn, entity, actor=actor)
+            reply["entity"] = entity
+        elif op == "begin":
+            response = self.kernel.begin(txn, actor=actor)
+            if response.ok:
+                self.auth.register(txn, actor)
+                conn.txns.add(txn)
+        else:
+            finish = self.kernel.commit if op == "commit" else self.kernel.abort
+            response = finish(txn, actor=actor)
+            if response.ok:
+                conn.txns.discard(txn)
+        reply["outcome"] = response.outcome.value
         if response.reason is not None:
             reply["reason"] = response.reason
         conn.send(reply)
@@ -383,10 +389,9 @@ class LockService:
         self._draining = True
         if self._tcp_server is not None:
             self._tcp_server.close()
-        async with self._kernel_lock:
-            # Parked callbacks fire here: blocked clients get their
-            # terminal wake events before the connections close.
-            drained = self.kernel.drain()
+        # Parked callbacks fire here: blocked clients get their terminal
+        # wake events before the connections close.
+        drained = self.kernel.drain()
         for conn in sorted(self._conns, key=lambda c: c.seq):
             conn.send({"event": "drain"})
             conn.close()

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.kernel import AuditLog, LockKernel, LockMode, Outcome
+from repro.kernel import AuditEntry, AuditLog, LockKernel, LockMode, Outcome
 from repro.sim.deadlock import find_cycle
 
 
@@ -253,6 +253,29 @@ class TestProtocolMisuse:
             after = len(k.audit)
             assert after > before, "an API call left no audit entry"
             before = after
+
+    def test_audit_entries_are_immutable_records(self):
+        """Tuple-backed, with the field names, keyword construction,
+        equality and hashing the frozen dataclass had — and no way to
+        change one after the fact."""
+        log = AuditLog()
+        entry = log.append("acquire", "alice", "blocked", txn="t1",
+                           entity="a", reason="conflicting holders")
+        assert (entry.seq, entry.op, entry.actor, entry.txn, entry.entity,
+                entry.decision, entry.reason) == (
+            0, "acquire", "alice", "t1", "'a'", "blocked",
+            "conflicting holders",
+        )
+        assert entry == AuditEntry(
+            seq=0, op="acquire", actor="alice", txn="t1", entity="'a'",
+            decision="blocked", reason="conflicting holders",
+        )
+        assert AuditEntry(1, "begin", "bob", "t2", None, "granted").reason is None
+        assert len({entry, log.entries()[0]}) == 1  # hashable, by value
+        for field in AuditEntry._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(entry, field, "forged")
+        assert log.entries() == (entry,)
 
 
 class TestAdmissionAndDrain:

@@ -6,13 +6,23 @@ stress with a serializable audit order; graceful drain; and the wire
 protocol's error handling (including over real TCP)."""
 
 import asyncio
+import inspect
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.kernel import Outcome
-from repro.service import LockService, ProtocolError, decode, encode, parse_mode
-from repro.service.protocol import MUTATING_OPS
+from repro.service import (
+    LockService,
+    ProtocolError,
+    ServiceClient,
+    decode,
+    encode,
+    parse_mode,
+)
+from repro.service.protocol import MAX_LINE_BYTES, MUTATING_OPS
 
 
 def run(coro):
@@ -24,6 +34,27 @@ async def make_service(**kwargs):
     return LockService(**kwargs)
 
 
+async def until(condition, timeout=5):
+    """Poll for something the service does in its own time (noticing a
+    closed socket, say)."""
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.01)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
+#: Anything a message can carry: non-ASCII and control characters, ids of
+#: every JSON type, nesting, floats (finite, so ``==`` can compare them).
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestProtocol:
     def test_encode_decode_round_trip(self):
         message = {"op": "acquire", "txn": "t1", "entity": "a", "id": 7}
@@ -31,11 +62,58 @@ class TestProtocol:
         assert line.endswith(b"\n")
         assert decode(line) == message
 
+    @given(st.dictionaries(st.text(), _json_values, max_size=6))
+    def test_encode_is_canonical_json_and_decode_inverts_it(self, message):
+        """The wire bytes are exactly ``json.dumps`` with sorted keys and
+        compact separators — however ``encode`` gets there."""
+        line = encode(message)
+        assert line == (
+            json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode()
+        assert decode(line) == message
+
     def test_decode_rejects_non_object_and_junk(self):
         with pytest.raises(ProtocolError, match="malformed"):
             decode(b"not json\n")
         with pytest.raises(ProtocolError, match="JSON object"):
             decode(b"[1,2]\n")
+
+    @pytest.mark.parametrize("line, fragment", [
+        (b"[" * 50_000 + b"\n", "recursion"),  # the parser gives up
+        (b'{"op": "begin", "txn": "\xff"}\n', "utf-8"),
+        (b'{"op": "begin"} trailing\n', "Extra data"),
+    ])
+    def test_unparseable_line_is_answered_and_audited(self, line, fragment):
+        """Whatever the parser raises on a request line, the client gets
+        one ``error`` reply, the log one entry, and nothing else moves."""
+        assert len(line) <= MAX_LINE_BYTES
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode(line)
+
+        async def scenario():
+            svc = await make_service()
+            client = await svc.connect("alice")
+            await client.request("begin", txn="t1")
+            await client.request("acquire", txn="t1", entity="a")
+            fingerprint = svc.kernel.state_fingerprint()
+            audit_len = len(svc.audit)
+            client._writer.write(line)
+            reply = await asyncio.wait_for(client.response_for(None), 5)
+            assert (reply["op"], reply["outcome"]) == ("protocol", "error")
+            assert fragment in reply["reason"]
+            (entry,) = svc.audit.entries()[audit_len:]
+            assert (entry.op, entry.actor, entry.decision, entry.reason) == (
+                "protocol", "alice", "error", reply["reason"]
+            )
+            assert svc.kernel.state_fingerprint() == fingerprint
+            # The connection and its transaction carry on.
+            locks = await client.request("locks", txn="t1")
+            assert locks["locks"] == [["a", "X"]]
+            assert (await client.request("commit", txn="t1"))["outcome"] == \
+                "granted"
+            await svc.drain()
+
+        run(scenario())
 
     def test_parse_mode(self):
         from repro.kernel import LockMode
@@ -338,6 +416,234 @@ class TestDisconnect:
             await asyncio.wait_for(handler, timeout=5)
             assert len(svc.audit) == audit_len
             await svc.drain()
+
+        run(scenario())
+
+
+class TestFrameLimit:
+    """A request line over ``MAX_LINE_BYTES`` has one outcome on both
+    transports: one audited ``protocol`` error, a best-effort reply, the
+    connection closed, and what it left live aborted as for a disconnect."""
+
+    OVERSIZED = encode({"op": "begin", "txn": "x" * MAX_LINE_BYTES, "id": 9})
+
+    @staticmethod
+    def check_audit(svc, audit_len, actor, live):
+        first, *aborts = svc.audit.entries()[audit_len:]
+        assert (first.op, first.actor, first.txn, first.decision,
+                first.reason) == (
+            "protocol", actor, None, "error", "request line too long"
+        )
+        assert [(e.op, e.txn, e.decision, e.reason) for e in aborts] == [
+            ("abort", txn, "granted", "client disconnected") for txn in live
+        ]
+
+    def test_over_the_memory_pipe(self):
+        async def scenario():
+            svc = await make_service()
+            bystander = await svc.connect("bob")
+            await bystander.request("begin", txn="b1")
+            await bystander.request("acquire", txn="b1", entity="b")
+            client, handler = await TestDisconnect.connect(svc, "alice")
+            await client.request("begin", txn="t1")
+            await client.request("acquire", txn="t1", entity="a")
+            audit_len = len(svc.audit)
+            client._writer.write(self.OVERSIZED)
+            reply = await asyncio.wait_for(client.response_for(None), 5)
+            assert (reply["op"], reply["outcome"], reply["reason"]) == (
+                "protocol", "error", "request line too long"
+            )
+            with pytest.raises(ConnectionError):  # closed behind the reply
+                await client.next_event()
+            await asyncio.wait_for(handler, 5)
+            self.check_audit(svc, audit_len, "alice", live=["t1"])
+            assert svc.kernel.live_txns() == ("b1",)
+            assert svc.kernel.held("b1") and not svc.kernel.held("t1")
+            await svc.drain()
+
+        run(scenario())
+
+    def test_as_the_first_line(self):
+        async def scenario():
+            from repro.service import memory_pair
+
+            svc = await make_service()
+            (c_reader, c_writer), server_end = memory_pair()
+            c_writer.write(self.OVERSIZED)
+            await asyncio.wait_for(svc.handle_client(*server_end), 5)
+            reply = decode(await c_reader.readline())
+            assert (reply["outcome"], reply["reason"]) == (
+                "error", "request line too long"
+            )
+            assert await c_reader.readline() == b""
+            self.check_audit(svc, 0, "<unauthenticated>", live=[])
+
+        run(scenario())
+
+    def test_over_tcp(self):
+        async def scenario():
+            svc = await make_service()
+            host, port = await svc.serve_tcp("127.0.0.1", 0)
+            client = ServiceClient(
+                *(await asyncio.open_connection(host, port)), "alice"
+            )
+            await client.hello()
+            await client.request("begin", txn="t1")
+            await client.request("acquire", txn="t1", entity="a")
+            audit_len = len(svc.audit)
+            client._writer.write(self.OVERSIZED)
+            # Best effort: the service closes with our bytes still in
+            # flight, so the reply may lose the race to a reset.
+            try:
+                reply = await asyncio.wait_for(client.response_for(None), 5)
+                assert reply["reason"] == "request line too long"
+            except ConnectionError:
+                pass
+            await until(lambda: not svc.kernel.is_live("t1"))
+            self.check_audit(svc, audit_len, "alice", live=["t1"])
+            assert svc.kernel.live_txns() == ()
+            await client.close()
+            await svc.drain()
+
+        run(scenario())
+
+
+class _Sentinel:
+    """Stands where ``LockService._kernel_lock`` stood, but only watches:
+    it trips when a guarded section is entered while another task is
+    inside one, or when a section hands back an awaitable — the two ways
+    an ``await`` could get between a kernel decision and its audit
+    entry.  Same-task nesting (``_abandon`` calling ``abort``) is fine."""
+
+    def __init__(self):
+        self.inside = None
+        self.entered = 0
+        self.trips = []
+
+    def guard(self, fn):
+        name = getattr(fn, "__qualname__", repr(fn))
+
+        def section(*args, **kwargs):
+            task = asyncio.current_task()
+            if self.inside is not None and self.inside[0] is not task:
+                self.trips.append(f"{name} entered inside {self.inside[1]}")
+            outer, self.inside = self.inside, (task, name)
+            self.entered += 1
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                self.inside = outer
+            if inspect.isawaitable(result):
+                self.trips.append(f"{name} is not synchronous")
+            return result
+
+        return section
+
+    def watch(self, svc):
+        for name in ("begin", "acquire", "release", "commit", "abort",
+                     "held", "drain"):
+            setattr(svc.kernel, name, self.guard(getattr(svc.kernel, name)))
+        svc._abandon = self.guard(svc._abandon)
+
+
+class TestSerializedWithoutALock:
+    """The service takes no lock around the kernel: every kernel section
+    is synchronous, so the event loop's order is the audit order."""
+
+    def test_the_sentinel_catches_a_section_that_awaits(self):
+        async def scenario():
+            sentinel = _Sentinel()
+
+            async def section():
+                await asyncio.sleep(0)
+
+            await sentinel.guard(section)()
+            assert sentinel.trips and "not synchronous" in sentinel.trips[0]
+
+        run(scenario())
+
+    def test_no_kernel_section_is_ever_entered_twice(self):
+        rounds = 5
+
+        async def session(open_client, i, clients):
+            me = await open_client(f"actor{i}")
+            seen = set()
+            for r in range(rounds):
+                txn = f"c{i}-r{r}"
+                seen.add((await me.request("begin", txn=txn))["outcome"])
+                await me.request("acquire", txn=txn, entity=f"p{i}")
+                got = await me.request(
+                    "acquire", txn=txn, entity=f"hot{(i + r) % 2}",
+                    mode="X" if (i + r) % 3 == 0 else "S",
+                )
+                seen.add(got["outcome"])
+                if got["outcome"] == "blocked":
+                    got = await asyncio.wait_for(me.wait_wake(got["id"]), 10)
+                assert got["outcome"] == "granted"
+                probe = await me.request(
+                    "release", txn=f"c{(i + 1) % clients}-r0", entity="p0"
+                )
+                seen.add(probe["outcome"])
+                if i % 4 == 3 and r == rounds - 2:
+                    break  # vanish holding two locks others may wait on
+                await me.request("commit", txn=txn)
+            await me.close()
+            return seen
+
+        async def quitter(svc, open_client, tag):
+            """Parks behind a holder, then disconnects while parked."""
+            holder = await open_client(f"holder-{tag}")
+            gone = await open_client(f"gone-{tag}")
+            held, parked, gate = f"h-{tag}", f"g-{tag}", f"gate-{tag}"
+            await holder.request("begin", txn=held)
+            await holder.request("acquire", txn=held, entity=gate)
+            await gone.request("begin", txn=parked)
+            reply = await gone.request("acquire", txn=parked, entity=gate)
+            assert reply["outcome"] == "blocked"
+            await gone.close()
+            await until(lambda: not svc.kernel.is_live(parked))
+            assert (await holder.request("commit", txn=held))["outcome"] == \
+                "granted"
+            await holder.close()
+
+        async def scenario():
+            svc = await make_service()
+            sentinel = _Sentinel()
+            sentinel.watch(svc)
+            host, port = await svc.serve_tcp("127.0.0.1", 0)
+
+            async def over_tcp(actor):
+                client = ServiceClient(
+                    *(await asyncio.open_connection(host, port)), actor
+                )
+                await client.hello()
+                return client
+
+            clients = 12
+            seen = await asyncio.gather(
+                *(session(svc.connect if i % 3 else over_tcp, i, clients)
+                  for i in range(clients)),
+                quitter(svc, svc.connect, "mem"),
+                quitter(svc, over_tcp, "tcp"),
+            )
+            await until(lambda: not svc.kernel.live_txns())
+            assert await svc.drain() == ()
+
+            assert sentinel.trips == []
+            assert sentinel.entered > clients * rounds * 4
+            assert {"granted", "blocked", "denied"} <= set().union(
+                *(outcomes for outcomes in seen if outcomes)
+            )
+            entries = svc.audit.entries()
+            assert [e.seq for e in entries] == list(range(len(entries)))
+            abandoned = sorted(
+                e.txn for e in entries if e.reason == "client disconnected"
+            )
+            assert abandoned == sorted(
+                ["g-mem", "g-tcp"]
+                + [f"c{i}-r{rounds - 2}" for i in range(clients) if i % 4 == 3]
+            )
+            assert svc.kernel.state_fingerprint()[0] == ()
 
         run(scenario())
 
