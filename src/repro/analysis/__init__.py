@@ -1,39 +1,22 @@
 """``repro.analysis`` — project-specific static analysis (the lint layer).
 
-The equivalence suites prove the event engine, sharded lock table, and
-multiprocess grid byte-identical to the naive reference — but only for the
-seeds they run.  The rules that make determinism *structural* (sorted
-iteration on order-reaching paths, the invalidation-channel protocol, the
-layer DAG, spawn-safe grid specs, shard-local lock-table access) live here
-as machine-checked contracts:
+The equivalence suites prove the event engine and the multiprocess grid
+byte-identical to their references — but only for the seeds they run.
+The rules that make determinism *structural* (sorted iteration on
+order-reaching paths, the invalidation-channel protocol, the layer DAG,
+spawn-safe grid specs) live here as machine-checked contracts:
 
 * **RPR001** — determinism hazards (unsorted set iteration, bare
   ``random.*``, wall-clock reads, ordering via ``id()``);
 * **RPR002** — invalidation-protocol conformance
   (``admission_dependencies`` vs ``notify_changed``);
 * **RPR003** — layering (the docs/ARCHITECTURE.md import DAG);
-* **RPR004** — spawn safety (grid specs must be picklable);
-* **RPR005** — shard safety (no cross-shard reads on shard-local paths);
-* **RPR006** — phase purity (shard-phase callables write only their
-  per-shard buffer; the merge barrier's static precondition).
+* **RPR004** — spawn safety (grid specs must be picklable).
 
-Three rules are *project-scoped*: they run once per ``analyze_paths``
-invocation against a whole-program :class:`ProjectContext` — a symbol
-table over every loaded file, an import-resolved call graph, and
-per-function effect summaries propagated to a fixpoint — instead of one
-file at a time:
-
-* **RPR007** — transitive phase purity (a shard-phase callable whose
-  *callees*, anywhere in the call graph, write shared state — the hole
-  RPR006's one-body-deep check cannot see);
-* **RPR008** — cross-shard write-write races (two worker-reachable
-  paths writing the same non-shard-partitioned attribute);
-* **RPR009** — merge-barrier discipline (coordinator-side classify code
-  mutating executor-visible state outside ``apply``/the merge path).
-
-Run as ``python -m repro.lint [paths] [--format human|json|github]``.  This package
-imports nothing from the rest of ``repro`` (enforced by RPR003 on itself),
-so the linter can never be broken by the code it checks.
+Every rule checks one file at a time.  Run as ``python -m repro.lint
+[paths] [--format human|json|github]``.  This package imports nothing
+from the rest of ``repro`` (enforced by RPR003 on itself), so the linter
+can never be broken by the code it checks.
 """
 
 from .core import (
@@ -47,22 +30,15 @@ from .core import (
     save_baseline,
 )
 from .engine import FileContext, analyze_file, analyze_paths, iter_python_files
-from .project import ProjectContext
 
 # Importing the rule modules registers their rules.
 from . import determinism  # noqa: F401  (registration import)
 from . import invalidation  # noqa: F401  (registration import)
 from . import layering  # noqa: F401  (registration import)
 from . import spawn_safety  # noqa: F401  (registration import)
-from . import shard_safety  # noqa: F401  (registration import)
-from . import phase_purity  # noqa: F401  (registration import)
-from . import transitive_purity  # noqa: F401  (registration import)
-from . import shard_races  # noqa: F401  (registration import)
-from . import merge_barrier  # noqa: F401  (registration import)
 
 __all__ = [
     "Finding",
-    "ProjectContext",
     "Rule",
     "FileContext",
     "all_rules",

@@ -30,7 +30,7 @@ DEFAULT_BASELINE = "lint_baseline.json"
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Project-specific static analysis (RPR001-RPR009).",
+        description="Project-specific static analysis (RPR001–RPR004).",
     )
     parser.add_argument(
         "paths",

@@ -1,22 +1,12 @@
 """Findings, the rule registry, suppressions, and baselines.
 
-Rules come in two scopes.  A *file rule* is a function
-``(FileContext) -> Iterable[Finding]`` registered under a stable
-``RPR0xx`` code; the engine (:mod:`repro.analysis.engine`) parses each
-file once and hands every selected file rule the same context.  A
-*project rule* (``scope="project"``) is a function
-``(ProjectContext) -> Iterable[Finding]`` that runs once per
-``analyze_paths`` invocation against the whole-program view — symbol
-table, import-resolved call graph, and fixpoint effect summaries
-(:mod:`repro.analysis.project`) — and may emit findings in any loaded
-file.  Both kinds share the same suppression, baseline, and ordering
-machinery: a project finding anchors at a concrete file/line (usually
-the offending function's ``def``), so a per-line ``noqa`` and a
-baseline fingerprint work on it exactly as they do on file findings.
+A rule is a function ``(FileContext) -> Iterable[Finding]`` registered
+under a stable ``RPR0xx`` code; the engine (:mod:`repro.analysis.engine`)
+parses each file once and hands every selected rule the same context.
 
 Suppressions are per line and must carry a reason::
 
-    bad_call()  # repro: noqa[RPR001] shard introspection is read-only
+    bad_call()  # repro: noqa[RPR001] builds a set; order never escapes
 
 A ``noqa`` with no reason is itself a finding (**RPR000**) — an
 undocumented suppression is exactly the reviewer-memory problem this
@@ -68,39 +58,27 @@ class Finding:
         }
 
 
-#: Valid values of :attr:`Rule.scope`.
-RULE_SCOPES = ("file", "project")
-
-
 @dataclass(frozen=True)
 class Rule:
-    """A registered rule: stable code, short name, scope, and the check.
-
-    ``scope="file"`` checks receive one :class:`FileContext` per file;
-    ``scope="project"`` checks receive the whole-program
-    :class:`~repro.analysis.project.ProjectContext` once per run.
-    """
+    """A registered rule: stable code, short name, and the check."""
 
     code: str
     name: str
     description: str
     check: Callable[..., Iterable[Finding]] = field(repr=False)
-    scope: str = "file"
 
 
 _REGISTRY: Dict[str, Rule] = {}
 
 
-def register_rule(code: str, name: str, description: str, scope: str = "file"):
+def register_rule(code: str, name: str, description: str):
     """Decorator: register ``fn`` as the checker for ``code``."""
-    if scope not in RULE_SCOPES:
-        raise ValueError(f"unknown rule scope {scope!r}; expected one of {RULE_SCOPES}")
 
     def deco(fn: Callable) -> Callable:
         if code in _REGISTRY:
             raise ValueError(f"duplicate rule code {code!r}")
         _REGISTRY[code] = Rule(
-            code=code, name=name, description=description, check=fn, scope=scope
+            code=code, name=name, description=description, check=fn
         )
         return fn
 
@@ -115,11 +93,8 @@ def all_rules() -> Dict[str, Rule]:
     return dict(_REGISTRY)
 
 
-def iter_rules(
-    select: Optional[Sequence[str]] = None, scope: Optional[str] = None
-) -> Iterator[Rule]:
-    """Registered rules in code order, optionally filtered to ``select``
-    and/or one ``scope`` (``"file"`` / ``"project"``)."""
+def iter_rules(select: Optional[Sequence[str]] = None) -> Iterator[Rule]:
+    """Registered rules in code order, optionally filtered to ``select``."""
     wanted = None if not select else set(select)
     if wanted is not None:
         unknown = wanted - set(_REGISTRY) - {META_CODE}
@@ -130,8 +105,6 @@ def iter_rules(
             )
     for code in sorted(_REGISTRY):
         if wanted is not None and code not in wanted:
-            continue
-        if scope is not None and _REGISTRY[code].scope != scope:
             continue
         yield _REGISTRY[code]
 

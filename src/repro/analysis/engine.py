@@ -146,11 +146,7 @@ def load_context(path: str) -> Tuple[Optional[FileContext], Optional[Finding]]:
 
 
 def analyze_file(path: str, select: Optional[Sequence[str]] = None) -> List[Finding]:
-    """All (selected) rule findings for one file, suppressions applied.
-
-    Delegates to :func:`analyze_paths` so project-scoped rules run even
-    on a single file (the whole-program view is then just that file —
-    which is exactly what the fixture corpus exercises)."""
+    """All (selected) rule findings for one file, suppressions applied."""
     findings, _ = analyze_paths([path], select=select)
     return findings
 
@@ -162,14 +158,7 @@ def analyze_paths(
 ) -> Tuple[List[Finding], int]:
     """Findings over ``paths`` not grandfathered by ``baseline``; returns
     ``(findings, baseline_suppressed_count)`` in deterministic order.
-
-    Runs in two passes: every file is parsed once and handed to the
-    file-scoped rules, then — if any project-scoped rule is selected —
-    a single :class:`~repro.analysis.project.ProjectContext` is built
-    over all parsed files and each project rule runs once against it.
-    Project findings anchor at concrete file/line locations, so the
-    per-line suppression and baseline machinery below treats the two
-    scopes identically."""
+    Every file is parsed once and handed to each selected rule."""
     baseline = baseline or set()
     contexts: List[FileContext] = []
     raw: List[Finding] = []
@@ -180,17 +169,8 @@ def analyze_paths(
                 raw.append(parse_error)
             continue
         contexts.append(ctx)
-        for rule in iter_rules(select, scope="file"):
+        for rule in iter_rules(select):
             raw.extend(rule.check(ctx))
-
-    project_rules = list(iter_rules(select, scope="project"))
-    if project_rules and contexts:
-        # Imported lazily: project.py needs FileContext from this module.
-        from .project import ProjectContext
-
-        pctx = ProjectContext.build(contexts)
-        for rule in project_rules:
-            raw.extend(rule.check(pctx))
 
     suppressions = {
         ctx.path: parse_suppressions(ctx.lines) for ctx in contexts

@@ -18,19 +18,6 @@ Flagged:
   ``GridSpec``/``_SeedTask`` construction;
 * passing a locally-defined function or class by name into one of those
   constructions.
-
-The process-executor seam (``repro.sim.executor.ProcessExecutor``)
-extends the same discipline to its worker protocol: worker processes are
-started once per simulation with a module-level target and fed pickled
-replica deltas over pipes, so
-
-* ``Process(...)`` constructions whose ``target=`` is a lambda or a
-  locally-defined function/class are flagged (spawn cannot import
-  them); and
-* payloads handed to ``send``/``send_bytes``/``submit``/``pickle.dumps``
-  calls must not contain lambdas or locally-defined functions/classes by
-  name — those fail to pickle (or, for thread ``submit``, silently stop
-  the code being process-portable).
 """
 
 from __future__ import annotations
@@ -46,11 +33,6 @@ CODE = "RPR004"
 _REGISTRY_DECORATOR = "register_grid_factory"
 _REGISTRY_NAME = "GRID_FACTORIES"
 _SPEC_NAMES = {"PolicySpec", "WorkloadSpec", "GridSpec", "_SeedTask"}
-#: Worker-process constructions whose ``target=`` must be module-level.
-_PROCESS_NAMES = {"Process"}
-#: Calls whose argument payloads cross (or must stay portable across) a
-#: process boundary: pipe sends, pool submits, explicit pickling.
-_SHIP_NAMES = {"send", "send_bytes", "submit", "dumps"}
 
 
 def _decorator_name(dec: ast.AST) -> Optional[str]:
@@ -147,69 +129,12 @@ def _check_spec_calls(ctx: FileContext) -> Iterator[Finding]:
                 )
 
 
-def _check_process_seam(ctx: FileContext) -> Iterator[Finding]:
-    """The process-executor seam: worker targets and shipped payloads
-    must be module-level picklable objects."""
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        call = _call_name(node)
-        enclosing_fn = ctx.enclosing(node, ast.FunctionDef, ast.AsyncFunctionDef)
-        locals_here = _local_defs(enclosing_fn) if enclosing_fn is not None else set()
-        if call in _PROCESS_NAMES:
-            for kw in node.keywords:
-                if kw.arg != "target":
-                    continue
-                if isinstance(kw.value, ast.Lambda):
-                    yield ctx.finding(
-                        CODE,
-                        kw.value,
-                        "lambda as a Process target; spawn workers cannot "
-                        "import it",
-                    )
-                elif (
-                    isinstance(kw.value, ast.Name)
-                    and kw.value.id in locals_here
-                ):
-                    yield ctx.finding(
-                        CODE,
-                        kw.value,
-                        f"locally-defined '{kw.value.id}' as a Process "
-                        "target; spawn workers can only import "
-                        "module-level callables",
-                    )
-        elif call in _SHIP_NAMES:
-            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                for sub in ast.walk(arg):
-                    if isinstance(sub, ast.Lambda):
-                        yield ctx.finding(
-                            CODE,
-                            sub,
-                            f"lambda in a {call}() payload; objects shipped "
-                            "to workers must be picklable",
-                        )
-                    elif (
-                        isinstance(sub, ast.Name)
-                        and isinstance(sub.ctx, ast.Load)
-                        and sub.id in locals_here
-                    ):
-                        yield ctx.finding(
-                            CODE,
-                            sub,
-                            f"locally-defined '{sub.id}' in a {call}() "
-                            "payload; workers cannot unpickle "
-                            "non-module-level objects",
-                        )
-
-
 @register_rule(
     CODE,
     "spawn-safety",
-    "grid factories, specs, and worker payloads must be module-level "
-    "and picklable",
+    "grid factories and specs must be module-level and picklable",
 )
 def check_spawn_safety(ctx: FileContext) -> List[Finding]:
     out = list(_check_registrations(ctx))
     out.extend(_check_spec_calls(ctx))
-    out.extend(_check_process_seam(ctx))
     return out

@@ -16,24 +16,15 @@ multiprocess grid runner and writes the unified BENCH artifact.  Examples::
 ``BENCH_SMOKE_SCALE``.  Omitting ``--workers`` runs the in-process
 reference path; ``--workers N`` (N >= 1) fans out to N spawn processes,
 and the same invocation with and without workers must produce identical
-rows.  ``--shard-workers N`` selects the in-run parallel classify
-executor (0 = the serial reference; rows stay byte-identical at any
-count).  Explicit ``--workers``/``--seeds``/``--shards`` values below 1,
-non-positive ``--scale`` values, and negative ``--shard-workers`` are
-rejected at parse time.
+rows.  Explicit ``--workers``/``--seeds`` values below 1 and non-positive
+``--scale`` values are rejected at parse time.
 
 Besides the grid presets there are *special* benches with their own
-sweep logic; ``parallel_shards`` sweeps shards × shard_workers ×
-executor (serial / thread / process) over an upscaled mega-stress
-workload, asserts every configuration is byte-identical to the serial
-shards=1 reference, and writes ``BENCH_parallel_shards.json`` with
-per-phase work counters (per-shard classify counts, barrier waits,
-per-cause spills, replica delta bytes and IPC round trips) alongside
-``wall_s``; ``service`` stress-tests the asyncio lock service with
+sweep logic; ``service`` stress-tests the asyncio lock service with
 concurrent in-process clients mixing authorized and unauthorized
 operations and writes ``BENCH_service_stress.json`` with per-op
 throughput and p50/p99 request latencies; ``scaling`` runs the default
-serial configuration over 5k / 15k / 50k staggered transactions and
+configuration over 5k / 15k / 50k staggered transactions and
 writes ``BENCH_scaling.json`` with one ``us_per_tick`` row per size — the
 per-tick cost must stay flat while the live population grows.
 
@@ -62,7 +53,6 @@ from .sim import (
     CellResult,
     GridSpec,
     PolicySpec,
-    Simulator,
     WorkloadSpec,
     cell_rows_with_work,
     format_table,
@@ -72,7 +62,6 @@ from .sim import (
     run_seed,
     write_bench_artifact,
 )
-from .sim.executor import executor_kind
 
 
 def _scaled(n: int, scale: float) -> int:
@@ -83,13 +72,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -178,9 +160,7 @@ def _preset_traversal(scale: float) -> GridSpec:
 def _preset_mega_stress(scale: float) -> GridSpec:
     """The headroom probe for the layered kernel: 5,000 staggered short
     transactions over a wide entity space, admitted in arrival-tick
-    batches and served through the sharded lock table (``lock_shards=8``;
-    any shard count is byte-identical, so this doubles as a standing
-    shard-invariance exercise at scale)."""
+    batches."""
     n = _scaled(5000, scale)
     return GridSpec(
         policies=(PolicySpec(TwoPhasePolicy),),
@@ -192,16 +172,13 @@ def _preset_mega_stress(scale: float) -> GridSpec:
         ),
         seeds=(0,),
         max_ticks=20_000_000,
-        lock_shards=8,
     )
 
 
 def _preset_mega_stress_50k(scale: float) -> GridSpec:
     """The ROADMAP's 50k-transaction target: 50,000 staggered short
-    transactions over 64,000 entities through the 8-shard table.  The
-    scale knob shrinks it for CI; at full scale this is the configuration
-    the executor axis (``--executor process --shard-workers N``) is
-    priced against."""
+    transactions over 64,000 entities.  The scale knob shrinks it for
+    CI."""
     n = _scaled(50_000, scale)
     return GridSpec(
         policies=(PolicySpec(TwoPhasePolicy),),
@@ -213,7 +190,6 @@ def _preset_mega_stress_50k(scale: float) -> GridSpec:
         ),
         seeds=(0,),
         max_ticks=100_000_000,
-        lock_shards=8,
     )
 
 
@@ -229,138 +205,6 @@ _COLUMNS = [
     "policy", "workload", "runs", "failures", "serializable",
     "ticks", "committed", "throughput", "mean_latency", "wait_fraction",
 ]
-
-#: (shards, shard_workers, executor) configurations the parallel_shards
-#: bench sweeps; the first entry is the serial single-partition reference
-#: every other configuration must reproduce byte-identically.
-_PARALLEL_SWEEP = (
-    (1, 0, "serial"),
-    (4, 0, "serial"),
-    (4, 2, "thread"),
-    (4, 2, "process"),
-    (8, 0, "serial"),
-    (8, 2, "thread"),
-    (8, 2, "process"),
-    (8, 4, "thread"),
-    (8, 4, "process"),
-)
-
-_PARALLEL_COLUMNS = [
-    "shards", "shard_workers", "executor", "wall_s",
-    "ticks", "committed", "throughput", "mean_latency", "wait_fraction",
-]
-
-
-def _run_parallel_shards(args: argparse.Namespace) -> int:
-    """The parallel-executor bench: mega_stress scaled up, swept over
-    shards × shard_workers × executor, with every configuration asserted
-    byte-identical to the serial shards=1 reference and the executors'
-    per-phase work counters recorded per row.
-
-    Honest numbers note: the thread executor fans out *pure Python*
-    derivations under the GIL, so its rows are expected to cost more wall
-    clock than serial at the same shard count; the process executor pays
-    the replica-delta protocol instead (``delta_bytes``,
-    ``ipc_round_trips`` in each row's work counters) and ships only
-    batches big enough to amortize a pipe round trip.  The per-cause
-    spill counters and per-shard classify counts are the figures that
-    prove the partitioning; the wall clock is the standing record of what
-    each executor buys (or costs) at this scale."""
-    scale = args.scale
-    sweep = [
-        (shards, workers, executor)
-        for shards, workers, executor in _PARALLEL_SWEEP
-        if (args.shard_workers is None
-            or workers in (0, args.shard_workers))
-        and (args.executor is None or executor in ("serial", args.executor))
-    ]
-    items, initial, context_kwargs = grid_factory("stress")(
-        0,
-        num_entities=12_000,
-        num_txns=_scaled(8000, scale),
-        arrival_rate=0.085,
-        hot_fraction=0.0,
-    )
-    rows: List[Dict[str, object]] = []
-    reference = None
-    start = time.perf_counter()
-    for shards, workers, executor in sweep:
-        sim = Simulator(
-            TwoPhasePolicy(),
-            seed=0,
-            max_ticks=20_000_000,
-            context_kwargs=context_kwargs,
-            engine="event",
-            lock_shards=shards,
-            shard_workers=workers,
-            executor=executor,
-        )
-        t0 = time.perf_counter()
-        result = sim.run(items, initial)
-        wall = time.perf_counter() - t0
-        summary = result.metrics.summary()
-        outcome = (
-            summary,
-            result.metrics.work_summary(),
-            result.committed,
-            result.aborted,
-            tuple(result.metrics.deadlock_victims),
-        )
-        if reference is None:
-            reference = outcome
-        elif outcome != reference:
-            raise SystemExit(
-                f"parallel_shards: shards={shards} shard_workers={workers} "
-                f"executor={executor} diverged from the serial shards=1 "
-                f"reference"
-            )
-        row: Dict[str, object] = {
-            "shards": shards,
-            "shard_workers": workers,
-            "executor": executor,
-            "wall_s": round(wall, 4),
-        }
-        row.update({
-            k: round(summary[k], 4)
-            for k in (
-                "ticks", "committed", "throughput",
-                "mean_latency", "wait_fraction",
-            )
-        })
-        stats = result.executor_stats
-        row["work"] = stats
-        rows.append(row)
-        causes = stats["spill_causes"]
-        cause_text = ", ".join(
-            f"{cause}={count}" for cause, count in causes.items()
-        ) or "none"
-        print(f"  shards={shards} shard_workers={workers} "
-              f"executor={executor}: {wall:.2f}s "
-              f"(sharded={stats['sharded_classifications']}, "
-              f"spill={stats['spill_classifications']} [{cause_text}], "
-              f"spill_fraction={stats['spill_fraction']:.4f}, "
-              f"barriers={stats['barrier_waits']}, "
-              f"ipc={stats['ipc_round_trips']}, "
-              f"delta_bytes={stats['delta_bytes']})")
-    total = time.perf_counter() - start
-    print(format_table(rows, _PARALLEL_COLUMNS))
-    print(f"\n{len(rows)} configurations in {total:.2f}s "
-          f"(byte-identical to the serial shards=1 reference)")
-    out = args.out or "BENCH_parallel_shards.json"
-    write_bench_artifact(
-        out, "parallel_shards", rows,
-        scale=scale, workers=0, wall_s=total,
-        extra={
-            **_stamp(),
-            "engine": "event",
-            "num_txns": _scaled(8000, scale),
-            "num_entities": 12_000,
-            "sweep": [list(entry) for entry in sweep],
-        },
-    )
-    print(f"artifact: {out}")
-    return 0
-
 
 _SERVICE_COLUMNS = [
     "case", "requests", "throughput", "p50_ms", "p99_ms", "mean_ms",
@@ -463,7 +307,6 @@ def _run_service_stress(args: argparse.Namespace) -> int:
             "clients": clients,
             "rounds": rounds,
             "max_inflight": svc.max_inflight,
-            "lock_shards": svc.kernel.table.shards,
             "denied": counts["denied"],
             "blocked": counts["blocked"],
             "woken": counts["woken"],
@@ -488,7 +331,7 @@ _SCALING_COLUMNS = [
 def _run_scaling(args: argparse.Namespace) -> int:
     """The per-tick-cost curve: 2PL over the ``stress`` factory at three
     population sizes, every row through the configuration a caller gets
-    by default (event engine, ``lock_shards=1``, serial executor).  The
+    by default (the event engine).  The
     default arrival rate (that of the mega presets) sits just above
     capacity, so the live population (``mean_active``) grows with the
     transaction count while the work per tick does not: ``us_per_tick``
@@ -541,8 +384,6 @@ def _run_scaling(args: argparse.Namespace) -> int:
             **_stamp(),
             "engine": "event",
             "policy": "2PL",
-            "lock_shards": 1,
-            "executor": "serial",
             "arrival_rate": arrival_rate,
             "num_entities": [entities for _, entities in _SCALING_POINTS],
         },
@@ -552,9 +393,8 @@ def _run_scaling(args: argparse.Namespace) -> int:
 
 
 #: Benches with their own sweep logic (not GridSpec presets); they share
-#: the CLI surface (``--scale``, ``--shard-workers``, ``--out``).
+#: the CLI surface (``--scale``, ``--out``).
 SPECIAL_BENCHES: Dict[str, Callable[[argparse.Namespace], int]] = {
-    "parallel_shards": _run_parallel_shards,
     "scaling": _run_scaling,
     "service": _run_service_stress,
 }
@@ -566,10 +406,7 @@ SPECIAL_BENCHES: Dict[str, Callable[[argparse.Namespace], int]] = {
 
 #: Row keys that *identify* a row rather than measure it: two compared
 #: artifacts must agree on these per row (same sweep, same cells).
-_IDENTITY_KEYS = (
-    "policy", "workload", "case", "shards", "shard_workers", "executor",
-    "txns",
-)
+_IDENTITY_KEYS = ("policy", "workload", "case", "txns")
 
 _COMPARE_COLUMNS = ["row", "metric", "old", "new", "delta", "delta_pct"]
 
@@ -720,23 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the per-run tick budget",
     )
     parser.add_argument(
-        "--shards", type=_positive_int, default=None,
-        help="override the lock-table shard count (rows are byte-identical "
-             "at any count; 1 is the single-partition reference)",
-    )
-    parser.add_argument(
-        "--shard-workers", type=_nonnegative_int, default=None,
-        help="in-run classify-phase shard workers (0 = serial reference; "
-             "rows are byte-identical at any count; for parallel_shards "
-             "this filters the sweep to workers in {0, N})",
-    )
-    parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default=None,
-        help="in-run classify executor kind when --shard-workers >= 1 "
-             "(rows are byte-identical for any kind; for parallel_shards "
-             "this filters the sweep to {serial, KIND} rows)",
-    )
-    parser.add_argument(
         "--arrival-rate", type=_positive_float, default=None,
         help="scaling only: transactions admitted per tick (default 0.085, "
              "just above capacity; a higher rate holds a larger live "
@@ -789,12 +609,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides["engine"] = args.engine
     if args.max_ticks is not None:
         overrides["max_ticks"] = args.max_ticks
-    if args.shards is not None:
-        overrides["lock_shards"] = args.shards
-    if args.shard_workers is not None:
-        overrides["shard_workers"] = args.shard_workers
-    if args.executor is not None:
-        overrides["executor"] = args.executor
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
 
@@ -818,9 +632,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             **_stamp(),
             "engine": spec.engine,
             "seeds": list(spec.seeds),
-            "lock_shards": spec.lock_shards,
-            "shard_workers": spec.shard_workers,
-            "executor": executor_kind(spec.shard_workers, spec.executor),
         },
     )
     print(f"artifact: {out}")

@@ -72,7 +72,7 @@ class Forest:
         frontier = [root]
         while frontier:
             n = frontier.pop()
-            for c in self._children[n]:
+            for c in self._children[n]:  # repro: noqa[RPR001] builds the tree's node set; only the frozenset escapes
                 if c not in out:
                     out.add(c)
                     frontier.append(c)
@@ -100,7 +100,7 @@ class Forest:
         frontier = [node]
         while frontier:
             n = frontier.pop()
-            for c in self._children[n]:
+            for c in self._children[n]:  # repro: noqa[RPR001] builds the descendant set; only the frozenset escapes
                 if c not in out:
                     out.add(c)
                     frontier.append(c)
@@ -150,7 +150,7 @@ class Forest:
         parent = self._parent[node]
         if parent is not None:
             self._children[parent].discard(node)
-        for child in self._children[node]:
+        for child in self._children[node]:  # repro: noqa[RPR001] resets existing parent entries; order-insensitive
             self._parent[child] = None
         del self._parent[node]
         del self._children[node]

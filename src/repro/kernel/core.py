@@ -11,7 +11,7 @@ requests::
     commit(txn)                  -> GRANTED | ERROR
     abort(txn)                   -> GRANTED | ERROR
 
-built from the same state layers the simulator runs on — the sharded
+built from the same state layers the simulator runs on — the
 :class:`~repro.sim.lock_table.LockTable` for holder maps and wait
 queues, the incrementally maintained
 :class:`~repro.sim.waits_for.WaitsForGraph` for detection,
@@ -135,12 +135,11 @@ class LockKernel:
     def __init__(
         self,
         *,
-        lock_shards: int = 1,
         audit: Optional[AuditLog] = None,
         admission_hook: Optional[AdmissionHook] = None,
         max_live: int = 0,
     ) -> None:
-        self.table = LockTable(shards=lock_shards)
+        self.table = LockTable()
         #: Waits-for edges of the parked transactions, kept equal to what
         #: the table implies at every request boundary (module docstring).
         self.graph = WaitsForGraph()

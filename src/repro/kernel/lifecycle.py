@@ -1,7 +1,7 @@
 """The transaction-lifecycle state machine shared by every driver.
 
 :class:`KernelRun` is the kernel half of the old ``sim/scheduler.py``
-``_Run`` monolith: it composes the state layers — the sharded
+``_Run`` monolith: it composes the state layers — the
 :class:`~repro.sim.lock_table.LockTable`, the always-fresh
 :class:`~repro.sim.waits_for.WaitsForGraph`, the
 :class:`~repro.sim.admission.AdmissionCache`/``Classifier`` pair, the
@@ -38,7 +38,7 @@ from ..exceptions import PolicyViolation
 from ..policies.base import Intent, PolicyContext, PolicySession
 from ..sim.admission import AdmissionCache, Classifier
 from ..sim.event_log import EventLog
-from ..sim.executor import make_executor
+from ..sim.executor import SerialExecutor
 from ..sim.live import LiveEntry
 from ..sim.lock_table import LockTable
 from ..sim.metrics import Metrics
@@ -60,29 +60,21 @@ class KernelRun:
         *,
         metrics: Optional[Metrics] = None,
         max_restarts: int = 10,
-        lock_shards: int = 1,
-        shard_workers: int = 0,
-        executor_kind: str = "thread",
         event_engine: bool = True,
     ):
         self.context = context
         self.max_restarts = max_restarts
         self.event_engine = event_engine
         self.metrics = metrics if metrics is not None else Metrics()
-        self.table = LockTable(shards=lock_shards)
+        self.table = LockTable()
         self.graph = WaitsForGraph()
         self.live: Dict[str, LiveEntry] = {}
         self.cache = AdmissionCache(self.live, self.metrics)
         self.classifier = Classifier(
             self.live, self.metrics, self.table, self.graph, self.cache
         )
-        #: The classify-phase executor (serial reference, thread-pool
-        #: fan-out, or replica-owning worker processes over shard slices;
-        #: see :mod:`repro.sim.executor`).  ``bind_table`` lets the
-        #: process executor switch on the table's delta tracking before
-        #: any lock is granted.
-        self.executor = make_executor(shard_workers, kind=executor_kind)
-        self.executor.bind_table(self.table)
+        #: Walks the classify phase's check set (:mod:`repro.sim.executor`).
+        self.executor = SerialExecutor()
         self.log = EventLog()
         self.committed: List[str] = []
         self.dropped: List[str] = []

@@ -1,12 +1,8 @@
 """``python -m repro.lint`` — the project's static-analysis gate.
 
-Thin runnable wrapper over :mod:`repro.analysis` (file rules
-RPR001-RPR006: determinism hazards, invalidation-protocol conformance,
-layering, spawn safety, shard safety, phase purity; whole-program rules
-RPR007-RPR009: transitive phase purity, cross-shard write-write races,
-merge-barrier discipline — run against the fixpoint effect summaries of
-an import-resolved call graph).  See docs/ARCHITECTURE.md § Analysis
-layer.
+Thin runnable wrapper over :mod:`repro.analysis` (rules RPR001–RPR004:
+determinism hazards, invalidation-protocol conformance, layering, spawn
+safety).  See docs/ARCHITECTURE.md § Analysis layer.
 """
 
 from __future__ import annotations

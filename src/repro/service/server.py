@@ -130,15 +130,12 @@ class LockService:
     def __init__(
         self,
         *,
-        lock_shards: int = 1,
         max_inflight: int = 8,
         max_live: int = 0,
         audit: Optional[AuditLog] = None,
     ) -> None:
         self.audit = audit if audit is not None else AuditLog()
-        self.kernel = LockKernel(
-            lock_shards=lock_shards, audit=self.audit, max_live=max_live
-        )
+        self.kernel = LockKernel(audit=self.audit, max_live=max_live)
         self.auth = Authorizer()
         self.max_inflight = max_inflight
         self._draining = False

@@ -4,14 +4,7 @@ companion performance study [CHMS94]."""
 from .admission import AdmissionCache
 from .artifacts import bench_artifact, cell_rows_with_work, write_bench_artifact
 from .deadlock import find_cycle, find_cycle_counted, pick_victim, resolve_deadlock
-from .executor import (
-    ExecutorStats,
-    ParallelExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-    shard_phase,
-)
+from .executor import SerialExecutor
 from .grid import GridSpec, PolicySpec, WorkloadSpec, run_grid
 from .lock_table import LockTable
 from .metrics import Metrics, TxnRecord
@@ -48,15 +41,12 @@ from .workloads import (
 __all__ = [
     "AdmissionCache",
     "CellResult",
-    "ExecutorStats",
     "FAILED_SEEDS_LIMIT",
     "GRID_FACTORIES",
     "GridSpec",
     "LockTable",
     "Metrics",
-    "ParallelExecutor",
     "PolicySpec",
-    "ProcessExecutor",
     "SerialExecutor",
     "SeedOutcome",
     "SimResult",
@@ -82,7 +72,6 @@ __all__ = [
     "grid_factory",
     "grid_factory_names",
     "long_transaction_workload",
-    "make_executor",
     "pick_victim",
     "random_access_workload",
     "register_grid_factory",
@@ -90,7 +79,6 @@ __all__ = [
     "run_cell",
     "run_grid",
     "run_seed",
-    "shard_phase",
     "stress_workload",
     "traversal_workload",
     "write_bench_artifact",

@@ -1,5 +1,5 @@
 """The admission layer of the scheduler kernel: cached classifications,
-invalidation-channel subscriptions, and dirty-set routing.
+invalidation-channel subscriptions, and the dirty set.
 
 The event engine caches each live session's scheduling classification
 (runnable / lock-wait / policy-wait) and re-derives it only when an event
@@ -34,25 +34,20 @@ the lazy blocked-tick accounting around cache hits, and keeps blocked
 waiters' waits-for edges fresh across grants and grantability-filtered
 releases without re-classifying them.
 
-The classification itself is split into two halves so the phase pipeline
-(:mod:`repro.sim.executor`) can fan it out over shard-local work sets:
+A classification is read, then written:
 
-* :meth:`Classifier.derive` — the *pure read* half: peek the pending
-  step, evaluate the admission verdict, query the lock table's holder
-  maps, and package the outcome as a :class:`Decision` without mutating
-  any scheduler state.  During the classify phase the holder maps and the
-  live table are frozen (no acquire/release/commit happens mid-phase), so
-  derivations of distinct sessions are independent and may run
-  concurrently on shard workers.
-* :meth:`Classifier.apply` — the *mutating* half: install a derived
-  decision (accounting, counters, waiter queues, waits-for edges,
-  watcher/runnable routing) in exactly the legacy interleaved order's
-  mutation sequence.  Applies always run on the coordinator thread, at
-  the executor's merge barrier, in shard-index order.
+* :meth:`Classifier.derive` — the read half: peek the pending step,
+  evaluate the admission verdict, query the lock table's holder map, and
+  package the outcome as a :class:`Decision` without mutating any
+  scheduler state;
+* :meth:`Classifier.apply` — the write half: install the decision
+  (accounting, counters, waiter queues, waits-for edges, watcher and
+  runnable bookkeeping).
 
-:meth:`Classifier.classify` remains the serial composition of the two —
-``apply(entry, derive(entry))`` — and is the byte-identical reference the
-parallel executor is equivalence-tested against.
+:meth:`Classifier.classify` is ``apply(entry, derive(entry))``; the
+classify phase calls it once per name of the sorted check set
+(:meth:`AdmissionCache.take_check_slices`, walked by
+:mod:`repro.sim.executor`).
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -100,10 +94,9 @@ __all__ = [
 
 @dataclass
 class Decision:
-    """The pure outcome of one classification derivation — everything
+    """The outcome of one classification derivation — everything
     :meth:`Classifier.apply` needs to install the new state, and nothing
-    else.  Produced by :meth:`Classifier.derive` (possibly on a shard
-    worker), buffered per shard, applied at the merge barrier."""
+    else."""
 
     name: str
     #: One of RUNNABLE / LOCK_WAIT / POLICY_WAIT / ABORT.
@@ -310,7 +303,7 @@ class AdmissionCache:
         self.phase1.clear()
         return candidates
 
-    def take_check_set(self) -> List[str]:
+    def take_check_slices(self) -> List[str]:
         """Sessions phase 2 must re-classify this tick, sorted (drains
         ``dirty``; every-tick dynamic sessions are always included)."""
         live = self._live
@@ -321,96 +314,6 @@ class AdmissionCache:
         ]
         self.dirty.clear()
         return sorted(check)
-
-    # ------------------------------------------------------------------
-    # Shard-local slices (phase pipeline)
-    # ------------------------------------------------------------------
-
-    def route(
-        self, name: str, shard_of: Callable[[Entity], int]
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """``(shard, spill_cause)`` for ``name``'s classification: which
-        shard slice it belongs to (``shard`` is ``None`` for the global
-        slice, in which case ``spill_cause`` names why).  Routing rules,
-        in order:
-
-        * a dependency-declaring session whose declared invalidation
-          channels all hash to one shard routes there (its verdict can
-          only flip on events homed on that shard); channels spanning
-          shards spill with cause ``"dynamic"``;
-        * everyone else — including admission-needing sessions, whose
-          ``admission()`` call is a pure read of shared policy context
-          (proven transitively by lint rule RPR007), so the derive half
-          may run on any worker — routes to its pending step's entity
-          shard: a lock derivation reads only that shard's holder map,
-          every other derivation reads nothing;
-        * only genuinely entity-less work remains coordinator-bound
-          (cause ``"admission"`` / ``"entity_less"``).
-
-        Routing happens at drain time, never cached: the pending step
-        advances between ticks, so a stored shard hint would go stale."""
-        entry = self._live.get(name)
-        if entry is None:
-            return None, "entity_less"
-        if entry.tracks_deps:
-            deps = entry.session.admission_dependencies()
-            channels = tuple(deps) if deps is not None else ()
-            homes = {shard_of(ch) for ch in channels}
-            if len(homes) == 1:
-                return min(homes), None
-            if homes:
-                return None, "dynamic"
-            # Declared nothing: the verdict is step-local, so the pending
-            # entity's shard is as good a home as any.
-        step = entry.session.peek()
-        if step is None or step.entity is None:
-            cause = "admission" if entry.needs_admission else "entity_less"
-            return None, cause
-        return shard_of(step.entity), None
-
-    def take_check_slices(
-        self, shard_of: Callable[[Entity], int], shards: int
-    ) -> Tuple[List[List[str]], List[str], Dict[str, int]]:
-        """:meth:`take_check_set` partitioned into shard-local slices, the
-        global slice, and this tick's per-cause spill tally (see
-        :meth:`route`).  Each slice preserves the sorted order of the
-        merged set, so the serial executor's sorted merge of all slices
-        reproduces the legacy check sequence exactly."""
-        slices: List[List[str]] = [[] for _ in range(shards)]
-        global_slice: List[str] = []
-        spill: Dict[str, int] = {}
-        for n in self.take_check_set():
-            s, cause = self.route(n, shard_of)
-            if s is None:
-                global_slice.append(n)
-                spill[cause] = spill.get(cause, 0) + 1
-            else:
-                slices[s].append(n)
-        return slices, global_slice, spill
-
-    def runnable_slices(
-        self, shard_of: Callable[[Entity], int], shards: int
-    ) -> Tuple[List[List[str]], List[str]]:
-        """The runnable set partitioned the same way (introspection for
-        the partition-invariant property tests; phase 3 itself picks from
-        the whole ordered set)."""
-        slices: List[List[str]] = [[] for _ in range(shards)]
-        global_slice: List[str] = []
-        for n in self.runnable:
-            s, _ = self.route(n, shard_of)
-            (global_slice if s is None else slices[s]).append(n)
-        return slices, global_slice
-
-    def watcher_slices(
-        self, shard_of: Callable[[Entity], int], shards: int
-    ) -> List[Set[str]]:
-        """Watcher names grouped by their watched entity's shard — every
-        watcher set is keyed by a single entity, so each lands wholly in
-        one shard slice (no global spill for watchers)."""
-        slices: List[Set[str]] = [set() for _ in range(shards)]
-        for entity, names in self.watchers.items():  # repro: noqa[RPR001] set-union buckets; order-insensitive
-            slices[shard_of(entity)].update(names)
-        return slices
 
 
 class Classifier:
@@ -472,18 +375,11 @@ class Classifier:
         entry.state = NEW
 
     def derive(self, entry: LiveEntry) -> Decision:
-        """The pure-read half of a classification: one iteration of the
-        naive Phase-2 loop with every mutation replaced by a field of the
+        """The read half of a classification: one iteration of the naive
+        Phase-2 loop with every mutation replaced by a field of the
         returned :class:`Decision`.  Reads the session's pending step, the
-        policy verdict (a pure read of shared policy context, so admission
-        sessions may derive on thread workers too; the process executor
-        keeps them on the coordinator because the context is not
-        replicated), the lock table's holder map for the pending entity,
-        and the live table; during the classify phase all of these are
-        frozen, so derivations of distinct sessions commute and may run on
-        shard workers.  Lint rule RPR007 verifies the purity claim
-        transitively: every write or mutation reachable from ``derive``
-        through the whole-program call graph is a finding."""
+        policy verdict, the lock table's holder map for the pending
+        entity, and the live table."""
         name = entry.item.name
         step = entry.session.peek()
         assert step is not None
@@ -550,12 +446,9 @@ class Classifier:
         decision: Decision,
         aborts: List[Tuple[LiveEntry, str]],
     ) -> None:
-        """Install a derived decision — the mutating half of a
-        classification, replaying the legacy interleaved sequence's
-        mutation order exactly (lazy accounting, clear, counters,
-        re-subscription, then the per-kind transition).  Coordinator
-        thread only; the executor calls it at the merge barrier in
-        shard-index order."""
+        """Install a derived decision — the write half of a
+        classification: lazy accounting, clear, counters,
+        re-subscription, then the per-kind transition."""
         m = self.metrics
         name = entry.item.name
         now = m.ticks
@@ -600,9 +493,7 @@ class Classifier:
         since the previous classification (during which the session
         necessarily sat in the same blocked state — nothing that could
         have changed it happened, or it would have been re-examined
-        sooner).  Serial composition of :meth:`derive` and :meth:`apply`
-        — the byte-identical reference sequence the parallel executor is
-        equivalence-tested against."""
+        sooner).  :meth:`derive` then :meth:`apply`."""
         self.apply(entry, self.derive(entry), aborts)
 
     # ------------------------------------------------------------------

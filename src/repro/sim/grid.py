@@ -87,16 +87,6 @@ class GridSpec:
     seeds: Tuple[int, ...] = ()
     engine: str = "event"
     max_ticks: int = 200_000
-    #: Lock-table shard count for every seed-run (any count produces
-    #: byte-identical rows; 1 is the single-partition reference).
-    lock_shards: int = 1
-    #: Classify-phase shard workers per seed-run (0 = serial reference;
-    #: any count produces byte-identical rows; event engine only).
-    shard_workers: int = 0
-    #: Classify-phase executor kind when ``shard_workers >= 1``
-    #: ("serial" / "thread" / "process"; any kind produces byte-identical
-    #: rows — see :func:`repro.sim.executor.make_executor`).
-    executor: str = "thread"
     pairs: Optional[Tuple[Tuple[PolicySpec, WorkloadSpec], ...]] = None
 
     def cells(self) -> List[Tuple[PolicySpec, WorkloadSpec]]:
@@ -117,9 +107,6 @@ class _SeedTask:
     seed: int
     engine: str
     max_ticks: int
-    lock_shards: int = 1
-    shard_workers: int = 0
-    executor: str = "thread"
 
 
 def _run_task(task: _SeedTask) -> Tuple[int, int, SeedOutcome]:
@@ -131,27 +118,27 @@ def _run_task(task: _SeedTask) -> Tuple[int, int, SeedOutcome]:
         context_kwargs=context_kwargs,
         max_ticks=task.max_ticks,
         engine=task.engine,
-        lock_shards=task.lock_shards,
-        shard_workers=task.shard_workers,
-        executor=task.executor,
     )
     return task.cell, task.slot, outcome
 
 
-def _check_spawnable_main() -> None:
-    """Fail fast where ``spawn`` cannot work: re-importing ``__main__`` in
-    each worker requires its ``__file__`` (when it has one) to exist on
-    disk.  A stdin/heredoc script (``python - <<EOF``) records
-    ``__file__ = "<stdin>"`` — workers crash during bootstrap and the pool
-    respawns them forever, hanging the caller with no diagnosis.  Raising
-    here turns that hang into an actionable error."""
+def _check_spawnable_main(method: str) -> None:
+    """Fail fast where the ``method`` start method cannot work.  Every
+    method but ``fork`` starts workers in a fresh interpreter — ``spawn``
+    directly, ``forkserver`` through ``spawn._main`` in its server's
+    children — that re-imports ``__main__`` from its ``__file__`` (when it
+    has one), which must therefore exist on disk.  A stdin/heredoc script
+    (``python - <<EOF``) records ``__file__ = "<stdin>"`` — workers crash
+    during bootstrap and the pool respawns them forever, hanging the
+    caller with no diagnosis.  Raising here turns that hang into an
+    actionable error."""
     main_module = sys.modules.get("__main__")
     if main_module is None or getattr(main_module, "__spec__", None) is not None:
-        return  # importable by name; spawn re-imports it fine
+        return  # importable by name; the worker re-imports it fine
     main_file = getattr(main_module, "__file__", None)
     if main_file is not None and not os.path.exists(main_file):
         raise RuntimeError(
-            f"run_grid with workers > 0 uses the 'spawn' start method, "
+            f"run_grid with workers > 0 uses the {method!r} start method, "
             f"which re-imports __main__ in every worker — impossible here "
             f"(__main__.__file__ is {main_file!r}, which does not exist; "
             f"typically a stdin/heredoc script).  Run from a real script "
@@ -190,9 +177,6 @@ def run_grid(
         _SeedTask(
             cell=ci, slot=si, policy=p, workload=w, seed=seed,
             engine=spec.engine, max_ticks=spec.max_ticks,
-            lock_shards=spec.lock_shards,
-            shard_workers=spec.shard_workers,
-            executor=spec.executor,
         )
         for ci, (p, w) in enumerate(cells)
         for si, seed in enumerate(seeds)
@@ -225,8 +209,8 @@ def run_grid(
         for task in tasks:
             land(*_run_task(task))
     else:
-        if mp_context == "spawn":
-            _check_spawnable_main()
+        if mp_context != "fork":
+            _check_spawnable_main(mp_context)
         ctx = multiprocessing.get_context(mp_context)
         with ctx.Pool(processes=workers) as pool:
             for ci, si, outcome in pool.imap_unordered(_run_task, tasks):

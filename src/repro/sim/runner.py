@@ -111,17 +111,12 @@ def run_seed(
     context_kwargs: Optional[dict] = None,
     max_ticks: int = 200_000,
     engine: str = "event",
-    lock_shards: int = 1,
-    shard_workers: int = 0,
-    executor: str = "thread",
 ) -> SeedOutcome:
     """Run one seeded instance of a cell and reduce it to a
     :class:`SeedOutcome` (the unit of work the grid runner fans out)."""
     sim = Simulator(
         policy, seed=seed, max_ticks=max_ticks,
         context_kwargs=context_kwargs or {}, engine=engine,
-        lock_shards=lock_shards, shard_workers=shard_workers,
-        executor=executor,
     )
     try:
         result = sim.run(items, initial)
@@ -192,9 +187,6 @@ def run_cell(
     context_kwargs_factory: Optional[Callable[[int], dict]] = None,
     max_ticks: int = 200_000,
     engine: str = "event",
-    lock_shards: int = 1,
-    shard_workers: int = 0,
-    executor: str = "thread",
 ) -> CellResult:
     """Run one policy over several seeded instances of a workload, serially
     in this process.
@@ -209,10 +201,7 @@ def run_cell(
         kwargs = context_kwargs_factory(seed) if context_kwargs_factory else {}
         outcomes.append(run_seed(
             policy, items, initial, seed,
-            context_kwargs=kwargs, max_ticks=max_ticks,
-            engine=engine,
-            lock_shards=lock_shards, shard_workers=shard_workers,
-            executor=executor,
+            context_kwargs=kwargs, max_ticks=max_ticks, engine=engine,
         ))
     return aggregate_outcomes(policy.name, workload_name, outcomes)
 

@@ -23,7 +23,7 @@ composes the state layers — :mod:`repro.sim.admission` (classification
 cache, invalidation channels, classifier), :mod:`repro.sim.waits_for`
 (always-fresh graph, incremental cycle detection),
 :mod:`repro.sim.deadlock` (oracle detector, victim costing),
-:mod:`repro.sim.lock_table` (sharded holder maps and wait queues), and
+:mod:`repro.sim.lock_table` (holder maps and wait queues), and
 :mod:`repro.sim.event_log` (O(own events) abort erasure) — all documented
 in docs/ARCHITECTURE.md along with the invalidation-channel protocol.
 :class:`_Run` adds what makes the kernel a *tick simulator*: the seeded
@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..core.states import StructuralState
 from ..exceptions import PolicyViolation, SimulationError
@@ -91,11 +91,6 @@ class SimResult:
     committed: Tuple[str, ...]
     aborted: Tuple[str, ...]
     context: PolicyContext
-    #: How the classify work was scheduled (executor kind, per-shard
-    #: classification counts, barrier waits, spills) — deliberately not
-    #: part of ``Metrics``/``work_summary`` so seeded outcomes stay
-    #: byte-identical across ``shard_workers``.
-    executor_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -108,20 +103,9 @@ class Simulator:
     ``engine`` selects the scheduling implementation: ``"event"`` (the
     default event-driven engine) or ``"naive"`` (the per-tick rescan kept as
     the reference both engines' equivalence is asserted against).
-    ``lock_shards`` partitions the lock table (any count produces identical
-    runs; ``1`` is the single-partition reference).  ``shard_workers``
-    selects the classify-phase executor worker count: ``0`` (default) is
-    the serial reference, ``N>=1`` fans shard-local classification out to
-    ``N`` workers behind a deterministic merge barrier — any worker count
-    produces byte-identical runs (event engine only).  ``executor``
-    selects the worker kind when ``shard_workers >= 1``: ``"thread"``
-    (default) or ``"process"`` (persistent replica-owning worker
-    processes); ``"serial"`` forces the serial reference regardless of
-    worker count.
     """
 
     ENGINES = ("event", "naive")
-    EXECUTORS = ("serial", "thread", "process")
 
     def __init__(
         self,
@@ -131,35 +115,15 @@ class Simulator:
         max_restarts: int = 10,
         context_kwargs: Optional[dict] = None,
         engine: str = "event",
-        lock_shards: int = 1,
-        shard_workers: int = 0,
-        executor: str = "thread",
     ):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {self.ENGINES}")
-        if shard_workers < 0:
-            raise ValueError(
-                f"shard_workers must be >= 0, got {shard_workers}"
-            )
-        if executor not in self.EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{self.EXECUTORS}"
-            )
-        if shard_workers and engine != "event":
-            raise ValueError(
-                "shard_workers requires the event engine "
-                f"(got engine={engine!r})"
-            )
         self.policy = policy
         self.rng = random.Random(seed)
         self.max_ticks = max_ticks
         self.max_restarts = max_restarts
         self.context_kwargs = dict(context_kwargs or {})
         self.engine = engine
-        self.lock_shards = lock_shards
-        self.shard_workers = shard_workers
-        self.executor = executor
 
     # ------------------------------------------------------------------
 
@@ -181,7 +145,6 @@ class Simulator:
             committed=tuple(run.committed),
             aborted=tuple(run.dropped),
             context=run.context,
-            executor_stats=run.executor.snapshot(),
         )
 
 
@@ -197,9 +160,6 @@ class _Run(KernelRun):
         super().__init__(
             sim.policy.create_context(**sim.context_kwargs),
             max_restarts=sim.max_restarts,
-            lock_shards=sim.lock_shards,
-            shard_workers=sim.shard_workers,
-            executor_kind=sim.executor,
             event_engine=sim.engine == "event",
         )
         self.rng = sim.rng
@@ -226,35 +186,32 @@ class _Run(KernelRun):
         tick = (
             self._event_tick if self.event_engine else lambda: naive_tick(self)
         )
-        try:
+        self.admit_arrivals()
+        while self.live or self.pending:
+            if not self.live and self.pending:
+                # Idle until the next arrival: jump to the tick *before*
+                # it so the increment below lands exactly on start_tick,
+                # clamped so a far-future arrival cannot jump the clock
+                # straight past the max_ticks guard below.
+                m.ticks = min(
+                    max(m.ticks, self.pending[0][0] - 1),
+                    self.max_ticks,
+                )
+            if m.ticks >= self.max_ticks:
+                raise SimulationError(
+                    f"exceeded {self.max_ticks} ticks with "
+                    f"{_truncated(sorted(self.live))} still active and "
+                    f"{self.pending_items} pending"
+                )
+            m.ticks += 1
             self.admit_arrivals()
-            while self.live or self.pending:
-                if not self.live and self.pending:
-                    # Idle until the next arrival: jump to the tick *before*
-                    # it so the increment below lands exactly on start_tick,
-                    # clamped so a far-future arrival cannot jump the clock
-                    # straight past the max_ticks guard below.
-                    m.ticks = min(
-                        max(m.ticks, self.pending[0][0] - 1),
-                        self.max_ticks,
-                    )
-                if m.ticks >= self.max_ticks:
-                    raise SimulationError(
-                        f"exceeded {self.max_ticks} ticks with "
-                        f"{_truncated(sorted(self.live))} still active and "
-                        f"{self.pending_items} pending"
-                    )
-                m.ticks += 1
-                self.admit_arrivals()
-                # Accrued *after* admissions: a transaction admitted at tick
-                # t can execute at tick t, so it belongs in tick t's
-                # integral.
-                m.active_integral += len(self.live)
-                if not self.live:
-                    continue
-                tick()
-        finally:
-            self.executor.shutdown()
+            # Accrued *after* admissions: a transaction admitted at tick
+            # t can execute at tick t, so it belongs in tick t's
+            # integral.
+            m.active_integral += len(self.live)
+            if not self.live:
+                continue
+            tick()
 
     # ------------------------------------------------------------------
     # Arrival admission (driver-side: the kernel has no clock)
@@ -279,11 +236,7 @@ class _Run(KernelRun):
 
     def _event_tick(self) -> None:
         """One event-engine tick as an explicit phase pipeline: commit
-        scan → classify → deadlock → execute.  Each phase is a method
-        with a documented shard-locality contract; only the classify
-        phase's work is partitioned (and optionally fanned out to shard
-        workers by the executor) — every other phase runs whole on the
-        coordinator."""
+        scan → classify → deadlock → execute."""
         if not self._phase_commit():
             return
         if self._phase_classify():
@@ -294,9 +247,7 @@ class _Run(KernelRun):
         self._phase_execute()
 
     def _phase_commit(self) -> bool:
-        """Phase 1 — commit scan (coordinator only: commits and phase-1
-        aborts mutate the live table, the lock table, and the log, all of
-        which the classify phase needs frozen).  Only sessions that can
+        """Phase 1 — commit scan.  Only sessions that can
         act here (every-tick dynamic ones, finished scripted ones, and
         dependency-declaring sessions due their replanning peek) are
         visited, in admission order, matching the naive engine's
@@ -322,37 +273,21 @@ class _Run(KernelRun):
     def _phase_classify(self) -> bool:
         """Phase 2 — classify only sessions whose cached state may have
         changed: the dirty set (woken waiters, invalidated watchers,
-        executors, fresh admissions) plus every dynamic session.  The
-        check set is partitioned into shard-local slices (keyed by the
-        pending lock entity's shard) plus a global slice, and handed to
-        the executor: shard slices read only frozen phase inputs and
-        their own shard's holder map, so the parallel executor may derive
-        them on workers; all state mutation happens in coordinator-side
-        applies at the merge barrier, in shard-index order.  Phase-2
-        policy aborts — which may now surface from shard slices too,
-        since admission-needing sessions shard-route — are canonicalized
-        to the legacy sorted-by-name order before processing, so the
-        abort sequence is independent of slice layout; returns whether
-        any occurred (which ends the tick).  Lint rule RPR009 pins this
-        shape: the phase body may mutate scheduler state only through
-        ``take_check_slices``, ``run_classify``, and ``abort``."""
+        executors, fresh admissions) plus every dynamic session, in sorted
+        name order.  Phase-2 policy aborts are collected in that order and
+        processed after the walk; returns whether any occurred (which
+        ends the tick)."""
         aborts: List[Tuple[LiveEntry, str]] = []
-        slices, global_slice, spill = self.cache.take_check_slices(
-            self.table.shard_of, self.table.shards
-        )
         self.executor.run_classify(
-            self.classifier, self.live, slices, global_slice, aborts,
-            spill,
+            self.classifier, self.live, self.cache.take_check_slices(),
+            aborts,
         )
-        aborts.sort(key=lambda pr: pr[0].item.name)
         for entry, reason in aborts:
             self.abort(entry, reason)
         return bool(aborts)
 
     def _phase_deadlock(self) -> None:
-        """Deadlock path (coordinator only: cycle detection walks the
-        whole waits-for graph — inherently cross-shard — and the victim
-        abort mutates every layer).  The graph is maintained always-fresh,
+        """Deadlock path.  The graph is maintained always-fresh,
         so the incremental detector runs directly on it — acyclicity
         certificates survive between detections, and only the
         possibly-cyclic region is re-walked (the from-scratch walk was
@@ -383,9 +318,7 @@ class _Run(KernelRun):
         """Phase 3 — execute one step of one runnable session, seeded
         uniform choice over the runnable names in sorted order — which is
         how ``cache.runnable`` keeps them, so the draw costs a length and a
-        k-th element whatever the population (coordinator only: grants,
-        releases, wake-ups, and the event log are global mutations;
-        invalidation routing keys the *next* tick's shard slices)."""
+        k-th element whatever the population."""
         self._execute_step(self.live[self.rng.choice(self.cache.runnable)])
 
 

@@ -12,21 +12,3 @@ def build_spec(GridSpec, PolicySpec, register_grid_factory):
         workloads=[],
     )
 
-
-def start_worker(ctx, conn):
-    def local_loop(pipe):
-        while True:
-            pipe.recv_bytes()
-
-    proc = ctx.Process(target=local_loop, args=(conn,))
-    proc.start()
-    return proc
-
-
-def ship_payload(conn, pool, pickle, names):
-    class LocalDelta:
-        pass
-
-    conn.send_bytes(pickle.dumps((LocalDelta, names)))
-    conn.send({"callback": lambda reply: reply})
-    pool.submit(lambda: names)

@@ -23,20 +23,3 @@ def build_spec(GridSpec, PolicySpec):
         workloads=[],
     )
 
-
-def worker_loop(conn):
-    while True:
-        if conn.recv_bytes() is None:
-            break
-
-
-def start_worker(ctx, conn):
-    proc = ctx.Process(target=worker_loop, args=(conn,))
-    proc.start()
-    return proc
-
-
-def ship_payload(conn, pool, pickle, holder_delta, names):
-    payload = pickle.dumps((holder_delta, names))
-    conn.send_bytes(payload)
-    pool.submit(worker_loop, conn)

@@ -122,12 +122,12 @@ class TestTickQueries:
         # complete/dynamic are standing: they come back next tick.
         assert set(cache.phase1_candidates()) == {"A", "B"}
 
-    def test_take_check_set_is_sorted_filtered_and_draining(self):
+    def test_take_check_slices_is_sorted_filtered_and_draining(self):
         cache, live, _ = make_cache(("A", "B", "C", "D"))
         cache.dirty.update({"C", "A", "GONE"})
         cache.dynamic.add("B")
         cache.complete.add("D")
         cache.dirty.add("D")  # complete sessions are never re-classified
-        assert cache.take_check_set() == ["A", "B", "C"]
+        assert cache.take_check_slices() == ["A", "B", "C"]
         # dirty drained; dynamic remains standing.
-        assert cache.take_check_set() == ["B"]
+        assert cache.take_check_slices() == ["B"]

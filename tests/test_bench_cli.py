@@ -37,9 +37,7 @@ class TestPresets:
         }
 
     def test_special_benches_registered_and_listed(self, capsys):
-        assert set(bench.SPECIAL_BENCHES) == {
-            "parallel_shards", "scaling", "service",
-        }
+        assert set(bench.SPECIAL_BENCHES) == {"scaling", "service"}
         assert bench.main(["--list"]) == 0
         out = capsys.readouterr().out
         for name in bench.SPECIAL_BENCHES:
@@ -49,7 +47,6 @@ class TestPresets:
         spec = bench.PRESETS["mega_stress"](1.0)
         (workload,) = spec.workloads
         assert workload.kwargs["num_txns"] >= 5000
-        assert spec.lock_shards > 1
         scaled = bench.PRESETS["mega_stress"](0.02)
         assert scaled.workloads[0].kwargs["num_txns"] < 5000
 
@@ -58,17 +55,10 @@ class TestPresets:
         (workload,) = spec.workloads
         assert workload.kwargs["num_txns"] == 50_000
         assert workload.kwargs["arrival_rate"] < 1.0  # staggered arrivals
-        assert spec.lock_shards > 1
 
     def test_scale_shrinks_with_floor(self):
         spec = bench.PRESETS["stress"](0.0001)
         assert spec.workloads[0].kwargs["num_txns"] == 50
-
-    def test_shards_flag_overrides_spec(self):
-        args = bench.build_parser().parse_args(
-            ["mega_stress", "--shards", "4"]
-        )
-        assert args.shards == 4
 
     def test_parser_accepts_engine_and_workers(self):
         args = bench.build_parser().parse_args(
@@ -79,11 +69,10 @@ class TestPresets:
 
 
 class TestArgValidation:
-    """Explicit ``--workers``/``--seeds`` below 1 are parse-time errors
-    (the same ``_positive_int`` treatment ``--shards`` already gets);
+    """Explicit ``--workers``/``--seeds`` below 1 are parse-time errors;
     omitting ``--workers`` still selects the in-process reference path."""
 
-    @pytest.mark.parametrize("flag", ["--workers", "--seeds", "--shards"])
+    @pytest.mark.parametrize("flag", ["--workers", "--seeds"])
     @pytest.mark.parametrize("value", ["0", "-1", "-8"])
     def test_non_positive_values_rejected_at_parse_time(
         self, capsys, flag, value
@@ -120,38 +109,14 @@ class TestArgValidation:
         args = bench.build_parser().parse_args(["stress", "--scale", "0.05"])
         assert args.scale == 0.05
 
-    def test_shard_workers_zero_is_explicit_serial(self):
-        # 0 is meaningful (force the serial executor / filter the sweep
-        # to serial rows), so --shard-workers gets the non-negative
-        # validator, not the >= 1 one.
-        args = bench.build_parser().parse_args(
-            ["stress", "--shard-workers", "0"]
-        )
-        assert args.shard_workers == 0
-
-    def test_negative_shard_workers_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "flag", ["--shards", "--shard-workers", "--executor"]
+    )
+    def test_no_shard_or_executor_flag_exists(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            bench.build_parser().parse_args(
-                ["stress", "--shard-workers", "-1"]
-            )
+            bench.build_parser().parse_args(["mega_stress", flag, "2"])
         assert exc.value.code == 2
-        assert "must be >= 0" in capsys.readouterr().err
-
-    def test_shard_workers_default_is_unset(self):
-        # None (not 0) so parallel_shards can tell "sweep everything"
-        # apart from "serial only".
-        args = bench.build_parser().parse_args(["stress"])
-        assert args.shard_workers is None
-
-    def test_executor_flag_parses_and_defaults_unset(self):
-        args = bench.build_parser().parse_args(["stress"])
-        assert args.executor is None
-        args = bench.build_parser().parse_args(
-            ["stress", "--executor", "process"]
-        )
-        assert args.executor == "process"
-        with pytest.raises(SystemExit):
-            bench.build_parser().parse_args(["stress", "--executor", "gpu"])
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 class TestScalingBench:
@@ -170,7 +135,6 @@ class TestScalingBench:
                 1e6 * row["wall_s"] / row["ticks"], rel=0.01
             )
         extra = doc["extra"]
-        assert (extra["lock_shards"], extra["executor"]) == (1, "serial")
         assert extra["arrival_rate"] == 0.085
         assert {"python", "cpu_count", "git_sha"} <= set(extra)
 
@@ -198,31 +162,18 @@ class TestScalingBench:
             bench.build_parser().parse_args(["scaling", "--arrival-rate", "0"])
 
 
-class TestArtifactExecutorStamp:
-    """``extra.executor`` names the executor that ran, not the requested
-    kind: without shard workers every run is serial."""
-
-    @pytest.mark.parametrize(
-        "flags,expected",
-        [
-            ([], "serial"),
-            (["--executor", "process"], "serial"),
-            (["--shard-workers", "2"], "thread"),
-        ],
-    )
-    def test_grid_artifact_records_the_executor_that_ran(
-        self, tmp_path, flags, expected
-    ):
+class TestGridArtifact:
+    def test_grid_artifact_records_the_stamp(self, tmp_path):
         out = tmp_path / "grid.json"
         assert bench.main(
-            ["traversal", "--seeds", "1", "--out", str(out), *flags]
+            ["traversal", "--seeds", "1", "--out", str(out)]
         ) == 0
         extra = json.loads(out.read_text())["extra"]
-        assert extra["executor"] == expected
+        assert extra["engine"] == "event" and extra["seeds"] == [0]
         assert {"python", "cpu_count", "git_sha"} <= set(extra)
 
 
-def _artifact(tmp_path, name, rows, *, bench_name="parallel_shards",
+def _artifact(tmp_path, name, rows, *, bench_name="grid_mega_stress",
               wall_s=10.0, schema=1):
     doc = {
         "bench": bench_name,
@@ -237,11 +188,10 @@ def _artifact(tmp_path, name, rows, *, bench_name="parallel_shards",
     return str(path)
 
 
-def _row(shards=4, workers=2, executor="thread", wall_s=1.0, **extra):
+def _row(policy="2PL", workload="stress", wall_s=1.0, **extra):
     row = {
-        "shards": shards,
-        "shard_workers": workers,
-        "executor": executor,
+        "policy": policy,
+        "workload": workload,
         "wall_s": wall_s,
         "committed": 100,
         "work": {"classify_checks": 500},
@@ -303,14 +253,14 @@ class TestCompare:
     def test_bench_mismatch_is_a_usage_failure(self, tmp_path, capsys):
         old = _artifact(tmp_path, "old.json", [_row()])
         new = _artifact(
-            tmp_path, "new.json", [_row()], bench_name="mega_stress"
+            tmp_path, "new.json", [_row()], bench_name="scaling"
         )
         assert bench.main(["--compare", old, new]) == 2
         assert "mismatch" in capsys.readouterr().out
 
     def test_row_identity_mismatch_is_a_usage_failure(self, tmp_path, capsys):
-        old = _artifact(tmp_path, "old.json", [_row(executor="thread")])
-        new = _artifact(tmp_path, "new.json", [_row(executor="process")])
+        old = _artifact(tmp_path, "old.json", [_row(policy="2PL")])
+        new = _artifact(tmp_path, "new.json", [_row(policy="DDAG")])
         assert bench.main(["--compare", old, new]) == 2
         assert "identity" in capsys.readouterr().out
 
@@ -321,7 +271,7 @@ class TestCompare:
         assert "identity 'txns'" in capsys.readouterr().out
 
     def test_row_count_mismatch_is_a_usage_failure(self, tmp_path, capsys):
-        old = _artifact(tmp_path, "old.json", [_row(), _row(shards=8)])
+        old = _artifact(tmp_path, "old.json", [_row(), _row(workload="deadlock_storm")])
         new = _artifact(tmp_path, "new.json", [_row()])
         assert bench.main(["--compare", old, new]) == 2
         assert "row count" in capsys.readouterr().out

@@ -132,12 +132,21 @@ class TestGridEquivalence:
         spec = GridSpec(pairs=((p1, w), (p2, w)), seeds=(0,))
         assert [pw for pw in spec.cells()] == [(p1, w), (p2, w)]
 
-    def test_unspawnable_main_fails_fast(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_unspawnable_main_fails_fast(self, monkeypatch, method):
         """A __main__ whose __file__ does not exist (stdin/heredoc script)
-        cannot be re-imported by spawn workers; the pool would respawn
-        crashing workers forever.  run_grid must refuse up front."""
+        cannot be re-imported by spawn or forkserver workers; the pool
+        would respawn crashing workers forever.  run_grid must refuse up
+        front, naming the start method."""
         import types
 
+        import repro.sim.grid as grid_module
+
+        def no_pool(method):
+            raise AssertionError(f"a {method!r} pool was started")
+
+        # Were the check skipped, the test fails here instead of hanging.
+        monkeypatch.setattr(grid_module.multiprocessing, "get_context", no_pool)
         fake_main = types.ModuleType("__main__")
         fake_main.__file__ = "/tmp/<stdin>"
         fake_main.__spec__ = None
@@ -149,8 +158,8 @@ class TestGridEquivalence:
             }),),
             seeds=(0,),
         )
-        with pytest.raises(RuntimeError, match="workers=0"):
-            run_grid(spec, workers=2)
+        with pytest.raises(RuntimeError, match=f"'{method}'.*workers=0"):
+            run_grid(spec, workers=2, mp_context=method)
         # the serial path stays available regardless of __main__
         [cell] = run_grid(spec, workers=0)
         assert cell.failures == 0

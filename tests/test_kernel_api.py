@@ -374,8 +374,8 @@ class RequestFuzzer:
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
-        self.kernel = audited_kernel(lock_shards=2)
-        self.oracle = OracleKernel(audit=AuditLog(), lock_shards=2)
+        self.kernel = audited_kernel()
+        self.oracle = OracleKernel(audit=AuditLog())
         self.wakes = {self.kernel: [], self.oracle: []}
         self.begun = 0
         self.cascades = 0  # requests that cost two or more victims

@@ -19,17 +19,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(HERE)
 FIXTURES = os.path.join(HERE, "lint_fixtures")
 
-RULE_CODES = (
-    "RPR001",
-    "RPR002",
-    "RPR003",
-    "RPR004",
-    "RPR005",
-    "RPR006",
-    "RPR007",
-    "RPR008",
-    "RPR009",
-)
+RULE_CODES = ("RPR001", "RPR002", "RPR003", "RPR004")
 
 #: Auto-discovered fixture pairs: every ``rprNNN_bad.py`` in the corpus,
 #: as its rule code.  New rules cannot ship without honest fixtures —
@@ -84,172 +74,8 @@ class TestRuleFixtures:
         assert "wall-clock read" in messages
         assert "id()" in messages
 
-    def test_rpr004_covers_the_process_executor_seam(self):
-        """The spawn-safety rule extends past grid specs to the process
-        executor's worker protocol: Process targets and shipped payloads
-        (send/send_bytes/submit/dumps) must be module-level picklable."""
-        messages = [
-            f.message for f in analyze_file(fixture("rpr004_bad.py"))
-        ]
-        joined = " | ".join(messages)
-        assert "Process target" in joined
-        assert "'local_loop'" in joined
-        assert "'LocalDelta'" in joined
-        assert "dumps() payload" in joined
-        assert "send() payload" in joined
-        assert "submit() payload" in joined
-
-    def test_rpr004_in_tree_executor_seam_is_clean(self):
-        """The real process executor ships module-level payloads only —
-        the extended rule must not flag it (nor the asyncio service's
-        dict-literal ``conn.send`` frames)."""
-        for rel in (
-            ("src", "repro", "sim", "executor.py"),
-            ("src", "repro", "service", "server.py"),
-        ):
-            path = os.path.join(REPO_ROOT, *rel)
-            if os.path.exists(path):
-                findings = [
-                    f for f in analyze_file(path) if f.code == "RPR004"
-                ]
-                assert findings == [], f"{path}: {findings}"
-
-    def test_rpr006_covers_reads_writes_and_mutators(self, tmp_path):
-        path = tmp_path / "frag.py"
-        path.write_text(
-            "# repro-lint-module: repro.sim.frag\n"
-            "def shard_phase(fn):\n"
-            "    fn.__shard_phase__ = True\n"
-            "    return fn\n"
-            "@shard_phase\n"
-            "def phase(run, names, buf):\n"
-            "    n = run.metrics.ticks          # global read\n"
-            "    run.cache.runnable.add(n)      # global mutator\n"
-            "    run.live['x'] = 1              # non-buffer assignment\n"
-            "    local = []\n"
-            "    local.append(n)                # local mutation: sanctioned\n"
-            "    buf.decisions.append(n)        # buffer write: sanctioned\n"
-        )
-        messages = [f.message for f in analyze_file(str(path))]
-        assert all("phase" in m for m in messages)
-        assert any("'.metrics'" in m for m in messages)
-        assert any("mutator" in m for m in messages)
-        assert any("assigns" in m for m in messages)
-        assert not any("local" in m and "sanctioned" in m for m in messages)
-
-    def test_rpr006_ignores_undecorated_functions(self, tmp_path):
-        path = tmp_path / "frag.py"
-        path.write_text(
-            "# repro-lint-module: repro.sim.frag\n"
-            "def apply_all(run, names):\n"
-            "    for n in names:\n"
-            "        run.cache.runnable.add(n)\n"
-        )
-        assert analyze_file(str(path)) == []
-
-    def test_rpr006_in_tree_shard_phases_are_clean(self):
-        path = os.path.join(REPO_ROOT, "src", "repro", "sim", "executor.py")
-        assert codes_in(path) == set()
-
     def test_registry_has_exactly_the_documented_rules(self):
         assert set(all_rules()) == set(RULE_CODES)
-
-
-class TestProjectRules:
-    """The whole-program rules (RPR007-RPR009): cross-module resolution,
-    the exact hole RPR006 cannot see, and in-tree cleanliness."""
-
-    SHARD_PHASE_DEF = (
-        "def shard_phase(fn):\n"
-        "    fn.__shard_phase__ = True\n"
-        "    return fn\n"
-    )
-
-    def test_rpr007_sees_transitive_impurity_across_modules(self, tmp_path):
-        """A pure-looking @shard_phase wrapper calling an impure helper
-        in ANOTHER module: invisible to RPR006, caught by RPR007."""
-        tree = tmp_path / "src" / "repro" / "sim"
-        tree.mkdir(parents=True)
-        (tree / "helpers.py").write_text(
-            "def bump_totals(stats, name):\n"
-            "    stats.seen.append(name)\n"
-        )
-        (tree / "worker.py").write_text(
-            "from .helpers import bump_totals\n"
-            + self.SHARD_PHASE_DEF
-            + "@shard_phase\n"
-            "def classify_slice(live, names, stats, buf):\n"
-            "    for name in names:\n"
-            "        bump_totals(stats, name)\n"
-            "        buf.decisions.append(live[name])\n"
-            "    return buf\n"
-        )
-        findings, _ = analyze_paths([str(tmp_path / "src")])
-        assert {f.code for f in findings} == {"RPR007"}
-        (finding,) = findings
-        assert finding.path.endswith("worker.py")  # anchored at the root
-        assert "bump_totals" in finding.message
-
-    def test_rpr006_alone_misses_the_transitive_hole(self, tmp_path):
-        """The motivating gap: the same wrapper is clean under the
-        one-body-deep file rules."""
-        path = tmp_path / "worker.py"
-        path.write_text(
-            "# repro-lint-module: repro.sim.worker\n"
-            + self.SHARD_PHASE_DEF
-            + "def bump_totals(stats, name):\n"
-            "    stats.seen.append(name)\n"
-            "@shard_phase\n"
-            "def classify_slice(names, stats, buf):\n"
-            "    for name in names:\n"
-            "        bump_totals(stats, name)\n"
-        )
-        findings, _ = analyze_paths([str(path)], select=["RPR006"])
-        assert findings == []
-        findings, _ = analyze_paths([str(path)], select=["RPR007"])
-        assert {f.code for f in findings} == {"RPR007"}
-
-    def test_rpr007_suppressible_at_the_root_def_line(self, tmp_path):
-        path = tmp_path / "worker.py"
-        path.write_text(
-            "# repro-lint-module: repro.sim.worker\n"
-            + self.SHARD_PHASE_DEF
-            + "def bump_totals(stats, name):\n"
-            "    stats.seen.append(name)\n"
-            "@shard_phase\n"
-            "def classify_slice(names, stats, buf):  # repro: noqa[RPR007] stats is a worker-local scratchpad\n"
-            "    for name in names:\n"
-            "        bump_totals(stats, name)\n"
-        )
-        findings, _ = analyze_paths([str(path)])
-        assert findings == []
-
-    def test_rpr008_flags_both_racing_sites(self):
-        findings = analyze_file(fixture("rpr008_bad.py"))
-        assert [f.code for f in findings] == ["RPR008", "RPR008"]
-        lines = {f.line for f in findings}
-        assert len(lines) == 2  # one finding per racing write site
-        assert all("tally" in f.message for f in findings)
-
-    def test_rpr008_part_routed_writes_do_not_race(self):
-        assert analyze_file(fixture("rpr008_good.py")) == []
-
-    def test_rpr009_points_at_the_stray_mutation_site(self):
-        (finding,) = analyze_file(fixture("rpr009_bad.py"))
-        assert finding.code == "RPR009"
-        assert "cache.runnable" in finding.message
-        with open(fixture("rpr009_bad.py")) as fh:
-            line_text = fh.read().splitlines()[finding.line - 1]
-        assert "runnable.add" in line_text
-
-    def test_in_tree_executor_and_scheduler_are_clean(self):
-        """The acceptance bar: the real worker/coordinator split passes
-        the whole-program rules with zero findings (not baselined)."""
-        sim = os.path.join(REPO_ROOT, "src", "repro", "sim")
-        findings, _ = analyze_paths(
-            [sim], select=["RPR007", "RPR008", "RPR009"]
-        )
-        assert findings == []
 
 
 class TestSuppressions:
@@ -281,7 +107,7 @@ class TestSuppressions:
             tmp_path,
             "# repro-lint-module: repro.sim.frag\n"
             "S = {1, 2}\n"
-            "OUT = [x for x in S]  # repro: noqa[RPR005] wrong code entirely\n",
+            "OUT = [x for x in S]  # repro: noqa[RPR003] wrong code entirely\n",
         )
         assert "RPR001" in {f.code for f in analyze_file(path)}
 
@@ -308,7 +134,7 @@ class TestBaseline:
     def test_baseline_grandfathers_then_new_findings_fail(self, tmp_path):
         src = tmp_path / "tree"
         src.mkdir()
-        shutil.copy(fixture("rpr005_bad.py"), src / "rpr005_bad.py")
+        shutil.copy(fixture("rpr002_bad.py"), src / "rpr002_bad.py")
         baseline = tmp_path / "baseline.json"
 
         assert lint_main(
@@ -320,19 +146,18 @@ class TestBaseline:
         shutil.copy(fixture("rpr003_bad.py"), src / "rpr003_bad.py")
         assert lint_main([str(src), "--baseline", str(baseline)]) == 1
 
-    def test_committed_baseline_has_no_sim_or_policies_entries(self):
-        fps = load_baseline(os.path.join(REPO_ROOT, "lint_baseline.json"))
-        offenders = [
-            fp for fp in fps if "/sim/" in fp or "/policies/" in fp
-        ]
-        assert offenders == []
+    def test_src_is_clean_without_a_baseline(self, monkeypatch):
+        """Nothing in the tree is grandfathered: every accepted finding
+        carries an inline reasoned suppression instead."""
+        monkeypatch.chdir(REPO_ROOT)
+        assert lint_main(["src", "--no-baseline"]) == 0
 
     def test_selective_write_baseline_keeps_unselected_entries(self, tmp_path):
         """The --write-baseline --select round trip: snapshotting one
         rule must not discard the other rules' grandfathered entries."""
         src = tmp_path / "tree"
         src.mkdir()
-        shutil.copy(fixture("rpr005_bad.py"), src / "rpr005_bad.py")
+        shutil.copy(fixture("rpr002_bad.py"), src / "rpr002_bad.py")
         shutil.copy(fixture("rpr003_bad.py"), src / "rpr003_bad.py")
         baseline = tmp_path / "baseline.json"
 
@@ -341,9 +166,9 @@ class TestBaseline:
             [str(src), "--baseline", str(baseline), "--write-baseline"]
         ) == 0
         full = load_baseline(str(baseline))
-        assert {fp.split(":", 1)[0] for fp in full} == {"RPR003", "RPR005"}
+        assert {fp.split(":", 1)[0] for fp in full} == {"RPR003", "RPR002"}
 
-        # A selective rewrite of RPR005 must carry the RPR003 entry over.
+        # A selective rewrite of RPR002 must carry the RPR003 entry over.
         assert lint_main(
             [
                 str(src),
@@ -351,15 +176,15 @@ class TestBaseline:
                 str(baseline),
                 "--write-baseline",
                 "--select",
-                "RPR005",
+                "RPR002",
             ]
         ) == 0
         assert load_baseline(str(baseline)) == full
         assert lint_main([str(src), "--baseline", str(baseline)]) == 0
 
-        # ... and dropping the RPR005 violation then re-snapshotting
-        # RPR005 selectively burns down only RPR005's entries.
-        (src / "rpr005_bad.py").unlink()
+        # ... and dropping the RPR002 violation then re-snapshotting
+        # RPR002 selectively burns down only RPR002's entries.
+        (src / "rpr002_bad.py").unlink()
         assert lint_main(
             [
                 str(src),
@@ -367,7 +192,7 @@ class TestBaseline:
                 str(baseline),
                 "--write-baseline",
                 "--select",
-                "RPR005",
+                "RPR002",
             ]
         ) == 0
         remaining = load_baseline(str(baseline))
@@ -461,33 +286,3 @@ class TestInjectionGuard:
         assert lint_main([str(tmp_path / "src"), "--no-baseline"]) == 1
         findings, _ = analyze_paths([str(tmp_path / "src")])
         assert {f.code for f in findings} == {"RPR001"}
-
-    def test_injected_transitive_impurity_fails_a_clean_tree(self, tmp_path):
-        """The CI smoke's second planting: a pure-looking @shard_phase
-        wrapper in one module calling an impure helper in another."""
-        tree = tmp_path / "src" / "repro" / "sim"
-        tree.mkdir(parents=True)
-        (tree / "clean.py").write_text(
-            '"""A clean module."""\n\nVALUE = sorted({1, 2, 3})\n'
-        )
-        assert lint_main([str(tmp_path / "src"), "--no-baseline"]) == 0
-
-        (tree / "impure_helper.py").write_text(
-            "def bump_totals(stats, name):\n"
-            "    stats.seen.append(name)\n"
-        )
-        (tree / "pure_wrapper.py").write_text(
-            "from .impure_helper import bump_totals\n"
-            "def shard_phase(fn):\n"
-            "    fn.__shard_phase__ = True\n"
-            "    return fn\n"
-            "@shard_phase\n"
-            "def classify_slice(live, names, stats, buf):\n"
-            "    for name in names:\n"
-            "        bump_totals(stats, name)\n"
-            "        buf.decisions.append(live[name])\n"
-            "    return buf\n"
-        )
-        assert lint_main([str(tmp_path / "src"), "--no-baseline"]) == 1
-        findings, _ = analyze_paths([str(tmp_path / "src")])
-        assert {f.code for f in findings} == {"RPR007"}

@@ -10,9 +10,8 @@ order phase 3 draws from.  Three contracts:
    schedules byte-identical to the per-tick sort it replaced.
 3. **Engine invariant.**  At every event-engine tick, before the draw and
    after the tick, the index holds exactly the live sessions whose cached
-   state is RUNNABLE — for every registered grid factory (the executor
-   matrix's cells, whose guard test keeps the table complete) under every
-   policy that can run it.
+   state is RUNNABLE — for every registered grid factory (a guard test
+   keeps the table complete) under every policy that can run it.
 """
 
 import random
@@ -28,10 +27,31 @@ from repro.policies import (
     DtrPolicy,
     TwoPhasePolicy,
 )
-from repro.sim import Simulator, grid_factory
+from repro.sim import GRID_FACTORIES, Simulator, grid_factory
 from repro.sim.admission import RUNNABLE, OrderedNames
 from repro.sim.scheduler import _Run
-from test_executor import FACTORY_CELLS  # small contended kwargs per factory
+
+# Small-but-contended kwargs per registered factory (the policy entry is
+# the one that exercises the factory's intended scenario).
+FACTORY_CELLS = {
+    "stress": (
+        TwoPhasePolicy,
+        {"num_entities": 30, "num_txns": 40, "arrival_rate": 1.0,
+         "hot_fraction": 0.1},
+    ),
+    "deadlock_storm": (
+        TwoPhasePolicy,
+        {"num_entities": 20, "num_txns": 30, "accesses_per_txn": 2,
+         "arrival_rate": 0.5, "hot_set_size": 4, "hot_traffic": 0.7},
+    ),
+    "long_transaction": (
+        AltruisticPolicy,
+        {"num_entities": 12, "num_short": 6, "short_start": 4},
+    ),
+    "random_access": (TwoPhasePolicy, {"num_entities": 8, "num_txns": 8}),
+    "traversal": (DdagPolicy, {"nodes": 8, "num_txns": 5}),
+    "dynamic_traversal": (DdagPolicy, {"nodes": 8, "num_txns": 5}),
+}
 
 NAMES = st.sampled_from([f"T{i}" for i in range(12)] + ["", "T10x", "a"])
 OPS = st.lists(st.tuples(st.sampled_from(["add", "discard"]), NAMES), max_size=60)
@@ -125,6 +145,9 @@ def checked_ticks(monkeypatch):
 
 
 class TestEngineInvariant:
+    def test_every_registered_factory_has_a_cell(self):
+        assert set(FACTORY_CELLS) == set(GRID_FACTORIES)
+
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.__name__)
     @pytest.mark.parametrize("factory", sorted(FACTORY_CELLS))
     def test_index_is_exactly_the_runnable_sessions(

@@ -30,7 +30,6 @@ def run(coro):
 
 
 async def make_service(**kwargs):
-    kwargs.setdefault("lock_shards", 2)
     return LockService(**kwargs)
 
 
@@ -676,7 +675,7 @@ class TestStress:
 
         async def scenario():
             clients = 8
-            svc = await make_service(lock_shards=4)
+            svc = await make_service()
             await asyncio.gather(
                 *(client_loop(svc, i, clients) for i in range(clients))
             )
