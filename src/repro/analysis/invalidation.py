@@ -20,8 +20,10 @@ The check is module-local and conservative:
    count, because their ``self`` is another object at the call site.
 3. Every method of every class in the module (except ``__init__``) that
    mutates a shared attribute — a mutator call like ``.add``/``.pop``/
-   ``.add_edge``, an assignment, or a subscript store whose target chain
-   ends in a shared name — must contain at least one call that
+   ``.add_edge``, an assignment, or a subscript store or ``del`` whose
+   target chain ends in a shared name, where a local bound once to an
+   attribute chain (``index = self.donors``) stands for that chain —
+   must contain at least one call that
    (transitively, module-locally) reaches ``notify_changed``.  Methods
    with zero notifications get one finding per mutation site.
 
@@ -53,16 +55,44 @@ _NOTIFY_ROOTS = {"notify_changed"}
 _ADMISSION_METHODS = ("admission", "admission_dependencies")
 
 
-def _attr_chain(node: ast.AST) -> List[str]:
-    """Attribute names of a ``Name.a.b.c`` chain (empty if not a chain)."""
+def _attr_chain(
+    node: ast.AST, aliases: Optional[Dict[str, List[str]]] = None
+) -> List[str]:
+    """Attribute names of a ``Name.a.b.c`` chain (empty if not a chain);
+    a ``Name`` in ``aliases`` contributes the chain it is bound to."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
         node = node.value
     if isinstance(node, ast.Name):
         parts.reverse()
-        return parts
+        return (aliases or {}).get(node.id, []) + parts
     return []
+
+
+def _aliases(fn: ast.FunctionDef) -> Dict[str, List[str]]:
+    """Locals bound exactly once, to an attribute chain
+    (``index = self.donors``): a mutation through the local is a mutation
+    of that chain."""
+    bindings: Dict[str, int] = {}
+    args = fn.args
+    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg):
+        if arg is not None:
+            bindings[arg.arg] = bindings.get(arg.arg, 0) + 1
+    bound: Dict[str, List[str]] = {}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bindings[node.id] = bindings.get(node.id, 0) + 1
+        elif (
+            isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Attribute)
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            chain = _attr_chain(node.value)
+            if len(targets) == 1 and isinstance(targets[0], ast.Name) and chain:
+                bound[targets[0].id] = chain
+    return {name: chain for name, chain in bound.items() if bindings[name] == 1}
 
 
 def _returns_non_none(fn: ast.FunctionDef) -> bool:
@@ -173,19 +203,22 @@ def _shared_read_set(ctx: FileContext, declaring: List[ast.ClassDef]) -> Set[str
 
 
 def _mutations(fn: ast.FunctionDef, shared: Set[str]) -> Iterator[Tuple[ast.AST, str]]:
+    aliases = _aliases(fn)
     for node in ast.walk(fn):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if node.func.attr in _MUTATORS:
-                chain = _attr_chain(node.func.value)
+                chain = _attr_chain(node.func.value, aliases)
                 if chain and chain[-1] in shared:
                     yield node, chain[-1]
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+            targets = (
+                [node.target] if isinstance(node, ast.AugAssign) else node.targets
+            )
             for target in targets:
                 if isinstance(target, ast.Attribute):
-                    chain = _attr_chain(target)
+                    chain = _attr_chain(target, aliases)
                 elif isinstance(target, ast.Subscript):
-                    chain = _attr_chain(target.value)
+                    chain = _attr_chain(target.value, aliases)
                 else:
                     continue
                 if chain and chain[-1] in shared:

@@ -23,10 +23,11 @@ Besides the grid presets there are *special* benches with their own
 sweep logic; ``service`` stress-tests the asyncio lock service with
 concurrent in-process clients mixing authorized and unauthorized
 operations and writes ``BENCH_service_stress.json`` with per-op
-throughput and p50/p99 request latencies; ``scaling`` runs the default
-configuration over 5k / 15k / 50k staggered transactions and
-writes ``BENCH_scaling.json`` with one ``us_per_tick`` row per size — the
-per-tick cost must stay flat while the live population grows.
+throughput and p50/p99 request latencies; ``scaling`` runs 2PL and
+altruistic locking over 5k / 15k / 50k staggered transactions and
+writes ``BENCH_scaling.json`` with one ``us_per_tick`` row per policy and
+size — each policy's per-tick cost must stay flat while the live
+population grows.
 
 ``--compare OLD.json NEW.json`` diffs two artifacts of the same bench
 row by row (every numeric column, nested work counters included) and —
@@ -48,7 +49,13 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional
 
-from .policies import AltruisticPolicy, DdagPolicy, TwoPhasePolicy
+from .core import Schedule, candidate_distinguished_transactions
+from .policies import (
+    AltruisticPolicy,
+    DdagPolicy,
+    TwoPhasePolicy,
+    check_altruistic_schedule,
+)
 from .sim import (
     CellResult,
     GridSpec,
@@ -322,60 +329,92 @@ def _run_service_stress(args: argparse.Namespace) -> int:
 #: ``mega_stress`` and ``mega_stress_50k`` sizes and one point between.
 _SCALING_POINTS = ((5_000, 8_000), (15_000, 22_000), (50_000, 64_000))
 
+
+def _two_phase_violations(schedule: Schedule) -> List[str]:
+    """2PL's rule, checked offline: the transactions that lock an item
+    after unlocking one."""
+    return [
+        txn.name for txn in candidate_distinguished_transactions(
+            list(schedule.transactions.values())
+        )
+    ]
+
+
+#: One row set per policy, each over every point, with the offline
+#: checker of that policy's own rules: 2PL, and altruistic locking, whose
+#: AL2 verdict reads the other live sessions' donations.
+_SCALING_POLICIES = (
+    (TwoPhasePolicy, _two_phase_violations),
+    (AltruisticPolicy, check_altruistic_schedule),
+)
+
 _SCALING_COLUMNS = [
-    "txns", "failures", "serializable", "ticks", "committed", "mean_active",
-    "wall_s", "us_per_tick",
+    "policy", "txns", "failures", "serializable", "rule_violations", "ticks",
+    "committed", "mean_active", "wall_s", "us_per_tick",
 ]
 
 
+def _scaling_row(
+    policy, rule_check, n: int, entities: int, arrival_rate: float
+) -> Dict[str, object]:
+    """One seed-run of ``policy`` at one point of the scaling curve."""
+    items, initial, context_kwargs = grid_factory("stress")(
+        0, num_entities=entities, num_txns=n,
+        arrival_rate=arrival_rate, hot_fraction=0.0,
+    )
+    t0 = time.perf_counter()
+    outcome = run_seed(
+        policy, items, initial, 0,
+        context_kwargs=context_kwargs, max_ticks=100_000_000,
+        rule_check=rule_check,
+    )
+    wall = time.perf_counter() - t0
+    if outcome.failed:
+        print(f"  {policy.name} txns={n} FAILED: {outcome.error}")
+    summary = outcome.summary or {}
+    ticks = int(summary.get("ticks", 0))
+    return {
+        "policy": policy.name,
+        "txns": n,
+        "failures": int(outcome.failed),
+        "serializable": outcome.serializable is True,
+        "rule_violations": outcome.rule_violations or 0,
+        "ticks": ticks,
+        "committed": int(summary.get("committed", 0)),
+        "mean_active": round(summary.get("mean_active", 0.0), 2),
+        "wall_s": round(wall, 4),
+        "us_per_tick": round(1e6 * wall / ticks, 2) if ticks else 0.0,
+    }
+
+
 def _run_scaling(args: argparse.Namespace) -> int:
-    """The per-tick-cost curve: 2PL over the ``stress`` factory at three
-    population sizes, every row through the configuration a caller gets
-    by default (the event engine).  The
+    """The per-tick-cost curve: 2PL, then altruistic locking, over the
+    ``stress`` factory at three population sizes, every row through the
+    configuration a caller gets by default (the event engine).  The
     default arrival rate (that of the mega presets) sits just above
     capacity, so the live population (``mean_active``) grows with the
     transaction count while the work per tick does not: ``us_per_tick``
-    rising from the first row to the last is a per-tick cost that grows
-    with the population — the regression this bench exists to show.
+    rising from a policy's first row to its last is a per-tick cost that
+    grows with the population — the regression this bench exists to show.
     ``--arrival-rate`` overloads the system further, which is how a
     reduced ``--scale`` run still reaches populations in the hundreds
     and thousands.  ``wall_s`` is one whole seed-run per row (simulation,
     schedule assembly, legality and properness checks, serializability
-    verdict), so the 5k and 50k rows compare with what ``mega_stress``
-    and ``mega_stress_50k`` pay per run."""
+    verdict, and the offline check of the policy's own rules, whose
+    finding count is ``rule_violations``)."""
     scale = args.scale
     arrival_rate = args.arrival_rate or 0.085
     rows: List[Dict[str, object]] = []
     start = time.perf_counter()
-    for txns, entities in _SCALING_POINTS:
-        n = _scaled(txns, scale)
-        items, initial, context_kwargs = grid_factory("stress")(
-            0, num_entities=entities, num_txns=n,
-            arrival_rate=arrival_rate, hot_fraction=0.0,
-        )
-        t0 = time.perf_counter()
-        outcome = run_seed(
-            TwoPhasePolicy(), items, initial, 0,
-            context_kwargs=context_kwargs, max_ticks=100_000_000,
-        )
-        wall = time.perf_counter() - t0
-        if outcome.failed:
-            print(f"  txns={n} FAILED: {outcome.error}")
-        summary = outcome.summary or {}
-        ticks = int(summary.get("ticks", 0))
-        rows.append({
-            "txns": n,
-            "failures": int(outcome.failed),
-            "serializable": outcome.serializable is True,
-            "ticks": ticks,
-            "committed": int(summary.get("committed", 0)),
-            "mean_active": round(summary.get("mean_active", 0.0), 2),
-            "wall_s": round(wall, 4),
-            "us_per_tick": round(1e6 * wall / ticks, 2) if ticks else 0.0,
-        })
+    for policy_cls, rule_check in _SCALING_POLICIES:
+        for txns, entities in _SCALING_POINTS:
+            rows.append(_scaling_row(
+                policy_cls(), rule_check, _scaled(txns, scale), entities,
+                arrival_rate,
+            ))
     total = time.perf_counter() - start
     print(format_table(rows, _SCALING_COLUMNS))
-    print(f"\n{len(rows)} sizes in {total:.2f}s")
+    print(f"\n{len(rows)} rows in {total:.2f}s")
     out = args.out or "BENCH_scaling.json"
     write_bench_artifact(
         out, "scaling", rows,
@@ -383,7 +422,6 @@ def _run_scaling(args: argparse.Namespace) -> int:
         extra={
             **_stamp(),
             "engine": "event",
-            "policy": "2PL",
             "arrival_rate": arrival_rate,
             "num_entities": [entities for _, entities in _SCALING_POINTS],
         },

@@ -19,10 +19,29 @@ would enter by taking ``A``); when the constraint fails the session WAITS
 until the donor reaches its locked point or finishes, at which point the
 wake dissolves ("Once T1 reaches its locked point … T2 is no longer in the
 wake of T1 and can lock any entity it needs" — Fig. 4).
+
+A verdict costs O(|after|) with ``after = locked_past ∪ {pending}``,
+whatever the live population and the script length:
+
+* :attr:`AltruisticContext.donors` indexes the active pre-locked-point
+  donors by donated item, so AL2 examines only the donors of the items in
+  ``after`` — exactly the donors it can be decided against.  The index is
+  changed only by :meth:`AltruisticContext.donate` (a donation) and
+  :meth:`AltruisticContext.withdraw` (a locked point, or a
+  pre-locked-point donor leaving), each of which notifies the item
+  channels it touched in the same body.
+* Candidates are ordered by their begin sequence number, which is the
+  order of :attr:`AltruisticContext.sessions`, so ``waiting_on`` lists the
+  blockers in the order a scan of every live session would.
+* The locked point is a countdown of the script's not-yet-locked distinct
+  items; ``locked_past`` keeps each locked item's channel in lock order,
+  so the dependency declaration is a copy, not a sort.
 """
 
 from __future__ import annotations
 
+import itertools
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.operations import LockMode, Operation
@@ -55,28 +74,46 @@ def al_item_channel(item: Entity) -> Tuple[str, Entity]:
     return ("al-item", item)
 
 
+_begin_order = attrgetter("seq")
+
+
 class AltruisticContext(PolicyContext):
     """Shared wake bookkeeping across the active transactions."""
 
     def __init__(self, donate_immediately: bool = True) -> None:
         self.donate_immediately = donate_immediately
         self.sessions: Dict[str, "AltruisticSession"] = {}
+        #: Item -> the active pre-locked-point donors that donated it, by
+        #: name.  No empty entries.
+        self.donors: Dict[Entity, Dict[str, "AltruisticSession"]] = {}
+        #: Source of each session's begin sequence number.
+        self.begin_seq = itertools.count()
 
     def begin(self, name: str, intents: Sequence[Intent]) -> "AltruisticSession":
         session = AltruisticSession(
             name, self, intents, donate_immediately=self.donate_immediately
         )
-        self.sessions[name] = session  # repro: noqa[RPR002] a fresh session has donated nothing and reached no locked point, so no AL2 verdict can change
+        self.sessions[name] = session
         return session
 
-    def active_donors(self, exclude: str) -> List["AltruisticSession"]:
-        """Active transactions that have donated items and have not reached
-        their locked point — the ones whose wakes constrain others."""
-        return [
-            s
-            for n, s in self.sessions.items()
-            if n != exclude and s.donated and not s.reached_locked_point
-        ]
+    def donate(self, session: "AltruisticSession", item: Entity) -> None:
+        """``session``, pre-locked-point, unlocked ``item``: it joins the
+        donated set and the donor index."""
+        session.donated.add(item)
+        self.donors.setdefault(item, {})[session.name] = session
+        self.wake_changed((item,))
+
+    def withdraw(self, session: "AltruisticSession") -> None:
+        """``session`` stops constraining anyone (it reached its locked
+        point, or left before it): drop it from the donor index."""
+        donated = sorted(session.donated, key=repr)
+        donors = self.donors
+        for item in donated:
+            index = donors[item]
+            del index[session.name]
+            if not index:
+                del donors[item]
+        self.wake_changed(donated)
 
     def wake_changed(self, items) -> None:
         """The wake state of ``items`` changed (a donation, a donor
@@ -95,9 +132,9 @@ class AltruisticSession(PolicySession):
     post-locked-point.
     """
 
-    #: AL2 admission consults the other active sessions' donations and
-    #: locked points — shared state, but reachable only through the items
-    #: this session has locked or wants next, which is exactly what
+    #: AL2 admission consults the other active sessions' donations —
+    #: shared state, but reachable only through the items this session has
+    #: locked or wants next, which is exactly what
     #: :meth:`admission_dependencies` declares; the scheduler re-examines
     #: the session only when one of those item channels is notified.
     dynamic = True
@@ -111,33 +148,41 @@ class AltruisticSession(PolicySession):
     ):
         super().__init__(name)
         self.context = context
+        #: Begin order among the context's sessions (AL2 blocker order).
+        self.seq = next(context.begin_seq)
         self.intents = list(intents)
         self.donate_immediately = donate_immediately
         self.cursor = 0
         self.queue: List[Step] = []
-        self.locked_past: Set[Entity] = set()
+        #: Each locked item -> its invalidation channel, in lock order.
+        self.locked_past: Dict[Entity, Tuple[str, Entity]] = {}
         self.held: Set[Entity] = set()
         self.donated: Set[Entity] = set()
         self._structural = False
         self._draining = False
-        # Distinct items in first-use order determine the locked point.
-        self._items: List[Entity] = []
-        for intent in self.intents:
+        #: Each distinct item of the script -> the index of the last intent
+        #: that uses it (whether it is needed after the current intent).
+        self._last_use: Dict[Entity, int] = {}
+        for i, intent in enumerate(self.intents):
             for e in _intent_item(intent):
-                if e not in self._items:
-                    self._items.append(e)
+                self._last_use[e] = i
+        #: Distinct items not yet locked; the locked point is reached at 0.
+        self._to_lock = len(self._last_use)
 
     # ------------------------------------------------------------------
 
     @property
     def reached_locked_point(self) -> bool:
         """True once every distinct item of the script has been locked."""
-        return all(e in self.locked_past for e in self._items)
+        return self._to_lock == 0
 
     def in_wake_of(self, donor: "AltruisticSession") -> bool:
         """Has this transaction locked an item donated by ``donor`` while
         ``donor`` is pre-locked-point?  (The wake definition of §5.)"""
-        return bool(self.locked_past & donor.donated) and not donor.reached_locked_point
+        return (
+            not donor.donated.isdisjoint(self.locked_past)
+            and not donor.reached_locked_point
+        )
 
     # ------------------------------------------------------------------
     # Planning
@@ -156,9 +201,8 @@ class AltruisticSession(PolicySession):
             steps.append(Step(Operation.LOCK_EXCLUSIVE, entity))
 
         def maybe_donate(entity: Entity) -> None:
-            if self.donate_immediately and not _needed_later(
-                self.intents, self.cursor, entity
-            ):
+            # ``cursor`` already points past the intent being expanded.
+            if self.donate_immediately and self._last_use[entity] < self.cursor:
                 steps.append(Step(Operation.UNLOCK_EXCLUSIVE, entity))
 
         if isinstance(intent, Access):
@@ -206,21 +250,33 @@ class AltruisticSession(PolicySession):
         return self.queue[0]
 
     def admission(self) -> AdmissionResult:
-        """AL2 enforcement for the pending lock step."""
+        """AL2 enforcement for the pending lock step: only the donors of
+        the items in ``after`` can be decided against, and being one means
+        ``after`` already meets their donated set."""
         step = self.queue[0] if self.queue else None
         if step is None or not step.is_lock:
             return PROCEED
         entity = step.entity
-        blockers: List[str] = []
-        after = self.locked_past | {entity}
-        for donor in self.context.active_donors(exclude=self.name):
-            if after & donor.donated and not after.issubset(donor.donated):
-                # Taking this lock would put us (or keep us) in donor's wake
-                # while holding/wanting non-donated items: AL2 forbids it
-                # until the donor reaches its locked point.
-                blockers.append(donor.name)
+        donors = self.context.donors
+        found: Dict[str, AltruisticSession] = {}
+        for x in (*self.locked_past, entity):
+            index = donors.get(x)
+            if index:
+                found.update(index)
+        found.pop(self.name, None)
+        if not found:
+            return PROCEED
+        after = {*self.locked_past, entity}
+        # Taking this lock would put us (or keep us) in a donor's wake
+        # while holding/wanting non-donated items: AL2 forbids it until
+        # the donor reaches its locked point.
+        blockers = tuple(
+            donor.name
+            for donor in sorted(found.values(), key=_begin_order)
+            if not after.issubset(donor.donated)
+        )
         if blockers:
-            return AdmissionResult(Admission.WAIT, waiting_on=tuple(blockers))
+            return AdmissionResult(Admission.WAIT, waiting_on=blockers)
         return PROCEED
 
     def admission_dependencies(self):
@@ -232,38 +288,34 @@ class AltruisticSession(PolicySession):
         step = self.queue[0] if self.queue else None
         if step is None or not step.is_lock:
             return ()
-        return tuple(
-            al_item_channel(x)
-            for x in sorted(self.locked_past | {step.entity}, key=repr)
-        )
+        return (*self.locked_past.values(), al_item_channel(step.entity))
 
     def executed(self) -> None:
         step = self.queue.pop(0)
         if step.is_lock:
-            before = self.reached_locked_point
-            self.locked_past.add(step.entity)
+            self.locked_past[step.entity] = al_item_channel(step.entity)
             self.held.add(step.entity)
-            if self.donated and not before and self.reached_locked_point:
+            self._to_lock -= 1
+            if not self._to_lock and self.donated:
                 # The wake dissolves: sessions confined to our donations
                 # may now lock anything (the Fig. 4 release moment).
-                self.context.wake_changed(sorted(self.donated, key=repr))
+                self.context.withdraw(self)
         elif step.is_unlock:
             self.held.discard(step.entity)
-            if not self.reached_locked_point:
-                self.donated.add(step.entity)
-                self.context.wake_changed((step.entity,))
+            if self._to_lock:
+                self.context.donate(self, step.entity)
         elif step.op.is_structural:
             self._structural = True
 
     def on_commit(self) -> None:
         self.context.sessions.pop(self.name, None)
-        if self.donated and not self.reached_locked_point:
-            self.context.wake_changed(sorted(self.donated, key=repr))
+        if self.donated and self._to_lock:
+            self.context.withdraw(self)
 
     def on_abort(self) -> None:
         self.context.sessions.pop(self.name, None)
-        if self.donated and not self.reached_locked_point:
-            self.context.wake_changed(sorted(self.donated, key=repr))
+        if self.donated and self._to_lock:
+            self.context.withdraw(self)
 
     @property
     def has_structural_effects(self) -> bool:
@@ -278,10 +330,6 @@ def _intent_item(intent: Intent) -> Tuple[Entity, ...]:
     if isinstance(intent, DeleteNode):
         return (intent.node,)
     return ()
-
-
-def _needed_later(intents: Sequence[Intent], cursor: int, entity: Entity) -> bool:
-    return any(entity in _intent_item(i) for i in intents[cursor:])
 
 
 class AltruisticPolicy(LockingPolicy):
@@ -308,6 +356,11 @@ def check_altruistic_schedule(schedule: Schedule) -> List[str]:
     Replays the events, tracking each transaction's lock history, donations,
     locked points (computed from the *full* transactions, which the schedule
     carries), and wake membership.  Returns violation descriptions.
+
+    Like the online session, the AL2 check indexes the pre-locked-point
+    donors by donated item, so a lock event costs O(|locked so far|), not
+    O(transactions); candidates are reported in the order of
+    ``schedule.transactions``.
     """
     violations: List[str] = []
     locked_past: Dict[str, Set[Entity]] = {}
@@ -320,16 +373,16 @@ def check_altruistic_schedule(schedule: Schedule) -> List[str]:
         name: txn.locked_point() for name, txn in schedule.transactions.items()
     }
     progress: Dict[str, int] = {name: 0 for name in schedule.transactions}
-
-    def pre_locked_point(name: str) -> bool:
-        point = lock_points[name]
-        return point is not None and progress[name] <= point
+    order: Dict[str, int] = {name: i for i, name in enumerate(schedule.transactions)}
+    # Item -> the pre-locked-point transactions that donated it.
+    donors: Dict[Entity, Set[str]] = {}
 
     for pos, event in enumerate(schedule.events):
         txn, step = event.txn, event.step
         past = locked_past.setdefault(txn, set())
         have = held.setdefault(txn, set())
         gave = donated.setdefault(txn, set())
+        point = lock_points[txn]
         if step.is_lock:
             if step.entity in past:
                 violations.append(
@@ -338,12 +391,13 @@ def check_altruistic_schedule(schedule: Schedule) -> List[str]:
             past.add(step.entity)
             have.add(step.entity)
             # AL2: check wake constraints against every other transaction
-            # that is still pre-locked-point and has donated items.
-            for other in schedule.transactions:
-                if other == txn or not pre_locked_point(other):
-                    continue
-                other_donated = donated.get(other, set())
-                if past & other_donated and not past.issubset(other_donated):
+            # that is still pre-locked-point and has donated an item of
+            # ``past`` (no other can fail the check).
+            found = {other for x in past for other in donors.get(x, ())}
+            found.discard(txn)
+            for other in sorted(found, key=order.__getitem__):
+                other_donated = donated[other]
+                if not past.issubset(other_donated):
                     outside = sorted(past - other_donated, key=repr)
                     violations.append(
                         f"event {pos}: {txn} is in the wake of {other} but "
@@ -355,12 +409,20 @@ def check_altruistic_schedule(schedule: Schedule) -> List[str]:
                     f"event {pos}: {txn} unlocks {step.entity!r} it does not hold"
                 )
             have.discard(step.entity)
-            if pre_locked_point(txn):
+            if point is not None and progress[txn] <= point:
                 gave.add(step.entity)
+                donors.setdefault(step.entity, set()).add(txn)
         else:
             if step.entity not in have:
                 violations.append(
                     f"event {pos}: {txn} performs {step} without a lock (AL1)"
                 )
+        if progress[txn] == point:
+            # This was the last lock: the wake dissolves.
+            for x in sorted(gave, key=repr):
+                index = donors[x]
+                index.discard(txn)
+                if not index:
+                    del donors[x]
         progress[txn] += 1
     return violations

@@ -19,6 +19,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.schedules import Schedule
 from ..core.serializability import is_serializable
 from ..core.states import StructuralState
 from ..exceptions import SimulationError
@@ -55,6 +56,9 @@ class SeedOutcome:
     work: Optional[Dict[str, float]] = None
     #: Serializability verdict of a successful run; ``None`` if it failed.
     serializable: Optional[bool] = None
+    #: How many findings the ``rule_check`` given to :func:`run_seed`
+    #: reported on a successful run; ``None`` when none was given.
+    rule_violations: Optional[int] = None
     #: ``SimulationError`` text (truncated) when the run failed.
     error: Optional[str] = None
 
@@ -111,9 +115,12 @@ def run_seed(
     context_kwargs: Optional[dict] = None,
     max_ticks: int = 200_000,
     engine: str = "event",
+    rule_check: Optional[Callable[[Schedule], Sequence[str]]] = None,
 ) -> SeedOutcome:
     """Run one seeded instance of a cell and reduce it to a
-    :class:`SeedOutcome` (the unit of work the grid runner fans out)."""
+    :class:`SeedOutcome` (the unit of work the grid runner fans out).
+    ``rule_check``, an offline checker of the policy's own locking rules
+    (``check_altruistic_schedule``, say), is run on the schedule too."""
     sim = Simulator(
         policy, seed=seed, max_ticks=max_ticks,
         context_kwargs=context_kwargs or {}, engine=engine,
@@ -127,6 +134,9 @@ def run_seed(
         summary=result.metrics.summary(),
         work=result.metrics.work_summary(),
         serializable=is_serializable(result.schedule),
+        rule_violations=(
+            None if rule_check is None else len(rule_check(result.schedule))
+        ),
     )
 
 

@@ -125,11 +125,18 @@ class TestScalingBench:
         assert bench.main(["scaling", "--scale", "0.01", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["bench"] == "scaling"
-        assert len(doc["rows"]) == len(bench._SCALING_POINTS)
+        # One row set per policy, each over every point, in that order.
+        assert [(row["policy"], row["txns"]) for row in doc["rows"]] == [
+            (policy().name, bench._scaled(txns, 0.01))
+            for policy, _ in bench._SCALING_POLICIES
+            for txns, _ in bench._SCALING_POINTS
+        ]
+        assert {row["policy"] for row in doc["rows"]} == {"2PL", "Altruistic"}
         for row in doc["rows"]:
             assert list(row) == bench._SCALING_COLUMNS
             assert row["failures"] == 0
             assert row["serializable"] is True
+            assert row["rule_violations"] == 0
             assert row["committed"] == row["txns"]
             assert row["us_per_tick"] == pytest.approx(
                 1e6 * row["wall_s"] / row["ticks"], rel=0.01

@@ -78,6 +78,54 @@ class TestRuleFixtures:
         assert set(all_rules()) == set(RULE_CODES)
 
 
+_RPR002_ALIAS_FRAGMENT = """\
+# repro-lint-module: repro.policies.frag
+
+
+class Session:
+    def __init__(self, context):
+        self.context = context
+
+    def admission_dependencies(self):
+        return tuple(self.context.donors)
+
+    def admission(self):
+        return self.context.donors.get(self.context)
+
+    def leave(self, name):
+        index = self.context.donors
+{body}"""
+
+
+class TestRpr002LocalAlias:
+    """A local bound once to a shared attribute chain stands for that
+    chain: ``index = self.context.donors; index.pop(n)`` is a mutation of
+    ``donors`` (the chain of a bare local used to read as empty)."""
+
+    def _findings(self, tmp_path, *body):
+        path = tmp_path / "frag.py"
+        path.write_text(_RPR002_ALIAS_FRAGMENT.format(
+            body="".join(f"        {line}\n" for line in body)
+        ))
+        return analyze_file(str(path))
+
+    def test_mutation_through_an_alias_without_notify_is_flagged(self, tmp_path):
+        findings = self._findings(tmp_path, "index.pop(name)", "del index[name]")
+        assert [(f.code, f.line) for f in findings] == [
+            ("RPR002", 16), ("RPR002", 17),
+        ]
+        assert "'donors'" in findings[0].message
+
+    def test_mutation_through_an_alias_with_notify_is_clean(self, tmp_path):
+        assert self._findings(
+            tmp_path, "index.pop(name)", "del index[name]",
+            "self.context.notify_changed((name,))",
+        ) == []
+
+    def test_a_rebound_local_is_not_an_alias(self, tmp_path):
+        assert self._findings(tmp_path, "index = {}", "index.pop(name)") == []
+
+
 class TestSuppressions:
     def _write(self, tmp_path, text):
         path = tmp_path / "frag.py"
