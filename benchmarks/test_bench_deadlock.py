@@ -1,23 +1,29 @@
-"""Deadlock-storm stress benchmark — the always-fresh waits-for graph.
+"""Deadlock-storm stress benchmark — the always-fresh waits-for graph and
+lock events that carry their verdict.
 
 The paper's D-policies trade deadlock-freedom for concurrency (DDAG and
 altruistic runs resolve contention through waits-for cycle detection, not
 avoidance), so deadlock-heavy workloads are exactly where the reproduction
-must scale.  Before this bench's subject change, the event engine fell back
-to re-classifying *every* live session on each no-runnable tick — a
-safety-net rescan that made the deadlock path O(live), the last
-super-linear tick cost in the engine.  The waits-for graph is now
-maintained always fresh (reverse blocker→waiters index, eager inbound-edge
-pruning at departure, edge refresh across grantability-filtered releases),
-so cycle detection runs directly on it.
+must scale.  The waits-for graph is maintained always fresh (reverse
+blocker→waiters index, eager inbound-edge pruning at departure, edge
+refresh across grantability-filtered releases), so cycle detection runs
+directly on it; and a lock event that already decides a session's next
+classification applies it in place — a woken waiter becomes runnable, a
+watcher of an entity just acquired in a conflicting mode becomes blocked —
+so the event engine re-derives a 2PL session only when it executes, is
+admitted, or restarts.
 
 This bench runs deadlock-storm workloads (unordered access sets over a
 small hot set, staggered arrivals) through **both** engines and asserts:
 
 * exact equivalence — identical schedules, metric summaries, deadlock
   victim sequences, and per-transaction records on the same seed;
-* the win — ``classify_checks`` drop ≥ 5× versus the naive rescan at
-  1,000+ transactions (the acceptance bar of the always-fresh graph work);
+* the structural bound on the 2PL storm — event ``classify_checks`` ≤
+  ``events_executed + txns + restarts``: at most one full re-derivation
+  per executed step, admission and restart, however large the herd a
+  lock event moves (the moves are counted as ``lock_transitions``);
+* the altruistic storm's saving — ``classify_checks`` drop ≥ 2× versus
+  the naive rescan (dependency-declaring sessions keep the dirty route);
 * the incremental-detector win — the event engine's certificate/cached-walk
   cycle detection (:class:`repro.sim.WaitsForGraph`) visits measurably
   fewer graph nodes per detection than the naive engine's from-scratch
@@ -25,10 +31,11 @@ small hot set, staggered arrivals) through **both** engines and asserts:
   sequences (``cycle_visits`` / ``cycle_detections`` work counters).
 
 ``BENCH_SMOKE_SCALE`` (a float in ``(0, 1]``, default 1) shrinks the
-transaction counts for CI smoke runs; below full scale the ratio assertion
-relaxes (the saving grows with the live population, which grows with the
-workload).  Results are written to ``BENCH_deadlock_stress.json`` (the
-unified artifact schema — see benchmarks/README.md) so CI can upload them.
+transaction counts for CI smoke runs.  Results are written to
+``BENCH_deadlock_stress.json`` (the unified artifact schema — see
+benchmarks/README.md) in pytest's base temporary directory, so a run
+leaves nothing in the checkout; CI passes ``--basetemp`` and uploads it
+from there.
 
 Workloads are built through the registered grid factories
 (:data:`repro.sim.GRID_FACTORIES`) — the same by-name specs the parallel
@@ -38,7 +45,6 @@ construction path.
 
 import os
 import time
-from pathlib import Path
 
 from conftest import banner
 
@@ -46,17 +52,19 @@ from repro.policies import AltruisticPolicy, TwoPhasePolicy
 from repro.sim import Simulator, format_table, grid_factory, write_bench_artifact
 
 SCALE = float(os.environ.get("BENCH_SMOKE_SCALE", "1"))
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_deadlock_stress.json"
+RESULTS_NAME = "BENCH_deadlock_stress.json"
 
 
 def _scaled(n: int) -> int:
     return max(50, int(n * SCALE))
 
 
-def _run_cell(name, policy_factory, build):
+def _run_cell(name, policy_factory, build, structural_bound=False):
     """Run one storm under both engines; assert equivalence; return the
     per-engine work numbers.  ``build()`` constructs ``(items, initial,
-    context_kwargs)`` fresh per engine so nothing is shared between runs."""
+    context_kwargs)`` fresh per engine so nothing is shared between runs.
+    ``structural_bound`` gates the event engine's ``classify_checks`` on
+    the bound lock-table-only sessions obey instead of on a ratio."""
     results = {}
     rows = []
     num_txns = 0
@@ -78,13 +86,14 @@ def _run_cell(name, policy_factory, build):
             "ticks": m.ticks,
             "deadlocks": m.deadlocks,
             "classify_checks": m.classify_checks,
+            "lock_transitions": m.lock_transitions,
             "cycle_visits": m.cycle_visits,
             "wall_s": round(wall, 3),
         })
     print(format_table(
         rows,
         ["workload", "engine", "txns", "ticks", "deadlocks",
-         "classify_checks", "cycle_visits", "wall_s"],
+         "classify_checks", "lock_transitions", "cycle_visits", "wall_s"],
     ))
 
     naive, event = results["naive"][0], results["event"][0]
@@ -112,17 +121,26 @@ def _run_cell(name, policy_factory, build):
 
     checks = {e: r.metrics.classify_checks for e, (r, _) in results.items()}
     ratio = checks["naive"] / max(1, checks["event"])
-    floor = 5.0 if num_txns >= 1000 else 2.0
-    assert ratio >= floor, (
-        f"{name}: expected >= {floor}x fewer classify checks at "
-        f"{num_txns} txns, got {ratio:.1f}x"
-    )
+    em = event.metrics
+    # One full re-derivation per executed step, admission and restart:
+    # the sessions a lock event moves are moved in place.
+    bound = em.events_executed + num_txns + em.restarts
+    if structural_bound:
+        assert checks["event"] <= bound, (
+            f"{name}: {checks['event']} classify checks exceed "
+            f"events + txns + restarts = {bound}"
+        )
+    else:
+        assert ratio >= 2.0, (
+            f"{name}: expected >= 2x fewer classify checks at "
+            f"{num_txns} txns, got {ratio:.1f}x"
+        )
 
     # Incremental cycle detection: same number of detections (the engines
     # agree tick for tick), never more node visits, and measurably fewer
     # on the storm — the cached walk skips the untouched chain prefix the
     # from-scratch DFS re-walks on every no-runnable tick.
-    nm, em = naive.metrics, event.metrics
+    nm = naive.metrics
     assert nm.cycle_detections == em.cycle_detections, (
         f"{name}: detection counts diverge"
     )
@@ -146,6 +164,8 @@ def _run_cell(name, policy_factory, build):
         "committed": naive.metrics.committed,
         "naive_checks": checks["naive"],
         "event_checks": checks["event"],
+        "event_check_bound": bound if structural_bound else None,
+        "lock_transitions": em.lock_transitions,
         "ratio": round(ratio, 2),
         "cycle_detections": nm.cycle_detections,
         "naive_cycle_visits": nm.cycle_visits,
@@ -158,7 +178,7 @@ def _run_cell(name, policy_factory, build):
     }
 
 
-def test_deadlock_storm_stress():
+def test_deadlock_storm_stress(tmp_path_factory):
     banner(
         "[scheduler] always-fresh waits-for graph: deadlock storms at "
         f"{_scaled(1200)}/{_scaled(150)} txns (scale={SCALE:g})"
@@ -168,8 +188,9 @@ def test_deadlock_storm_stress():
 
     # 2PL storm: unordered two-access transactions, half the traffic on an
     # 8-entity hot set, arrivals just above service capacity.  Most ticks
-    # find every live session blocked, so the deadlock path dominates —
-    # each such tick used to re-classify the whole (growing) backlog.
+    # find every live session blocked, so the deadlock path dominates;
+    # each release wakes and each acquire blocks a herd of waiters, which
+    # used to be re-classified one by one and are now moved in place.
     cells.append(_run_cell(
         "2pl-deadlock-storm",
         TwoPhasePolicy,
@@ -177,6 +198,7 @@ def test_deadlock_storm_stress():
             0, num_entities=600, num_txns=_scaled(1200), accesses_per_txn=2,
             arrival_rate=0.4, hot_set_size=8, hot_traffic=0.5,
         ),
+        structural_bound=True,
     ))
 
     # Altruistic storm: the same shape through a dynamic
@@ -195,19 +217,22 @@ def test_deadlock_storm_stress():
         ),
     ))
 
+    results_path = tmp_path_factory.getbasetemp() / RESULTS_NAME
     write_bench_artifact(
-        RESULTS_PATH, "deadlock_stress", cells, scale=SCALE,
+        results_path, "deadlock_stress", cells, scale=SCALE,
         wall_s=time.perf_counter() - suite_start,
     )
     print(format_table(
         cells,
         ["workload", "txns", "ticks", "deadlocks", "naive_checks",
-         "event_checks", "ratio", "naive_visits_per_detection",
+         "event_checks", "event_check_bound", "lock_transitions", "ratio",
+         "naive_visits_per_detection",
          "event_visits_per_detection", "cycle_visit_ratio"],
     ))
-    print(f"\nshape: no-runnable ticks no longer rescan the live set, and "
-          f"detections re-walk only the touched suffix of the waits-for "
-          f"chain; results in {RESULTS_PATH.name}")
+    print(f"\nshape: no-runnable ticks no longer rescan the live set, lock "
+          f"events move the sessions they decide in place, and detections "
+          f"re-walk only the touched suffix of the waits-for chain; "
+          f"results in {results_path}")
 
 
 def test_bench_deadlock_kernel(benchmark):

@@ -18,7 +18,9 @@ asserts the grid's correctness contract:
   serializability-checked, at this scale too, and every row says ``True``.
 
 Wall-clock for both paths is recorded in ``BENCH_grid_stress.json`` (the
-unified artifact schema — see benchmarks/README.md).  Near-linear scaling
+unified artifact schema — see benchmarks/README.md) in pytest's base
+temporary directory, so a run leaves nothing in the checkout; CI passes
+``--basetemp`` and uploads it from there.  Near-linear scaling
 only shows on a multi-core runner, so the speedup is reported, not
 asserted.
 
@@ -29,7 +31,6 @@ sets the parallel worker count.
 
 import os
 import time
-from pathlib import Path
 
 from conftest import banner
 
@@ -46,7 +47,7 @@ from repro.sim import (
 
 SCALE = float(os.environ.get("BENCH_SMOKE_SCALE", "1"))
 WORKERS = int(os.environ.get("BENCH_GRID_WORKERS", "2"))
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_grid_stress.json"
+RESULTS_NAME = "BENCH_grid_stress.json"
 
 
 def _scaled(n: int) -> int:
@@ -80,7 +81,7 @@ def _grid_spec() -> GridSpec:
     )
 
 
-def test_grid_parallel_equivalence_and_scaling():
+def test_grid_parallel_equivalence_and_scaling(tmp_path_factory):
     banner(
         f"[harness] multiprocess grid fan-out at {_scaled(1200)} txns/cell: "
         f"workers=0 vs workers={WORKERS} (scale={SCALE:g})"
@@ -119,8 +120,9 @@ def test_grid_parallel_equivalence_and_scaling():
     print(f"\nserial {wall_serial:.2f}s vs {WORKERS} workers "
           f"{wall_parallel:.2f}s ({speedup:.2f}x, {os.cpu_count()} cpus)")
 
+    results_path = tmp_path_factory.getbasetemp() / RESULTS_NAME
     write_bench_artifact(
-        RESULTS_PATH, "grid_stress",
+        results_path, "grid_stress",
         cell_rows_with_work(serial),
         scale=SCALE, workers=WORKERS, wall_s=wall_parallel,
         extra={
@@ -132,7 +134,7 @@ def test_grid_parallel_equivalence_and_scaling():
         },
     )
     print(f"\nshape: seed-runs fan out across processes and aggregate to "
-          f"byte-identical rows; results in {RESULTS_PATH.name}")
+          f"byte-identical rows; results in {results_path}")
 
 
 def test_bench_grid_kernel(benchmark):

@@ -21,7 +21,9 @@ dynamic policies through **both** engines and asserts:
 transaction counts for CI smoke runs; below full scale the ratio assertion
 relaxes (the saving grows with the live population, which grows with the
 workload).  Results are written to ``BENCH_invalidation_stress.json`` (the
-unified artifact schema — see benchmarks/README.md) so CI can upload them.
+unified artifact schema — see benchmarks/README.md) in pytest's base
+temporary directory, so a run leaves nothing in the checkout; CI passes
+``--basetemp`` and uploads it from there.
 
 Workloads are built through the registered grid factories
 (:data:`repro.sim.GRID_FACTORIES`) — the same by-name specs the parallel
@@ -31,7 +33,6 @@ construction path.
 
 import os
 import time
-from pathlib import Path
 
 from conftest import banner
 
@@ -39,7 +40,7 @@ from repro.policies import AltruisticPolicy, DdagPolicy
 from repro.sim import Simulator, format_table, grid_factory, write_bench_artifact
 
 SCALE = float(os.environ.get("BENCH_SMOKE_SCALE", "1"))
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_invalidation_stress.json"
+RESULTS_NAME = "BENCH_invalidation_stress.json"
 
 
 def _scaled(n: int) -> int:
@@ -125,7 +126,7 @@ def _run_cell(name, policy_factory, build):
     }
 
 
-def test_dynamic_policy_invalidation_stress():
+def test_dynamic_policy_invalidation_stress(tmp_path_factory):
     banner(
         "[scheduler] policy-aware invalidation: dynamic policies at "
         f"{_scaled(1200)}/{_scaled(1100)} txns (scale={SCALE:g})"
@@ -166,8 +167,9 @@ def test_dynamic_policy_invalidation_stress():
     # re-checks (or donations stopped being reported).
     assert cells[0]["invalidations"] > 0
 
+    results_path = tmp_path_factory.getbasetemp() / RESULTS_NAME
     write_bench_artifact(
-        RESULTS_PATH, "invalidation_stress", cells, scale=SCALE,
+        results_path, "invalidation_stress", cells, scale=SCALE,
         wall_s=time.perf_counter() - suite_start,
     )
     print(format_table(
@@ -176,7 +178,7 @@ def test_dynamic_policy_invalidation_stress():
          "invalidations"],
     ))
     print(f"\nshape: the paper's own (dynamic) policies now ride the "
-          f"event-driven engine; results in {RESULTS_PATH.name}")
+          f"event-driven engine; results in {results_path}")
 
 
 def test_bench_invalidation_kernel(benchmark):

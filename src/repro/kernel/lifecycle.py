@@ -11,6 +11,15 @@ registration, step execution (grant/release/wake), commit, and
 abort/restart.  What it deliberately does **not** own is any notion of
 *time or transport*: no tick loop, no RNG, no arrival queue, no sockets.
 
+Lock events carry their verdict.  A grant hands the acquired entity to
+``Classifier.acquired`` (queued waiters' edges extend; runnable watchers
+that now conflict block in place) and every release — an unlock, a
+commit, an abort — hands its wake-up set to ``Classifier.wake`` (waiters
+become runnable in place), so a session whose classification reads only
+its pending step and the lock table is re-derived only when it executes,
+is admitted or restarts.  Sessions whose verdict needs the policy are
+marked dirty for the next classify phase instead.
+
 Two drivers sit on top:
 
 * the tick simulator (``repro.sim.scheduler._Run`` subclasses this and
@@ -200,14 +209,9 @@ class KernelRun:
         if op.is_lock and mode is not None:
             self.table.acquire(name, step.entity, mode)
             if self.event_engine:
-                # Sessions whose cached classification assumed this entity
-                # was free (watchers) must be re-derived; queued waiters
-                # stay blocked — a grant can only extend their blocker
-                # sets, so their edges are updated in place instead.
-                self.cache.mark_dirty(
-                    self.cache.watchers.get(step.entity, ()), exclude=name
-                )
-                self.classifier.extend_lock_edges(name, step.entity)
+                # Watchers whose cached classification assumed this entity
+                # was free block in place; queued waiters' edges extend.
+                self.classifier.acquired(name, step.entity)
         elif op.is_unlock and mode is not None:
             weakened = self.event_engine and self.table.would_weaken(
                 name, step.entity, mode
@@ -239,7 +243,7 @@ class KernelRun:
     def _wake(self, names) -> None:
         """A release returned these waiters in its wake-up set."""
         if self.event_engine:
-            self.cache.wake(names)
+            self.classifier.wake(names)
 
     def _forget(self, entry: LiveEntry) -> None:
         """Drop every piece of engine bookkeeping for this incarnation."""

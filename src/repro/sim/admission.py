@@ -7,8 +7,8 @@ that can change it occurs.  :class:`AdmissionCache` owns the state that
 decides *who gets re-examined when*:
 
 * ``dirty`` — sessions whose cached classification must be re-derived on
-  the next tick (woken waiters, invalidated watchers, executors, fresh
-  admissions, channel-notification hits);
+  the next tick (executors, fresh admissions, channel-notification hits,
+  and woken or invalidated sessions whose verdict needs the policy);
 * ``dynamic`` — live dynamic sessions that declare no invalidation
   dependencies: the conservative fallback, re-examined every tick;
 * ``complete`` — non-dynamic sessions whose script drained (commit next
@@ -33,6 +33,30 @@ Phase-2 loop) against the lock table and the waits-for graph, maintains
 the lazy blocked-tick accounting around cache hits, and keeps blocked
 waiters' waits-for edges fresh across grants and grantability-filtered
 releases without re-classifying them.
+
+A lock event that already decides a session's next classification
+applies it in place instead of marking the session dirty (counted as
+``Metrics.lock_transitions``):
+
+* **wake** (:meth:`Classifier.wake`) — a waiter in a release's wake-up
+  set goes LOCK_WAIT → RUNNABLE: off the queue, edges dropped, watching
+  its entity;
+* **block** (:meth:`Classifier.acquired`) — a runnable watcher of an
+  entity just acquired, whose wanted mode conflicts with the holder's new
+  effective mode, goes RUNNABLE → LOCK_WAIT with its edges from
+  ``LockTable.blockers``; watchers are walked in sorted name order, and
+  compatible ones are left alone.
+
+Both are exact only for sessions whose classification reads nothing but
+the pending step and the lock table (``needs_admission`` false: 2PL,
+DTR, scripted); dependency-declaring and dynamic sessions stay on the
+dirty route.  They are exact because acquires happen only in phase 3:
+between a lock event and the next classify phase the table can only
+weaken, so neither verdict can flip back before the naive engine would
+observe it.  Blocked ticks are credited through the last tick the naive
+engine observed (:attr:`Classifier.observed`): ``ticks - 1`` for a wake
+in phase 1, ``ticks`` for one in phase 2's aborts, the deadlock phase or
+phase 3; a blocked watcher starts accruing at ``ticks + 1``.
 
 A classification is read, then written:
 
@@ -168,7 +192,7 @@ class OrderedNames:
 class AdmissionCache:
     """Who-to-re-examine bookkeeping of the event engine (see the module
     docstring).  Holds references to the run's live table and metrics so
-    routing can filter departed sessions and count wakeups/invalidations.
+    routing can filter departed sessions and count invalidations.
     """
 
     def __init__(self, live: Dict[str, object], metrics: Metrics) -> None:
@@ -256,24 +280,6 @@ class AdmissionCache:
                     m.invalidations += 1
 
     # ------------------------------------------------------------------
-    # Dirty-set routing
-    # ------------------------------------------------------------------
-
-    def wake(self, names: Iterable[str]) -> None:
-        """A release returned these waiters in its wake-up set."""
-        for n in names:
-            if n in self._live and n not in self.dirty:
-                self.dirty.add(n)
-                self._metrics.wakeups += 1
-
-    def mark_dirty(
-        self, names: Iterable[str], exclude: Optional[str] = None
-    ) -> None:
-        for n in names:
-            if n != exclude and n in self._live:
-                self.dirty.add(n)
-
-    # ------------------------------------------------------------------
     # Watchers
     # ------------------------------------------------------------------
 
@@ -335,6 +341,11 @@ class Classifier:
         self.table = table
         self.graph = graph
         self.cache = cache
+        #: Last tick whose classify phase has run — the naive engine's
+        #: blocked-tick observation point, set by the tick loop at the
+        #: start of phase 2.  An in-place wake accrues through it: ``ticks - 1``
+        #: during phase 1, ``ticks`` from phase 2 on.
+        self.observed = 0
 
     # ------------------------------------------------------------------
     # Lazy blocked-tick accounting
@@ -472,16 +483,31 @@ class Classifier:
             return
         if decision.kind == LOCK_WAIT:
             m.accrue_blocked(entry.record, True, 1)
-            entry.state = LOCK_WAIT
-            entry.accrued_to = now
             assert decision.entity is not None and decision.mode is not None
-            self.table.add_waiter(name, decision.entity, decision.mode)
-            self.graph.set_edges(name, decision.edges or set())
+            self._enter_lock_wait(
+                entry, decision.entity, decision.mode, decision.edges or set()
+            )
             return
-        if decision.watch:
-            assert decision.entity is not None
-            self.cache.watch(decision.entity, name)
-            entry.watch_entity = decision.entity
+        self._enter_runnable(entry, decision.entity if decision.watch else None)
+
+    def _enter_lock_wait(
+        self, entry: LiveEntry, entity: Entity, mode: LockMode, edges: Set[str]
+    ) -> None:
+        """Install LOCK_WAIT on a cleared entry: queued on ``entity``,
+        waits-for ``edges``, accounting recorded through this tick."""
+        name = entry.item.name
+        entry.state = LOCK_WAIT
+        entry.accrued_to = self.metrics.ticks
+        self.table.add_waiter(name, entity, mode)
+        self.graph.set_edges(name, edges)
+
+    def _enter_runnable(self, entry: LiveEntry, watch: Optional[Entity]) -> None:
+        """Install RUNNABLE on a cleared entry, watching the pending lock's
+        entity if it has one."""
+        name = entry.item.name
+        if watch is not None:
+            self.cache.watch(watch, name)
+            entry.watch_entity = watch
         entry.state = RUNNABLE
         self.cache.runnable.add(name)
 
@@ -525,19 +551,80 @@ class Classifier:
                 },
             )
 
-    def extend_lock_edges(self, holder: str, entity: Entity) -> None:
-        """``holder`` just acquired a grant on ``entity``: a fresh grant
-        cannot unblock a queued waiter, only extend its blocker set, so the
-        new edge is added in place — the acquire-side twin of
-        :meth:`refresh_lock_edges` (re-classifying every waiter here was
-        O(waiters) full classifications per acquire on a hot entity)."""
-        effective = self.table.mode_held(holder, entity)
+    # ------------------------------------------------------------------
+    # Lock events that decide a classification (applied in place)
+    # ------------------------------------------------------------------
+
+    def wake(self, names: Iterable[str]) -> None:
+        """A release returned these waiters in its wake-up set.  Each is
+        grantable by construction and the table only weakens until the
+        next classify phase, so a waiter whose verdict needs nothing but
+        the lock table goes LOCK_WAIT → RUNNABLE here, with its blocked
+        ticks credited through :attr:`observed`; the others are marked
+        dirty for a full re-derivation."""
+        m = self.metrics
+        cache = self.cache
+        for n in names:
+            entry = self.live.get(n)
+            if entry is None or n in cache.dirty:
+                continue
+            m.wakeups += 1
+            if entry.needs_admission:
+                cache.dirty.add(n)
+                continue
+            assert entry.state == LOCK_WAIT
+            entity = self.table.waiting_entity(n)
+            self.accrue(entry, self.observed)
+            self.clear(entry)
+            m.lock_transitions += 1
+            self._enter_runnable(entry, entity)
+
+    def acquired(self, holder: str, entity: Entity) -> None:
+        """``holder`` just acquired a grant on ``entity`` (phase 3).
+
+        Queued waiters stay blocked — a fresh grant can only extend their
+        blocker sets — so the new edge is added in place (re-classifying
+        every waiter here was O(waiters) full classifications per acquire
+        on a hot entity).  Runnable watchers of ``entity`` are walked in
+        sorted name order: one whose verdict needs the policy is marked
+        dirty; one whose wanted mode conflicts with the holder's new
+        effective mode goes RUNNABLE → LOCK_WAIT in place, its edges from
+        :meth:`LockTable.blockers`, accruing from the next tick (it was
+        runnable at this tick's observation); a compatible one is left
+        alone."""
+        m = self.metrics
+        table = self.table
+        live = self.live
+        effective = table.mode_held(holder, entity)
         assert effective is not None
-        for waiter, wanted in self.table.waiter_modes(entity):
+        for waiter, wanted in table.waiter_modes(entity):
             if waiter == holder or waiter in self.cache.dirty:
                 continue  # dirty waiters are fully re-classified anyway
-            entry = self.live.get(waiter)
+            entry = live.get(waiter)
             if entry is None or entry.state != LOCK_WAIT:
                 continue
             if wanted.conflicts_with(effective):
                 self.graph.add_edge_if_tracked(waiter, holder)
+        watching = self.cache.watchers.get(entity)
+        if not watching:
+            return
+        for name in sorted(watching):
+            if name == holder:
+                continue
+            entry = live[name]
+            if entry.needs_admission:
+                self.cache.dirty.add(name)
+                continue
+            step = entry.session.peek()
+            assert step is not None
+            mode = step.op.lock_mode
+            assert mode is not None
+            if not mode.conflicts_with(effective):
+                continue
+            m.blocker_queries += 1
+            blockers = table.blockers(name, entity, mode)
+            self.clear(entry)
+            m.lock_transitions += 1
+            self._enter_lock_wait(
+                entry, entity, mode, {b for b in blockers if b in live}
+            )

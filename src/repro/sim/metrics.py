@@ -57,14 +57,21 @@ class Metrics:
     # :meth:`summary` (whose values are identical between the naive and the
     # event-driven engine on the same seed; the work counters are exactly
     # what the event engine is built to shrink).
-    #: Full session classifications performed (peek + admission + lock check).
+    #: Full re-derivations of a session's classification (peek + admission
+    #: + lock check); a lock event applied in place is not one.
     classify_checks: int = 0
     #: Policy admission() evaluations.
     admission_checks: int = 0
-    #: Lock-table conflict (blockers) queries.
+    #: Every ``LockTable.blockers`` call the engine makes: derivations,
+    #: edge refreshes after a release, and in-place block transitions.
     blocker_queries: int = 0
-    #: Sessions re-examined because a lock release/commit/abort woke them.
+    #: Waiters a lock release/commit/abort woke (moved to runnable in
+    #: place, or marked dirty when their verdict needs the policy).
     wakeups: int = 0
+    #: Classifications a lock event applied in place (the event engine):
+    #: a woken waiter made runnable, or a watcher blocked by an acquire.
+    #: Reported beside ``classify_checks`` so the moved work stays visible.
+    lock_transitions: int = 0
     #: Sessions re-examined because a policy change notification hit one of
     #: their declared invalidation channels (the policy-aware protocol that
     #: lets dynamic sessions skip the every-tick re-check).
@@ -139,6 +146,7 @@ class Metrics:
             "admission_checks": float(self.admission_checks),
             "blocker_queries": float(self.blocker_queries),
             "wakeups": float(self.wakeups),
+            "lock_transitions": float(self.lock_transitions),
             "invalidations": float(self.invalidations),
             "classify_per_tick": (
                 self.classify_checks / self.ticks if self.ticks else 0.0

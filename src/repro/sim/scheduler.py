@@ -272,11 +272,14 @@ class _Run(KernelRun):
 
     def _phase_classify(self) -> bool:
         """Phase 2 — classify only sessions whose cached state may have
-        changed: the dirty set (woken waiters, invalidated watchers,
-        executors, fresh admissions) plus every dynamic session, in sorted
-        name order.  Phase-2 policy aborts are collected in that order and
+        changed: the dirty set (executors, fresh admissions, and woken or
+        invalidated sessions whose verdict needs the policy) plus every
+        dynamic session, in sorted name order.  Phase-2 policy aborts are collected in that order and
         processed after the walk; returns whether any occurred (which
-        ends the tick)."""
+        ends the tick).  This is the naive engine's blocked-tick
+        observation point, so from here on an in-place wake credits the
+        current tick."""
+        self.classifier.observed = self.metrics.ticks
         aborts: List[Tuple[LiveEntry, str]] = []
         self.executor.run_classify(
             self.classifier, self.live, self.cache.take_check_slices(),

@@ -1,6 +1,6 @@
 """Direct unit coverage of the admission layer
 (:class:`repro.sim.AdmissionCache`): registration routing, the
-invalidation-channel subscription index, dirty-set routing, and the tick
+invalidation-channel subscription index, the watcher index, and the tick
 queries.  The full classification semantics are covered end to end by the
 engine-equivalence suites; these tests pin the cache's contract in
 isolation.
@@ -86,18 +86,8 @@ class TestChannels:
 
 
 class TestDirtyRouting:
-    def test_wake_filters_departed_and_counts(self):
-        cache, live, metrics = make_cache(("A", "B"))
-        cache.wake(["A", "B", "GONE"])
-        assert cache.dirty == {"A", "B"}
-        assert metrics.wakeups == 2
-        cache.wake(["A"])  # already dirty: no double count
-        assert metrics.wakeups == 2
-
-    def test_mark_dirty_excludes_and_filters(self):
-        cache, _, _ = make_cache(("A", "B"))
-        cache.mark_dirty(["A", "B", "GONE"], exclude="A")
-        assert cache.dirty == {"B"}
+    # Lock-event routing (wake-ups, watcher invalidation) lives in the
+    # Classifier's in-place transitions: tests/test_lock_transitions.py.
 
     def test_watch_unwatch_round_trip(self):
         cache, _, _ = make_cache()
