@@ -11,14 +11,22 @@ registration, step execution (grant/release/wake), commit, and
 abort/restart.  What it deliberately does **not** own is any notion of
 *time or transport*: no tick loop, no RNG, no arrival queue, no sockets.
 
-Lock events carry their verdict.  A grant hands the acquired entity to
-``Classifier.acquired`` (queued waiters' edges extend; runnable watchers
-that now conflict block in place) and every release — an unlock, a
-commit, an abort — hands its wake-up set to ``Classifier.wake`` (waiters
-become runnable in place), so a session whose classification reads only
-its pending step and the lock table is re-derived only when it executes,
-is admitted or restarts.  Sessions whose verdict needs the policy are
-marked dirty for the next classify phase instead.
+Events carry their verdict.  A session whose classification reads only
+its pending step and the lock table (2PL, DTR, scripted) is classified
+where the events that decide it happen, never in the classify phase:
+
+* its own step — after ``executed()``, ``Classifier.settle`` peeks the
+  next step once: a drained script goes to ``complete``, any other step
+  gets its verdict (LOCK_WAIT on its blockers, or RUNNABLE watching its
+  entity);
+* its admission and its restart — ``_register`` calls the same;
+* a grant hands the acquired entity to ``Classifier.acquired`` (queued
+  waiters' edges extend; runnable watchers that now conflict block in
+  place), and every release — an unlock, a commit, an abort — hands its
+  wake-up set to ``Classifier.wake`` (waiters become runnable in place).
+
+Sessions whose verdict needs the policy are marked dirty for the next
+classify phase instead.
 
 Two drivers sit on top:
 
@@ -118,19 +126,9 @@ class KernelRun:
             # its verdict depends on; the conservative every-tick fallback
             # otherwise.
             entry.tracks_deps = session.admission_dependencies() is not None
-            self.cache.register(
-                name,
-                tracks_deps=entry.tracks_deps,
-                dynamic=not entry.tracks_deps,
-                complete=False,
-            )
+            self.cache.register(name, tracks_deps=entry.tracks_deps)
         else:
-            self.cache.register(
-                name,
-                tracks_deps=False,
-                dynamic=False,
-                complete=session.peek() is None,
-            )
+            self.classifier.settle(entry)
 
     def record_event(self, name: str, event: Event) -> None:
         self.log.record(name, event)
@@ -227,18 +225,17 @@ class KernelRun:
         entry.record.steps_executed += 1
         if self.event_engine:
             self.classifier.clear(entry)
-            if name in self.cache.dynamic:
-                pass  # re-examined every tick anyway
+            if not entry.needs_admission:
+                # Its own acquire and wake-ups are done, so the verdict of
+                # its next step is decided now.
+                self.classifier.settle(entry)
             elif entry.tracks_deps:
                 # Defer the replanning peek to next tick's phase 1 (it may
                 # raise or drain to None — commit/abort are phase-1
                 # business, exactly when the naive engine sees them).
                 self.cache.phase1.add(name)
                 self.cache.dirty.add(name)
-            elif entry.session.peek() is None:
-                self.cache.complete.add(name)
-            else:
-                self.cache.dirty.add(name)
+            # A dynamic session is re-examined every tick anyway.
 
     def _wake(self, names) -> None:
         """A release returned these waiters in its wake-up set."""

@@ -6,9 +6,9 @@ The event engine caches each live session's scheduling classification
 that can change it occurs.  :class:`AdmissionCache` owns the state that
 decides *who gets re-examined when*:
 
-* ``dirty`` — sessions whose cached classification must be re-derived on
-  the next tick (executors, fresh admissions, channel-notification hits,
-  and woken or invalidated sessions whose verdict needs the policy);
+* ``dirty`` — sessions whose verdict needs the policy and whose cached
+  classification must be re-derived on the next tick (executors, fresh
+  admissions, channel-notification hits, woken or invalidated sessions);
 * ``dynamic`` — live dynamic sessions that declare no invalidation
   dependencies: the conservative fallback, re-examined every tick;
 * ``complete`` — non-dynamic sessions whose script drained (commit next
@@ -34,10 +34,15 @@ the lazy blocked-tick accounting around cache hits, and keeps blocked
 waiters' waits-for edges fresh across grants and grantability-filtered
 releases without re-classifying them.
 
-A lock event that already decides a session's next classification
-applies it in place instead of marking the session dirty (counted as
-``Metrics.lock_transitions``):
+A session whose classification reads nothing but its pending step and
+the lock table (``needs_admission`` false: 2PL, DTR, scripted) is
+classified where the event that decides its verdict happens, never in
+the classify phase:
 
+* **step, admission, restart** (:meth:`Classifier.settle`, called by the
+  kernel after the session's own step, at its admission and at its
+  re-begin after an abort) — pending lock → blockers → LOCK_WAIT or
+  RUNNABLE, a derivation counted like any other;
 * **wake** (:meth:`Classifier.wake`) — a waiter in a release's wake-up
   set goes LOCK_WAIT → RUNNABLE: off the queue, edges dropped, watching
   its entity;
@@ -47,18 +52,19 @@ applies it in place instead of marking the session dirty (counted as
   ``LockTable.blockers``; watchers are walked in sorted name order, and
   compatible ones are left alone.
 
-Both are exact only for sessions whose classification reads nothing but
-the pending step and the lock table (``needs_admission`` false: 2PL,
-DTR, scripted); dependency-declaring and dynamic sessions stay on the
-dirty route.  They are exact because acquires happen only in phase 3:
-between a lock event and the next classify phase the table can only
-weaken, so neither verdict can flip back before the naive engine would
-observe it.  Blocked ticks are credited through the last tick the naive
-engine observed (:attr:`Classifier.observed`): ``ticks - 1`` for a wake
-in phase 1, ``ticks`` for one in phase 2's aborts, the deadlock phase or
-phase 3; a blocked watcher starts accruing at ``ticks + 1``.
+Wakes and blocks are counted as ``Metrics.lock_transitions``.
+Dependency-declaring and dynamic sessions stay on the dirty route.  All
+of this is exact because acquires happen only in phase 3 and a session's
+own acquire comes before its own classification: from each event to the
+next classify phase the table can only weaken, and the release that
+weakens it wakes whoever it unblocks, so no verdict can flip back before
+the naive engine would observe it.  Blocked ticks are credited through
+the last tick the naive engine observed (:attr:`Classifier.observed`):
+``ticks - 1`` from the start of a tick (arrivals, phase 1), ``ticks``
+from phase 2 on (its aborts, the deadlock phase, phase 3); a session
+that enters LOCK_WAIT starts accruing right after it.
 
-A classification is read, then written:
+A classification in the classify phase is read, then written:
 
 * :meth:`Classifier.derive` — the read half: peek the pending step,
   evaluate the admission verdict, query the lock table's holder map, and
@@ -71,7 +77,9 @@ A classification is read, then written:
 :meth:`Classifier.classify` is ``apply(entry, derive(entry))``; the
 classify phase calls it once per name of the sorted check set
 (:meth:`AdmissionCache.take_check_slices`, walked by
-:mod:`repro.sim.executor`).
+:mod:`repro.sim.executor`), which holds only sessions whose verdict
+needs the policy.  ``derive``, ``settle`` and the block walk share one
+"pending lock → blockers" helper and the same state installers.
 """
 
 from __future__ import annotations
@@ -90,7 +98,7 @@ from typing import (
 )
 
 from ..core.operations import LockMode
-from ..core.steps import Entity
+from ..core.steps import Entity, Step
 from ..policies.base import Admission, PolicySession
 from .lock_table import LockTable
 from .live import LOCK_WAIT, NEW, POLICY_WAIT, RUNNABLE, LiveEntry
@@ -213,23 +221,17 @@ class AdmissionCache:
     # Registration and teardown
     # ------------------------------------------------------------------
 
-    def register(
-        self, name: str, *, tracks_deps: bool, dynamic: bool, complete: bool
-    ) -> None:
-        """Route a freshly admitted (or restarted) session into the cache:
-        dependency-declaring sessions get a phase-1 peek plus an initial
-        classification; no-declaration dynamic ones join the every-tick
-        set; finished scripts go straight to ``complete``; everyone else
-        is simply dirty."""
+    def register(self, name: str, *, tracks_deps: bool) -> None:
+        """Route a freshly admitted (or restarted) session whose verdict
+        needs the policy: a dependency-declaring one gets a phase-1 peek
+        plus an initial classification, any other joins the every-tick
+        set.  (Sessions whose verdict needs no policy never come here:
+        :meth:`Classifier.settle` classifies them on the spot.)"""
         if tracks_deps:
             self.phase1.add(name)
             self.dirty.add(name)
-        elif dynamic:
-            self.dynamic.add(name)
-        elif complete:
-            self.complete.add(name)
         else:
-            self.dirty.add(name)
+            self.dynamic.add(name)
 
     def forget(self, name: str) -> None:
         """Drop every piece of routing state for a departed session."""
@@ -302,6 +304,8 @@ class AdmissionCache:
     def phase1_candidates(self) -> List[str]:
         """Sessions phase 1 must peek this tick (drains ``phase1``); the
         caller sorts by admission order."""
+        if not (self.complete or self.dynamic or self.phase1):
+            return []
         live = self._live
         candidates = [  # repro: noqa[RPR001] the caller sorts candidates by admission seq
             n for n in self.complete | self.dynamic | self.phase1 if n in live
@@ -312,6 +316,8 @@ class AdmissionCache:
     def take_check_slices(self) -> List[str]:
         """Sessions phase 2 must re-classify this tick, sorted (drains
         ``dirty``; every-tick dynamic sessions are always included)."""
+        if not (self.dirty or self.dynamic):
+            return []
         live = self._live
         check = [  # repro: noqa[RPR001] sorted before return
             n
@@ -341,10 +347,11 @@ class Classifier:
         self.table = table
         self.graph = graph
         self.cache = cache
-        #: Last tick whose classify phase has run — the naive engine's
-        #: blocked-tick observation point, set by the tick loop at the
-        #: start of phase 2.  An in-place wake accrues through it: ``ticks - 1``
-        #: during phase 1, ``ticks`` from phase 2 on.
+        #: Last tick the naive engine has classified — its blocked-tick
+        #: observation point: ``ticks - 1`` from the start of a tick (set
+        #: by the tick loop before arrivals), ``ticks`` once phase 2
+        #: starts.  A wake accrues through it, and a session entering
+        #: LOCK_WAIT starts accruing right after it.
         self.observed = 0
 
     # ------------------------------------------------------------------
@@ -418,38 +425,75 @@ class Classifier:
                     subscribe=subscribe,
                     admission_checked=True,
                 )
-        op = step.op
-        mode = op.lock_mode
-        if op.is_lock and mode is not None:
-            blockers = self.table.blockers(name, step.entity, mode)
-            if blockers:
-                return Decision(
-                    name,
-                    LOCK_WAIT,
-                    edges={b for b in blockers if b in self.live},
-                    entity=step.entity,
-                    mode=mode,
-                    subscribe=subscribe,
-                    admission_checked=admission_checked,
-                    blockers_queried=True,
-                )
-            # Runnable with a pending lock: watch the entity so a concurrent
-            # acquire invalidates this classification.
+        entity, mode, edges = self._pending_lock(name, step)
+        if edges is not None:
             return Decision(
                 name,
-                RUNNABLE,
-                entity=step.entity,
-                watch=True,
+                LOCK_WAIT,
+                edges=edges,
+                entity=entity,
+                mode=mode,
                 subscribe=subscribe,
                 admission_checked=admission_checked,
                 blockers_queried=True,
             )
+        if entity is None:
+            return Decision(
+                name,
+                RUNNABLE,
+                subscribe=subscribe,
+                admission_checked=admission_checked,
+            )
+        # Runnable with a pending lock: watch the entity so a concurrent
+        # acquire invalidates this classification.
         return Decision(
             name,
             RUNNABLE,
+            entity=entity,
+            watch=True,
             subscribe=subscribe,
             admission_checked=admission_checked,
+            blockers_queried=True,
         )
+
+    def _pending_lock(
+        self, name: str, step: Step
+    ) -> Tuple[Optional[Entity], Optional[LockMode], Optional[Set[str]]]:
+        """Pending lock → blockers: the part of a classification that reads
+        only the pending step and the lock table.  Returns ``(entity, mode,
+        edges)``: ``entity`` is ``None`` when the step locks nothing
+        (RUNNABLE, nothing to watch); ``edges`` is ``None`` when the lock
+        is grantable (RUNNABLE, watching ``entity``), and otherwise the
+        conflicting holders that are live (LOCK_WAIT on ``entity``)."""
+        op = step.op
+        mode = op.lock_mode
+        if not op.is_lock or mode is None:
+            return None, None, None
+        entity = step.entity
+        blockers = self.table.blockers(name, entity, mode)
+        if not blockers:
+            return entity, mode, None
+        live = self.live
+        return entity, mode, {b for b in blockers if b in live}
+
+    def settle(self, entry: LiveEntry) -> None:
+        """Classify a cleared session whose verdict needs no policy at the
+        event that decides it — its own step, its admission, its restart —
+        instead of in the next classify phase.  Its pending step is peeked
+        once: a drained script waits in ``complete`` for its phase-1
+        commit; any other step is a derivation like any other, counted in
+        ``classify_checks`` (and in ``blocker_queries`` when it locks).  A
+        LOCK_WAIT installed here starts accruing after :attr:`observed`."""
+        step = entry.session.peek()
+        if step is None:
+            self.cache.complete.add(entry.item.name)
+            return
+        m = self.metrics
+        m.classify_checks += 1
+        entity, mode, edges = self._pending_lock(entry.item.name, step)
+        if entity is not None:
+            m.blocker_queries += 1
+        self._install(entry, entity, mode, edges)
 
     def apply(
         self,
@@ -490,14 +534,29 @@ class Classifier:
             return
         self._enter_runnable(entry, decision.entity if decision.watch else None)
 
+    def _install(
+        self,
+        entry: LiveEntry,
+        entity: Optional[Entity],
+        mode: Optional[LockMode],
+        edges: Optional[Set[str]],
+    ) -> None:
+        """Install a :meth:`_pending_lock` verdict on a cleared entry."""
+        if edges is None:
+            self._enter_runnable(entry, entity)
+        else:
+            assert entity is not None and mode is not None
+            self._enter_lock_wait(entry, entity, mode, edges)
+
     def _enter_lock_wait(
         self, entry: LiveEntry, entity: Entity, mode: LockMode, edges: Set[str]
     ) -> None:
         """Install LOCK_WAIT on a cleared entry: queued on ``entity``,
-        waits-for ``edges``, accounting recorded through this tick."""
+        waits-for ``edges``, accounting recorded through the last observed
+        tick."""
         name = entry.item.name
         entry.state = LOCK_WAIT
-        entry.accrued_to = self.metrics.ticks
+        entry.accrued_to = self.observed
         self.table.add_waiter(name, entity, mode)
         self.graph.set_edges(name, edges)
 
@@ -617,14 +676,12 @@ class Classifier:
                 continue
             step = entry.session.peek()
             assert step is not None
-            mode = step.op.lock_mode
-            assert mode is not None
-            if not mode.conflicts_with(effective):
+            wanted = step.op.lock_mode
+            assert wanted is not None
+            if not wanted.conflicts_with(effective):
                 continue
             m.blocker_queries += 1
-            blockers = table.blockers(name, entity, mode)
+            verdict = self._pending_lock(name, step)
             self.clear(entry)
             m.lock_transitions += 1
-            self._enter_lock_wait(
-                entry, entity, mode, {b for b in blockers if b in live}
-            )
+            self._install(entry, *verdict)

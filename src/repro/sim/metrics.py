@@ -57,13 +57,17 @@ class Metrics:
     # :meth:`summary` (whose values are identical between the naive and the
     # event-driven engine on the same seed; the work counters are exactly
     # what the event engine is built to shrink).
-    #: Full re-derivations of a session's classification (peek + admission
-    #: + lock check); a lock event applied in place is not one.
+    #: Derivations of a session's classification from its pending step
+    #: (peek + admission + lock check), wherever they run: in the classify
+    #: phase, or — for a session whose verdict needs no policy — in place
+    #: at its own step, admission or restart.  A wake or block applied in
+    #: place by a lock event is not one (see ``lock_transitions``).
     classify_checks: int = 0
     #: Policy admission() evaluations.
     admission_checks: int = 0
-    #: Every ``LockTable.blockers`` call the engine makes: derivations,
-    #: edge refreshes after a release, and in-place block transitions.
+    #: Every ``LockTable.blockers`` call the engine makes: derivations
+    #: (wherever they run), edge refreshes after a release, and in-place
+    #: block transitions.
     blocker_queries: int = 0
     #: Waiters a lock release/commit/abort woke (moved to runnable in
     #: place, or marked dirty when their verdict needs the policy).

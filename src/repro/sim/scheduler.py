@@ -16,7 +16,12 @@ Two engines implement these semantics: ``engine="naive"`` re-classifies
 every live session from scratch each tick (:mod:`repro.sim.reference`, the
 executable specification) and ``engine="event"`` (default) caches
 classifications and invalidates them only by the events that can change
-them.  This module is the **driver layer** over the lock-manager kernel:
+them.  In the event engine, a session whose verdict needs no policy (2PL,
+DTR, scripted) is classified where its own step, admission, restart or a
+lock event happens, so phases 1–2 walk only sessions whose verdict needs
+the policy (and drained scripts due to commit); for a 2PL run the
+classify walk never runs.  This module is the **driver layer** over the
+lock-manager kernel:
 the transaction-lifecycle state machine (grant/block/wake/deadlock/
 commit/abort) lives in :class:`repro.kernel.lifecycle.KernelRun`, which
 composes the state layers — :mod:`repro.sim.admission` (classification
@@ -204,6 +209,9 @@ class _Run(KernelRun):
                     f"{self.pending_items} pending"
                 )
             m.ticks += 1
+            # Until this tick's classify phase, the naive engine has
+            # observed blocked sessions through the previous tick.
+            self.classifier.observed = m.ticks - 1
             self.admit_arrivals()
             # Accrued *after* admissions: a transaction admitted at tick
             # t can execute at tick t, so it belongs in tick t's
@@ -255,9 +263,10 @@ class _Run(KernelRun):
         the phase-1 peek is an observable no-op.  Returns whether any
         session survives into phase 2."""
         live = self.live
-        for name in sorted(
-            self.cache.phase1_candidates(), key=lambda n: live[n].seq
-        ):
+        candidates = self.cache.phase1_candidates()
+        if not candidates:
+            return bool(live)
+        for name in sorted(candidates, key=lambda n: live[n].seq):
             entry = live.get(name)
             if entry is None:
                 continue
@@ -271,20 +280,23 @@ class _Run(KernelRun):
         return bool(live)
 
     def _phase_classify(self) -> bool:
-        """Phase 2 — classify only sessions whose cached state may have
-        changed: the dirty set (executors, fresh admissions, and woken or
-        invalidated sessions whose verdict needs the policy) plus every
-        dynamic session, in sorted name order.  Phase-2 policy aborts are collected in that order and
-        processed after the walk; returns whether any occurred (which
+        """Phase 2 — classify only sessions whose verdict needs the policy
+        and whose cached state may have changed: the dirty set (executors,
+        fresh admissions, channel hits, woken or invalidated sessions)
+        plus every dynamic session, in sorted name order.  Every other
+        session was classified where its step, admission, restart or lock
+        event happened, so a 2PL run's check set is always empty and the
+        walk is skipped.  Phase-2 policy aborts are collected in walk
+        order and processed after it; returns whether any occurred (which
         ends the tick).  This is the naive engine's blocked-tick
-        observation point, so from here on an in-place wake credits the
-        current tick."""
+        observation point, so from here on an in-place wake credits, and a
+        new LOCK_WAIT starts after, the current tick."""
         self.classifier.observed = self.metrics.ticks
+        names = self.cache.take_check_slices()
+        if not names:
+            return False
         aborts: List[Tuple[LiveEntry, str]] = []
-        self.executor.run_classify(
-            self.classifier, self.live, self.cache.take_check_slices(),
-            aborts,
-        )
+        self.executor.run_classify(self.classifier, self.live, names, aborts)
         for entry, reason in aborts:
             self.abort(entry, reason)
         return bool(aborts)

@@ -16,32 +16,25 @@ def make_cache(live_names=("A", "B", "C")):
 
 
 class TestRegistration:
+    # Only sessions whose verdict needs the policy register here; the
+    # others are classified at admission (tests/test_lock_transitions.py
+    # ::TestSettleRouting).
+
     def test_tracks_deps_gets_phase1_and_dirty(self):
         cache, _, _ = make_cache()
-        cache.register("A", tracks_deps=True, dynamic=False, complete=False)
+        cache.register("A", tracks_deps=True)
         assert "A" in cache.phase1 and "A" in cache.dirty
         assert "A" not in cache.dynamic
 
     def test_no_declaration_dynamic_joins_every_tick_set(self):
         cache, _, _ = make_cache()
-        cache.register("A", tracks_deps=False, dynamic=True, complete=False)
+        cache.register("A", tracks_deps=False)
         assert "A" in cache.dynamic
         assert "A" not in cache.dirty
 
-    def test_drained_script_goes_complete(self):
-        cache, _, _ = make_cache()
-        cache.register("A", tracks_deps=False, dynamic=False, complete=True)
-        assert "A" in cache.complete
-        assert "A" not in cache.dirty
-
-    def test_plain_session_is_just_dirty(self):
-        cache, _, _ = make_cache()
-        cache.register("A", tracks_deps=False, dynamic=False, complete=False)
-        assert cache.dirty == {"A"}
-
     def test_forget_clears_every_route(self):
         cache, _, _ = make_cache()
-        cache.register("A", tracks_deps=True, dynamic=False, complete=False)
+        cache.register("A", tracks_deps=True)
         cache.subscribe("A", ["ch1"])
         cache.runnable.add("A")
         cache.forget("A")

@@ -6,10 +6,14 @@ Three contracts:
    ``classifier.classify`` once per name, in the order it is handed the
    names, and collects policy aborts into the caller's list in that
    order.
-2. **The drain feeds the walk.**  In a full event-engine run, every walk
-   is handed exactly the list :meth:`AdmissionCache.take_check_slices`
-   drained that tick — sorted, duplicate-free, live, never a completed
-   session — and classifies each of those sessions once, in that order.
+2. **The drain feeds the walk.**  In a full event-engine run, every
+   non-empty drain of :meth:`AdmissionCache.take_check_slices` is walked
+   and an empty one is not; a walk is handed exactly the list drained
+   that tick — sorted, duplicate-free, live, never a completed session,
+   only sessions whose verdict needs the policy (``needs_admission``) —
+   and classifies each of those sessions once, in that order.  A 2PL
+   run, whose sessions are all classified where their events happen,
+   never walks.
 3. **Nothing to select.**  No entry point takes a lock-table shard
    count, a shard-worker count or an executor kind.
 """
@@ -70,22 +74,24 @@ class TestSerialExecutor:
         assert classifier.calls == [] and aborts == []
 
 
-# Cells with fat classify batches: a 2PL deadlock storm, DDAG
-# traversals with inserts (dynamic sessions re-classified every tick),
-# and altruistic sessions that declare admission dependencies.
+_STRESS = {"num_entities": 30, "num_txns": 40, "arrival_rate": 1.0,
+           "hot_fraction": 0.1}
+
+# Cells that used to have fat classify batches: a 2PL deadlock storm,
+# DDAG traversals with inserts (dynamic sessions re-classified every
+# tick), and altruistic sessions that declare admission dependencies.
 WALK_CELLS = [
     ("deadlock_storm", TwoPhasePolicy,
      {"num_entities": 20, "num_txns": 30, "accesses_per_txn": 2,
       "arrival_rate": 0.5, "hot_set_size": 4, "hot_traffic": 0.7}),
     ("dynamic_traversal", DdagPolicy, {"nodes": 8, "num_txns": 5}),
-    ("stress", AltruisticPolicy,
-     {"num_entities": 30, "num_txns": 40, "arrival_rate": 1.0,
-      "hot_fraction": 0.1}),
+    ("stress", AltruisticPolicy, _STRESS),
 ]
 
 
 @pytest.mark.parametrize(
-    "cell", WALK_CELLS, ids=lambda c: f"{c[0]}+{c[1].__name__}"
+    "cell", WALK_CELLS + [("stress", TwoPhasePolicy, _STRESS)],
+    ids=lambda c: f"{c[0]}+{c[1].__name__}",
 )
 def test_each_walk_classifies_exactly_the_drained_set(monkeypatch, cell):
     factory_name, policy_cls, kwargs = cell
@@ -113,6 +119,9 @@ def test_each_walk_classifies_exactly_the_drained_set(monkeypatch, cell):
         assert not set(names) & classifier.cache.complete, (
             "drain holds a completed session"
         )
+        assert all(live[n].needs_admission for n in names), (
+            "a session whose verdict needs no policy reached the walk"
+        )
         seen.clear()
         run_classify(executor, classifier, live, names, aborts)
         assert seen == names, "classified other than once per name, in order"
@@ -123,13 +132,20 @@ def test_each_walk_classifies_exactly_the_drained_set(monkeypatch, cell):
     monkeypatch.setattr(SerialExecutor, "run_classify", spy_walk)
 
     items, initial, context_kwargs = grid_factory(factory_name)(3, **kwargs)
-    Simulator(
+    result = Simulator(
         policy_cls(), seed=3, max_ticks=500_000,
         context_kwargs=context_kwargs, engine="event",
     ).run(items, initial)
 
-    assert len(walks) == len(drained) > 0
-    assert max(walks) > 1, "no tick classified more than one session"
+    assert drained, "the classify phase never drained"
+    assert len(walks) == sum(1 for names in drained if names), (
+        "a non-empty drain was not walked, or an empty one was"
+    )
+    if policy_cls is TwoPhasePolicy:
+        assert walks == [], "a 2PL run reached the classify walk"
+        assert result.metrics.classify_checks > 0
+    else:
+        assert max(walks) > 1, "no tick classified more than one session"
 
 
 @pytest.mark.parametrize(

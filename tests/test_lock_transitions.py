@@ -1,9 +1,10 @@
-"""Lock events that carry their verdict.
+"""Events that carry their verdict.
 
-A release's wake-up set and an acquire's conflicting watchers are
-classified by the lock event itself (``Classifier.wake`` /
-``Classifier.acquired``) instead of being marked dirty and re-derived on
-the next tick.  Three contracts:
+A session whose verdict needs no policy is classified by the event that
+decides it — its own step, admission or restart (``Classifier.settle``),
+a release's wake-up set (``Classifier.wake``), an acquire's conflicting
+watchers (``Classifier.acquired``) — instead of being marked dirty and
+re-derived on the next tick.  Three contracts:
 
 1. **Coherence oracle.**  At every event-engine tick, right before the
    phase-3 draw or the deadlock phase, every live session that is neither
@@ -12,11 +13,15 @@ the next tick.  Three contracts:
    waits-for edges, same queue entry, same watch — for every registered
    grid factory under every policy that accepts it, with the run itself
    byte-identical to the naive engine's (schedule, summary, victims,
-   per-transaction records).
+   per-transaction records).  The hand-driven :func:`tick` checks the
+   executor right after its step too.
 2. **Accrual.**  A woken waiter is credited blocked ticks through the last
    tick the naive engine observed it: ``t - 1`` for a wake in phase 1 (a
-   commit), ``t`` for a wake in phase 3 (a release); a watcher blocked in
-   phase 3 starts accruing at ``t + 1``.
+   commit), ``t`` for a wake in phase 3 (a release).  A session entering
+   LOCK_WAIT starts accruing right after that tick: an arrival blocked at
+   admission counts its arrival tick ``t``; a watcher blocked in phase 3,
+   an executor blocked by its own next step and a victim blocked at its
+   re-begin start at ``t + 1``.
 3. **Block transition.**  An acquire blocks exactly the watchers whose
    wanted mode conflicts with the holder's new effective mode — an S
    acquire leaves an S watcher alone, an X acquire or an S→X upgrade
@@ -190,23 +195,38 @@ class ScriptPolicy(LockingPolicy):
         return _ScriptContext()
 
 
-def items_of(scripts):
-    """``{name: (start_tick, steps)}`` -> workload items."""
+def items_of(scripts, restarts=None):
+    """``{name: (start_tick, steps)}`` -> workload items; ``restarts``
+    maps a name to the script its restart plays."""
+    restarts = restarts or {}
     return [
-        WorkloadItem(name, steps, start_tick=start)
+        WorkloadItem(
+            name, steps, start_tick=start,
+            restart=(
+                (lambda n, attempt, ctx, s=restarts[name]: s)
+                if name in restarts else None
+            ),
+        )
         for name, (start, steps) in scripts.items()
     ]
 
 
-def run_both(scripts):
-    """Run a forced schedule (one runnable session per tick) on both
-    engines; returns the event engine's result after checking they agree."""
-    naive = Simulator(ScriptPolicy(), engine="naive").run(
-        items_of(scripts), validate=False
+def run_both(scripts, seed=0, restarts=None):
+    """Run a schedule on both engines with the same seed (one runnable
+    session per tick unless a case says which draw it relies on); returns
+    the event engine's result after checking they agree."""
+    naive = Simulator(ScriptPolicy(), seed=seed, engine="naive").run(
+        items_of(scripts, restarts), validate=False
     )
-    event = Simulator(ScriptPolicy()).run(items_of(scripts), validate=False)
+    event = Simulator(ScriptPolicy(), seed=seed).run(
+        items_of(scripts, restarts), validate=False
+    )
     assert_engines_agree(naive, event)
     return event
+
+
+def order(result):
+    return [str(e) for e in result.schedule.events]
 
 
 def manual_run(scripts):
@@ -220,15 +240,20 @@ def manual_run(scripts):
 
 def tick(run, execute):
     """One event-engine tick in which ``execute`` takes the phase-3 step
-    (in place of the seeded draw); checks coherence before and after."""
+    (in place of the seeded draw); checks coherence before and after —
+    the executor included when its verdict needs no policy, since its own
+    step classified it."""
     run.metrics.ticks += 1
+    run.classifier.observed = run.metrics.ticks - 1
     run.admit_arrivals()
     assert run._phase_commit()
     assert not run._phase_classify()
     assert execute in run.cache.runnable
     assert_coherent(run)
-    run._execute_step(run.live[execute])
-    # The executor itself is dirty now; everyone else must be coherent.
+    entry = run.live[execute]
+    run._execute_step(entry)
+    if not entry.needs_admission:
+        assert execute not in run.cache.dirty, "the executor was left dirty"
     assert_coherent(run)
 
 
@@ -270,6 +295,102 @@ class TestWakeAccrual:
         assert run.metrics.lock_transitions == 2
 
 
+class TestSettleRouting:
+    def test_admission_settles_a_plain_session_in_place(self):
+        run = manual_run({"H": [lx("a"), w("a")], "R": [r("b")]})
+        cache = run.cache
+        assert not cache.dirty and not cache.dynamic and not cache.phase1
+        assert list(cache.runnable) == ["H", "R"]
+        assert run.live["H"].watch_entity == "a"
+        assert run.live["R"].watch_entity is None  # nothing to lock
+        assert run.metrics.classify_checks == 2
+        assert run.metrics.blocker_queries == 1
+
+    def test_a_drained_script_goes_complete_at_admission(self):
+        run = manual_run({"E": []})
+        assert run.cache.complete == {"E"}
+        assert not run.cache.dirty and not run.cache.runnable
+        assert run.metrics.classify_checks == 0
+
+    def test_edges_are_filtered_to_live_holders(self):
+        # A holder the live table does not know still blocks, but is no
+        # waits-for edge — exactly what the naive engine's rebuild keeps.
+        run = _Run(Simulator(ScriptPolicy()), items_of(
+            {"P": (0, [lx("a"), w("a")])}
+        ))
+        run.table.acquire("GONE", "a", LockMode.EXCLUSIVE)
+        run.admit_arrivals()
+        entry = run.live["P"]
+        assert entry.state == LOCK_WAIT
+        assert run.table.waiting_entity("P") == "a"
+        assert run.graph.waits_for.get("P", set()) == set()
+        assert_coherent(run)
+
+    def test_a_policy_verdict_takes_the_dirty_route(self, monkeypatch):
+        # A dynamic session's peek may read shared state: it is never
+        # settled, but re-examined every tick.
+        monkeypatch.setattr(ScriptedSession, "dynamic", True)
+        run = manual_run({"P": [lx("a"), w("a")]})
+        assert run.live["P"].needs_admission
+        assert run.cache.dynamic == {"P"} and not run.cache.runnable
+        assert run.metrics.classify_checks == 0
+
+
+class TestSettleAccrual:
+    """Where a session is classified by its own step, admission or
+    restart, and from which tick its blocked ticks count."""
+
+    def test_an_arrival_blocked_at_admission_counts_its_arrival_tick(self):
+        # t1: H locks a.  t2: H writes.  t3: P arrives blocked (the naive
+        # engine observes it blocked at t3); H writes.  t4: P blocked
+        # again; H unlocks a and wakes P through t4.
+        result = run_both({
+            "H": (1, [lx("a"), w("a"), w("a"), ux("a")]),
+            "P": (3, [lx("a"), w("a")]),
+        })
+        m = result.metrics
+        assert m.records["P"].blocked_ticks == 2
+        assert m.wakeups == 1 and m.lock_transitions == 1
+        # Two admissions plus the four steps that have a next step: every
+        # derivation happened in place, none in a classify phase.
+        assert m.classify_checks == 6
+
+    def test_an_executor_blocked_by_its_own_next_step_accrues_from_the_next_tick(self):
+        # t1: H locks a.  t2 (seed 1 draws E): E locks z, and its next
+        # step is blocked by H.  t3, t4: H writes.  t5: H unlocks a and
+        # wakes E through t5 — blocked at t3, t4 and t5, not at t2.
+        result = run_both({
+            "H": (1, [lx("a"), w("a"), w("a"), ux("a")]),
+            "E": (2, [lx("z"), lx("a"), w("a")]),
+        }, seed=1)
+        assert order(result)[:3] == ["H:(LX a)", "E:(LX z)", "H:(W a)"]
+        m = result.metrics
+        assert m.records["E"].blocked_ticks == 3
+        assert m.wakeups == 1 and m.lock_transitions == 1
+
+    def test_a_victim_blocked_at_its_re_begin_accrues_from_the_next_tick(self):
+        # t1: A locks a.  t2 (seed 0 draws B): B locks b, then blocks on a.
+        # t3: A writes a, then blocks on b.  t4: deadlock — B (fewer steps)
+        # is the victim, having been blocked at t3 and t4; its restart
+        # script blocks on a at once.  t5, t6: A locks and writes b.  t7:
+        # A commits and wakes B through t6 — blocked at t5 and t6, not t4.
+        result = run_both(
+            {
+                "A": (1, [lx("a"), w("a"), lx("b"), w("b")]),
+                "B": (2, [lx("b"), lx("a"), w("a")]),
+            },
+            seed=0,
+            restarts={"B": [lx("a"), w("a")]},
+        )
+        assert order(result) == [
+            "A:(LX a)", "A:(W a)", "A:(LX b)", "A:(W b)", "B:(LX a)", "B:(W a)",
+        ]
+        m = result.metrics
+        assert m.deadlock_victims == ["B"] and m.restarts == 1
+        assert m.records["B"].blocked_ticks == 4
+        assert m.records["A"].blocked_ticks == 1
+
+
 class TestBlockTransition:
     def test_s_acquire_leaves_an_s_watcher_alone(self):
         run = manual_run({"H": [ls("a"), r("a")], "S": [ls("a"), r("a")]})
@@ -282,7 +403,9 @@ class TestBlockTransition:
 
     def test_x_acquire_blocks_an_s_watcher_in_place(self):
         run = manual_run({"H": [lx("a"), w("a")], "S": [ls("a"), r("a")]})
-        checks, queries = run.metrics.classify_checks, run.metrics.blocker_queries
+        # Both were classified at admission, each querying its lock.
+        assert run.metrics.classify_checks == 2
+        assert run.metrics.blocker_queries == 2
         tick(run, "H")
         entry = run.live["S"]
         assert entry.state == LOCK_WAIT and entry.watch_entity is None
@@ -290,9 +413,10 @@ class TestBlockTransition:
         assert run.graph.waits_for["S"] == {"H"}
         assert run.table.waiter_modes("a") == [("S", LockMode.SHARED)]
         assert run.metrics.lock_transitions == 1
-        # Tick 1 classified H and S; the block query is counted too.
-        assert run.metrics.classify_checks == checks + 2
-        assert run.metrics.blocker_queries == queries + 3
+        # Tick 1 classified only H's next step (a write: no query), in
+        # place; the block query is counted.
+        assert run.metrics.classify_checks == 3
+        assert run.metrics.blocker_queries == 3
 
     def test_s_to_x_upgrade_blocks_an_s_watcher(self):
         run = manual_run({
