@@ -24,10 +24,8 @@ from .core import (
     Rule,
     all_rules,
     iter_rules,
-    load_baseline,
     register_rule,
     rule,
-    save_baseline,
 )
 from .engine import FileContext, analyze_file, analyze_paths, iter_python_files
 
@@ -46,8 +44,6 @@ __all__ = [
     "analyze_paths",
     "iter_python_files",
     "iter_rules",
-    "load_baseline",
     "register_rule",
     "rule",
-    "save_baseline",
 ]

@@ -1,17 +1,9 @@
 """The ``python -m repro.lint`` command line.
 
-Exit codes: ``0`` clean (baseline-grandfathered findings do not fail the
-run), ``1`` findings, ``2`` usage errors.  ``--format json`` emits a
-stable machine-readable document for CI; ``--format github`` emits
-GitHub Actions workflow commands (``::error file=...,line=...::``) so
-findings annotate the PR diff; ``--write-baseline`` snapshots the
-current findings so a newly-adopted rule can be burned down
-incrementally instead of blocking the tree.
-
-``--write-baseline`` composes with ``--select``: only the selected
-rules' entries are rewritten, and existing baseline entries for
-*unselected* rules are merged back in unchanged (snapshotting one new
-rule must not silently un-grandfather every other rule's debt).
+Exit codes: ``0`` clean, ``1`` findings, ``2`` usage errors.  ``--format
+json`` emits a stable machine-readable document for CI; ``--format
+github`` emits GitHub Actions workflow commands
+(``::error file=...,line=...::``) so findings annotate the PR diff.
 """
 
 from __future__ import annotations
@@ -21,10 +13,8 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from .core import Finding, all_rules, load_baseline, save_baseline
+from .core import Finding, all_rules
 from .engine import analyze_paths
-
-DEFAULT_BASELINE = "lint_baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,22 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RPR0xx",
         help="only run these rule codes (repeatable, comma-separable)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        metavar="PATH",
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -102,20 +76,6 @@ def render_github(finding: Finding) -> str:
     )
 
 
-def merged_baseline_fingerprints(
-    existing: "set[str]", findings: Sequence[Finding], select: Optional[Sequence[str]]
-) -> "set[str]":
-    """Fingerprints for a baseline rewrite: the current findings, plus —
-    when ``--select`` restricted the run — the existing entries of every
-    *unselected* rule, carried over unchanged (a selective snapshot must
-    not discard the other rules' grandfathered debt)."""
-    fps = {f.fingerprint for f in findings}
-    if select:
-        selected = set(select)
-        fps |= {fp for fp in existing if fp.split(":", 1)[0] not in selected}
-    return fps
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -126,17 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     try:
-        select = _parse_select(args.select)
-        baseline = set() if args.no_baseline else load_baseline(args.baseline)
-        if args.write_baseline:
-            findings, _ = analyze_paths(args.paths, select=select)
-            fps = merged_baseline_fingerprints(baseline, findings, select)
-            count = save_baseline(args.baseline, fps)
-            print(f"wrote {count} finding(s) to {args.baseline}")
-            return 0
-        findings, grandfathered = analyze_paths(
-            args.paths, select=select, baseline=baseline
-        )
+        findings = analyze_paths(args.paths, select=_parse_select(args.select))
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -151,19 +101,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "version": 1,
                     "findings": [f.as_dict() for f in findings],
                     "counts": counts,
-                    "baseline_suppressed": grandfathered,
                 },
                 indent=2,
             )
         )
-    elif args.format == "github":
-        for f in findings:
-            print(render_github(f))
-        suffix = f" ({grandfathered} baseline-grandfathered)" if grandfathered else ""
-        print(f"{len(findings)} finding(s){suffix}")
     else:
+        render = render_github if args.format == "github" else Finding.render
         for f in findings:
-            print(f.render())
-        suffix = f" ({grandfathered} baseline-grandfathered)" if grandfathered else ""
-        print(f"{len(findings)} finding(s){suffix}")
+            print(render(f))
+        print(f"{len(findings)} finding(s)")
     return 1 if findings else 0

@@ -1,4 +1,4 @@
-"""Findings, the rule registry, suppressions, and baselines.
+"""Findings, the rule registry, and suppressions.
 
 A rule is a function ``(FileContext) -> Iterable[Finding]`` registered
 under a stable ``RPR0xx`` code; the engine (:mod:`repro.analysis.engine`)
@@ -10,17 +10,15 @@ Suppressions are per line and must carry a reason::
 
 A ``noqa`` with no reason is itself a finding (**RPR000**) — an
 undocumented suppression is exactly the reviewer-memory problem this
-subsystem replaces.  Baselines grandfather pre-existing findings by
-fingerprint so new code is held to the full rule set while old debt is
-burned down deliberately.
+subsystem replaces.  Nothing is grandfathered: an accepted finding carries
+its reason on its own line.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 #: Code for meta-findings produced by the engine itself (reasonless noqa,
 #: unparsable files).  Not selectable off.
@@ -38,12 +36,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity used by baselines (line-sensitive on purpose:
-        moving grandfathered code re-surfaces it for review)."""
-        return f"{self.code}:{self.path}:{self.line}:{self.message}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -162,38 +154,3 @@ def apply_suppressions(
                 )
             )
     return kept
-
-
-# ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-
-BASELINE_VERSION = 1
-
-
-def load_baseline(path: str) -> Set[str]:
-    """Fingerprints grandfathered by ``path`` (empty if absent)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return set()
-    if not isinstance(data, dict) or data.get("version") != BASELINE_VERSION:
-        raise ValueError(f"{path}: not a v{BASELINE_VERSION} lint baseline")
-    fps = data.get("findings", [])
-    if not isinstance(fps, list) or not all(isinstance(x, str) for x in fps):
-        raise ValueError(f"{path}: baseline 'findings' must be a list of strings")
-    return set(fps)
-
-
-def save_baseline(path: str, findings: Iterable) -> int:
-    """Write the fingerprints of ``findings`` (accepts :class:`Finding`
-    objects or pre-computed fingerprint strings, so partial rewrites can
-    merge surviving entries back in); returns the count."""
-    fps = sorted(
-        {f if isinstance(f, str) else f.fingerprint for f in findings}
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": BASELINE_VERSION, "findings": fps}, fh, indent=2)
-        fh.write("\n")
-    return len(fps)

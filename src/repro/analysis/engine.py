@@ -147,19 +147,14 @@ def load_context(path: str) -> Tuple[Optional[FileContext], Optional[Finding]]:
 
 def analyze_file(path: str, select: Optional[Sequence[str]] = None) -> List[Finding]:
     """All (selected) rule findings for one file, suppressions applied."""
-    findings, _ = analyze_paths([path], select=select)
-    return findings
+    return analyze_paths([path], select=select)
 
 
 def analyze_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    baseline: Optional[Set[str]] = None,
-) -> Tuple[List[Finding], int]:
-    """Findings over ``paths`` not grandfathered by ``baseline``; returns
-    ``(findings, baseline_suppressed_count)`` in deterministic order.
-    Every file is parsed once and handed to each selected rule."""
-    baseline = baseline or set()
+    paths: Sequence[str], select: Optional[Sequence[str]] = None
+) -> List[Finding]:
+    """Findings over ``paths``, suppressions applied, in deterministic
+    order.  Every file is parsed once and handed to each selected rule."""
     contexts: List[FileContext] = []
     raw: List[Finding] = []
     for path in iter_python_files(paths):
@@ -180,17 +175,11 @@ def analyze_paths(
         by_path.setdefault(f.path, []).append(f)
 
     out: List[Finding] = []
-    grandfathered = 0
     # Union so a file whose only problem is a reasonless noqa (no rule
     # findings at all) still gets its RPR000 meta-finding.
     for path in sorted(set(by_path) | set(suppressions)):
-        kept = apply_suppressions(
+        out.extend(apply_suppressions(
             by_path.get(path, []), suppressions.get(path, {}), path
-        )
-        for f in kept:
-            if f.fingerprint in baseline:
-                grandfathered += 1
-            else:
-                out.append(f)
+        ))
     out.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.message))
-    return out, grandfathered
+    return out

@@ -164,48 +164,10 @@ def _preset_traversal(scale: float) -> GridSpec:
     )
 
 
-def _preset_mega_stress(scale: float) -> GridSpec:
-    """The headroom probe for the layered kernel: 5,000 staggered short
-    transactions over a wide entity space, admitted in arrival-tick
-    batches."""
-    n = _scaled(5000, scale)
-    return GridSpec(
-        policies=(PolicySpec(TwoPhasePolicy),),
-        workloads=(
-            WorkloadSpec("stress", {
-                "num_entities": 8000, "num_txns": n,
-                "arrival_rate": 0.085, "hot_fraction": 0.0,
-            }),
-        ),
-        seeds=(0,),
-        max_ticks=20_000_000,
-    )
-
-
-def _preset_mega_stress_50k(scale: float) -> GridSpec:
-    """The ROADMAP's 50k-transaction target: 50,000 staggered short
-    transactions over 64,000 entities.  The scale knob shrinks it for
-    CI."""
-    n = _scaled(50_000, scale)
-    return GridSpec(
-        policies=(PolicySpec(TwoPhasePolicy),),
-        workloads=(
-            WorkloadSpec("stress", {
-                "num_entities": 64_000, "num_txns": n,
-                "arrival_rate": 0.085, "hot_fraction": 0.0,
-            }),
-        ),
-        seeds=(0,),
-        max_ticks=100_000_000,
-    )
-
-
 PRESETS: Dict[str, Callable[[float], GridSpec]] = {
     "stress": _preset_stress,
     "deadlock": _preset_deadlock,
     "traversal": _preset_traversal,
-    "mega_stress": _preset_mega_stress,
-    "mega_stress_50k": _preset_mega_stress_50k,
 }
 
 _COLUMNS = [
@@ -325,8 +287,8 @@ def _run_service_stress(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``(num_txns, num_entities)`` of the scaling curve at scale 1: the
-#: ``mega_stress`` and ``mega_stress_50k`` sizes and one point between.
+#: ``(num_txns, num_entities)`` of the scaling curve at scale 1: from the
+#: 5,000-transaction headroom probe up to the 50,000-transaction ceiling.
 _SCALING_POINTS = ((5_000, 8_000), (15_000, 22_000), (50_000, 64_000))
 
 
@@ -391,7 +353,7 @@ def _run_scaling(args: argparse.Namespace) -> int:
     """The per-tick-cost curve: 2PL, then altruistic locking, over the
     ``stress`` factory at three population sizes, every row through the
     configuration a caller gets by default (the event engine).  The
-    default arrival rate (that of the mega presets) sits just above
+    default arrival rate (0.085 arrivals per tick) sits just above
     capacity, so the live population (``mean_active``) grows with the
     transaction count while the work per tick does not: ``us_per_tick``
     rising from a policy's first row to its last is a per-tick cost that

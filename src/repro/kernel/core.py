@@ -56,10 +56,11 @@ reachability walk from the new waiter's blockers
 (``closes_cycle``), and only when that walk comes back does the kernel
 run the detector and resolve victim-by-victim (the simulator's
 deterministic cost triple: structural effects, executed work, name)
-until the graph is acyclic again.  ``WaitsForGraph.find_cycle`` is
-bit-identical to the from-scratch :func:`repro.sim.deadlock.find_cycle`
-on the table-derived rebuild; that rebuild survives only as the test
-oracle (``tests/test_kernel_api.py``).
+until the graph is acyclic again.  ``WaitsForGraph.find_cycle`` runs
+the reference DFS on the maintained graph, so it finds what
+:func:`repro.sim.deadlock.find_cycle` finds on the table-derived rebuild
+as long as the two graphs are equal; that rebuild survives only as the
+test oracle (``tests/test_kernel_api.py``).
 
 **Auditing.**  Every request — including every refusal — appends exactly
 one entry to the :class:`~repro.kernel.audit.AuditLog` before returning,

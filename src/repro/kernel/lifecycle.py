@@ -99,13 +99,7 @@ class KernelRun:
         if self.event_engine:
             self.context.set_change_listener(self.cache.policy_changed)
 
-    # -- legacy views (kept for tests and callers of the old layout) ----
-
-    waits_for = property(lambda self: self.graph.waits_for)
-    blocked_by = property(lambda self: self.graph.blocked_by)
-    watchers = property(lambda self: self.cache.watchers)
     events = property(lambda self: self.log.events)
-    events_by_txn = property(lambda self: self.log.by_txn)
 
     # ------------------------------------------------------------------
     # Lifecycle transitions

@@ -2,12 +2,11 @@
 scheduler kernel.
 
 The naive engine rebuilds the waits-for graph from scratch every tick and
-calls :func:`find_cycle` on it (the executable specification); the event
-engine maintains the graph incrementally
-(:class:`repro.sim.waits_for.WaitsForGraph`) and runs a certificate-cached
-detection that must return bit-identical cycles.  Both hand the found
-cycle to :func:`pick_victim`, so the engines' deadlock-victim sequences
-are comparable element by element.
+calls :func:`find_cycle_counted` on it (the executable specification); the
+event engine maintains the graph incrementally
+(:class:`repro.sim.waits_for.WaitsForGraph`) and runs the same DFS on
+that.  Both hand the found cycle to :func:`pick_victim`, so the engines'
+deadlock-victim sequences are comparable element by element.
 
 **Victim tie-break (deterministic).**  The victim is the cycle member with
 the minimum :func:`victim_cost` triple, compared lexicographically:
@@ -32,20 +31,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 
-def cycle_from_parents(
-    parent: Mapping[str, Optional[str]], node: str, head: str
-) -> List[str]:
-    """Reconstruct the cycle closed by the back edge ``node -> head`` from
-    the DFS parent chain (shared by the from-scratch and incremental
-    detectors, so their output is identical by construction)."""
-    cycle = [node]
-    cur = node
-    while cur != head:
-        cur = parent[cur]  # type: ignore[assignment]
-        cycle.append(cur)
-    return cycle
-
-
 def find_cycle_counted(
     graph: Mapping[str, Set[str]]
 ) -> Tuple[Optional[List[str]], int]:
@@ -53,8 +38,9 @@ def find_cycle_counted(
     thousands of sessions deep (one blocked txn per entity of a long
     sweep), well past Python's recursion limit.  Returns the first cycle
     met walking sorted roots / sorted neighbours (or ``None``) plus the
-    number of nodes pushed — the from-scratch cost the incremental
-    detector is measured against."""
+    number of nodes pushed (``Metrics.cycle_visits``).  The cycle runs
+    from the node that closed the back edge up its parent chain to the
+    node it closed on."""
     color: Dict[str, int] = {}
     parent: Dict[str, Optional[str]] = {}
     visits = 0
@@ -79,7 +65,11 @@ def find_cycle_counted(
                     descended = True
                     break
                 if c == 1:
-                    return cycle_from_parents(parent, node, nxt), visits
+                    cycle = [node]
+                    while node != nxt:
+                        node = parent[node]  # type: ignore[assignment]
+                        cycle.append(node)
+                    return cycle, visits
             if not descended:
                 color[node] = 2
                 stack.pop()

@@ -82,10 +82,10 @@ class Metrics:
     invalidations: int = 0
     #: Waits-for cycle detections run (no-runnable ticks).
     cycle_detections: int = 0
-    #: Graph nodes visited (DFS pushes) across all cycle detections — the
-    #: naive engine re-walks the whole graph per detection; the event
-    #: engine's incremental detector re-walks only the possibly-cyclic
-    #: region, so this is the counter the deadlock bench compares.
+    #: Graph nodes visited (DFS pushes) across all cycle detections.  Both
+    #: engines run the same DFS on the same graph (rebuilt per tick by the
+    #: naive engine, maintained by the event engine), so the deadlock
+    #: bench asserts the two counts equal.
     cycle_visits: int = 0
 
     def accrue_blocked(self, record: TxnRecord, lock_wait: bool, ticks: int) -> None:

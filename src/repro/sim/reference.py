@@ -5,10 +5,9 @@ verdict, lock-table conflict query — and rebuilds the waits-for graph as
 it goes.  O(live × footprint) per tick, which is exactly why the event
 engine exists; it is kept verbatim because every optimization in the
 event-driven layers (cached classifications, invalidation channels, the
-always-fresh waits-for graph, incremental cycle detection) is
-equivalence-tested against the schedules, summaries, per-transaction
-records, and deadlock-victim sequences this loop produces on the same
-seed.
+always-fresh waits-for graph) is equivalence-tested against the
+schedules, summaries, per-transaction records, and deadlock-victim
+sequences this loop produces on the same seed.
 """
 
 from __future__ import annotations
@@ -80,8 +79,8 @@ def naive_tick(run) -> None:
         return
 
     if not runnable:
-        # From-scratch resolution on the per-tick graph (the reference the
-        # event engine's incremental detector is measured against).
+        # From-scratch resolution on the per-tick graph (the event engine
+        # runs the same DFS on its maintained graph).
         cycle, visits = find_cycle_counted(waits_for)
         m.cycle_detections += 1
         m.cycle_visits += visits

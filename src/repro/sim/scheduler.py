@@ -26,7 +26,7 @@ the transaction-lifecycle state machine (grant/block/wake/deadlock/
 commit/abort) lives in :class:`repro.kernel.lifecycle.KernelRun`, which
 composes the state layers — :mod:`repro.sim.admission` (classification
 cache, invalidation channels, classifier), :mod:`repro.sim.waits_for`
-(always-fresh graph, incremental cycle detection),
+(always-fresh graph walked by the reference detector),
 :mod:`repro.sim.deadlock` (oracle detector, victim costing),
 :mod:`repro.sim.lock_table` (holder maps and wait queues), and
 :mod:`repro.sim.event_log` (O(own events) abort erasure) — all documented
@@ -53,20 +53,13 @@ from ..exceptions import PolicyViolation, SimulationError
 from ..kernel.lifecycle import KernelRun
 from ..policies.base import Intent, LockingPolicy, PolicyContext
 from .live import LiveEntry
-from .deadlock import (  # _find_cycle re-exported for tests/oracle use
-    find_cycle as _find_cycle,
-    pick_victim,
-    resolve_deadlock,
-)
+from .deadlock import pick_victim
 from .event_log import assemble as _assemble, truncated as _truncated
 from .metrics import Metrics, TxnRecord
 from .reference import naive_tick
 
 #: Recompute the intent script after an abort: (name, attempt, context) -> intents.
 RestartStrategy = Callable[[str, int, PolicyContext], Optional[Sequence[Intent]]]
-
-#: Legacy alias: the live-session record moved to the admission layer.
-_Live = LiveEntry
 
 
 @dataclass
@@ -302,11 +295,8 @@ class _Run(KernelRun):
         return bool(aborts)
 
     def _phase_deadlock(self) -> None:
-        """Deadlock path.  The graph is maintained always-fresh,
-        so the incremental detector runs directly on it — acyclicity
-        certificates survive between detections, and only the
-        possibly-cyclic region is re-walked (the from-scratch walk was
-        the last O(blocked) per-detection cost)."""
+        """Deadlock path.  The graph is maintained always-fresh, so the
+        reference DFS runs directly on it, with no per-tick rebuild."""
         m = self.metrics
         live = self.live
         cycle = self.graph.find_cycle()
@@ -335,9 +325,3 @@ class _Run(KernelRun):
         how ``cache.runnable`` keeps them, so the draw costs a length and a
         k-th element whatever the population."""
         self._execute_step(self.live[self.rng.choice(self.cache.runnable)])
-
-
-def _pick_deadlock_victim(waits_for, live) -> Optional[str]:
-    """Legacy :func:`repro.sim.deadlock.resolve_deadlock` (victim only)."""
-    found = resolve_deadlock(waits_for, live)
-    return None if found is None else found[0]

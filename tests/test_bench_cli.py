@@ -31,10 +31,7 @@ class TestListFlag:
 
 class TestPresets:
     def test_registry_covers_the_documented_grids(self):
-        assert set(bench.PRESETS) == {
-            "stress", "deadlock", "traversal", "mega_stress",
-            "mega_stress_50k",
-        }
+        assert set(bench.PRESETS) == {"stress", "deadlock", "traversal"}
 
     def test_special_benches_registered_and_listed(self, capsys):
         assert set(bench.SPECIAL_BENCHES) == {"scaling", "service"}
@@ -42,19 +39,6 @@ class TestPresets:
         out = capsys.readouterr().out
         for name in bench.SPECIAL_BENCHES:
             assert name in out
-
-    def test_mega_stress_shape(self):
-        spec = bench.PRESETS["mega_stress"](1.0)
-        (workload,) = spec.workloads
-        assert workload.kwargs["num_txns"] >= 5000
-        scaled = bench.PRESETS["mega_stress"](0.02)
-        assert scaled.workloads[0].kwargs["num_txns"] < 5000
-
-    def test_mega_stress_50k_shape(self):
-        spec = bench.PRESETS["mega_stress_50k"](1.0)
-        (workload,) = spec.workloads
-        assert workload.kwargs["num_txns"] == 50_000
-        assert workload.kwargs["arrival_rate"] < 1.0  # staggered arrivals
 
     def test_scale_shrinks_with_floor(self):
         spec = bench.PRESETS["stress"](0.0001)
@@ -114,7 +98,7 @@ class TestArgValidation:
     )
     def test_no_shard_or_executor_flag_exists(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            bench.build_parser().parse_args(["mega_stress", flag, "2"])
+            bench.build_parser().parse_args(["stress", flag, "2"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
@@ -180,7 +164,7 @@ class TestGridArtifact:
         assert {"python", "cpu_count", "git_sha"} <= set(extra)
 
 
-def _artifact(tmp_path, name, rows, *, bench_name="grid_mega_stress",
+def _artifact(tmp_path, name, rows, *, bench_name="grid_stress",
               wall_s=10.0, schema=1):
     doc = {
         "bench": bench_name,

@@ -21,8 +21,8 @@ from repro.sim.deadlock import (
     resolve_deadlock,
     victim_cost,
 )
+from repro.sim.live import LiveEntry
 from repro.sim.metrics import TxnRecord
-from repro.sim.scheduler import _Live
 
 
 def entry(name, steps_executed=0, structural=False):
@@ -30,7 +30,7 @@ def entry(name, steps_executed=0, structural=False):
     session = ScriptedSession(name, steps)
     if structural:
         session.executed()  # records the structural effect
-    e = _Live(
+    e = LiveEntry(
         item=WorkloadItem(name, []),
         session=session,
         record=TxnRecord(name, start_tick=0),
@@ -114,7 +114,7 @@ class TestMultiCycleSelection:
 
     def test_counted_visits_cover_whole_walk(self):
         # An acyclic 4-node graph: the counted walk must push every node
-        # exactly once (the baseline the incremental detector undercuts).
+        # exactly once.
         graph = {"A": {"B"}, "B": {"C"}, "C": {"D"}, "D": set()}
         cycle, visits = find_cycle_counted(graph)
         assert cycle is None

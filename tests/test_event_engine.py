@@ -364,9 +364,9 @@ class TestEventEngineWins:
         run = _Run(Simulator(TwoPhasePolicy(), seed=2), items)
         run.execute()
         assert run.metrics.deadlocks > 0
-        assert run.waits_for == {}
-        assert run.blocked_by == {}
-        assert run.watchers == {}
+        assert run.graph.waits_for == {}
+        assert run.graph.blocked_by == {}
+        assert run.cache.watchers == {}
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -1,5 +1,5 @@
 """The ``repro.lint`` static-analysis subsystem: rule fixtures, the
-suppression/baseline machinery, the CLI surface, and the fixture-injection
+suppression machinery, the CLI surface, and the fixture-injection
 guard the CI lint job relies on."""
 
 import glob
@@ -10,7 +10,7 @@ import shutil
 
 import pytest
 
-from repro.analysis import analyze_file, analyze_paths, load_baseline
+from repro.analysis import analyze_file, analyze_paths
 from repro.analysis.cli import main as lint_main
 from repro.analysis.core import all_rules
 from repro.analysis.engine import module_name_for
@@ -179,73 +179,11 @@ class TestModuleNames:
 
 
 class TestBaseline:
-    def test_baseline_grandfathers_then_new_findings_fail(self, tmp_path):
-        src = tmp_path / "tree"
-        src.mkdir()
-        shutil.copy(fixture("rpr002_bad.py"), src / "rpr002_bad.py")
-        baseline = tmp_path / "baseline.json"
-
-        assert lint_main(
-            [str(src), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        assert len(load_baseline(str(baseline))) == 1
-        assert lint_main([str(src), "--baseline", str(baseline)]) == 0
-
-        shutil.copy(fixture("rpr003_bad.py"), src / "rpr003_bad.py")
-        assert lint_main([str(src), "--baseline", str(baseline)]) == 1
-
-    def test_src_is_clean_without_a_baseline(self, monkeypatch):
+    def test_src_is_clean(self, monkeypatch):
         """Nothing in the tree is grandfathered: every accepted finding
         carries an inline reasoned suppression instead."""
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["src", "--no-baseline"]) == 0
-
-    def test_selective_write_baseline_keeps_unselected_entries(self, tmp_path):
-        """The --write-baseline --select round trip: snapshotting one
-        rule must not discard the other rules' grandfathered entries."""
-        src = tmp_path / "tree"
-        src.mkdir()
-        shutil.copy(fixture("rpr002_bad.py"), src / "rpr002_bad.py")
-        shutil.copy(fixture("rpr003_bad.py"), src / "rpr003_bad.py")
-        baseline = tmp_path / "baseline.json"
-
-        # Full snapshot grandfathers both rules.
-        assert lint_main(
-            [str(src), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        full = load_baseline(str(baseline))
-        assert {fp.split(":", 1)[0] for fp in full} == {"RPR003", "RPR002"}
-
-        # A selective rewrite of RPR002 must carry the RPR003 entry over.
-        assert lint_main(
-            [
-                str(src),
-                "--baseline",
-                str(baseline),
-                "--write-baseline",
-                "--select",
-                "RPR002",
-            ]
-        ) == 0
-        assert load_baseline(str(baseline)) == full
-        assert lint_main([str(src), "--baseline", str(baseline)]) == 0
-
-        # ... and dropping the RPR002 violation then re-snapshotting
-        # RPR002 selectively burns down only RPR002's entries.
-        (src / "rpr002_bad.py").unlink()
-        assert lint_main(
-            [
-                str(src),
-                "--baseline",
-                str(baseline),
-                "--write-baseline",
-                "--select",
-                "RPR002",
-            ]
-        ) == 0
-        remaining = load_baseline(str(baseline))
-        assert {fp.split(":", 1)[0] for fp in remaining} == {"RPR003"}
-        assert lint_main([str(src), "--baseline", str(baseline)]) == 0
+        assert lint_main(["src"]) == 0
 
 
 class TestCli:
@@ -255,7 +193,7 @@ class TestCli:
 
     def test_json_format_shape(self, capsys):
         rc = lint_main(
-            [fixture("rpr003_bad.py"), "--format", "json", "--no-baseline"]
+            [fixture("rpr003_bad.py"), "--format", "json"]
         )
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
@@ -267,12 +205,23 @@ class TestCli:
 
     def test_select_filters_rules(self, capsys):
         rc = lint_main(
-            [fixture("rpr001_bad.py"), "--select", "RPR003", "--no-baseline"]
+            [fixture("rpr001_bad.py"), "--select", "RPR003"]
         )
         assert rc == 0
 
     def test_unknown_select_is_usage_error(self, capsys):
         assert lint_main([fixture("rpr001_bad.py"), "--select", "RPR999"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag", ["--baseline", "--no-baseline", "--write-baseline"]
+    )
+    def test_no_baseline_flag_exists(self, capsys, flag):
+        """Accepted findings carry inline reasoned suppressions; there is
+        no baseline file to grandfather them."""
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["src", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -282,7 +231,7 @@ class TestCli:
 
     def test_github_format_emits_error_annotations(self, capsys):
         rc = lint_main(
-            [fixture("rpr003_bad.py"), "--format", "github", "--no-baseline"]
+            [fixture("rpr003_bad.py"), "--format", "github"]
         )
         assert rc == 1
         out = capsys.readouterr().out
@@ -328,9 +277,9 @@ class TestInjectionGuard:
         (tree / "clean.py").write_text(
             '"""A clean module."""\n\nVALUE = sorted({1, 2, 3})\n'
         )
-        assert lint_main([str(tmp_path / "src"), "--no-baseline"]) == 0
+        assert lint_main([str(tmp_path / "src")]) == 0
 
         shutil.copy(fixture("rpr001_bad.py"), tree / "injected.py")
-        assert lint_main([str(tmp_path / "src"), "--no-baseline"]) == 1
-        findings, _ = analyze_paths([str(tmp_path / "src")])
+        assert lint_main([str(tmp_path / "src")]) == 1
+        findings = analyze_paths([str(tmp_path / "src")])
         assert {f.code for f in findings} == {"RPR001"}

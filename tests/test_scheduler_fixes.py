@@ -7,7 +7,7 @@
 4. ``run_cell`` cannot report an all-failed cell as serializable;
 5. an arrival behind an idle gap admits at its requested ``start_tick``
    (the clock used to jump to the start tick and *then* increment);
-6. ``_find_cycle`` survives wait chains deeper than Python's recursion
+6. ``find_cycle`` survives wait chains deeper than Python's recursion
    limit (it used to be a recursive DFS);
 7. aborts erase a transaction's events through the per-transaction index
    (tombstones) rather than rebuilding the whole log;
@@ -19,7 +19,7 @@
     huge live populations are truncated in ``SimulationError`` messages;
 
 plus direct unit coverage of the deadlock machinery
-(``_pick_deadlock_victim`` / ``_find_cycle``) and the livelock error path.
+(``resolve_deadlock`` / ``find_cycle``) and the livelock error path.
 """
 
 import pytest
@@ -38,15 +38,11 @@ from repro.policies.base import (
     access_steps,
 )
 from repro.sim import LockTable, Simulator, WorkloadItem, run_cell
+from repro.sim.deadlock import find_cycle, resolve_deadlock
 from repro.sim.event_log import EventLog
+from repro.sim.live import LiveEntry
 from repro.sim.metrics import TxnRecord
-from repro.sim.scheduler import (
-    _Live,
-    _Run,
-    _assemble,
-    _find_cycle,
-    _pick_deadlock_victim,
-)
+from repro.sim.scheduler import _Run, _assemble
 
 
 ENGINES = ("event", "naive")
@@ -339,7 +335,7 @@ def _live_entry(name, steps_executed=0, structural=False):
     session = ScriptedSession(name, steps)
     if structural:
         session.executed()  # records the structural effect
-    entry = _Live(
+    entry = LiveEntry(
         item=WorkloadItem(name, []),
         session=session,
         record=TxnRecord(name, start_tick=0),
@@ -509,8 +505,8 @@ class TestEraseIndex:
             run.record_event(ev.txn, ev)
         run.erase("T1")
         assert run.events == [None, e[1], None, e[3]]
-        assert "T1" not in run.events_by_txn
-        assert run.events_by_txn["T2"] == [1, 3]
+        assert "T1" not in run.log.by_txn
+        assert run.log.by_txn["T2"] == [1, 3]
 
     def test_erase_unknown_and_repeat_are_noops(self):
         run = self._run()
@@ -597,20 +593,20 @@ class TestEraseIndex:
 
 class TestFindCycle:
     def test_no_cycle_returns_none(self):
-        assert _find_cycle({"A": {"B"}, "B": {"C"}, "C": set()}) is None
+        assert find_cycle({"A": {"B"}, "B": {"C"}, "C": set()}) is None
 
     def test_self_loop(self):
-        assert _find_cycle({"A": {"A"}}) == ["A"]
+        assert find_cycle({"A": {"A"}}) == ["A"]
 
     def test_cycle_members_only(self):
         graph = {"A": {"B"}, "B": {"C"}, "C": {"B"}}
-        cycle = _find_cycle(graph)
+        cycle = find_cycle(graph)
         assert cycle is not None
         assert set(cycle) == {"B", "C"}
 
     def test_finds_cycle_beyond_first_component(self):
         graph = {"A": set(), "B": {"C"}, "C": {"B"}}
-        assert set(_find_cycle(graph)) == {"B", "C"}
+        assert set(find_cycle(graph)) == {"B", "C"}
 
     def test_deep_chain_without_cycle(self):
         # Far past the default recursion limit: the old recursive DFS blew
@@ -618,13 +614,13 @@ class TestFindCycle:
         n = 5000
         graph = {f"T{i:05d}": {f"T{i + 1:05d}"} for i in range(n)}
         graph[f"T{n:05d}"] = set()
-        assert _find_cycle(graph) is None
+        assert find_cycle(graph) is None
 
     def test_deep_chain_ending_in_cycle(self):
         n = 5000
         graph = {f"T{i:05d}": {f"T{i + 1:05d}"} for i in range(n)}
         graph[f"T{n:05d}"] = {f"T{n - 1:05d}"}
-        cycle = _find_cycle(graph)
+        cycle = find_cycle(graph)
         assert cycle is not None
         assert set(cycle) == {f"T{n - 1:05d}", f"T{n:05d}"}
 
@@ -639,14 +635,14 @@ class TestFindCycle:
             for i, name in enumerate(graph)
         }
         live[f"T{n:05d}"] = _live_entry(f"T{n:05d}", steps_executed=0)
-        victim = _pick_deadlock_victim(graph, live)
+        victim = resolve_deadlock(graph, live)[0]
         assert victim == f"T{n:05d}"
 
 
 class TestPickDeadlockVictim:
     def test_no_cycle_is_livelock(self):
         live = {n: _live_entry(n) for n in "AB"}
-        assert _pick_deadlock_victim({"A": {"B"}}, live) is None
+        assert resolve_deadlock({"A": {"B"}}, live) is None
 
     def test_prefers_fewest_steps(self):
         live = {
@@ -654,7 +650,7 @@ class TestPickDeadlockVictim:
             "B": _live_entry("B", steps_executed=2),
         }
         graph = {"A": {"B"}, "B": {"A"}}
-        assert _pick_deadlock_victim(graph, live) == "B"
+        assert resolve_deadlock(graph, live)[0] == "B"
 
     def test_prefers_no_structural_effects_over_fewer_steps(self):
         live = {
@@ -662,12 +658,12 @@ class TestPickDeadlockVictim:
             "B": _live_entry("B", steps_executed=9),
         }
         graph = {"A": {"B"}, "B": {"A"}}
-        assert _pick_deadlock_victim(graph, live) == "B"
+        assert resolve_deadlock(graph, live)[0] == "B"
 
     def test_name_breaks_ties(self):
         live = {n: _live_entry(n, steps_executed=3) for n in "BA"}
         graph = {"A": {"B"}, "B": {"A"}}
-        assert _pick_deadlock_victim(graph, live) == "A"
+        assert resolve_deadlock(graph, live)[0] == "A"
 
     def test_victim_outside_cycle_never_picked(self):
         # D waits into the cycle but is not on it; the victim must come
@@ -675,7 +671,7 @@ class TestPickDeadlockVictim:
         live = {n: _live_entry(n) for n in "ABD"}
         live["D"].step_count = 0
         graph = {"A": {"B"}, "B": {"A"}, "D": {"A"}}
-        assert _pick_deadlock_victim(graph, live) in {"A", "B"}
+        assert resolve_deadlock(graph, live)[0] in {"A", "B"}
 
 
 class TestLivelockDiagnosis:

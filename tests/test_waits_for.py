@@ -1,34 +1,43 @@
-"""The waits-for subsystem: incremental cycle detection against the
-from-scratch oracle.
+"""The waits-for subsystem: the maintained graph against the lock table
+and the from-scratch oracle.
 
-:class:`repro.sim.WaitsForGraph` maintains acyclicity certificates and a
-cached DFS walk across detections; every ``find_cycle()`` call must return
-**bit-identically** what :func:`repro.sim.deadlock.find_cycle` (the
-reference three-colour DFS the naive engine uses) returns on a snapshot of
-the same graph — same cycle, same node order — while visiting fewer nodes.
-These tests drive the graph through randomized churn (the mutation mix the
-scheduler performs: block, re-derive, extend, departure) and check the
-oracle contract after every step, plus the invariants (forward/reverse
-index sync) and the measured visit savings.
+:class:`repro.sim.WaitsForGraph` keeps the forward edges and the reverse
+blocker index in sync through every edge update and detects cycles with
+the reference DFS (:func:`repro.sim.deadlock.find_cycle_counted`) on its
+maintained edges.  The detector cannot diverge from the naive engine's, so
+what carries the weight is the graph: these tests drive it through
+randomized churn (the mutation mix the scheduler performs: block,
+re-derive, extend, departure) checking the index invariant and the oracle
+after every step, and check inside running deadlock storms that the
+maintained edges equal a rebuild from the live table at every detection.
 """
 
 import random
 
 import pytest
 
-from repro.core import StructuralState
-from repro.policies import TwoPhasePolicy
-from repro.sim import WaitsForGraph, Simulator, deadlock_storm_workload
+from repro.core import LockMode, Operation, Step, StructuralState
+from repro.policies import AltruisticPolicy, TwoPhasePolicy
+from repro.sim import (
+    Simulator,
+    WaitsForGraph,
+    WorkloadItem,
+    deadlock_storm_workload,
+)
 from repro.sim.deadlock import find_cycle, find_cycle_counted
+from repro.sim.live import LOCK_WAIT, POLICY_WAIT
+from repro.sim.scheduler import _Run
+
+from test_lock_transitions import ScriptPolicy
 
 
 def assert_oracle(graph: WaitsForGraph):
     """One detection on the maintained graph must equal the from-scratch
-    oracle on a snapshot, bit for bit."""
+    oracle on a snapshot, bit for bit, with the index in sync."""
     expected = find_cycle(graph.snapshot())
     got = graph.find_cycle()
     assert got == expected, (
-        f"incremental detector diverged: {got!r} vs oracle {expected!r} "
+        f"detector diverged: {got!r} vs oracle {expected!r} "
         f"on {graph.snapshot()!r}"
     )
     graph.check_consistency()
@@ -107,13 +116,42 @@ class TestOracleEquality:
             g.set_edges(victim, {names[-1]})
             g.set_edges(names[-1], {victim})
 
-    def test_walk_resumes_across_victim_abort(self):
-        """The cached walk survives a victim abort: the cut lands at the
-        victim's own walk position, and a surviving multi-edge node whose
-        recorded first sorted neighbour is intact is *retained* rather
-        than cutting the walk back to its (earlier) position.  The old
-        rule — invalidate from the position of any touched cycle member —
-        would cut to 0 here via the cross edge ``a -> {b, e}``."""
+    def test_certificates_invalidated_by_new_edges(self):
+        g = WaitsForGraph()
+        g.set_edges("A", {"B"})
+        g.set_edges("B", {"C"})
+        assert assert_oracle(g) is None
+        # A new edge C -> A closes a cycle through nodes an earlier
+        # detection found acyclic.
+        g.set_edges("C", {"A"})
+        cycle = assert_oracle(g)
+        assert cycle is not None and set(cycle) == {"A", "B", "C"}
+
+    def test_walk_cleared_when_smaller_root_appears(self):
+        g = WaitsForGraph()
+        g.set_edges("M1", {"M2"})
+        g.set_edges("M2", {"M1"})
+        assert_oracle(g)
+        # A new node sorting before M1 becomes the reference's first root.
+        g.set_edges("A0", {"M1"})
+        assert_oracle(g)
+
+    def test_sinks_fall_back_to_reference(self):
+        g = WaitsForGraph()
+        g.set_edges("A", {"B"})
+        g.set_edges("B", {"A"})
+        assert_oracle(g)
+        # Cut the cycle into a sink, then close it again.
+        g.set_edges("B", set())
+        assert assert_oracle(g) is None
+        g.set_edges("B", {"A"})
+        assert_oracle(g)
+
+    def test_resolves_next_cycle_after_victim_abort(self):
+        """A victim abort as the scheduler performs it (the victim
+        departs, its waiters re-derive their edges) leaves a graph the
+        next detection walks from scratch: the surviving cycle is found
+        with exactly the oracle's visit count on the new graph."""
         g = WaitsForGraph()
         g.set_edges("a", {"b", "e"})  # cross edge into the eventual victim
         g.set_edges("b", {"c"})
@@ -122,27 +160,20 @@ class TestOracleEquality:
         g.set_edges("e", {"c"})
         cycle = assert_oracle(g)
         assert cycle is not None and set(cycle) == {"c", "d", "e"}
-        full_visits = g.last_visits
-        assert full_visits >= 5  # the detection walked the whole chain
-        # Victim abort, as the scheduler performs it: the victim departs
-        # and its waiters re-derive their edges.
+        assert g.last_visits == 5  # the detection walked the whole chain
         g.forget("e")
-        g.set_edges("a", {"b"})  # first sorted neighbour 'b' intact: retained
-        g.set_edges("d", {"c"})  # stale region (>= the cut): no further cut
-        # The cut landed at the victim's predecessor position, not 0.
-        assert g._walk_valid == 3
+        g.set_edges("a", {"b"})
+        g.set_edges("d", {"c"})
+        _, oracle_visits = find_cycle_counted(g.snapshot())
         cycle2 = assert_oracle(g)
         assert cycle2 is not None and set(cycle2) == {"c", "d"}
-        assert g.last_visits < full_visits, "walk was not resumed"
-        assert g.last_visits <= 2, (
-            f"resume should revisit only the cut tail, saw {g.last_visits}"
-        )
+        assert g.last_visits == oracle_visits == 4
 
-    def test_clean_certificates_skip_acyclic_regions(self):
+    def test_acyclic_regions_are_rewalked_like_the_oracle(self):
+        """No state survives between detections: after only the cycle
+        region changed, the second detection re-walks the acyclic tendril
+        exactly as the from-scratch oracle does."""
         g = WaitsForGraph()
-        # A big acyclic tendril plus a separate 2-cycle later in sort
-        # order: the first detection pays for the tendril, the second
-        # (after only the cycle region changed) must not re-walk it.
         for i in range(50):
             g.set_edges(f"A{i:02d}", {f"B{i:02d}"})
         g.set_edges("Z1", {"Z2"})
@@ -153,43 +184,38 @@ class TestOracleEquality:
         g.forget("Z1")
         g.set_edges("Z1", {"Z2"})
         g.set_edges("Z2", {"Z1"})
+        _, oracle_visits = find_cycle_counted(g.snapshot())
         second = assert_oracle(g)
         assert set(second) == {"Z1", "Z2"}
-        assert g.last_visits < first_visits, (
-            "certified tendril was re-walked"
-        )
+        assert g.last_visits == oracle_visits == first_visits
 
-    def test_certificates_invalidated_by_new_edges(self):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_churn_visits_equal_oracle(self, seed):
+        """Over a churn sequence with a stable acyclic backbone, every
+        detection pushes exactly as many nodes as the from-scratch oracle
+        on a snapshot of the same graph."""
+        rng = random.Random(1000 + seed)
+        names = [f"T{i:02d}" for i in range(20)]
         g = WaitsForGraph()
-        g.set_edges("A", {"B"})
-        g.set_edges("B", {"C"})
-        assert assert_oracle(g) is None  # everything certified clean
-        # A new edge C -> A creates a cycle through certified nodes; the
-        # reverse-BFS invalidation must un-certify the whole chain.
-        g.set_edges("C", {"A"})
-        cycle = assert_oracle(g)
-        assert cycle is not None and set(cycle) == {"A", "B", "C"}
-
-    def test_walk_cleared_when_smaller_root_appears(self):
-        g = WaitsForGraph()
-        g.set_edges("M1", {"M2"})
-        g.set_edges("M2", {"M1"})
-        assert_oracle(g)  # records the walk rooted at M1
-        # A new node sorting before M1 becomes the reference's first
-        # root; the cached walk must not shortcut past it.
-        g.set_edges("A0", {"M1"})
-        assert_oracle(g)
-
-    def test_sinks_fall_back_to_reference(self):
-        g = WaitsForGraph()
-        g.set_edges("A", {"B"})
-        g.set_edges("B", {"A"})
-        assert_oracle(g)
-        # Cut the cycle into a sink; the cached walk must not replay.
-        g.set_edges("B", set())
-        assert assert_oracle(g) is None
-        g.set_edges("B", {"A"})
-        assert_oracle(g)
+        for i in range(10):
+            g.set_edges(f"S{i:02d}", {f"S{i + 1:02d}"})
+        detections = 0
+        for step in range(200):
+            name = rng.choice(names)
+            if rng.random() < 0.6:
+                blockers = {
+                    b for b in rng.sample(names, k=rng.randrange(0, 3))
+                    if b != name
+                }
+                g.set_edges(name, blockers)
+            else:
+                g.forget(name)
+            if step % 5 == 0:
+                _, oracle_visits = find_cycle_counted(g.snapshot())
+                assert_oracle(g)
+                assert g.last_visits == oracle_visits
+                detections += 1
+        assert detections == 40
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_churn_matches_oracle(self, seed):
@@ -218,45 +244,71 @@ class TestOracleEquality:
                 assert_oracle(g)
         assert_oracle(g)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_churn_visits_fewer_than_oracle_in_total(self, seed):
-        """Over a churn sequence with stable regions, the incremental
-        detector must visit strictly fewer nodes than the from-scratch
-        oracle in total.  (A single detection may exceed the oracle when
-        a resumed walk spills into a fallback — the spilled pushes are
-        honestly counted — so the bound is on the sum.)"""
-        rng = random.Random(1000 + seed)
-        names = [f"T{i:02d}" for i in range(20)]
-        g = WaitsForGraph()
-        # A stable acyclic backbone that churn rarely touches.
-        for i in range(10):
-            g.set_edges(f"S{i:02d}", {f"S{i + 1:02d}"})
-        total_inc = total_oracle = 0
-        for step in range(200):
-            name = rng.choice(names)
-            if rng.random() < 0.6:
-                blockers = {
-                    b for b in rng.sample(names, k=rng.randrange(0, 3))
-                    if b != name
-                }
-                g.set_edges(name, blockers)
-            else:
-                g.forget(name)
-            if step % 5 == 0:
-                _, oracle_visits = find_cycle_counted(g.snapshot())
-                assert_oracle(g)
-                total_inc += g.last_visits
-                total_oracle += oracle_visits
-        assert total_inc < total_oracle, (
-            f"no incremental saving over churn: {total_inc} vs {total_oracle}"
-        )
+
+def table_rebuild(run):
+    """The waits-for graph rebuilt from the live table the way the naive
+    engine builds it: a lock waiter waits on the live conflicting holders
+    of the entity it is queued on, a policy waiter on the live sessions
+    its admission verdict names."""
+    live = run.live
+    table = run.table
+    rebuilt = {}
+    for name, entry in live.items():
+        if entry.state == LOCK_WAIT:
+            entity = table.waiting_entity(name)
+            mode = dict(table.waiter_modes(entity))[name]
+            waits = table.blockers(name, entity, mode)
+        elif entry.state == POLICY_WAIT:
+            waits = entry.session.admission().waiting_on
+        else:
+            continue
+        rebuilt[name] = {w for w in waits if w in live}
+    return rebuilt
+
+
+def early_release_storm(num_txns=60, num_entities=4, seed=0):
+    """Transactions that lock one entity (mostly shared), take a second
+    one exclusively, release the first and then block on a third.  A
+    shared release leaves the entity's exclusive waiters blocked by the
+    other readers, and the releaser stays live and blocked afterwards, so
+    a stale edge to it reaches the deadlock phase."""
+    rng = random.Random(seed)
+    entities = [f"e{i}" for i in range(num_entities)]
+    items = []
+    for i in range(num_txns):
+        a, c, b = rng.sample(entities, 3)
+        mode = LockMode.SHARED if rng.random() < 0.7 else LockMode.EXCLUSIVE
+        steps = [
+            Step(mode.lock_op, a),
+            Step(Operation.READ, a),
+            Step(Operation.LOCK_EXCLUSIVE, c),
+            Step(mode.unlock_op, a),
+            Step(Operation.LOCK_EXCLUSIVE, b),
+            Step(Operation.WRITE, b),
+            Step(Operation.WRITE, c),
+        ]
+        items.append(WorkloadItem(f"T{i:03d}", steps, start_tick=i // 2))
+    return items, StructuralState.of(*entities)
+
+
+STORMS = {
+    "2pl": (TwoPhasePolicy, lambda: deadlock_storm_workload(
+        40, 60, accesses_per_txn=2, arrival_rate=0.5,
+        hot_set_size=4, hot_traffic=0.8, seed=3,
+    )),
+    "altruistic": (AltruisticPolicy, lambda: deadlock_storm_workload(
+        60, 60, accesses_per_txn=2, arrival_rate=0.15,
+        hot_set_size=8, hot_traffic=0.45, seed=0,
+    )),
+    "early-shared-release": (ScriptPolicy, early_release_storm),
+}
 
 
 class TestInSimulationOracle:
     def test_every_detection_matches_oracle_in_storm(self, monkeypatch):
         """Run a deadlock storm under the event engine with every
-        incremental detection checked against the from-scratch oracle on
-        a snapshot of the maintained graph."""
+        detection checked against the from-scratch oracle on a snapshot of
+        the maintained graph."""
         checked = {"detections": 0}
         orig = WaitsForGraph.find_cycle
 
@@ -278,23 +330,51 @@ class TestInSimulationOracle:
         assert result.metrics.deadlocks > 0
         assert checked["detections"] == result.metrics.cycle_detections
 
-    def test_storm_visits_fewer_than_naive(self):
-        """The measured saving: on the same seed, the event engine's
-        incremental detections visit fewer graph nodes than the naive
-        engine's from-scratch walks, with identical victim sequences."""
+    @pytest.mark.parametrize("storm", sorted(STORMS))
+    def test_maintained_graph_equals_table_rebuild(self, monkeypatch, storm):
+        """At every deadlock phase the maintained edges equal a rebuild
+        from the live table.  The detector walks them as given, so this is
+        what keeps it equal to the naive engine's; a stale edge fails here
+        even where it happens not to change a cycle (skipping
+        ``Classifier.refresh_lock_edges`` leaves such edges in the
+        early-shared-release storm and changes no victim)."""
+        policy, build = STORMS[storm]
+        checked = {"detections": 0, "policy_waits": 0}
+        orig = _Run._phase_deadlock
+
+        def checking(run):
+            assert run.graph.waits_for == table_rebuild(run)
+            checked["detections"] += 1
+            checked["policy_waits"] += sum(
+                e.state == POLICY_WAIT for e in run.live.values()
+            )
+            return orig(run)
+
+        monkeypatch.setattr(_Run, "_phase_deadlock", checking)
+        items, initial = build()
+        result = Simulator(
+            policy(), seed=0, engine="event", max_ticks=500_000
+        ).run(items, initial, validate=False)
+        assert result.metrics.deadlocks > 0
+        assert checked["detections"] == result.metrics.cycle_detections
+        if policy is AltruisticPolicy:
+            assert checked["policy_waits"] > 0, "no policy-wait edge checked"
+
+    @pytest.mark.parametrize("storm", sorted(STORMS))
+    def test_storm_visits_equal_naive(self, storm):
+        """Both engines run the same DFS over the same graph, so on one
+        seed their victim sequences, detection counts and ``cycle_visits``
+        work counters are equal."""
+        policy, build = STORMS[storm]
         out = {}
         for engine in ("naive", "event"):
-            items, initial = deadlock_storm_workload(
-                60, 120, accesses_per_txn=2, arrival_rate=0.4,
-                hot_set_size=6, hot_traffic=0.6, seed=0,
-            )
+            items, initial = build()
             result = Simulator(
-                TwoPhasePolicy(), seed=0, engine=engine, max_ticks=500_000
+                policy(), seed=0, engine=engine, max_ticks=500_000
             ).run(items, initial, validate=False)
             out[engine] = result.metrics
-        assert out["naive"].deadlock_victims == out["event"].deadlock_victims
-        assert out["naive"].cycle_detections == out["event"].cycle_detections
-        assert out["event"].cycle_visits < out["naive"].cycle_visits, (
-            f"incremental detection saved nothing: "
-            f"{out['event'].cycle_visits} vs {out['naive'].cycle_visits}"
-        )
+        naive, event = out["naive"], out["event"]
+        assert event.deadlocks > 0
+        assert naive.deadlock_victims == event.deadlock_victims
+        assert naive.cycle_detections == event.cycle_detections
+        assert naive.cycle_visits == event.cycle_visits
