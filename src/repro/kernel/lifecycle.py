@@ -17,13 +17,16 @@ where the events that decide it happen, never in the classify phase:
 
 * its own step — after ``executed()``, ``Classifier.settle`` peeks the
   next step once: a drained script goes to ``complete``, any other step
-  gets its verdict (LOCK_WAIT on its blockers, or RUNNABLE watching its
-  entity);
+  gets its verdict (LOCK_WAIT on its blockers, or RUNNABLE), and a
+  pending lock is queued on its entity either way, until the session's
+  next clear;
 * its admission and its restart — ``_register`` calls the same;
-* a grant hands the acquired entity to ``Classifier.acquired`` (queued
-  waiters' edges extend; runnable watchers that now conflict block in
-  place), and every release — an unlock, a commit, an abort — hands its
-  wake-up set to ``Classifier.wake`` (waiters become runnable in place).
+* a grant hands the acquired entity to ``Classifier.acquired``, one walk
+  of that entity's queue (blocked waiters' edges extend; runnable
+  sessions whose queued mode now conflicts block in place, sharing one
+  blocker query per wanted mode), and every release — an unlock, a
+  commit, an abort — hands its wake-up set to ``Classifier.wake``
+  (blocked waiters become runnable in place; runnable ones are skipped).
 
 Sessions whose verdict needs the policy are marked dirty for the next
 classify phase instead.
@@ -201,8 +204,9 @@ class KernelRun:
         if op.is_lock and mode is not None:
             self.table.acquire(name, step.entity, mode)
             if self.event_engine:
-                # Watchers whose cached classification assumed this entity
-                # was free block in place; queued waiters' edges extend.
+                # Runnable sessions queued on this entity whose cached
+                # classification assumed it was free block in place;
+                # blocked waiters' edges extend.
                 self.classifier.acquired(name, step.entity)
         elif op.is_unlock and mode is not None:
             weakened = self.event_engine and self.table.would_weaken(

@@ -18,8 +18,6 @@ decides *who gets re-examined when*:
 * ``runnable`` — names currently classified runnable, kept in sorted
   order (an :class:`OrderedNames`), so phase 3's seeded pick is a length
   and a k-th element rather than a per-tick sort of the population;
-* ``watchers`` — runnable sessions watching their pending lock's entity,
-  so a concurrent acquire invalidates exactly them;
 * the **invalidation-channel subscriptions** (channel → subscribers and
   the reverse index): sessions that declare
   ``admission_dependencies()`` are subscribed to the channels whose
@@ -34,6 +32,13 @@ the lazy blocked-tick accounting around cache hits, and keeps blocked
 waiters' waits-for edges fresh across grants and grantability-filtered
 releases without re-classifying them.
 
+A pending lock is registered once: from its classification until
+:meth:`Classifier.clear`, a session whose pending step locks sits on
+:class:`LockTable`'s queue for that entity with its wanted mode, whether
+it is LOCK_WAIT or RUNNABLE.  The queue is the only index of who wants
+an entity — ``table.waiting_entity(name)`` is where it is read — so wake
+and block move a session between states without touching it.
+
 A session whose classification reads nothing but its pending step and
 the lock table (``needs_admission`` false: 2PL, DTR, scripted) is
 classified where the event that decides its verdict happens, never in
@@ -43,13 +48,14 @@ the classify phase:
   kernel after the session's own step, at its admission and at its
   re-begin after an abort) — pending lock → blockers → LOCK_WAIT or
   RUNNABLE, a derivation counted like any other;
-* **wake** (:meth:`Classifier.wake`) — a waiter in a release's wake-up
-  set goes LOCK_WAIT → RUNNABLE: off the queue, edges dropped, watching
-  its entity;
-* **block** (:meth:`Classifier.acquired`) — a runnable watcher of an
-  entity just acquired, whose wanted mode conflicts with the holder's new
-  effective mode, goes RUNNABLE → LOCK_WAIT with its edges from
-  ``LockTable.blockers``; watchers are walked in sorted name order, and
+* **wake** (:meth:`Classifier.wake`) — a LOCK_WAIT waiter in a release's
+  wake-up set goes RUNNABLE: edges dropped, still queued (runnable names
+  in the set are skipped);
+* **block** (:meth:`Classifier.acquired`) — one walk of the acquired
+  entity's queue: a runnable session whose queued mode conflicts with the
+  holder's new effective mode goes LOCK_WAIT in place, keeping its queue
+  place, with the conflicting live holders as edges — one
+  ``LockTable.blockers`` query per wanted mode, shared by the herd — and
   compatible ones are left alone.
 
 Wakes and blocks are counted as ``Metrics.lock_transitions``.
@@ -71,15 +77,15 @@ A classification in the classify phase is read, then written:
   package the outcome as a :class:`Decision` without mutating any
   scheduler state;
 * :meth:`Classifier.apply` — the write half: install the decision
-  (accounting, counters, waiter queues, waits-for edges, watcher and
-  runnable bookkeeping).
+  (accounting, counters, queue registration, waits-for edges, runnable
+  bookkeeping).
 
 :meth:`Classifier.classify` is ``apply(entry, derive(entry))``; the
 classify phase calls it once per name of the sorted check set
 (:meth:`AdmissionCache.take_check_slices`, walked by
 :mod:`repro.sim.executor`), which holds only sessions whose verdict
-needs the policy.  ``derive``, ``settle`` and the block walk share one
-"pending lock → blockers" helper and the same state installers.
+needs the policy.  ``derive`` and ``settle`` share one "pending lock →
+blockers" helper, and every transition the same state installers.
 """
 
 from __future__ import annotations
@@ -137,12 +143,10 @@ class Decision:
     reason: Optional[str] = None
     #: Waits-for edges to install (wait decisions only).
     edges: Optional[Set[str]] = None
-    #: Pending lock's entity (LOCK_WAIT waiter queue / RUNNABLE watch).
+    #: Pending lock's entity and requested mode: the session's entry on
+    #: the lock table's queue (LOCK_WAIT, or RUNNABLE with a pending lock).
     entity: Optional[Entity] = None
-    #: Requested lock mode (LOCK_WAIT only).
     mode: Optional[LockMode] = None
-    #: RUNNABLE with a pending lock: watch the entity for invalidation.
-    watch: bool = False
     #: Invalidation channels to (re-)subscribe (dependency-declaring
     #: sessions only; ``None`` means "leave subscriptions alone").
     subscribe: Optional[Tuple[Hashable, ...]] = None
@@ -211,7 +215,6 @@ class AdmissionCache:
         self.complete: Set[str] = set()
         self.phase1: Set[str] = set()
         self.runnable = OrderedNames()
-        self.watchers: Dict[Entity, Set[str]] = {}
         #: Invalidation-channel subscriptions: channel -> subscribed names,
         #: and the reverse index used to re-subscribe/unsubscribe.
         self.channel_subs: Dict[Hashable, Set[str]] = {}
@@ -282,22 +285,6 @@ class AdmissionCache:
                     m.invalidations += 1
 
     # ------------------------------------------------------------------
-    # Watchers
-    # ------------------------------------------------------------------
-
-    def watch(self, entity: Entity, name: str) -> None:
-        """Register a runnable session as watching its pending lock's
-        entity (a concurrent acquire must invalidate it)."""
-        self.watchers.setdefault(entity, set()).add(name)
-
-    def unwatch(self, entity: Entity, name: str) -> None:
-        watching = self.watchers.get(entity)
-        if watching is not None:
-            watching.discard(name)
-            if not watching:
-                del self.watchers[entity]
-
-    # ------------------------------------------------------------------
     # Tick queries
     # ------------------------------------------------------------------
 
@@ -330,9 +317,9 @@ class AdmissionCache:
 
 class Classifier:
     """Re-derives cached classifications against the sibling layers (lock
-    table, waits-for graph) and keeps their bookkeeping — waiter queues,
-    waits-for edges, watchers, lazy blocked-tick accounting — consistent
-    with every transition (see the module docstring)."""
+    table, waits-for graph) and keeps their bookkeeping — queue
+    registrations, waits-for edges, lazy blocked-tick accounting —
+    consistent with every transition (see the module docstring)."""
 
     def __init__(
         self,
@@ -380,16 +367,12 @@ class Classifier:
 
     def clear(self, entry: LiveEntry) -> None:
         """Tear down the session's cached classification: runnable flag,
-        outgoing waits-for edges, waiter-queue registration, watcher."""
+        outgoing waits-for edges, pending-lock registration."""
         name = entry.item.name
         if entry.state == RUNNABLE:
             self.cache.runnable.discard(name)
         self.graph.drop_edges(name)
-        if entry.state == LOCK_WAIT:
-            self.table.remove_waiter(name)
-        if entry.watch_entity is not None:
-            self.cache.unwatch(entry.watch_entity, name)
-            entry.watch_entity = None
+        self.table.remove_waiter(name)
         entry.state = NEW
 
     def derive(self, entry: LiveEntry) -> Decision:
@@ -426,34 +409,15 @@ class Classifier:
                     admission_checked=True,
                 )
         entity, mode, edges = self._pending_lock(name, step)
-        if edges is not None:
-            return Decision(
-                name,
-                LOCK_WAIT,
-                edges=edges,
-                entity=entity,
-                mode=mode,
-                subscribe=subscribe,
-                admission_checked=admission_checked,
-                blockers_queried=True,
-            )
-        if entity is None:
-            return Decision(
-                name,
-                RUNNABLE,
-                subscribe=subscribe,
-                admission_checked=admission_checked,
-            )
-        # Runnable with a pending lock: watch the entity so a concurrent
-        # acquire invalidates this classification.
         return Decision(
             name,
-            RUNNABLE,
+            RUNNABLE if edges is None else LOCK_WAIT,
+            edges=edges,
             entity=entity,
-            watch=True,
+            mode=mode,
             subscribe=subscribe,
             admission_checked=admission_checked,
-            blockers_queried=True,
+            blockers_queried=entity is not None,
         )
 
     def _pending_lock(
@@ -462,9 +426,10 @@ class Classifier:
         """Pending lock → blockers: the part of a classification that reads
         only the pending step and the lock table.  Returns ``(entity, mode,
         edges)``: ``entity`` is ``None`` when the step locks nothing
-        (RUNNABLE, nothing to watch); ``edges`` is ``None`` when the lock
-        is grantable (RUNNABLE, watching ``entity``), and otherwise the
-        conflicting holders that are live (LOCK_WAIT on ``entity``)."""
+        (RUNNABLE, nothing to queue); ``edges`` is ``None`` when the lock
+        is grantable (RUNNABLE), and otherwise the conflicting holders
+        that are live (LOCK_WAIT).  Either way a pending lock is queued on
+        ``entity`` wanting ``mode``."""
         op = step.op
         mode = op.lock_mode
         if not op.is_lock or mode is None:
@@ -527,12 +492,7 @@ class Classifier:
             return
         if decision.kind == LOCK_WAIT:
             m.accrue_blocked(entry.record, True, 1)
-            assert decision.entity is not None and decision.mode is not None
-            self._enter_lock_wait(
-                entry, decision.entity, decision.mode, decision.edges or set()
-            )
-            return
-        self._enter_runnable(entry, decision.entity if decision.watch else None)
+        self._install(entry, decision.entity, decision.mode, decision.edges)
 
     def _install(
         self,
@@ -541,34 +501,27 @@ class Classifier:
         mode: Optional[LockMode],
         edges: Optional[Set[str]],
     ) -> None:
-        """Install a :meth:`_pending_lock` verdict on a cleared entry."""
+        """Install a :meth:`_pending_lock` verdict on a cleared entry: the
+        pending lock, if any, is queued on its entity, where it stays —
+        through every wake and block — until :meth:`clear`."""
+        if entity is not None:
+            assert mode is not None
+            self.table.add_waiter(entry.item.name, entity, mode)
         if edges is None:
-            self._enter_runnable(entry, entity)
+            self._enter_runnable(entry)
         else:
-            assert entity is not None and mode is not None
-            self._enter_lock_wait(entry, entity, mode, edges)
+            self._enter_lock_wait(entry, edges)
 
-    def _enter_lock_wait(
-        self, entry: LiveEntry, entity: Entity, mode: LockMode, edges: Set[str]
-    ) -> None:
-        """Install LOCK_WAIT on a cleared entry: queued on ``entity``,
-        waits-for ``edges``, accounting recorded through the last observed
-        tick."""
-        name = entry.item.name
+    def _enter_lock_wait(self, entry: LiveEntry, edges: Set[str]) -> None:
+        """Enter LOCK_WAIT: waits-for ``edges``, accounting recorded
+        through the last observed tick."""
         entry.state = LOCK_WAIT
         entry.accrued_to = self.observed
-        self.table.add_waiter(name, entity, mode)
-        self.graph.set_edges(name, edges)
+        self.graph.set_edges(entry.item.name, edges)
 
-    def _enter_runnable(self, entry: LiveEntry, watch: Optional[Entity]) -> None:
-        """Install RUNNABLE on a cleared entry, watching the pending lock's
-        entity if it has one."""
-        name = entry.item.name
-        if watch is not None:
-            self.cache.watch(watch, name)
-            entry.watch_entity = watch
+    def _enter_runnable(self, entry: LiveEntry) -> None:
         entry.state = RUNNABLE
-        self.cache.runnable.add(name)
+        self.cache.runnable.add(entry.item.name)
 
     def classify(
         self, entry: LiveEntry, aborts: List[Tuple[LiveEntry, str]]
@@ -615,73 +568,69 @@ class Classifier:
     # ------------------------------------------------------------------
 
     def wake(self, names: Iterable[str]) -> None:
-        """A release returned these waiters in its wake-up set.  Each is
-        grantable by construction and the table only weakens until the
-        next classify phase, so a waiter whose verdict needs nothing but
-        the lock table goes LOCK_WAIT → RUNNABLE here, with its blocked
-        ticks credited through :attr:`observed`; the others are marked
-        dirty for a full re-derivation."""
+        """A release returned these queued names in its wake-up set.  The
+        runnable ones are skipped (a pending lock stays queued while
+        runnable); each LOCK_WAIT waiter is grantable by construction and
+        the table only weakens until the next classify phase, so one whose
+        verdict needs nothing but the lock table goes LOCK_WAIT → RUNNABLE
+        here — edges dropped, still queued — with its blocked ticks
+        credited through :attr:`observed`; the others are marked dirty for
+        a full re-derivation."""
         m = self.metrics
-        cache = self.cache
+        live = self.live
+        dirty = self.cache.dirty
         for n in names:
-            entry = self.live.get(n)
-            if entry is None or n in cache.dirty:
+            entry = live.get(n)
+            if entry is None or entry.state != LOCK_WAIT or n in dirty:
                 continue
             m.wakeups += 1
             if entry.needs_admission:
-                cache.dirty.add(n)
+                dirty.add(n)
                 continue
-            assert entry.state == LOCK_WAIT
-            entity = self.table.waiting_entity(n)
             self.accrue(entry, self.observed)
-            self.clear(entry)
+            self.graph.drop_edges(n)
             m.lock_transitions += 1
-            self._enter_runnable(entry, entity)
+            self._enter_runnable(entry)
 
     def acquired(self, holder: str, entity: Entity) -> None:
         """``holder`` just acquired a grant on ``entity`` (phase 3).
 
-        Queued waiters stay blocked — a fresh grant can only extend their
-        blocker sets — so the new edge is added in place (re-classifying
-        every waiter here was O(waiters) full classifications per acquire
-        on a hot entity).  Runnable watchers of ``entity`` are walked in
-        sorted name order: one whose verdict needs the policy is marked
-        dirty; one whose wanted mode conflicts with the holder's new
-        effective mode goes RUNNABLE → LOCK_WAIT in place, its edges from
-        :meth:`LockTable.blockers`, accruing from the next tick (it was
-        runnable at this tick's observation); a compatible one is left
-        alone."""
+        One walk of ``entity``'s queue.  LOCK_WAIT waiters stay blocked —
+        a fresh grant can only extend their blocker sets — so a
+        conflicting one gains the holder edge in place.  A runnable one
+        whose verdict needs the policy is marked dirty; any other runnable
+        one whose queued mode conflicts with the holder's new effective
+        mode goes RUNNABLE → LOCK_WAIT in place, keeping its queue place,
+        accruing from the next tick (it was runnable at this tick's
+        observation); a compatible one is left alone.  The blocked ones'
+        edges come from one :meth:`LockTable.blockers` query per wanted
+        mode — the conflicting live holders — each taking its own copy
+        without itself (an S holder waiting to upgrade)."""
         m = self.metrics
         table = self.table
         live = self.live
+        dirty = self.cache.dirty
         effective = table.mode_held(holder, entity)
         assert effective is not None
+        conflicting: Dict[LockMode, Set[str]] = {}
         for waiter, wanted in table.waiter_modes(entity):
-            if waiter == holder or waiter in self.cache.dirty:
+            if waiter == holder or waiter in dirty:
                 continue  # dirty waiters are fully re-classified anyway
             entry = live.get(waiter)
-            if entry is None or entry.state != LOCK_WAIT:
+            if entry is None:
                 continue
-            if wanted.conflicts_with(effective):
-                self.graph.add_edge_if_tracked(waiter, holder)
-        watching = self.cache.watchers.get(entity)
-        if not watching:
-            return
-        for name in sorted(watching):
-            if name == holder:
-                continue
-            entry = live[name]
-            if entry.needs_admission:
-                self.cache.dirty.add(name)
-                continue
-            step = entry.session.peek()
-            assert step is not None
-            wanted = step.op.lock_mode
-            assert wanted is not None
-            if not wanted.conflicts_with(effective):
-                continue
-            m.blocker_queries += 1
-            verdict = self._pending_lock(name, step)
-            self.clear(entry)
-            m.lock_transitions += 1
-            self._install(entry, *verdict)
+            if entry.state == LOCK_WAIT:
+                if wanted.conflicts_with(effective):
+                    self.graph.add_edge_if_tracked(waiter, holder)
+            elif entry.needs_admission:
+                dirty.add(waiter)
+            elif wanted.conflicts_with(effective):
+                holders = conflicting.get(wanted)
+                if holders is None:
+                    holders = conflicting[wanted] = {
+                        b for b in table.blockers(None, entity, wanted) if b in live
+                    }
+                m.blocker_queries += 1
+                m.lock_transitions += 1
+                self.cache.runnable.discard(waiter)
+                self._enter_lock_wait(entry, holders - {waiter})

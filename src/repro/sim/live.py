@@ -12,9 +12,8 @@ internals it is the oracle for (``scheduler``/``admission``/``waits_for``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from ..core.steps import Entity
 from ..policies.base import PolicySession
 from .metrics import TxnRecord
 
@@ -42,8 +41,6 @@ class LiveEntry:
     seq: int = 0
     #: Cached classification (event engine).
     state: str = NEW
-    #: Entity whose pending lock this (runnable) session is watching.
-    watch_entity: Optional[Entity] = None
     #: Last tick for which blocked-time accounting has been recorded.
     accrued_to: int = -1
     #: Classification must evaluate the policy admission() verdict (the

@@ -12,17 +12,21 @@ Two facilities support the event-driven scheduler:
   shared grant and the exclusive one stays visible — the historical
   behaviour of overwriting the mode made that release a silent no-op and
   leaked the exclusive lock until abort.
-* **Per-entity wait queues.** Blocked transactions register as waiters via
-  :meth:`add_waiter`; :meth:`release` and :meth:`release_all_wake` return
-  the *wake-up set* — the waiters whose requested mode became grantable on
-  an entity whose holder set weakened — so the scheduler re-examines
-  exactly the sessions a release might have unblocked instead of
-  rescanning every live session each tick.  Waiters that still conflict
-  with the remaining holders (an EXCLUSIVE waiter across another holder's
-  EXCLUSIVE→SHARED downgrade, say) are not in the set: waking them was a
+* **Per-entity wait queues.** A transaction registers its pending request
+  via :meth:`add_waiter` — the service kernel a parked acquire, the event
+  engine every pending lock, blocked or not, from its classification until
+  it is cleared; :meth:`release` and :meth:`release_all_wake` return the
+  *wake-up set* — the queued names whose requested mode is grantable on an
+  entity whose holder set weakened — so the scheduler re-examines exactly
+  the sessions a release might have unblocked instead of rescanning every
+  live session each tick.  When the release leaves the entity with no
+  holder, the wake-up set is the whole queue, read without a conflict
+  query per waiter; otherwise requests that still conflict with the
+  remaining holders (an EXCLUSIVE waiter across another holder's
+  EXCLUSIVE→SHARED downgrade, say) are filtered out: waking them was a
   pure wasted re-classification.  :meth:`waiter_modes` exposes the queued
-  requests so the scheduler can maintain those waiters' waits-for edges
-  without re-classifying them.
+  requests so the scheduler can maintain the waiters' waits-for edges, and
+  move a runnable request to blocked, without re-classifying them.
 
 The cross-entity walks (``release_all`` and its wake variant, ``held_by``)
 iterate the per-transaction held index sorted by ``repr``, so their
@@ -78,8 +82,12 @@ class LockTable:
         """Every mode ``txn`` holds on ``entity`` (both, after an upgrade)."""
         return frozenset(self._holders.get(entity, {}).get(txn, ()))
 
-    def blockers(self, txn: str, entity: Entity, mode: LockMode) -> List[str]:
-        """Other transactions holding conflicting modes on ``entity``."""
+    def blockers(
+        self, txn: Optional[str], entity: Entity, mode: LockMode
+    ) -> List[str]:
+        """Transactions other than ``txn`` holding modes on ``entity`` that
+        conflict with ``mode`` (every such holder when ``txn`` is
+        ``None``)."""
         return [
             other
             for other, modes in self._holders.get(entity, {}).items()
@@ -145,11 +153,7 @@ class LockTable:
         that the holder set weakened.  Waiters that still conflict with the
         remaining holders are left queued and unwoken."""
         if self._drop(txn, entity, mode):
-            return [
-                w
-                for w, wanted in self._waiters.get(entity, {}).items()
-                if w != txn and self.grantable(w, entity, wanted)
-            ]
+            return self._wake_set(txn, entity)
         return []
 
     def release_all(self, txn: str) -> List[Tuple[Entity, LockMode]]:
@@ -173,22 +177,35 @@ class LockTable:
         released entity's now-grantable waiters."""
         released = self.release_all(txn)
         woken: List[str] = []
-        seen: Set[str] = set()
         for entity, _ in released:
-            for w, wanted in self._waiters.get(entity, {}).items():
-                if w != txn and w not in seen and self.grantable(w, entity, wanted):
-                    seen.add(w)
-                    woken.append(w)
+            # A transaction waits on at most one entity: no duplicates.
+            woken.extend(self._wake_set(txn, entity))
         return released, woken
+
+    def _wake_set(self, txn: str, entity: Entity) -> List[str]:
+        """The queued names (in arrival order) whose requested mode is
+        grantable on ``entity`` after ``txn`` weakened its hold there.
+        With no holder left every request is grantable, so the set is the
+        whole queue without a conflict query per waiter."""
+        queue = self._waiters.get(entity)
+        if not queue:
+            return []
+        if entity not in self._holders:
+            return [w for w in queue if w != txn]
+        return [
+            w
+            for w, wanted in queue.items()
+            if w != txn and self.grantable(w, entity, wanted)
+        ]
 
     # ------------------------------------------------------------------
     # Wait queues
     # ------------------------------------------------------------------
 
     def add_waiter(self, txn: str, entity: Entity, mode: LockMode) -> None:
-        """Register ``txn`` as blocked on ``entity`` wanting ``mode``.  A
+        """Queue ``txn``'s pending request for ``mode`` on ``entity``.  A
         transaction waits on at most one entity at a time (the simulator
-        blocks on the pending step only)."""
+        queues the pending step only)."""
         prev = self._waiting_on.get(txn)
         if prev is not None and prev != entity:
             self.remove_waiter(txn)

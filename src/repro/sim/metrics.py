@@ -65,9 +65,11 @@ class Metrics:
     classify_checks: int = 0
     #: Policy admission() evaluations.
     admission_checks: int = 0
-    #: Every ``LockTable.blockers`` call the engine makes: derivations
-    #: (wherever they run), edge refreshes after a release, and in-place
-    #: block transitions.
+    #: Blocker derivations: one per derivation whose pending step locks
+    #: (wherever it runs), per edge refresh after a release, and per
+    #: in-place block transition.  A grant that blocks several watchers
+    #: derives their edges from one ``LockTable.blockers`` call per wanted
+    #: mode, so the calls can be fewer than this count.
     blocker_queries: int = 0
     #: Waiters a lock release/commit/abort woke (moved to runnable in
     #: place, or marked dirty when their verdict needs the policy).

@@ -1,12 +1,23 @@
 """Direct unit coverage of the admission layer
 (:class:`repro.sim.AdmissionCache`): registration routing, the
-invalidation-channel subscription index, the watcher index, and the tick
-queries.  The full classification semantics are covered end to end by the
+invalidation-channel subscription index, the pending-lock registration
+the Classifier keeps on the lock table's queue, and the tick queries.
+The full classification semantics are covered end to end by the
 engine-equivalence suites; these tests pin the cache's contract in
 isolation.
 """
 
-from repro.sim import AdmissionCache, Metrics
+from repro.core import LockMode, Operation, Step
+from repro.policies.base import ScriptedSession
+from repro.sim import (
+    AdmissionCache,
+    LockTable,
+    Metrics,
+    TxnRecord,
+    WaitsForGraph,
+    WorkloadItem,
+)
+from repro.sim.admission import Classifier, LiveEntry
 
 
 def make_cache(live_names=("A", "B", "C")):
@@ -78,18 +89,33 @@ class TestChannels:
         assert metrics.invalidations == 0
 
 
-class TestDirtyRouting:
-    # Lock-event routing (wake-ups, watcher invalidation) lives in the
+class TestPendingLockRegistration:
+    # A pending lock is registered on the lock table's queue, not in the
+    # cache; lock-event routing (wake-ups, blocks) lives in the
     # Classifier's in-place transitions: tests/test_lock_transitions.py.
 
-    def test_watch_unwatch_round_trip(self):
-        cache, _, _ = make_cache()
-        cache.watch("e1", "A")
-        cache.watch("e1", "B")
-        cache.unwatch("e1", "A")
-        assert cache.watchers == {"e1": {"B"}}
-        cache.unwatch("e1", "B")
-        assert cache.watchers == {}
+    def test_register_clear_round_trip(self):
+        live, metrics, table = {}, Metrics(), LockTable()
+        cache = AdmissionCache(live, metrics)
+        classifier = Classifier(live, metrics, table, WaitsForGraph(), cache)
+        for name in ("B", "A"):
+            steps = [Step(Operation.LOCK_SHARED, "e1")]
+            live[name] = entry = LiveEntry(
+                WorkloadItem(name, steps),
+                ScriptedSession(name, steps),
+                TxnRecord(name, start_tick=0),
+            )
+            classifier.settle(entry)  # runnable, and queued all the same
+        S = LockMode.SHARED
+        assert list(cache.runnable) == ["A", "B"]
+        assert table.waiter_modes("e1") == [("B", S), ("A", S)]
+        classifier.clear(live["B"])
+        assert table.waiter_modes("e1") == [("A", S)]
+        assert table.waiting_entity("B") is None
+        classifier.clear(live["A"])
+        assert table.waiter_modes("e1") == []
+        assert table.waiting_entity("A") is None
+        assert not cache.runnable
 
 
 class TestTickQueries:

@@ -366,7 +366,8 @@ class TestEventEngineWins:
         assert run.metrics.deadlocks > 0
         assert run.graph.waits_for == {}
         assert run.graph.blocked_by == {}
-        assert run.cache.watchers == {}
+        # Nothing is left queued on the lock table either.
+        assert all(run.table.waiting_entity(i.name) is None for i in items)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):

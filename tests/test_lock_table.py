@@ -163,3 +163,78 @@ def test_upgrade_release_semantics():
     t.add_waiter("T2", "a", S)
     assert t.release("T1", "a", S) == []
     assert t.release("T1", "a", X) == ["T2"]
+
+
+class TestWakeSetFastPath:
+    """A release that leaves the entity with no holder wakes every other
+    queued name, in arrival order, without a conflict query per waiter;
+    a release that leaves holders still filters waiter by waiter.  Both
+    are checked against the model."""
+
+    @staticmethod
+    def build(queries, holders, waiters):
+        table, model = LockTable(), ModelTable()
+        for side in (table, model):
+            for txn, entity, mode in holders:
+                side.acquire(txn, entity, mode)
+            for txn, entity, mode in waiters:
+                side.add_waiter(txn, entity, mode)
+        queries.clear()  # the grants queried too
+        return table, model
+
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        calls = []
+        blockers = LockTable.blockers
+
+        def counted(self, txn, entity, mode):
+            calls.append(txn)
+            return blockers(self, txn, entity, mode)
+
+        monkeypatch.setattr(LockTable, "blockers", counted)
+        return calls
+
+    def test_a_release_that_frees_the_entity_wakes_every_waiter(self, queries):
+        table, model = self.build(
+            queries,
+            [("T1", "a", X)],
+            [("W3", "a", X), ("W1", "a", S), ("W2", "a", X)],
+        )
+        woken = table.release("T1", "a", X)
+        assert woken == model.release("T1", "a", X) == ["W3", "W1", "W2"]
+        assert queries == []
+        assert table.waiter_modes("a") == model.waiter_modes("a")
+
+    def test_release_all_wake_that_frees_every_entity(self, queries):
+        table, model = self.build(
+            queries,
+            [("T1", "a", X), ("T1", "b", S), ("T1", "b", X)],
+            [("W2", "a", X), ("W1", "a", S), ("W3", "b", X)],
+        )
+        result = table.release_all_wake("T1")
+        assert result == model.release_all_wake("T1")
+        assert result[1] == ["W2", "W1", "W3"]
+        assert queries == []
+
+    def test_a_release_under_s_sharing_filters_per_waiter(self, queries):
+        # T2 still holds S: the X waiter stays blocked, T2's own upgrade
+        # and the S waiter are grantable.
+        table, model = self.build(
+            queries,
+            [("T1", "a", S), ("T2", "a", S)],
+            [("W1", "a", X), ("T2", "a", X), ("W2", "a", S)],
+        )
+        woken = table.release("T1", "a", S)
+        assert woken == model.release("T1", "a", S) == ["T2", "W2"]
+        assert queries == ["W1", "T2", "W2"]
+
+    def test_an_x_to_s_downgrade_filters_per_waiter(self, queries):
+        table, model = self.build(
+            queries,
+            [("T1", "a", S), ("T1", "a", X)],
+            [("W1", "a", X), ("W2", "a", S)],
+        )
+        woken = table.release("T1", "a", X)
+        assert woken == model.release("T1", "a", X) == ["W2"]
+        assert queries == ["W1", "W2"]
+        assert table.holders("a") == model.holders("a") == {"T1": S}

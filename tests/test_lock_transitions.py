@@ -22,11 +22,13 @@ re-derived on the next tick.  Three contracts:
    admission counts its arrival tick ``t``; a watcher blocked in phase 3,
    an executor blocked by its own next step and a victim blocked at its
    re-begin start at ``t + 1``.
-3. **Block transition.**  An acquire blocks exactly the watchers whose
-   wanted mode conflicts with the holder's new effective mode — an S
-   acquire leaves an S watcher alone, an X acquire or an S→X upgrade
-   blocks it — and queues them in sorted name order, the order the dirty
-   route's sorted classify walk queued them in.
+3. **Block transition.**  An acquire blocks exactly the runnable
+   sessions queued on its entity (its watchers) whose wanted mode
+   conflicts with the holder's new effective mode — an S acquire leaves
+   an S watcher alone, an X acquire or an S→X upgrade blocks it — and a
+   blocked watcher keeps the queue place it registered at classification:
+   a pending lock is queued once, blocked or runnable, until the session
+   is cleared.
 """
 
 import pytest
@@ -40,8 +42,8 @@ from repro.policies import (
     TwoPhasePolicy,
 )
 from repro.policies.base import LockingPolicy, PolicyContext, ScriptedSession
-from repro.sim import Simulator, grid_factory
-from repro.sim.admission import LOCK_WAIT, RUNNABLE
+from repro.sim import LockTable, Simulator, grid_factory
+from repro.sim.admission import LOCK_WAIT, RUNNABLE, Classifier
 from repro.sim.scheduler import WorkloadItem, _Run
 from test_runnable_index import FACTORY_CELLS
 
@@ -68,16 +70,11 @@ def assert_coherent(run) -> int:
             f"{where}: edges {run.graph.waits_for.get(name)} != {d.edges}"
         )
         queued = table.waiting_entity(name)
-        if d.kind == LOCK_WAIT:
+        if d.entity is not None:  # LOCK_WAIT, or RUNNABLE with a pending lock
             assert queued == d.entity, f"{where}: queued on {queued!r}"
             assert dict(table.waiter_modes(queued))[name] == d.mode, where
         else:
             assert queued is None, f"{where}: still queued on {queued!r}"
-        assert entry.watch_entity == (d.entity if d.watch else None), (
-            f"{where}: watching {entry.watch_entity!r}"
-        )
-        if d.watch:
-            assert name in cache.watchers.get(d.entity, ()), where
         assert (name in cache.runnable) == (d.kind == RUNNABLE), where
         checked += 1
     return checked
@@ -301,8 +298,8 @@ class TestSettleRouting:
         cache = run.cache
         assert not cache.dirty and not cache.dynamic and not cache.phase1
         assert list(cache.runnable) == ["H", "R"]
-        assert run.live["H"].watch_entity == "a"
-        assert run.live["R"].watch_entity is None  # nothing to lock
+        assert run.table.waiter_modes("a") == [("H", LockMode.EXCLUSIVE)]
+        assert run.table.waiting_entity("R") is None  # nothing to lock
         assert run.metrics.classify_checks == 2
         assert run.metrics.blocker_queries == 1
 
@@ -396,9 +393,9 @@ class TestBlockTransition:
         run = manual_run({"H": [ls("a"), r("a")], "S": [ls("a"), r("a")]})
         tick(run, "H")
         entry = run.live["S"]
-        assert entry.state == RUNNABLE and entry.watch_entity == "a"
+        assert entry.state == RUNNABLE and "S" not in run.graph.waits_for
         assert "S" in run.cache.runnable and "S" not in run.cache.dirty
-        assert run.table.waiting_entity("S") is None
+        assert run.table.waiter_modes("a") == [("S", LockMode.SHARED)]
         assert run.metrics.lock_transitions == 0
 
     def test_x_acquire_blocks_an_s_watcher_in_place(self):
@@ -408,7 +405,7 @@ class TestBlockTransition:
         assert run.metrics.blocker_queries == 2
         tick(run, "H")
         entry = run.live["S"]
-        assert entry.state == LOCK_WAIT and entry.watch_entity is None
+        assert entry.state == LOCK_WAIT
         assert "S" not in run.cache.runnable and "S" not in run.cache.dirty
         assert run.graph.waits_for["S"] == {"H"}
         assert run.table.waiter_modes("a") == [("S", LockMode.SHARED)]
@@ -432,14 +429,24 @@ class TestBlockTransition:
         assert run.graph.waits_for["S"] == {"H"}
         assert run.metrics.lock_transitions == 1
 
-    def test_blocked_watchers_queue_in_sorted_name_order(self):
-        names = [f"T{i:02d}" for i in range(12)]
-        scripts = {"H": [lx("a"), w("a")]}
-        for i, name in enumerate(names):
-            scripts[name] = [ls("a"), r("a")] if i % 2 else [lx("a"), w("a")]
-        run = manual_run(scripts)
-        tick(run, "H")
-        assert run.table.waiters_of("a") == names
+    def test_a_blocked_watcher_keeps_its_registration_place(self):
+        # The watchers arrive one tick apart in reverse name order, so
+        # they register in an order that is not the sorted one, while H
+        # works on b; H's own pending lock on a registers last.
+        names = [f"T{i:02d}" for i in range(6)]
+        arrivals = names[::-1]
+        scripts = {"H": (0, [lx("b")] + [w("b")] * len(names) + [lx("a"), w("a")])}
+        for t, name in enumerate(arrivals):
+            scripts[name] = (t, [ls("a"), r("a")] if t % 2 else [lx("a"), w("a")])
+        run = _Run(Simulator(ScriptPolicy()), items_of(scripts))
+        run.admit_arrivals()
+        for _ in range(len(names) + 1):
+            tick(run, "H")
+        assert run.table.waiters_of("a") == arrivals + ["H"]
+        assert all(run.live[n].state == RUNNABLE for n in names)
+        tick(run, "H")  # H's X acquire blocks every watcher in place
+        assert run.table.waiters_of("a") == arrivals
+        assert all(run.live[n].state == LOCK_WAIT for n in names)
         assert run.metrics.lock_transitions == len(names)
 
 
@@ -460,8 +467,151 @@ class TestWakeRouting:
         assert m.wakeups == 2
         assert m.lock_transitions == moved + 1
         assert run.live["P"].state == RUNNABLE and "P" not in run.cache.dirty
-        assert run.live["P"].watch_entity == "a"
-        assert run.table.waiting_entity("P") is None and "P" not in run.graph.waits_for
+        assert "P" not in run.graph.waits_for
+        # A woken waiter stays queued on its entity, in its place.
+        assert run.table.waiter_modes("a") == [
+            ("P", LockMode.EXCLUSIVE), ("Q", LockMode.EXCLUSIVE)
+        ]
         assert "Q" in run.cache.dirty
         run.classifier.wake(["Q"])  # already dirty: not counted again
+        run.classifier.wake(["P"])  # runnable now: not a wake-up
         assert m.wakeups == 2
+        assert m.lock_transitions == moved + 1
+
+
+def blocker_calls_inside(monkeypatch, owner, method):
+    """The ``LockTable.blockers`` calls made inside each call of
+    ``owner.method``, one ``[(txn, entity, mode), ...]`` list per call
+    (the coherence oracle's own derivations are not counted)."""
+    calls, per_call = [], []
+    blockers, wrapped = LockTable.blockers, getattr(owner, method)
+
+    def counted_blockers(self, txn, entity, mode):
+        calls.append((txn, entity, mode))
+        return blockers(self, txn, entity, mode)
+
+    def counted(self, *args):
+        start = len(calls)
+        result = wrapped(self, *args)
+        per_call.append(calls[start:])
+        return result
+
+    monkeypatch.setattr(LockTable, "blockers", counted_blockers)
+    monkeypatch.setattr(owner, method, counted)
+    return per_call
+
+
+@pytest.fixture
+def acquire_queries(monkeypatch):
+    return blocker_calls_inside(monkeypatch, Classifier, "acquired")
+
+
+class TestHerd:
+    """A hot entity with N X-waiters and some S watchers.  A release that
+    frees it wakes the whole herd in one pass, and the next grant
+    re-blocks whoever now conflicts with one blocker query per wanted
+    mode, everyone keeping their queue place."""
+
+    XS = [f"X{i}" for i in range(5)]
+    SS = ["S0", "S1", "S2"]
+
+    def herd(self):
+        """H's X grant has blocked the herd in place; H's next step is
+        the unlock."""
+        scripts = {"H": [lx("a"), w("a"), ux("a")]}
+        scripts.update({n: [lx("a"), w("a")] for n in self.XS})
+        scripts.update({n: [ls("a"), r("a")] for n in self.SS})
+        run = manual_run(scripts)
+        tick(run, "H")
+        tick(run, "H")
+        assert all(run.live[n].state == LOCK_WAIT for n in self.XS + self.SS)
+        return run
+
+    def woken_herd(self):
+        run = self.herd()
+        tick(run, "H")
+        return run
+
+    def test_a_release_wakes_the_whole_herd(self, monkeypatch):
+        run = self.herd()
+        herd = self.XS + self.SS
+        m = run.metrics
+        wakeups, moved = m.wakeups, m.lock_transitions
+        release_queries = blocker_calls_inside(monkeypatch, LockTable, "release")
+        tick(run, "H")  # H unlocks a: nobody holds it any more
+        assert m.wakeups == wakeups + len(herd)
+        assert m.lock_transitions == moved + len(herd)
+        assert all(run.live[n].state == RUNNABLE for n in herd)
+        assert not run.graph.waits_for
+        # Every woken waiter is still queued, in its registration place,
+        # and the wake-up set was read without a conflict query.
+        assert run.table.waiters_of("a") == sorted(herd)
+        assert release_queries == [[]]
+
+    def test_the_next_x_grant_reblocks_the_rest(self, acquire_queries):
+        run = self.woken_herd()
+        m = run.metrics
+        queries, moved = m.blocker_queries, m.lock_transitions
+        tick(run, "X0")
+        rest = [n for n in self.XS + self.SS if n != "X0"]
+        for n in rest:
+            assert run.live[n].state == LOCK_WAIT, n
+            assert run.graph.waits_for[n] == {"X0"}, n
+        assert run.table.waiters_of("a") == sorted(rest)
+        assert m.lock_transitions == moved + len(rest)
+        assert m.blocker_queries == queries + len(rest)
+        # One query per wanted mode, shared by the herd.
+        assert sorted(acquire_queries[-1], key=str) == [
+            (None, "a", LockMode.EXCLUSIVE), (None, "a", LockMode.SHARED),
+        ]
+
+    def test_an_s_grant_leaves_s_watchers_alone(self, acquire_queries):
+        run = self.woken_herd()
+        moved = run.metrics.lock_transitions
+        tick(run, "S0")
+        for n in ("S1", "S2"):
+            assert run.live[n].state == RUNNABLE and n in run.cache.runnable
+            assert n not in run.graph.waits_for
+        for n in self.XS:
+            assert run.live[n].state == LOCK_WAIT
+            assert run.graph.waits_for[n] == {"S0"}
+        assert run.metrics.lock_transitions == moved + len(self.XS)
+        assert acquire_queries[-1] == [(None, "a", LockMode.EXCLUSIVE)]
+
+    def test_an_s_holder_waiting_to_upgrade_is_not_its_own_blocker(
+        self, acquire_queries
+    ):
+        # U holds S on a and wants X next (runnable while alone); V's S
+        # grant blocks U on V only, and W, an X watcher, on both.
+        run = manual_run({
+            "U": [ls("a"), lx("a"), w("a")],
+            "V": [ls("a"), r("a")],
+            "W": [r("z"), lx("a"), w("a")],
+        })
+        tick(run, "U")
+        assert run.live["U"].state == RUNNABLE
+        tick(run, "W")  # W's next step: X on a, blocked by U at once
+        assert run.graph.waits_for["W"] == {"U"}
+        tick(run, "V")
+        assert run.live["U"].state == LOCK_WAIT
+        assert run.graph.waits_for["U"] == {"V"}
+        assert run.graph.waits_for["W"] == {"U", "V"}
+        assert acquire_queries[-1] == [(None, "a", LockMode.EXCLUSIVE)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_naive_engine_agrees_on_a_herd_storm(self, seed):
+        # Sixteen sessions, staggered, over two hot entities taken in
+        # opposite orders: herds wake, re-block, upgrade and deadlock.
+        scripts = {}
+        for i in range(16):
+            hot, other = ("a", "b") if i % 2 else ("b", "a")
+            if i % 4 == 0:
+                steps = [ls(hot), r(hot), ls(other), r(other)]
+            elif i % 4 == 1:
+                steps = [ls(hot), r(hot), lx(hot), w(hot), lx(other), w(other)]
+            else:
+                steps = [lx(hot), w(hot), lx(other), w(other)]
+            scripts[f"T{i:02d}"] = (i % 3, steps)
+        m = run_both(scripts, seed=seed).metrics
+        assert m.deadlocks > 0 and m.committed > 0
+        assert m.wakeups > 0 and m.lock_transitions > m.wakeups
