@@ -22,57 +22,60 @@ See ``examples/`` for worked scenarios and ``benchmarks/`` for the
 figure-by-figure reproduction harness.
 """
 
-from .core import (  # noqa: F401
-    CanonicalWitness,
-    DatabaseState,
-    Entity,
-    Event,
-    InteractionGraph,
-    LockMode,
-    Operation,
-    SafetyVerdict,
-    Schedule,
-    SerializabilityGraph,
-    Step,
-    StructuralState,
-    Transaction,
-    ValueState,
-    all_two_phase,
-    analyze_two_phase,
-    assert_well_formed,
-    canonicalize,
-    decide_safety,
-    find_canonical_witness,
-    find_completion,
-    find_nonserializable_schedule,
-    is_completable,
-    is_safe_bruteforce,
-    is_safe_canonical,
-    is_serializable,
-    move,
-    parse_step,
-    parse_steps,
-    serializability_graph,
-    serialization_order,
-    split_at_first_cycle,
-    static_chordless_heuristic,
-    step,
-    transpose,
-    two_phase_locked,
-    validate_schedule,
-)
-from .exceptions import (  # noqa: F401
-    DeadlockError,
-    IllegalScheduleError,
-    ImproperScheduleError,
-    MalformedScheduleError,
-    MalformedTransactionError,
-    ModelError,
-    PolicyViolation,
-    ReproError,
-    SearchBudgetExceeded,
-    SimulationError,
-    VerificationError,
-)
+from . import _exports
+
+_EXPORTS = {
+    "CanonicalWitness": ".core",
+    "DatabaseState": ".core",
+    "Entity": ".core",
+    "Event": ".core",
+    "InteractionGraph": ".core",
+    "LockMode": ".core",
+    "Operation": ".core",
+    "SafetyVerdict": ".core",
+    "Schedule": ".core",
+    "SerializabilityGraph": ".core",
+    "Step": ".core",
+    "StructuralState": ".core",
+    "Transaction": ".core",
+    "ValueState": ".core",
+    "all_two_phase": ".core",
+    "analyze_two_phase": ".core",
+    "assert_well_formed": ".core",
+    "canonicalize": ".core",
+    "decide_safety": ".core",
+    "find_canonical_witness": ".core",
+    "find_completion": ".core",
+    "find_nonserializable_schedule": ".core",
+    "is_completable": ".core",
+    "is_safe_bruteforce": ".core",
+    "is_safe_canonical": ".core",
+    "is_serializable": ".core",
+    "move": ".core",
+    "parse_step": ".core",
+    "parse_steps": ".core",
+    "serializability_graph": ".core",
+    "serialization_order": ".core",
+    "split_at_first_cycle": ".core",
+    "static_chordless_heuristic": ".core",
+    "step": ".core",
+    "transpose": ".core",
+    "two_phase_locked": ".core",
+    "validate_schedule": ".core",
+    "DeadlockError": ".exceptions",
+    "IllegalScheduleError": ".exceptions",
+    "ImproperScheduleError": ".exceptions",
+    "MalformedScheduleError": ".exceptions",
+    "MalformedTransactionError": ".exceptions",
+    "ModelError": ".exceptions",
+    "PolicyViolation": ".exceptions",
+    "ReproError": ".exceptions",
+    "SearchBudgetExceeded": ".exceptions",
+    "SimulationError": ".exceptions",
+    "VerificationError": ".exceptions",
+}
+
+__all__ = tuple(_EXPORTS)
+__getattr__, __dir__ = _exports.attach(__name__, _EXPORTS)
 
 __version__ = "1.0.0"

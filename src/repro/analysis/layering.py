@@ -24,15 +24,22 @@ Special cases:
   both sides of the equivalence suites and cancel out.
 * ``repro.analysis`` / ``repro.lint`` import nothing from the rest of
   ``repro``: the linter must not be breakable by the code it checks.
+  The package inits export lazily (``repro/_exports.py``), so running
+  ``repro/__init__.py`` on the way to the linter loads no other layer.
+* ``repro._exports`` imports nothing from ``repro``: every package init
+  imports it.
 
 The table below encodes *forbidden* prefixes per module prefix (every
 matching rule applies, most specific included).  Relative imports are
-resolved against the file's module name before matching.
+resolved against the file's module name before matching.  A package
+init's ``_EXPORTS`` table counts as imports too: each entry ``"name":
+".sub"`` is checked as ``from .sub import name``, on the entry's line.
 """
 
 from __future__ import annotations
 
 import ast
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import Finding, register_rule
@@ -98,11 +105,16 @@ LAYER_RULES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("repro.bench", ("repro.analysis", "repro.lint")),
     ("repro.analysis", _ANALYSIS_FORBIDDEN),
     ("repro.lint", _ANALYSIS_FORBIDDEN),
+    ("repro._exports", ("repro",)),
 )
 
 
 def _matches(module: str, prefix: str) -> bool:
     return module == prefix or module.startswith(prefix + ".")
+
+
+def _is_package(ctx: FileContext) -> bool:
+    return ctx.path.replace("\\", "/").endswith("__init__.py")
 
 
 def _resolve_relative(
@@ -113,8 +125,7 @@ def _resolve_relative(
     if node.level == 0:
         return node.module
     parts = ctx.module.split(".") if ctx.module else []
-    is_package = ctx.path.replace("\\", "/").endswith("__init__.py")
-    base = parts if is_package else parts[:-1]
+    base = parts if _is_package(ctx) else parts[:-1]
     climb = node.level - 1
     if climb > len(base):
         return None
@@ -125,10 +136,42 @@ def _resolve_relative(
     return ".".join(base) if base else None
 
 
+def _export_entries(ctx: FileContext) -> Iterator[ast.ImportFrom]:
+    """Each entry of a package init's module-level ``_EXPORTS`` table
+    (name -> submodule, see ``repro/_exports.py``) as the ``from
+    <submodule> import <name>`` it stands for, located at the entry."""
+    if not _is_package(ctx):
+        return
+    for node in ctx.tree.body:
+        if not (
+            isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+            and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS"
+                for t in node.targets
+            )
+        ):
+            continue
+        for key, value in zip(node.value.keys, node.value.values):
+            if not (
+                isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(value, ast.Constant)
+                and isinstance(value.value, str)
+            ):
+                continue
+            module = value.value.lstrip(".")
+            entry = ast.ImportFrom(
+                module=module or None,
+                names=[ast.alias(name=key.value)],
+                level=len(value.value) - len(module),
+            )
+            yield ast.copy_location(entry, value)
+
+
 def _imports(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
     """Every (node, absolute dotted target) imported by the file,
-    including per-alias submodule targets of ``from pkg import name``."""
-    for node in ast.walk(ctx.tree):
+    including per-alias submodule targets of ``from pkg import name``
+    and the entries of a package init's ``_EXPORTS`` table."""
+    for node in chain(ast.walk(ctx.tree), _export_entries(ctx)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node, alias.name

@@ -1,32 +1,25 @@
 """From-scratch graph substrate: digraphs, rooted DAGs, dominators, forests,
 and random generators for workloads."""
 
-from .dag import RootedDag, chain, diamond
-from .digraph import DiGraph, Edge, Node
-from .dominators import dominates, dominator_sets, immediate_dominators
-from .forest import Forest
-from .generators import (
-    layered_dag,
-    random_root_path,
-    random_rooted_dag,
-    random_subdag_walk,
-    random_tree,
-)
+from .. import _exports
 
-__all__ = [
-    "DiGraph",
-    "Edge",
-    "Forest",
-    "Node",
-    "RootedDag",
-    "chain",
-    "diamond",
-    "dominates",
-    "dominator_sets",
-    "immediate_dominators",
-    "layered_dag",
-    "random_root_path",
-    "random_rooted_dag",
-    "random_subdag_walk",
-    "random_tree",
-]
+_EXPORTS = {
+    "DiGraph": ".digraph",
+    "Edge": ".digraph",
+    "Forest": ".forest",
+    "Node": ".digraph",
+    "RootedDag": ".dag",
+    "chain": ".dag",
+    "diamond": ".dag",
+    "dominates": ".dominators",
+    "dominator_sets": ".dominators",
+    "immediate_dominators": ".dominators",
+    "layered_dag": ".generators",
+    "random_root_path": ".generators",
+    "random_rooted_dag": ".generators",
+    "random_subdag_walk": ".generators",
+    "random_tree": ".generators",
+}
+
+__all__ = tuple(_EXPORTS)
+__getattr__, __dir__ = _exports.attach(__name__, _EXPORTS)

@@ -23,38 +23,30 @@ import **only** this package — lint rule RPR003 enforces both directions
 (kernel never imports the sim drivers; service imports nothing from sim).
 """
 
-from ..core.operations import LockMode
-from ..core.steps import Entity
-from ..sim.admission import AdmissionCache, Classifier
-from ..sim.deadlock import find_cycle, pick_victim, victim_cost
-from ..sim.live import LiveEntry
-from ..sim.lock_table import LockTable
-from ..sim.metrics import Metrics, TxnRecord
-from ..sim.waits_for import WaitsForGraph
-from .audit import AuditEntry, AuditLog
-from .core import AdmissionHook, LockKernel, WakeCallback
-from .lifecycle import KernelRun
-from .outcomes import KernelResponse, Outcome
+from .. import _exports
 
-__all__ = [
-    "AdmissionCache",
-    "AdmissionHook",
-    "AuditEntry",
-    "AuditLog",
-    "Classifier",
-    "Entity",
-    "KernelResponse",
-    "KernelRun",
-    "LiveEntry",
-    "LockKernel",
-    "LockMode",
-    "LockTable",
-    "Metrics",
-    "Outcome",
-    "TxnRecord",
-    "WaitsForGraph",
-    "WakeCallback",
-    "find_cycle",
-    "pick_victim",
-    "victim_cost",
-]
+_EXPORTS = {
+    "AdmissionCache": "..sim.admission",
+    "AdmissionHook": ".core",
+    "AuditEntry": ".audit",
+    "AuditLog": ".audit",
+    "Classifier": "..sim.admission",
+    "Entity": "..core.steps",
+    "KernelResponse": ".outcomes",
+    "KernelRun": ".lifecycle",
+    "LiveEntry": "..sim.live",
+    "LockKernel": ".core",
+    "LockMode": "..core.operations",
+    "LockTable": "..sim.lock_table",
+    "Metrics": "..sim.metrics",
+    "Outcome": ".outcomes",
+    "TxnRecord": "..sim.metrics",
+    "WaitsForGraph": "..sim.waits_for",
+    "WakeCallback": ".core",
+    "find_cycle": "..sim.deadlock",
+    "pick_victim": "..sim.deadlock",
+    "victim_cost": "..sim.deadlock",
+}
+
+__all__ = tuple(_EXPORTS)
+__getattr__, __dir__ = _exports.attach(__name__, _EXPORTS)

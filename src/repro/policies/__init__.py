@@ -1,87 +1,46 @@
 """Locking policies: DDAG (Section 4), altruistic (Section 5), dynamic tree
 (Section 6), the 2PL baseline, and deliberately unsafe controls."""
 
-from .altruistic import (
-    AltruisticContext,
-    AltruisticPolicy,
-    AltruisticSession,
-    check_altruistic_schedule,
-)
-from .base import (
-    Access,
-    Admission,
-    AdmissionResult,
-    DeleteEdge,
-    DeleteNode,
-    InsertEdge,
-    InsertNode,
-    Intent,
-    LockingPolicy,
-    PolicyContext,
-    PolicySession,
-    Read,
-    ScriptedSession,
-    Write,
-    access_steps,
-    edge_entity,
-    intent_entities,
-)
-from .ddag import (
-    DdagContext,
-    DdagPolicy,
-    DdagSession,
-    Unlock,
-    check_ddag_schedule,
-)
-from .dtr import (
-    DtrContext,
-    DtrPolicy,
-    DtrSession,
-    check_dtr_schedule,
-    check_tree_locked,
-)
-from .two_phase import TwoPhaseContext, TwoPhasePolicy
-from .unsafe import (
-    BrokenAltruisticPolicy,
-    BrokenDdagPolicy,
-    FreeForAllPolicy,
-)
+from .. import _exports
 
-__all__ = [
-    "Access",
-    "Admission",
-    "AdmissionResult",
-    "AltruisticContext",
-    "AltruisticPolicy",
-    "AltruisticSession",
-    "BrokenAltruisticPolicy",
-    "BrokenDdagPolicy",
-    "DdagContext",
-    "DdagPolicy",
-    "DdagSession",
-    "DeleteEdge",
-    "DeleteNode",
-    "DtrContext",
-    "DtrPolicy",
-    "DtrSession",
-    "FreeForAllPolicy",
-    "InsertEdge",
-    "InsertNode",
-    "Intent",
-    "LockingPolicy",
-    "PolicyContext",
-    "PolicySession",
-    "Read",
-    "ScriptedSession",
-    "TwoPhaseContext",
-    "TwoPhasePolicy",
-    "Unlock",
-    "Write",
-    "access_steps",
-    "check_altruistic_schedule",
-    "check_ddag_schedule",
-    "check_dtr_schedule",
-    "check_tree_locked",
-    "edge_entity",
-    "intent_entities",
-]
+_EXPORTS = {
+    "Access": ".base",
+    "Admission": ".base",
+    "AdmissionResult": ".base",
+    "AltruisticContext": ".altruistic",
+    "AltruisticPolicy": ".altruistic",
+    "AltruisticSession": ".altruistic",
+    "BrokenAltruisticPolicy": ".unsafe",
+    "BrokenDdagPolicy": ".unsafe",
+    "DdagContext": ".ddag",
+    "DdagPolicy": ".ddag",
+    "DdagSession": ".ddag",
+    "DeleteEdge": ".base",
+    "DeleteNode": ".base",
+    "DtrContext": ".dtr",
+    "DtrPolicy": ".dtr",
+    "DtrSession": ".dtr",
+    "FreeForAllPolicy": ".unsafe",
+    "InsertEdge": ".base",
+    "InsertNode": ".base",
+    "Intent": ".base",
+    "LockingPolicy": ".base",
+    "PolicyContext": ".base",
+    "PolicySession": ".base",
+    "Read": ".base",
+    "ScriptedSession": ".base",
+    "TwoPhaseContext": ".two_phase",
+    "TwoPhasePolicy": ".two_phase",
+    "Unlock": ".ddag",
+    "Write": ".base",
+    "access_steps": ".base",
+    "check_altruistic_schedule": ".altruistic",
+    "check_ddag_schedule": ".ddag",
+    "check_dtr_schedule": ".dtr",
+    "check_tree_locked": ".dtr",
+    "edge_entity": ".base",
+    "intent_entities": ".base",
+}
+
+__all__ = tuple(_EXPORTS)
+__getattr__, __dir__ = _exports.attach(__name__, _EXPORTS)

@@ -5,7 +5,11 @@ Layering (lint rule RPR003 enforces it): this package imports **only**
 ``repro.kernel`` (and, if a deployment wires policy sessions into the
 admission seam, ``repro.policies``) — never ``repro.sim``.  Everything
 the service needs from the simulator's state layers reaches it through
-the kernel's re-exports.
+the kernel's re-exports.  The package inits export lazily, so importing
+the service loads the kernel's request API and the three state layers it
+runs on (``sim.lock_table``, ``sim.waits_for``, ``sim.deadlock``) — not
+the simulator, the policies, the Theorem-1 deciders or
+``multiprocessing`` (``tests/test_import_budget.py`` pins this).
 
 * :mod:`~repro.service.protocol` — the JSON-line wire protocol;
 * :mod:`~repro.service.auth` — owner-only inline authorization;
@@ -14,31 +18,22 @@ the kernel's re-exports.
   handling, backpressure, drain) and :class:`ServiceClient`.
 """
 
-from .auth import Authorizer
-from .protocol import (
-    MUTATING_OPS,
-    OPS,
-    PROTOCOL_VERSION,
-    QUERY_OPS,
-    ProtocolError,
-    decode,
-    encode,
-    parse_mode,
-)
-from .server import LockService, ServiceClient
-from .transport import memory_pair
+from .. import _exports
 
-__all__ = [
-    "Authorizer",
-    "LockService",
-    "MUTATING_OPS",
-    "OPS",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "QUERY_OPS",
-    "ServiceClient",
-    "decode",
-    "encode",
-    "memory_pair",
-    "parse_mode",
-]
+_EXPORTS = {
+    "Authorizer": ".auth",
+    "LockService": ".server",
+    "MUTATING_OPS": ".protocol",
+    "OPS": ".protocol",
+    "PROTOCOL_VERSION": ".protocol",
+    "ProtocolError": ".protocol",
+    "QUERY_OPS": ".protocol",
+    "ServiceClient": ".server",
+    "decode": ".protocol",
+    "encode": ".protocol",
+    "memory_pair": ".transport",
+    "parse_mode": ".protocol",
+}
+
+__all__ = tuple(_EXPORTS)
+__getattr__, __dir__ = _exports.attach(__name__, _EXPORTS)

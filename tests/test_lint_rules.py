@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -283,3 +285,69 @@ class TestInjectionGuard:
         assert lint_main([str(tmp_path / "src")]) == 1
         findings = analyze_paths([str(tmp_path / "src")])
         assert {f.code for f in findings} == {"RPR001"}
+
+
+class TestExportTables:
+    """RPR003 reads a package init's ``_EXPORTS`` table (name ->
+    submodule) as the imports it stands for, each on its entry's line."""
+
+    @staticmethod
+    def _service_init(tmp_path, entries):
+        init = tmp_path / "src" / "repro" / "service" / "__init__.py"
+        init.parent.mkdir(parents=True)
+        init.write_text(
+            '"""A service init."""\n\n'
+            "from .. import _exports\n\n"
+            "_EXPORTS = {\n"
+            + "".join(f'    "{k}": "{v}",\n' for k, v in entries)
+            + "}\n\n"
+            "__all__ = tuple(_EXPORTS)\n"
+            "__getattr__, __dir__ = _exports.attach(__name__, _EXPORTS)\n"
+        )
+        return str(init)
+
+    def test_entry_into_sim_is_flagged_on_its_line(self, tmp_path):
+        path = self._service_init(
+            tmp_path,
+            [("LockService", ".server"), ("Simulator", "..sim.scheduler")],
+        )
+        (finding,) = analyze_file(path)
+        assert finding.code == "RPR003"
+        assert finding.line == 7
+        assert "'repro.sim'" in finding.message
+        assert "repro.sim.scheduler" in finding.message
+
+    def test_conforming_table_passes(self, tmp_path):
+        path = self._service_init(
+            tmp_path,
+            [("LockService", ".server"), ("LockKernel", "..kernel.core")],
+        )
+        assert analyze_file(path) == []
+
+    def test_only_package_inits_have_tables(self, tmp_path):
+        module = tmp_path / "src" / "repro" / "service" / "helpers.py"
+        module.parent.mkdir(parents=True)
+        module.write_text('_EXPORTS = {"Simulator": "..sim.scheduler"}\n')
+        assert analyze_file(str(module)) == []
+
+
+class TestLinterIsolation:
+    """The linter runs on a tree whose checked code cannot even be
+    imported: running ``repro/__init__.py`` loads no other layer."""
+
+    def test_lint_runs_on_a_tree_with_a_broken_core_module(self, tmp_path):
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            os.path.join(REPO_ROOT, "src", "repro"), tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        with open(tree / "core" / "canonical.py", "a") as fh:
+            fh.write('\nraise RuntimeError("broken on import")\n')
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.lint", str(tree)],
+            env=env, cwd=str(tmp_path), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.stdout.splitlines()[-1:] == ["0 finding(s)"], done.stderr
+        assert done.returncode == 0
