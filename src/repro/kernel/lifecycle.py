@@ -16,10 +16,12 @@ its pending step and the lock table (2PL, DTR, scripted) is classified
 where the events that decide it happen, never in the classify phase:
 
 * its own step — after ``executed()``, ``Classifier.settle`` peeks the
-  next step once: a drained script goes to ``complete``, any other step
-  gets its verdict (LOCK_WAIT on its blockers, or RUNNABLE), and a
-  pending lock is queued on its entity either way, until the session's
-  next clear;
+  next step once, on the still-RUNNABLE session without clearing it: a
+  drained script is cleared and goes to ``complete``, any other step
+  gets its verdict (LOCK_WAIT on its blockers, or it stays RUNNABLE),
+  the executed lock leaves the queue and a pending lock is queued on its
+  entity either way — so the runnable index moves only when the session
+  blocks or drains;
 * its admission and its restart — ``_register`` calls the same;
 * a grant hands the acquired entity to ``Classifier.acquired``, one walk
   of that entity's queue (blocked waiters' edges extend; runnable
@@ -221,19 +223,22 @@ class KernelRun:
         entry.session.executed()
         m.events_executed += 1
         entry.record.steps_executed += 1
-        if self.event_engine:
-            self.classifier.clear(entry)
-            if not entry.needs_admission:
-                # Its own acquire and wake-ups are done, so the verdict of
-                # its next step is decided now.
-                self.classifier.settle(entry)
-            elif entry.tracks_deps:
-                # Defer the replanning peek to next tick's phase 1 (it may
-                # raise or drain to None — commit/abort are phase-1
-                # business, exactly when the naive engine sees them).
-                self.cache.phase1.add(name)
-                self.cache.dirty.add(name)
-            # A dynamic session is re-examined every tick anyway.
+        if not self.event_engine:
+            return
+        if not entry.needs_admission:
+            # Its own acquire and wake-ups are done, so the verdict of its
+            # next step is decided now; it is still RUNNABLE, and settle
+            # moves only what that next step changes.
+            self.classifier.settle(entry)
+            return
+        self.classifier.clear(entry)
+        if entry.tracks_deps:
+            # Defer the replanning peek to next tick's phase 1 (it may
+            # raise or drain to None — commit/abort are phase-1 business,
+            # exactly when the naive engine sees them).
+            self.cache.phase1.add(name)
+            self.cache.dirty.add(name)
+        # A dynamic session is re-examined every tick anyway.
 
     def _wake(self, names) -> None:
         """A release returned these waiters in its wake-up set."""

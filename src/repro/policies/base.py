@@ -32,7 +32,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.operations import LockMode
+from ..core.operations import LockMode, Operation
 from ..core.steps import Entity, Step
 
 
@@ -287,8 +287,6 @@ class LockingPolicy(ABC):
 
 def access_steps(entity: Entity) -> Tuple[Step, ...]:
     """The data steps of one ACCESS: ``(R e) (W e)``."""
-    from ..core.operations import Operation
-
     return (Step(Operation.READ, entity), Step(Operation.WRITE, entity))
 
 

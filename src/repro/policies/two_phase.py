@@ -11,7 +11,7 @@ which is precisely the problem altruistic locking attacks).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.operations import LockMode, Operation
 from ..core.steps import Entity, Step
@@ -35,18 +35,23 @@ from .base import (
 
 def _classify(intents: Sequence[Intent], use_shared: bool) -> Tuple[List[Entity], List[Entity]]:
     """Split touched entities into (exclusive, shared) lock lists, in first
-    use order."""
+    use order (membership is tested on a set beside each list)."""
     exclusive: List[Entity] = []
     shared: List[Entity] = []
+    exclusive_set: Set[Entity] = set()
+    shared_set: Set[Entity] = set()
 
     def need_x(e: Entity) -> None:
-        if e in shared:
+        if e in shared_set:
+            shared_set.discard(e)
             shared.remove(e)
-        if e not in exclusive:
+        if e not in exclusive_set:
+            exclusive_set.add(e)
             exclusive.append(e)
 
     def need_s(e: Entity) -> None:
-        if e not in shared and e not in exclusive:
+        if e not in shared_set and e not in exclusive_set:
+            shared_set.add(e)
             shared.append(e)
 
     for intent in intents:
@@ -113,17 +118,18 @@ class TwoPhaseContext(PolicyContext):
             # Incremental strict 2PL: lock at first use, hold to commit —
             # the classic baseline whose long-transaction blocking the
             # altruistic policy was designed to relieve.
-            locked: List[Entity] = []
+            shared_set = set(shared)
+            locked: Set[Entity] = set()
             for intent in intents:
                 for data in _data_steps(intent):
                     if data.entity not in locked:
                         mode = (
                             Operation.LOCK_SHARED
-                            if data.entity in shared
+                            if data.entity in shared_set
                             else Operation.LOCK_EXCLUSIVE
                         )
                         steps.append(Step(mode, data.entity))
-                        locked.append(data.entity)
+                        locked.add(data.entity)
                     steps.append(data)
         steps.extend(Step(Operation.UNLOCK_EXCLUSIVE, e) for e in exclusive)
         steps.extend(Step(Operation.UNLOCK_SHARED, e) for e in shared)

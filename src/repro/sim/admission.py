@@ -33,7 +33,9 @@ waiters' waits-for edges fresh across grants and grantability-filtered
 releases without re-classifying them.
 
 A pending lock is registered once: from its classification until
-:meth:`Classifier.clear`, a session whose pending step locks sits on
+:meth:`Classifier.clear` (or, for a session whose verdict needs no
+policy, until the settle after its own step executes it), a session
+whose pending step locks sits on
 :class:`LockTable`'s queue for that entity with its wanted mode, whether
 it is LOCK_WAIT or RUNNABLE.  The queue is the only index of who wants
 an entity — ``table.waiting_entity(name)`` is where it is read — so wake
@@ -47,7 +49,10 @@ the classify phase:
 * **step, admission, restart** (:meth:`Classifier.settle`, called by the
   kernel after the session's own step, at its admission and at its
   re-begin after an abort) — pending lock → blockers → LOCK_WAIT or
-  RUNNABLE, a derivation counted like any other;
+  RUNNABLE, a derivation counted like any other.  After its own step the
+  session is still RUNNABLE and is not cleared first, so settle touches
+  only what its next step changes: the runnable index only when it
+  blocks or drains, the queue only when a lock is involved;
 * **wake** (:meth:`Classifier.wake`) — a LOCK_WAIT waiter in a release's
   wake-up set goes RUNNABLE: edges dropped, still queued (runnable names
   in the set are skipped);
@@ -163,42 +168,45 @@ class OrderedNames:
     ``discard``, both idempotent) and reads as the sorted sequence phase 3
     used to rebuild every tick: ``len``, truthiness, ``in``, ``[k]`` and
     iteration, all over one bisect-maintained list.  ``random.Random.choice``
-    needs only ``len`` and ``[k]``, so choosing from this container draws
-    exactly what choosing from ``sorted(a_set)`` drew."""
+    needs only ``len`` and ``[k]``, so choosing from this container — or
+    from :attr:`names`, its backing list, which phase 3 hands the draw to
+    skip the Python-level dunders — draws exactly what choosing from
+    ``sorted(a_set)`` drew."""
 
-    __slots__ = ("_names",)
+    __slots__ = ("names",)
 
     def __init__(self) -> None:
-        self._names: List[str] = []
+        #: The sorted backing list: read it, never mutate it.
+        self.names: List[str] = []
 
     def add(self, name: str) -> None:
-        names = self._names
+        names = self.names
         i = bisect_left(names, name)
         if i == len(names) or names[i] != name:
             names.insert(i, name)
 
     def discard(self, name: str) -> None:
-        names = self._names
+        names = self.names
         i = bisect_left(names, name)
         if i < len(names) and names[i] == name:
             del names[i]
 
     def __contains__(self, name: object) -> bool:
-        names = self._names
+        names = self.names
         i = bisect_left(names, name)
         return i < len(names) and names[i] == name
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self.names)
 
     def __getitem__(self, k: int) -> str:
-        return self._names[k]
+        return self.names[k]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
+        return iter(self.names)
 
     def __repr__(self) -> str:
-        return f"OrderedNames({self._names!r})"
+        return f"OrderedNames({self.names!r})"
 
 
 class AdmissionCache:
@@ -291,8 +299,6 @@ class AdmissionCache:
     def phase1_candidates(self) -> List[str]:
         """Sessions phase 1 must peek this tick (drains ``phase1``); the
         caller sorts by admission order."""
-        if not (self.complete or self.dynamic or self.phase1):
-            return []
         live = self._live
         candidates = [  # repro: noqa[RPR001] the caller sorts candidates by admission seq
             n for n in self.complete | self.dynamic | self.phase1 if n in live
@@ -303,8 +309,6 @@ class AdmissionCache:
     def take_check_slices(self) -> List[str]:
         """Sessions phase 2 must re-classify this tick, sorted (drains
         ``dirty``; every-tick dynamic sessions are always included)."""
-        if not (self.dirty or self.dynamic):
-            return []
         live = self._live
         check = [  # repro: noqa[RPR001] sorted before return
             n
@@ -442,20 +446,27 @@ class Classifier:
         return entity, mode, {b for b in blockers if b in live}
 
     def settle(self, entry: LiveEntry) -> None:
-        """Classify a cleared session whose verdict needs no policy at the
-        event that decides it — its own step, its admission, its restart —
-        instead of in the next classify phase.  Its pending step is peeked
-        once: a drained script waits in ``complete`` for its phase-1
-        commit; any other step is a derivation like any other, counted in
-        ``classify_checks`` (and in ``blocker_queries`` when it locks).  A
-        LOCK_WAIT installed here starts accruing after :attr:`observed`."""
+        """Classify a session whose verdict needs no policy at the event
+        that decides it — its admission or restart (a NEW entry) and its
+        own step (a RUNNABLE entry with no waits-for edges, whose queued
+        lock, if any, was the step just executed) — instead of in the next
+        classify phase.  Its next step is peeked once: a drained script is
+        cleared and waits in ``complete`` for its phase-1 commit; any other
+        step is a derivation like any other, counted in ``classify_checks``
+        (and in ``blocker_queries`` when it locks), and touches only what
+        it changes — the queue entry moves only when a lock is involved,
+        and the runnable index only when the session blocks.  A LOCK_WAIT
+        installed here starts accruing after :attr:`observed`."""
+        name = entry.item.name
         step = entry.session.peek()
         if step is None:
-            self.cache.complete.add(entry.item.name)
+            self.clear(entry)
+            self.cache.complete.add(name)
             return
         m = self.metrics
         m.classify_checks += 1
-        entity, mode, edges = self._pending_lock(entry.item.name, step)
+        self.table.remove_waiter(name)
+        entity, mode, edges = self._pending_lock(name, step)
         if entity is not None:
             m.blocker_queries += 1
         self._install(entry, entity, mode, edges)
@@ -501,9 +512,10 @@ class Classifier:
         mode: Optional[LockMode],
         edges: Optional[Set[str]],
     ) -> None:
-        """Install a :meth:`_pending_lock` verdict on a cleared entry: the
-        pending lock, if any, is queued on its entity, where it stays —
-        through every wake and block — until :meth:`clear`."""
+        """Install a :meth:`_pending_lock` verdict on an entry that is
+        NEW (cleared) or RUNNABLE with no waits-for edges and nothing
+        queued: the pending lock, if any, is queued on its entity, where
+        it stays — through every wake and block — until :meth:`clear`."""
         if entity is not None:
             assert mode is not None
             self.table.add_waiter(entry.item.name, entity, mode)
@@ -513,15 +525,20 @@ class Classifier:
             self._enter_lock_wait(entry, edges)
 
     def _enter_lock_wait(self, entry: LiveEntry, edges: Set[str]) -> None:
-        """Enter LOCK_WAIT: waits-for ``edges``, accounting recorded
-        through the last observed tick."""
+        """Enter LOCK_WAIT: out of the runnable index if it was there,
+        waits-for ``edges``, accounting recorded through the last observed
+        tick."""
+        if entry.state == RUNNABLE:
+            self.cache.runnable.discard(entry.item.name)
         entry.state = LOCK_WAIT
         entry.accrued_to = self.observed
         self.graph.set_edges(entry.item.name, edges)
 
     def _enter_runnable(self, entry: LiveEntry) -> None:
-        entry.state = RUNNABLE
-        self.cache.runnable.add(entry.item.name)
+        """Enter RUNNABLE: into the runnable index unless already there."""
+        if entry.state != RUNNABLE:
+            entry.state = RUNNABLE
+            self.cache.runnable.add(entry.item.name)
 
     def classify(
         self, entry: LiveEntry, aborts: List[Tuple[LiveEntry, str]]
@@ -632,5 +649,4 @@ class Classifier:
                     }
                 m.blocker_queries += 1
                 m.lock_transitions += 1
-                self.cache.runnable.discard(waiter)
                 self._enter_lock_wait(entry, holders - {waiter})

@@ -9,10 +9,12 @@ cached classification in that order — one :meth:`Classifier.classify`
 per name.
 
 The walk is serial on purpose.  Thread and process executors over a
-sharded lock table were tried and measured on the workload with the
-fattest classify batches (``deadlock_storm`` at scale 1, ~26
-classifications per classifying tick, 2 CPUs): the best process
-configuration ran at 0.79× serial, the thread pool at 0.50×.  Derivations are a few
+sharded lock table were tried and measured on the workload that then
+had the fattest classify batches (``deadlock_storm`` at scale 1, ~26
+classifications per classifying tick, 2 CPUs, on the tree of commit
+7796ff7 — before 2PL verdicts were applied in place; a 2PL run no
+longer enters the classify phase): the best process configuration ran
+at 0.79× serial, the thread pool at 0.50×.  Derivations are a few
 microseconds of pure Python each, which neither a GIL-bound pool nor a
 pipe round trip can amortize; docs/ARCHITECTURE.md records the table.
 """

@@ -19,7 +19,9 @@ classifications and invalidates them only by the events that can change
 them.  In the event engine, a session whose verdict needs no policy (2PL,
 DTR, scripted) is classified where its own step, admission, restart or a
 lock event happens, so phases 1–2 walk only sessions whose verdict needs
-the policy (and drained scripts due to commit); for a 2PL run the
+the policy (and drained scripts due to commit), and a tick enters a
+phase only when something is due in it: for a 2PL run the classify
+phase is never entered and the commit scan only to commit, so its
 classify walk never runs.  This module is the **driver layer** over the
 lock-manager kernel:
 the transaction-lifecycle state machine (grant/block/wake/deadlock/
@@ -237,28 +239,33 @@ class _Run(KernelRun):
 
     def _event_tick(self) -> None:
         """One event-engine tick as an explicit phase pipeline: commit
-        scan → classify → deadlock → execute."""
-        if not self._phase_commit():
-            return
-        if self._phase_classify():
-            return
-        if not self.cache.runnable:
+        scan → classify → deadlock → execute.  The commit scan is entered
+        only when a session can act in it and the classify phase only when
+        a session is due a re-derivation — in a 2PL run, neither ever is —
+        but every tick reaches the classify phase's observation point."""
+        cache = self.cache
+        if cache.complete or cache.dynamic or cache.phase1:
+            if not self._phase_commit():
+                return
+        self.classifier.observed = self.metrics.ticks
+        if cache.dirty or cache.dynamic:
+            if self._phase_classify():
+                return
+        if not cache.runnable:
             self._phase_deadlock()
             return
         self._phase_execute()
 
     def _phase_commit(self) -> bool:
-        """Phase 1 — commit scan.  Only sessions that can
-        act here (every-tick dynamic ones, finished scripted ones, and
-        dependency-declaring sessions due their replanning peek) are
-        visited, in admission order, matching the naive engine's
+        """Phase 1 — commit scan, entered only when a session can act
+        here (every-tick dynamic ones, finished scripted ones, and
+        dependency-declaring sessions due their replanning peek); those
+        are visited, in admission order, matching the naive engine's
         insertion-order scan over all of live — for every other session
         the phase-1 peek is an observable no-op.  Returns whether any
         session survives into phase 2."""
         live = self.live
         candidates = self.cache.phase1_candidates()
-        if not candidates:
-            return bool(live)
         for name in sorted(candidates, key=lambda n: live[n].seq):
             entry = live.get(name)
             if entry is None:
@@ -278,13 +285,13 @@ class _Run(KernelRun):
         fresh admissions, channel hits, woken or invalidated sessions)
         plus every dynamic session, in sorted name order.  Every other
         session was classified where its step, admission, restart or lock
-        event happened, so a 2PL run's check set is always empty and the
-        walk is skipped.  Phase-2 policy aborts are collected in walk
-        order and processed after it; returns whether any occurred (which
-        ends the tick).  This is the naive engine's blocked-tick
-        observation point, so from here on an in-place wake credits, and a
-        new LOCK_WAIT starts after, the current tick."""
-        self.classifier.observed = self.metrics.ticks
+        event happened, so a 2PL run never enters this phase.  Phase-2
+        policy aborts are collected in walk order and processed after it;
+        returns whether any occurred (which ends the tick).  The tick has
+        already moved :attr:`Classifier.observed` to this tick — the naive
+        engine's blocked-tick observation point — so from here on an
+        in-place wake credits, and a new LOCK_WAIT starts after, the
+        current tick."""
         names = self.cache.take_check_slices()
         if not names:
             return False
@@ -322,6 +329,8 @@ class _Run(KernelRun):
     def _phase_execute(self) -> None:
         """Phase 3 — execute one step of one runnable session, seeded
         uniform choice over the runnable names in sorted order — which is
-        how ``cache.runnable`` keeps them, so the draw costs a length and a
-        k-th element whatever the population."""
-        self._execute_step(self.live[self.rng.choice(self.cache.runnable)])
+        how ``cache.runnable`` keeps them, so the draw on its backing list
+        costs a length and a k-th element whatever the population."""
+        self._execute_step(
+            self.live[self.rng.choice(self.cache.runnable.names)]
+        )

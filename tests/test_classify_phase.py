@@ -13,7 +13,7 @@ Three contracts:
    only sessions whose verdict needs the policy (``needs_admission``) —
    and classifies each of those sessions once, in that order.  A 2PL
    run, whose sessions are all classified where their events happen,
-   never walks.
+   never enters the classify phase and never drains.
 3. **Nothing to select.**  No entry point takes a lock-table shard
    count, a shard-worker count or an executor kind.
 """
@@ -36,6 +36,7 @@ from repro.sim import (
     run_seed,
 )
 from repro.sim.admission import Classifier
+from repro.sim.scheduler import _Run
 
 
 class RecordingClassifier:
@@ -77,22 +78,29 @@ class TestSerialExecutor:
 _STRESS = {"num_entities": 30, "num_txns": 40, "arrival_rate": 1.0,
            "hot_fraction": 0.1}
 
-# Cells that used to have fat classify batches: a 2PL deadlock storm,
-# DDAG traversals with inserts (dynamic sessions re-classified every
-# tick), and altruistic sessions that declare admission dependencies.
+# Cells with fat classify batches: DDAG traversals with inserts (dynamic
+# sessions re-classified every tick) and altruistic sessions that declare
+# admission dependencies.
 WALK_CELLS = [
-    ("deadlock_storm", TwoPhasePolicy,
-     {"num_entities": 20, "num_txns": 30, "accesses_per_txn": 2,
-      "arrival_rate": 0.5, "hot_set_size": 4, "hot_traffic": 0.7}),
     ("dynamic_traversal", DdagPolicy, {"nodes": 8, "num_txns": 5}),
     ("stress", AltruisticPolicy, _STRESS),
 ]
 
+# 2PL cells: a deadlock storm (the one that used to have fat classify
+# batches) and the contended stress generator.
+TWO_PHASE_CELLS = [
+    ("deadlock_storm", TwoPhasePolicy,
+     {"num_entities": 20, "num_txns": 30, "accesses_per_txn": 2,
+      "arrival_rate": 0.5, "hot_set_size": 4, "hot_traffic": 0.7}),
+    ("stress", TwoPhasePolicy, _STRESS),
+]
 
-@pytest.mark.parametrize(
-    "cell", WALK_CELLS + [("stress", TwoPhasePolicy, _STRESS)],
-    ids=lambda c: f"{c[0]}+{c[1].__name__}",
-)
+
+def _cell_id(cell):
+    return f"{cell[0]}+{cell[1].__name__}"
+
+
+@pytest.mark.parametrize("cell", WALK_CELLS, ids=_cell_id)
 def test_each_walk_classifies_exactly_the_drained_set(monkeypatch, cell):
     factory_name, policy_cls, kwargs = cell
     drained, walks, seen = [], [], []
@@ -141,11 +149,34 @@ def test_each_walk_classifies_exactly_the_drained_set(monkeypatch, cell):
     assert len(walks) == sum(1 for names in drained if names), (
         "a non-empty drain was not walked, or an empty one was"
     )
-    if policy_cls is TwoPhasePolicy:
-        assert walks == [], "a 2PL run reached the classify walk"
-        assert result.metrics.classify_checks > 0
-    else:
-        assert max(walks) > 1, "no tick classified more than one session"
+    assert max(walks) > 1, "no tick classified more than one session"
+
+
+@pytest.mark.parametrize("cell", TWO_PHASE_CELLS, ids=_cell_id)
+def test_a_2pl_run_never_enters_the_classify_phase(monkeypatch, cell):
+    factory_name, policy_cls, kwargs = cell
+    entered = []
+
+    def refuse(name):
+        def spy(*args):
+            entered.append(name)
+            raise AssertionError(f"a 2PL run called {name}")
+        return spy
+
+    monkeypatch.setattr(_Run, "_phase_classify", refuse("_phase_classify"))
+    monkeypatch.setattr(
+        AdmissionCache, "take_check_slices", refuse("take_check_slices")
+    )
+
+    items, initial, context_kwargs = grid_factory(factory_name)(3, **kwargs)
+    result = Simulator(
+        policy_cls(), seed=3, max_ticks=500_000,
+        context_kwargs=context_kwargs, engine="event",
+    ).run(items, initial)
+
+    assert entered == []
+    assert result.metrics.classify_checks > 0
+    assert result.metrics.committed > 0
 
 
 @pytest.mark.parametrize(

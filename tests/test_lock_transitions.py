@@ -244,6 +244,7 @@ def tick(run, execute):
     run.classifier.observed = run.metrics.ticks - 1
     run.admit_arrivals()
     assert run._phase_commit()
+    run.classifier.observed = run.metrics.ticks  # as the tick does
     assert not run._phase_classify()
     assert execute in run.cache.runnable
     assert_coherent(run)

@@ -12,6 +12,11 @@ order phase 3 draws from.  Three contracts:
    after the tick, the index holds exactly the live sessions whose cached
    state is RUNNABLE — for every registered grid factory (a guard test
    keeps the table complete) under every policy that can run it.
+4. **A step moves only what its next step changes.**  After a 2PL
+   session's own step the index is touched only if the session leaves
+   RUNNABLE: one ``discard`` when its next step blocks or its script
+   drains, no call at all when its next step locks nothing or is
+   grantable.
 """
 
 import random
@@ -22,13 +27,14 @@ from hypothesis import strategies as st
 
 from repro.exceptions import PolicyViolation, SimulationError
 from repro.policies import (
+    Access,
     AltruisticPolicy,
     DdagPolicy,
     DtrPolicy,
     TwoPhasePolicy,
 )
-from repro.sim import GRID_FACTORIES, Simulator, grid_factory
-from repro.sim.admission import RUNNABLE, OrderedNames
+from repro.sim import GRID_FACTORIES, Simulator, WorkloadItem, grid_factory
+from repro.sim.admission import LOCK_WAIT, NEW, RUNNABLE, OrderedNames
 from repro.sim.scheduler import _Run
 
 # Small-but-contended kwargs per registered factory (the policy entry is
@@ -108,6 +114,14 @@ class TestDrawEquivalence:
             for _ in range(5):  # the streams stay in step draw after draw
                 assert ours.choice(index) == theirs.choice(sorted(model))
 
+    def test_choice_over_the_backing_list_is_the_same_draw(self):
+        index = OrderedNames()
+        for name in ("T3", "T1", "T7", "T2"):
+            index.add(name)
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert ours.choice(index.names) == theirs.choice(index)
+
 
 POLICIES = (TwoPhasePolicy, DdagPolicy, DtrPolicy, AltruisticPolicy)
 
@@ -169,3 +183,79 @@ class TestEngineInvariant:
             except PolicyViolation as exc:
                 pytest.skip(f"the policy refuses this workload's intents: {exc}")
         assert checked_ticks["ticks"] > 0 and checked_ticks["draws"] > 0
+
+
+@pytest.fixture
+def index_calls(monkeypatch):
+    """Record every ``OrderedNames.add`` / ``discard`` call by name."""
+    calls = {"add": [], "discard": []}
+    add, discard = OrderedNames.add, OrderedNames.discard
+
+    def spy_add(index, name):
+        calls["add"].append(name)
+        add(index, name)
+
+    def spy_discard(index, name):
+        calls["discard"].append(name)
+        discard(index, name)
+
+    monkeypatch.setattr(OrderedNames, "add", spy_add)
+    monkeypatch.setattr(OrderedNames, "discard", spy_discard)
+    return calls
+
+
+class TestStepMovesOnlyWhatChanges:
+    """A hand-driven 2PL run: ``A`` accesses ``a`` then ``b`` and plays
+    ``LX a, R a, W a, LX b, R b, W b, UX a, UX b``; ``B`` accesses ``b``
+    and plays ``LX b, R b, W b, UX b``."""
+
+    @staticmethod
+    def run_of(scripts):
+        run = _Run(Simulator(TwoPhasePolicy()), [
+            WorkloadItem(name, [Access(e) for e in entities])
+            for name, entities in scripts.items()
+        ])
+        run.admit_arrivals()
+        return run
+
+    @staticmethod
+    def step(run, calls, name):
+        calls["add"].clear()
+        calls["discard"].clear()
+        run._execute_step(run.live[name])
+        return calls["add"], calls["discard"]
+
+    def test_a_grantable_or_lock_free_next_step_leaves_the_index_alone(
+        self, index_calls
+    ):
+        run = self.run_of({"A": ["a", "b"]})
+        # LX a -> R a (locks nothing), R a -> W a, W a -> LX b (grantable),
+        # LX b -> R b, ..., W b -> UX a, UX a -> UX b.
+        for _ in range(7):
+            assert self.step(run, index_calls, "A") == ([], [])
+            assert run.live["A"].state == RUNNABLE
+            assert list(run.cache.runnable) == ["A"]
+
+    def test_a_blocking_next_step_discards_once(self, index_calls):
+        run = self.run_of({"A": ["a", "b"], "B": ["b"]})
+        assert self.step(run, index_calls, "B") == ([], [])  # LX b
+        for _ in range(2):  # LX a, R a
+            assert self.step(run, index_calls, "A") == ([], [])
+        # W a -> LX b, held by B.
+        assert self.step(run, index_calls, "A") == ([], ["A"])
+        assert run.live["A"].state == LOCK_WAIT
+        assert run.table.waiting_entity("A") == "b"
+        assert list(run.cache.runnable) == ["B"]
+
+    def test_a_draining_step_discards_once(self, index_calls):
+        run = self.run_of({"A": ["a", "b"], "B": ["b"]})
+        self.step(run, index_calls, "B")  # LX b
+        for _ in range(3):  # LX a, R a, W a: A blocks on b
+            self.step(run, index_calls, "A")
+        for _ in range(2):  # R b, W b
+            assert self.step(run, index_calls, "B") == ([], [])
+        # UX b drains B's script; the release wakes A in place.
+        assert self.step(run, index_calls, "B") == (["A"], ["B"])
+        assert run.live["B"].state == NEW and "B" in run.cache.complete
+        assert run.table.waiting_entity("B") is None
+        assert list(run.cache.runnable) == ["A"]
