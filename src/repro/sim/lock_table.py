@@ -4,7 +4,8 @@ Tracks, per entity, which transactions hold which mode(s).  Grant rule: a
 request conflicts if any *other* transaction holds a mode that conflicts
 (only SHARED/SHARED is compatible).
 
-Two facilities support the event-driven scheduler:
+Three facilities support the event-driven scheduler and the service
+kernel:
 
 * **Mode multisets.** A transaction may hold SHARED and EXCLUSIVE on the
   same entity at once (a lock upgrade).  Each mode is tracked separately,
@@ -27,6 +28,17 @@ Two facilities support the event-driven scheduler:
   pure wasted re-classification.  :meth:`waiter_modes` exposes the queued
   requests so the scheduler can maintain the waiters' waits-for edges, and
   move a runnable request to blocked, without re-classifying them.
+* **Exclusive-holder index.** ``_exclusive`` maps each entity to the
+  holders whose modes include EXCLUSIVE; it is maintained where a grant
+  enters or leaves (:meth:`acquire`, :meth:`_drop`, :meth:`release_all`).
+  Conflict queries answer from it and from the holder map's size, never
+  from a holder's mode set: a SHARED request conflicts only with another
+  transaction in the index, an EXCLUSIVE one with every other holder.
+  :meth:`grantable` is O(1) and builds no list, so a release's wake-up
+  filter costs O(1) per waiter however many transactions share the
+  entity; :meth:`blockers` returns ``[]`` at once for an unheld entity or
+  a SHARED request against an empty index, and otherwise lists the
+  conflicting holders in holder-map order.
 
 The cross-entity walks (``release_all`` and its wake variant, ``held_by``)
 iterate the per-transaction held index sorted by ``repr``, so their
@@ -48,6 +60,9 @@ class LockTable:
     def __init__(self) -> None:
         #: Entity -> {transaction: set of granted modes}.
         self._holders: Dict[Entity, Dict[str, Set[LockMode]]] = {}
+        #: Entity -> holders whose modes include EXCLUSIVE (the grant
+        #: rule admits at most one); no entry when there is none.
+        self._exclusive: Dict[Entity, Set[str]] = {}
         #: Per-entity wait queue: waiter -> requested mode (arrival order).
         self._waiters: Dict[Entity, Dict[str, LockMode]] = {}
         #: Per-transaction index of held entities (O(footprint)
@@ -87,15 +102,23 @@ class LockTable:
     ) -> List[str]:
         """Transactions other than ``txn`` holding modes on ``entity`` that
         conflict with ``mode`` (every such holder when ``txn`` is
-        ``None``)."""
-        return [
-            other
-            for other, modes in self._holders.get(entity, {}).items()
-            if other != txn and mode.conflicts_with(self._effective(modes))
-        ]
+        ``None``), in holder-map order."""
+        current = self._holders.get(entity)
+        if not current:
+            return []
+        if mode is LockMode.EXCLUSIVE:
+            return [other for other in current if other != txn]
+        exclusive = self._exclusive.get(entity)
+        if not exclusive:
+            return []
+        return [other for other in current if other != txn and other in exclusive]
 
     def grantable(self, txn: str, entity: Entity, mode: LockMode) -> bool:
-        return not self.blockers(txn, entity, mode)
+        if mode is LockMode.EXCLUSIVE:
+            current = self._holders.get(entity)
+            return not current or (len(current) == 1 and txn in current)
+        exclusive = self._exclusive.get(entity)
+        return not exclusive or txn in exclusive
 
     # ------------------------------------------------------------------
     # Grants and releases
@@ -103,13 +126,15 @@ class LockTable:
 
     def acquire(self, txn: str, entity: Entity, mode: LockMode) -> None:
         """Record a grant.  The caller must have checked :meth:`grantable`."""
-        blockers = self.blockers(txn, entity, mode)
-        if blockers:
+        if not self.grantable(txn, entity, mode):
             raise RuntimeError(
-                f"{txn} acquires {mode} on {entity!r} despite holders {blockers}"
+                f"{txn} acquires {mode} on {entity!r} despite holders "
+                f"{self.blockers(txn, entity, mode)}"
             )
         self._holders.setdefault(entity, {}).setdefault(txn, set()).add(mode)
         self._held.setdefault(txn, set()).add(entity)
+        if mode is LockMode.EXCLUSIVE:
+            self._exclusive.setdefault(entity, set()).add(txn)
 
     def _drop(self, txn: str, entity: Entity, mode: LockMode) -> bool:
         """Remove one mode grant; True only if ``txn``'s *effective* hold on
@@ -123,6 +148,8 @@ class LockTable:
         if modes is None or mode not in modes:
             return False
         modes.discard(mode)
+        if mode is LockMode.EXCLUSIVE:
+            self._unindex_exclusive(txn, entity)
         if not modes:
             del current[txn]
             held = self._held.get(txn)
@@ -133,6 +160,12 @@ class LockTable:
             if not current:
                 del self._holders[entity]
         return weakened
+
+    def _unindex_exclusive(self, txn: str, entity: Entity) -> None:
+        exclusive = self._exclusive[entity]
+        exclusive.discard(txn)
+        if not exclusive:
+            del self._exclusive[entity]
 
     def would_weaken(self, txn: str, entity: Entity, mode: LockMode) -> bool:
         """Whether releasing ``mode`` would weaken ``txn``'s effective hold
@@ -166,7 +199,10 @@ class LockTable:
         holders = self._holders
         for entity in sorted(self._held.get(txn, ()), key=repr):
             modes = holders[entity].pop(txn)
-            released.append((entity, self._effective(modes)))
+            mode = self._effective(modes)
+            if mode is LockMode.EXCLUSIVE:
+                self._unindex_exclusive(txn, entity)
+            released.append((entity, mode))
             if not holders[entity]:
                 del holders[entity]
         self._held.pop(txn, None)

@@ -3,9 +3,10 @@
 :class:`repro.sim.LockTable` is checked op by op against
 :class:`ModelTable`, a deliberately naive restatement of its contract:
 every return value (wake-up sets, ``release_all_wake``'s released list
-and its order) and every view (``holders``, ``waiter_modes``,
-``held_by``, ``waiting_entity``, ``locked_entities``) must agree after
-each operation of a seeded random sequence.
+and its order), every conflict answer (``blockers`` in holder order,
+``grantable``), every view (``holders``, ``waiter_modes``, ``held_by``,
+``waiting_entity``, ``locked_entities``) and the exclusive-holder index
+must agree after each operation of a seeded random sequence.
 """
 
 import random
@@ -33,11 +34,23 @@ class ModelTable:
     def holders(self, entity):
         return {t: self.strongest(t, entity) for t in self.held.get(entity, {})}
 
+    def blockers(self, txn, entity, mode):
+        return [
+            t for t, m in self.holders(entity).items()
+            if t != txn and not (mode is S and m is S)
+        ]
+
     def grantable(self, txn, entity, mode):
-        return all(
-            t == txn or (mode is S and m is S)
-            for t, m in self.holders(entity).items()
-        )
+        return not self.blockers(txn, entity, mode)
+
+    def exclusive(self):
+        """entity -> holders whose modes include X, entities with none
+        left out: what the table's index must hold."""
+        index = {
+            e: {t for t, modes in hs.items() if X in modes}
+            for e, hs in self.held.items()
+        }
+        return {e: ts for e, ts in index.items() if ts}
 
     def acquire(self, txn, entity, mode):
         self.held.setdefault(entity, {}).setdefault(txn, set()).add(mode)
@@ -103,12 +116,19 @@ class ModelTable:
         return frozenset(self.held)
 
 
-#: (entities, transactions, share of ops on the first three entities).
-#: ``hot``: holders share and waiters queue on a small hot set.
-#: ``spread``: mostly uncontended, so release_all_wake walks wide
-#: footprints.  ``pair``: two transactions on two entities, so most ops
-#: are upgrades, re-acquires and releases of a mode still held.
-PROFILES = {"hot": (12, 8, 0.7), "spread": (12, 8, 0.0), "pair": (2, 2, 0.0)}
+#: (entities, transactions, share of ops on the first three entities,
+#: share of SHARED requests).  ``hot``: holders share and waiters queue
+#: on a small hot set.  ``spread``: mostly uncontended, so
+#: release_all_wake walks wide footprints.  ``pair``: two transactions on
+#: two entities, so most ops are upgrades, re-acquires and releases of a
+#: mode still held.  ``shared``: many-holder S sets that the occasional
+#: X request (an upgrade, once the others have left) has to meet.
+PROFILES = {
+    "hot": (12, 8, 0.7, 0.5),
+    "spread": (12, 8, 0.0, 0.5),
+    "pair": (2, 2, 0.0, 0.5),
+    "shared": (3, 24, 0.0, 0.9),
+}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -118,7 +138,7 @@ def test_random_op_sequences_match_the_model(profile, seed):
     every return value and every observable view must match at each
     step."""
     rng = random.Random(seed)
-    n_entities, n_txns, hot_share = PROFILES[profile]
+    n_entities, n_txns, hot_share, shared_share = PROFILES[profile]
     entities = [f"e{i}" for i in range(n_entities)]
     txns = [f"T{i}" for i in range(n_txns)]
     table, model = LockTable(), ModelTable()
@@ -126,7 +146,7 @@ def test_random_op_sequences_match_the_model(profile, seed):
         op = rng.random()
         t = rng.choice(txns)
         e = rng.choice(entities[:3] if rng.random() < hot_share else entities)
-        mode = rng.choice((S, X))
+        mode = S if rng.random() < shared_share else X
         where = f"{profile} seed {seed} step {step}"
         if op < 0.4:
             assert table.grantable(t, e, mode) == model.grantable(t, e, mode), where
@@ -154,6 +174,16 @@ def test_random_op_sequences_match_the_model(profile, seed):
             assert table.held_by(txn) == model.held_by(txn), where
             assert table.waiting_entity(txn) == model.waiting_entity(txn), where
         assert table.locked_entities() == model.locked_entities(), where
+        assert table._exclusive == model.exclusive(), where
+        for entity in entities:
+            for m in (S, X):
+                assert table.blockers(None, entity, m) == model.blockers(
+                    None, entity, m
+                ), where
+                for txn in txns:
+                    expected = model.blockers(txn, entity, m)
+                    assert table.blockers(txn, entity, m) == expected, where
+                    assert table.grantable(txn, entity, m) == (not expected), where
 
 
 def test_upgrade_release_semantics():
@@ -168,8 +198,9 @@ def test_upgrade_release_semantics():
 class TestWakeSetFastPath:
     """A release that leaves the entity with no holder wakes every other
     queued name, in arrival order, without a conflict query per waiter;
-    a release that leaves holders still filters waiter by waiter.  Both
-    are checked against the model."""
+    a release that leaves holders still filters waiter by waiter, but
+    through ``grantable``, which builds no ``blockers`` list.  Both are
+    checked against the model."""
 
     @staticmethod
     def build(queries, holders, waiters):
@@ -226,7 +257,7 @@ class TestWakeSetFastPath:
         )
         woken = table.release("T1", "a", S)
         assert woken == model.release("T1", "a", S) == ["T2", "W2"]
-        assert queries == ["W1", "T2", "W2"]
+        assert queries == []
 
     def test_an_x_to_s_downgrade_filters_per_waiter(self, queries):
         table, model = self.build(
@@ -236,5 +267,33 @@ class TestWakeSetFastPath:
         )
         woken = table.release("T1", "a", X)
         assert woken == model.release("T1", "a", X) == ["W2"]
-        assert queries == ["W1", "W2"]
+        assert queries == []
         assert table.holders("a") == model.holders("a") == {"T1": S}
+
+
+def test_conflict_answers_read_no_holder_modes(monkeypatch):
+    """On an entity shared by 200 holders with 200 queued waiters, the
+    conflict answers and a holder's release come from the exclusive-holder
+    index and the holder count: no holder's mode set is read."""
+    holders = [f"H{i}" for i in range(200)]
+    waiters = [(f"W{i}", S if i % 2 else X) for i in range(200)]
+    table, model = LockTable(), ModelTable()
+    for side in (table, model):
+        for h in holders:
+            side.acquire(h, "a", S)
+        for w, mode in waiters:
+            side.add_waiter(w, "a", mode)
+    calls = []
+    effective = LockTable._effective
+
+    def counted(modes):
+        calls.append(modes)
+        return effective(modes)
+
+    monkeypatch.setattr(LockTable, "_effective", staticmethod(counted))
+    assert table.grantable("W0", "a", S)
+    assert table.blockers("W0", "a", S) == []
+    assert table.blockers("W0", "a", X) == holders
+    woken = table.release("H0", "a", S)
+    assert calls == []
+    assert woken == model.release("H0", "a", S) == [w for w, m in waiters if m is S]
