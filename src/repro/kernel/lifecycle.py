@@ -31,7 +31,13 @@ where the events that decide it happen, never in the classify phase:
   (blocked waiters become runnable in place; runnable ones are skipped).
 
 Sessions whose verdict needs the policy are marked dirty for the next
-classify phase instead.
+classify phase instead; their own step leaves them RUNNABLE and in the
+runnable index (only the executed lock's queue entry goes), since phase
+2 re-derives them before anything reads either.  A step is peeked once:
+``LiveEntry.peek`` caches the pending step from the first peek after an
+admission or a step, and ``_execute_step`` resets it right after
+``executed()``.  The step and release paths test no engine flag: the
+naive engine's run holds a no-op classifier stand-in, built once.
 
 Two drivers sit on top:
 
@@ -53,18 +59,18 @@ front-end.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.schedules import Event
+from ..core.steps import Entity
 from ..exceptions import PolicyViolation
 from ..policies.base import Intent, PolicyContext, PolicySession
 from ..sim.admission import AdmissionCache, Classifier
 from ..sim.event_log import EventLog
 from ..sim.executor import SerialExecutor
-from ..sim.live import LiveEntry
+from ..sim.live import UNPEEKED, LiveEntry
 from ..sim.lock_table import LockTable
 from ..sim.metrics import Metrics
-
 from ..sim.waits_for import WaitsForGraph
 
 
@@ -92,17 +98,21 @@ class KernelRun:
         self.graph = WaitsForGraph()
         self.live: Dict[str, LiveEntry] = {}
         self.cache = AdmissionCache(self.live, self.metrics)
-        self.classifier = Classifier(
-            self.live, self.metrics, self.table, self.graph, self.cache
-        )
+        if event_engine:
+            self.classifier = Classifier(
+                self.live, self.metrics, self.table, self.graph, self.cache
+            )
+            self.context.set_change_listener(self.cache.policy_changed)
+        else:
+            # The naive engine classifies every session from scratch each
+            # tick, so the events that classify in place do nothing.
+            self.classifier = _Unclassified()  # type: ignore[assignment]
         #: Walks the classify phase's check set (:mod:`repro.sim.executor`).
         self.executor = SerialExecutor()
         self.log = EventLog()
         self.committed: List[str] = []
         self.dropped: List[str] = []
         self._seq = 0
-        if self.event_engine:
-            self.context.set_change_listener(self.cache.policy_changed)
 
     events = property(lambda self: self.log.events)
 
@@ -151,7 +161,7 @@ class KernelRun:
         # commit now implies strictness for whatever is still held.
         released, woken = self.table.release_all_wake(name)
         if released:
-            self._wake(woken)
+            self.classifier.wake(woken)
 
     def abort(self, victim: LiveEntry, reason: str) -> None:
         m = self.metrics
@@ -160,7 +170,7 @@ class KernelRun:
         victim.session.on_abort()
         self._forget(victim)
         _, woken = self.table.release_all_wake(name)
-        self._wake(woken)
+        self.classifier.wake(woken)
         self.log.erase(name)
 
         def drop() -> None:
@@ -198,40 +208,39 @@ class KernelRun:
 
     def _execute_step(self, entry: LiveEntry) -> None:
         m = self.metrics
-        step = entry.session.peek()
+        step = entry.peek()
         assert step is not None
         name = entry.item.name
         op = step.op
         mode = op.lock_mode
+        classifier = self.classifier
         if op.is_lock and mode is not None:
             self.table.acquire(name, step.entity, mode)
-            if self.event_engine:
-                # Runnable sessions queued on this entity whose cached
-                # classification assumed it was free block in place;
-                # blocked waiters' edges extend.
-                self.classifier.acquired(name, step.entity)
+            # Runnable sessions queued on this entity whose cached
+            # classification assumed it was free block in place; blocked
+            # waiters' edges extend.
+            classifier.acquired(name, step.entity)
         elif op.is_unlock and mode is not None:
-            weakened = self.event_engine and self.table.would_weaken(
-                name, step.entity, mode
-            )
-            woken = self.table.release(name, step.entity, mode)
-            self._wake(woken)
+            weakened = self.table.would_weaken(name, step.entity, mode)
+            classifier.wake(self.table.release(name, step.entity, mode))
             if weakened:
-                self.classifier.refresh_lock_edges(name, step.entity)
+                classifier.refresh_lock_edges(name, step.entity)
         self.log.record(name, Event(name, entry.step_count, step))
         entry.step_count += 1
         entry.session.executed()
+        entry.peeked = UNPEEKED
         m.events_executed += 1
         entry.record.steps_executed += 1
-        if not self.event_engine:
-            return
         if not entry.needs_admission:
             # Its own acquire and wake-ups are done, so the verdict of its
             # next step is decided now; it is still RUNNABLE, and settle
             # moves only what that next step changes.
-            self.classifier.settle(entry)
+            classifier.settle(entry)
             return
-        self.classifier.clear(entry)
+        # It stays RUNNABLE and in the runnable index until its phase-2
+        # re-derivation, which comes before anything reads either; only
+        # the executed lock's queue entry goes.
+        self.table.remove_waiter(name)
         if entry.tracks_deps:
             # Defer the replanning peek to next tick's phase 1 (it may
             # raise or drain to None — commit/abort are phase-1 business,
@@ -239,11 +248,6 @@ class KernelRun:
             self.cache.phase1.add(name)
             self.cache.dirty.add(name)
         # A dynamic session is re-examined every tick anyway.
-
-    def _wake(self, names) -> None:
-        """A release returned these waiters in its wake-up set."""
-        if self.event_engine:
-            self.classifier.wake(names)
 
     def _forget(self, entry: LiveEntry) -> None:
         """Drop every piece of engine bookkeeping for this incarnation."""
@@ -263,3 +267,28 @@ class KernelRun:
                 if w_entry is not None:
                     self.classifier.accrue(w_entry, through)
         self.cache.forget(name)
+
+
+class _Unclassified:
+    """The naive engine's stand-in for :class:`Classifier`: it classifies
+    every live session from scratch each tick (:mod:`repro.sim.reference`),
+    so the lifecycle's in-place classification hooks are no-ops and the
+    step path carries no engine flag."""
+
+    #: Written by the tick loop; read by nothing.
+    observed = 0
+
+    def settle(self, entry: LiveEntry) -> None:
+        pass
+
+    def acquired(self, holder: str, entity: Entity) -> None:
+        pass
+
+    def wake(self, names: Iterable[str]) -> None:
+        pass
+
+    def refresh_lock_edges(self, releaser: str, entity: Entity) -> None:
+        pass
+
+    def clear(self, entry: LiveEntry) -> None:
+        pass

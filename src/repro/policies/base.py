@@ -169,7 +169,14 @@ class PolicySession(ABC):
     @abstractmethod
     def peek(self) -> Optional[Step]:
         """The next step this transaction wants to execute, or ``None`` when
-        it has finished all its intents (ready to commit)."""
+        it has finished all its intents (ready to commit).
+
+        Contract: ``peek()`` is idempotent between two :meth:`executed`
+        calls — k peeks return equal steps and leave the session (and
+        the step :meth:`executed` then performs) as one peek does.  The
+        first peek may plan (expand an intent, read shared state, raise
+        ``PolicyViolation``); later ones must not re-plan.  The scheduler
+        relies on it to ask once per step and cache the answer."""
 
     @abstractmethod
     def executed(self) -> None:

@@ -33,9 +33,10 @@ waiters' waits-for edges fresh across grants and grantability-filtered
 releases without re-classifying them.
 
 A pending lock is registered once: from its classification until
-:meth:`Classifier.clear` (or, for a session whose verdict needs no
-policy, until the settle after its own step executes it), a session
-whose pending step locks sits on
+:meth:`Classifier.clear` or until its own step executes it (then the
+settle that follows drops it, or, for a session whose verdict needs
+the policy, the kernel does), a session whose pending step locks sits
+on
 :class:`LockTable`'s queue for that entity with its wanted mode, whether
 it is LOCK_WAIT or RUNNABLE.  The queue is the only index of who wants
 an entity — ``table.waiting_entity(name)`` is where it is read — so wake
@@ -77,13 +78,20 @@ that enters LOCK_WAIT starts accruing right after it.
 
 A classification in the classify phase is read, then written:
 
-* :meth:`Classifier.derive` — the read half: peek the pending step,
+* :meth:`Classifier.derive` — the read half: read the pending step
+  (:meth:`LiveEntry.peek`, which asks the session only once per step),
   evaluate the admission verdict, query the lock table's holder map, and
   package the outcome as a :class:`Decision` without mutating any
   scheduler state;
 * :meth:`Classifier.apply` — the write half: install the decision
   (accounting, counters, queue registration, waits-for edges, runnable
-  bookkeeping).
+  bookkeeping).  A session that was RUNNABLE and stays RUNNABLE keeps
+  its place in the runnable index; only a verdict that leaves RUNNABLE
+  clears it.  That is the common case of a dependency-declaring or
+  dynamic session re-derived after its own step: the kernel leaves it
+  RUNNABLE and in the index through the step (dropping only the executed
+  lock's queue entry), because phase 2 re-derives it before anything
+  reads either.
 
 :meth:`Classifier.classify` is ``apply(entry, derive(entry))``; the
 classify phase calls it once per name of the sorted check set
@@ -135,7 +143,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     """The outcome of one classification derivation — everything
     :meth:`Classifier.apply` needs to install the new state, and nothing
@@ -261,8 +269,10 @@ class AdmissionCache:
         """Point the session's subscriptions at ``channels`` (re-read from
         ``admission_dependencies`` at every classification, since the
         relevant region moves with the pending step)."""
-        new = tuple(dict.fromkeys(channels))
         old = self.session_subs.get(name, ())
+        if channels == old:
+            return
+        new = tuple(dict.fromkeys(channels))
         if new == old:
             return
         for ch in old:
@@ -300,8 +310,11 @@ class AdmissionCache:
         """Sessions phase 1 must peek this tick (drains ``phase1``); the
         caller sorts by admission order."""
         live = self._live
+        due = self.phase1
+        if self.complete or self.dynamic:
+            due = self.complete | self.dynamic | due
         candidates = [  # repro: noqa[RPR001] the caller sorts candidates by admission seq
-            n for n in self.complete | self.dynamic | self.phase1 if n in live
+            n for n in due if n in live
         ]
         self.phase1.clear()
         return candidates
@@ -310,13 +323,14 @@ class AdmissionCache:
         """Sessions phase 2 must re-classify this tick, sorted (drains
         ``dirty``; every-tick dynamic sessions are always included)."""
         live = self._live
+        complete = self.complete
+        due = self.dirty | self.dynamic if self.dynamic else self.dirty
         check = [  # repro: noqa[RPR001] sorted before return
-            n
-            for n in self.dirty | self.dynamic
-            if n in live and n not in self.complete
+            n for n in due if n in live and n not in complete
         ]
         self.dirty.clear()
-        return sorted(check)
+        check.sort()
+        return check
 
 
 class Classifier:
@@ -386,7 +400,7 @@ class Classifier:
         policy verdict, the lock table's holder map for the pending
         entity, and the live table."""
         name = entry.item.name
-        step = entry.session.peek()
+        step = entry.peek()
         assert step is not None
         subscribe: Optional[Tuple[Hashable, ...]] = None
         if entry.tracks_deps:
@@ -458,7 +472,7 @@ class Classifier:
         and the runnable index only when the session blocks.  A LOCK_WAIT
         installed here starts accruing after :attr:`observed`."""
         name = entry.item.name
-        step = entry.session.peek()
+        step = entry.peek()
         if step is None:
             self.clear(entry)
             self.cache.complete.add(name)
@@ -478,13 +492,16 @@ class Classifier:
         aborts: List[Tuple[LiveEntry, str]],
     ) -> None:
         """Install a derived decision — the write half of a
-        classification: lazy accounting, clear, counters,
-        re-subscription, then the per-kind transition."""
+        classification: lazy accounting, counters, re-subscription, then
+        the per-kind transition.  A RUNNABLE session that stays RUNNABLE
+        (a policy session after its own step, or one a notification
+        dirtied) keeps its place in the runnable index and only re-queues
+        its pending lock; any other transition clears the cached state
+        first."""
         m = self.metrics
         name = entry.item.name
         now = m.ticks
         self.accrue(entry, now - 1)
-        self.clear(entry)
         m.classify_checks += 1
         if decision.subscribe is not None:
             self.cache.subscribe(name, decision.subscribe)
@@ -492,16 +509,22 @@ class Classifier:
             m.admission_checks += 1
         if decision.blockers_queried:
             m.blocker_queries += 1
-        if decision.kind == ABORT:
+        kind = decision.kind
+        if kind == RUNNABLE and entry.state == RUNNABLE:
+            self.table.remove_waiter(name)
+            self._install(entry, decision.entity, decision.mode, None)
+            return
+        self.clear(entry)
+        if kind == ABORT:
             aborts.append((entry, decision.reason or "policy violation"))
             return
-        if decision.kind == POLICY_WAIT:
+        if kind == POLICY_WAIT:
             m.accrue_blocked(entry.record, False, 1)
             entry.state = POLICY_WAIT
             entry.accrued_to = now
             self.graph.set_edges(name, decision.edges or set())
             return
-        if decision.kind == LOCK_WAIT:
+        if kind == LOCK_WAIT:
             m.accrue_blocked(entry.record, True, 1)
         self._install(entry, decision.entity, decision.mode, decision.edges)
 

@@ -7,13 +7,19 @@ read it.  It lives in its own leaf module so ``sim/reference.py`` (the
 executable specification) can use it without importing the event-engine
 internals it is the oracle for (``scheduler``/``admission``/``waits_for``
 — enforced by lint rule RPR003).
+
+It also caches the session's pending step (:meth:`LiveEntry.peek`):
+``PolicySession.peek`` is idempotent between two ``executed()`` calls,
+so the first peek after an admission or a step answers every later one
+until the kernel executes that step and resets the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
+from ..core.steps import Step
 from ..policies.base import PolicySession
 from .metrics import TxnRecord
 
@@ -25,6 +31,10 @@ NEW = "new"
 RUNNABLE = "runnable"
 LOCK_WAIT = "lock-wait"
 POLICY_WAIT = "policy-wait"
+
+#: ``LiveEntry.peeked`` before the first peek of a step (``None`` is a
+#: cached answer: the script has drained).
+UNPEEKED = object()
 
 
 @dataclass
@@ -50,3 +60,16 @@ class LiveEntry:
     #: is not None): it joins the event-driven engine and is re-examined
     #: on channel notifications instead of every tick.
     tracks_deps: bool = False
+    #: The session's pending step as its last peek returned it, or
+    #: :data:`UNPEEKED`; reset by the kernel right after ``executed()``.
+    peeked: object = UNPEEKED
+
+    def peek(self) -> Optional[Step]:
+        """The session's pending step, peeked once per step: the first
+        call after an admission or a step asks the session, later ones
+        read the cache.  A peek that raises ``PolicyViolation`` caches
+        nothing (the session is aborted)."""
+        step = self.peeked
+        if step is UNPEEKED:
+            step = self.peeked = self.session.peek()
+        return step  # type: ignore[return-value]

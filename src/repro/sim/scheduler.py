@@ -260,18 +260,24 @@ class _Run(KernelRun):
         """Phase 1 — commit scan, entered only when a session can act
         here (every-tick dynamic ones, finished scripted ones, and
         dependency-declaring sessions due their replanning peek); those
-        are visited, in admission order, matching the naive engine's
+        are visited, in admission order (sorted by ``seq`` only when
+        there is more than one), matching the naive engine's
         insertion-order scan over all of live — for every other session
-        the phase-1 peek is an observable no-op.  Returns whether any
-        session survives into phase 2."""
+        the phase-1 peek is an observable no-op.  The peek is the
+        entry's cached one (:meth:`LiveEntry.peek`): a dependency-
+        declaring session's first after its step or admission fills it
+        for phase 2 and phase 3.  Returns whether any session survives
+        into phase 2."""
         live = self.live
         candidates = self.cache.phase1_candidates()
-        for name in sorted(candidates, key=lambda n: live[n].seq):
+        if len(candidates) > 1:
+            candidates.sort(key=lambda n: live[n].seq)
+        for name in candidates:
             entry = live.get(name)
             if entry is None:
                 continue
             try:
-                step = entry.session.peek()
+                step = entry.peek()
             except PolicyViolation as exc:
                 self.abort(entry, str(exc))
                 continue

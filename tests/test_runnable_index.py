@@ -16,7 +16,10 @@ order phase 3 draws from.  Three contracts:
    session's own step the index is touched only if the session leaves
    RUNNABLE: one ``discard`` when its next step blocks or its script
    drains, no call at all when its next step locks nothing or is
-   grantable.
+   grantable.  A DDAG or altruistic session, whose verdict needs the
+   policy, stays RUNNABLE through its own step until its phase-2
+   re-derivation: no call across both when that verdict is RUNNABLE, one
+   ``discard`` when it blocks.
 """
 
 import random
@@ -26,6 +29,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import PolicyViolation, SimulationError
+from repro.graphs import chain
 from repro.policies import (
     Access,
     AltruisticPolicy,
@@ -259,3 +263,81 @@ class TestStepMovesOnlyWhatChanges:
         assert run.live["B"].state == NEW and "B" in run.cache.complete
         assert run.table.waiting_entity("B") is None
         assert list(run.cache.runnable) == ["A"]
+
+
+class TestPolicyStepStaysRunnable:
+    """Hand-driven DDAG and altruistic runs: a step, then the next tick's
+    commit scan and classify phase, which re-derive the stepping session.
+    ``A`` accesses two items in order; ``B`` holds the second one."""
+
+    @staticmethod
+    def run_of(policy, scripts, **context_kwargs):
+        run = _Run(Simulator(policy, context_kwargs=context_kwargs), [
+            WorkloadItem(name, [Access(e) for e in entities])
+            for name, entities in scripts.items()
+        ])
+        run.admit_arrivals()
+        TestPolicyStepStaysRunnable.reclassify(run)
+        return run
+
+    @staticmethod
+    def reclassify(run):
+        """The phases of the next tick that come before the deadlock
+        phase and the draw, as ``_event_tick`` runs them."""
+        m = run.metrics
+        m.ticks += 1
+        run.classifier.observed = m.ticks - 1
+        run._phase_commit()
+        run.classifier.observed = m.ticks
+        run._phase_classify()
+
+    @classmethod
+    def step(cls, run, calls, name):
+        calls["add"].clear()
+        calls["discard"].clear()
+        run._execute_step(run.live[name])
+        cls.reclassify(run)
+        return calls["add"], calls["discard"]
+
+    CASES = {
+        "ddag": (DdagPolicy, (1, 2), {"dag": chain(3)}),
+        "altruistic": (AltruisticPolicy, ("a", "b"), {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_runnable_verdict_leaves_the_index_alone(self, case, index_calls):
+        policy, (first, second), kwargs = self.CASES[case]
+        run = self.run_of(policy(), {"A": [first, second]}, **kwargs)
+        assert list(run.cache.runnable) == ["A"]
+        steps = 0
+        while True:
+            adds, discards = self.step(run, index_calls, "A")
+            steps += 1
+            if "A" not in run.live:  # drained: committed in the commit scan
+                assert adds == [] and set(discards) == {"A"}
+                assert list(run.cache.runnable) == []
+                break
+            assert (adds, discards) == ([], []), f"step {steps}"
+            assert run.live["A"].state == RUNNABLE
+            assert list(run.cache.runnable) == ["A"]
+        assert steps >= 6  # LX, R, W on each item (and the unlocks)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_blocking_verdict_discards_once(self, case, index_calls):
+        policy, (first, second), kwargs = self.CASES[case]
+        run = self.run_of(
+            policy(), {"A": [first, second], "B": [second]}, **kwargs
+        )
+        self.step(run, index_calls, "B")  # B locks the second item
+        # A plays its first item (and, under altruistic locking, donates
+        # it) with a runnable verdict each time, until its next step
+        # locks the second item: then it blocks, and only then moves.
+        for _ in range(10):
+            adds, discards = self.step(run, index_calls, "A")
+            if run.live["A"].state != RUNNABLE:
+                break
+            assert (adds, discards) == ([], [])
+        assert (adds, discards) == ([], ["A"])
+        assert run.live["A"].state == LOCK_WAIT
+        assert run.table.waiting_entity("A") == second
+        assert list(run.cache.runnable) == ["B"]
