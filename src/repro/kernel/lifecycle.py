@@ -261,11 +261,7 @@ class KernelRun:
         # current tick; if it is not, a later accrual point will).
         waiters = self.graph.forget(name)
         if waiters:
-            through = self.metrics.ticks - 1
-            for w in waiters:
-                w_entry = self.live.get(w)
-                if w_entry is not None:
-                    self.classifier.accrue(w_entry, through)
+            self.classifier.accrue_many(waiters, self.metrics.ticks - 1)
         self.cache.forget(name)
 
 

@@ -64,6 +64,15 @@ the classify phase:
   ``LockTable.blockers`` query per wanted mode, shared by the herd — and
   compatible ones are left alone.
 
+Each of those lock events moves its herd as one batch, whatever the herd
+size: the walk writes each member's state, ``accrued_to`` and blocked
+ticks inline, then makes one graph call for the herd's edges
+(:meth:`WaitsForGraph.drop_edges_many` on a wake,
+:meth:`WaitsForGraph.set_new_edges` on a block), one runnable-index call
+(:meth:`OrderedNames.add_many` / :meth:`OrderedNames.discard_many`) and
+one update per counter.  A block needs no diff against old edges: only a
+blocked session has a waits-for entry, so a RUNNABLE one has none.
+
 Wakes and blocks are counted as ``Metrics.lock_transitions``.
 Dependency-declaring and dynamic sessions stay on the dirty route.  All
 of this is exact because acquires happen only in phase 3 and a session's
@@ -106,6 +115,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
+    AbstractSet,
+    Collection,
     Dict,
     Hashable,
     Iterable,
@@ -168,12 +179,24 @@ class Decision:
     blockers_queried: bool = False
 
 
+#: An :class:`OrderedNames` batch moves by bisection per name when it is
+#: under ``1 / _BISECT_SHARE`` of the index, else by one sort or rewrite
+#: of the whole list.  Measured crossover (Python 3.11, 2-CPU box): a sort
+#: overtakes per-name insertion at 4–8 names into 100 and 8–16 into 400,
+#: a rewrite overtakes per-name deletion at about 12 names out of 100 and
+#: 16–32 out of 400.  Both sides run in the benchmark: ``deadlock_storm``
+#: moves herds about the size of the index, ``stress_backlog`` one name
+#: in an index of hundreds.
+_BISECT_SHARE = 16
+
+
 class OrderedNames:
     """A set of names that is always in sorted order: the single owner of
     both the membership and the order of ``AdmissionCache.runnable``.
 
     It answers to the set mutators its writers already use (``add`` /
-    ``discard``, both idempotent) and reads as the sorted sequence phase 3
+    ``discard``, both idempotent, and their herd batches ``add_many`` /
+    ``discard_many``) and reads as the sorted sequence phase 3
     used to rebuild every tick: ``len``, truthiness, ``in``, ``[k]`` and
     iteration, all over one bisect-maintained list.  ``random.Random.choice``
     needs only ``len`` and ``[k]``, so choosing from this container — or
@@ -198,6 +221,34 @@ class OrderedNames:
         i = bisect_left(names, name)
         if i < len(names) and names[i] == name:
             del names[i]
+
+    def add_many(self, new: Collection[str]) -> None:
+        """Add every one of ``new`` — names that are not members, without
+        repeats (a woken herd: a LOCK_WAIT session is never in the index)
+        — in one call: by bisection per name when the batch is small
+        against the index (:data:`_BISECT_SHARE`), else by one append and
+        one sort."""
+        names = self.names
+        if len(new) * _BISECT_SHARE < len(names):
+            for name in new:
+                names.insert(bisect_left(names, name), name)
+        else:
+            names.extend(new)
+            names.sort()
+
+    def discard_many(self, gone: AbstractSet[str]) -> None:
+        """``discard`` every one of ``gone`` (a re-blocked herd) in one
+        call: by bisection per name when the batch is small against the
+        index (:data:`_BISECT_SHARE`), else by one rewrite of the backing
+        list, kept the same list object."""
+        names = self.names
+        if len(gone) * _BISECT_SHARE < len(names):
+            for name in gone:  # repro: noqa[RPR001] independent deletions; the list stays sorted whatever the order
+                i = bisect_left(names, name)
+                if i < len(names) and names[i] == name:
+                    del names[i]
+        else:
+            names[:] = [n for n in names if n not in gone]
 
     def __contains__(self, name: object) -> bool:
         names = self.names
@@ -378,6 +429,31 @@ class Classifier:
         if skipped > 0:
             self.metrics.accrue_blocked(entry.record, lock_wait, skipped)
             entry.accrued_to = through
+
+    def accrue_many(self, names: Iterable[str], through: int) -> None:
+        """:meth:`accrue` for each live one of ``names`` — a departed
+        blocker's waiters — in one loop, crediting the metrics once."""
+        live = self.live
+        lock_ticks = policy_ticks = 0
+        for name in names:
+            entry = live.get(name)
+            if entry is None:
+                continue
+            skipped = through - entry.accrued_to
+            if skipped <= 0:
+                continue
+            state = entry.state
+            if state == LOCK_WAIT:
+                lock_ticks += skipped
+            elif state == POLICY_WAIT:
+                policy_ticks += skipped
+            else:
+                continue
+            entry.record.blocked_ticks += skipped
+            entry.accrued_to = through
+        m = self.metrics
+        m.lock_wait_observations += lock_ticks
+        m.policy_wait_observations += policy_ticks
 
     # ------------------------------------------------------------------
     # Classification transitions
@@ -585,23 +661,24 @@ class Classifier:
         edges must not keep pointing at the releaser — the maintained
         graph would diverge from the naive engine's fresh rebuild at the
         next cycle search — so re-derive each still-blocked waiter's edge
-        set from the table, without re-classifying the session."""
-        m = self.metrics
-        for waiter, wanted in self.table.waiter_modes(entity):
-            if waiter == releaser or waiter in self.cache.dirty:
+        set from the table, without re-classifying the session: one walk
+        of the queue, one graph call for the herd."""
+        table = self.table
+        live = self.live
+        dirty = self.cache.dirty
+        pairs: List[Tuple[str, Set[str]]] = []
+        for waiter, wanted in table.queue(entity).items():
+            if waiter == releaser or waiter in dirty:
                 continue  # dirty waiters are fully re-classified anyway
-            entry = self.live.get(waiter)
+            entry = live.get(waiter)
             if entry is None or entry.state != LOCK_WAIT:
                 continue
-            m.blocker_queries += 1
-            self.graph.set_edges(
-                waiter,
-                {
-                    b
-                    for b in self.table.blockers(waiter, entity, wanted)
-                    if b in self.live
-                },
-            )
+            pairs.append((waiter, {
+                b for b in table.blockers(waiter, entity, wanted) if b in live
+            }))
+        if pairs:
+            self.metrics.blocker_queries += len(pairs)
+            self.graph.set_edges_many(pairs)
 
     # ------------------------------------------------------------------
     # Lock events that decide a classification (applied in place)
@@ -613,63 +690,104 @@ class Classifier:
         runnable); each LOCK_WAIT waiter is grantable by construction and
         the table only weakens until the next classify phase, so one whose
         verdict needs nothing but the lock table goes LOCK_WAIT → RUNNABLE
-        here — edges dropped, still queued — with its blocked ticks
-        credited through :attr:`observed`; the others are marked dirty for
-        a full re-derivation."""
+        here — still queued, with its blocked ticks credited through
+        :attr:`observed` — and the others are marked dirty for a full
+        re-derivation.  The woken herd moves as one batch: its edges are
+        dropped in one graph call and its names enter the runnable index
+        in one call."""
         m = self.metrics
         live = self.live
         dirty = self.cache.dirty
+        through = self.observed
+        woken: List[str] = []
+        wakeups = lock_ticks = 0
         for n in names:
             entry = live.get(n)
             if entry is None or entry.state != LOCK_WAIT or n in dirty:
                 continue
-            m.wakeups += 1
+            wakeups += 1
             if entry.needs_admission:
                 dirty.add(n)
                 continue
-            self.accrue(entry, self.observed)
-            self.graph.drop_edges(n)
-            m.lock_transitions += 1
-            self._enter_runnable(entry)
+            skipped = through - entry.accrued_to
+            if skipped > 0:
+                entry.record.blocked_ticks += skipped
+                lock_ticks += skipped
+                entry.accrued_to = through
+            entry.state = RUNNABLE
+            woken.append(n)
+        m.wakeups += wakeups
+        m.lock_wait_observations += lock_ticks
+        if woken:
+            m.lock_transitions += len(woken)
+            self.graph.drop_edges_many(woken)
+            self.cache.runnable.add_many(woken)
 
     def acquired(self, holder: str, entity: Entity) -> None:
         """``holder`` just acquired a grant on ``entity`` (phase 3).
 
-        One walk of ``entity``'s queue.  LOCK_WAIT waiters stay blocked —
-        a fresh grant can only extend their blocker sets — so a
-        conflicting one gains the holder edge in place.  A runnable one
-        whose verdict needs the policy is marked dirty; any other runnable
-        one whose queued mode conflicts with the holder's new effective
-        mode goes RUNNABLE → LOCK_WAIT in place, keeping its queue place,
+        One walk of ``entity``'s queue, read in place.  LOCK_WAIT waiters
+        stay blocked — a fresh grant can only extend their blocker sets —
+        so a conflicting one gains the holder edge.  A runnable one whose
+        verdict needs the policy is marked dirty; any other runnable one
+        whose queued mode conflicts with the holder's new effective mode
+        goes RUNNABLE → LOCK_WAIT in place, keeping its queue place,
         accruing from the next tick (it was runnable at this tick's
         observation); a compatible one is left alone.  The blocked ones'
         edges come from one :meth:`LockTable.blockers` query per wanted
         mode — the conflicting live holders — each taking its own copy
-        without itself (an S holder waiting to upgrade)."""
-        m = self.metrics
+        without itself (an S holder waiting to upgrade).  The herd moves
+        as one batch: one graph call extends the blocked waiters' edges,
+        one installs the re-blocked ones' (they were RUNNABLE, so they
+        have none to diff against), and one takes their names out of the
+        runnable index."""
         table = self.table
+        queue = table.queue(entity)
+        if len(queue) == 1 and holder in queue:
+            return  # nobody else wants the entity
         live = self.live
         dirty = self.cache.dirty
         effective = table.mode_held(holder, entity)
         assert effective is not None
-        conflicting: Dict[LockMode, Set[str]] = {}
-        for waiter, wanted in table.waiter_modes(entity):
+        observed = self.observed
+        # Per wanted mode, indexed by ``wanted is EXCLUSIVE``: whether it
+        # conflicts with the holder's effective mode, and the conflicting
+        # live holders, queried on first need.
+        exclusive_mode = LockMode.EXCLUSIVE
+        conflicts = (
+            LockMode.SHARED.conflicts_with(effective),
+            exclusive_mode.conflicts_with(effective),
+        )
+        conflicting: List[Optional[Set[str]]] = [None, None]
+        extended: List[str] = []
+        blocked: List[Tuple[str, Set[str]]] = []
+        for waiter, wanted in queue.items():
             if waiter == holder or waiter in dirty:
                 continue  # dirty waiters are fully re-classified anyway
             entry = live.get(waiter)
             if entry is None:
                 continue
+            exclusive = wanted is exclusive_mode
             if entry.state == LOCK_WAIT:
-                if wanted.conflicts_with(effective):
-                    self.graph.add_edge_if_tracked(waiter, holder)
+                if conflicts[exclusive]:
+                    extended.append(waiter)
             elif entry.needs_admission:
                 dirty.add(waiter)
-            elif wanted.conflicts_with(effective):
-                holders = conflicting.get(wanted)
+            elif conflicts[exclusive]:
+                holders = conflicting[exclusive]
                 if holders is None:
-                    holders = conflicting[wanted] = {
+                    holders = conflicting[exclusive] = {
                         b for b in table.blockers(None, entity, wanted) if b in live
                     }
-                m.blocker_queries += 1
-                m.lock_transitions += 1
-                self._enter_lock_wait(entry, holders - {waiter})
+                entry.state = LOCK_WAIT
+                entry.accrued_to = observed
+                blocked.append((waiter, holders - {waiter}))
+        graph = self.graph
+        if extended:
+            graph.add_edges_if_tracked(extended, holder)
+        if blocked:
+            m = self.metrics
+            m.blocker_queries += len(blocked)
+            m.lock_transitions += len(blocked)
+            graph.set_new_edges(blocked)
+            self.cache.runnable.discard_many({w for w, _ in blocked})

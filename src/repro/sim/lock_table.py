@@ -25,9 +25,10 @@ kernel:
   query per waiter; otherwise requests that still conflict with the
   remaining holders (an EXCLUSIVE waiter across another holder's
   EXCLUSIVE→SHARED downgrade, say) are filtered out: waking them was a
-  pure wasted re-classification.  :meth:`waiter_modes` exposes the queued
-  requests so the scheduler can maintain the waiters' waits-for edges, and
-  move a runnable request to blocked, without re-classifying them.
+  pure wasted re-classification.  :meth:`queue` exposes the queued
+  requests (uncopied; :meth:`waiter_modes` is the copying view) so the
+  scheduler can maintain the waiters' waits-for edges, and move a runnable
+  request to blocked, without re-classifying them.
 * **Exclusive-holder index.** ``_exclusive`` maps each entity to the
   holders whose modes include EXCLUSIVE; it is maintained where a grant
   enters or leaves (:meth:`acquire`, :meth:`_drop`, :meth:`release_all`).
@@ -47,10 +48,14 @@ results never depend on set or dict order.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..core.operations import LockMode
 from ..core.steps import Entity
+
+#: The queue of an entity nobody waits on.
+_NO_WAITERS: Mapping[str, LockMode] = MappingProxyType({})
 
 
 class LockTable:
@@ -261,6 +266,14 @@ class LockTable:
     def waiters_of(self, entity: Entity) -> List[str]:
         """Waiters queued on ``entity``, in arrival order."""
         return list(self._waiters.get(entity, {}))
+
+    def queue(self, entity: Entity) -> Mapping[str, LockMode]:
+        """``entity``'s wait queue itself — waiter -> requested mode, in
+        arrival order — without the copy :meth:`waiter_modes` takes: the
+        scheduler's herd walks read it once per lock event.  Read it,
+        never mutate it, and do not change the table while iterating
+        it."""
+        return self._waiters.get(entity, _NO_WAITERS)
 
     def waiter_modes(self, entity: Entity) -> List[Tuple[str, LockMode]]:
         """Waiters queued on ``entity`` with their requested modes, in

@@ -170,6 +170,9 @@ def test_random_op_sequences_match_the_model(profile, seed):
         for entity in entities:
             assert table.holders(entity) == model.holders(entity), where
             assert table.waiter_modes(entity) == model.waiter_modes(entity), where
+            assert list(table.queue(entity).items()) == model.waiter_modes(
+                entity
+            ), where
         for txn in txns:
             assert table.held_by(txn) == model.held_by(txn), where
             assert table.waiting_entity(txn) == model.waiting_entity(txn), where

@@ -4,7 +4,7 @@ A session whose verdict needs no policy is classified by the event that
 decides it — its own step, admission or restart (``Classifier.settle``),
 a release's wake-up set (``Classifier.wake``), an acquire's conflicting
 watchers (``Classifier.acquired``) — instead of being marked dirty and
-re-derived on the next tick.  Three contracts:
+re-derived on the next tick.  Four contracts:
 
 1. **Coherence oracle.**  At every event-engine tick, right before the
    phase-3 draw or the deadlock phase, every live session that is neither
@@ -29,6 +29,14 @@ re-derived on the next tick.  Three contracts:
    blocked watcher keeps the queue place it registered at classification:
    a pending lock is queued once, blocked or runnable, until the session
    is cleared.
+4. **Herd batches.**  The runnable index is strictly sorted and holds
+   exactly the RUNNABLE sessions, no RUNNABLE or NEW session has a
+   waits-for entry (so a re-blocked session's fresh edges need no diff),
+   and the graph's reverse index mirrors its edges — before every draw
+   and deadlock phase of the oracle's runs, and after every tick of
+   contended 2PL runs.  A wake or a grant moves its whole herd with one
+   graph call and one runnable-index call, and no per-member call of
+   either.
 """
 
 import pytest
@@ -43,8 +51,15 @@ from repro.policies import (
 )
 from repro.policies.base import LockingPolicy, PolicyContext, ScriptedSession
 from repro.sim import LockTable, Simulator, grid_factory
-from repro.sim.admission import LOCK_WAIT, RUNNABLE, Classifier
+from repro.sim.admission import (
+    LOCK_WAIT,
+    NEW,
+    RUNNABLE,
+    Classifier,
+    OrderedNames,
+)
 from repro.sim.scheduler import WorkloadItem, _Run
+from repro.sim.waits_for import WaitsForGraph
 from test_runnable_index import FACTORY_CELLS
 
 POLICIES = (TwoPhasePolicy, DdagPolicy, DtrPolicy, AltruisticPolicy)
@@ -55,9 +70,28 @@ POLICIES = (TwoPhasePolicy, DdagPolicy, DtrPolicy, AltruisticPolicy)
 # ----------------------------------------------------------------------
 
 
+def assert_herd_invariants(run) -> None:
+    """The state a batched herd move relies on and must leave behind."""
+    names = run.cache.runnable.names
+    where = f"tick {run.metrics.ticks}"
+    assert all(a < b for a, b in zip(names, names[1:])), (
+        f"{where}: runnable index not strictly sorted: {names}"
+    )
+    assert set(names) == {
+        n for n, e in run.live.items() if e.state == RUNNABLE
+    }, f"{where}: runnable index != the RUNNABLE sessions"
+    edged = [
+        n for n, e in run.live.items()
+        if e.state in (RUNNABLE, NEW) and n in run.graph.waits_for
+    ]
+    assert not edged, f"{where}: RUNNABLE/NEW sessions with edges: {edged}"
+    run.graph.check_consistency()
+
+
 def assert_coherent(run) -> int:
     """Fresh ``derive`` == cached state for every live session that is
     neither dirty, dynamic nor complete; returns how many were checked."""
+    assert_herd_invariants(run)
     cache, table = run.cache, run.table
     checked = 0
     for name, entry in run.live.items():
@@ -149,6 +183,27 @@ class TestCoherenceOracle:
         assert coherence_checked["sessions"] > 0
         if policy is TwoPhasePolicy and factory in ("deadlock_storm", "stress"):
             assert moved > 0, "the contended 2PL cells must move sessions in place"
+
+
+class TestHerdInvariants:
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("factory", ["deadlock_storm", "stress"])
+    def test_hold_after_every_tick(self, factory, seed, monkeypatch):
+        ticks = []
+        event_tick = _Run._event_tick
+
+        def checked_tick(run):
+            event_tick(run)
+            assert_herd_invariants(run)
+            ticks.append(run.metrics.ticks)
+
+        monkeypatch.setattr(_Run, "_event_tick", checked_tick)
+        policy, kwargs = FACTORY_CELLS[factory]
+        items, initial, context_kwargs = grid_factory(factory)(seed, **kwargs)
+        result = Simulator(
+            policy(), seed=seed, context_kwargs=context_kwargs
+        ).run(items, initial, validate=False)
+        assert ticks and result.metrics.lock_transitions > 0
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +562,48 @@ def acquire_queries(monkeypatch):
     return blocker_calls_inside(monkeypatch, Classifier, "acquired")
 
 
+#: The runnable-index and waits-for-graph updates a herd move may make,
+#: per member or as one batch.
+HERD_UPDATES = (
+    (OrderedNames, ("add", "discard", "add_many", "discard_many")),
+    (WaitsForGraph, (
+        "set_edges", "drop_edges", "add_edge_if_tracked",
+        "set_new_edges", "set_edges_many", "drop_edges_many",
+        "add_edges_if_tracked",
+    )),
+)
+
+
+@pytest.fixture
+def herd_updates(monkeypatch):
+    """The index and graph updates made inside each ``Classifier.wake`` /
+    ``acquired`` call: ``{method: [{"Class.update": calls}, ...]}``."""
+    open_calls, per_call = [], {"wake": [], "acquired": []}
+    for cls, updates in HERD_UPDATES:
+        for update in updates:
+            if not hasattr(cls, update):
+                continue  # an engine without that batch: nothing to count
+
+            def spy(self, *args, _update=getattr(cls, update),
+                    _key=f"{cls.__name__}.{update}"):
+                if open_calls:
+                    open_calls[-1][_key] = open_calls[-1].get(_key, 0) + 1
+                return _update(self, *args)
+
+            monkeypatch.setattr(cls, update, spy)
+    for method in per_call:
+        def counted(self, *args, _method=getattr(Classifier, method),
+                    _calls=per_call[method]):
+            open_calls.append({})
+            try:
+                return _method(self, *args)
+            finally:
+                _calls.append(open_calls.pop())
+
+        monkeypatch.setattr(Classifier, method, counted)
+    return per_call
+
+
 class TestHerd:
     """A hot entity with N X-waiters and some S watchers.  A release that
     frees it wakes the whole herd in one pass, and the next grant
@@ -565,6 +662,33 @@ class TestHerd:
         assert sorted(acquire_queries[-1], key=str) == [
             (None, "a", LockMode.EXCLUSIVE), (None, "a", LockMode.SHARED),
         ]
+
+    def test_a_herd_moves_as_one_batch(self, herd_updates):
+        # Eight watchers: the release wakes them all, X0's grant re-blocks
+        # the other seven; each move is one graph call and one index call.
+        run = self.herd()
+        tick(run, "H")  # H unlocks a
+        assert herd_updates["wake"][-1] == {
+            "WaitsForGraph.drop_edges_many": 1, "OrderedNames.add_many": 1,
+        }
+        tick(run, "X0")
+        assert herd_updates["acquired"][-1] == {
+            "WaitsForGraph.set_new_edges": 1, "OrderedNames.discard_many": 1,
+        }
+        rest = [n for n in self.XS + self.SS if n != "X0"]
+        assert all(run.live[n].state == LOCK_WAIT for n in rest)
+        # A grant on an entity whose herd is already blocked extends
+        # every conflicting waiter's edges in one call: S0's S grant
+        # blocks the X watchers, S1's extends their edges.
+        herd_updates["acquired"].clear()
+        run = self.woken_herd()
+        tick(run, "S0")
+        tick(run, "S1")
+        assert herd_updates["acquired"][-1] == {
+            "WaitsForGraph.add_edges_if_tracked": 1,
+        }
+        for n in self.XS:
+            assert run.graph.waits_for[n] == {"S0", "S1"}, n
 
     def test_an_s_grant_leaves_s_watchers_alone(self, acquire_queries):
         run = self.woken_herd()

@@ -3,7 +3,8 @@
 ``AdmissionCache.runnable`` owns both which sessions are runnable and the
 order phase 3 draws from.  Three contracts:
 
-1. **Container.**  After any ``add``/``discard`` sequence it reads as
+1. **Container.**  After any ``add``/``discard`` sequence — or herd
+   batches of them, ``add_many``/``discard_many`` — it reads as
    ``sorted(the_set)`` through every access the engine and its tests use.
 2. **Draw equivalence.**  ``Random(s).choice(container)`` is the draw
    ``Random(s).choice(sorted(the_set))`` made — the property that keeps
@@ -94,6 +95,32 @@ class TestContainer:
         gone = list(index)
         index.discard(name)
         assert list(index) == gone and name not in index
+
+    @pytest.mark.parametrize("others", [0, 64])
+    @given(batches=st.lists(st.tuples(st.booleans(), st.sets(NAMES)), max_size=30))
+    def test_herd_batches_read_as_the_sorted_model_set(self, others, batches):
+        # add_many takes names that are not members (a woken herd);
+        # discard_many any set of names (a re-blocked herd).  Beside 64
+        # other members a batch of a few names moves by bisection;
+        # any other batch by a sort or a rewrite.
+        index = OrderedNames()
+        model = {f"U{i:02d}" for i in range(others)}
+        index.add_many(sorted(model))
+        for add, names in batches:
+            if add:
+                index.add_many(names - model)
+                model |= names
+            else:
+                index.discard_many(names)
+                model -= names
+            assert index.names == sorted(model)
+
+    def test_discard_many_keeps_the_backing_list(self):
+        index = OrderedNames()
+        index.add_many(["T3", "T1", "T2"])
+        backing = index.names
+        index.discard_many({"T2", "T9"})
+        assert index.names is backing and backing == ["T1", "T3"]
 
     def test_absent_names_around_present_ones_are_not_members(self):
         index = OrderedNames()
@@ -191,9 +218,11 @@ class TestEngineInvariant:
 
 @pytest.fixture
 def index_calls(monkeypatch):
-    """Record every ``OrderedNames.add`` / ``discard`` call by name."""
+    """Record every name an ``OrderedNames.add`` / ``discard`` call — or
+    one of their herd batches, ``add_many`` / ``discard_many`` — moves."""
     calls = {"add": [], "discard": []}
     add, discard = OrderedNames.add, OrderedNames.discard
+    add_many, discard_many = OrderedNames.add_many, OrderedNames.discard_many
 
     def spy_add(index, name):
         calls["add"].append(name)
@@ -203,8 +232,20 @@ def index_calls(monkeypatch):
         calls["discard"].append(name)
         discard(index, name)
 
+    def spy_add_many(index, names):
+        names = list(names)
+        calls["add"].extend(names)
+        add_many(index, names)
+
+    def spy_discard_many(index, names):
+        names = list(names)
+        calls["discard"].extend(names)
+        discard_many(index, names)
+
     monkeypatch.setattr(OrderedNames, "add", spy_add)
     monkeypatch.setattr(OrderedNames, "discard", spy_discard)
+    monkeypatch.setattr(OrderedNames, "add_many", spy_add_many)
+    monkeypatch.setattr(OrderedNames, "discard_many", spy_discard_many)
     return calls
 
 

@@ -245,6 +245,55 @@ class TestOracleEquality:
         assert_oracle(g)
 
 
+class TestHerdBatches:
+    """Each batch update leaves the graph exactly as the single-member
+    calls it stands for, one per member, would."""
+
+    @staticmethod
+    def assert_same(batched, single):
+        assert batched.waits_for == single.waits_for
+        assert batched.blocked_by == single.blocked_by
+        batched.check_consistency()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batches_equal_their_single_calls(self, seed):
+        rng = random.Random(seed)
+        names = [f"T{i:02d}" for i in range(14)]
+        batched, single = WaitsForGraph(), WaitsForGraph()
+
+        def edges(name):
+            return {b for b in rng.sample(names, k=rng.randrange(0, 3)) if b != name}
+
+        for _ in range(200):
+            herd = rng.sample(names, k=rng.randrange(0, 5))
+            op = rng.random()
+            if op < 0.3:
+                # set_new_edges installs edge sets for edge-less names only.
+                pairs = [(n, edges(n)) for n in herd if n not in single.waits_for]
+                batched.set_new_edges([(n, set(bs)) for n, bs in pairs])
+                for n, bs in pairs:
+                    single.set_edges(n, set(bs))
+            elif op < 0.5:
+                pairs = [(n, edges(n)) for n in herd]
+                batched.set_edges_many([(n, set(bs)) for n, bs in pairs])
+                for n, bs in pairs:
+                    single.set_edges(n, set(bs))
+            elif op < 0.7:
+                blocker = rng.choice(names)
+                waiters = [n for n in herd if n != blocker]
+                batched.add_edges_if_tracked(waiters, blocker)
+                for n in waiters:
+                    single.add_edge_if_tracked(n, blocker)
+            elif op < 0.9:
+                batched.drop_edges_many(herd)
+                for n in herd:
+                    single.drop_edges(n)
+            else:
+                for g in (batched, single):
+                    g.forget(herd[0] if herd else names[0])
+            self.assert_same(batched, single)
+
+
 def table_rebuild(run):
     """The waits-for graph rebuilt from the live table the way the naive
     engine builds it: a lock waiter waits on the live conflicting holders
