@@ -29,6 +29,12 @@ class LockMode(enum.Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
 
+    # Members are singletons and equality is identity, so identity hashing
+    # is consistent with it; it goes through the C slot, where
+    # ``Enum.__hash__`` is a Python call on every set or dict lookup (the
+    # lock table's mode sets on every lock and unlock).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -54,11 +60,20 @@ class Operation(enum.Enum):
     :meth:`__str__` returns so that schedules print exactly like the paper's
     figures, e.g. ``(I a)`` or ``(LX 4)``.
 
-    ``is_lock`` (``LS``/``LX``), ``is_unlock`` (``US``/``UX``) and
-    ``lock_mode`` (the :class:`LockMode` of a lock/unlock operation, else
-    ``None``) are fixed per member, so they are filled in once at member
-    creation and read as plain attributes: the scheduler asks all three
-    about every step it classifies and executes.
+    Seven predicates are fixed per member, so they are filled in once at
+    member creation and read as plain attributes — every scheduler
+    decision and every schedule check asks them about every step:
+
+    * ``is_data`` — one of the data operations ``O = {R, W, I, D}``;
+    * ``is_structural`` — ``I`` or ``D``, the operations that change which
+      entities exist (the structural state);
+    * ``requires_present`` — defined only on an entity present in the
+      structural state (``R``, ``W``, ``D``);
+    * ``requires_absent`` — defined only on an absent entity (``I``);
+    * ``is_lock`` — ``LS`` or ``LX``;
+    * ``is_unlock`` — ``US`` or ``UX``;
+    * ``lock_mode`` — the :class:`LockMode` of a lock/unlock operation,
+      else ``None``.
     """
 
     READ = "R"
@@ -70,45 +85,32 @@ class Operation(enum.Enum):
     UNLOCK_SHARED = "US"
     UNLOCK_EXCLUSIVE = "UX"
 
+    is_data: bool
+    is_structural: bool
+    requires_present: bool
+    requires_absent: bool
     is_lock: bool
     is_unlock: bool
     lock_mode: LockMode | None
 
+    # As for LockMode: identity hashing through the C slot (``op in
+    # NON_CONFLICTING`` runs on every event of a serializability check).
+    __hash__ = object.__hash__
+
     def __init__(self, abbreviation: str) -> None:
-        # The locking abbreviations spell it out: L/U, then the mode S/X.
+        # The data operations are the one-letter abbreviations; the
+        # locking ones spell it out: L/U, then the mode S/X.
         locking = len(abbreviation) == 2
+        self.is_data = not locking
+        self.is_structural = abbreviation in ("I", "D")
+        self.requires_present = abbreviation in ("R", "W", "D")
+        self.requires_absent = abbreviation == "I"
         self.is_lock = locking and abbreviation[0] == "L"
         self.is_unlock = locking and abbreviation[0] == "U"
         self.lock_mode = LockMode(abbreviation[1]) if locking else None
 
     def __str__(self) -> str:
         return self.value
-
-    # ------------------------------------------------------------------
-    # Classification helpers
-    # ------------------------------------------------------------------
-
-    @property
-    def is_data(self) -> bool:
-        """True for the four data operations ``O = {R, W, I, D}``."""
-        return self in _DATA_OPS
-
-    @property
-    def is_structural(self) -> bool:
-        """True for ``I`` and ``D`` — the operations that change which
-        entities exist (the structural state)."""
-        return self in (Operation.INSERT, Operation.DELETE)
-
-    @property
-    def requires_present(self) -> bool:
-        """True if the operation is defined only on an entity present in the
-        structural state (``R``, ``W``, ``D``)."""
-        return self in (Operation.READ, Operation.WRITE, Operation.DELETE)
-
-    @property
-    def requires_absent(self) -> bool:
-        """True if the operation is defined only on an absent entity (``I``)."""
-        return self is Operation.INSERT
 
 
 # Short aliases matching the paper's notation.
@@ -121,14 +123,12 @@ LX = Operation.LOCK_EXCLUSIVE
 US = Operation.UNLOCK_SHARED
 UX = Operation.UNLOCK_EXCLUSIVE
 
-_DATA_OPS: FrozenSet[Operation] = frozenset({R, W, I, D})
-
 #: Operations that never conflict with each other: a pair of steps on a common
 #: entity conflicts unless *both* operations are in this set (paper, §2).
 NON_CONFLICTING: FrozenSet[Operation] = frozenset({R, LS, US})
 
 #: The plain-transaction alphabet ``O``.
-DATA_OPERATIONS: FrozenSet[Operation] = _DATA_OPS
+DATA_OPERATIONS: FrozenSet[Operation] = frozenset({R, W, I, D})
 
 #: The locked-transaction alphabet ``OL``.
 ALL_OPERATIONS: FrozenSet[Operation] = frozenset(Operation)

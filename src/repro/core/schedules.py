@@ -99,7 +99,12 @@ class Schedule:
                 raise MalformedScheduleError(
                     f"event {e} out of order: expected step {expected} of {e.txn}"
                 )
-            if e.index >= len(txn.steps) or txn.steps[e.index] != e.step:
+            steps = txn.steps
+            # A logged step is usually the transaction's own object, which
+            # identity settles before the field-by-field compare.
+            if e.index >= len(steps) or (
+                steps[e.index] is not e.step and steps[e.index] != e.step
+            ):
                 raise MalformedScheduleError(
                     f"event {e} does not match step {e.index} of {e.txn}"
                 )
@@ -305,8 +310,11 @@ class Schedule:
         """
         holders: Dict[Entity, Dict[str, LockMode]] = {}
         for pos, e in enumerate(self._events):
-            mode = e.step.lock_mode
-            if e.step.is_lock and mode is not None:
+            op = e.step.op
+            mode = op.lock_mode
+            if mode is None:
+                continue
+            if op.is_lock:
                 current = holders.setdefault(e.step.entity, {})
                 for other, other_mode in current.items():
                     if other != e.txn and mode.conflicts_with(other_mode):
@@ -317,7 +325,7 @@ class Schedule:
                 prev = current.get(e.txn)
                 if prev is None or mode is LockMode.EXCLUSIVE:
                     current[e.txn] = mode
-            elif e.step.is_unlock and mode is not None:
+            else:
                 current = holders.get(e.step.entity, {})
                 if current.get(e.txn) is mode:
                     del current[e.txn]

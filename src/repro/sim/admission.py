@@ -545,8 +545,10 @@ class Classifier:
         step is a derivation like any other, counted in ``classify_checks``
         (and in ``blocker_queries`` when it locks), and touches only what
         it changes — the queue entry moves only when a lock is involved,
-        and the runnable index only when the session blocks.  A LOCK_WAIT
-        installed here starts accruing after :attr:`observed`."""
+        and the runnable index only when the session blocks.  A step that
+        locks nothing leaves the session RUNNABLE (a NEW one enters the
+        index) with no further lookups.  A LOCK_WAIT installed here starts
+        accruing after :attr:`observed`."""
         name = entry.item.name
         step = entry.peek()
         if step is None:
@@ -556,9 +558,13 @@ class Classifier:
         m = self.metrics
         m.classify_checks += 1
         self.table.remove_waiter(name)
+        if not step.op.is_lock:
+            if entry.state != RUNNABLE:
+                entry.state = RUNNABLE
+                self.cache.runnable.add(name)
+            return
+        m.blocker_queries += 1
         entity, mode, edges = self._pending_lock(name, step)
-        if entity is not None:
-            m.blocker_queries += 1
         self._install(entry, entity, mode, edges)
 
     def apply(

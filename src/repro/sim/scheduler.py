@@ -186,15 +186,16 @@ class _Run(KernelRun):
         tick = (
             self._event_tick if self.event_engine else lambda: naive_tick(self)
         )
+        pending = self.pending
         self.admit_arrivals()
-        while self.live or self.pending:
-            if not self.live and self.pending:
+        while self.live or pending:
+            if not self.live and pending:
                 # Idle until the next arrival: jump to the tick *before*
                 # it so the increment below lands exactly on start_tick,
                 # clamped so a far-future arrival cannot jump the clock
                 # straight past the max_ticks guard below.
                 m.ticks = min(
-                    max(m.ticks, self.pending[0][0] - 1),
+                    max(m.ticks, pending[0][0] - 1),
                     self.max_ticks,
                 )
             if m.ticks >= self.max_ticks:
@@ -207,7 +208,10 @@ class _Run(KernelRun):
             # Until this tick's classify phase, the naive engine has
             # observed blocked sessions through the previous tick.
             self.classifier.observed = m.ticks - 1
-            self.admit_arrivals()
+            # Admission is entered only on a tick an arrival is due, as
+            # the event tick enters a phase only when something is due.
+            if pending and pending[0][0] <= m.ticks:
+                self.admit_arrivals()
             # Accrued *after* admissions: a transaction admitted at tick
             # t can execute at tick t, so it belongs in tick t's
             # integral.
@@ -251,7 +255,7 @@ class _Run(KernelRun):
         if cache.dirty or cache.dynamic:
             if self._phase_classify():
                 return
-        if not cache.runnable:
+        if not cache.runnable.names:
             self._phase_deadlock()
             return
         self._phase_execute()

@@ -14,6 +14,7 @@ from repro.core import LockMode, StructuralState
 from repro.exceptions import SimulationError
 from repro.graphs import random_rooted_dag
 from repro.policies import (
+    Access,
     AltruisticPolicy,
     BrokenAltruisticPolicy,
     DdagPolicy,
@@ -24,6 +25,7 @@ from repro.policies import (
 from repro.sim import (
     LockTable,
     Simulator,
+    WorkloadItem,
     deadlock_storm_workload,
     dynamic_traversal_workload,
     fig3_dag,
@@ -368,6 +370,37 @@ class TestEventEngineWins:
         assert run.graph.blocked_by == {}
         # Nothing is left queued on the lock table either.
         assert all(run.table.waiting_entity(i.name) is None for i in items)
+
+    def test_arrivals_admitted_only_on_arrival_ticks(self, monkeypatch):
+        """The tick loop enters admission only on a tick an arrival is
+        due: busy ticks between arrivals and idle gaps make no call, and
+        arrivals sharing a start tick are admitted in one call."""
+        from repro.sim.scheduler import _Run
+
+        starts = (0, 0, 3, 3, 3, 60, 61, 150)
+        items = [
+            WorkloadItem(f"T{i}", [Access(e) for e in "ab"[: 1 + i % 2]],
+                         start_tick=t)
+            for i, t in enumerate(starts)
+        ]
+        initial = StructuralState.of("a", "b")
+        ticks = Simulator(TwoPhasePolicy(), seed=0).run(items, initial).metrics.ticks
+        assert ticks > 2 * len(set(starts)), "the run must outlast its arrivals"
+
+        calls = {True: 0, False: 0}
+        admit = _Run.admit_arrivals
+
+        def counted(run):
+            calls[run.event_engine] += 1
+            admit(run)
+
+        monkeypatch.setattr(_Run, "admit_arrivals", counted)
+        assert_equivalent(TwoPhasePolicy, lambda s: (items, initial), seeds=[0])
+        for engine, n in calls.items():
+            assert n <= len(set(starts)) + 1, (
+                f"event_engine={engine}: {n} admission calls for "
+                f"{len(set(starts))} arrival ticks"
+            )
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -50,6 +50,27 @@ class TestClassification:
         assert I.requires_absent
         assert not LX.requires_present and not LX.requires_absent
 
+    def test_predicate_table(self):
+        """All seven per-member predicates against the paper's sets, each
+        stored on the member itself; members hash through the C slot."""
+        modes = {LS: LockMode.SHARED, LX: LockMode.EXCLUSIVE,
+                 US: LockMode.SHARED, UX: LockMode.EXCLUSIVE}
+        for m in Operation:
+            expected = {
+                "is_data": m in {R, W, I, D},
+                "is_structural": m in {I, D},
+                "requires_present": m in {R, W, D},
+                "requires_absent": m in {I},
+                "is_lock": m in {LS, LX},
+                "is_unlock": m in {US, UX},
+                "lock_mode": modes.get(m),
+            }
+            for attr, want in expected.items():
+                assert getattr(m, attr) is want, (m, attr)
+                assert attr in vars(m), (m, attr)
+        for m in (*LockMode, *Operation):
+            assert hash(m) == object.__hash__(m), m
+
     def test_all_operations_has_eight(self):
         assert len(ALL_OPERATIONS) == 8
 

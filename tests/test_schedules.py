@@ -36,6 +36,13 @@ class TestConstruction:
         with pytest.raises(MalformedScheduleError, match="does not match"):
             Schedule([section2_t1], [evt])
 
+    def test_event_with_equal_step_object_accepted(self, section2_t1):
+        step = section2_t1.steps[0]
+        copy = parse_step(str(step))
+        assert copy == step and copy is not step
+        s = Schedule([section2_t1], [Event("T1", 0, copy)])
+        assert s.events[0].step is copy
+
     def test_serial(self, section2_t1, section2_t2):
         s = Schedule.serial([section2_t1, section2_t2])
         assert s.is_serial() and s.is_complete
