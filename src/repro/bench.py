@@ -344,7 +344,7 @@ def _scaling_row(
         "ticks": ticks,
         "committed": int(summary.get("committed", 0)),
         "mean_active": round(summary.get("mean_active", 0.0), 2),
-        "wall_s": round(wall, 4),
+        "wall_s": round(wall, 6),
         "us_per_tick": round(1e6 * wall / ticks, 2) if ticks else 0.0,
     }
 

@@ -10,8 +10,8 @@ both drive:
   is now a driver subclass);
 * :mod:`~repro.kernel.core` — :class:`LockKernel`, the tick-free
   request API (``begin/acquire/release/commit/abort`` → explicit
-  :class:`Outcome`, wake-up callbacks, inline admission, deadlock
-  resolution by the simulator's deterministic victim rule);
+  :class:`Outcome`, wake-up callbacks, deadlock resolution by the
+  simulator's deterministic victim rule);
 * :mod:`~repro.kernel.outcomes` — the :class:`Outcome` enum and
   :class:`KernelResponse`;
 * :mod:`~repro.kernel.audit` — the append-only :class:`AuditLog`.
@@ -27,7 +27,6 @@ from .. import _exports
 
 _EXPORTS = {
     "AdmissionCache": "..sim.admission",
-    "AdmissionHook": ".core",
     "AuditEntry": ".audit",
     "AuditLog": ".audit",
     "Classifier": "..sim.admission",

@@ -80,9 +80,3 @@ class AuditLog:
     def entries(self) -> Tuple[AuditEntry, ...]:
         """Immutable snapshot of the whole trail, in sequence order."""
         return tuple(self._entries)
-
-    def for_txn(self, txn: str) -> Tuple[AuditEntry, ...]:
-        return tuple(e for e in self._entries if e.txn == txn)
-
-    def decisions(self) -> Tuple[str, ...]:
-        return tuple(e.decision for e in self._entries)

@@ -5,8 +5,8 @@ dynamic database — a decision procedure that PR 9 unfuses from the tick
 simulator.  :class:`LockKernel` exposes the decision procedure as five
 requests::
 
-    begin(txn)                   -> GRANTED | DENIED | ERROR
-    acquire(txn, entity, mode)   -> GRANTED | BLOCKED | DENIED | VICTIM | ERROR
+    begin(txn)                   -> GRANTED | ERROR
+    acquire(txn, entity, mode)   -> GRANTED | BLOCKED | VICTIM | ERROR
     release(txn, entity)         -> GRANTED | ERROR
     commit(txn)                  -> GRANTED | ERROR
     abort(txn)                   -> GRANTED | ERROR
@@ -23,12 +23,13 @@ API.
 
 **Blocking without ticks.**  An acquire that conflicts returns
 ``BLOCKED`` immediately; the request parks in the entity's wait queue
-and the caller's registered *wake-up callback* fires exactly once with
-the final outcome — ``GRANTED`` when a release makes the request
-grantable (grants happen in arrival order, re-checked against the
-then-current holders), ``VICTIM`` when deadlock resolution sacrifices
-the transaction, or ``ERROR`` when the kernel drains or the client
-aborts its own blocked transaction.
+(the only record of it: the transaction's kernel record keeps just the
+callback), and the caller's registered *wake-up callback* fires exactly
+once with the final outcome — ``GRANTED`` when a release makes the
+request grantable (grants happen in arrival order, re-checked against
+the then-current holders), ``VICTIM`` when deadlock resolution
+sacrifices the transaction, or ``ERROR`` when the kernel drains or the
+client aborts its own blocked transaction.
 
 **Deadlock resolution.**  The kernel keeps one
 :class:`~repro.sim.waits_for.WaitsForGraph` and touches it only where an
@@ -66,15 +67,10 @@ test oracle (``tests/test_kernel_api.py``).
 one entry to the :class:`~repro.kernel.audit.AuditLog` before returning,
 and asynchronous resolutions (wake-up grants, victim aborts) append
 their own entries; there is no audit-free path (the
-boundary-enforcement-integrity contract).  ``DENIED`` and ``ERROR``
-guarantee **no state mutation**: the admission hook runs before any
-table write, and misuse checks only read.
-
-**Policy seam.**  ``admission_hook`` is evaluated inline on every
-mutating request *before* side effects; returning a reason string denies
-the request.  The service front-end (:mod:`repro.service`) layers actor
-authorization on this seam; the paper's policy sessions can drive it
-with a :class:`~repro.policies.base.PolicySession` admission verdict.
+boundary-enforcement-integrity contract).  ``ERROR`` guarantees **no
+state mutation**: misuse checks only read.  Authorization is not the
+kernel's: the service front-end (:mod:`repro.service`) refuses a
+request before the kernel sees it.
 """
 
 from __future__ import annotations
@@ -92,64 +88,44 @@ from .outcomes import GRANTED, KernelResponse, Outcome
 #: Wake-up callback: fires once with the blocked request's final outcome.
 WakeCallback = Callable[[str, KernelResponse], None]
 
-#: Inline admission hook: ``(op, txn, entity, mode) -> None | reason``.
-#: A non-None return denies the request before any state change.
-AdmissionHook = Callable[
-    [str, str, Optional[Entity], Optional[LockMode]], Optional[str]
-]
-
 
 class _NullSession:
-    """Victim-costing stand-in for transactions begun without a policy
-    session (service clients): no structural effects, ever."""
+    """Victim-costing stand-in for a transaction without a policy
+    session: no structural effects, ever."""
 
     has_structural_effects = False
-
-
-_NULL_SESSION = _NullSession()
 
 
 class _Txn:
     """One live transaction's kernel-side record.  Exposes the
     ``session``/``step_count`` surface :func:`repro.sim.deadlock.victim_cost`
     reads, so the service shares the simulator's deterministic victim
-    tie-break."""
+    tie-break.  What it waits for is not here: the lock table's queue
+    (``table.waiting_entity``, ``table.queue``) is the one record."""
 
-    __slots__ = ("name", "session", "step_count", "pending")
+    __slots__ = ("step_count", "on_wake")
 
-    def __init__(self, name: str, session=None) -> None:
-        self.name = name
-        self.session = session if session is not None else _NULL_SESSION
+    #: No transaction here carries a policy session.
+    session = _NullSession()
+
+    def __init__(self) -> None:
         #: Requests executed (grants + releases) — the victim-cost proxy
         #: for "work lost on abort".
         self.step_count = 0
-        #: The parked acquire — set exactly while the transaction is
-        #: blocked: (entity, mode, wake-callback or None).
-        self.pending: Optional[
-            Tuple[Entity, LockMode, Optional[WakeCallback]]
-        ] = None
+        #: The callback of the last parked acquire; fired only while the
+        #: table still queues the transaction.
+        self.on_wake: Optional[WakeCallback] = None
 
 
 class LockKernel:
     """The tick-free lock-manager kernel (see the module docstring)."""
 
-    def __init__(
-        self,
-        *,
-        audit: Optional[AuditLog] = None,
-        admission_hook: Optional[AdmissionHook] = None,
-        max_live: int = 0,
-    ) -> None:
+    def __init__(self) -> None:
         self.table = LockTable()
         #: Waits-for edges of the parked transactions, kept equal to what
         #: the table implies at every request boundary (module docstring).
         self.graph = WaitsForGraph()
-        self.audit = audit if audit is not None else AuditLog()
-        self.admission_hook = admission_hook
-        #: Admission control: refuse ``begin`` beyond this many live
-        #: transactions (0 = unbounded); the service's global backstop
-        #: behind the per-client in-flight caps.
-        self.max_live = max_live
+        self.audit = AuditLog()
         self._txns: Dict[str, _Txn] = {}
         self._finished: Set[str] = set()
         self._draining = False
@@ -178,8 +154,8 @@ class LockKernel:
     def state_fingerprint(self) -> Tuple:
         """A hashable digest of all observable kernel state — holder
         maps, wait queues, live/blocked sets, waits-for edges — used by
-        the misuse tests to assert that ``DENIED``/``ERROR`` requests
-        mutated nothing."""
+        the misuse tests to assert that ``ERROR`` requests mutated
+        nothing."""
         locked = sorted(self.table.locked_entities(), key=repr)
         holders = tuple(
             (repr(e), tuple(sorted(self.table.holders(e).items(),
@@ -187,7 +163,7 @@ class LockKernel:
             for e in locked
         )
         waiters = tuple(
-            (repr(e), tuple(self.table.waiter_modes(e))) for e in locked
+            (repr(e), tuple(self.table.queue(e).items())) for e in locked
         )
         edges = tuple(
             (w, tuple(sorted(bs)))
@@ -222,20 +198,12 @@ class LockKernel:
         )
         return response
 
-    def _deny(self, op: str, txn: str, entity: Optional[Entity],
-              mode: Optional[LockMode]) -> Optional[str]:
-        """Evaluate the inline admission hook (None = admitted)."""
-        if self.admission_hook is None:
-            return None
-        return self.admission_hook(op, txn, entity, mode)
-
     def _misuse(
         self, op: str, txn: str, *, allow_blocked: bool = False
     ) -> Optional[KernelResponse]:
         """Shared protocol-misuse guard: unknown or finished transaction,
         or an operation issued while blocked.  Read-only."""
-        record = self._txns.get(txn)
-        if record is None:
+        if txn not in self._txns:
             if txn in self._finished:
                 return KernelResponse(
                     Outcome.ERROR, f"transaction {txn!r} already finished"
@@ -243,7 +211,7 @@ class LockKernel:
             return KernelResponse(
                 Outcome.ERROR, f"unknown transaction {txn!r}"
             )
-        if record.pending is not None and not allow_blocked:
+        if not allow_blocked and self.table.waiting_entity(txn) is not None:
             return KernelResponse(
                 Outcome.ERROR,
                 f"transaction {txn!r} is blocked; only abort is allowed",
@@ -282,11 +250,11 @@ class LockKernel:
         queued there (never its own — a grantee is in no queue)."""
         if not self.graph.waits_for:
             return
-        queue = self.table.waiter_modes(entity)
+        queue = self.table.queue(entity)
         if not queue:
             return
         effective = self.table.mode_held(holder, entity)
-        for waiter, wanted in queue:
+        for waiter, wanted in queue.items():
             if wanted.conflicts_with(effective):
                 self.graph.add_edge_if_tracked(waiter, holder)
 
@@ -294,7 +262,7 @@ class LockKernel:
         """Re-derive, from the table, the edges of every waiter still
         queued on ``entity`` (an explicit release took the releaser out
         of their blocker sets without necessarily unblocking them)."""
-        for waiter, wanted in self.table.waiter_modes(entity):
+        for waiter, wanted in self.table.queue(entity).items():
             self.graph.set_edges(
                 waiter, set(self.table.blockers(waiter, entity, wanted))
             )
@@ -313,11 +281,11 @@ class LockKernel:
         grant unblocked waiters, and audit the departure."""
         record = self._txns.pop(txn)
         self._finished.add(txn)
-        if record.pending is not None:
-            _, _, callback = record.pending
-            record.pending = None
-            if callback is not None:
-                callback(txn, pending_response)
+        if (
+            record.on_wake is not None
+            and self.table.waiting_entity(txn) is not None
+        ):
+            record.on_wake(txn, pending_response)
         _, woken = self.table.release_all_wake(txn)
         self.graph.forget(txn)
         self.audit.append(
@@ -339,16 +307,17 @@ class LockKernel:
         terminal ``ERROR`` when its transaction drains."""
         if self._draining:
             return
+        table = self.table
         for waiter in woken:
-            record = self._txns.get(waiter)
-            if record is None or record.pending is None:
-                continue
-            entity, mode, callback = record.pending
-            if not self.table.grantable(waiter, entity, mode):
+            entity = table.waiting_entity(waiter)
+            if entity is None:
+                continue  # no longer parked
+            mode = table.queue(entity)[waiter]
+            if not table.grantable(waiter, entity, mode):
                 continue  # an earlier grant in this batch re-conflicted it
-            self.table.remove_waiter(waiter)
-            self.table.acquire(waiter, entity, mode)
-            record.pending = None
+            table.remove_waiter(waiter)
+            table.acquire(waiter, entity, mode)
+            record = self._txns[waiter]
             record.step_count += 1
             self.graph.drop_edges(waiter)
             self._granted_on(waiter, entity)
@@ -356,60 +325,39 @@ class LockKernel:
                 "grant", waiter, Outcome.GRANTED.value,
                 txn=waiter, entity=entity,
             )
-            if callback is not None:
-                callback(waiter, GRANTED)
+            if record.on_wake is not None:
+                record.on_wake(waiter, GRANTED)
 
     # ------------------------------------------------------------------
     # The request API
     # ------------------------------------------------------------------
 
-    def begin(
-        self, txn, *, actor: Optional[str] = None
-    ) -> KernelResponse:
-        """Start a transaction.  ``txn`` is a name, or a policy session
-        (anything with ``name`` and ``has_structural_effects``) the
-        deadlock victim costing should consult."""
-        session = None if isinstance(txn, str) else txn
-        name = txn if isinstance(txn, str) else txn.name
+    def begin(self, txn: str, *, actor: Optional[str] = None) -> KernelResponse:
+        """Start the transaction ``txn``."""
         if self._draining:
             return self._audited(
                 "begin",
                 KernelResponse(Outcome.ERROR, "kernel is draining"),
-                actor=actor, txn=name,
+                actor=actor, txn=txn,
             )
-        if name in self._txns:
+        if txn in self._txns:
             return self._audited(
                 "begin",
                 KernelResponse(
-                    Outcome.ERROR, f"transaction {name!r} already exists"
+                    Outcome.ERROR, f"transaction {txn!r} already exists"
                 ),
-                actor=actor, txn=name,
+                actor=actor, txn=txn,
             )
-        if name in self._finished:
+        if txn in self._finished:
             return self._audited(
                 "begin",
                 KernelResponse(
-                    Outcome.ERROR, f"transaction {name!r} already finished"
+                    Outcome.ERROR, f"transaction {txn!r} already finished"
                 ),
-                actor=actor, txn=name,
+                actor=actor, txn=txn,
             )
-        if self.max_live and len(self._txns) >= self.max_live:
-            return self._audited(
-                "begin",
-                KernelResponse(
-                    Outcome.ERROR,
-                    f"admission control: {self.max_live} live transactions",
-                ),
-                actor=actor, txn=name,
-            )
-        denial = self._deny("begin", name, None, None)
-        if denial is not None:
-            return self._audited(
-                "begin", KernelResponse(Outcome.DENIED, denial),
-                actor=actor, txn=name,
-            )
-        self._txns[name] = _Txn(name, session)
-        return self._audited("begin", GRANTED, actor=actor, txn=name)
+        self._txns[txn] = _Txn()
+        return self._audited("begin", GRANTED, actor=actor, txn=txn)
 
     def acquire(
         self,
@@ -444,12 +392,6 @@ class LockKernel:
                 ),
                 actor=actor, txn=txn, entity=entity,
             )
-        denial = self._deny("acquire", txn, entity, mode)
-        if denial is not None:
-            return self._audited(
-                "acquire", KernelResponse(Outcome.DENIED, denial),
-                actor=actor, txn=txn, entity=entity,
-            )
         record = self._txns[txn]
         blockers = self.table.blockers(txn, entity, mode)
         if not blockers:
@@ -461,7 +403,7 @@ class LockKernel:
             )
         # Park the request and look for a cycle the new edge closed.
         self.table.add_waiter(txn, entity, mode)
-        record.pending = (entity, mode, on_wake)
+        record.on_wake = on_wake
         self.graph.set_edges(txn, set(blockers))
         response = KernelResponse(
             Outcome.BLOCKED,
@@ -504,12 +446,6 @@ class LockKernel:
                 ),
                 actor=actor, txn=txn, entity=entity,
             )
-        denial = self._deny("release", txn, entity, None)
-        if denial is not None:
-            return self._audited(
-                "release", KernelResponse(Outcome.DENIED, denial),
-                actor=actor, txn=txn, entity=entity,
-            )
         record = self._txns[txn]
         woken: List[str] = []
         seen: Set[str] = set()
@@ -535,12 +471,6 @@ class LockKernel:
         misuse = self._misuse("commit", txn)
         if misuse is not None:
             return self._audited("commit", misuse, actor=actor, txn=txn)
-        denial = self._deny("commit", txn, None, None)
-        if denial is not None:
-            return self._audited(
-                "commit", KernelResponse(Outcome.DENIED, denial),
-                actor=actor, txn=txn,
-            )
         self._finish(
             txn,
             KernelResponse(Outcome.ERROR, "transaction committed"),
@@ -562,12 +492,6 @@ class LockKernel:
         misuse = self._misuse("abort", txn, allow_blocked=True)
         if misuse is not None:
             return self._audited("abort", misuse, actor=actor, txn=txn)
-        denial = self._deny("abort", txn, None, None)
-        if denial is not None:
-            return self._audited(
-                "abort", KernelResponse(Outcome.DENIED, denial),
-                actor=actor, txn=txn,
-            )
         self._finish(
             txn,
             KernelResponse(Outcome.ERROR, f"transaction {reason}"),

@@ -139,12 +139,6 @@ class KernelRun:
         else:
             self.classifier.settle(entry)
 
-    def record_event(self, name: str, event: Event) -> None:
-        self.log.record(name, event)
-
-    def erase(self, name: str) -> None:
-        self.log.erase(name)
-
     def commit(self, entry: LiveEntry) -> None:
         name = entry.item.name
         m = self.metrics

@@ -2,7 +2,8 @@
 
 Every request a front-end submits to :class:`repro.kernel.core.LockKernel`
 resolves to exactly one :class:`Outcome`, carried on a
-:class:`KernelResponse`:
+:class:`KernelResponse`; ``DENIED`` is the front-end's own answer, given
+before the kernel sees the request:
 
 ``GRANTED``
     The request took effect — a lock was granted (or upgraded), a
@@ -10,15 +11,14 @@ resolves to exactly one :class:`Outcome`, carried on a
     the kernel's one success outcome, so a transport can branch on a
     single value.
 ``BLOCKED``
-    The acquire conflicts with other holders (or a policy WAIT verdict);
-    the transaction is queued and the registered wake-up callback fires
-    with the final outcome (``GRANTED`` after a release unblocks it,
-    ``VICTIM`` if deadlock resolution aborts it, ``ERROR`` if the kernel
-    drains while it waits).
+    The acquire conflicts with other holders; the transaction is queued
+    and the registered wake-up callback fires with the final outcome
+    (``GRANTED`` after a release unblocks it, ``VICTIM`` if deadlock
+    resolution aborts it, ``ERROR`` if the kernel drains while it waits).
 ``DENIED``
-    An authorization or policy admission verdict rejected the request
-    *before any state changed* — the boundary-enforcement contract: a
-    denied request leaves no lock state and only an audit entry.
+    The service's authorization check rejected the request *before the
+    kernel saw it* — the boundary-enforcement contract: a denied request
+    leaves no lock state and only an audit entry.
 ``VICTIM``
     The transaction was aborted by deadlock resolution (its locks are
     released, its pending request cancelled).
@@ -49,14 +49,6 @@ class Outcome(enum.Enum):
     @property
     def is_success(self) -> bool:
         return self is Outcome.GRANTED
-
-    @property
-    def mutated_state(self) -> bool:
-        """Whether a request with this outcome may have changed kernel
-        state.  ``DENIED`` and ``ERROR`` guarantee no mutation; ``BLOCKED``
-        queues the request (a mutation of the wait state, not the lock
-        state)."""
-        return self not in (Outcome.DENIED, Outcome.ERROR)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ re-``begin``-ing it (the kernel independently refuses name reuse).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 
 class Authorizer:
@@ -30,15 +30,6 @@ class Authorizer:
         """Record ``actor`` as the owner of ``txn`` (called by the service
         only after the kernel granted the ``begin``)."""
         self._owner[txn] = actor
-
-    def owner(self, txn: str) -> Optional[str]:
-        return self._owner.get(txn)
-
-    def owned_by(self, actor: str) -> Tuple[str, ...]:
-        """Every transaction name ``actor`` has ever owned, sorted."""
-        return tuple(
-            sorted(t for t, a in self._owner.items() if a == actor)
-        )
 
     def check(self, op: str, actor: str, txn: str) -> Optional[str]:
         """``None`` if ``actor`` may address ``txn`` with ``op``, else the

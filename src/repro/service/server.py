@@ -59,7 +59,7 @@ import asyncio
 from collections import deque
 from typing import Deque, Dict, Optional, Set, Tuple
 
-from ..kernel import AuditLog, LockKernel, Outcome
+from ..kernel import LockKernel, Outcome
 from .auth import Authorizer
 from .protocol import (
     MAX_LINE_BYTES,
@@ -89,7 +89,8 @@ class _Connection:
         self.seq = seq
         self.inflight = asyncio.Semaphore(max_inflight)
         #: Transactions begun on this connection and not yet seen to
-        #: finish on it; whatever is still live at disconnect is aborted.
+        #: finish on it (a commit or abort reply, or a victim wake);
+        #: whatever is still live at disconnect is aborted.
         self.txns: Set[str] = set()
 
     def send(self, message: Dict[str, object]) -> None:
@@ -103,7 +104,8 @@ class _Connection:
 class _Parked:
     """A blocked acquire's continuation: forwards the kernel's wake-up to
     the owning connection as a ``wake`` event and returns the in-flight
-    slot.  The kernel fires it exactly once (single-delivery contract)."""
+    slot; a ``victim`` wake also ends the connection's hold on the name.
+    The kernel fires it exactly once (single-delivery contract)."""
 
     __slots__ = ("conn", "rid")
 
@@ -120,6 +122,8 @@ class _Parked:
         }
         if response.reason is not None:
             event["reason"] = response.reason
+        if response.outcome is Outcome.VICTIM:
+            self.conn.txns.discard(txn)
         self.conn.send(event)
         self.conn.inflight.release()
 
@@ -127,15 +131,9 @@ class _Parked:
 class LockService:
     """The asyncio lock-manager service (see module docstring)."""
 
-    def __init__(
-        self,
-        *,
-        max_inflight: int = 8,
-        max_live: int = 0,
-        audit: Optional[AuditLog] = None,
-    ) -> None:
-        self.audit = audit if audit is not None else AuditLog()
-        self.kernel = LockKernel(audit=self.audit, max_live=max_live)
+    def __init__(self, *, max_inflight: int = 8) -> None:
+        self.kernel = LockKernel()
+        self.audit = self.kernel.audit
         self.auth = Authorizer()
         self.max_inflight = max_inflight
         self._draining = False

@@ -26,12 +26,14 @@ kernel:
   remaining holders (an EXCLUSIVE waiter across another holder's
   EXCLUSIVE→SHARED downgrade, say) are filtered out: waking them was a
   pure wasted re-classification.  :meth:`queue` exposes the queued
-  requests (uncopied; :meth:`waiter_modes` is the copying view) so the
-  scheduler can maintain the waiters' waits-for edges, and move a runnable
-  request to blocked, without re-classifying them.
+  requests (uncopied, the one queue view) so the scheduler and the kernel
+  can maintain the waiters' waits-for edges, and move a runnable request
+  to blocked, without re-classifying them.  The queue is the only record
+  of a pending request: neither caller keeps a copy of it.
 * **Exclusive-holder index.** ``_exclusive`` maps each entity to the
   holders whose modes include EXCLUSIVE; it is maintained where a grant
-  enters or leaves (:meth:`acquire`, :meth:`_drop`, :meth:`release_all`).
+  enters or leaves (:meth:`acquire`, :meth:`_drop`,
+  :meth:`release_all_wake`).
   Conflict queries answer from it and from the holder map's size, never
   from a holder's mode set: a SHARED request conflicts only with another
   transaction in the index, an EXCLUSIVE one with every other holder.
@@ -41,9 +43,9 @@ kernel:
   a SHARED request against an empty index, and otherwise lists the
   conflicting holders in holder-map order.
 
-The cross-entity walks (``release_all`` and its wake variant, ``held_by``)
-iterate the per-transaction held index sorted by ``repr``, so their
-results never depend on set or dict order.
+The cross-entity walks (``release_all_wake``, ``held_by``) iterate the
+per-transaction held index sorted by ``repr``, so their results never
+depend on set or dict order.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class LockTable:
         #: Per-entity wait queue: waiter -> requested mode (arrival order).
         self._waiters: Dict[Entity, Dict[str, LockMode]] = {}
         #: Per-transaction index of held entities (O(footprint)
-        #: release_all).
+        #: release_all_wake).
         self._held: Dict[str, Set[Entity]] = {}
         #: Reverse waiter index: waiter -> entity it waits on (a
         #: transaction waits on at most one entity at a time).
@@ -194,15 +196,16 @@ class LockTable:
             return self._wake_set(txn, entity)
         return []
 
-    def release_all(self, txn: str) -> List[Tuple[Entity, LockMode]]:
-        """Release every lock of ``txn`` (abort/commit path); returns what
-        was released (entity, strongest mode).  Use :meth:`waiters_of` on
-        the released entities — or :meth:`release_all_wake` — for wake-ups.
-        """
+    def release_all_wake(self, txn: str) -> Tuple[List[Tuple[Entity, LockMode]], List[str]]:
+        """Release every lock of ``txn`` and drop its queued request
+        (abort/commit path); returns what was released (entity, strongest
+        mode) and the combined wake-up set of the released entities'
+        now-grantable waiters."""
         self.remove_waiter(txn)  # a departing txn must not stay queued
         released: List[Tuple[Entity, LockMode]] = []
+        woken: List[str] = []
         holders = self._holders
-        for entity in sorted(self._held.get(txn, ()), key=repr):
+        for entity in sorted(self._held.pop(txn, ()), key=repr):
             modes = holders[entity].pop(txn)
             mode = self._effective(modes)
             if mode is LockMode.EXCLUSIVE:
@@ -210,15 +213,6 @@ class LockTable:
             released.append((entity, mode))
             if not holders[entity]:
                 del holders[entity]
-        self._held.pop(txn, None)
-        return released
-
-    def release_all_wake(self, txn: str) -> Tuple[List[Tuple[Entity, LockMode]], List[str]]:
-        """:meth:`release_all` plus the combined wake-up set of every
-        released entity's now-grantable waiters."""
-        released = self.release_all(txn)
-        woken: List[str] = []
-        for entity, _ in released:
             # A transaction waits on at most one entity: no duplicates.
             woken.extend(self._wake_set(txn, entity))
         return released, woken
@@ -263,25 +257,13 @@ class LockTable:
             if not queue:
                 del self._waiters[entity]
 
-    def waiters_of(self, entity: Entity) -> List[str]:
-        """Waiters queued on ``entity``, in arrival order."""
-        return list(self._waiters.get(entity, {}))
-
     def queue(self, entity: Entity) -> Mapping[str, LockMode]:
         """``entity``'s wait queue itself — waiter -> requested mode, in
-        arrival order — without the copy :meth:`waiter_modes` takes: the
-        scheduler's herd walks read it once per lock event.  Read it,
+        arrival order — uncopied: the scheduler's herd walks and the
+        kernel's edge maintenance read it once per lock event.  Read it,
         never mutate it, and do not change the table while iterating
         it."""
         return self._waiters.get(entity, _NO_WAITERS)
-
-    def waiter_modes(self, entity: Entity) -> List[Tuple[str, LockMode]]:
-        """Waiters queued on ``entity`` with their requested modes, in
-        arrival order — the scheduler's edge-maintenance query: after a
-        release whose wake-up set was grantability-filtered, the still
-        blocked waiters' waits-for edges are re-derived from these requests
-        instead of re-classifying the sessions."""
-        return list(self._waiters.get(entity, {}).items())
 
     def waiting_entity(self, txn: str) -> Optional[Entity]:
         return self._waiting_on.get(txn)

@@ -108,12 +108,12 @@ class TestPendingLockRegistration:
             classifier.settle(entry)  # runnable, and queued all the same
         S = LockMode.SHARED
         assert list(cache.runnable) == ["A", "B"]
-        assert table.waiter_modes("e1") == [("B", S), ("A", S)]
+        assert list(table.queue("e1").items()) == [("B", S), ("A", S)]
         classifier.clear(live["B"])
-        assert table.waiter_modes("e1") == [("A", S)]
+        assert list(table.queue("e1").items()) == [("A", S)]
         assert table.waiting_entity("B") is None
         classifier.clear(live["A"])
-        assert table.waiter_modes("e1") == []
+        assert list(table.queue("e1").items()) == []
         assert table.waiting_entity("A") is None
         assert not cache.runnable
 

@@ -413,7 +413,7 @@ class TestWaitQueues:
         t.acquire("T1", "a", LockMode.EXCLUSIVE)
         t.add_waiter("T2", "a", LockMode.EXCLUSIVE)
         t.add_waiter("T3", "a", LockMode.SHARED)
-        assert t.waiters_of("a") == ["T2", "T3"]
+        assert list(t.queue("a")) == ["T2", "T3"]
         woken = t.release("T1", "a", LockMode.EXCLUSIVE)
         assert woken == ["T2", "T3"]
 
@@ -485,11 +485,11 @@ class TestWaitQueues:
         t = LockTable()
         t.add_waiter("T2", "a", LockMode.EXCLUSIVE)
         t.add_waiter("T3", "a", LockMode.SHARED)
-        assert t.waiter_modes("a") == [
+        assert list(t.queue("a").items()) == [
             ("T2", LockMode.EXCLUSIVE),
             ("T3", LockMode.SHARED),
         ]
-        assert t.waiter_modes("b") == []
+        assert list(t.queue("b").items()) == []
 
     def test_release_all_wake_combines_entities(self):
         t = LockTable()
@@ -506,19 +506,19 @@ class TestWaitQueues:
         t = LockTable()
         t.acquire("T1", "a", LockMode.EXCLUSIVE)
         t.add_waiter("T1", "b", LockMode.EXCLUSIVE)
-        t.release_all("T1")
-        assert t.waiters_of("b") == []
+        t.release_all_wake("T1")
+        assert list(t.queue("b")) == []
         assert t.waiting_entity("T1") is None
 
     def test_waiter_moves_between_entities(self):
         t = LockTable()
         t.add_waiter("T2", "a", LockMode.EXCLUSIVE)
         t.add_waiter("T2", "b", LockMode.EXCLUSIVE)
-        assert t.waiters_of("a") == []
-        assert t.waiters_of("b") == ["T2"]
+        assert list(t.queue("a")) == []
+        assert list(t.queue("b")) == ["T2"]
         assert t.waiting_entity("T2") == "b"
         t.remove_waiter("T2")
-        assert t.waiters_of("b") == []
+        assert list(t.queue("b")) == []
         assert t.waiting_entity("T2") is None
 
 

@@ -1,8 +1,8 @@
 """The tick-free kernel request API (``repro.kernel.core.LockKernel``):
 lifecycle outcomes, wake-up callbacks, deadlock resolution, drain, and —
 the contract under test throughout — protocol misuse answered with
-``ERROR``/``DENIED`` while mutating **nothing** and always leaving an
-audit entry (no audit-free path)."""
+``ERROR`` while mutating **nothing** and always leaving an audit entry
+(no audit-free path)."""
 
 import random
 
@@ -10,10 +10,6 @@ import pytest
 
 from repro.kernel import AuditEntry, AuditLog, LockKernel, LockMode, Outcome
 from repro.sim.deadlock import find_cycle
-
-
-def audited_kernel(**kwargs):
-    return LockKernel(audit=AuditLog(), **kwargs)
 
 
 def last_audit(kernel):
@@ -45,13 +41,13 @@ class MisuseProbe:
             assert len(self.kernel.audit) == self.audit_len + 1, (
                 "a refused request did not leave exactly one audit entry"
             )
-            assert last_audit(self.kernel).decision in ("error", "denied")
+            assert last_audit(self.kernel).decision == "error"
         return False
 
 
 class TestLifecycle:
     def test_begin_acquire_release_commit(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok
         assert k.acquire("t1", "a", LockMode.EXCLUSIVE).ok
         assert k.held("t1") == {"a": LockMode.EXCLUSIVE}
@@ -62,14 +58,14 @@ class TestLifecycle:
         assert [e.decision for e in k.audit] == ["granted"] * 4
 
     def test_shared_holders_coexist(self):
-        k = audited_kernel()
+        k = LockKernel()
         for name in ("t1", "t2"):
             assert k.begin(name).ok
             assert k.acquire(name, "a", LockMode.SHARED).ok
         assert k.blocked_txns() == ()
 
     def test_conflicting_acquire_blocks_then_wakes_granted(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok and k.begin("t2").ok
         assert k.acquire("t1", "a").ok
         wakes = []
@@ -86,7 +82,7 @@ class TestLifecycle:
         assert k.blocked_txns() == ()
 
     def test_wake_grants_in_arrival_order(self):
-        k = audited_kernel()
+        k = LockKernel()
         for name in ("t1", "t2", "t3"):
             assert k.begin(name).ok
         assert k.acquire("t1", "a").ok
@@ -101,7 +97,7 @@ class TestLifecycle:
         assert order == ["t2", "t3"]
 
     def test_deadlock_resolution_aborts_a_victim(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok and k.begin("t2").ok
         assert k.acquire("t1", "a").ok
         assert k.acquire("t2", "b").ok
@@ -123,7 +119,7 @@ class TestLifecycle:
         )
 
     def test_abort_while_blocked_cancels_the_parked_request(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok and k.begin("t2").ok
         assert k.acquire("t1", "a").ok
         wakes = []
@@ -136,17 +132,57 @@ class TestLifecycle:
         # t1's lock is untouched by t2's departure.
         assert k.held("t1") == {"a": LockMode.EXCLUSIVE}
 
+    def test_a_parked_request_lives_on_the_table_queue(self):
+        """The lock table's queue is the one record of a parked acquire:
+        it appears there when the acquire blocks and leaves when the
+        request is cancelled."""
+        k = LockKernel()
+        assert k.begin("t1").ok and k.begin("t2").ok
+        assert k.acquire("t1", "a").ok
+        assert k.table.waiting_entity("t2") is None
+        assert k.acquire("t2", "a", LockMode.SHARED).outcome is Outcome.BLOCKED
+        assert k.table.waiting_entity("t2") == "a"
+        assert list(k.table.queue("a").items()) == [("t2", LockMode.SHARED)]
+        assert k.blocked_txns() == ("t2",)
+        assert k.abort("t2").ok
+        assert k.table.waiting_entity("t2") is None
+        assert not k.table.queue("a")
+        assert k.blocked_txns() == ()
+
+    def test_a_delivered_wake_never_fires_again(self):
+        """A callback fires once, while its request is queued: a second
+        parked acquire reports only through its own callback, and a later
+        abort re-fires neither."""
+        k = LockKernel()
+        assert k.begin("t1").ok and k.begin("t2").ok
+        assert k.acquire("t1", "a").ok
+        assert k.acquire("t1", "b").ok
+        first, second = [], []
+        assert k.acquire(
+            "t2", "a", on_wake=lambda t, r: first.append(r.outcome)
+        ).outcome is Outcome.BLOCKED
+        assert k.release("t1", "a").ok
+        assert first == [Outcome.GRANTED]
+        assert k.acquire(
+            "t2", "b", on_wake=lambda t, r: second.append(r.outcome)
+        ).outcome is Outcome.BLOCKED
+        assert k.release("t1", "b").ok
+        assert (first, second) == ([Outcome.GRANTED], [Outcome.GRANTED])
+        assert k.abort("t2").ok
+        assert (first, second) == ([Outcome.GRANTED], [Outcome.GRANTED])
+        assert k.live_txns() == ("t1",)
+
     def test_upgrade_shared_to_exclusive_is_not_misuse(self):
         """Cross-mode re-acquisition is the upgrade path: it goes through
         the ordinary conflict check, not the duplicate-acquire guard."""
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok
         assert k.acquire("t1", "a", LockMode.SHARED).ok
         assert k.acquire("t1", "a", LockMode.EXCLUSIVE).ok  # sole holder
         assert k.held("t1") == {"a": LockMode.EXCLUSIVE}
 
     def test_upgrade_blocks_behind_other_shared_holder(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok and k.begin("t2").ok
         assert k.acquire("t1", "a", LockMode.SHARED).ok
         assert k.acquire("t2", "a", LockMode.SHARED).ok
@@ -159,7 +195,7 @@ class TestProtocolMisuse:
     """Each misuse case: refused, zero state mutation, one audit entry."""
 
     def test_release_of_unheld_lock(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok
         with MisuseProbe(k) as probe:
             probe.expect_refusal(
@@ -167,7 +203,7 @@ class TestProtocolMisuse:
             )
 
     def test_duplicate_same_mode_acquire(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok
         assert k.acquire("t1", "a", LockMode.SHARED).ok
         with MisuseProbe(k) as probe:
@@ -177,7 +213,7 @@ class TestProtocolMisuse:
             )
 
     def test_commit_while_blocked(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok and k.begin("t2").ok
         assert k.acquire("t1", "a").ok
         assert k.acquire("t2", "a").outcome is Outcome.BLOCKED
@@ -191,7 +227,7 @@ class TestProtocolMisuse:
 
     @pytest.mark.parametrize("op", ["acquire", "release", "commit", "abort"])
     def test_ops_on_unknown_txn(self, op):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("other").ok  # some unrelated state to not mutate
         assert k.acquire("other", "x").ok
         with MisuseProbe(k) as probe:
@@ -205,7 +241,7 @@ class TestProtocolMisuse:
 
     @pytest.mark.parametrize("op", ["acquire", "release", "commit", "abort"])
     def test_ops_on_finished_txn(self, op):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok
         assert k.commit("t1").ok
         with MisuseProbe(k) as probe:
@@ -218,7 +254,7 @@ class TestProtocolMisuse:
             probe.expect_refusal(response, Outcome.ERROR, "already finished")
 
     def test_begin_of_live_or_finished_name(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok
         with MisuseProbe(k) as probe:
             probe.expect_refusal(k.begin("t1"), Outcome.ERROR, "exists")
@@ -227,7 +263,7 @@ class TestProtocolMisuse:
             probe.expect_refusal(k.begin("t1"), Outcome.ERROR, "finished")
 
     def test_acquire_while_blocked(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok and k.begin("t2").ok
         assert k.acquire("t1", "a").ok
         assert k.acquire("t2", "a").outcome is Outcome.BLOCKED
@@ -238,7 +274,7 @@ class TestProtocolMisuse:
 
     def test_every_request_is_audited(self):
         """No audit-free path: each API call appends at least one entry."""
-        k = audited_kernel()
+        k = LockKernel()
         before = len(k.audit)
         for call in (
             lambda: k.begin("t1"),
@@ -278,34 +314,9 @@ class TestProtocolMisuse:
         assert log.entries() == (entry,)
 
 
-class TestAdmissionAndDrain:
-    def test_admission_hook_denies_before_any_state_change(self):
-        def hook(op, txn, entity, mode):
-            if op == "acquire" and entity == "forbidden":
-                return "entity is off-limits"
-            return None
-
-        k = LockKernel(audit=AuditLog(), admission_hook=hook)
-        assert k.begin("t1").ok
-        with MisuseProbe(k) as probe:
-            probe.expect_refusal(
-                k.acquire("t1", "forbidden"), Outcome.DENIED, "off-limits"
-            )
-        assert last_audit(k).decision == "denied"
-        assert k.acquire("t1", "allowed").ok
-
-    def test_max_live_admission_control(self):
-        k = LockKernel(audit=AuditLog(), max_live=1)
-        assert k.begin("t1").ok
-        with MisuseProbe(k) as probe:
-            probe.expect_refusal(
-                k.begin("t2"), Outcome.ERROR, "admission control"
-            )
-        assert k.commit("t1").ok
-        assert k.begin("t2").ok
-
+class TestDrain:
     def test_drain_cancels_blocked_and_aborts_live(self):
-        k = audited_kernel()
+        k = LockKernel()
         assert k.begin("t1").ok and k.begin("t2").ok
         assert k.acquire("t1", "a").ok
         wakes = []
@@ -331,15 +342,17 @@ class TestAdmissionAndDrain:
 def table_waits_for(kernel):
     """Every parked transaction's waits-for edges re-derived from the lock
     table — what ``LockKernel`` used to rebuild on every ``BLOCKED``, kept
-    here as the oracle the maintained graph must equal."""
+    here as the oracle the maintained graph must equal.  The parked
+    request is read where the kernel keeps it: on the table's queue."""
+    table = kernel.table
     graph = {}
-    for record in kernel._txns.values():
-        if record.pending is None:
+    for name in kernel._txns:
+        entity = table.waiting_entity(name)
+        if entity is None:
             continue
-        entity, mode, _ = record.pending
-        graph[record.name] = {
-            b
-            for b in kernel.table.blockers(record.name, entity, mode)
+        mode = table.queue(entity)[name]
+        graph[name] = {
+            b for b in table.blockers(name, entity, mode)
             if b in kernel._txns
         }
     return graph
@@ -358,6 +371,12 @@ class OracleKernel(LockKernel):
 
 def assert_graph_matches_table(kernel):
     kernel.graph.check_consistency()
+    for entity, queue in kernel.table._waiters.items():
+        for name in queue:
+            assert name in kernel._txns, f"{name} queued on {entity!r}, not live"
+            assert name in kernel.graph.waits_for, (
+                f"{name} queued on {entity!r} without waits-for edges"
+            )
     rebuilt = table_waits_for(kernel)
     assert kernel.graph.snapshot() == rebuilt
     assert find_cycle(rebuilt) is None, "a cycle survived a request"
@@ -374,8 +393,8 @@ class RequestFuzzer:
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
-        self.kernel = audited_kernel()
-        self.oracle = OracleKernel(audit=AuditLog())
+        self.kernel = LockKernel()
+        self.oracle = OracleKernel()
         self.wakes = {self.kernel: [], self.oracle: []}
         self.begun = 0
         self.cascades = 0  # requests that cost two or more victims
@@ -419,7 +438,7 @@ class RequestFuzzer:
             held = sorted(k.held(txn)) or list(self.ENTITIES)
             entity = rng.choice(held if rng.random() < 0.9 else self.ENTITIES)
             self.both("release", txn, entity)
-            self.rederived += bool(k.table.waiters_of(entity))
+            self.rederived += bool(k.table.queue(entity))
         elif roll < 0.92 and active:
             self.both("commit", rng.choice(active))
         else:
@@ -453,7 +472,7 @@ class TestMaintainedWaitsFor:
         """S holder joins while X waits: the waiter's blocker set grows
         without it being re-examined, and the cycle that edge belongs to
         is found when the joiner next blocks."""
-        k = audited_kernel()
+        k = LockKernel()
         for name in ("t1", "t2", "t3"):
             assert k.begin(name).ok
         assert k.acquire("t1", "a", LockMode.SHARED).ok

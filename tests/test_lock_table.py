@@ -4,7 +4,7 @@
 :class:`ModelTable`, a deliberately naive restatement of its contract:
 every return value (wake-up sets, ``release_all_wake``'s released list
 and its order), every conflict answer (``blockers`` in holder order,
-``grantable``), every view (``holders``, ``waiter_modes``, ``held_by``,
+``grantable``), every view (``holders``, ``queue``, ``held_by``,
 ``waiting_entity``, ``locked_entities``) and the exclusive-holder index
 must agree after each operation of a seeded random sequence.
 """
@@ -169,7 +169,6 @@ def test_random_op_sequences_match_the_model(profile, seed):
             model.remove_waiter(t)
         for entity in entities:
             assert table.holders(entity) == model.holders(entity), where
-            assert table.waiter_modes(entity) == model.waiter_modes(entity), where
             assert list(table.queue(entity).items()) == model.waiter_modes(
                 entity
             ), where
@@ -237,7 +236,7 @@ class TestWakeSetFastPath:
         woken = table.release("T1", "a", X)
         assert woken == model.release("T1", "a", X) == ["W3", "W1", "W2"]
         assert queries == []
-        assert table.waiter_modes("a") == model.waiter_modes("a")
+        assert list(table.queue("a").items()) == model.waiter_modes("a")
 
     def test_release_all_wake_that_frees_every_entity(self, queries):
         table, model = self.build(

@@ -106,7 +106,7 @@ def assert_coherent(run) -> int:
         queued = table.waiting_entity(name)
         if d.entity is not None:  # LOCK_WAIT, or RUNNABLE with a pending lock
             assert queued == d.entity, f"{where}: queued on {queued!r}"
-            assert dict(table.waiter_modes(queued))[name] == d.mode, where
+            assert table.queue(queued)[name] == d.mode, where
         else:
             assert queued is None, f"{where}: still queued on {queued!r}"
         assert (name in cache.runnable) == (d.kind == RUNNABLE), where
@@ -354,7 +354,7 @@ class TestSettleRouting:
         cache = run.cache
         assert not cache.dirty and not cache.dynamic and not cache.phase1
         assert list(cache.runnable) == ["H", "R"]
-        assert run.table.waiter_modes("a") == [("H", LockMode.EXCLUSIVE)]
+        assert list(run.table.queue("a").items()) == [("H", LockMode.EXCLUSIVE)]
         assert run.table.waiting_entity("R") is None  # nothing to lock
         assert run.metrics.classify_checks == 2
         assert run.metrics.blocker_queries == 1
@@ -451,7 +451,7 @@ class TestBlockTransition:
         entry = run.live["S"]
         assert entry.state == RUNNABLE and "S" not in run.graph.waits_for
         assert "S" in run.cache.runnable and "S" not in run.cache.dirty
-        assert run.table.waiter_modes("a") == [("S", LockMode.SHARED)]
+        assert list(run.table.queue("a").items()) == [("S", LockMode.SHARED)]
         assert run.metrics.lock_transitions == 0
 
     def test_x_acquire_blocks_an_s_watcher_in_place(self):
@@ -464,7 +464,7 @@ class TestBlockTransition:
         assert entry.state == LOCK_WAIT
         assert "S" not in run.cache.runnable and "S" not in run.cache.dirty
         assert run.graph.waits_for["S"] == {"H"}
-        assert run.table.waiter_modes("a") == [("S", LockMode.SHARED)]
+        assert list(run.table.queue("a").items()) == [("S", LockMode.SHARED)]
         assert run.metrics.lock_transitions == 1
         # Tick 1 classified only H's next step (a write: no query), in
         # place; the block query is counted.
@@ -498,10 +498,10 @@ class TestBlockTransition:
         run.admit_arrivals()
         for _ in range(len(names) + 1):
             tick(run, "H")
-        assert run.table.waiters_of("a") == arrivals + ["H"]
+        assert list(run.table.queue("a")) == arrivals + ["H"]
         assert all(run.live[n].state == RUNNABLE for n in names)
         tick(run, "H")  # H's X acquire blocks every watcher in place
-        assert run.table.waiters_of("a") == arrivals
+        assert list(run.table.queue("a")) == arrivals
         assert all(run.live[n].state == LOCK_WAIT for n in names)
         assert run.metrics.lock_transitions == len(names)
 
@@ -525,7 +525,7 @@ class TestWakeRouting:
         assert run.live["P"].state == RUNNABLE and "P" not in run.cache.dirty
         assert "P" not in run.graph.waits_for
         # A woken waiter stays queued on its entity, in its place.
-        assert run.table.waiter_modes("a") == [
+        assert list(run.table.queue("a").items()) == [
             ("P", LockMode.EXCLUSIVE), ("Q", LockMode.EXCLUSIVE)
         ]
         assert "Q" in run.cache.dirty
@@ -643,7 +643,7 @@ class TestHerd:
         assert not run.graph.waits_for
         # Every woken waiter is still queued, in its registration place,
         # and the wake-up set was read without a conflict query.
-        assert run.table.waiters_of("a") == sorted(herd)
+        assert list(run.table.queue("a")) == sorted(herd)
         assert release_queries == [[]]
 
     def test_the_next_x_grant_reblocks_the_rest(self, acquire_queries):
@@ -655,7 +655,7 @@ class TestHerd:
         for n in rest:
             assert run.live[n].state == LOCK_WAIT, n
             assert run.graph.waits_for[n] == {"X0"}, n
-        assert run.table.waiters_of("a") == sorted(rest)
+        assert list(run.table.queue("a")) == sorted(rest)
         assert m.lock_transitions == moved + len(rest)
         assert m.blocker_queries == queries + len(rest)
         # One query per wanted mode, shared by the herd.

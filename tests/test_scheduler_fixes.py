@@ -277,7 +277,7 @@ class TestLockUpgrade:
         t.acquire("T1", "a", LockMode.SHARED)
         t.acquire("T1", "a", LockMode.EXCLUSIVE)
         assert t.held_by("T1") == {"a": LockMode.EXCLUSIVE}
-        assert t.release_all("T1") == [("a", LockMode.EXCLUSIVE)]
+        assert t.release_all_wake("T1")[0] == [("a", LockMode.EXCLUSIVE)]
         assert t.locked_entities() == frozenset()
 
 
@@ -502,8 +502,8 @@ class TestEraseIndex:
             Event("T2", 1, Step(Operation.WRITE, "b")),
         ]
         for ev in e:
-            run.record_event(ev.txn, ev)
-        run.erase("T1")
+            run.log.record(ev.txn, ev)
+        run.log.erase("T1")
         assert run.events == [None, e[1], None, e[3]]
         assert "T1" not in run.log.by_txn
         assert run.log.by_txn["T2"] == [1, 3]
@@ -511,10 +511,10 @@ class TestEraseIndex:
     def test_erase_unknown_and_repeat_are_noops(self):
         run = self._run()
         ev = Event("T1", 0, Step(Operation.READ, "a"))
-        run.record_event("T1", ev)
-        run.erase("GHOST")
-        run.erase("T1")
-        run.erase("T1")
+        run.log.record("T1", ev)
+        run.log.erase("GHOST")
+        run.log.erase("T1")
+        run.log.erase("T1")
         assert run.events == [None]
 
     def test_assemble_skips_tombstones_and_reindexes(self):
@@ -524,10 +524,10 @@ class TestEraseIndex:
             Event("T2", 0, Step(Operation.READ, "b")),
             Event("T1", 1, Step(Operation.WRITE, "a")),
         ):
-            run.record_event(ev.txn, ev)
-        run.erase("T1")
+            run.log.record(ev.txn, ev)
+        run.log.erase("T1")
         # A restarted T1 records fresh events after the erasure.
-        run.record_event("T1", Event("T1", 0, Step(Operation.READ, "c")))
+        run.log.record("T1", Event("T1", 0, Step(Operation.READ, "c")))
         schedule = _assemble(run.events)
         assert [(ev.txn, ev.index, ev.step) for ev in schedule.events] == [
             ("T2", 0, Step(Operation.READ, "b")),

@@ -269,6 +269,29 @@ class TestBlockingAndWake:
 
         run(scenario())
 
+    def test_a_deadlock_victim_is_no_longer_tracked_by_its_connection(self):
+        """A victim is finished at its ``victim`` wake: the connection
+        stops holding its name then, not at disconnect."""
+
+        async def scenario():
+            svc = await make_service()
+            alice = await svc.connect("alice")
+            bob = await svc.connect("bob")
+            await alice.request("begin", txn="ta")
+            await bob.request("begin", txn="tb")
+            await alice.request("acquire", txn="ta", entity="x")
+            await bob.request("acquire", txn="tb", entity="y")
+            first = await alice.request("acquire", txn="ta", entity="y")
+            await bob.request("acquire", txn="tb", entity="x")
+            wake = await alice.wait_wake(first["id"])
+            assert wake["outcome"] == "victim"
+            conns = {c.actor: c for c in svc._conns}
+            assert conns["alice"].txns == set()
+            assert conns["bob"].txns == {"tb"}
+            await svc.drain()
+
+        run(scenario())
+
     def test_backpressure_stops_reading_at_the_inflight_cap(self):
         async def scenario():
             svc = await make_service(max_inflight=2)
@@ -366,7 +389,7 @@ class TestDisconnect:
             assert svc.kernel.live_txns() == ("a1",)
             assert svc.kernel.blocked_txns() == ()
             assert svc.kernel.graph.snapshot() == {}
-            assert svc.kernel.table.waiters_of("x") == []
+            assert list(svc.kernel.table.queue("x")) == []
             assert not conn.inflight.locked()
             (entry,) = svc.audit.entries()[audit_len:]
             assert (entry.op, entry.txn, entry.decision, entry.reason) == (

@@ -42,7 +42,7 @@ class TestLockTable:
         t = LockTable()
         t.acquire("T1", "a", LockMode.EXCLUSIVE)
         t.acquire("T1", "b", LockMode.EXCLUSIVE)
-        released = dict(t.release_all("T1"))
+        released = dict(t.release_all_wake("T1")[0])
         assert set(released) == {"a", "b"}
         assert t.held_by("T1") == {}
 

@@ -305,7 +305,7 @@ def table_rebuild(run):
     for name, entry in live.items():
         if entry.state == LOCK_WAIT:
             entity = table.waiting_entity(name)
-            mode = dict(table.waiter_modes(entity))[name]
+            mode = table.queue(entity)[name]
             waits = table.blockers(name, entity, mode)
         elif entry.state == POLICY_WAIT:
             waits = entry.session.admission().waiting_on
