@@ -3,15 +3,14 @@
 The equivalence suites prove the event engine and the multiprocess grid
 byte-identical to their references — but only for the seeds they run.
 The rules that make determinism *structural* (sorted iteration on
-order-reaching paths, the invalidation-channel protocol, the layer DAG,
-spawn-safe grid specs) live here as machine-checked contracts:
+order-reaching paths, the invalidation-channel protocol, the layer DAG)
+live here as machine-checked contracts:
 
 * **RPR001** — determinism hazards (unsorted set iteration, bare
   ``random.*``, wall-clock reads, ordering via ``id()``);
 * **RPR002** — invalidation-protocol conformance
   (``admission_dependencies`` vs ``notify_changed``);
-* **RPR003** — layering (the docs/ARCHITECTURE.md import DAG);
-* **RPR004** — spawn safety (grid specs must be picklable).
+* **RPR003** — layering (the docs/ARCHITECTURE.md import DAG).
 
 Every rule checks one file at a time.  Run as ``python -m repro.lint
 [paths] [--format human|json|github]``.  This package imports nothing
@@ -33,7 +32,6 @@ from .engine import FileContext, analyze_file, analyze_paths, iter_python_files
 from . import determinism  # noqa: F401  (registration import)
 from . import invalidation  # noqa: F401  (registration import)
 from . import layering  # noqa: F401  (registration import)
-from . import spawn_safety  # noqa: F401  (registration import)
 
 __all__ = [
     "Finding",

@@ -20,7 +20,7 @@ from .engine import analyze_paths
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Project-specific static analysis (RPR001–RPR004).",
+        description="Project-specific static analysis (RPR001–RPR003).",
     )
     parser.add_argument(
         "paths",

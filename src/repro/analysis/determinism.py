@@ -37,7 +37,7 @@ noise.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from .core import Finding, register_rule
 from .engine import FileContext

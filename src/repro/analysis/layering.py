@@ -11,10 +11,11 @@ it may import the state layers it absorbed (lock table, waits-for,
 deadlock, admission, live, metrics, event log, executor) but never the
 drivers above it (``sim.scheduler``, ``sim.runner``, ``sim.grid``) nor
 the reference oracle; ``repro.service`` is a front-end that imports
-**only** the kernel (plus ``repro.policies`` for the admission seam) —
-the sim state layers reach it exclusively through the kernel's
-re-exports.  ``repro.sim`` may import the kernel (the scheduler's
-``_Run`` is a kernel driver) but never the service.
+the kernel package and nothing from ``repro.sim`` or ``repro.core`` —
+the kernel modules it calls run on the sim state layers, and the one
+core name it speaks (``LockMode``) is a kernel re-export.
+``repro.sim`` may import the kernel (the scheduler's ``_Run`` is a
+kernel driver) but never the service.
 
 Special cases:
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import ast
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .core import Finding, register_rule
 from .engine import FileContext

@@ -549,14 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shrink transaction counts (like BENCH_SMOKE_SCALE); must be > 0",
     )
     parser.add_argument(
-        "--engine", choices=("event", "naive"), default=None,
-        help="override the scheduler engine",
-    )
-    parser.add_argument(
-        "--max-ticks", type=int, default=None,
-        help="override the per-run tick budget",
-    )
-    parser.add_argument(
         "--arrival-rate", type=_positive_float, default=None,
         help="scaling only: transactions admitted per tick (default 0.085, "
              "just above capacity; a higher rate holds a larger live "
@@ -602,15 +594,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.preset in SPECIAL_BENCHES:
         return SPECIAL_BENCHES[args.preset](args)
     spec = PRESETS[args.preset](args.scale)
-    overrides: Dict[str, object] = {}
     if args.seeds is not None:
-        overrides["seeds"] = tuple(range(args.seeds))
-    if args.engine is not None:
-        overrides["engine"] = args.engine
-    if args.max_ticks is not None:
-        overrides["max_ticks"] = args.max_ticks
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+        spec = dataclasses.replace(spec, seeds=tuple(range(args.seeds)))
 
     def announce(cell: CellResult) -> None:
         print(f"  cell done: {cell.policy} × {cell.workload} "

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import SearchBudgetExceeded, VerificationError
 from .completion import DEFAULT_BUDGET, find_completion
-from .operations import LockMode, Operation
-from .schedules import Event, Schedule
+from .operations import LockMode
+from .schedules import Schedule
 from .serializability import SerializabilityGraph, serializability_graph
 from .states import StructuralState
 from .steps import Entity, Step

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .schedules import Schedule
-from .serializability import is_serializable
 from .states import StructuralState
-from .steps import Step, conflicting_pairs
+from .steps import conflicting_pairs
 from .transactions import Transaction
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -195,10 +194,6 @@ class Schedule:
 
     def transaction(self, name: str) -> Transaction:
         return self._transactions[name]
-
-    @property
-    def transaction_names(self) -> Tuple[str, ...]:
-        return tuple(self._transactions)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -437,11 +432,6 @@ class Schedule:
                 row.append(cell.ljust(w))
             lines.append(" ".join(row).rstrip())
         return "\n".join(lines)
-
-
-def entities_of_schedule(schedule: Schedule) -> FrozenSet[Entity]:
-    """All entities touched by any event of the schedule."""
-    return frozenset(e.step.entity for e in schedule.events)
 
 
 def validate_schedule(

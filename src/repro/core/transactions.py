@@ -153,10 +153,6 @@ class Transaction:
                     del held[s.entity]
         return held
 
-    def holds_lock(self, entity: Entity, upto: Optional[int] = None) -> Optional[LockMode]:
-        """The mode in which the prefix holds a lock on ``entity``, or None."""
-        return self.held_locks(upto).get(entity)
-
     def lock_positions(self, entity: Entity) -> List[int]:
         """Indices of all LS/LX steps on ``entity``."""
         return [i for i, s in enumerate(self.steps) if s.is_lock and s.entity == entity]

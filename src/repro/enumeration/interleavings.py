@@ -9,7 +9,7 @@ live here, together with a random-schedule sampler used by property tests.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.operations import LockMode
 from ..core.schedules import Event, Schedule

@@ -18,7 +18,7 @@ the spread:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.operations import LockMode, Operation
 from ..core.steps import Entity, Step

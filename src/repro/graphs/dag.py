@@ -9,7 +9,7 @@ class supports cheap snapshots and structural edits with validation hooks.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from .digraph import DiGraph, Edge, Node
 from .dominators import dominates, dominator_sets

@@ -12,7 +12,7 @@ Nodes are arbitrary hashable values.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
 
 Node = Hashable
 Edge = Tuple[Node, Node]

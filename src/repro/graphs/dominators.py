@@ -15,7 +15,7 @@ Lengauer–Tarjan-based immediate dominators.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from .digraph import DiGraph, Node
 

@@ -19,7 +19,7 @@ enforcement itself lives in :mod:`repro.policies.dtr`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from .digraph import Node
 
@@ -65,18 +65,6 @@ class Forest:
             if p is None:
                 return cur
             cur = p
-
-    def tree_nodes(self, root: Node) -> FrozenSet[Node]:
-        """All nodes of the tree rooted at ``root``."""
-        out: Set[Node] = {root}
-        frontier = [root]
-        while frontier:
-            n = frontier.pop()
-            for c in self._children[n]:  # repro: noqa[RPR001] builds the tree's node set; only the frozenset escapes
-                if c not in out:
-                    out.add(c)
-                    frontier.append(c)
-        return frozenset(out)
 
     def same_tree(self, a: Node, b: Node) -> bool:
         return self.root_of(a) == self.root_of(b)

@@ -1,4 +1,4 @@
-"""The transaction-lifecycle state machine shared by every driver.
+"""The transaction-lifecycle state machine the tick simulator drives.
 
 :class:`KernelRun` is the kernel half of the old ``sim/scheduler.py``
 ``_Run`` monolith: it composes the state layers — the
@@ -39,15 +39,14 @@ admission or a step, and ``_execute_step`` resets it right after
 ``executed()``.  The step and release paths test no engine flag: the
 naive engine's run holds a no-op classifier stand-in, built once.
 
-Two drivers sit on top:
-
-* the tick simulator (``repro.sim.scheduler._Run`` subclasses this and
-  adds the seeded per-tick loop, batched arrivals, and the phase
-  pipeline) — proven byte-identical to the pre-split engine by the
-  standing naive/event equivalence suites; and
-* the request-driven service kernel (:mod:`repro.kernel.core`), which
-  exposes the tick-free ``begin/acquire/release/commit/abort`` API the
-  asyncio front-end (:mod:`repro.service`) serves to concurrent clients.
+One driver sits on top: the tick simulator (``repro.sim.scheduler._Run``
+subclasses this and adds the seeded per-tick loop, batched arrivals, and
+the phase pipeline) — proven byte-identical to the pre-split engine by
+the standing naive/event equivalence suites.  The request-driven service
+kernel (:mod:`repro.kernel.core`) does not use this class: it runs on
+the same lock table, waits-for graph and victim rule, but keeps its own
+commit, abort, wake and forget transitions (ROADMAP item 6(a) is to
+make it a second driver of this one).
 
 Layering (lint rule RPR003): this package may import the state layers it
 absorbs (``sim/lock_table``, ``sim/admission``, ``sim/waits_for``,
@@ -77,23 +76,22 @@ from ..sim.waits_for import WaitsForGraph
 class KernelRun:
     """State and lifecycle helpers of one kernel instance: composes the
     state layers and owns transaction admission, commit, abort/restart,
-    and step execution.  Drivers (the tick simulator, the service
-    front-end) decide *when* these transitions fire; the kernel decides
-    *what* they do — and the two engines' byte-identical equivalence is
-    asserted over exactly these transitions."""
+    and step execution.  The driver (the tick simulator) decides *when*
+    these transitions fire; the kernel decides *what* they do — and the
+    two engines' byte-identical equivalence is asserted over exactly
+    these transitions."""
 
     def __init__(
         self,
         context: PolicyContext,
         *,
-        metrics: Optional[Metrics] = None,
         max_restarts: int = 10,
         event_engine: bool = True,
     ):
         self.context = context
         self.max_restarts = max_restarts
         self.event_engine = event_engine
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         self.table = LockTable()
         self.graph = WaitsForGraph()
         self.live: Dict[str, LiveEntry] = {}

@@ -1,8 +1,7 @@
 """``python -m repro.lint`` — the project's static-analysis gate.
 
-Thin runnable wrapper over :mod:`repro.analysis` (rules RPR001–RPR004:
-determinism hazards, invalidation-protocol conformance, layering, spawn
-safety).  See docs/ARCHITECTURE.md § Analysis layer.
+Thin runnable wrapper over :mod:`repro.analysis` (rules RPR001–RPR003:
+determinism hazards, invalidation-protocol conformance, layering).  See docs/ARCHITECTURE.md § Analysis layer.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ import itertools
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.operations import LockMode, Operation
+from ..core.operations import Operation
 from ..core.schedules import Schedule
 from ..core.steps import Entity, Step
 from ..exceptions import PolicyViolation
@@ -131,13 +131,6 @@ class AltruisticSession(PolicySession):
     lock for the last distinct item is acquired, the transaction is
     post-locked-point.
     """
-
-    #: AL2 admission consults the other active sessions' donations —
-    #: shared state, but reachable only through the items this session has
-    #: locked or wants next, which is exactly what
-    #: :meth:`admission_dependencies` declares; the scheduler re-examines
-    #: the session only when one of those item channels is notified.
-    dynamic = True
 
     def __init__(
         self,
@@ -336,7 +329,6 @@ class AltruisticPolicy(LockingPolicy):
     """Factory for altruistic-locking runs."""
 
     name = "Altruistic"
-    modes = (LockMode.EXCLUSIVE,)
 
     def __init__(self, donate_immediately: bool = True):
         self.donate_immediately = donate_immediately

@@ -6,8 +6,8 @@ locked transactions, computed **dynamically**: which locked transaction
 materialises depends on the structural state of the database when each step
 executes.  We realise this with three cooperating pieces:
 
-* :class:`LockingPolicy` — a factory describing the policy (name, lock modes
-  used) and creating per-run :class:`PolicyContext` objects.
+* :class:`LockingPolicy` — a factory describing the policy (its name) and
+  creating per-run :class:`PolicyContext` objects.
 * :class:`PolicyContext` — the shared, policy-specific state of one
   concurrent run (e.g. the DDAG database graph, the DTR database forest, the
   altruistic wake bookkeeping).  It spawns one :class:`PolicySession` per
@@ -32,7 +32,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.operations import LockMode, Operation
+from ..core.operations import Operation
 from ..core.steps import Entity, Step
 
 
@@ -268,19 +268,12 @@ class PolicyContext(ABC):
         if self._change_listener is not None:
             self._change_listener(tuple(channels))
 
-    def entities(self) -> Iterable[Entity]:
-        """The entities currently known to the context (for properness
-        bookkeeping in the simulator); override where meaningful."""
-        return ()
-
 
 class LockingPolicy(ABC):
     """Factory + metadata for one locking policy."""
 
     #: Human-readable policy name (used in reports and benchmarks).
     name: str = "abstract"
-    #: Lock modes the policy may request.
-    modes: Tuple[LockMode, ...] = (LockMode.EXCLUSIVE,)
 
     @abstractmethod
     def create_context(self, **kwargs) -> PolicyContext:
@@ -328,7 +321,3 @@ class ScriptedSession(PolicySession):
     @property
     def has_structural_effects(self) -> bool:
         return self._structural
-
-    @property
-    def remaining(self) -> int:
-        return len(self._steps) - self._cursor

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.operations import LockMode, Operation
+from ..core.operations import Operation
 from ..core.schedules import Schedule
 from ..core.steps import Entity, Step
 from ..exceptions import PolicyViolation
@@ -92,25 +92,13 @@ class DdagContext(PolicyContext):
         self.dag.strict = False
         self.auto_release = auto_release
         self.tombstones: Set[Entity] = set()
-        self.sessions: Dict[str, "DdagSession"] = {}
 
     def begin(self, name: str, intents: Sequence[Intent]) -> "DdagSession":
-        session = DdagSession(name, self, intents, auto_release=self.auto_release)
-        self.sessions[name] = session
-        return session
-
-    def entities(self):
-        return self.dag.nodes()
+        return DdagSession(name, self, intents, auto_release=self.auto_release)
 
 
 class DdagSession(PolicySession):
     """Online DDAG state machine for one transaction."""
-
-    #: Rule L5 consults the *present* graph — but only the pending node's
-    #: region of it, so instead of an every-tick re-check the session
-    #: declares that region via :meth:`admission_dependencies` and is
-    #: re-examined only when a graph mutation notifies it.
-    dynamic = True
 
     def __init__(
         self,
@@ -134,9 +122,6 @@ class DdagSession(PolicySession):
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-
-    def _needs_lock(self, node: Entity) -> bool:
-        return node not in self.locked_past
 
     def _expand(self, intent: Intent) -> List[Step]:
         """Turn the next intent into locked steps, against the present
@@ -381,12 +366,6 @@ class DdagSession(PolicySession):
                 self.context.tombstones.add(step.entity)
                 self.context.notify_changed((ddag_node_channel(step.entity),))
 
-    def on_commit(self) -> None:
-        self.context.sessions.pop(self.name, None)
-
-    def on_abort(self) -> None:
-        self.context.sessions.pop(self.name, None)
-
     @property
     def has_structural_effects(self) -> bool:
         return self._structural
@@ -396,7 +375,6 @@ class DdagPolicy(LockingPolicy):
     """Factory for DDAG runs over a given rooted DAG."""
 
     name = "DDAG"
-    modes = (LockMode.EXCLUSIVE,)
 
     def __init__(self, auto_release: bool = True):
         self.auto_release = auto_release

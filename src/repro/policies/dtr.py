@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.operations import LockMode, Operation
+from ..core.operations import Operation
 from ..core.steps import Entity, Step
 from ..core.transactions import Transaction
 from ..exceptions import PolicyViolation
@@ -253,7 +253,6 @@ class DtrPolicy(LockingPolicy):
     """Factory for DTR runs."""
 
     name = "DTR"
-    modes = (LockMode.EXCLUSIVE,)
 
     def create_context(self, **kwargs) -> DtrContext:
         return DtrContext()

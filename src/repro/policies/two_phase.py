@@ -11,9 +11,9 @@ which is precisely the problem altruistic locking attacks).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from ..core.operations import LockMode, Operation
+from ..core.operations import Operation
 from ..core.steps import Entity, Step
 from .base import (
     Access,
@@ -152,11 +152,6 @@ class TwoPhasePolicy(LockingPolicy):
         self.conservative = conservative
         self.name = "2PL" + ("-S" if use_shared_locks else "") + (
             "-cons" if conservative else ""
-        )
-        self.modes = (
-            (LockMode.EXCLUSIVE, LockMode.SHARED)
-            if use_shared_locks
-            else (LockMode.EXCLUSIVE,)
         )
 
     def create_context(self, **kwargs) -> TwoPhaseContext:

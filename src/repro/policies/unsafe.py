@@ -16,10 +16,10 @@ witnesses for them, otherwise it is vacuous.  Three controls:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Sequence
 
-from ..core.operations import LockMode, Operation
-from ..core.steps import Entity, Step
+from ..core.operations import Operation
+from ..core.steps import Step
 from ..exceptions import PolicyViolation
 from .altruistic import AltruisticContext, AltruisticPolicy, AltruisticSession
 from .base import (
@@ -68,7 +68,6 @@ class FreeForAllPolicy(LockingPolicy):
     trivially unsafe (any read-modify-write race interleaves)."""
 
     name = "FreeForAll"
-    modes = (LockMode.EXCLUSIVE,)
 
     def create_context(self, **kwargs) -> FreeForAllContext:
         return FreeForAllContext()
@@ -83,11 +82,9 @@ class _LawlessDdagSession(DdagSession):
 
 class BrokenDdagContext(DdagContext):
     def begin(self, name: str, intents: Sequence[Intent]) -> DdagSession:
-        session = _LawlessDdagSession(
+        return _LawlessDdagSession(
             name, self, intents, auto_release=self.auto_release
         )
-        self.sessions[name] = session
-        return session
 
 
 class BrokenDdagPolicy(DdagPolicy):

@@ -2,10 +2,10 @@
 transport-agnostic kernel (:mod:`repro.kernel`).
 
 Layering (lint rule RPR003 enforces it): this package imports **only**
-``repro.kernel`` (and, if a deployment wires policy sessions into the
-admission seam, ``repro.policies``) — never ``repro.sim``.  Everything
-the service needs from the simulator's state layers reaches it through
-the kernel's re-exports.  The package inits export lazily, so importing
+``repro.kernel`` — never ``repro.sim`` or ``repro.core``.  The kernel's
+request API runs on the simulator's state layers, and the one core name
+the protocol speaks (``LockMode``) is a kernel re-export.  The package
+inits export lazily, so importing
 the service loads the kernel's request API and the three state layers it
 runs on (``sim.lock_table``, ``sim.waits_for``, ``sim.deadlock``) — not
 the simulator, the policies, the Theorem-1 deciders or

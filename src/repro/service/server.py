@@ -83,10 +83,9 @@ class _Connection:
     """Server-side per-connection state: the writer, the in-flight cap,
     the actor bound at handshake, and the transactions begun here."""
 
-    def __init__(self, writer, max_inflight: int, seq: int) -> None:
+    def __init__(self, writer, max_inflight: int) -> None:
         self.writer = writer
         self.actor: Optional[str] = None
-        self.seq = seq
         self.inflight = asyncio.Semaphore(max_inflight)
         #: Transactions begun on this connection and not yet seen to
         #: finish on it (a commit or abort reply, or a victim wake);
@@ -137,8 +136,9 @@ class LockService:
         self.auth = Authorizer()
         self.max_inflight = max_inflight
         self._draining = False
-        self._conns: Set[_Connection] = set()
-        self._conn_seq = 0
+        #: Open connections, in the order they opened (a dict as an
+        #: ordered set: drain visits them in that order).
+        self._conns: Dict[_Connection, None] = {}
         self._conn_tasks: Set["asyncio.Task"] = set()
         self._tcp_server: Optional[asyncio.AbstractServer] = None
 
@@ -172,9 +172,8 @@ class LockService:
     # ------------------------------------------------------------------
 
     async def handle_client(self, reader, writer) -> None:
-        conn = _Connection(writer, self.max_inflight, self._conn_seq)
-        self._conn_seq += 1
-        self._conns.add(conn)
+        conn = _Connection(writer, self.max_inflight)
+        self._conns[conn] = None
         try:
             while True:
                 try:
@@ -198,7 +197,7 @@ class LockService:
         except ConnectionError:
             pass  # a reset is a disconnect like EOF
         finally:
-            self._conns.discard(conn)
+            del self._conns[conn]
             conn.close()
             self._abandon(conn)
 
@@ -387,7 +386,7 @@ class LockService:
         # Parked callbacks fire here: blocked clients get their terminal
         # wake events before the connections close.
         drained = self.kernel.drain()
-        for conn in sorted(self._conns, key=lambda c: c.seq):
+        for conn in self._conns:
             conn.send({"event": "drain"})
             conn.close()
         for task in tuple(self._conn_tasks):

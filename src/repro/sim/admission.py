@@ -129,10 +129,10 @@ from typing import (
 
 from ..core.operations import LockMode
 from ..core.steps import Entity, Step
-from ..policies.base import Admission, PolicySession
+from ..policies.base import Admission
 from .lock_table import LockTable
 from .live import LOCK_WAIT, NEW, POLICY_WAIT, RUNNABLE, LiveEntry
-from .metrics import Metrics, TxnRecord
+from .metrics import Metrics
 from .waits_for import WaitsForGraph
 
 #: Decision kind for a phase-2 policy abort (not a LiveEntry state — the

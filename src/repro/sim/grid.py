@@ -27,7 +27,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from ..policies.base import LockingPolicy
 from .runner import CellResult, SeedOutcome, aggregate_outcomes, run_seed
@@ -122,23 +122,21 @@ def _run_task(task: _SeedTask) -> Tuple[int, int, SeedOutcome]:
     return task.cell, task.slot, outcome
 
 
-def _check_spawnable_main(method: str) -> None:
-    """Fail fast where the ``method`` start method cannot work.  Every
-    method but ``fork`` starts workers in a fresh interpreter — ``spawn``
-    directly, ``forkserver`` through ``spawn._main`` in its server's
-    children — that re-imports ``__main__`` from its ``__file__`` (when it
-    has one), which must therefore exist on disk.  A stdin/heredoc script
-    (``python - <<EOF``) records ``__file__ = "<stdin>"`` — workers crash
-    during bootstrap and the pool respawns them forever, hanging the
-    caller with no diagnosis.  Raising here turns that hang into an
-    actionable error."""
+def _check_spawnable_main() -> None:
+    """Fail fast where a ``spawn`` worker cannot start.  It runs in a
+    fresh interpreter that re-imports ``__main__`` from its ``__file__``
+    (when it has one), which must therefore exist on disk.  A
+    stdin/heredoc script (``python - <<EOF``) records ``__file__ =
+    "<stdin>"`` — workers crash during bootstrap and the pool respawns
+    them forever, hanging the caller with no diagnosis.  Raising here
+    turns that hang into an actionable error."""
     main_module = sys.modules.get("__main__")
     if main_module is None or getattr(main_module, "__spec__", None) is not None:
         return  # importable by name; the worker re-imports it fine
     main_file = getattr(main_module, "__file__", None)
     if main_file is not None and not os.path.exists(main_file):
         raise RuntimeError(
-            f"run_grid with workers > 0 uses the {method!r} start method, "
+            "run_grid with workers > 0 uses the 'spawn' start method, "
             f"which re-imports __main__ in every worker — impossible here "
             f"(__main__.__file__ is {main_file!r}, which does not exist; "
             f"typically a stdin/heredoc script).  Run from a real script "
@@ -150,7 +148,6 @@ def _check_spawnable_main(method: str) -> None:
 def run_grid(
     spec: GridSpec,
     workers: int = 0,
-    mp_context: str = "spawn",
     progress: Optional[Callable[[CellResult], None]] = None,
 ) -> List[CellResult]:
     """Execute every cell of ``spec``; return one :class:`CellResult` per
@@ -163,11 +160,9 @@ def run_grid(
     always in seed order, so the rows are byte-identical across worker
     counts.  ``progress`` (if given) receives each :class:`CellResult` as
     soon as its cell completes — cells finish out of order under a pool.
-
-    ``mp_context`` selects the multiprocessing start method; ``"spawn"``
-    is the default because it is portable and proves the picklability /
-    cross-process determinism contract (workers rebuild workloads from
-    specs, sharing nothing with the parent).
+    Workers start by ``spawn``: it is portable, and it proves the
+    picklability / cross-process determinism contract (workers rebuild
+    workloads from specs, sharing nothing with the parent).
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
@@ -209,9 +204,8 @@ def run_grid(
         for task in tasks:
             land(*_run_task(task))
     else:
-        if mp_context != "fork":
-            _check_spawnable_main(mp_context)
-        ctx = multiprocessing.get_context(mp_context)
+        _check_spawnable_main()
+        ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(processes=workers) as pool:
             for ci, si, outcome in pool.imap_unordered(_run_task, tasks):
                 land(ci, si, outcome)

@@ -24,7 +24,7 @@ from ..core.serializability import is_serializable
 from ..core.states import StructuralState
 from ..exceptions import SimulationError
 from ..policies.base import LockingPolicy
-from .scheduler import SimResult, Simulator, WorkloadItem
+from .scheduler import Simulator, WorkloadItem
 
 #: A workload factory: seed -> (items, initial structural state).
 WorkloadFactory = Callable[[int], Tuple[Sequence[WorkloadItem], StructuralState]]

@@ -174,8 +174,6 @@ class _Run(KernelRun):
                 self.pending[-1][1].append(item)
             else:
                 self.pending.append((item.start_tick, [item]))
-        #: Items still awaiting admission (the batches' total size).
-        self.pending_items = len(workload)
 
     # ------------------------------------------------------------------
     # Main loop (shared tick skeleton)
@@ -202,7 +200,7 @@ class _Run(KernelRun):
                 raise SimulationError(
                     f"exceeded {self.max_ticks} ticks with "
                     f"{_truncated(sorted(self.live))} still active and "
-                    f"{self.pending_items} pending"
+                    f"{sum(len(batch) for _, batch in pending)} pending"
                 )
             m.ticks += 1
             # Until this tick's classify phase, the naive engine has
@@ -228,7 +226,6 @@ class _Run(KernelRun):
         m = self.metrics
         while self.pending and self.pending[0][0] <= m.ticks:
             _, batch = self.pending.popleft()
-            self.pending_items -= len(batch)
             for item in batch:
                 session = self.context.begin(item.name, item.intents)
                 record = TxnRecord(item.name, start_tick=m.ticks)

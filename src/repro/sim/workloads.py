@@ -59,7 +59,7 @@ def register_grid_factory(
     def decorate(fn: GridWorkloadFactory) -> GridWorkloadFactory:
         if name in GRID_FACTORIES:
             raise ValueError(f"grid factory {name!r} already registered")
-        GRID_FACTORIES[name] = fn  # repro: noqa[RPR004] the decorator body is the sanctioned import-time registration point
+        GRID_FACTORIES[name] = fn
         return fn
 
     return decorate

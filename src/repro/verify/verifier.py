@@ -20,7 +20,7 @@ verifier honest: they must fail here, with witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..core.canonical import CanonicalWitness
 from ..core.safety import SafetyVerdict, decide_safety

@@ -44,12 +44,11 @@ class TestPresets:
         spec = bench.PRESETS["stress"](0.0001)
         assert spec.workloads[0].kwargs["num_txns"] == 50
 
-    def test_parser_accepts_engine_and_workers(self):
+    def test_parser_accepts_workers_and_scale(self):
         args = bench.build_parser().parse_args(
-            ["deadlock", "--workers", "2", "--engine", "naive",
-             "--scale", "0.1"]
+            ["deadlock", "--workers", "2", "--scale", "0.1"]
         )
-        assert (args.workers, args.engine, args.scale) == (2, "naive", 0.1)
+        assert (args.workers, args.scale) == (2, 0.1)
 
 
 class TestArgValidation:

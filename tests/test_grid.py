@@ -5,7 +5,8 @@
    ``workers=0`` byte-identically — the grid's core contract;
 2. every registered workload factory is deterministic *across processes*:
    the same seed yields identical items and initial state whether built
-   in-process or in a spawned worker (what makes by-name fan-out sound);
+   in-process or in a spawned worker (what makes by-name fan-out sound),
+   and every bench preset gives the same rows from a spawned worker;
 3. every row carries a real serializability verdict (a bool; an
    all-failed cell is covered by ``test_scheduler_fixes``);
 4. failed seeds are recorded as diagnosable ``(seed, error)`` pairs,
@@ -21,6 +22,7 @@ import sys
 
 import pytest
 
+from repro import bench
 from repro.core.states import StructuralState
 from repro.policies import Access, DdagPolicy, TwoPhasePolicy
 from repro.sim import (
@@ -132,12 +134,11 @@ class TestGridEquivalence:
         spec = GridSpec(pairs=((p1, w), (p2, w)), seeds=(0,))
         assert [pw for pw in spec.cells()] == [(p1, w), (p2, w)]
 
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_unspawnable_main_fails_fast(self, monkeypatch, method):
+    def test_unspawnable_main_fails_fast(self, monkeypatch):
         """A __main__ whose __file__ does not exist (stdin/heredoc script)
-        cannot be re-imported by spawn or forkserver workers; the pool
-        would respawn crashing workers forever.  run_grid must refuse up
-        front, naming the start method."""
+        cannot be re-imported by spawn workers; the pool would respawn
+        crashing workers forever.  run_grid must refuse up front, naming
+        the start method."""
         import types
 
         import repro.sim.grid as grid_module
@@ -158,8 +159,8 @@ class TestGridEquivalence:
             }),),
             seeds=(0,),
         )
-        with pytest.raises(RuntimeError, match=f"'{method}'.*workers=0"):
-            run_grid(spec, workers=2, mp_context=method)
+        with pytest.raises(RuntimeError, match="'spawn'.*workers=0"):
+            run_grid(spec, workers=2)
         # the serial path stays available regardless of __main__
         [cell] = run_grid(spec, workers=0)
         assert cell.failures == 0
@@ -235,6 +236,17 @@ class TestCrossProcessDeterminism:
         # Different seeds actually vary the workload (the digest is not
         # degenerate).
         assert local[0] != local[1]
+
+
+@pytest.mark.parametrize("preset", sorted(bench.PRESETS))
+def test_every_bench_preset_runs_in_a_spawned_worker(preset):
+    """Each bench preset, shrunk, gives the same rows from one spawned
+    worker as in-process.  A spec that cannot cross the process boundary
+    fails here: a lambda policy constructor does not pickle, and a
+    factory registered anywhere but at import time is unknown to the
+    worker, which re-imports the registry fresh."""
+    spec = bench.PRESETS[preset](0.01)
+    assert run_grid(spec, workers=1) == run_grid(spec, workers=0)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(HERE)
 FIXTURES = os.path.join(HERE, "lint_fixtures")
 
-RULE_CODES = ("RPR001", "RPR002", "RPR003", "RPR004")
+RULE_CODES = ("RPR001", "RPR002", "RPR003")
 
 #: Auto-discovered fixture pairs: every ``rprNNN_bad.py`` in the corpus,
 #: as its rule code.  New rules cannot ship without honest fixtures —

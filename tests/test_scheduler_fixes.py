@@ -386,6 +386,22 @@ class TestIdleGapRespectsMaxTicks:
         )
 
     @pytest.mark.parametrize("engine", ENGINES)
+    def test_error_counts_the_items_not_yet_admitted(self, engine):
+        # Two batches (three items) arrive past the cap; the two items
+        # admitted before it do not count as pending.
+        items = [
+            WorkloadItem("T1", [Access("a")]),
+            WorkloadItem("T2", [Access("a")], start_tick=2),
+            WorkloadItem("T3", [Access("a")], start_tick=500),
+            WorkloadItem("T4", [Access("a")], start_tick=500),
+            WorkloadItem("T5", [Access("a")], start_tick=900),
+        ]
+        sim = Simulator(TwoPhasePolicy(), seed=0, engine=engine, max_ticks=100)
+        with pytest.raises(SimulationError) as exc:
+            sim.run(items, StructuralState.of("a"), validate=False)
+        assert str(exc.value).endswith("still active and 3 pending")
+
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_arrival_exactly_at_cap_still_runs(self, engine):
         items = [WorkloadItem("T1", [Access("a")], start_tick=95)]
         result = Simulator(
