@@ -1,8 +1,8 @@
-"""Findings, the rule registry, and suppressions.
+"""Findings, the per-file context, and suppressions.
 
-A rule is a function ``(FileContext) -> Iterable[Finding]`` registered
-under a stable ``RPR0xx`` code; the engine (:mod:`repro.analysis.engine`)
-parses each file once and hands every selected rule the same context.
+A rule is a function ``(FileContext) -> List[Finding]``; the engine
+(:mod:`repro.analysis.engine`) parses each file once and hands both
+rules the same context.
 
 Suppressions are per line and must carry a reason::
 
@@ -16,12 +16,13 @@ its reason on its own line.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 #: Code for meta-findings produced by the engine itself (reasonless noqa,
-#: unparsable files).  Not selectable off.
+#: unparsable files).
 META_CODE = "RPR000"
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[([A-Z0-9,\s]+)\]\s*(.*)")
@@ -40,65 +41,41 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "code": self.code,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
 
+@dataclass
+class FileContext:
+    """Everything a rule needs about one parsed file."""
 
-@dataclass(frozen=True)
-class Rule:
-    """A registered rule: stable code, short name, and the check."""
+    path: str
+    module: str
+    tree: ast.Module
+    lines: List[str]
+    parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
 
-    code: str
-    name: str
-    description: str
-    check: Callable[..., Iterable[Finding]] = field(repr=False)
+    def parent(self, node: ast.AST) -> Optional[ast.AST]:
+        return self.parents.get(node)
 
+    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
+        cur = self.parents.get(node)
+        while cur is not None:
+            yield cur
+            cur = self.parents.get(cur)
 
-_REGISTRY: Dict[str, Rule] = {}
+    def enclosing(self, node: ast.AST, *kinds) -> Optional[ast.AST]:
+        """The nearest ancestor of one of ``kinds`` (or None)."""
+        for anc in self.ancestors(node):
+            if isinstance(anc, kinds):
+                return anc
+        return None
 
-
-def register_rule(code: str, name: str, description: str):
-    """Decorator: register ``fn`` as the checker for ``code``."""
-
-    def deco(fn: Callable) -> Callable:
-        if code in _REGISTRY:
-            raise ValueError(f"duplicate rule code {code!r}")
-        _REGISTRY[code] = Rule(
-            code=code, name=name, description=description, check=fn
+    def finding(self, code: str, node: ast.AST, message: str) -> Finding:
+        return Finding(
+            code=code,
+            path=self.path,
+            line=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0),
+            message=message,
         )
-        return fn
-
-    return deco
-
-
-#: Alias kept for rule modules that read better as ``@rule(...)``.
-rule = register_rule
-
-
-def all_rules() -> Dict[str, Rule]:
-    return dict(_REGISTRY)
-
-
-def iter_rules(select: Optional[Sequence[str]] = None) -> Iterator[Rule]:
-    """Registered rules in code order, optionally filtered to ``select``."""
-    wanted = None if not select else set(select)
-    if wanted is not None:
-        unknown = wanted - set(_REGISTRY) - {META_CODE}
-        if unknown:
-            raise KeyError(
-                f"unknown rule code(s): {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(_REGISTRY))}"
-            )
-    for code in sorted(_REGISTRY):
-        if wanted is not None and code not in wanted:
-            continue
-        yield _REGISTRY[code]
 
 
 # ----------------------------------------------------------------------

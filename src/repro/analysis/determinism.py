@@ -39,8 +39,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from .core import Finding, register_rule
-from .engine import FileContext
+from .core import FileContext, Finding
 
 CODE = "RPR001"
 
@@ -389,11 +388,6 @@ def _iter_id_ordering(ctx: FileContext) -> Iterator[Finding]:
                     break
 
 
-@register_rule(
-    CODE,
-    "determinism-hazards",
-    "unsorted set iteration / bare random.* / wall-clock reads / id() ordering",
-)
 def check_determinism(ctx: FileContext) -> List[Finding]:
     out: List[Finding] = []
     if _in_scope(ctx.module, SET_SCOPE_PREFIXES):

@@ -1,4 +1,4 @@
-"""File walking, parsing, and rule dispatch.
+"""File walking, parsing, and dispatch to the rules.
 
 Each file is parsed once into a :class:`FileContext` carrying the AST, a
 child→parent map (rules need to ask "what consumes this expression?"), the
@@ -16,56 +16,24 @@ from __future__ import annotations
 import ast
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     META_CODE,
+    FileContext,
     Finding,
-    iter_rules,
     parse_suppressions,
     apply_suppressions,
 )
+from .determinism import check_determinism
+from .layering import check_layering
+
+#: Every rule, run on every file: RPR001, RPR003.
+RULES = (check_determinism, check_layering)
 
 _MODULE_OVERRIDE_RE = re.compile(r"#\s*repro-lint-module:\s*([\w.]+)")
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hg", ".mypy_cache", ".pytest_cache"}
-
-
-@dataclass
-class FileContext:
-    """Everything a rule needs about one parsed file."""
-
-    path: str
-    module: str
-    tree: ast.Module
-    lines: List[str]
-    parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
-
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        return self.parents.get(node)
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        cur = self.parents.get(node)
-        while cur is not None:
-            yield cur
-            cur = self.parents.get(cur)
-
-    def enclosing(self, node: ast.AST, *kinds) -> Optional[ast.AST]:
-        """The nearest ancestor of one of ``kinds`` (or None)."""
-        for anc in self.ancestors(node):
-            if isinstance(anc, kinds):
-                return anc
-        return None
-
-    def finding(self, code: str, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            code=code,
-            path=self.path,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
 
 
 def module_name_for(path: str, lines: Sequence[str]) -> str:
@@ -145,16 +113,9 @@ def load_context(path: str) -> Tuple[Optional[FileContext], Optional[Finding]]:
     return ctx, None
 
 
-def analyze_file(path: str, select: Optional[Sequence[str]] = None) -> List[Finding]:
-    """All (selected) rule findings for one file, suppressions applied."""
-    return analyze_paths([path], select=select)
-
-
-def analyze_paths(
-    paths: Sequence[str], select: Optional[Sequence[str]] = None
-) -> List[Finding]:
+def analyze_paths(paths: Sequence[str]) -> List[Finding]:
     """Findings over ``paths``, suppressions applied, in deterministic
-    order.  Every file is parsed once and handed to each selected rule."""
+    order.  Every file is parsed once and handed to each rule."""
     contexts: List[FileContext] = []
     raw: List[Finding] = []
     for path in iter_python_files(paths):
@@ -164,8 +125,8 @@ def analyze_paths(
                 raw.append(parse_error)
             continue
         contexts.append(ctx)
-        for rule in iter_rules(select):
-            raw.extend(rule.check(ctx))
+        for check in RULES:
+            raw.extend(check(ctx))
 
     suppressions = {
         ctx.path: parse_suppressions(ctx.lines) for ctx in contexts

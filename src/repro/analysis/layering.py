@@ -43,8 +43,7 @@ import ast
 from itertools import chain
 from typing import Iterator, List, Optional, Tuple
 
-from .core import Finding, register_rule
-from .engine import FileContext
+from .core import FileContext, Finding
 
 CODE = "RPR003"
 
@@ -186,11 +185,6 @@ def _imports(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
                     yield node, f"{base}.{alias.name}"
 
 
-@register_rule(
-    CODE,
-    "layering",
-    "imports must follow the docs/ARCHITECTURE.md layer DAG",
-)
 def check_layering(ctx: FileContext) -> List[Finding]:
     forbidden: List[Tuple[str, str]] = []
     for prefix, banned in LAYER_RULES:

@@ -72,6 +72,11 @@ from ..sim.lock_table import LockTable
 from ..sim.metrics import Metrics
 from ..sim.waits_for import WaitsForGraph
 
+#: An aborted transaction restarts at most this many times; the abort
+#: after its last restart drops it (ROADMAP item 5(iv) would remove the
+#: ceiling).
+MAX_RESTARTS = 10
+
 
 class KernelRun:
     """State and lifecycle helpers of one kernel instance: composes the
@@ -85,11 +90,9 @@ class KernelRun:
         self,
         context: PolicyContext,
         *,
-        max_restarts: int = 10,
         event_engine: bool = True,
     ):
         self.context = context
-        self.max_restarts = max_restarts
         self.event_engine = event_engine
         self.metrics = Metrics()
         self.table = LockTable()
@@ -170,7 +173,7 @@ class KernelRun:
             self.dropped.append(name)
             victim.record.end_tick = m.ticks
 
-        if victim.attempt > self.max_restarts:
+        if victim.attempt > MAX_RESTARTS:
             drop()
             return
         intents: Optional[Sequence[Intent]] = victim.item.intents

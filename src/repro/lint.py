@@ -1,7 +1,8 @@
 """``python -m repro.lint`` — the project's static-analysis gate.
 
-Thin runnable wrapper over :mod:`repro.analysis` (rules RPR001–RPR003:
-determinism hazards, invalidation-protocol conformance, layering).  See docs/ARCHITECTURE.md § Analysis layer.
+Thin runnable wrapper over :mod:`repro.analysis` (rules RPR001 and
+RPR003: determinism hazards and layering).  See docs/ARCHITECTURE.md
+§ Analysis layer.
 """
 
 from __future__ import annotations

@@ -215,6 +215,12 @@ class PolicySession(ABC):
         re-read each time the scheduler caches a classification, so it may
         track the pending step; a session that has returned an iterable
         must keep returning iterables for the rest of its life.
+
+        ``tests/test_invalidation.py::TestInvalidationMatrix`` checks the
+        contract: every session class under ``repro.policies`` that does
+        not inherit this default needs a case there, which runs the naive
+        engine against the event engine over a workload whose
+        notifications fire.
         """
         return None
 

@@ -112,7 +112,6 @@ class Simulator:
         policy: LockingPolicy,
         seed: int = 0,
         max_ticks: int = 100_000,
-        max_restarts: int = 10,
         context_kwargs: Optional[dict] = None,
         engine: str = "event",
     ):
@@ -121,7 +120,6 @@ class Simulator:
         self.policy = policy
         self.rng = random.Random(seed)
         self.max_ticks = max_ticks
-        self.max_restarts = max_restarts
         self.context_kwargs = dict(context_kwargs or {})
         self.engine = engine
 
@@ -159,7 +157,6 @@ class _Run(KernelRun):
     def __init__(self, sim: Simulator, workload: Sequence[WorkloadItem]):
         super().__init__(
             sim.policy.create_context(**sim.context_kwargs),
-            max_restarts=sim.max_restarts,
             event_engine=sim.engine == "event",
         )
         self.rng = sim.rng

@@ -9,6 +9,10 @@ re-examines exactly the sessions a change can affect.
 
 Covered here:
 
+* the invalidation matrix: every session class under ``repro.policies``
+  that declares dependencies runs naive against event over a workload
+  whose notifications fire, and the two must agree exactly (this is where
+  a missing ``notify_changed`` shows);
 * the dependency declarations of the shipped dynamic policies;
 * end-to-end invalidation: a concurrent edge insert flips a *cached* DDAG
   verdict to ABORT (the paper's Fig. 3 race), donations/locked points flip
@@ -20,11 +24,22 @@ Covered here:
 * a custom third policy adopting the protocol (it is not DDAG-specific).
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro.policies
 from repro.core import Operation, Step, StructuralState
 from repro.graphs import RootedDag, random_rooted_dag
-from repro.policies import Access, AltruisticPolicy, DdagPolicy, InsertEdge
+from repro.policies import (
+    Access,
+    AltruisticPolicy,
+    BrokenAltruisticPolicy,
+    BrokenDdagPolicy,
+    DdagPolicy,
+    InsertEdge,
+)
 from repro.policies.altruistic import al_item_channel
 from repro.policies.base import (
     Admission,
@@ -64,6 +79,7 @@ def run_both(policy_factory, items, initial, seed=0, context_kwargs_factory=None
     assert naive.metrics.summary() == event.metrics.summary()
     assert naive.committed == event.committed
     assert naive.aborted == event.aborted
+    assert naive.metrics.deadlock_victims == event.metrics.deadlock_victims
     for name, rn in naive.metrics.records.items():
         re_ = event.metrics.records[name]
         assert (
@@ -169,6 +185,81 @@ def _fig3_race_items():
             start_tick=14,
         ),
     ]
+
+
+def _fig3_race(seed):
+    return (
+        _fig3_race_items(),
+        dag_structural_state(_fig3_race_dag()),
+        lambda: {"dag": _fig3_race_dag()},
+    )
+
+
+def _long_sweep(seed):
+    """Late shorts in a long sweep's wake: donations and withdrawals
+    notify the shorts' AL2 waits."""
+    items, initial = long_transaction_workload(
+        12, 4, seed=seed, region="leading", short_start=14
+    )
+    return items, initial, None
+
+
+#: Session class name -> (policy factory, workload(seed)).  Every session
+#: class under ``repro.policies`` that declares admission dependencies
+#: has a case; ``test_every_declaring_session_class_has_a_case`` keeps it so.
+INVALIDATION_MATRIX = {
+    "DdagSession": (lambda: DdagPolicy(auto_release=False), _fig3_race),
+    "_LawlessDdagSession": (
+        lambda: BrokenDdagPolicy(auto_release=False), _fig3_race
+    ),
+    "AltruisticSession": (AltruisticPolicy, _long_sweep),
+    "_LawlessAltruisticSession": (BrokenAltruisticPolicy, _long_sweep),
+}
+
+MATRIX_SEEDS = range(6)
+
+
+def _declaring_session_classes():
+    """Names of the session classes defined under ``repro.policies``
+    whose ``admission_dependencies`` is not the base's ``None``."""
+    for info in pkgutil.walk_packages(
+        repro.policies.__path__, "repro.policies."
+    ):
+        importlib.import_module(info.name)
+    names, stack = set(), [PolicySession]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if (
+                cls.__module__.startswith("repro.policies.")
+                and cls.admission_dependencies
+                is not PolicySession.admission_dependencies
+            ):
+                names.add(cls.__name__)
+    return names
+
+
+class TestInvalidationMatrix:
+    """A cached verdict is safe only if every shared-state change that can
+    flip it notifies a declared channel.  The naive engine re-derives every
+    verdict every tick, so a missing notification shows as a divergence:
+    schedules, summaries, per-txn records or victim sequences."""
+
+    def test_every_declaring_session_class_has_a_case(self):
+        assert _declaring_session_classes() == set(INVALIDATION_MATRIX)
+
+    @pytest.mark.parametrize("cls_name", sorted(INVALIDATION_MATRIX))
+    def test_naive_equals_event(self, cls_name):
+        policy_factory, workload = INVALIDATION_MATRIX[cls_name]
+        invalidations = 0
+        for seed in MATRIX_SEEDS:
+            items, initial, context_kwargs = workload(seed)
+            _, event = run_both(
+                policy_factory, items, initial, seed=seed,
+                context_kwargs_factory=context_kwargs,
+            )
+            invalidations += event.metrics.invalidations
+        assert invalidations > 0, "the workload must exercise notifications"
 
 
 class TestDdagInvalidation:

@@ -1,9 +1,8 @@
 """The ``repro.lint`` static-analysis subsystem: rule fixtures, the
 suppression machinery, the CLI surface, and the fixture-injection
-guard the CI lint job relies on."""
+guard against a linter that passes everything."""
 
 import glob
-import json
 import os
 import re
 import shutil
@@ -12,20 +11,22 @@ import sys
 
 import pytest
 
-from repro.analysis import analyze_file, analyze_paths
+from repro.analysis import analyze_paths
 from repro.analysis.cli import main as lint_main
-from repro.analysis.core import all_rules
-from repro.analysis.engine import module_name_for
+from repro.analysis.engine import RULES, module_name_for
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(HERE)
 FIXTURES = os.path.join(HERE, "lint_fixtures")
 
-RULE_CODES = ("RPR001", "RPR002", "RPR003")
+RULE_CODES = ("RPR001", "RPR003")
+
+#: The code of each rule the engine runs (each rule module's ``CODE``).
+ENGINE_CODES = tuple(sorted(sys.modules[check.__module__].CODE for check in RULES))
 
 #: Auto-discovered fixture pairs: every ``rprNNN_bad.py`` in the corpus,
 #: as its rule code.  New rules cannot ship without honest fixtures —
-#: the discovery test below cross-checks this set against the registry.
+#: the discovery test below cross-checks this set against the engine.
 DISCOVERED_CODES = tuple(
     sorted(
         m.group(1).upper()
@@ -40,8 +41,12 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+def lint(path):
+    return analyze_paths([path])
+
+
 def codes_in(path):
-    return {f.code for f in analyze_file(path)}
+    return {f.code for f in lint(path)}
 
 
 class TestRuleFixtures:
@@ -49,10 +54,10 @@ class TestRuleFixtures:
 
     The pairs are auto-discovered from ``tests/lint_fixtures/`` so a new
     rule's fixtures are exercised the moment they land — and a rule
-    *without* fixtures fails the registry cross-check."""
+    *without* fixtures fails the engine cross-check."""
 
-    def test_every_registered_rule_has_a_fixture_pair(self):
-        assert DISCOVERED_CODES == tuple(sorted(all_rules()))
+    def test_every_rule_has_a_fixture_pair(self):
+        assert DISCOVERED_CODES == ENGINE_CODES
         for code in DISCOVERED_CODES:
             assert os.path.exists(fixture(f"{code.lower()}_good.py")), (
                 f"{code} has a _bad fixture but no _good twin"
@@ -65,67 +70,19 @@ class TestRuleFixtures:
 
     @pytest.mark.parametrize("code", DISCOVERED_CODES)
     def test_negative_fixture_is_clean(self, code):
-        assert analyze_file(fixture(f"{code.lower()}_good.py")) == []
+        assert lint(fixture(f"{code.lower()}_good.py")) == []
 
     def test_rpr001_covers_all_four_hazards(self):
         messages = " | ".join(
-            f.message for f in analyze_file(fixture("rpr001_bad.py"))
+            f.message for f in lint(fixture("rpr001_bad.py"))
         )
         assert "iteration over a set" in messages
         assert "random.choice" in messages
         assert "wall-clock read" in messages
         assert "id()" in messages
 
-    def test_registry_has_exactly_the_documented_rules(self):
-        assert set(all_rules()) == set(RULE_CODES)
-
-
-_RPR002_ALIAS_FRAGMENT = """\
-# repro-lint-module: repro.policies.frag
-
-
-class Session:
-    def __init__(self, context):
-        self.context = context
-
-    def admission_dependencies(self):
-        return tuple(self.context.donors)
-
-    def admission(self):
-        return self.context.donors.get(self.context)
-
-    def leave(self, name):
-        index = self.context.donors
-{body}"""
-
-
-class TestRpr002LocalAlias:
-    """A local bound once to a shared attribute chain stands for that
-    chain: ``index = self.context.donors; index.pop(n)`` is a mutation of
-    ``donors`` (the chain of a bare local used to read as empty)."""
-
-    def _findings(self, tmp_path, *body):
-        path = tmp_path / "frag.py"
-        path.write_text(_RPR002_ALIAS_FRAGMENT.format(
-            body="".join(f"        {line}\n" for line in body)
-        ))
-        return analyze_file(str(path))
-
-    def test_mutation_through_an_alias_without_notify_is_flagged(self, tmp_path):
-        findings = self._findings(tmp_path, "index.pop(name)", "del index[name]")
-        assert [(f.code, f.line) for f in findings] == [
-            ("RPR002", 16), ("RPR002", 17),
-        ]
-        assert "'donors'" in findings[0].message
-
-    def test_mutation_through_an_alias_with_notify_is_clean(self, tmp_path):
-        assert self._findings(
-            tmp_path, "index.pop(name)", "del index[name]",
-            "self.context.notify_changed((name,))",
-        ) == []
-
-    def test_a_rebound_local_is_not_an_alias(self, tmp_path):
-        assert self._findings(tmp_path, "index = {}", "index.pop(name)") == []
+    def test_engine_runs_exactly_the_documented_rules(self):
+        assert ENGINE_CODES == RULE_CODES
 
 
 class TestSuppressions:
@@ -141,7 +98,7 @@ class TestSuppressions:
             "S = {1, 2}\n"
             "OUT = [x for x in S]  # repro: noqa[RPR001] order never observed\n",
         )
-        assert analyze_file(path) == []
+        assert lint(path) == []
 
     def test_noqa_without_reason_is_rpr000(self, tmp_path):
         path = self._write(
@@ -150,7 +107,7 @@ class TestSuppressions:
             "S = {1, 2}\n"
             "OUT = [x for x in S]  # repro: noqa[RPR001]\n",
         )
-        assert {f.code for f in analyze_file(path)} == {"RPR000"}
+        assert {f.code for f in lint(path)} == {"RPR000"}
 
     def test_noqa_for_other_code_does_not_suppress(self, tmp_path):
         path = self._write(
@@ -159,11 +116,11 @@ class TestSuppressions:
             "S = {1, 2}\n"
             "OUT = [x for x in S]  # repro: noqa[RPR003] wrong code entirely\n",
         )
-        assert "RPR001" in {f.code for f in analyze_file(path)}
+        assert "RPR001" in {f.code for f in lint(path)}
 
     def test_syntax_error_reports_rpr000_instead_of_crashing(self, tmp_path):
         path = self._write(tmp_path, "def broken(:\n")
-        findings = analyze_file(path)
+        findings = lint(path)
         assert [f.code for f in findings] == ["RPR000"]
         assert "does not parse" in findings[0].message
 
@@ -189,47 +146,27 @@ class TestBaseline:
 
 
 class TestCli:
-    def test_clean_tree_exits_zero(self, monkeypatch, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["src"]) == 0
-
-    def test_json_format_shape(self, capsys):
-        rc = lint_main(
-            [fixture("rpr003_bad.py"), "--format", "json"]
-        )
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == 1
-        assert doc["counts"] == {"RPR003": 1}
-        (finding,) = doc["findings"]
-        assert finding["code"] == "RPR003"
-        assert finding["line"] == 4
-
-    def test_select_filters_rules(self, capsys):
-        rc = lint_main(
-            [fixture("rpr001_bad.py"), "--select", "RPR003"]
-        )
-        assert rc == 0
-
-    def test_unknown_select_is_usage_error(self, capsys):
-        assert lint_main([fixture("rpr001_bad.py"), "--select", "RPR999"]) == 2
-
     @pytest.mark.parametrize(
-        "flag", ["--baseline", "--no-baseline", "--write-baseline"]
+        "flag",
+        [
+            "--baseline", "--no-baseline", "--write-baseline",
+            "--select RPR001", "--list-rules",
+        ],
     )
     def test_no_baseline_flag_exists(self, capsys, flag):
         """Accepted findings carry inline reasoned suppressions; there is
-        no baseline file to grandfather them."""
+        no baseline file to grandfather them.  Both rules always run, so
+        there is no rule selection or listing either."""
         with pytest.raises(SystemExit) as exc:
-            lint_main(["src", flag])
+            lint_main(["src", *flag.split()])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in RULE_CODES:
-            assert code in out
+    def test_json_format_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["src", "--format", "json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'json'" in capsys.readouterr().err
 
     def test_github_format_emits_error_annotations(self, capsys):
         rc = lint_main(
@@ -269,9 +206,9 @@ class TestCli:
 
 
 class TestInjectionGuard:
-    """The CI lint job's smoke test in miniature: dropping a known-bad
-    fixture into an otherwise-clean tree must fail the gate (guards
-    against the linter silently passing everything)."""
+    """Dropping a known-bad fixture into an otherwise-clean tree must
+    fail the gate (guards against the linter silently passing
+    everything)."""
 
     def test_injected_violation_fails_a_clean_tree(self, tmp_path):
         tree = tmp_path / "src" / "repro" / "sim"
@@ -311,7 +248,7 @@ class TestExportTables:
             tmp_path,
             [("LockService", ".server"), ("Simulator", "..sim.scheduler")],
         )
-        (finding,) = analyze_file(path)
+        (finding,) = lint(path)
         assert finding.code == "RPR003"
         assert finding.line == 7
         assert "'repro.sim'" in finding.message
@@ -322,13 +259,13 @@ class TestExportTables:
             tmp_path,
             [("LockService", ".server"), ("LockKernel", "..kernel.core")],
         )
-        assert analyze_file(path) == []
+        assert lint(path) == []
 
     def test_only_package_inits_have_tables(self, tmp_path):
         module = tmp_path / "src" / "repro" / "service" / "helpers.py"
         module.parent.mkdir(parents=True)
         module.write_text('_EXPORTS = {"Simulator": "..sim.scheduler"}\n')
-        assert analyze_file(str(module)) == []
+        assert lint(str(module)) == []
 
 
 class TestLinterIsolation:

@@ -27,6 +27,7 @@ import pytest
 from repro.core import LockMode, Operation, Step, StructuralState
 from repro.core.schedules import Event
 from repro.exceptions import PolicyViolation, SimulationError
+from repro.kernel.lifecycle import MAX_RESTARTS
 from repro.policies import Access, TwoPhasePolicy
 from repro.policies.base import (
     Admission,
@@ -217,14 +218,15 @@ class TestRestartAccounting:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_exhausted_budget_counts_each_actual_restart(self, engine):
         items = [WorkloadItem("T1", [Access("a")])]
-        sim = Simulator(AbortingPolicy(), seed=0, engine=engine, max_restarts=3)
+        sim = Simulator(AbortingPolicy(), seed=0, engine=engine)
         result = sim.run(items, StructuralState.of("a"), validate=False)
         assert result.aborted == ("T1",)
         m = result.metrics
-        # Attempts 1..4 abort; attempts 2..4 were actual restarts.
-        assert m.aborted == 4
-        assert m.restarts == 3
-        assert m.records["T1"].restarts == 3
+        # Attempts 1..MAX_RESTARTS+1 abort; all but the first were actual
+        # restarts.
+        assert m.aborted == MAX_RESTARTS + 1
+        assert m.restarts == MAX_RESTARTS
+        assert m.records["T1"].restarts == MAX_RESTARTS
 
 
     @pytest.mark.parametrize("engine", ENGINES)
