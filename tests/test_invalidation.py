@@ -31,6 +31,7 @@ import pytest
 
 import repro.policies
 from repro.core import Operation, Step, StructuralState
+from repro.exceptions import SimulationError
 from repro.graphs import RootedDag, random_rooted_dag
 from repro.policies import (
     Access,
@@ -239,6 +240,21 @@ def _declaring_session_classes():
     return names
 
 
+def _run_matrix_case(cls_name):
+    """Run one matrix case naive against event over every seed; returns
+    the event engine's total invalidation count."""
+    policy_factory, workload = INVALIDATION_MATRIX[cls_name]
+    invalidations = 0
+    for seed in MATRIX_SEEDS:
+        items, initial, context_kwargs = workload(seed)
+        _, event = run_both(
+            policy_factory, items, initial, seed=seed,
+            context_kwargs_factory=context_kwargs,
+        )
+        invalidations += event.metrics.invalidations
+    return invalidations
+
+
 class TestInvalidationMatrix:
     """A cached verdict is safe only if every shared-state change that can
     flip it notifies a declared channel.  The naive engine re-derives every
@@ -250,16 +266,22 @@ class TestInvalidationMatrix:
 
     @pytest.mark.parametrize("cls_name", sorted(INVALIDATION_MATRIX))
     def test_naive_equals_event(self, cls_name):
-        policy_factory, workload = INVALIDATION_MATRIX[cls_name]
-        invalidations = 0
-        for seed in MATRIX_SEEDS:
-            items, initial, context_kwargs = workload(seed)
-            _, event = run_both(
-                policy_factory, items, initial, seed=seed,
-                context_kwargs_factory=context_kwargs,
-            )
-            invalidations += event.metrics.invalidations
+        invalidations = _run_matrix_case(cls_name)
         assert invalidations > 0, "the workload must exercise notifications"
+
+    @pytest.mark.parametrize("cls_name", ["AltruisticSession", "DdagSession"])
+    def test_silenced_notifications_diverge(self, cls_name, monkeypatch):
+        """The matrix catches the bug class it stands for: with every
+        ``notify_changed`` a no-op, the event engine keeps a stale cached
+        verdict, and some seed's event run either differs from the naive
+        run or stalls on a wait the naive engine saw end.  (The lawless
+        sessions admit unconditionally, so no notification can flip their
+        verdict; their cases only pin that the engines agree.)"""
+        monkeypatch.setattr(
+            PolicyContext, "notify_changed", lambda self, channels: None
+        )
+        with pytest.raises((AssertionError, SimulationError)):
+            _run_matrix_case(cls_name)
 
 
 class TestDdagInvalidation:
