@@ -7,8 +7,8 @@ name is used, so importing a package loads only the submodules its
 caller reaches; the resolved object is then cached in the package's
 globals and later lookups never come back here.
 
-This module imports nothing from the rest of ``repro`` (lint rule RPR003):
-every package init imports it.
+This module imports nothing from the rest of ``repro`` (checked by
+``tests/test_layering.py``): every package init imports it.
 """
 
 from __future__ import annotations

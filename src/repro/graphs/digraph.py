@@ -45,9 +45,9 @@ class DiGraph:
     def remove_node(self, node: Node) -> None:
         """Remove a node and all incident edges.  Raises ``KeyError`` if the
         node is absent."""
-        for v in list(self._succ[node]):  # repro: noqa[RPR001] set discards; order-insensitive
+        for v in list(self._succ[node]):  # set discards; order-insensitive
             self._pred[v].discard(node)
-        for u in list(self._pred[node]):  # repro: noqa[RPR001] set discards; order-insensitive
+        for u in list(self._pred[node]):  # set discards; order-insensitive
             self._succ[u].discard(node)
         del self._succ[node]
         del self._pred[node]
@@ -113,7 +113,7 @@ class DiGraph:
         for n in self._succ:
             g.add_node(n)
         for u, vs in self._succ.items():
-            for v in vs:  # repro: noqa[RPR001] set adds into a fresh graph; order-insensitive
+            for v in vs:  # set adds into a fresh graph; order-insensitive
                 g.add_edge(u, v)
         return g
 
@@ -127,7 +127,7 @@ class DiGraph:
         frontier: List[Node] = [source]
         while frontier:
             node = frontier.pop()
-            for nxt in self._succ[node]:  # repro: noqa[RPR001] builds the reachable set; only the frozenset escapes
+            for nxt in self._succ[node]:  # builds the reachable set; only the frozenset escapes
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -139,7 +139,7 @@ class DiGraph:
         frontier: List[Node] = [target]
         while frontier:
             node = frontier.pop()
-            for prv in self._pred[node]:  # repro: noqa[RPR001] builds the reaching set; only the frozenset escapes
+            for prv in self._pred[node]:  # builds the reaching set; only the frozenset escapes
                 if prv not in seen:
                     seen.add(prv)
                     frontier.append(prv)
@@ -157,7 +157,7 @@ class DiGraph:
         for root in self._succ:
             if color[root] != 0:
                 continue
-            stack: List[Tuple[Node, Iterator[Node]]] = [(root, iter(self._succ[root]))]  # repro: noqa[RPR001] DFS colouring; only the acyclic bool escapes
+            stack: List[Tuple[Node, Iterator[Node]]] = [(root, iter(self._succ[root]))]  # DFS colouring; only the acyclic bool escapes
             color[root] = 1
             while stack:
                 node, it = stack[-1]
@@ -165,7 +165,7 @@ class DiGraph:
                 for nxt in it:
                     if color[nxt] == 0:
                         color[nxt] = 1
-                        stack.append((nxt, iter(self._succ[nxt])))  # repro: noqa[RPR001] DFS colouring; only the acyclic bool escapes
+                        stack.append((nxt, iter(self._succ[nxt])))  # DFS colouring; only the acyclic bool escapes
                         advanced = True
                         break
                     if color[nxt] == 1:

@@ -88,7 +88,7 @@ class Forest:
         frontier = [node]
         while frontier:
             n = frontier.pop()
-            for c in self._children[n]:  # repro: noqa[RPR001] builds the descendant set; only the frozenset escapes
+            for c in self._children[n]:  # builds the descendant set; only the frozenset escapes
                 if c not in out:
                     out.add(c)
                     frontier.append(c)
@@ -138,7 +138,7 @@ class Forest:
         parent = self._parent[node]
         if parent is not None:
             self._children[parent].discard(node)
-        for child in self._children[node]:  # repro: noqa[RPR001] resets existing parent entries; order-insensitive
+        for child in self._children[node]:  # resets existing parent entries; order-insensitive
             self._parent[child] = None
         del self._parent[node]
         del self._children[node]

@@ -20,8 +20,8 @@ The state layers themselves (lock table, waits-for graph, deadlock
 oracle, admission cache, metrics) live under ``repro.sim``; the kernel
 modules import them from there.  ``LockMode`` is re-exported because
 the service speaks it on the wire and imports nothing but this package
-— lint rule RPR003 enforces both directions (the kernel never imports
-the sim drivers; the service imports nothing from sim).
+— ``tests/test_layering.py`` checks both directions (the kernel never
+imports the sim drivers; the service imports nothing from sim).
 """
 
 from .. import _exports

@@ -48,7 +48,7 @@ the same lock table, waits-for graph and victim rule, but keeps its own
 commit, abort, wake and forget transitions (ROADMAP item 6(a) is to
 make it a second driver of this one).
 
-Layering (lint rule RPR003): this package may import the state layers it
+Layering (checked by ``tests/test_layering.py``): this package may import the state layers it
 absorbs (``sim/lock_table``, ``sim/admission``, ``sim/waits_for``,
 ``sim/deadlock``, ``sim/live``, ``sim/metrics``, ``sim/event_log``,
 ``sim/executor``) but never the drivers above it (``sim/scheduler``,

@@ -1,7 +1,7 @@
 """The lock-manager service: an audited asyncio front-end over the
 transport-agnostic kernel (:mod:`repro.kernel`).
 
-Layering (lint rule RPR003 enforces it): this package imports **only**
+Layering (``tests/test_layering.py`` checks it): this package imports **only**
 ``repro.kernel`` — never ``repro.sim`` or ``repro.core``.  The kernel's
 request API runs on the simulator's state layers, and the one core name
 the protocol speaks (``LockMode``) is a kernel re-export.  The package

@@ -243,7 +243,7 @@ class OrderedNames:
         list, kept the same list object."""
         names = self.names
         if len(gone) * _BISECT_SHARE < len(names):
-            for name in gone:  # repro: noqa[RPR001] independent deletions; the list stays sorted whatever the order
+            for name in gone:  # independent deletions; the list stays sorted whatever the order
                 i = bisect_left(names, name)
                 if i < len(names) and names[i] == name:
                     del names[i]
@@ -348,7 +348,7 @@ class AdmissionCache:
             subs = self.channel_subs.get(ch)
             if not subs:
                 continue
-            for n in subs:  # repro: noqa[RPR001] set-membership adds plus a counter; order-insensitive
+            for n in subs:  # set-membership adds plus a counter; order-insensitive
                 if n in self._live and n not in self.dirty:
                     self.dirty.add(n)
                     m.invalidations += 1
@@ -364,7 +364,7 @@ class AdmissionCache:
         due = self.phase1
         if self.complete or self.dynamic:
             due = self.complete | self.dynamic | due
-        candidates = [  # repro: noqa[RPR001] the caller sorts candidates by admission seq
+        candidates = [  # the caller sorts candidates by admission seq
             n for n in due if n in live
         ]
         self.phase1.clear()
@@ -376,7 +376,7 @@ class AdmissionCache:
         live = self._live
         complete = self.complete
         due = self.dirty | self.dynamic if self.dynamic else self.dirty
-        check = [  # repro: noqa[RPR001] sorted before return
+        check = [  # sorted before return
             n for n in due if n in live and n not in complete
         ]
         self.dirty.clear()

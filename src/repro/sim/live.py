@@ -6,7 +6,7 @@ commit scan, deadlock victim costing, and per-transaction records all
 read it.  It lives in its own leaf module so ``sim/reference.py`` (the
 executable specification) can use it without importing the event-engine
 internals it is the oracle for (``scheduler``/``admission``/``waits_for``
-— enforced by lint rule RPR003).
+— checked by ``tests/test_layering.py``).
 
 It also caches the session's pending step (:meth:`LiveEntry.peek`):
 ``PolicySession.peek`` is idempotent between two ``executed()`` calls,

@@ -62,10 +62,10 @@ class WaitsForGraph:
         self.waits_for[name] = blockers
         added = blockers
         if old:
-            for b in old - blockers:  # repro: noqa[RPR001] independent per-edge removals from the reverse index
+            for b in old - blockers:  # independent per-edge removals from the reverse index
                 self._drop_reverse(b, name)
             added = blockers - old
-        for b in added:  # repro: noqa[RPR001] independent per-edge inserts into the reverse index
+        for b in added:  # independent per-edge inserts into the reverse index
             self.blocked_by.setdefault(b, set()).add(name)
 
     def add_edge_if_tracked(self, waiter: str, blocker: str) -> None:
@@ -81,7 +81,7 @@ class WaitsForGraph:
         """Remove ``name``'s outgoing edges (and their reverse entries)."""
         old = self.waits_for.pop(name, None)
         if old is not None:
-            for b in old:  # repro: noqa[RPR001] independent per-edge removals from the reverse index
+            for b in old:  # independent per-edge removals from the reverse index
                 self._drop_reverse(b, name)
 
     # ------------------------------------------------------------------
@@ -97,10 +97,10 @@ class WaitsForGraph:
             waits_for[name] = blockers
             added = blockers
             if old:
-                for b in old - blockers:  # repro: noqa[RPR001] independent per-edge removals from the reverse index
+                for b in old - blockers:  # independent per-edge removals from the reverse index
                     self._drop_reverse(b, name)
                 added = blockers - old
-            for b in added:  # repro: noqa[RPR001] independent per-edge inserts into the reverse index
+            for b in added:  # independent per-edge inserts into the reverse index
                 blocked_by.setdefault(b, set()).add(name)
 
     def set_new_edges(self, pairs: Iterable[Tuple[str, Set[str]]]) -> None:
@@ -112,7 +112,7 @@ class WaitsForGraph:
         blocked_by = self.blocked_by
         for name, blockers in pairs:
             waits_for[name] = blockers
-            for b in blockers:  # repro: noqa[RPR001] independent per-edge inserts into the reverse index
+            for b in blockers:  # independent per-edge inserts into the reverse index
                 blocked_by.setdefault(b, set()).add(name)
 
     def add_edges_if_tracked(self, waiters: Iterable[str], blocker: str) -> None:
@@ -136,7 +136,7 @@ class WaitsForGraph:
             old = waits_for.pop(name, None)
             if not old:
                 continue
-            for b in old:  # repro: noqa[RPR001] independent per-edge removals from the reverse index
+            for b in old:  # independent per-edge removals from the reverse index
                 waiters = blocked_by.get(b)
                 if waiters is not None:
                     waiters.discard(name)
@@ -150,7 +150,7 @@ class WaitsForGraph:
         waiters = self.blocked_by.pop(name, None)
         if not waiters:
             return set()
-        for w in waiters:  # repro: noqa[RPR001] independent per-waiter edge drops; caller gets the full set
+        for w in waiters:  # independent per-waiter edge drops; caller gets the full set
             edges = self.waits_for.get(w)
             if edges is not None:
                 edges.discard(name)
@@ -183,14 +183,14 @@ class WaitsForGraph:
         something to find."""
         graph = self.waits_for
         seen: Set[str] = set()
-        work: List[str] = list(graph.get(name, ()))  # repro: noqa[RPR001] pure-reachability worklist; result is a boolean
+        work: List[str] = list(graph.get(name, ()))  # pure-reachability worklist; result is a boolean
         while work:
             n = work.pop()
             if n == name:
                 return True
             if n not in seen:
                 seen.add(n)
-                work.extend(graph.get(n, ()))  # repro: noqa[RPR001] pure-reachability worklist; result is a boolean
+                work.extend(graph.get(n, ()))  # pure-reachability worklist; result is a boolean
         return False
 
     def find_cycle(self) -> Optional[List[str]]:

@@ -2,10 +2,32 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro.policies
 from repro import Schedule, StructuralState, Transaction
 from repro.enumeration import fig2_proper_schedule, fig2_system
+from repro.policies.base import PolicySession
+
+
+@pytest.fixture
+def policy_session_classes():
+    """Every ``PolicySession`` subclass defined under ``repro.policies``,
+    each policy module imported first so none is missed."""
+    for info in pkgutil.walk_packages(
+        repro.policies.__path__, "repro.policies."
+    ):
+        importlib.import_module(info.name)
+    classes, stack = set(), [PolicySession]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("repro.policies."):
+                classes.add(cls)
+    return classes
 
 
 @pytest.fixture

@@ -50,11 +50,6 @@ BUDGETS = {
         "repro.core.canonical", "repro.core.safety", "repro.core.completion",
         "repro.kernel.core", "multiprocessing", "statistics",
     ),
-    # The linter must not be breakable by the code it checks.
-    "import repro.lint": (
-        "repro.core", "repro.sim", "repro.policies", "repro.kernel",
-        "repro.service",
-    ),
 }
 
 

@@ -24,12 +24,8 @@ Covered here:
 * a custom third policy adopting the protocol (it is not DDAG-specific).
 """
 
-import importlib
-import pkgutil
-
 import pytest
 
-import repro.policies
 from repro.core import Operation, Step, StructuralState
 from repro.exceptions import SimulationError
 from repro.graphs import RootedDag, random_rooted_dag
@@ -220,26 +216,6 @@ INVALIDATION_MATRIX = {
 MATRIX_SEEDS = range(6)
 
 
-def _declaring_session_classes():
-    """Names of the session classes defined under ``repro.policies``
-    whose ``admission_dependencies`` is not the base's ``None``."""
-    for info in pkgutil.walk_packages(
-        repro.policies.__path__, "repro.policies."
-    ):
-        importlib.import_module(info.name)
-    names, stack = set(), [PolicySession]
-    while stack:
-        for cls in stack.pop().__subclasses__():
-            stack.append(cls)
-            if (
-                cls.__module__.startswith("repro.policies.")
-                and cls.admission_dependencies
-                is not PolicySession.admission_dependencies
-            ):
-                names.add(cls.__name__)
-    return names
-
-
 def _run_matrix_case(cls_name):
     """Run one matrix case naive against event over every seed; returns
     the event engine's total invalidation count."""
@@ -261,8 +237,17 @@ class TestInvalidationMatrix:
     verdict every tick, so a missing notification shows as a divergence:
     schedules, summaries, per-txn records or victim sequences."""
 
-    def test_every_declaring_session_class_has_a_case(self):
-        assert _declaring_session_classes() == set(INVALIDATION_MATRIX)
+    def test_every_declaring_session_class_has_a_case(
+        self, policy_session_classes
+    ):
+        """Every session class whose ``admission_dependencies`` is not
+        the base's ``None`` (its own override or an inherited one)."""
+        declaring = {
+            cls.__name__ for cls in policy_session_classes
+            if cls.admission_dependencies
+            is not PolicySession.admission_dependencies
+        }
+        assert declaring == set(INVALIDATION_MATRIX)
 
     @pytest.mark.parametrize("cls_name", sorted(INVALIDATION_MATRIX))
     def test_naive_equals_event(self, cls_name):
