@@ -176,3 +176,44 @@ def test_every_layer_has_modules():
 ])
 def test_a_crossing_import_is_found(module, is_package, source):
     assert violations(module, is_package, source) != []
+
+
+@pytest.mark.parametrize("module, is_package, source", [
+    # The kernel may read the sim state layers it absorbed.
+    ("repro.kernel.core", False,
+     "from ..sim.lock_table import LockTable\n"
+     "from ..sim.waits_for import WaitsForGraph\n"),
+    # ``from repro.sim import lock_table`` names the package and one state
+    # layer; neither is a driver.
+    ("repro.kernel.core", False, "from repro.sim import lock_table\n"),
+    # The service speaks to the kernel package.
+    ("repro.service.server", False, "from ..kernel import LockKernel\n"),
+    # The event engine drives the kernel.
+    ("repro.sim.scheduler", False, "from ..kernel.lifecycle import KernelRun\n"),
+    # The oracle shares the leaf helpers, only not the engine internals.
+    ("repro.sim.reference", False,
+     "from . import deadlock\nfrom .live import LiveEntry\n"),
+    # An export table that stays inside its own package.
+    ("repro.service", True, '_EXPORTS = {\n    "LockService": ".server",\n}\n'),
+    # Only a package init's ``_EXPORTS`` is an import table.
+    ("repro.sim.scheduler", False, '_EXPORTS = {"Runner": "..bench.cli"}\n'),
+    # A stdlib module, and a name that merely starts with ``repro``.
+    ("repro._exports", False, "import importlib\nimport reprolib\n"),
+])
+def test_an_allowed_import_is_not_flagged(module, is_package, source):
+    assert violations(module, is_package, source) == []
+
+
+@pytest.mark.parametrize("module, is_package, source, line", [
+    ("repro.service.server", False,
+     "import asyncio\n\n\ndef later():\n    import repro.sim\n", 5),
+    ("repro.service", True,
+     '_EXPORTS = {\n    "LockService": ".server",\n'
+     '    "Simulator": "..sim.scheduler",\n}\n', 3),
+    ("repro.kernel.core", False,
+     "from typing import TYPE_CHECKING\n"
+     "if TYPE_CHECKING:\n    from ..sim.scheduler import Simulator\n", 3),
+])
+def test_a_crossing_is_reported_on_its_line(module, is_package, source, line):
+    found = violations(module, is_package, source)
+    assert found and all(f.startswith(f"{line}: ") for f in found)
