@@ -42,7 +42,7 @@ def test_fig2_pairs_have_no_proper_schedules():
     for i in range(3):
         for j in range(i + 1, 3):
             pair = [txns[i], txns[j]]
-            n = count_schedules(pair, legal_only=True, proper_only=True)
+            n = count_schedules(pair)
             print(f"  {{{pair[0].name}, {pair[1].name}}}: "
                   f"{n} complete legal+proper schedules")
             assert n == 0

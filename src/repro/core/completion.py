@@ -16,17 +16,23 @@ observations:
 3. A schedule is *complete* when every transaction that has started has
    finished; the search may start additional transactions when their
    INSERTs/DELETEs are needed to make other transactions' steps defined.
+
+The search steps through :class:`repro.core.interleaving.Interleaving`, the
+stepping rule shared with the brute-force and enumeration searches.  It
+replays the given prefix through that rule first, so an illegal or improper
+prefix raises instead of being extended.  ``tests/test_completion.py``
+checks observation 2 against the enumerator: a prefix is completable exactly
+when some complete schedule starts with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..exceptions import SearchBudgetExceeded
-from .operations import LockMode, Operation
-from .schedules import Event, Schedule
+from .interleaving import Interleaving
+from .schedules import Schedule
 from .states import StructuralState
-from .steps import Entity
 
 #: Default node budget for completion searches.
 DEFAULT_BUDGET = 200_000
@@ -37,111 +43,49 @@ class _CompletionSearch:
 
     def __init__(self, schedule: Schedule, initial: StructuralState, budget: int,
                  require_all: bool = False):
-        self.schedule = schedule
-        self.transactions = schedule.transactions
-        self.initial = initial
         self.budget = budget
         self.require_all = require_all
         self.nodes = 0
         self.dead: Set[Tuple[int, ...]] = set()
-        self.names = sorted(self.transactions)
-
-        # Reconstruct the mutable search state from the existing prefix.
-        self.progress: Dict[str, int] = schedule.progress()
-        self.holders: Dict[Entity, Dict[str, LockMode]] = {}
-        state = initial
+        # Replay the prefix through the stepping rule: a step it refuses
+        # makes the prefix illegal or improper, and the reference check
+        # says which.
+        self.cursor = cursor = Interleaving(schedule.transactions.values(), initial)
         for event in schedule.events:
-            state = self._apply(event, state)
-        self.state = state
-        self.extension: List[Event] = []
-
-    # ------------------------------------------------------------------
-
-    def _apply(self, event: Event, state: StructuralState) -> StructuralState:
-        step = event.step
-        mode = step.lock_mode
-        if step.is_lock and mode is not None:
-            current = self.holders.setdefault(step.entity, {})
-            prev = current.get(event.txn)
-            if prev is None or mode is LockMode.EXCLUSIVE:
-                current[event.txn] = mode
-        elif step.is_unlock and mode is not None:
-            current = self.holders.get(step.entity, {})
-            if current.get(event.txn) is mode:
-                del current[event.txn]
-        if step.op is Operation.INSERT:
-            return StructuralState(state.entities | {step.entity})
-        if step.op is Operation.DELETE:
-            return StructuralState(state.entities - {step.entity})
-        return state
-
-    def _undo(self, event: Event, prior_mode: Optional[LockMode],
-              prior_state: StructuralState) -> None:
-        step = event.step
-        if (step.is_lock or step.is_unlock) and step.lock_mode is not None:
-            current = self.holders.setdefault(step.entity, {})
-            if prior_mode is None:
-                current.pop(event.txn, None)
-            else:
-                current[event.txn] = prior_mode
-        self.state = prior_state
-
-    def _admissible(self, txn: str) -> Optional[Event]:
-        """The next event of ``txn`` if executing it now keeps the schedule
-        legal and proper; ``None`` otherwise."""
-        idx = self.progress[txn]
-        steps = self.transactions[txn].steps
-        if idx >= len(steps):
-            return None
-        step = steps[idx]
-        if not self.state.defines(step):
-            return None
-        mode = step.lock_mode
-        if step.is_lock and mode is not None:
-            for other, other_mode in self.holders.get(step.entity, {}).items():
-                if other != txn and mode.conflicts_with(other_mode):
-                    return None
-        return Event(txn, idx, step)
+            if cursor.next_event(event.txn) is None:
+                schedule.assert_legal()
+                schedule.assert_proper(initial)
+            cursor.push(event)
 
     def _done(self) -> bool:
+        cursor = self.cursor
         if self.require_all:
-            return all(
-                self.progress[name] == len(self.transactions[name].steps)
-                for name in self.names
-            )
+            return len(cursor.events) == cursor.total
         return all(
-            self.progress[name] in (0, len(self.transactions[name].steps))
-            for name in self.names
+            cursor.progress[name] in (0, len(cursor.transactions[name].steps))
+            for name in cursor.names
         )
 
-    def run(self) -> Optional[List[Event]]:
+    def run(self) -> Optional[Schedule]:
         if self._dfs():
-            return list(self.extension)
+            return self.cursor.schedule()
         return None
 
     def _dfs(self) -> bool:
         if self._done():
             return True
-        key = tuple(self.progress[name] for name in self.names)
+        cursor = self.cursor
+        key = tuple(cursor.progress[name] for name in cursor.names)
         if key in self.dead:
             return False
         self.nodes += 1
         if self.nodes > self.budget:
             raise SearchBudgetExceeded(self.budget)
-        for txn in self.names:
-            event = self._admissible(txn)
-            if event is None:
-                continue
-            prior_mode = self.holders.get(event.step.entity, {}).get(txn)
-            prior_state = self.state
-            self.state = self._apply(event, self.state)
-            self.progress[txn] += 1
-            self.extension.append(event)
+        for event in cursor.admissible():
+            cursor.push(event)
             if self._dfs():
                 return True
-            self.extension.pop()
-            self.progress[txn] -= 1
-            self._undo(event, prior_mode, prior_state)
+            cursor.pop()
         self.dead.add(key)
         return False
 
@@ -154,7 +98,10 @@ def find_completion(
 ) -> Optional[Schedule]:
     """Extend ``schedule`` to a complete legal & proper schedule, if possible.
 
-    The input must itself be a legal & proper partial schedule.  With
+    The input must itself be a legal & proper partial schedule; otherwise
+    the :class:`IllegalScheduleError` or :class:`ImproperScheduleError` of
+    :meth:`Schedule.assert_legal` / :meth:`Schedule.assert_proper` is
+    raised, before any search.  With
     ``require_all`` every transaction of the system must finish; otherwise
     (the paper's notion of a schedule "of some transactions") only the
     transactions that have started must finish, though the search may start
@@ -164,11 +111,7 @@ def find_completion(
     Raises :class:`SearchBudgetExceeded` when the search is cut off — callers
     must treat that as "unknown", never as "no".
     """
-    search = _CompletionSearch(schedule, initial, budget, require_all)
-    extension = search.run()
-    if extension is None:
-        return None
-    return schedule.with_events(schedule.events + tuple(extension))
+    return _CompletionSearch(schedule, initial, budget, require_all).run()
 
 
 def is_completable(

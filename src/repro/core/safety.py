@@ -16,22 +16,23 @@ prefix-closed, and the future of a search node is fully determined by the
 progress vector plus the accumulated conflict-graph edges (which earlier
 events exist is exactly the progress vector).  Once the conflict graph goes
 cyclic, unsafety reduces to completability, decided by
-:mod:`repro.core.completion`.
+:mod:`repro.core.completion`.  The search steps through
+:class:`repro.core.interleaving.Interleaving`, the stepping rule it shares
+with the completion search and the schedule enumerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from ..exceptions import SearchBudgetExceeded
 from .canonical import CanonicalWitness, WitnessSearchStats, find_canonical_witness
 from .completion import DEFAULT_BUDGET, find_completion
-from .operations import LockMode
+from .interleaving import Interleaving
 from .schedules import Event, Schedule
 from .serializability import SerializabilityGraph
 from .states import StructuralState
-from .steps import Entity
 from .transactions import Transaction
 
 
@@ -55,38 +56,18 @@ class _UnsafetySearch:
         budget: int,
         stats: SearchStats,
     ):
-        self.transactions = {t.name: t for t in transactions}
-        self.names = sorted(self.transactions)
+        self.cursor = Interleaving(transactions, initial)
         self.initial = initial
         self.budget = budget
         self.stats = stats
-        self.progress: Dict[str, int] = {n: 0 for n in self.names}
-        self.holders: Dict[Entity, Dict[str, LockMode]] = {}
-        self.state = initial
-        self.events: List[Event] = []
         self.edges: Set[Tuple[str, str]] = set()
         self.visited: Set[Tuple[Tuple[int, ...], frozenset]] = set()
 
     # ------------------------------------------------------------------
 
-    def _admissible(self, txn: str) -> Optional[Event]:
-        idx = self.progress[txn]
-        steps = self.transactions[txn].steps
-        if idx >= len(steps):
-            return None
-        step = steps[idx]
-        if not self.state.defines(step):
-            return None
-        mode = step.lock_mode
-        if step.is_lock and mode is not None:
-            for other, other_mode in self.holders.get(step.entity, {}).items():
-                if other != txn and mode.conflicts_with(other_mode):
-                    return None
-        return Event(txn, idx, step)
-
     def _new_edges(self, event: Event) -> Set[Tuple[str, str]]:
         added: Set[Tuple[str, str]] = set()
-        for earlier in self.events:
+        for earlier in self.cursor.events:
             if earlier.conflicts_with(event):
                 edge = (earlier.txn, event.txn)
                 if edge not in self.edges:
@@ -94,18 +75,17 @@ class _UnsafetySearch:
         return added
 
     def _cyclic(self) -> bool:
-        nodes = frozenset(n for n in self.names if self.progress[n] > 0)
+        cursor = self.cursor
+        nodes = frozenset(n for n in cursor.names if cursor.progress[n] > 0)
         return not SerializabilityGraph(nodes, frozenset(self.edges)).is_acyclic()
-
-    def _schedule(self) -> Schedule:
-        return Schedule(self.transactions.values(), tuple(self.events))
 
     def run(self) -> Optional[Schedule]:
         return self._dfs()
 
     def _dfs(self) -> Optional[Schedule]:
+        cursor = self.cursor
         key = (
-            tuple(self.progress[n] for n in self.names),
+            tuple(cursor.progress[n] for n in cursor.names),
             frozenset(self.edges),
         )
         if key in self.visited:
@@ -120,49 +100,18 @@ class _UnsafetySearch:
             # Nonserializability is locked in: any legal proper completion is
             # a nonserializable schedule of the system.
             self.stats.completions_invoked += 1
-            completed = find_completion(self._schedule(), self.initial, self.budget)
+            completed = find_completion(cursor.schedule(), self.initial, self.budget)
             return completed  # None -> dead branch; edges only ever grow.
 
-        for txn in self.names:
-            event = self._admissible(txn)
-            if event is None:
-                continue
+        for event in cursor.admissible():
             added = self._new_edges(event)
-            prior_mode = self.holders.get(event.step.entity, {}).get(txn)
-            prior_state = self.state
-            # apply
-            step = event.step
-            mode = step.lock_mode
-            if step.is_lock and mode is not None:
-                self.holders.setdefault(step.entity, {})[txn] = (
-                    LockMode.EXCLUSIVE
-                    if prior_mode is LockMode.EXCLUSIVE
-                    else mode
-                )
-            elif step.is_unlock and mode is not None:
-                current = self.holders.get(step.entity, {})
-                if current.get(txn) is mode:
-                    del current[txn]
-            self.state = self.state.apply(step)
-            self.progress[txn] += 1
-            self.events.append(event)
+            cursor.push(event)
             self.edges |= added
-
             found = self._dfs()
             if found is not None:
                 return found
-
-            # undo
             self.edges -= added
-            self.events.pop()
-            self.progress[txn] -= 1
-            self.state = prior_state
-            if (step.is_lock or step.is_unlock) and step.lock_mode is not None:
-                holders = self.holders.setdefault(step.entity, {})
-                if prior_mode is None:
-                    holders.pop(txn, None)
-                else:
-                    holders[txn] = prior_mode
+            cursor.pop()
         return None
 
 

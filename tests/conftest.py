@@ -93,3 +93,27 @@ def nontwophase_pair():
 @pytest.fixture
 def initial_ab() -> StructuralState:
     return StructuralState.of("a", "b")
+
+
+@pytest.fixture
+def reference_prefixes():
+    """A walk over every legal and proper prefix of a transaction system,
+    the empty one included, grown one event at a time by the reference
+    checks ``Schedule.is_legal`` and ``is_proper``.  Each check reports the
+    first violating event, so a rejected prefix has no accepted extension.
+    The schedule searches are tested against this walk."""
+
+    def walk(transactions, initial):
+        frontier = [Schedule(transactions)]
+        while frontier:
+            prefix = frontier.pop()
+            yield prefix
+            for txn in transactions:
+                event = prefix.next_event_of(txn.name)
+                if event is None:
+                    continue
+                longer = prefix.extended(event)
+                if longer.is_legal() and longer.is_proper(initial):
+                    frontier.append(longer)
+
+    return walk

@@ -3,7 +3,18 @@
 import pytest
 
 from repro import Schedule, StructuralState, Transaction, find_completion, is_completable
-from repro.exceptions import SearchBudgetExceeded
+from repro.core.canonical import CanonicalWitness
+from repro.core.operations import LockMode
+from repro.enumeration import (
+    corpus_initial_state,
+    enumerate_schedules,
+    random_locked_system,
+)
+from repro.exceptions import (
+    IllegalScheduleError,
+    ImproperScheduleError,
+    SearchBudgetExceeded,
+)
 
 
 class TestCompletion:
@@ -78,3 +89,59 @@ class TestCompletion:
         s = Schedule([t]).extended_by_steps("T", 1)
         assert is_completable(s, StructuralState.of("a"))
         assert not is_completable(s, StructuralState.empty())
+
+    def test_illegal_prefix_raises_instead_of_extending(self):
+        # T2 locks a while T1 holds it: S' is illegal, and neither the
+        # completion search nor the witness's realisation may extend it.
+        t1 = Transaction.from_text("T1", "(LX a) (W a) (LX b) (W b) (UX a) (UX b)")
+        t2 = Transaction.from_text("T2", "(LX a) (W a) (UX a) (LX c) (W c) (UX c)")
+        t3 = Transaction.from_text("T3", "(LX c) (W c) (UX c) (LX a) (W a) (UX a)")
+        initial = StructuralState.of("a", "b", "c")
+        witness = CanonicalWitness(
+            transactions=(t1, t2, t3), c_index=2, entity="a",
+            lock_mode=LockMode.EXCLUSIVE, prefix_lengths={"T1": 2, "T2": 2, "T3": 3},
+        )
+        assert witness.problems(initial)[0].startswith("S' is not legal")
+        sprime = witness.serial_prefix_schedule()
+        with pytest.raises(IllegalScheduleError) as raised:
+            find_completion(sprime, initial)
+        assert str(raised.value) == sprime.legality_violation()
+        with pytest.raises(IllegalScheduleError):
+            witness.realize(initial)
+
+    def test_improper_prefix_raises(self):
+        t = Transaction.from_text("T", "(LX z) (W z) (UX z)")
+        s = Schedule([t]).extended_by_steps("T", 2)
+        with pytest.raises(ImproperScheduleError) as raised:
+            find_completion(s)
+        assert str(raised.value) == s.properness_violation()
+
+
+MEMO_SYSTEMS = [
+    (steps, style, seed)
+    for steps in ((2, 2, 2), (2, 3, 2))
+    for style in ("early", "chaotic", "mixed", "2pl")
+    for seed in range(10)
+]
+
+
+@pytest.mark.parametrize(
+    "steps,style,seed",
+    MEMO_SYSTEMS,
+    ids=["x".join(map(str, s)) + f"-{y}-{d}" for s, y, d in MEMO_SYSTEMS],
+)
+def test_completable_exactly_when_some_schedule_extends_the_prefix(
+    steps, style, seed, reference_prefixes
+):
+    """Observation 2 of ``repro.core.completion``: the dead-end memo is
+    keyed on the progress vector alone.  A key that forgot which transaction progressed
+    would mark live prefixes dead, so each legal and proper prefix must be
+    completable exactly when some complete schedule starts with it."""
+    txns = random_locked_system(*steps, style=style, seed=seed)
+    initial = corpus_initial_state(steps[1])
+    complete = {s.events for s in enumerate_schedules(txns, initial)}
+    extendable = {events[:n] for events in complete for n in range(len(events) + 1)}
+    for prefix in reference_prefixes(txns, initial):
+        done = find_completion(prefix, initial, require_all=True)
+        assert (done is None) == (prefix.events not in extendable), str(prefix)
+        assert done is None or done.events in complete

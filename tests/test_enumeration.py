@@ -16,22 +16,85 @@ from repro.enumeration import (
 )
 from repro.exceptions import SearchBudgetExceeded
 
+import itertools
 import math
 import random
 
 
+def _all_orders(t1, t2):
+    """Every ordering of two transactions' steps that keeps each one's own
+    order, legal or not: one per choice of positions for ``t1``'s steps."""
+    total = len(t1.steps) + len(t2.steps)
+    for mine in itertools.combinations(range(total), len(t1.steps)):
+        order = [t1.name if p in mine else t2.name for p in range(total)]
+        yield Schedule.from_order([t1, t2], order)
+
+
+def _oracle_systems():
+    simple = [
+        Transaction.from_text("T1", "(LX a) (I a) (UX a)"),
+        Transaction.from_text("T2", "(LX a) (W a) (UX a)"),
+    ]
+    yield "simple_locked_pair", simple, StructuralState.empty()
+    for pair in itertools.combinations(fig2_system(), 2):
+        yield f"fig2-{pair[0].name}{pair[1].name}", list(pair), StructuralState.empty()
+    for style in ("early", "chaotic", "mixed", "2pl"):
+        for shared in (False, True):
+            for seed in range(3):
+                txns = random_locked_system(
+                    2, 2, 2, style=style, seed=seed, use_shared=shared
+                )
+                yield f"2x2x2-{style}-{shared}-{seed}", txns, corpus_initial_state(2)
+
+
+ORACLE_SYSTEMS = {name: (txns, initial) for name, txns, initial in _oracle_systems()}
+
+
+class TestWalkersMatchReferenceChecks:
+    """The walkers step through one legality/properness rule; the
+    reference is ``Schedule.is_legal`` and ``is_proper``."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_walks_equal_the_accepted_orders(self, name, reference_prefixes):
+        txns, initial = ORACLE_SYSTEMS[name]
+        accepted = {
+            p.events for p in reference_prefixes(txns, initial) if p.is_complete
+        }
+        assert count_schedules(txns, initial) == len(accepted)
+        walked = [s.events for s in enumerate_schedules(txns, initial)]
+        assert len(walked) == len(set(walked))
+        assert set(walked) == accepted
+        drawn = random_schedule(txns, initial, seed=0)
+        assert (drawn is None) == (not accepted)
+        assert drawn is None or drawn.events in accepted
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in ORACLE_SYSTEMS if not n.startswith("fig2"))
+    )
+    def test_growing_drops_no_accepted_order(self, name, reference_prefixes):
+        """Growing prefixes accepts exactly the orderings that filtering
+        every ordering does.  (A Fig. 2 pair has C(24, 12) = 2,704,156
+        orderings, too many to filter one by one.)"""
+        txns, initial = ORACLE_SYSTEMS[name]
+        grown = {
+            p.events for p in reference_prefixes(txns, initial) if p.is_complete
+        }
+        assert grown == {
+            s.events for s in _all_orders(*txns)
+            if s.is_legal() and s.is_proper(initial)
+        }
+
+
 class TestEnumeration:
     def test_counts_match_interleaving_formula_without_filters(self):
-        # Two disjoint transactions of lengths 3 and 3: C(6,3) = 20 orders.
+        # Two disjoint transactions of lengths 3 and 3: every one of the
+        # C(6,3) = 20 orders is legal and proper.
         t1 = Transaction.from_text("T1", "(LX a) (I a) (UX a)")
         t2 = Transaction.from_text("T2", "(LX b) (I b) (UX b)")
-        n = count_schedules([t1, t2], legal_only=False, proper_only=False)
-        assert n == math.comb(6, 3)
+        assert count_schedules([t1, t2]) == math.comb(6, 3)
 
     def test_legality_prunes(self, simple_locked_pair):
-        free = count_schedules(simple_locked_pair, legal_only=False, proper_only=False)
-        legal = count_schedules(simple_locked_pair, legal_only=True, proper_only=False)
-        assert legal < free
+        assert 0 < count_schedules(simple_locked_pair) < math.comb(6, 3)
 
     def test_enumerate_yields_valid_schedules(self, simple_locked_pair):
         for s in enumerate_schedules(simple_locked_pair):
@@ -108,4 +171,4 @@ class TestFig2System:
                 if i == j:
                     continue
                 pair = [fig2_txns[i], fig2_txns[j]]
-                assert count_schedules(pair, legal_only=True, proper_only=True) == 0
+                assert count_schedules(pair) == 0

@@ -26,7 +26,7 @@ Covered here:
 
 import pytest
 
-from repro.core import Operation, Step, StructuralState
+from repro.core import Operation, Step, StructuralState, is_serializable
 from repro.exceptions import SimulationError
 from repro.graphs import RootedDag, random_rooted_dag
 from repro.policies import (
@@ -35,7 +35,10 @@ from repro.policies import (
     BrokenAltruisticPolicy,
     BrokenDdagPolicy,
     DdagPolicy,
+    DeleteEdge,
+    DeleteNode,
     InsertEdge,
+    InsertNode,
 )
 from repro.policies.altruistic import al_item_channel
 from repro.policies.base import (
@@ -47,7 +50,8 @@ from repro.policies.base import (
     PROCEED,
     access_steps,
 )
-from repro.policies.ddag import ddag_node_channel
+from repro.kernel.lifecycle import KernelRun
+from repro.policies.ddag import check_ddag_schedule, ddag_node_channel
 from repro.sim import (
     Simulator,
     WorkloadItem,
@@ -192,6 +196,35 @@ def _fig3_race(seed):
     )
 
 
+def _ddag_delete_dag():
+    return RootedDag(1, [(1, 2), (1, 3), (3, 4)])
+
+
+def _ddag_delete_items():
+    """Deletes under DDAG: T1 deletes edge (3, 4) and then node 4 while
+    it holds 1, 3 and 4.  T2 queues behind T1 on node 1, locks its way
+    down once T1 finishes, and finds node 4 gone (L5).  T3 arrives after
+    that and tries to re-insert node 4, which the tombstone forbids (L2)."""
+    return [
+        WorkloadItem(
+            "T1",
+            [Access(1), Access(3), Access(4), DeleteEdge(3, 4), DeleteNode(4)],
+        ),
+        WorkloadItem(
+            "T2",
+            [Access(1), Access(3), Access(4)],
+            restart=lambda n, a, c: None,  # drop on abort
+            start_tick=3,
+        ),
+        WorkloadItem(
+            "T3",
+            [Access(1), Access(3), InsertNode(4, (3,))],
+            restart=lambda n, a, c: None,
+            start_tick=20,
+        ),
+    ]
+
+
 def _long_sweep(seed):
     """Late shorts in a long sweep's wake: donations and withdrawals
     notify the shorts' AL2 waits."""
@@ -303,6 +336,39 @@ class TestDdagInvalidation:
             )
             fired |= event.metrics.invalidations > 0
         assert fired, "the edge insert must notify T2's subscribed node channel"
+
+
+    def test_deletes_run_on_both_engines(self, monkeypatch):
+        """The delete branches of ``DdagSession._expand`` and ``executed``
+        run, naive equal to event: the deleted node aborts the late
+        traverser (L5) and its re-insert (L2)."""
+        reasons = []
+        abort = KernelRun.abort
+
+        def recording_abort(run, victim, reason):
+            reasons.append((victim.item.name, reason))
+            abort(run, victim, reason)
+
+        monkeypatch.setattr(KernelRun, "abort", recording_abort)
+        for seed in range(4):
+            reasons.clear()
+            _, event = run_both(
+                lambda: DdagPolicy(auto_release=False),
+                _ddag_delete_items(),
+                dag_structural_state(_ddag_delete_dag()),
+                seed=seed,
+                context_kwargs_factory=lambda: {"dag": _ddag_delete_dag()},
+            )
+            assert event.committed == ("T1",)
+            assert sorted(event.aborted) == ["T2", "T3"]
+            assert len(reasons) == 4  # two aborts per engine
+            for engine_reasons in (reasons[:2], reasons[2:]):
+                (t2, l5), (t3, l2) = sorted(engine_reasons)
+                assert (t2, t3) == ("T2", "T3")
+                assert "L5: node 4 no longer exists" in l5
+                assert l2.startswith("[L2]") and "reinserts deleted node 4" in l2
+            assert is_serializable(event.schedule)
+            assert check_ddag_schedule(event.schedule, _ddag_delete_dag()) == []
 
 
 class TestAltruisticInvalidation:
