@@ -28,10 +28,11 @@ sink which unlocks ``A*``) is exposed via
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..exceptions import SearchBudgetExceeded, VerificationError
+from ..exceptions import VerificationError
 from .completion import DEFAULT_BUDGET, find_completion
 from .operations import LockMode
 from .schedules import Schedule
@@ -108,9 +109,12 @@ class CanonicalWitness:
         self,
         initial: StructuralState = StructuralState.empty(),
         budget: int = DEFAULT_BUDGET,
+        stats: Optional[WitnessSearchStats] = None,
     ) -> List[str]:
         """Check every condition of Theorem 1; return human-readable
-        descriptions of the violated ones (empty list == valid witness)."""
+        descriptions of the violated ones (empty list == valid witness).
+        ``stats``, if given, counts the ``S'`` built and the completion
+        searches run."""
         out: List[str] = []
         names = [t.name for t in self.transactions]
         if len(set(names)) != len(names):
@@ -151,6 +155,8 @@ class CanonicalWitness:
         if out:
             return out
 
+        if stats is not None:
+            stats.schedules_built += 1
         sprime = self.serial_prefix_schedule()
         # S' must be a legal, proper partial schedule (implied by 2b but
         # checked eagerly for better diagnostics).
@@ -198,6 +204,8 @@ class CanonicalWitness:
             elif not self.completion.is_proper(initial):
                 out.append("provided completion is not proper")
         else:
+            if stats is not None:
+                stats.completions_searched += 1
             if find_completion(sprime, initial, budget) is None:
                 out.append(
                     "condition 2b: S' has no complete legal and proper extension"
@@ -208,9 +216,10 @@ class CanonicalWitness:
         self,
         initial: StructuralState = StructuralState.empty(),
         budget: int = DEFAULT_BUDGET,
+        stats: Optional[WitnessSearchStats] = None,
     ) -> bool:
         """True iff this witness satisfies every condition of Theorem 1."""
-        return not self.problems(initial, budget)
+        return not self.problems(initial, budget, stats)
 
     def satisfies_exclusive_variant(self) -> bool:
         """Section 3.3: with only exclusive locks, condition (2a) simplifies
@@ -269,10 +278,17 @@ class CanonicalWitness:
 
 @dataclass
 class WitnessSearchStats:
-    """Counters from :func:`find_canonical_witness`, reported by benches."""
+    """Counters from :func:`find_canonical_witness`, reported by benches.
+    Each stage sees only what the one before it let through, so
+    ``completions_searched <= schedules_built <= candidates_considered``."""
 
+    #: Candidate witnesses the search enumerated.
     candidates_considered: int = 0
+    #: Candidates whose ``S'`` :meth:`CanonicalWitness.problems` built:
+    #: the search skips a prefix vector in which no partner can pass
+    #: (2a)'s test of a sink.
     schedules_built: int = 0
+    #: Completion searches run for condition (2b).
     completions_searched: int = 0
 
 
@@ -285,6 +301,22 @@ def _condition1_cuts(txn: Transaction) -> Iterable[Tuple[int, Step]]:
             seen_unlock = True
         elif s.is_lock and seen_unlock:
             yield i, s
+
+
+def _may_be_a_sink(
+    txn: Transaction, length: int, entity: Entity, mode: LockMode
+) -> bool:
+    """Whether the prefix of ``txn`` of ``length`` steps passes condition
+    (2a)'s test of a sink: it locks ``entity`` in a mode conflicting with
+    ``mode``, and unlocks it (the test :meth:`CanonicalWitness.problems`
+    applies)."""
+    prefix = txn.prefix(length)
+    held = prefix.lock_mode_of(entity)
+    return (
+        held is not None
+        and held.conflicts_with(mode)
+        and bool(prefix.unlock_positions(entity))
+    )
 
 
 def find_canonical_witness(
@@ -321,10 +353,21 @@ def find_canonical_witness(
             others = [t for t in txns if t.name != tc.name]
             limit = len(others) if max_partners is None else min(max_partners, len(others))
             for size in range(1, limit + 1):
+                # Serial orders of T_c and its partners per prefix vector.
+                orders = math.factorial(size) * (size + 1)
                 for subset in itertools.combinations(others, size):
                     # Prefix length choices for each partner: 1..len.
                     ranges = [range(1, len(t.steps) + 1) for t in subset]
                     for lengths in itertools.product(*ranges):
+                        # S' is serial, so D(S') is acyclic and has a sink;
+                        # T'_c may not be one, so some partner must pass
+                        # (2a)'s sink test, whatever the order.
+                        if not any(
+                            _may_be_a_sink(t, n, entity, mode)
+                            for t, n in zip(subset, lengths)
+                        ):
+                            stats.candidates_considered += orders
+                            continue
                         prefix_lengths = {
                             t.name: n for t, n in zip(subset, lengths)
                         }
@@ -340,10 +383,6 @@ def find_canonical_witness(
                                     lock_mode=mode,
                                     prefix_lengths=dict(prefix_lengths),
                                 )
-                                stats.schedules_built += 1
-                                try:
-                                    if witness.is_valid(initial, budget):
-                                        return witness
-                                except SearchBudgetExceeded:
-                                    raise
+                                if witness.is_valid(initial, budget, stats):
+                                    return witness
     return None

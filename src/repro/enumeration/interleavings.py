@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from ..core.interleaving import Interleaving
 from ..core.schedules import Schedule
@@ -28,17 +28,31 @@ def enumerate_schedules(
     limit: Optional[int] = None,
 ) -> Iterator[Schedule]:
     """Yield the complete legal & proper schedules of the (whole)
-    transaction system, depth first; ``limit`` caps how many are yielded."""
+    transaction system, depth first; ``limit`` caps how many are yielded.
+
+    A node from which no complete schedule follows is remembered by its
+    progress vector and not walked again: what can follow a node depends
+    on that vector alone (observation 2 of :mod:`repro.core.completion`),
+    so the yielded order is the unmemoized walk's."""
     cursor = Interleaving(transactions, initial)
+    dead: Set[Tuple[int, ...]] = set()
 
     def dfs() -> Iterator[Schedule]:
         if len(cursor.events) == cursor.total:
             yield cursor.schedule()
             return
+        key = tuple(cursor.progress[name] for name in cursor.names)
+        if key in dead:
+            return
+        completes = False
         for event in cursor.admissible():
             cursor.push(event)
-            yield from dfs()
+            for schedule in dfs():
+                completes = True
+                yield schedule
             cursor.pop()
+        if not completes:
+            dead.add(key)
 
     return itertools.islice(dfs(), limit)
 

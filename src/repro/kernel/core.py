@@ -191,7 +191,7 @@ class LockKernel:
         self.audit.append(
             op,
             actor if actor is not None else (txn or "<kernel>"),
-            response.outcome.value,
+            response.outcome.wire,
             txn=txn,
             entity=entity,
             reason=response.reason,
@@ -291,7 +291,7 @@ class LockKernel:
         self.audit.append(
             audit_op,
             txn,
-            audit_decision.value,
+            audit_decision.wire,
             txn=txn,
             reason=reason or pending_response.reason,
         )
@@ -322,7 +322,7 @@ class LockKernel:
             self.graph.drop_edges(waiter)
             self._granted_on(waiter, entity)
             self.audit.append(
-                "grant", waiter, Outcome.GRANTED.value,
+                "grant", waiter, Outcome.GRANTED.wire,
                 txn=waiter, entity=entity,
             )
             if record.on_wake is not None:

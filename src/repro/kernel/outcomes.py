@@ -33,8 +33,7 @@ The enum values are the wire strings of the service's JSON-line protocol.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
 class Outcome(enum.Enum):
@@ -46,21 +45,28 @@ class Outcome(enum.Enum):
     VICTIM = "victim"
     ERROR = "error"
 
-    @property
-    def is_success(self) -> bool:
-        return self is Outcome.GRANTED
+    #: The wire string (the member's value).  Every reply and audit entry
+    #: reads it, so it is a plain attribute: ``Enum.value`` is a
+    #: Python-level property.
+    wire: str
+    is_success: bool
+
+    def __init__(self, wire: str) -> None:
+        self.wire = wire
+        self.is_success = wire == "granted"
 
 
-@dataclass(frozen=True)
-class KernelResponse:
+class KernelResponse(NamedTuple):
     """One request's resolution: the outcome, a machine-readable reason
     for non-success outcomes, and — for ``BLOCKED`` acquires — the names
     currently blocking the transaction (holder names are kernel-internal;
-    the service's visibility policy decides what a client may see)."""
+    the service's visibility policy decides what a client may see).
+    Immutable and tuple-backed, like
+    :class:`~repro.kernel.audit.AuditEntry`."""
 
     outcome: Outcome
     reason: Optional[str] = None
-    blockers: Tuple[str, ...] = field(default_factory=tuple)
+    blockers: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -26,6 +26,8 @@ Entities are strings on the wire; lock modes use the
 from __future__ import annotations
 
 import json
+from json import JSONDecodeError
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Dict, Optional
 
 from ..kernel import LockMode
@@ -57,29 +59,68 @@ _MODES: Dict[str, LockMode] = {
     "exclusive": LockMode.EXCLUSIVE,
 }
 
+#: Each mode's wire string, for replies: a dict lookup, where
+#: ``LockMode.value`` is a Python-level property read.
+MODE_WIRE: Dict[LockMode, str] = {mode: mode.value for mode in LockMode}
+
 
 class ProtocolError(ValueError):
     """A request line the service cannot interpret.  Protocol errors are
     answered (outcome ``error``) and audited, never silently dropped."""
 
 
-# One encoder and one decoder for the life of the process: the wire form
-# is fixed, so nothing about them varies per message.
-_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_from_json = json.JSONDecoder().decode
+# The codec is built once.  ``JSONEncoder.encode`` builds a fresh C
+# encoder on every call (and runs two Python frames to do it), and
+# ``JSONDecoder.decode`` adds two frames and two regex matches per line;
+# the service pays each once per reply or request.  So ``encode`` calls
+# the C encoder that ``JSONEncoder.encode`` would build — sorted keys,
+# compact separators, ASCII escaping, non-finite floats allowed — and
+# ``decode`` calls the C scanner and applies ``JSONDecoder.decode``'s
+# whitespace rule itself, raising the same errors.  Two differences,
+# neither reachable from the service: no circular-reference check (a
+# shared marker table would keep the ids a failed call left behind; a
+# reply is a fresh tree), and no pure-Python fallback (CPython ships the
+# C accelerator).
+_render = c_make_encoder(
+    None,  # markers: no circular-reference check
+    json.JSONEncoder().default,  # raises TypeError on an unserializable value
+    encode_basestring_ascii,
+    None,  # indent
+    ":",  # key separator
+    ",",  # item separator
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+_scan_once = json.JSONDecoder().scan_once
+#: What ``JSONDecoder.decode`` skips before and after the document.
+_WHITESPACE = " \t\n\r"
 
 
 def encode(message: Dict[str, object]) -> bytes:
     """One message, one line: compact JSON with sorted keys (a canonical
-    rendering, so transcripts diff cleanly) plus the line terminator."""
-    return (_to_json(message) + "\n").encode("utf-8")
+    rendering, so transcripts diff cleanly) plus the line terminator —
+    byte for byte ``JSONEncoder(sort_keys=True, separators=(",", ":"))
+    .encode(message) + "\\n"``."""
+    # The C encoder hands its rendering back as a one-item list.
+    return (_render(message, 0)[0] + "\n").encode()
 
 
 def decode(line: bytes) -> Dict[str, object]:
     """Parse one request line; raises :class:`ProtocolError` on anything
-    that is not a single JSON object."""
+    that is not a single JSON object, with ``JSONDecoder.decode``'s
+    error text."""
     try:
-        message = _from_json(line.decode("utf-8"))
+        text = line.decode("utf-8")
+        try:
+            message, end = _scan_once(
+                text, len(text) - len(text.lstrip(_WHITESPACE))
+            )
+        except StopIteration as stop:
+            raise JSONDecodeError("Expecting value", text, stop.value) from None
+        extra = text[end:].lstrip(_WHITESPACE)
+        if extra:
+            raise JSONDecodeError("Extra data", text, len(text) - len(extra))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8 and bad JSON; RecursionError is the
         # parser giving up on pathological nesting.  Either way the line

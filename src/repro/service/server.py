@@ -57,12 +57,13 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Awaitable, Deque, Dict, Optional, Set, Tuple
 
-from ..kernel import LockKernel, Outcome
+from ..kernel import LockKernel, LockMode, Outcome
 from .auth import Authorizer
 from .protocol import (
     MAX_LINE_BYTES,
+    MODE_WIRE,
     OPS,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -117,7 +118,7 @@ class _Parked:
             "event": "wake",
             "id": self.rid,
             "txn": txn,
-            "outcome": response.outcome.value,
+            "outcome": response.outcome.wire,
         }
         if response.reason is not None:
             event["reason"] = response.reason
@@ -191,7 +192,9 @@ class LockService:
                     if not self._handshake(conn, line):
                         break
                 else:
-                    await self._handle_request(conn, line)
+                    slot_wait = self._handle_request(conn, line)
+                    if slot_wait is not None:
+                        await slot_wait
         except asyncio.CancelledError:
             pass  # drain cancels reader tasks after notifying the client
         except ConnectionError:
@@ -221,10 +224,10 @@ class LockService:
     ) -> None:
         """A request the service turns away before the kernel sees it:
         one audit entry with the reason, then the reply."""
-        self.audit.append(op, conn.actor or UNAUTHENTICATED, outcome.value,
+        self.audit.append(op, conn.actor or UNAUTHENTICATED, outcome.wire,
                           txn=txn, reason=reason)
         reply = {
-            "id": rid, "op": op, "outcome": outcome.value, "reason": reason,
+            "id": rid, "op": op, "outcome": outcome.wire, "reason": reason,
         }
         if txn is not None:
             reply["txn"] = txn
@@ -241,14 +244,19 @@ class LockService:
             self._refuse(conn, None, "hello", Outcome.ERROR, str(exc))
             return False
         conn.actor = actor
-        self.audit.append("hello", actor, Outcome.GRANTED.value)
+        self.audit.append("hello", actor, Outcome.GRANTED.wire)
         conn.send({
             "id": request_id(message), "op": "hello", "actor": actor,
-            "outcome": Outcome.GRANTED.value, "protocol": PROTOCOL_VERSION,
+            "outcome": Outcome.GRANTED.wire, "protocol": PROTOCOL_VERSION,
         })
         return True
 
-    async def _handle_request(self, conn: _Connection, line: bytes) -> None:
+    def _handle_request(
+        self, conn: _Connection, line: bytes
+    ) -> Optional[Awaitable[None]]:
+        """Answer one request line.  Every op is answered before this
+        returns, except an ``acquire``: it is handed back as an awaitable
+        that first takes the connection's in-flight slot."""
         # rid survives the except clause whenever the line decoded far
         # enough to carry one, so even a malformed request (bad op,
         # missing txn) gets a reply the client can correlate — an
@@ -263,12 +271,12 @@ class LockService:
             txn = require_str(message, "txn")
         except ProtocolError as exc:
             self._refuse(conn, rid, "protocol", Outcome.ERROR, str(exc))
-            return
+            return None
 
         if self._draining:
             self._refuse(conn, rid, op, Outcome.ERROR, "service draining",
                          txn)
-            return
+            return None
 
         # Inline authorization: the owner-only check runs before the
         # kernel sees the request.  A denial is audited here — the kernel
@@ -276,45 +284,47 @@ class LockService:
         denial = self.auth.check(op, conn.actor, txn)
         if denial is not None:
             self._refuse(conn, rid, op, Outcome.DENIED, denial, txn)
-            return
+            return None
 
         # Everything below runs without an ``await`` between reading
         # kernel state and answering — except the in-flight slot an
         # acquire takes *before* it calls the kernel.
         if op == "acquire":
-            await self._op_acquire(conn, message, rid, txn)
-        elif op == "locks":
+            try:
+                entity = require_str(message, "entity")
+                mode = parse_mode(message.get("mode"))
+            except ProtocolError as exc:
+                self._refuse(conn, rid, op, Outcome.ERROR, str(exc), txn)
+                return None
+            return self._op_acquire(conn, rid, txn, entity, mode)
+        if op == "locks":
             self._op_locks(conn, rid, txn)
         else:
             self._op_mutating(conn, message, rid, op, txn)
+        return None
 
     def _op_locks(self, conn: _Connection, rid: object, txn: str) -> None:
         """Holder-only visibility: an owner sees its own holdings and
         nothing else (non-owners were already denied above; unknown
         transactions read as holding nothing)."""
         held = self.kernel.held(txn)
-        self.audit.append("locks", conn.actor, Outcome.GRANTED.value, txn=txn)
+        self.audit.append("locks", conn.actor, Outcome.GRANTED.wire, txn=txn)
         conn.send({
             "id": rid, "op": "locks", "txn": txn,
-            "outcome": Outcome.GRANTED.value,
+            "outcome": Outcome.GRANTED.wire,
             "locks": sorted(
-                [str(e), m.value] for e, m in held.items()
+                [str(e), MODE_WIRE[m]] for e, m in held.items()
             ),
         })
 
     async def _op_acquire(
         self,
         conn: _Connection,
-        message: Dict[str, object],
         rid: object,
         txn: str,
+        entity: str,
+        mode: LockMode,
     ) -> None:
-        try:
-            entity = require_str(message, "entity")
-            mode = parse_mode(message.get("mode"))
-        except ProtocolError as exc:
-            self._refuse(conn, rid, "acquire", Outcome.ERROR, str(exc), txn)
-            return
         # Backpressure: a parked acquire owns an in-flight slot until
         # its wake fires; at the cap, the connection's read loop stops
         # here and the client is simply not read from.
@@ -322,13 +332,14 @@ class LockService:
         response = self.kernel.acquire(
             txn, entity, mode, on_wake=_Parked(conn, rid), actor=conn.actor
         )
-        if response.outcome is not Outcome.BLOCKED:
+        outcome = response.outcome
+        if outcome is not Outcome.BLOCKED:
             # Never parked (or resolved synchronously during deadlock
             # resolution, in which case the wake already released it).
             conn.inflight.release()
         reply: Dict[str, object] = {
             "id": rid, "op": "acquire", "txn": txn, "entity": entity,
-            "mode": mode.value, "outcome": response.outcome.value,
+            "mode": MODE_WIRE[mode], "outcome": outcome.wire,
         }
         if response.reason is not None:
             reply["reason"] = response.reason
@@ -368,7 +379,7 @@ class LockService:
             response = finish(txn, actor=actor)
             if response.ok:
                 conn.txns.discard(txn)
-        reply["outcome"] = response.outcome.value
+        reply["outcome"] = response.outcome.wire
         if response.reason is not None:
             reply["reason"] = response.reason
         conn.send(reply)

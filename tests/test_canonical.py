@@ -9,7 +9,10 @@ from repro import (
     find_canonical_witness,
     is_serializable,
 )
+from repro.core import canonical
 from repro.core.canonical import WitnessSearchStats
+from repro.core.completion import find_completion
+from repro.enumeration import corpus_initial_state, random_locked_system
 
 #: The non-two-phase pair operates on pre-existing entities a and b.
 AB = StructuralState.of("a", "b")
@@ -118,6 +121,48 @@ class TestWitnessSearch:
         stats = WitnessSearchStats()
         find_canonical_witness(unsafe_pair, AB, stats=stats)
         assert stats.candidates_considered > 0
+
+    def test_stats_count_each_stage_of_the_search(self, monkeypatch):
+        """``schedules_built`` counts the ``S'`` that ``problems`` builds
+        and ``completions_searched`` the completion searches, so each
+        counter sees only what the stage before it let through."""
+        calls = {"built": 0, "completions": 0}
+        build = CanonicalWitness.serial_prefix_schedule
+
+        def counting_build(witness):
+            calls["built"] += 1
+            return build(witness)
+
+        def counting_completion(*args):
+            calls["completions"] += 1
+            return find_completion(*args)
+
+        monkeypatch.setattr(
+            CanonicalWitness, "serial_prefix_schedule", counting_build
+        )
+        monkeypatch.setattr(canonical, "find_completion", counting_completion)
+        readings = []
+        for style in ("early", "chaotic", "mixed", "2pl"):
+            for seed in range(8):
+                calls.update(built=0, completions=0)
+                stats = WitnessSearchStats()
+                find_canonical_witness(
+                    random_locked_system(3, 3, 3, style=style, seed=seed),
+                    corpus_initial_state(3),
+                    stats=stats,
+                )
+                assert (stats.schedules_built, stats.completions_searched) == (
+                    calls["built"], calls["completions"]
+                )
+                readings.append((
+                    stats.completions_searched,
+                    stats.schedules_built,
+                    stats.candidates_considered,
+                ))
+        assert all(c <= b <= k for c, b, k in readings)
+        assert any(b < k for _, b, k in readings)
+        assert any(c < b for c, b, _ in readings)
+        assert any(c > 0 for c, _, _ in readings)
 
     def test_max_partners_bound(self, fig2_txns):
         # Fig 2 needs k = 3; with partners capped at 1 no witness exists.

@@ -8,7 +8,15 @@ import random
 
 import pytest
 
-from repro.kernel import AuditEntry, AuditLog, LockKernel, LockMode, Outcome
+from repro.kernel import (
+    AuditEntry,
+    AuditLog,
+    KernelResponse,
+    LockKernel,
+    LockMode,
+    Outcome,
+)
+from repro.kernel.outcomes import GRANTED
 from repro.sim.deadlock import find_cycle
 
 
@@ -312,6 +320,46 @@ class TestProtocolMisuse:
             with pytest.raises(AttributeError):
                 setattr(entry, field, "forged")
         assert log.entries() == (entry,)
+
+    def test_responses_are_immutable_records(self):
+        """``KernelResponse`` is tuple-backed like ``AuditEntry``: the
+        field names, keyword construction, the ``blockers`` default,
+        equality and hashing by value, and no way to change one."""
+        blocked = KernelResponse(
+            Outcome.BLOCKED, "conflicting holders", blockers=("t1", "t2")
+        )
+        assert KernelResponse._fields == ("outcome", "reason", "blockers")
+        assert (blocked.outcome, blocked.reason, blocked.blockers) == (
+            Outcome.BLOCKED, "conflicting holders", ("t1", "t2")
+        )
+        assert blocked == KernelResponse(
+            outcome=Outcome.BLOCKED, reason="conflicting holders",
+            blockers=("t1", "t2"),
+        )
+        granted = KernelResponse(Outcome.GRANTED)
+        assert (granted.reason, granted.blockers) == (None, ())
+        assert granted.ok and not blocked.ok
+        assert len({granted, GRANTED, KernelResponse(outcome=Outcome.GRANTED)}) == 1
+        for field in KernelResponse._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(blocked, field, "forged")
+
+    def test_wire_strings_are_plain_values(self):
+        """Replies and audit entries carry ``Outcome.wire``: the member's
+        value as a plain ``str`` (the audit digest hashes it)."""
+        for outcome in Outcome:
+            assert type(outcome.wire) is str and outcome.wire == outcome.value
+            assert outcome.is_success is (outcome is Outcome.GRANTED)
+        k = LockKernel()
+        k.begin("t1")
+        k.acquire("t1", "a")
+        k.begin("t2")
+        k.acquire("t2", "a")
+        k.commit("t1")
+        decisions = [e.decision for e in k.audit.entries()]
+        assert decisions == ["granted", "granted", "granted", "blocked",
+                             "granted", "granted"]
+        assert all(type(d) is str for d in decisions)
 
 
 class TestDrain:

@@ -54,6 +54,140 @@ _json_values = st.recursive(
 )
 
 
+#: Messages the wire contract is checked on: non-ASCII and control
+#: characters, nested ``locks`` lists, the JSON constants, an ``id`` too
+#: long for a machine word, floats (non-finite ones too) and key order.
+_WIRE_CORPUS = [
+    {"id": 3, "op": "acquire", "txn": "t1", "entity": "a", "mode": "X",
+     "outcome": "granted"},
+    {"txn": "t\u00ebst", "entity": "\u65e5\u672c", "reason": "\U0001f512 \u2028"},
+    {"reason": "tab\tnewline\nnul\x00bell\x07del\x7fquote\"back\\slash"},
+    {"id": 1, "locks": [["a", "S"], ["b", "X"], [["nested"], []]]},
+    {"id": None, "ok": True, "denied": False},
+    {"id": 123456789012345678901234567890, "negative": -10 ** 29},
+    {"f": 0.1, "g": -2.5e-300, "h": 1e308, "i": 3.0, "j": -0.0},
+    {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+    {"B": 1, "a": 2, "\u00e9": 3, "": 4, "aa": 5},
+    {1: "int key", 2: "another"},
+    {"tuple": ("a", 1)},
+    {},
+]
+
+#: The reference rendering: the standard library's encoder, configured
+#: as the wire protocol says.
+_REFERENCE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _reference_decode(line):
+    """The service's decoding rule stated with the standard library:
+    ``JSONDecoder().decode`` on the UTF-8 text; the error text (or the
+    message) it leads to."""
+    try:
+        message = json.JSONDecoder().decode(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return f"malformed request line: {exc}"
+    if not isinstance(message, dict):
+        return f"request must be a JSON object, got {type(message).__name__}"
+    return message
+
+
+#: Request lines for each way ``decode`` can end, and the whitespace rule
+#: (JSON whitespace is space, tab, CR and LF; form feed is not).
+_DECODE_CASES = {
+    "plain": b'{"op":"begin","txn":"t1"}\n',
+    "no-terminator": b'{"op":"begin"}',
+    "whitespace-around": b' \t\r\n{"op": "begin"} \t\r\n',
+    "form-feed-before": b'\x0c{"op":"begin"}\n',
+    "vertical-tab-after": b'{"op":"begin"}\x0b\n',
+    "nbsp-after": '{"op":"begin"}\u00a0\n'.encode(),
+    "extra-word": b'{"op": "begin"} trailing\n',
+    "extra-object": b'{"a":1}\n{"b":2}\n',
+    "empty": b"",
+    "blank": b"\n",
+    "spaces": b"   \r\n",
+    "junk": b"not json\n",
+    "bom": b'\xef\xbb\xbf{"op":"begin"}\n',
+    "missing-colon": b'{"a" 1}\n',
+    "control-char": b'{"a": "\x01"}\n',
+    "unterminated": b'{"a": "open\n',
+    "multi-line-position": b'{\n"a": 1,\n}\n',
+    "bad-utf8": b'{"op": "begin", "txn": "\xff"}\n',
+    "truncated-utf8": b'{"op": "\xe6\x97"}\n',
+    "deep-nesting": b"[" * 50_000 + b"\n",
+    "array": b"[1,2]\n",
+    "string": b'"op"\n',
+    "null": b"null\n",
+    "number": b"3 \n",
+}
+
+
+class TestWireContract:
+    """``encode`` and ``decode`` call the C codec directly; these hold
+    them to the standard library's results byte for byte and error text
+    for error text."""
+
+    @pytest.mark.parametrize("message", _WIRE_CORPUS, ids=range(len(_WIRE_CORPUS)))
+    def test_encode_is_the_reference_encoder(self, message):
+        line = encode(message)
+        assert line == (_REFERENCE_ENCODER.encode(message) + "\n").encode()
+        assert line.isascii()
+
+    def test_encode_renders_known_lines(self):
+        assert encode(_WIRE_CORPUS[1]) == (
+            b'{"entity":"\\u65e5\\u672c","reason":"\\ud83d\\udd12 \\u2028",'
+            b'"txn":"t\\u00ebst"}\n'
+        )
+        assert encode({"id": None, "f": 1e16, "n": float("nan")}) == (
+            b'{"f":1e+16,"id":null,"n":NaN}\n'
+        )
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes"])
+    def test_encode_refuses_what_the_reference_refuses(self, value):
+        with pytest.raises(TypeError) as expected:
+            _REFERENCE_ENCODER.encode({"x": value})
+        with pytest.raises(TypeError) as raised:
+            encode({"x": value})
+        assert str(raised.value) == str(expected.value)
+        # A failed call leaves nothing behind for the next one.
+        assert encode({"x": [1]}) == b'{"x":[1]}\n'
+
+    @pytest.mark.parametrize("case", sorted(_DECODE_CASES))
+    def test_decode_matches_the_reference_decoder(self, case):
+        line = _DECODE_CASES[case]
+        expected = _reference_decode(line)
+        if isinstance(expected, dict):
+            assert decode(line) == expected
+        else:
+            with pytest.raises(ProtocolError) as raised:
+                decode(line)
+            assert str(raised.value) == expected
+
+    def test_decode_error_texts(self):
+        """Spelled out, so a change in the standard library shows too."""
+        texts = {}
+        for case in ("extra-word", "blank", "junk", "missing-colon",
+                     "multi-line-position", "bad-utf8", "array"):
+            with pytest.raises(ProtocolError) as raised:
+                decode(_DECODE_CASES[case])
+            texts[case] = str(raised.value)
+        assert texts == {
+            "extra-word": "malformed request line: Extra data: "
+                          "line 1 column 17 (char 16)",
+            "blank": "malformed request line: Expecting value: "
+                     "line 2 column 1 (char 1)",
+            "junk": "malformed request line: Expecting value: "
+                    "line 1 column 1 (char 0)",
+            "missing-colon": "malformed request line: Expecting ':' "
+                             "delimiter: line 1 column 6 (char 5)",
+            "multi-line-position": "malformed request line: Expecting "
+                                   "property name enclosed in double quotes: "
+                                   "line 3 column 1 (char 10)",
+            "bad-utf8": "malformed request line: 'utf-8' codec can't decode "
+                        "byte 0xff in position 24: invalid start byte",
+            "array": "request must be a JSON object, got list",
+        }
+
+
 class TestProtocol:
     def test_encode_decode_round_trip(self):
         message = {"op": "acquire", "txn": "t1", "entity": "a", "id": 7}
