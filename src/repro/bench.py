@@ -19,15 +19,11 @@ and the same invocation with and without workers must produce identical
 rows.  Explicit ``--workers``/``--seeds`` values below 1 and non-positive
 ``--scale`` values are rejected at parse time.
 
-Besides the grid presets there are *special* benches with their own
-sweep logic; ``service`` stress-tests the asyncio lock service with
-concurrent in-process clients mixing authorized and unauthorized
-operations and writes ``BENCH_service_stress.json`` with per-op
-throughput and p50/p99 request latencies; ``scaling`` runs 2PL and
-altruistic locking over 5k / 15k / 50k staggered transactions and
-writes ``BENCH_scaling.json`` with one ``us_per_tick`` row per policy and
-size — each policy's per-tick cost must stay flat while the live
-population grows.
+Besides the grid presets there is one *special* bench with its own sweep
+logic: ``scaling`` runs 2PL and altruistic locking over 5k / 15k / 50k
+staggered transactions and writes ``BENCH_scaling.json`` with one
+``us_per_tick`` row per policy and size — each policy's per-tick cost
+must stay flat while the live population grows.
 
 ``--compare OLD.json NEW.json`` diffs two artifacts of the same bench
 row by row (every numeric column, nested work counters included) and —
@@ -39,7 +35,6 @@ instead of ad-hoc inline wall checks.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import dataclasses
 import json
 import os
@@ -175,118 +170,6 @@ _COLUMNS = [
     "ticks", "committed", "throughput", "mean_latency", "wait_fraction",
 ]
 
-_SERVICE_COLUMNS = [
-    "case", "requests", "throughput", "p50_ms", "p99_ms", "mean_ms",
-]
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    return values[min(len(values) - 1, int(round(q * (len(values) - 1))))]
-
-
-def _run_service_stress(args: argparse.Namespace) -> int:
-    """The lock-service bench: concurrent in-process clients driving the
-    audited asyncio front-end (:mod:`repro.service`) through contended
-    begin/acquire/locks/release/commit rounds, with a sprinkle of
-    unauthorized cross-actor requests that must be denied without state
-    change.  Request latency is measured client-side around the full
-    round trip (for a blocked acquire, up to and including the wake
-    event), so the p50/p99 rows price the whole service stack — protocol,
-    authorization, kernel, audit — not just the lock table."""
-    from .service import LockService
-
-    scale = args.scale
-    clients = max(4, int(16 * scale))
-    rounds = max(5, int(40 * scale))
-    hot = [f"hot{i}" for i in range(6)]
-    latencies: Dict[str, List[float]] = {}
-    counts = {"denied": 0, "blocked": 0, "woken": 0}
-
-    async def timed(client, op: str, **fields):
-        t0 = time.perf_counter()
-        reply = await client.request(op, **fields)
-        if reply.get("outcome") == "blocked":
-            counts["blocked"] += 1
-            wake = await client.wait_wake(reply["id"])
-            counts["woken"] += 1
-            reply = {**reply, "outcome": wake["outcome"]}
-        latencies.setdefault(op, []).append(time.perf_counter() - t0)
-        if reply.get("outcome") == "denied":
-            counts["denied"] += 1
-        return reply
-
-    async def run_client(svc, i: int) -> None:
-        client = await svc.connect(f"actor{i}")
-        for r in range(rounds):
-            txn = f"c{i}-r{r}"
-            await timed(client, "begin", txn=txn)
-            await timed(client, "acquire", txn=txn, entity=f"p{i}", mode="X")
-            entity = hot[(i + r) % len(hot)]
-            mode = "X" if (i + r) % 5 == 0 else "S"
-            got = await timed(client, "acquire", txn=txn, entity=entity,
-                              mode=mode)
-            await timed(client, "locks", txn=txn)
-            if r % 7 == 3:
-                # Unauthorized: another actor's transaction.  Denied (or,
-                # if that client hasn't begun yet, a kernel ERROR) — never
-                # a state change.
-                other = f"c{(i + 1) % clients}-r0"
-                await timed(client, "release", txn=other, entity="p0")
-            if got.get("outcome") == "granted":
-                await timed(client, "release", txn=txn, entity=entity)
-            await timed(client, "commit", txn=txn)
-        await client.close()
-
-    async def drive():
-        svc = LockService(max_inflight=8)
-        t0 = time.perf_counter()
-        await asyncio.gather(*(run_client(svc, i) for i in range(clients)))
-        wall = time.perf_counter() - t0
-        drained = await svc.drain()
-        return svc, wall, drained
-
-    svc, wall, drained = asyncio.run(drive())
-
-    def render_row(case: str, values: List[float]) -> Dict[str, object]:
-        ordered = sorted(values)
-        return {
-            "case": case,
-            "requests": len(ordered),
-            "throughput": round(len(ordered) / wall, 1),
-            "p50_ms": round(1000 * _percentile(ordered, 0.50), 3),
-            "p99_ms": round(1000 * _percentile(ordered, 0.99), 3),
-            "mean_ms": round(1000 * sum(ordered) / len(ordered), 3),
-        }
-
-    every = [x for values in latencies.values() for x in values]
-    rows = [render_row("all", every)] + [
-        render_row(op, values) for op, values in sorted(latencies.items())
-    ]
-    print(format_table(rows, _SERVICE_COLUMNS))
-    print(f"\n{clients} clients × {rounds} rounds in {wall:.2f}s "
-          f"(denied={counts['denied']}, blocked={counts['blocked']}, "
-          f"audit entries={len(svc.audit)})")
-    out = args.out or "BENCH_service_stress.json"
-    write_bench_artifact(
-        out, "service_stress", rows,
-        scale=scale, workers=0, wall_s=wall,
-        extra={
-            **_stamp(),
-            "clients": clients,
-            "rounds": rounds,
-            "max_inflight": svc.max_inflight,
-            "denied": counts["denied"],
-            "blocked": counts["blocked"],
-            "woken": counts["woken"],
-            "audit_entries": len(svc.audit),
-            "drained": len(drained),
-        },
-    )
-    print(f"artifact: {out}")
-    return 0
-
-
 #: ``(num_txns, num_entities)`` of the scaling curve at scale 1: from the
 #: 5,000-transaction headroom probe up to the 50,000-transaction ceiling.
 _SCALING_POINTS = ((5_000, 8_000), (15_000, 22_000), (50_000, 64_000))
@@ -392,21 +275,13 @@ def _run_scaling(args: argparse.Namespace) -> int:
     return 1 if any(row["failures"] for row in rows) else 0
 
 
-#: Benches with their own sweep logic (not GridSpec presets); they share
-#: the CLI surface (``--scale``, ``--out``).
-SPECIAL_BENCHES: Dict[str, Callable[[argparse.Namespace], int]] = {
-    "scaling": _run_scaling,
-    "service": _run_service_stress,
-}
-
-
 # ----------------------------------------------------------------------
 # Artifact diff (--compare): the CI regression gate
 # ----------------------------------------------------------------------
 
 #: Row keys that *identify* a row rather than measure it: two compared
 #: artifacts must agree on these per row (same sweep, same cells).
-_IDENTITY_KEYS = ("policy", "workload", "case", "txns")
+_IDENTITY_KEYS = ("policy", "workload", "txns")
 
 _COMPARE_COLUMNS = ["row", "metric", "old", "new", "delta", "delta_pct"]
 
@@ -533,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run a (policy × workload × seed) experiment grid.",
     )
     parser.add_argument(
-        "preset", nargs="?", choices=sorted([*PRESETS, *SPECIAL_BENCHES]),
+        "preset", nargs="?", choices=sorted([*PRESETS, "scaling"]),
         help="grid preset or special bench to run",
     )
     parser.add_argument(
@@ -580,7 +455,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:
         print("presets:   ", ", ".join(sorted(PRESETS)))
-        print("special:   ", ", ".join(sorted(SPECIAL_BENCHES)))
+        print("special:   ", "scaling")
         print("factories: ", ", ".join(grid_factory_names()))
         return 0
     if args.compare is not None:
@@ -591,8 +466,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         build_parser().error("a preset is required (or --list, --compare)")
     if args.arrival_rate is not None and args.preset != "scaling":
         build_parser().error("--arrival-rate applies to the scaling bench only")
-    if args.preset in SPECIAL_BENCHES:
-        return SPECIAL_BENCHES[args.preset](args)
+    if args.preset == "scaling":
+        return _run_scaling(args)
     spec = PRESETS[args.preset](args.scale)
     if args.seeds is not None:
         spec = dataclasses.replace(spec, seeds=tuple(range(args.seeds)))

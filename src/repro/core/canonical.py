@@ -192,6 +192,8 @@ class CanonicalWitness:
                     f"condition 2a: sink {name} locked {self.entity!r} in mode "
                     f"{mode}, which does not conflict with {self.lock_mode}"
                 )
+        if out:
+            return out  # already invalid: spare the (2b) search
 
         # Condition 2b: S' extends to a complete legal proper schedule.
         if self.completion is not None:
@@ -288,7 +290,8 @@ class WitnessSearchStats:
     #: the search skips a prefix vector in which no partner can pass
     #: (2a)'s test of a sink.
     schedules_built: int = 0
-    #: Completion searches run for condition (2b).
+    #: Completion searches run for condition (2b): only for candidates
+    #: that pass every other condition of :meth:`CanonicalWitness.problems`.
     completions_searched: int = 0
 
 

@@ -64,8 +64,9 @@ def _is_edge_entity(entity: Entity) -> bool:
 
 def ddag_node_channel(node: Entity) -> Tuple[str, Entity]:
     """Invalidation channel for rule L5's view of ``node``: its existence
-    and its in-edge set in the present graph.  Every graph mutation that
-    can change either notifies this channel."""
+    and its in-edge set in the present graph.  An edge insert into
+    ``node`` notifies it; why no other graph mutation needs to is in
+    :meth:`DdagSession.admission_dependencies`."""
     return ("ddag-node", node)
 
 
@@ -320,7 +321,28 @@ class DdagSession(PolicySession):
         node's existence and in-edges in the present graph; everything else
         the verdict reads (``locked_past``, ``held``, ``inserting``) is
         session-local and changes only when this session executes — which
-        re-derives the cached classification anyway."""
+        re-derives the cached classification anyway.
+
+        Only an edge insert into the pending node ``N`` notifies its
+        channel.  DDAG admission only proceeds or aborts, and an abort is
+        acted on in the tick it is derived, so the only cached verdict is
+        PROCEED: ``N`` exists, its predecessors are all in ``locked_past``
+        and this session holds one of them, ``p``.  A new predecessor can
+        break the second clause, hence the edge-insert notification.  No
+        other mutation can flip the verdict:
+
+        * *node insert* — adds no in-edge (each parent edge is its own,
+          notified, step), so it can only make an absent ``N`` exist, and
+          a verdict derived while ``N`` was absent was ABORT (an ``N``
+          this session inserts is L2's, with no dependency);
+        * *edge delete* — predecessors only shrink, so the subset clause
+          holds; deleting ``(p, N)`` needs ``p`` locked (L1), and this
+          session holds it exclusively until its own next step;
+        * *node delete* — the deleter plans it only while ``N`` has no
+          in-edge and holds ``N`` from then on, so none appears before the
+          delete.  A PROCEED derived after the plan needed a held
+          predecessor, and there is none; one derived before it keeps
+          ``(p, N)`` in place, so the plan is refused."""
         step = self.queue[0] if self.queue else None
         if step is None or not step.is_lock:
             return ()
@@ -354,17 +376,14 @@ class DdagSession(PolicySession):
                 self.context.notify_changed((ddag_node_channel(v),))
             else:
                 dag.graph.add_node(step.entity)
-                self.context.notify_changed((ddag_node_channel(step.entity),))
         elif step.op is Operation.DELETE:
             self._structural = True
             if _is_edge_entity(step.entity):
                 _, u, v = step.entity
                 dag.graph.remove_edge(u, v)
-                self.context.notify_changed((ddag_node_channel(v),))
             else:
                 dag.graph.remove_node(step.entity)
                 self.context.tombstones.add(step.entity)
-                self.context.notify_changed((ddag_node_channel(step.entity),))
 
     @property
     def has_structural_effects(self) -> bool:

@@ -3,7 +3,8 @@
 :class:`LockService` serves concurrent client sessions speaking the
 JSON-line protocol (:mod:`repro.service.protocol`) over either transport:
 the in-process pipe (:func:`~repro.service.transport.memory_pair`, used
-by tests, CI, and the bench) or real TCP (:meth:`LockService.serve_tcp`).
+by the tests and the e2e service workloads) or real TCP
+(:meth:`LockService.serve_tcp`).
 Every connection binds to an *actor* at handshake; every request is then
 
 1. **authorized inline** — the owner-only policy

@@ -34,11 +34,15 @@ class TestPresets:
         assert set(bench.PRESETS) == {"stress", "deadlock", "traversal"}
 
     def test_special_benches_registered_and_listed(self, capsys):
-        assert set(bench.SPECIAL_BENCHES) == {"scaling", "service"}
         assert bench.main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in bench.SPECIAL_BENCHES:
-            assert name in out
+        assert "special:    scaling\n" in out
+        # The retired service bench is no longer a choice: the e2e
+        # service workloads measure the served path.
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["service"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'service'" in capsys.readouterr().err
 
     def test_scale_shrinks_with_floor(self):
         spec = bench.PRESETS["stress"](0.0001)

@@ -64,6 +64,25 @@ class TestWitnessChecking:
         problems = witness.problems(AB)
         assert any("2a" in p or "sink" in p for p in problems)
 
+    @pytest.mark.parametrize("order, c, lengths", [
+        ((1, 0), 1, {"T2": 3, "T1": 3}),  # T'_c is a sink
+        ((0, 1), 0, {"T1": 3, "T2": 2}),  # the sink fails (2a)
+    ])
+    def test_invalid_witness_runs_no_completion_search(
+        self, unsafe_pair, monkeypatch, order, c, lengths
+    ):
+        """A witness already invalid before (2b) is not searched for a
+        completion, so its problems carry no (2b) line."""
+        def no_search(*args):
+            raise AssertionError("completion searched for an invalid witness")
+
+        monkeypatch.setattr(canonical, "find_completion", no_search)
+        txns = [unsafe_pair[i] for i in order]
+        stats = WitnessSearchStats()
+        problems = self._witness(txns, c, "b", lengths).problems(AB, stats=stats)
+        assert problems and not any("2b" in p for p in problems)
+        assert (stats.schedules_built, stats.completions_searched) == (1, 0)
+
     def test_wrong_entity_rejected(self, unsafe_pair):
         t1, t2 = unsafe_pair
         witness = self._witness([t1, t2], 0, "zzz", {"T1": 3, "T2": 6})

@@ -806,36 +806,55 @@ class TestSerializedWithoutALock:
 
 class TestStress:
     def test_concurrent_sessions_serializable_audit(self):
-        """≥8 concurrent clients mixing authorized and unauthorized ops:
-        denied ops leave no trace in lock state, every mutation is
-        audited, and the audit log is one gap-free serializable order."""
+        """≥8 concurrent clients mixing authorized and unauthorized ops
+        and contending for a shared entity: denied ops leave no trace in
+        lock state, acquires block and every blocked one is woken exactly
+        once with a grant, every handshake, request and wake is audited
+        once, the audit log is one gap-free serializable order, and
+        nothing is live at drain."""
+        clients, rounds = 8, 6
+        counts = {"requests": 0, "blocked": 0, "woken": 0}
 
-        async def client_loop(svc, i, clients):
+        async def client_loop(svc, i):
             me = await svc.connect(f"actor{i}")
-            for r in range(6):
+
+            async def request(op, **fields):
+                counts["requests"] += 1
+                return await me.request(op, **fields)
+
+            for r in range(rounds):
                 txn = f"c{i}-r{r}"
-                assert (await me.request("begin", txn=txn))["outcome"] == "granted"
-                await me.request("acquire", txn=txn, entity=f"p{i}", mode="X")
-                got = await me.request(
-                    "acquire", txn=txn,
-                    entity=f"hot{(i + r) % 3}", mode="S",
+                assert (await request("begin", txn=txn))["outcome"] == "granted"
+                await request("acquire", txn=txn, entity=f"p{i}", mode="X")
+                # Even clients write hot0, odd ones read hot0..hot2.  Each
+                # transaction takes one shared entity, after its private
+                # one, so no wait closes a cycle.
+                entity, mode = (
+                    ("hot0", "X") if i % 2 == 0 else (f"hot{(i + r) % 3}", "S")
                 )
+                got = await request("acquire", txn=txn, entity=entity, mode=mode)
                 if got["outcome"] == "blocked":
-                    got = await me.wait_wake(got["id"])
+                    counts["blocked"] += 1
+                    # Bounded: a lost wake fails here instead of hanging.
+                    wake = await asyncio.wait_for(me.wait_wake(got["id"]), 5)
+                    assert wake["outcome"] == "granted", wake
+                    counts["woken"] += 1
+                else:
+                    assert got["outcome"] == "granted", got
                 # Unauthorized probe at a peer's transaction.
-                probe = await me.request(
+                probe = await request(
                     "release", txn=f"c{(i + 1) % clients}-r0", entity="p0"
                 )
                 assert probe["outcome"] in ("denied", "error")
-                assert (await me.request("commit", txn=txn))["outcome"] == "granted"
+                assert (await request("commit", txn=txn))["outcome"] == "granted"
+            # A second wake for a request would have arrived before the
+            # commit replies that follow it on the same connection.
+            assert not [e for e in me._events if e.get("event") == "wake"]
             await me.close()
 
         async def scenario():
-            clients = 8
             svc = await make_service()
-            await asyncio.gather(
-                *(client_loop(svc, i, clients) for i in range(clients))
-            )
+            await asyncio.gather(*(client_loop(svc, i) for i in range(clients)))
             drained = await svc.drain()
             assert drained == ()  # every transaction committed
             entries = svc.audit.entries()
@@ -845,13 +864,24 @@ class TestStress:
             denied = [e for e in entries if e.decision == "denied"]
             assert denied, "stress produced no unauthorized denials"
             assert all(e.reason for e in denied)
-            # Every mutating grant traces to an audit entry: commits per
-            # transaction, begins per transaction.
+            # The run contended: acquires blocked, and each blocked one
+            # was granted by exactly one audited wake.
+            assert counts["blocked"] > 0, "stress produced no lock waits"
+            assert counts["woken"] == counts["blocked"], counts
+            grants = [e for e in entries if e.op == "grant"]
+            assert len(grants) == counts["blocked"], (len(grants), counts)
+            # Every handshake, request and wake has one audit entry, and
+            # nothing else has one.
+            hellos = [e for e in entries if e.op == "hello"]
+            assert len(hellos) == clients
+            assert len(entries) == clients + counts["requests"] + counts["woken"], (
+                len(entries), counts,
+            )
             begins = [e for e in entries
                       if e.op == "begin" and e.decision == "granted"]
             commits = [e for e in entries
                        if e.op == "commit" and e.decision == "granted"]
-            assert len(begins) == len(commits) == clients * 6
+            assert len(begins) == len(commits) == clients * rounds
             # No lock state survives the run.
             assert svc.kernel.state_fingerprint()[0] == ()
 
