@@ -45,18 +45,24 @@ from .steps import Entity, Step
 from .transactions import Transaction, transactions_by_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """One scheduled step: step ``index`` of transaction ``txn``.
 
     Two events are equal iff they are the *same* step of the *same*
     transaction — this identity is what the ``move``/transpose machinery
-    permutes.
+    permutes.  Like :class:`~repro.core.steps.Step`, an event is a slotted
+    frozen record hashed as its field tuple ``(txn, index, step)``.
     """
 
     txn: str
     index: int
     step: Step
+
+    def __init__(self, txn: str, index: int, step: Step) -> None:
+        _set_txn(self, txn)
+        _set_index(self, index)
+        _set_step(self, step)
 
     def __str__(self) -> str:
         return f"{self.txn}:{self.step}"
@@ -65,6 +71,11 @@ class Event:
         """Events conflict iff they belong to *different* transactions and
         their steps conflict (share an entity, ops not both in {R, LS, US})."""
         return self.txn != other.txn and self.step.conflicts_with(other.step)
+
+
+_set_txn = Event.__dict__["txn"].__set__
+_set_index = Event.__dict__["index"].__set__
+_set_step = Event.__dict__["step"].__set__
 
 
 class Schedule:

@@ -22,19 +22,28 @@ from .operations import LockMode, Operation, operations_conflict, parse_operatio
 Entity = Hashable
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Step:
     """A single step ``(op, entity)``.
 
-    Instances are immutable and hashable so they can be used in sets and as
-    dict keys.  Equality is structural: two ``(R a)`` steps are equal even if
-    they belong to different transactions — schedule-level identity is
-    provided by :class:`repro.core.schedules.Event`, which pairs a step with
-    its transaction and position.
+    Instances are slotted, immutable and hashable so they can be used in
+    sets and as dict keys: assigning or deleting a field raises
+    :class:`dataclasses.FrozenInstanceError`, and the hash is that of the
+    field tuple ``(op, entity)``.  Equality is structural: two ``(R a)``
+    steps are equal even if they belong to different transactions —
+    schedule-level identity is provided by
+    :class:`repro.core.schedules.Event`, which pairs a step with its
+    transaction and position.  A step never equals a plain tuple.
     """
 
     op: Operation
     entity: Entity
+
+    def __init__(self, op: Operation, entity: Entity) -> None:
+        # The slot setters bypass the frozen ``__setattr__`` that the
+        # generated ``__init__`` would go through once per field.
+        _set_op(self, op)
+        _set_entity(self, entity)
 
     def __str__(self) -> str:
         return f"({self.op} {self.entity})"
@@ -70,6 +79,10 @@ class Step:
         """Two steps conflict iff they share an entity and their operations
         are not both in ``{R, LS, US}`` (paper, §2)."""
         return self.entity == other.entity and operations_conflict(self.op, other.op)
+
+
+_set_op = Step.__dict__["op"].__set__
+_set_entity = Step.__dict__["entity"].__set__
 
 
 def step(op: Operation | str, entity: Entity) -> Step:

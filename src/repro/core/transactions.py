@@ -31,20 +31,22 @@ from .operations import LockMode, Operation
 from .steps import Entity, Step, parse_steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
     """An immutable, named sequence of steps.
 
     ``name`` identifies the transaction inside schedules (the paper's
     ``T_1, T_2, …``).  The same class represents both plain and locked
-    transactions; :meth:`is_locked` distinguishes them.
+    transactions; :meth:`is_locked` distinguishes them.  ``steps`` may be
+    given as any iterable and is stored as a tuple.
     """
 
     name: str
     steps: Tuple[Step, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, name: str, steps: Iterable[Step]) -> None:
+        _set_name(self, name)
+        _set_steps(self, tuple(steps))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -282,6 +284,10 @@ class Transaction:
         rules.  A plain (lock-free) transaction with data steps is *not* well
         formed unless it is empty."""
         return self.well_formedness_violation() is None
+
+
+_set_name = Transaction.__dict__["name"].__set__
+_set_steps = Transaction.__dict__["steps"].__set__
 
 
 def assert_well_formed(txn: Transaction, lock_once: bool = True) -> None:

@@ -199,6 +199,14 @@ class DdagSession(PolicySession):
                         f"{self.name} deletes edge ({intent.u!r}, {intent.v!r}) "
                         f"without holding {end!r}",
                     )
+            # Holding both endpoints, no other transaction can delete the
+            # edge before this one's DELETE executes.
+            if not dag.graph.has_edge(intent.u, intent.v):
+                raise PolicyViolation(
+                    "L1",
+                    f"{self.name} deletes edge ({intent.u!r}, {intent.v!r}) "
+                    f"which is not in the graph",
+                )
             e = edge_entity(intent.u, intent.v)
             steps.append(Step(Operation.LOCK_EXCLUSIVE, e))
             steps.append(Step(Operation.DELETE, e))

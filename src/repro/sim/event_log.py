@@ -27,8 +27,15 @@ class EventLog:
         self.by_txn: Dict[str, List[int]] = {}
 
     def record(self, name: str, event: Event) -> None:
-        self.by_txn.setdefault(name, []).append(len(self.events))
-        self.events.append(event)
+        events = self.events
+        # A transaction's position list is built on its first event only
+        # (``setdefault`` would build and drop one on every later event).
+        positions = self.by_txn.get(name)
+        if positions is None:
+            self.by_txn[name] = [len(events)]
+        else:
+            positions.append(len(events))
+        events.append(event)
 
     def erase(self, name: str) -> None:
         """Drop an aborted transaction's events in O(own events):

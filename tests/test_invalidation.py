@@ -50,7 +50,7 @@ from repro.policies.base import (
     PROCEED,
     access_steps,
 )
-from repro.kernel.lifecycle import KernelRun
+from repro.kernel.lifecycle import MAX_RESTARTS, KernelRun
 from repro.policies.ddag import check_ddag_schedule, ddag_node_channel
 from repro.sim import (
     Simulator,
@@ -369,6 +369,40 @@ class TestDdagInvalidation:
                 assert l2.startswith("[L2]") and "reinserts deleted node 4" in l2
             assert is_serializable(event.schedule)
             assert check_ddag_schedule(event.schedule, _ddag_delete_dag()) == []
+
+    def test_deleting_a_missing_edge_is_a_policy_violation(self, monkeypatch):
+        """Two transactions run the same script, which deletes edge (2, 3).
+        The second finds the edge gone: ``_expand`` refuses the delete with
+        an L1 ``PolicyViolation`` (it used to reach ``DiGraph.remove_edge``
+        and escape as ``KeyError``), and every restart replays the script,
+        so the engines abort it until the restart budget drops it."""
+        reasons = []
+        abort = KernelRun.abort
+
+        def recording_abort(run, victim, reason):
+            reasons.append((victim.item.name, reason))
+            abort(run, victim, reason)
+
+        monkeypatch.setattr(KernelRun, "abort", recording_abort)
+
+        def dag():
+            return RootedDag(1, [(1, 2), (1, 3), (2, 3)])
+
+        script = [Access(1), Access(2), Access(3), DeleteEdge(2, 3)]
+        naive, event = run_both(
+            lambda: DdagPolicy(auto_release=False),
+            [WorkloadItem("T1", script), WorkloadItem("T2", script, start_tick=30)],
+            dag_structural_state(dag()),
+            context_kwargs_factory=lambda: {"dag": dag()},
+        )
+        assert (event.committed, event.aborted) == (("T1",), ("T2",))
+        assert event.metrics.restarts == MAX_RESTARTS
+        expected = ("T2", "[L1] T2 deletes edge (2, 3) which is not in the graph")
+        assert reasons == [expected] * (2 * (MAX_RESTARTS + 1))  # both engines
+        for result in (naive, event):
+            assert not result.context.dag.graph.has_edge(2, 3)
+            assert is_serializable(result.schedule)
+            assert check_ddag_schedule(result.schedule, dag()) == []
 
 
 class TestAltruisticInvalidation:

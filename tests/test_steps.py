@@ -1,8 +1,13 @@
-"""Unit tests for steps and step parsing (repro.core.steps)."""
+"""Unit tests for steps and step parsing (repro.core.steps), and for the
+record contract ``Step`` shares with ``Event`` and ``Transaction``."""
+
+import dataclasses
+import pickle
 
 import pytest
 
 from repro.core.operations import LX, R, UX, W, I, Operation
+from repro.core.schedules import Event
 from repro.core.steps import (
     Step,
     conflicting_pairs,
@@ -12,6 +17,7 @@ from repro.core.steps import (
     step,
     steps_conflict,
 )
+from repro.core.transactions import Transaction
 
 
 class TestStep:
@@ -86,3 +92,79 @@ class TestParsing:
 
     def test_entities_of(self):
         assert entities_of(parse_steps("(I a) (W b) (R a)")) == {"a", "b"}
+
+
+class TestRecords:
+    """``Step``, ``Event`` and ``Transaction`` are slotted frozen records:
+    field names, keyword construction, ``repr``/``str``, class-strict
+    equality and the field-tuple hash of a frozen dataclass, no instance
+    ``__dict__``, and no way to change one."""
+
+    STEP = Step(R, "a")
+    EVENT = Event("T1", 0, STEP)
+    TXN = Transaction("T1", [STEP, Step(W, "a")])
+    RECORDS = (STEP, EVENT, TXN)
+
+    def test_fields_and_keyword_construction(self):
+        names = {
+            type(r): tuple(f.name for f in dataclasses.fields(r))
+            for r in self.RECORDS
+        }
+        assert names == {
+            Step: ("op", "entity"),
+            Event: ("txn", "index", "step"),
+            Transaction: ("name", "steps"),
+        }
+        assert Step(op=R, entity="a") == self.STEP
+        assert Event(txn="T1", index=0, step=self.STEP) == self.EVENT
+        assert Transaction(name="T1", steps=self.TXN.steps) == self.TXN
+        # Any iterable of steps is stored as a tuple.
+        assert type(self.TXN.steps) is tuple
+        assert Transaction.of("T1", iter(self.TXN.steps)) == self.TXN
+        assert dataclasses.replace(self.STEP, entity="b") == Step(R, "b")
+
+    def test_repr_and_str(self):
+        assert repr(self.STEP) == "Step(READ, 'a')"
+        assert str(self.STEP) == "(R a)"
+        assert repr(self.EVENT) == "Event(txn='T1', index=0, step=Step(READ, 'a'))"
+        assert str(self.EVENT) == "T1:(R a)"
+        assert repr(self.TXN) == (
+            "Transaction(name='T1', steps=(Step(READ, 'a'), Step(WRITE, 'a')))"
+        )
+        assert str(self.TXN) == "T1: (R a) (W a)"
+
+    def test_hash_is_the_field_tuples(self):
+        assert hash(self.STEP) == hash((R, "a"))
+        assert hash(self.EVENT) == hash(("T1", 0, self.STEP))
+        assert hash(self.TXN) == hash(("T1", self.TXN.steps))
+
+    def test_equality_is_class_strict(self):
+        assert self.STEP != (R, "a")
+        assert self.EVENT != ("T1", 0, self.STEP)
+        assert self.TXN != ("T1", self.TXN.steps)
+        assert len({self.STEP, (R, "a")}) == 2
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_assigned_or_deleted(self, record):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field.name)
+        # A name that is not a field has no slot.  The generated
+        # ``__setattr__`` of a slotted frozen dataclass still refers to
+        # the class before ``slots=True`` rebuilt it, so before Python
+        # 3.14 it fails in ``super()`` with ``TypeError``.
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = None
+        assert not hasattr(record, "extra")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_pickle_round_trip(self, record):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+        assert type(copy) is type(record)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
