@@ -25,8 +25,7 @@ only shows on a multi-core runner, so the speedup is reported, not
 asserted.
 
 ``BENCH_SMOKE_SCALE`` (a float in ``(0, 1]``, default 1) shrinks the
-transaction counts for CI smoke runs; ``BENCH_GRID_WORKERS`` (default 2)
-sets the parallel worker count.
+transaction counts for CI smoke runs.
 """
 
 import os
@@ -46,7 +45,7 @@ from repro.sim import (
 )
 
 SCALE = float(os.environ.get("BENCH_SMOKE_SCALE", "1"))
-WORKERS = int(os.environ.get("BENCH_GRID_WORKERS", "2"))
+WORKERS = 2
 RESULTS_NAME = "BENCH_grid_stress.json"
 
 

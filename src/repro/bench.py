@@ -1,86 +1,52 @@
-"""Command-line experiment grids: ``python -m repro.bench``.
+"""Command-line benches: ``python -m repro.bench``.
 
-Runs a named grid preset (policies × workloads × seeds) through the
-multiprocess grid runner and writes the unified BENCH artifact.  Examples::
-
-    # the 1,200-txn open-system stress grid, 4 worker processes
-    python -m repro.bench stress --workers 4
-
-    # CI smoke: shrunken deadlock storms, serial-vs-parallel comparable
-    python -m repro.bench deadlock --scale 0.1 --workers 2 --out BENCH_x.json
-
-    # what exists
-    python -m repro.bench --list
-
-``--scale`` shrinks the transaction counts exactly like the benches'
-``BENCH_SMOKE_SCALE``.  Omitting ``--workers`` runs the in-process
-reference path; ``--workers N`` (N >= 1) fans out to N spawn processes,
-and the same invocation with and without workers must produce identical
-rows.  Explicit ``--workers``/``--seeds`` values below 1 and non-positive
-``--scale`` values are rejected at parse time.
-
-Besides the grid presets there is one *special* bench with its own sweep
-logic: ``scaling`` runs 2PL and altruistic locking over 5k / 15k / 50k
+``scaling`` runs 2PL and altruistic locking over 5k / 15k / 50k
 staggered transactions and writes ``BENCH_scaling.json`` with one
 ``us_per_tick`` row per policy and size — each policy's per-tick cost
-must stay flat while the live population grows.
+must stay flat while the live population grows.  Examples::
+
+    # the full curve
+    python -m repro.bench scaling
+
+    # CI smoke: reduced and overloaded
+    python -m repro.bench scaling --scale 0.1 --arrival-rate 0.25 --out BENCH_x.json
+
+``--scale`` shrinks the transaction counts exactly like the benches'
+``BENCH_SMOKE_SCALE``; non-positive values are rejected at parse time.
 
 ``--compare OLD.json NEW.json`` diffs two artifacts of the same bench
 row by row (every numeric column, nested work counters included) and —
 with ``--max-wall-regression FRAC`` — exits non-zero when any wall
 clock grew past the allowance; CI uses it as the regression gate
-instead of ad-hoc inline wall checks.
+instead of ad-hoc inline wall checks.  The comparable experiment grids
+(2PL against altruistic locking, DDAG against 2PL) are run and asserted
+by the tier-1 benches under ``benchmarks/``, not by this CLI.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
 import subprocess
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .core import Schedule, candidate_distinguished_transactions
-from .policies import (
-    AltruisticPolicy,
-    DdagPolicy,
-    TwoPhasePolicy,
-    check_altruistic_schedule,
-)
-from .sim import (
-    CellResult,
-    GridSpec,
-    PolicySpec,
-    WorkloadSpec,
-    cell_rows_with_work,
-    format_table,
-    grid_factory,
-    grid_factory_names,
-    run_grid,
-    run_seed,
-    write_bench_artifact,
-)
+from .policies import AltruisticPolicy, TwoPhasePolicy, check_altruistic_schedule
+from .sim import format_table, grid_factory, run_seed, write_bench_artifact
 
 
 def _scaled(n: int, scale: float) -> int:
     return max(50, int(n * scale))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _positive_float(text: str) -> float:
-    """Parse-time twin of :func:`_positive_int` for ``--scale``: a zero or
-    negative scale used to clamp silently to the 50-txn floor (``not
-    value > 0`` also rejects NaN)."""
+    """Parse-time check for ``--scale`` and the other fractional flags: a
+    zero or negative scale used to clamp silently to the 50-txn floor
+    (``not value > 0`` also rejects NaN)."""
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
@@ -109,66 +75,6 @@ def _stamp() -> Dict[str, object]:
         "git_sha": sha,
     }
 
-
-def _preset_stress(scale: float) -> GridSpec:
-    """Open-system short-transaction stress: 2PL vs altruistic at 1,200
-    transactions (the invalidation bench's altruistic-stress shape)."""
-    n = _scaled(1200, scale)
-    return GridSpec(
-        policies=(PolicySpec(TwoPhasePolicy), PolicySpec(AltruisticPolicy)),
-        workloads=(
-            WorkloadSpec("stress", {
-                "num_entities": 2000, "num_txns": n,
-                "arrival_rate": 0.085, "hot_fraction": 0.0,
-            }),
-        ),
-        seeds=(0, 1, 2),
-        max_ticks=2_000_000,
-    )
-
-
-def _preset_deadlock(scale: float) -> GridSpec:
-    """Deadlock storms (unordered access sets over a hot set): 2PL vs
-    altruistic, the always-fresh waits-for graph's scale scenario."""
-    return GridSpec(
-        policies=(PolicySpec(TwoPhasePolicy), PolicySpec(AltruisticPolicy)),
-        workloads=(
-            WorkloadSpec("deadlock_storm", {
-                "num_entities": 600, "num_txns": _scaled(1200, scale),
-                "accesses_per_txn": 2, "arrival_rate": 0.4,
-                "hot_set_size": 8, "hot_traffic": 0.5,
-            }),
-        ),
-        seeds=(0, 1, 2),
-        max_ticks=2_000_000,
-    )
-
-
-def _preset_traversal(scale: float) -> GridSpec:
-    """DDAG vs 2PL on random-DAG traversals (the [CHMS94]-substitute
-    comparison); already small, so ``--scale`` leaves it alone."""
-    return GridSpec(
-        policies=(PolicySpec(DdagPolicy), PolicySpec(TwoPhasePolicy)),
-        workloads=(
-            WorkloadSpec("traversal", {
-                "nodes": 10, "edge_prob": 0.25, "num_txns": 6,
-                "walk_length": 5,
-            }),
-        ),
-        seeds=tuple(range(8)),
-    )
-
-
-PRESETS: Dict[str, Callable[[float], GridSpec]] = {
-    "stress": _preset_stress,
-    "deadlock": _preset_deadlock,
-    "traversal": _preset_traversal,
-}
-
-_COLUMNS = [
-    "policy", "workload", "runs", "failures", "serializable",
-    "ticks", "committed", "throughput", "mean_latency", "wait_fraction",
-]
 
 #: ``(num_txns, num_entities)`` of the scaling curve at scale 1: from the
 #: 5,000-transaction headroom probe up to the 50,000-transaction ceiling.
@@ -369,8 +275,8 @@ def _run_compare(args: argparse.Namespace) -> int:
                 f"{n_num['wall_s']:.4f} exceeds allowed "
                 f"+{100 * args.max_wall_regression:.0f}%"
             )
-    # The harness wall clock lives at the top level (grid presets do not
-    # record per-row walls) — gate it under the same threshold.
+    # The harness wall clock lives at the top level — gate it under the
+    # same threshold.
     old_wall, new_wall = old.get("wall_s"), new.get("wall_s")
     if isinstance(old_wall, (int, float)) and isinstance(new_wall, (int, float)):
         delta = new_wall - old_wall
@@ -405,19 +311,12 @@ def _run_compare(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Run a (policy × workload × seed) experiment grid.",
+        description="Run the per-tick scaling bench, or diff two BENCH "
+                    "artifacts.",
     )
     parser.add_argument(
-        "preset", nargs="?", choices=sorted([*PRESETS, "scaling"]),
-        help="grid preset or special bench to run",
-    )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=0,
-        help="worker processes, >= 1 (omit for the in-process reference path)",
-    )
-    parser.add_argument(
-        "--seeds", type=_positive_int, default=None,
-        help="override the preset's seed count with range(N), N >= 1",
+        "bench", nargs="?", choices=["scaling"],
+        help="bench to run",
     )
     parser.add_argument(
         "--scale", type=_positive_float, default=1.0,
@@ -425,17 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--arrival-rate", type=_positive_float, default=None,
-        help="scaling only: transactions admitted per tick (default 0.085, "
-             "just above capacity; a higher rate holds a larger live "
-             "population at a reduced --scale)",
+        help="transactions admitted per tick (default 0.085, just above "
+             "capacity; a higher rate holds a larger live population at a "
+             "reduced --scale)",
     )
     parser.add_argument(
         "--out", default=None,
-        help="artifact path (default: BENCH_grid_<preset>.json)",
-    )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list presets and registered workload factories, then exit",
+        help="artifact path (default: BENCH_scaling.json)",
     )
     parser.add_argument(
         "--compare", nargs=2, metavar=("OLD.json", "NEW.json"), default=None,
@@ -453,49 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.list:
-        print("presets:   ", ", ".join(sorted(PRESETS)))
-        print("special:   ", "scaling")
-        print("factories: ", ", ".join(grid_factory_names()))
-        return 0
     if args.compare is not None:
-        if args.preset is not None:
-            build_parser().error("--compare takes no preset")
+        if args.bench is not None:
+            build_parser().error("--compare takes no bench")
         return _run_compare(args)
-    if args.preset is None:
-        build_parser().error("a preset is required (or --list, --compare)")
-    if args.arrival_rate is not None and args.preset != "scaling":
-        build_parser().error("--arrival-rate applies to the scaling bench only")
-    if args.preset == "scaling":
-        return _run_scaling(args)
-    spec = PRESETS[args.preset](args.scale)
-    if args.seeds is not None:
-        spec = dataclasses.replace(spec, seeds=tuple(range(args.seeds)))
-
-    def announce(cell: CellResult) -> None:
-        print(f"  cell done: {cell.policy} × {cell.workload} "
-              f"({cell.runs} runs, {cell.failures} failures)")
-
-    start = time.perf_counter()
-    cells = run_grid(spec, workers=args.workers, progress=announce)
-    wall = time.perf_counter() - start
-    rows = [c.row() for c in cells]
-    print(format_table(rows, _COLUMNS))
-    print(f"\n{len(cells)} cells × {len(spec.seeds)} seeds in {wall:.2f}s "
-          f"({args.workers} workers)")
-    out = args.out or f"BENCH_grid_{args.preset}.json"
-    write_bench_artifact(
-        out, f"grid_{args.preset}",
-        cell_rows_with_work(cells),
-        scale=args.scale, workers=args.workers, wall_s=wall,
-        extra={
-            **_stamp(),
-            "engine": spec.engine,
-            "seeds": list(spec.seeds),
-        },
-    )
-    print(f"artifact: {out}")
-    return 0
+    if args.bench is None:
+        build_parser().error("a bench is required (or --compare)")
+    return _run_scaling(args)
 
 
 if __name__ == "__main__":

@@ -35,12 +35,10 @@ _EXPORTS = {
     "find_cycle_counted": ".deadlock",
     "format_table": ".runner",
     "grid_factory": ".workloads",
-    "grid_factory_names": ".workloads",
     "long_transaction_workload": ".workloads",
     "pick_victim": ".deadlock",
     "random_access_workload": ".workloads",
     "register_grid_factory": ".workloads",
-    "resolve_deadlock": ".deadlock",
     "run_cell": ".runner",
     "run_grid": ".grid",
     "run_seed": ".runner",

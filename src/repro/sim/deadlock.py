@@ -23,7 +23,8 @@ the minimum :func:`victim_cost` triple, compared lexicographically:
 
 Because the cycle itself is found deterministically (sorted roots, sorted
 neighbours, first back edge) and the cost triple is a total order, the
-whole resolution is a pure function of the graph and the live table.
+victim ``pick_victim(find_cycle_counted(graph)[0], live)`` is a pure
+function of the graph and the live table.
 """
 
 from __future__ import annotations
@@ -102,14 +103,3 @@ def pick_victim(cycle: List[str], live: Mapping[str, object]) -> str:
     """The cycle's cheapest member under :func:`victim_cost`."""
     return min(cycle, key=victim_cost(live))
 
-
-def resolve_deadlock(
-    waits_for: Mapping[str, Set[str]], live: Mapping[str, object]
-) -> Optional[Tuple[str, List[str], int]]:
-    """From-scratch resolution (the naive engine's path): find a cycle and
-    cost a victim; returns ``(victim, cycle, visits)`` or ``None`` when
-    the graph is acyclic (livelock)."""
-    cycle, visits = find_cycle_counted(waits_for)
-    if cycle is None:
-        return None
-    return pick_victim(cycle, live), cycle, visits

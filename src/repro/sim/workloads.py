@@ -76,11 +76,6 @@ def grid_factory(name: str) -> GridWorkloadFactory:
         ) from None
 
 
-def grid_factory_names() -> Tuple[str, ...]:
-    """The registered grid factory names, sorted."""
-    return tuple(sorted(GRID_FACTORIES))
-
-
 def _staggered_start(index: int, arrival_rate: Optional[float]) -> int:
     """Arrival tick of the ``index``-th transaction at ``arrival_rate``
     transactions per tick (``None`` = everyone at tick 0)."""

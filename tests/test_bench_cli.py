@@ -1,6 +1,6 @@
-"""The ``python -m repro.bench`` CLI surface: preset/factory discovery via
-``--list``, the preset definitions themselves (shapes only — the full
-grid runs are exercised by benchmarks/ and the CI smoke jobs), and the
+"""The ``python -m repro.bench`` CLI surface: argument validation, the
+``scaling`` bench (the only bench it runs; the comparable grids are run
+and asserted by the tier-1 benches under ``benchmarks/``), and the
 ``--compare`` artifact-diff mode CI uses as its regression gate."""
 
 import json
@@ -8,100 +8,41 @@ import json
 import pytest
 
 from repro import bench
-from repro.sim import grid_factory_names
-
-
-class TestListFlag:
-    def test_list_prints_presets_and_factories(self, capsys):
-        assert bench.main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for preset in bench.PRESETS:
-            assert preset in out
-        for factory in grid_factory_names():
-            assert factory in out
-
-    def test_list_needs_no_preset(self, capsys):
-        # --list alone must not trip the "a preset is required" error.
-        assert bench.main(["--list"]) == 0
-
-    def test_missing_preset_errors(self, capsys):
-        with pytest.raises(SystemExit):
-            bench.main([])
-
-
-class TestPresets:
-    def test_registry_covers_the_documented_grids(self):
-        assert set(bench.PRESETS) == {"stress", "deadlock", "traversal"}
-
-    def test_special_benches_registered_and_listed(self, capsys):
-        assert bench.main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "special:    scaling\n" in out
-        # The retired service bench is no longer a choice: the e2e
-        # service workloads measure the served path.
-        with pytest.raises(SystemExit) as exc:
-            bench.main(["service"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'service'" in capsys.readouterr().err
-
-    def test_scale_shrinks_with_floor(self):
-        spec = bench.PRESETS["stress"](0.0001)
-        assert spec.workloads[0].kwargs["num_txns"] == 50
-
-    def test_parser_accepts_workers_and_scale(self):
-        args = bench.build_parser().parse_args(
-            ["deadlock", "--workers", "2", "--scale", "0.1"]
-        )
-        assert (args.workers, args.scale) == (2, 0.1)
 
 
 class TestArgValidation:
-    """Explicit ``--workers``/``--seeds`` below 1 are parse-time errors;
-    omitting ``--workers`` still selects the in-process reference path."""
-
-    @pytest.mark.parametrize("flag", ["--workers", "--seeds"])
-    @pytest.mark.parametrize("value", ["0", "-1", "-8"])
-    def test_non_positive_values_rejected_at_parse_time(
-        self, capsys, flag, value
-    ):
+    @pytest.mark.parametrize("argv, message", [
+        ([], "a bench is required"),
+        # The retired grid presets and service bench are no longer
+        # choices: tier-1 benches and the e2e service workloads run them.
+        *[([name], f"invalid choice: '{name}'")
+          for name in ("stress", "deadlock", "traversal", "service")],
+    ])
+    def test_scaling_is_the_only_bench(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            bench.build_parser().parse_args(["stress", flag, value])
+            bench.main(argv)
         assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--workers", "--seeds"])
-    def test_non_integer_values_rejected(self, capsys, flag):
-        with pytest.raises(SystemExit):
-            bench.build_parser().parse_args(["stress", flag, "two"])
-
-    def test_defaults_survive_validation(self):
-        args = bench.build_parser().parse_args(["stress"])
-        assert args.workers == 0  # in-process reference path
-        assert args.seeds is None  # preset's own seed tuple
-
-    def test_positive_values_accepted(self):
-        args = bench.build_parser().parse_args(
-            ["stress", "--workers", "3", "--seeds", "5"]
-        )
-        assert (args.workers, args.seeds) == (3, 5)
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
     def test_non_positive_scale_rejected_at_parse_time(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
-            bench.build_parser().parse_args(["stress", "--scale", value])
+            bench.build_parser().parse_args(["scaling", "--scale", value])
         assert exc.value.code == 2
         assert "must be > 0" in capsys.readouterr().err
 
     def test_fractional_scale_accepted(self):
-        args = bench.build_parser().parse_args(["stress", "--scale", "0.05"])
+        args = bench.build_parser().parse_args(["scaling", "--scale", "0.05"])
         assert args.scale == 0.05
 
     @pytest.mark.parametrize(
-        "flag", ["--shards", "--shard-workers", "--executor"]
+        "flag",
+        ["--shards", "--shard-workers", "--executor",
+         "--workers", "--seeds", "--list"],
     )
-    def test_no_shard_or_executor_flag_exists(self, capsys, flag):
+    def test_no_shard_executor_or_grid_flag_exists(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            bench.build_parser().parse_args(["stress", flag, "2"])
+            bench.build_parser().parse_args(["scaling", flag, "2"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
@@ -132,6 +73,9 @@ class TestScalingBench:
         assert extra["arrival_rate"] == 0.085
         assert {"python", "cpu_count", "git_sha"} <= set(extra)
 
+    def test_scale_shrinks_with_floor(self):
+        assert bench._scaled(bench._SCALING_POINTS[0][0], 0.0001) == 50
+
     def test_arrival_rate_overloads_the_population(self, tmp_path):
         means = {}
         for rate in ("0.085", "0.5"):
@@ -145,26 +89,11 @@ class TestScalingBench:
             means[rate] = doc["rows"][-1]["mean_active"]
         assert means["0.5"] > 2 * means["0.085"]
 
-    def test_arrival_rate_is_rejected_elsewhere_and_when_non_positive(
-        self, capsys
-    ):
+    def test_arrival_rate_is_rejected_when_non_positive(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            bench.main(["stress", "--arrival-rate", "0.3"])
-        assert exc.value.code == 2
-        assert "scaling bench only" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
             bench.build_parser().parse_args(["scaling", "--arrival-rate", "0"])
-
-
-class TestGridArtifact:
-    def test_grid_artifact_records_the_stamp(self, tmp_path):
-        out = tmp_path / "grid.json"
-        assert bench.main(
-            ["traversal", "--seeds", "1", "--out", str(out)]
-        ) == 0
-        extra = json.loads(out.read_text())["extra"]
-        assert extra["engine"] == "event" and extra["seeds"] == [0]
-        assert {"python", "cpu_count", "git_sha"} <= set(extra)
+        assert exc.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
 
 
 def _artifact(tmp_path, name, rows, *, bench_name="grid_stress",
@@ -235,7 +164,7 @@ class TestCompare:
         ) == 0
 
     def test_artifact_level_wall_gated_too(self, tmp_path, capsys):
-        # Grid presets record only the harness wall at the top level; the
+        # The harness wall sits at the top level, outside the rows; the
         # gate must catch a regression there even with identical rows.
         old = _artifact(tmp_path, "old.json", [_row()], wall_s=10.0)
         new = _artifact(tmp_path, "new.json", [_row()], wall_s=30.0)
@@ -276,11 +205,13 @@ class TestCompare:
         assert bench.main(["--compare", old, new]) == 0
         assert "(skipped)" in capsys.readouterr().out
 
-    def test_compare_rejects_a_preset(self, tmp_path):
+    def test_compare_rejects_a_bench(self, tmp_path, capsys):
         old = _artifact(tmp_path, "old.json", [_row()])
         new = _artifact(tmp_path, "new.json", [_row()])
-        with pytest.raises(SystemExit):
-            bench.main(["stress", "--compare", old, new])
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["scaling", "--compare", old, new])
+        assert exc.value.code == 2
+        assert "--compare takes no bench" in capsys.readouterr().err
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(SystemExit):

@@ -18,7 +18,6 @@ from repro.sim.deadlock import (
     find_cycle,
     find_cycle_counted,
     pick_victim,
-    resolve_deadlock,
     victim_cost,
 )
 from repro.sim.live import LiveEntry
@@ -79,8 +78,8 @@ class TestMultiCycleSelection:
             "Y": entry("Y", steps_executed=0),
         }
         assert set(find_cycle(graph)) == {"A", "B"}
-        victim, cycle, visits = resolve_deadlock(graph, live)
-        assert victim == "B"
+        cycle, visits = find_cycle_counted(graph)
+        assert pick_victim(cycle, live) == "B"
         assert set(cycle) == {"A", "B"}
         assert visits >= 2
 
@@ -95,9 +94,9 @@ class TestMultiCycleSelection:
             "C": entry("C", steps_executed=0),
         }
         for _ in range(3):  # determinism: same answer every time
-            victim, cycle, _ = resolve_deadlock(graph, live)
+            cycle, _ = find_cycle_counted(graph)
             assert set(cycle) == {"A", "B"}
-            assert victim == "A"  # tie on (0, 3): name breaks it
+            assert pick_victim(cycle, live) == "A"  # tie on (0, 3): name breaks it
 
     def test_structural_member_survives_while_pure_member_exists(self):
         graph = {"A": {"B"}, "B": {"A"}}
@@ -105,12 +104,11 @@ class TestMultiCycleSelection:
             "A": entry("A", steps_executed=0, structural=True),
             "B": entry("B", steps_executed=50),
         }
-        victim, _, _ = resolve_deadlock(graph, live)
-        assert victim == "B"
+        cycle, _ = find_cycle_counted(graph)
+        assert pick_victim(cycle, live) == "B"
 
     def test_acyclic_graph_reports_no_deadlock(self):
-        live = {n: entry(n) for n in "AB"}
-        assert resolve_deadlock({"A": {"B"}}, live) is None
+        assert find_cycle_counted({"A": {"B"}})[0] is None
 
     def test_counted_visits_cover_whole_walk(self):
         # An acyclic 4-node graph: the counted walk must push every node

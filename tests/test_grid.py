@@ -5,8 +5,7 @@
    ``workers=0`` byte-identically — the grid's core contract;
 2. every registered workload factory is deterministic *across processes*:
    the same seed yields identical items and initial state whether built
-   in-process or in a spawned worker (what makes by-name fan-out sound),
-   and every bench preset gives the same rows from a spawned worker;
+   in-process or in a spawned worker (what makes by-name fan-out sound);
 3. every row carries a real serializability verdict (a bool; an
    all-failed cell is covered by ``test_scheduler_fixes``);
 4. failed seeds are recorded as diagnosable ``(seed, error)`` pairs,
@@ -22,11 +21,11 @@ import sys
 
 import pytest
 
-from repro import bench
 from repro.core.states import StructuralState
 from repro.policies import Access, DdagPolicy, TwoPhasePolicy
 from repro.sim import (
     FAILED_SEEDS_LIMIT,
+    GRID_FACTORIES,
     GridSpec,
     PolicySpec,
     SeedOutcome,
@@ -34,7 +33,6 @@ from repro.sim import (
     WorkloadSpec,
     aggregate_outcomes,
     grid_factory,
-    grid_factory_names,
     long_transaction_workload,
     run_cell,
     run_grid,
@@ -215,7 +213,7 @@ def _fingerprint(name: str, kwargs: dict, seed: int) -> dict:
 
 class TestCrossProcessDeterminism:
     def test_every_factory_has_a_case(self):
-        assert set(FACTORY_CASES) == set(grid_factory_names()), (
+        assert set(FACTORY_CASES) == set(GRID_FACTORIES), (
             "every registered grid factory needs a determinism case"
         )
 
@@ -236,17 +234,6 @@ class TestCrossProcessDeterminism:
         # Different seeds actually vary the workload (the digest is not
         # degenerate).
         assert local[0] != local[1]
-
-
-@pytest.mark.parametrize("preset", sorted(bench.PRESETS))
-def test_every_bench_preset_runs_in_a_spawned_worker(preset):
-    """Each bench preset, shrunk, gives the same rows from one spawned
-    worker as in-process.  A spec that cannot cross the process boundary
-    fails here: a lambda policy constructor does not pickle, and a
-    factory registered anywhere but at import time is unknown to the
-    worker, which re-imports the registry fresh."""
-    spec = bench.PRESETS[preset](0.01)
-    assert run_grid(spec, workers=1) == run_grid(spec, workers=0)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@
     huge live populations are truncated in ``SimulationError`` messages;
 
 plus direct unit coverage of the deadlock machinery
-(``resolve_deadlock`` / ``find_cycle``) and the livelock error path.
+(``find_cycle`` / ``pick_victim``) and the livelock error path.
 """
 
 import pytest
@@ -39,7 +39,7 @@ from repro.policies.base import (
     access_steps,
 )
 from repro.sim import LockTable, Simulator, WorkloadItem, run_cell
-from repro.sim.deadlock import find_cycle, resolve_deadlock
+from repro.sim.deadlock import find_cycle, pick_victim
 from repro.sim.event_log import EventLog
 from repro.sim.live import LiveEntry
 from repro.sim.metrics import TxnRecord
@@ -653,14 +653,12 @@ class TestFindCycle:
             for i, name in enumerate(graph)
         }
         live[f"T{n:05d}"] = _live_entry(f"T{n:05d}", steps_executed=0)
-        victim = resolve_deadlock(graph, live)[0]
-        assert victim == f"T{n:05d}"
+        assert pick_victim(find_cycle(graph), live) == f"T{n:05d}"
 
 
 class TestPickDeadlockVictim:
     def test_no_cycle_is_livelock(self):
-        live = {n: _live_entry(n) for n in "AB"}
-        assert resolve_deadlock({"A": {"B"}}, live) is None
+        assert find_cycle({"A": {"B"}}) is None
 
     def test_prefers_fewest_steps(self):
         live = {
@@ -668,7 +666,7 @@ class TestPickDeadlockVictim:
             "B": _live_entry("B", steps_executed=2),
         }
         graph = {"A": {"B"}, "B": {"A"}}
-        assert resolve_deadlock(graph, live)[0] == "B"
+        assert pick_victim(find_cycle(graph), live) == "B"
 
     def test_prefers_no_structural_effects_over_fewer_steps(self):
         live = {
@@ -676,12 +674,12 @@ class TestPickDeadlockVictim:
             "B": _live_entry("B", steps_executed=9),
         }
         graph = {"A": {"B"}, "B": {"A"}}
-        assert resolve_deadlock(graph, live)[0] == "B"
+        assert pick_victim(find_cycle(graph), live) == "B"
 
     def test_name_breaks_ties(self):
         live = {n: _live_entry(n, steps_executed=3) for n in "BA"}
         graph = {"A": {"B"}, "B": {"A"}}
-        assert resolve_deadlock(graph, live)[0] == "A"
+        assert pick_victim(find_cycle(graph), live) == "A"
 
     def test_victim_outside_cycle_never_picked(self):
         # D waits into the cycle but is not on it; the victim must come
@@ -689,7 +687,7 @@ class TestPickDeadlockVictim:
         live = {n: _live_entry(n) for n in "ABD"}
         live["D"].step_count = 0
         graph = {"A": {"B"}, "B": {"A"}, "D": {"A"}}
-        assert resolve_deadlock(graph, live)[0] in {"A", "B"}
+        assert pick_victim(find_cycle(graph), live) in {"A", "B"}
 
 
 class TestLivelockDiagnosis:
