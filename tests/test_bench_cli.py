@@ -36,6 +36,35 @@ class TestArgValidation:
         assert args.scale == 0.05
 
     @pytest.mark.parametrize(
+        "flag", ["--scale", "--arrival-rate", "--max-wall-regression"]
+    )
+    def test_non_numeric_values_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            bench.build_parser().parse_args(["scaling", flag, "two"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    def test_defaults_survive_validation(self):
+        args = bench.build_parser().parse_args(["scaling"])
+        assert (args.bench, args.scale, args.arrival_rate) == ("scaling", 1.0, None)
+        assert (args.out, args.compare, args.max_wall_regression) == (
+            None, None, None,
+        )
+
+    def test_help_lists_one_bench_and_five_flags(self):
+        text = bench.build_parser().format_help()
+        assert "{scaling}" in text
+        flags = {
+            action.option_strings[0]
+            for action in bench.build_parser()._actions
+            if action.option_strings and action.dest != "help"
+        }
+        assert flags == {
+            "--scale", "--arrival-rate", "--out", "--compare",
+            "--max-wall-regression",
+        }
+
+    @pytest.mark.parametrize(
         "flag",
         ["--shards", "--shard-workers", "--executor",
          "--workers", "--seeds", "--list"],
@@ -89,9 +118,12 @@ class TestScalingBench:
             means[rate] = doc["rows"][-1]["mean_active"]
         assert means["0.5"] > 2 * means["0.085"]
 
-    def test_arrival_rate_is_rejected_when_non_positive(self, capsys):
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+    def test_arrival_rate_is_rejected_when_non_positive(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
-            bench.build_parser().parse_args(["scaling", "--arrival-rate", "0"])
+            bench.build_parser().parse_args(
+                ["scaling", "--arrival-rate", value]
+            )
         assert exc.value.code == 2
         assert "must be > 0" in capsys.readouterr().err
 
@@ -213,9 +245,18 @@ class TestCompare:
         assert exc.value.code == 2
         assert "--compare takes no bench" in capsys.readouterr().err
 
-    def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+    def test_nonpositive_threshold_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
             bench.build_parser().parse_args(
                 ["--compare", "a.json", "b.json",
-                 "--max-wall-regression", "0"]
+                 "--max-wall-regression", value]
             )
+        assert exc.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
+
+    def test_compare_needs_two_artifacts(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--compare", "a.json"])
+        assert exc.value.code == 2
+        assert "expected 2 arguments" in capsys.readouterr().err

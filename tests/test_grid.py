@@ -235,6 +235,24 @@ class TestCrossProcessDeterminism:
         # degenerate).
         assert local[0] != local[1]
 
+    @pytest.mark.parametrize("name", sorted(FACTORY_CASES))
+    def test_every_factory_runs_in_a_spawned_worker(self, name):
+        """Each factory's whole cell, not just its digest, gives the same
+        rows from one spawned worker as in-process.  A spec that cannot
+        cross the process boundary fails here: a lambda policy constructor
+        does not pickle, and a factory registered anywhere but at import
+        time is unknown to the worker, which re-imports the registry
+        fresh."""
+        policy = DdagPolicy if "traversal" in name else TwoPhasePolicy
+        spec = GridSpec(
+            policies=(PolicySpec(policy),),
+            workloads=(WorkloadSpec(name, FACTORY_CASES[name]),),
+            seeds=(0, 1),
+        )
+        serial = run_grid(spec, workers=0)
+        assert serial == run_grid(spec, workers=1)
+        assert serial[0].runs == 2
+
 
 # ----------------------------------------------------------------------
 # 3. Every row carries a real verdict
