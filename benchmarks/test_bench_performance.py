@@ -21,6 +21,7 @@ testbed seconds; the *shapes* under test:
 
 import statistics
 import time
+from functools import partial
 
 from conftest import banner
 
@@ -28,13 +29,11 @@ from repro.core import is_serializable
 from repro.graphs import random_rooted_dag
 from repro.policies import AltruisticPolicy, DdagPolicy, TwoPhasePolicy
 from repro.sim import (
-    GridSpec,
-    PolicySpec,
     Simulator,
-    WorkloadSpec,
     format_table,
+    grid_factory,
     long_transaction_workload,
-    run_grid,
+    run_cell,
     stress_workload,
     traversal_workload,
 )
@@ -80,20 +79,16 @@ def test_altruistic_vs_2pl_long_transactions():
 
 def test_ddag_vs_2pl_traversals():
     banner("[CHMS94-substitute] concurrent traversals: DDAG vs strict 2PL")
-    # A declarative grid: the registered "traversal" factory derives both
-    # the workload and the DDAG context from the seed (2PL ignores the
-    # context kwarg), so the whole cell is a picklable spec.
-    spec = GridSpec(
-        policies=(PolicySpec(DdagPolicy), PolicySpec(TwoPhasePolicy)),
-        workloads=(
-            WorkloadSpec("traversal", {
-                "nodes": 10, "edge_prob": 0.25, "num_txns": 6,
-                "walk_length": 5,
-            }, label="traversals"),
-        ),
-        seeds=tuple(SEEDS),
+    # The registered "traversal" factory derives both the workload and
+    # the DDAG context from the seed (2PL ignores the context kwarg).
+    traversals = partial(
+        grid_factory("traversal"),
+        nodes=10, edge_prob=0.25, num_txns=6, walk_length=5,
     )
-    cells = run_grid(spec, workers=0)
+    cells = [
+        run_cell(policy, "traversals", traversals, SEEDS)
+        for policy in (DdagPolicy(), TwoPhasePolicy())
+    ]
     rows = [c.row() for c in cells]
     print(format_table(
         rows,

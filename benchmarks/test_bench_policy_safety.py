@@ -11,10 +11,11 @@ are flagged unsafe, with canonical witnesses extracted for the
 counterexamples via Theorem 1's Only-If construction.
 """
 
+from functools import partial
+
 from conftest import banner
 
 from repro.core import StructuralState
-from repro.graphs import random_rooted_dag
 from repro.policies import (
     Access,
     AltruisticPolicy,
@@ -23,38 +24,23 @@ from repro.policies import (
     DdagPolicy,
     DtrPolicy,
     FreeForAllPolicy,
-    TwoPhasePolicy,
     Unlock,
     check_altruistic_schedule,
-    check_ddag_schedule,
 )
-from repro.sim import (
-    WorkloadItem,
-    dag_structural_state,
-    dynamic_traversal_workload,
-    long_transaction_workload,
-    random_access_workload,
-    traversal_workload,
-)
+from repro.sim import WorkloadItem, dag_structural_state, grid_factory
 from repro.verify import verify_policy
 
 SEEDS = range(12)
 
-
-def _ddag_factory(seed):
-    dag = random_rooted_dag(8, 0.3, seed=seed)
-    return dynamic_traversal_workload(dag, 4, 3, 0.5, seed=seed)
-
-
-def _ddag_ctx(seed):
-    return {"dag": random_rooted_dag(8, 0.3, seed=seed).snapshot()}
+_ddag_factory = partial(
+    grid_factory("dynamic_traversal"),
+    nodes=8, edge_prob=0.3, num_txns=4, walk_length=3, insert_prob=0.5,
+)
 
 
 def test_theorem2_ddag_safe():
     banner("Theorem 2 — DDAG policy: dynamic traversal workloads")
-    report = verify_policy(
-        DdagPolicy(), _ddag_factory, SEEDS, context_kwargs_factory=_ddag_ctx
-    )
+    report = verify_policy(DdagPolicy(), _ddag_factory, SEEDS)
     print(report.summary())
     assert report.ok
 
@@ -63,7 +49,7 @@ def test_theorem3_altruistic_safe():
     banner("Theorem 3 — altruistic locking: long-transaction workloads")
     report = verify_policy(
         AltruisticPolicy(),
-        lambda seed: long_transaction_workload(8, 3, seed=seed),
+        partial(grid_factory("long_transaction"), num_entities=8, num_short=3),
         SEEDS,
         auditors=[lambda r: check_altruistic_schedule(r.schedule)],
     )
@@ -75,7 +61,10 @@ def test_theorem4_dtr_safe():
     banner("Theorem 4 — dynamic tree policy: random access-set workloads")
     report = verify_policy(
         DtrPolicy(),
-        lambda seed: random_access_workload(6, 5, 3, seed=seed),
+        partial(
+            grid_factory("random_access"),
+            num_entities=6, num_txns=5, accesses_per_txn=3,
+        ),
         SEEDS,
     )
     print(report.summary())
@@ -90,14 +79,14 @@ def test_controls_flagged_unsafe():
             WorkloadItem("T1", [Access("a"), Access("b")]),
             WorkloadItem("T2", [Access("b"), Access("a")]),
         ]
-        return items, StructuralState.of("a", "b")
+        return items, StructuralState.of("a", "b"), {}
 
     def al_race(seed):
         items = [
             WorkloadItem("LONG", [Access("a"), Access("b"), Access("c")]),
             WorkloadItem("S", [Access("c"), Access("a")]),
         ]
-        return items, StructuralState.of("a", "b", "c")
+        return items, StructuralState.of("a", "b", "c"), {}
 
     from repro.graphs import chain
 
@@ -106,22 +95,15 @@ def test_controls_flagged_unsafe():
             WorkloadItem("T1", [Access(2), Unlock(2), Access(3)]),
             WorkloadItem("T2", [Access(3), Unlock(3), Access(2)]),
         ]
-        return items, dag_structural_state(chain(3))
+        return items, dag_structural_state(chain(3)), {"dag": chain(3)}
 
     controls = [
-        ("FreeForAll", FreeForAllPolicy(), race, None),
-        ("Altruistic-noAL2", BrokenAltruisticPolicy(), al_race, None),
-        (
-            "DDAG-noL5",
-            BrokenDdagPolicy(auto_release=False),
-            ddag_race,
-            lambda seed: {"dag": chain(3)},
-        ),
+        ("FreeForAll", FreeForAllPolicy(), race),
+        ("Altruistic-noAL2", BrokenAltruisticPolicy(), al_race),
+        ("DDAG-noL5", BrokenDdagPolicy(auto_release=False), ddag_race),
     ]
-    for name, policy, factory, ctx in controls:
-        report = verify_policy(
-            policy, factory, range(80), context_kwargs_factory=ctx
-        )
+    for name, policy, factory in controls:
+        report = verify_policy(policy, factory, range(80))
         status = "UNSAFE (counterexample found)" if not report.ok else "not flagged!"
         has_witness = report.witness is not None and report.counterexample is not None
         print(f"  {name:<18} -> {status}; canonical witness: {has_witness}")
@@ -131,8 +113,4 @@ def test_controls_flagged_unsafe():
 
 def test_bench_policy_verification(benchmark):
     """Kernel: one DDAG verification run (simulate + validate)."""
-    benchmark(
-        lambda: verify_policy(
-            DdagPolicy(), _ddag_factory, range(2), context_kwargs_factory=_ddag_ctx
-        )
-    )
+    benchmark(lambda: verify_policy(DdagPolicy(), _ddag_factory, range(2)))

@@ -26,7 +26,7 @@ def factory(seed):
         WorkloadItem("LONG", [Access("a"), Access("b"), Access("c")]),
         WorkloadItem("S", [Access("c"), Access("a")]),
     ]
-    return items, StructuralState.of("a", "b", "c")
+    return items, StructuralState.of("a", "b", "c"), {}
 
 
 def main() -> None:

@@ -169,7 +169,7 @@ def _run_scaling(args: argparse.Namespace) -> int:
     out = args.out or "BENCH_scaling.json"
     write_bench_artifact(
         out, "scaling", rows,
-        scale=scale, workers=0, wall_s=total,
+        scale=scale, wall_s=total,
         extra={
             **_stamp(),
             "engine": "event",
@@ -213,6 +213,28 @@ def _flatten_numeric(row: Dict[str, object], prefix: str = "") -> Dict[str, floa
     return out
 
 
+def _load_artifact(path: str) -> Optional[Dict[str, object]]:
+    """One ``--compare`` input, or ``None`` after printing why it is not
+    a BENCH artifact: an unreadable file, malformed JSON, a top level
+    that is not an object, or ``rows`` that are not a list of objects."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"compare: cannot read {path}: {exc}")
+        return None
+    if not isinstance(doc, dict):
+        print(f"compare: {path}: top level is a {type(doc).__name__}, "
+              f"not an object")
+        return None
+    rows = doc.get("rows", [])
+    if not (isinstance(rows, list)
+            and all(isinstance(row, dict) for row in rows)):
+        print(f"compare: {path}: 'rows' is not a list of objects")
+        return None
+    return doc
+
+
 def _run_compare(args: argparse.Namespace) -> int:
     """``--compare OLD.json NEW.json``: the artifact-diff mode CI uses as
     its regression gate instead of ad-hoc wall-clock guards.  Asserts the
@@ -221,12 +243,12 @@ def _run_compare(args: argparse.Namespace) -> int:
     including the nested work counters — and fails (exit 1) when any
     row's ``wall_s`` regressed by more than ``--max-wall-regression``
     (a fraction: 0.5 allows +50%).  Without the threshold the diff is
-    report-only and always exits 0."""
+    report-only and exits 0; an input that is not an artifact, like any
+    mismatch between the two, exits 2."""
     old_path, new_path = args.compare
-    with open(old_path) as fh:
-        old = json.load(fh)
-    with open(new_path) as fh:
-        new = json.load(fh)
+    old, new = _load_artifact(old_path), _load_artifact(new_path)
+    if old is None or new is None:
+        return 2
     for field in ("bench", "schema"):
         if old.get(field) != new.get(field):
             print(f"compare: {field!r} mismatch: "

@@ -52,8 +52,7 @@ Layering (checked by ``tests/test_layering.py``): this package may import the st
 absorbs (``sim/lock_table``, ``sim/admission``, ``sim/waits_for``,
 ``sim/deadlock``, ``sim/live``, ``sim/metrics``, ``sim/event_log``,
 ``sim/executor``) but never the drivers above it (``sim/scheduler``,
-``sim/runner``, ``sim/grid``) — the kernel must stay reusable by any
-front-end.
+``sim/runner``) — the kernel must stay reusable by any front-end.
 """
 
 from __future__ import annotations

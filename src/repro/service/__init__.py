@@ -8,8 +8,8 @@ the protocol speaks (``LockMode``) is a kernel re-export.  The package
 inits export lazily, so importing
 the service loads the kernel's request API and the three state layers it
 runs on (``sim.lock_table``, ``sim.waits_for``, ``sim.deadlock``) — not
-the simulator, the policies, the Theorem-1 deciders or
-``multiprocessing`` (``tests/test_import_budget.py`` pins this).
+the simulator, the policies or the Theorem-1 deciders
+(``tests/test_import_budget.py`` pins this).
 
 * :mod:`~repro.service.protocol` — the JSON-line wire protocol;
 * :mod:`~repro.service.auth` — owner-only inline authorization;

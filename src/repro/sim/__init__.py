@@ -8,10 +8,8 @@ _EXPORTS = {
     "CellResult": ".runner",
     "FAILED_SEEDS_LIMIT": ".runner",
     "GRID_FACTORIES": ".workloads",
-    "GridSpec": ".grid",
     "LockTable": ".lock_table",
     "Metrics": ".metrics",
-    "PolicySpec": ".grid",
     "SerialExecutor": ".executor",
     "SeedOutcome": ".runner",
     "SimResult": ".scheduler",
@@ -20,7 +18,6 @@ _EXPORTS = {
     "WaitsForGraph": ".waits_for",
     "WorkloadFactory": ".runner",
     "WorkloadItem": ".scheduler",
-    "WorkloadSpec": ".grid",
     "aggregate_outcomes": ".runner",
     "bench_artifact": ".artifacts",
     "cell_rows_with_work": ".artifacts",
@@ -40,7 +37,6 @@ _EXPORTS = {
     "random_access_workload": ".workloads",
     "register_grid_factory": ".workloads",
     "run_cell": ".runner",
-    "run_grid": ".grid",
     "run_seed": ".runner",
     "stress_workload": ".workloads",
     "traversal_workload": ".workloads",

@@ -2,7 +2,7 @@
 
 The stress benches used to each hand-roll their own ``json.dumps`` payload,
 so the uploaded artifacts drifted apart (different key names, no schema
-marker, no record of the worker count or wall clock).  Every bench — and
+marker, no record of the wall clock).  Every bench — and
 the ``python -m repro.bench`` CLI — now writes through
 :func:`write_bench_artifact`, so the perf trajectory is machine-comparable
 across PRs:
@@ -13,7 +13,6 @@ across PRs:
       "bench": "<bench name>",
       "schema": 1,
       "scale": 1.0,            // BENCH_SMOKE_SCALE the run used
-      "workers": 0,            // grid worker processes (0 = in-process)
       "wall_s": 12.34,         // harness wall clock, if measured
       "rows": [ ... ],         // per-cell dict rows (CellResult.row() or
                                //  bench-specific comparison rows); grid
@@ -34,8 +33,9 @@ from typing import Dict, List, Optional, Sequence, Union
 SCHEMA_VERSION = 1
 
 #: Row keys that may legitimately be absent from some rows of one
-#: artifact (work counters exist only for cells that measured them).
-OPTIONAL_ROW_KEYS = frozenset({"work"})
+#: artifact: work counters exist only for cells that measured them, and
+#: ``CellResult.row()`` lists ``failed_seeds`` only when a seed failed.
+OPTIONAL_ROW_KEYS = frozenset({"work", "failed_seeds"})
 
 
 def _validate_rows(rows: Sequence[Dict[str, object]]) -> None:
@@ -65,7 +65,6 @@ def bench_artifact(
     rows: Sequence[Dict[str, object]],
     *,
     scale: float = 1.0,
-    workers: int = 0,
     wall_s: Optional[float] = None,
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
@@ -79,7 +78,6 @@ def bench_artifact(
         "bench": bench,
         "schema": SCHEMA_VERSION,
         "scale": scale,
-        "workers": workers,
         "rows": list(rows),
     }
     if wall_s is not None:

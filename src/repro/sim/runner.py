@@ -5,12 +5,12 @@ substitute for [CHMS94]).  Each cell runs several seeds and averages the
 metric summaries; results come back as plain dict rows so the benches can
 print paper-style tables without any plotting dependencies.
 
-The per-seed unit of work is :func:`run_seed`, which returns a plain,
-picklable :class:`SeedOutcome`; :func:`aggregate_outcomes` turns a cell's
-outcomes (in seed order) into a :class:`CellResult`.  :func:`run_cell` is
-the in-process composition of the two — and the reference semantics the
-multiprocess grid runner (:mod:`repro.sim.grid`) is equivalence-tested
-against, mirroring the ``engine="naive"`` pattern of the scheduler.
+The per-seed unit of work is :func:`run_seed`, which returns a plain
+:class:`SeedOutcome`; :func:`aggregate_outcomes` turns a cell's outcomes
+(in seed order) into a :class:`CellResult`.  :func:`run_cell` composes
+the two over a :data:`WorkloadFactory` — the shape of the registered
+grid factories, so ``functools.partial(grid_factory(name), **kwargs)``
+is a cell's workload.
 """
 
 from __future__ import annotations
@@ -26,8 +26,12 @@ from ..exceptions import SimulationError
 from ..policies.base import LockingPolicy
 from .scheduler import Simulator, WorkloadItem
 
-#: A workload factory: seed -> (items, initial structural state).
-WorkloadFactory = Callable[[int], Tuple[Sequence[WorkloadItem], StructuralState]]
+#: A workload factory: seed -> (items, initial structural state, the
+#: policy-context kwargs the workload implies) — a registered grid factory
+#: with its keyword arguments bound.
+WorkloadFactory = Callable[
+    [int], Tuple[Sequence[WorkloadItem], StructuralState, dict]
+]
 
 #: How many ``(seed, error)`` pairs a :class:`CellResult` records before
 #: truncating — the same discipline as ``SimulationError`` live-list
@@ -43,9 +47,8 @@ _ERROR_CHARS = 300
 class SeedOutcome:
     """What one seed-run of one cell produced.
 
-    Plain data (dicts, floats, strings) so a multiprocessing worker can
-    stream it back to the aggregating parent; no schedules, sessions, or
-    other live simulator objects cross the process boundary.
+    Plain data (dicts, floats, strings): no schedules, sessions, or other
+    live simulator objects outlive the run.
     """
 
     seed: int
@@ -118,9 +121,9 @@ def run_seed(
     rule_check: Optional[Callable[[Schedule], Sequence[str]]] = None,
 ) -> SeedOutcome:
     """Run one seeded instance of a cell and reduce it to a
-    :class:`SeedOutcome` (the unit of work the grid runner fans out).
-    ``rule_check``, an offline checker of the policy's own locking rules
-    (``check_altruistic_schedule``, say), is run on the schedule too."""
+    :class:`SeedOutcome`.  ``rule_check``, an offline checker of the
+    policy's own locking rules (``check_altruistic_schedule``, say), is run
+    on the schedule too."""
     sim = Simulator(
         policy, seed=seed, max_ticks=max_ticks,
         context_kwargs=context_kwargs or {}, engine=engine,
@@ -157,9 +160,7 @@ def aggregate_outcomes(
     outcomes: Sequence[SeedOutcome],
 ) -> CellResult:
     """Fold one cell's seed outcomes (in seed order) into a
-    :class:`CellResult` — the shared aggregation path of the serial
-    :func:`run_cell` and the multiprocess grid runner, so both produce
-    byte-identical rows from the same outcomes."""
+    :class:`CellResult`."""
     summaries = [o.summary for o in outcomes if not o.failed]
     failed = [(o.seed, o.error or "") for o in outcomes if o.failed]
     all_srz = all(o.serializable is not False for o in outcomes)
@@ -194,24 +195,17 @@ def run_cell(
     workload_name: str,
     factory: WorkloadFactory,
     seeds: Sequence[int],
-    context_kwargs_factory: Optional[Callable[[int], dict]] = None,
     max_ticks: int = 200_000,
     engine: str = "event",
 ) -> CellResult:
-    """Run one policy over several seeded instances of a workload, serially
-    in this process.
-
-    This accepts arbitrary callables (closures are fine) and is the
-    reference path of the grid runner: ``run_grid(spec, workers=0)`` over a
-    registered factory must produce exactly the rows this produces.
-    """
+    """Run one policy over several seeded instances of a workload, one
+    seed after another, and aggregate them in seed order."""
     outcomes: List[SeedOutcome] = []
     for seed in seeds:
-        items, initial = factory(seed)
-        kwargs = context_kwargs_factory(seed) if context_kwargs_factory else {}
+        items, initial, context_kwargs = factory(seed)
         outcomes.append(run_seed(
             policy, items, initial, seed,
-            context_kwargs=kwargs, max_ticks=max_ticks, engine=engine,
+            context_kwargs=context_kwargs, max_ticks=max_ticks, engine=engine,
         ))
     return aggregate_outcomes(policy.name, workload_name, outcomes)
 

@@ -16,14 +16,16 @@ policy in the paper:
 Every generator is seeded and returns :class:`~repro.sim.scheduler.WorkloadItem`
 lists plus the initial structural state the run needs.
 
-For the multiprocess grid runner (:mod:`repro.sim.grid`) the generators are
-additionally wrapped as **registered grid factories** — named entries in
-:data:`GRID_FACTORIES` with the uniform signature
-``fn(seed, **kwargs) -> (items, initial, context_kwargs)``.  A grid cell
-references a factory *by name* plus plain keyword arguments, so the task
-that crosses the process boundary is picklable; the worker constructs the
-workload (and any policy-context kwargs, e.g. the DDAG database graph)
-locally from the seed.
+The generators are additionally wrapped as **registered grid factories**
+— named entries in :data:`GRID_FACTORIES` with the uniform signature
+``fn(seed, **kwargs) -> (items, initial, context_kwargs)``, which build
+the workload and any policy-context kwargs (e.g. the DDAG database graph)
+from the seed.  With its keyword arguments bound
+(``functools.partial(grid_factory(name), **kwargs)``) a grid factory is
+the :data:`~repro.sim.runner.WorkloadFactory` that
+:func:`~repro.sim.runner.run_cell` and
+:func:`~repro.verify.verify_policy` take; the end-to-end benchmark looks
+factories up by name.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ GRID_FACTORIES: Dict[str, GridWorkloadFactory] = {}
 def register_grid_factory(
     name: str,
 ) -> Callable[[GridWorkloadFactory], GridWorkloadFactory]:
-    """Register a grid factory under ``name`` (decorator).  Names are the
-    pickle-safe handle grid cells carry instead of live callables."""
+    """Register a grid factory under ``name`` (decorator), so callers
+    can look it up with :func:`grid_factory`."""
 
     def decorate(fn: GridWorkloadFactory) -> GridWorkloadFactory:
         if name in GRID_FACTORIES:
@@ -371,7 +373,7 @@ def deadlock_storm_workload(
 
 
 # ----------------------------------------------------------------------
-# Registered grid factories (picklable-by-name wrappers of the generators)
+# Registered grid factories (by-name wrappers of the generators)
 # ----------------------------------------------------------------------
 
 

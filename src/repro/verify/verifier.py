@@ -70,7 +70,6 @@ def verify_policy(
     policy: LockingPolicy,
     factory: WorkloadFactory,
     seeds: Sequence[int],
-    context_kwargs_factory: Optional[Callable[[int], dict]] = None,
     auditors: Sequence[RuleAuditor] = (),
     max_ticks: int = 200_000,
     stop_at_first_failure: bool = True,
@@ -84,9 +83,11 @@ def verify_policy(
     """
     report = PolicyReport(policy=policy.name)
     for seed in seeds:
-        items, initial = factory(seed)
-        kwargs = context_kwargs_factory(seed) if context_kwargs_factory else {}
-        sim = Simulator(policy, seed=seed, max_ticks=max_ticks, context_kwargs=kwargs)
+        items, initial, context_kwargs = factory(seed)
+        sim = Simulator(
+            policy, seed=seed, max_ticks=max_ticks,
+            context_kwargs=context_kwargs,
+        )
         try:
             result = sim.run(items, initial)
         except SimulationError as exc:

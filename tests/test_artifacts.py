@@ -15,6 +15,7 @@ from repro.sim.artifacts import (
     cell_rows_with_work,
     write_bench_artifact,
 )
+from repro.sim.runner import SeedOutcome, aggregate_outcomes
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,14 +29,17 @@ class TestRoundTrip:
     def test_write_then_load_preserves_payload(self, tmp_path):
         path = tmp_path / "BENCH_unit.json"
         payload = write_bench_artifact(
-            path, "unit", ROWS, scale=0.5, workers=2, wall_s=1.23456,
+            path, "unit", ROWS, scale=0.5, wall_s=1.23456,
             extra={"note": "round-trip"},
         )
         loaded = json.loads(path.read_text())
         assert loaded == payload
         assert loaded["schema"] == SCHEMA_VERSION == 1
         assert loaded["bench"] == "unit"
-        assert (loaded["scale"], loaded["workers"]) == (0.5, 2)
+        assert set(loaded) == {
+            "bench", "schema", "scale", "wall_s", "rows", "extra",
+        }
+        assert loaded["scale"] == 0.5
         assert loaded["wall_s"] == 1.235  # rounded to ms
         assert loaded["rows"] == ROWS
         assert loaded["extra"] == {"note": "round-trip"}
@@ -116,6 +120,28 @@ class TestCellRows:
         assert "work" not in rows[1]
         # The result must itself be a valid artifact table.
         bench_artifact("unit", rows)
+
+    def test_a_cell_with_a_failed_seed_is_written_beside_a_green_one(
+        self, tmp_path
+    ):
+        """``CellResult.row()`` lists ``failed_seeds`` only when a seed
+        failed, so the red cell's row has one key more than the green
+        one's; the artifact must still take both."""
+        ran = SeedOutcome(
+            seed=0, summary={"ticks": 10.0}, work={"checks": 4.0},
+            serializable=True,
+        )
+        green = aggregate_outcomes("2PL", "w", [ran])
+        red = aggregate_outcomes(
+            "2PL", "w", [ran, SeedOutcome(seed=1, error="exceeded 2 ticks")],
+        )
+        path = tmp_path / "BENCH_unit.json"
+        write_bench_artifact(
+            path, "unit", cell_rows_with_work([green, red]), wall_s=0.1,
+        )
+        rows = json.loads(path.read_text())["rows"]
+        assert "failed_seeds" not in rows[0]
+        assert rows[1]["failed_seeds"] == [[1, "exceeded 2 ticks"]]
 
 
 class TestCommittedArtifacts:

@@ -134,7 +134,6 @@ def _artifact(tmp_path, name, rows, *, bench_name="grid_stress",
         "bench": bench_name,
         "schema": schema,
         "scale": 1.0,
-        "workers": 0,
         "rows": rows,
         "wall_s": wall_s,
     }
@@ -236,6 +235,28 @@ class TestCompare:
         new = _artifact(tmp_path, "new.json", [_row()])
         assert bench.main(["--compare", old, new]) == 0
         assert "(skipped)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [
+        "missing", "malformed", "not_an_object", "row_not_an_object",
+    ])
+    def test_an_input_that_is_not_an_artifact_is_a_usage_failure(
+        self, tmp_path, capsys, bad
+    ):
+        """Exit 1 means "wall_s regressed" to the CI gate, so an input
+        that cannot be compared exits 2, without a traceback, in either
+        position."""
+        good = _artifact(tmp_path, "good.json", [_row()])
+        path = tmp_path / "bad.json"
+        if bad == "malformed":
+            path.write_text('{"bench": ')
+        elif bad == "not_an_object":
+            path.write_text("[1, 2]")
+        elif bad == "row_not_an_object":
+            _artifact(tmp_path, "bad.json", [_row(), 7])
+        for argv in ([good, str(path)], [str(path), good]):
+            assert bench.main(["--compare", *argv]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith("compare: ") and str(path) in out
 
     def test_compare_rejects_a_bench(self, tmp_path, capsys):
         old = _artifact(tmp_path, "old.json", [_row()])

@@ -27,7 +27,6 @@ from repro.policies import AltruisticPolicy, DdagPolicy, TwoPhasePolicy
 from repro.service import LockService
 from repro.sim import (
     AdmissionCache,
-    GridSpec,
     LockTable,
     SerialExecutor,
     Simulator,
@@ -181,8 +180,8 @@ def test_a_2pl_run_never_enters_the_classify_phase(monkeypatch, cell):
 
 @pytest.mark.parametrize(
     "entry_point",
-    [Simulator, run_seed, run_cell, GridSpec, KernelRun, LockKernel,
-     LockService, LockTable],
+    [Simulator, run_seed, run_cell, KernelRun, LockKernel, LockService,
+     LockTable],
     ids=lambda f: f.__name__,
 )
 def test_no_entry_point_takes_a_shard_or_executor_knob(entry_point):

@@ -1,11 +1,13 @@
-"""The parallel experiment grid and the harness correctness fixes.
+"""The cell runner over registered workload factories, and the harness
+correctness fixes.
 
-1. ``run_grid(spec, workers=0)`` reproduces the serial ``run_cell`` path
-   exactly (same rows from the same seeds), and ``workers >= 2`` reproduces
-   ``workers=0`` byte-identically — the grid's core contract;
-2. every registered workload factory is deterministic *across processes*:
-   the same seed yields identical items and initial state whether built
-   in-process or in a spawned worker (what makes by-name fan-out sound);
+1. a registered factory with its keyword arguments bound
+   (``functools.partial(grid_factory(name), **kwargs)``) gives the same
+   cell as the generator it wraps, context kwargs included;
+2. every registered workload factory is deterministic — the same seed
+   builds the same items and initial state — and every one runs as a
+   ``run_cell`` cell (cross-interpreter determinism of every factory is
+   checked by ``test_pinned_schedules.py``);
 3. every row carries a real serializability verdict (a bool; an
    all-failed cell is covered by ``test_scheduler_fixes``);
 4. failed seeds are recorded as diagnosable ``(seed, error)`` pairs,
@@ -16,8 +18,7 @@
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
+from functools import partial
 
 import pytest
 
@@ -26,163 +27,77 @@ from repro.policies import Access, DdagPolicy, TwoPhasePolicy
 from repro.sim import (
     FAILED_SEEDS_LIMIT,
     GRID_FACTORIES,
-    GridSpec,
-    PolicySpec,
     SeedOutcome,
     WorkloadItem,
-    WorkloadSpec,
     aggregate_outcomes,
     grid_factory,
     long_transaction_workload,
     run_cell,
-    run_grid,
     traversal_workload,
 )
 from repro.graphs import random_rooted_dag
 
 # ----------------------------------------------------------------------
-# 1. Grid equivalence: workers=0 == run_cell, workers=2 == workers=0
+# 1. A registered factory is the generator it wraps
 # ----------------------------------------------------------------------
 
 
-class TestGridEquivalence:
-    def test_workers0_matches_legacy_run_cell(self):
-        spec = GridSpec(
-            policies=(PolicySpec(TwoPhasePolicy),),
-            workloads=(WorkloadSpec(
-                "long_transaction", {"num_entities": 5, "num_short": 2},
-            ),),
-            seeds=(0, 1, 2, 3),
-        )
-        [grid_cell] = run_grid(spec, workers=0)
-        legacy = run_cell(
-            TwoPhasePolicy(),
-            "long_transaction",
-            lambda seed: long_transaction_workload(5, 2, seed=seed),
+class TestRegisteredFactories:
+    def test_matches_its_generator(self):
+        registered = run_cell(
+            TwoPhasePolicy(), "long_transaction",
+            partial(
+                grid_factory("long_transaction"), num_entities=5, num_short=2,
+            ),
             seeds=range(4),
         )
-        assert grid_cell == legacy
-        assert grid_cell.row() == legacy.row()
-
-    def test_workers0_matches_legacy_run_cell_with_context(self):
-        """The DDAG cell: the registered factory supplies the context
-        kwargs the legacy path got from ``context_kwargs_factory``."""
-        spec = GridSpec(
-            policies=(PolicySpec(DdagPolicy),),
-            workloads=(WorkloadSpec(
-                "traversal",
-                {"nodes": 8, "edge_prob": 0.25, "num_txns": 4, "walk_length": 4},
-            ),),
-            seeds=(0, 1, 2),
+        direct = run_cell(
+            TwoPhasePolicy(), "long_transaction",
+            lambda seed: (*long_transaction_workload(5, 2, seed=seed), {}),
+            seeds=range(4),
         )
-        [grid_cell] = run_grid(spec, workers=0)
-        legacy = run_cell(
-            DdagPolicy(),
-            "traversal",
-            lambda seed: traversal_workload(
-                random_rooted_dag(8, 0.25, seed=seed), 4, 4, seed=seed
+        assert registered == direct
+        assert registered.row() == direct.row()
+
+    def test_matches_its_generator_with_context(self):
+        """The DDAG cell: the registered factory supplies the DAG context
+        a hand-written factory builds from the same seed."""
+        registered = run_cell(
+            DdagPolicy(), "traversal",
+            partial(
+                grid_factory("traversal"),
+                nodes=8, edge_prob=0.25, num_txns=4, walk_length=4,
             ),
             seeds=range(3),
-            context_kwargs_factory=lambda seed: {
-                "dag": random_rooted_dag(8, 0.25, seed=seed).snapshot()
-            },
         )
-        assert grid_cell == legacy
 
-    def test_parallel_matches_serial(self):
-        spec = GridSpec(
-            policies=(PolicySpec(TwoPhasePolicy), PolicySpec(DdagPolicy)),
-            workloads=(
-                WorkloadSpec("traversal", {"nodes": 8, "num_txns": 4}),
-                WorkloadSpec("dynamic_traversal", {
-                    "nodes": 8, "num_txns": 4, "insert_prob": 0.5,
-                }),
+        def direct_factory(seed):
+            dag = random_rooted_dag(8, 0.25, seed=seed)
+            items, initial = traversal_workload(dag, 4, 4, seed=seed)
+            return items, initial, {"dag": dag.snapshot()}
+
+        direct = run_cell(DdagPolicy(), "traversal", direct_factory, range(3))
+        assert registered == direct
+
+    def test_empty_seed_cell_is_not_green(self):
+        cell = run_cell(
+            TwoPhasePolicy(), "random_access",
+            partial(
+                grid_factory("random_access"), num_entities=8, num_txns=3,
             ),
-            seeds=(0, 1),
-        )
-        serial = run_grid(spec, workers=0)
-        parallel = run_grid(spec, workers=2)
-        assert len(serial) == 4  # cross product
-        assert serial == parallel
-
-    def test_streamed_progress_sees_every_cell(self):
-        spec = GridSpec(
-            policies=(PolicySpec(TwoPhasePolicy),),
-            workloads=(
-                WorkloadSpec("random_access", {
-                    "num_entities": 10, "num_txns": 4,
-                }),
-                WorkloadSpec("long_transaction", {
-                    "num_entities": 4, "num_short": 1,
-                }),
-            ),
-            seeds=(0, 1),
-        )
-        streamed = []
-        results = run_grid(spec, workers=2, progress=streamed.append)
-        # Cells may complete out of order; the returned list is in cell
-        # order and the streamed set matches it exactly.
-        assert sorted(c.workload for c in streamed) == sorted(
-            c.workload for c in results
-        )
-
-    def test_pairs_override_cross_product(self):
-        p1, p2 = PolicySpec(TwoPhasePolicy), PolicySpec(DdagPolicy)
-        w = WorkloadSpec("random_access", {"num_entities": 8, "num_txns": 3})
-        spec = GridSpec(pairs=((p1, w), (p2, w)), seeds=(0,))
-        assert [pw for pw in spec.cells()] == [(p1, w), (p2, w)]
-
-    def test_unspawnable_main_fails_fast(self, monkeypatch):
-        """A __main__ whose __file__ does not exist (stdin/heredoc script)
-        cannot be re-imported by spawn workers; the pool would respawn
-        crashing workers forever.  run_grid must refuse up front, naming
-        the start method."""
-        import types
-
-        import repro.sim.grid as grid_module
-
-        def no_pool(method):
-            raise AssertionError(f"a {method!r} pool was started")
-
-        # Were the check skipped, the test fails here instead of hanging.
-        monkeypatch.setattr(grid_module.multiprocessing, "get_context", no_pool)
-        fake_main = types.ModuleType("__main__")
-        fake_main.__file__ = "/tmp/<stdin>"
-        fake_main.__spec__ = None
-        monkeypatch.setitem(sys.modules, "__main__", fake_main)
-        spec = GridSpec(
-            policies=(PolicySpec(TwoPhasePolicy),),
-            workloads=(WorkloadSpec("random_access", {
-                "num_entities": 8, "num_txns": 3,
-            }),),
-            seeds=(0,),
-        )
-        with pytest.raises(RuntimeError, match="'spawn'.*workers=0"):
-            run_grid(spec, workers=2)
-        # the serial path stays available regardless of __main__
-        [cell] = run_grid(spec, workers=0)
-        assert cell.failures == 0
-
-    def test_empty_seed_grid_is_not_green(self):
-        spec = GridSpec(
-            policies=(PolicySpec(TwoPhasePolicy),),
-            workloads=(WorkloadSpec("random_access", {
-                "num_entities": 8, "num_txns": 3,
-            }),),
             seeds=(),
         )
-        [cell] = run_grid(spec, workers=0)
         assert cell.runs == 0
         assert cell.row()["serializable"] is False
 
 
 # ----------------------------------------------------------------------
-# 2. Cross-process factory determinism (the fan-out's soundness contract)
+# 2. Factory determinism, and every factory runs as a cell
 # ----------------------------------------------------------------------
 
 #: Small-but-nontrivial kwargs per registered factory.  Every registered
 #: name must appear here: a factory added without a determinism check is a
-#: hole in the grid's correctness contract, so the test fails loud.
+#: hole in the harness's correctness contract, so the test fails loud.
 FACTORY_CASES = {
     "stress": {"num_entities": 40, "num_txns": 20, "arrival_rate": 2.0},
     "deadlock_storm": {"num_entities": 30, "num_txns": 12},
@@ -194,12 +109,11 @@ FACTORY_CASES = {
 
 
 def _fingerprint(name: str, kwargs: dict, seed: int) -> dict:
-    """A picklable digest of a factory's output: item identities in order,
-    intent scripts, arrival ticks, restart presence, the initial state, and
-    the context kwarg names.  (The items themselves can hold closures —
-    restart strategies — so they never cross the process boundary; the grid
-    rebuilds them in the worker, which is exactly what this digest
-    verifies.)"""
+    """A comparable digest of a factory's output: item identities in
+    order, intent scripts, arrival ticks, restart presence, the initial
+    state, and the context kwarg names.  (The items themselves hold
+    closures — restart strategies — which compare by identity, so two
+    builds are compared through this digest.)"""
     items, initial, ctx = grid_factory(name)(seed, **kwargs)
     return {
         "items": [
@@ -211,47 +125,35 @@ def _fingerprint(name: str, kwargs: dict, seed: int) -> dict:
     }
 
 
-class TestCrossProcessDeterminism:
+class TestFactoryDeterminism:
     def test_every_factory_has_a_case(self):
         assert set(FACTORY_CASES) == set(GRID_FACTORIES), (
             "every registered grid factory needs a determinism case"
         )
 
     @pytest.mark.parametrize("name", sorted(FACTORY_CASES))
-    def test_spawned_worker_builds_identical_workload(self, name):
+    def test_same_seed_builds_identical_workload(self, name):
         kwargs = FACTORY_CASES[name]
-        local = [_fingerprint(name, kwargs, seed) for seed in (0, 7)]
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(1) as pool:
-            remote = [
-                pool.apply(_fingerprint, (name, kwargs, seed))
-                for seed in (0, 7)
-            ]
-        assert local == remote, (
-            f"{name}: same seed must build the same workload in a spawned "
-            f"worker as in-process"
+        first = [_fingerprint(name, kwargs, seed) for seed in (0, 7)]
+        again = [_fingerprint(name, kwargs, seed) for seed in (0, 7)]
+        assert first == again, (
+            f"{name}: the same seed must build the same workload"
         )
         # Different seeds actually vary the workload (the digest is not
         # degenerate).
-        assert local[0] != local[1]
+        assert first[0] != first[1]
 
     @pytest.mark.parametrize("name", sorted(FACTORY_CASES))
-    def test_every_factory_runs_in_a_spawned_worker(self, name):
-        """Each factory's whole cell, not just its digest, gives the same
-        rows from one spawned worker as in-process.  A spec that cannot
-        cross the process boundary fails here: a lambda policy constructor
-        does not pickle, and a factory registered anywhere but at import
-        time is unknown to the worker, which re-imports the registry
-        fresh."""
-        policy = DdagPolicy if "traversal" in name else TwoPhasePolicy
-        spec = GridSpec(
-            policies=(PolicySpec(policy),),
-            workloads=(WorkloadSpec(name, FACTORY_CASES[name]),),
+    def test_every_factory_runs_in_a_cell(self, name):
+        """Each factory's whole cell runs: DDAG over the traversal
+        factories (whose DAG context it needs), 2PL over the others."""
+        policy = DdagPolicy() if "traversal" in name else TwoPhasePolicy()
+        cell = run_cell(
+            policy, name, partial(grid_factory(name), **FACTORY_CASES[name]),
             seeds=(0, 1),
         )
-        serial = run_grid(spec, workers=0)
-        assert serial == run_grid(spec, workers=1)
-        assert serial[0].runs == 2
+        assert (cell.runs, cell.failures) == (2, 0)
+        assert cell.row()["serializable"] is True
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +165,9 @@ class TestRowVerdict:
     def test_row_verdict_is_a_bool(self):
         cell = run_cell(
             TwoPhasePolicy(), "long",
-            lambda seed: long_transaction_workload(4, 1, seed=seed),
+            partial(
+                grid_factory("long_transaction"), num_entities=4, num_short=1,
+            ),
             seeds=range(2),
         )
         assert cell.row()["serializable"] is True
@@ -281,7 +185,7 @@ class TestFailedSeeds:
             WorkloadItem("T1", [Access("a"), Access("b")]),
             WorkloadItem("T2", [Access("b"), Access("a")]),
         ]
-        return items, StructuralState.of("a", "b")
+        return items, StructuralState.of("a", "b"), {}
 
     def test_failed_seed_pairs_recorded(self):
         cell = run_cell(
@@ -304,7 +208,9 @@ class TestFailedSeeds:
     def test_successful_cell_has_no_failed_seeds_key(self):
         cell = run_cell(
             TwoPhasePolicy(), "long",
-            lambda seed: long_transaction_workload(4, 1, seed=seed),
+            partial(
+                grid_factory("long_transaction"), num_entities=4, num_short=1,
+            ),
             seeds=range(2),
         )
         assert cell.failed_seeds == ()

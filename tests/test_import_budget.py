@@ -41,14 +41,13 @@ def offenders(loaded, excluded) -> list:
 
 BUDGETS = {
     "from repro.service import LockService": (
-        "repro.sim.scheduler", "repro.sim.grid", "repro.policies",
-        "repro.core.schedules", "repro.core.canonical",
-        "multiprocessing", "statistics",
+        "repro.sim.scheduler", "repro.policies",
+        "repro.core.schedules", "repro.core.canonical", "statistics",
     ),
     "from repro.sim import Simulator": (
-        "repro.sim.grid", "repro.sim.runner", "repro.sim.artifacts",
+        "repro.sim.runner", "repro.sim.artifacts",
         "repro.core.canonical", "repro.core.safety", "repro.core.completion",
-        "repro.kernel.core", "multiprocessing", "statistics",
+        "repro.kernel.core", "statistics",
     ),
 }
 
@@ -62,7 +61,7 @@ def test_entry_point_loads_within_budget(statement):
 def test_budget_sees_what_it_excludes():
     """The check itself: a full import loads every excluded module."""
     loaded = loaded_after(
-        "import repro.sim.grid, repro.sim.artifacts, repro.core.safety, "
+        "import repro.sim.runner, repro.sim.artifacts, repro.core.safety, "
         "repro.kernel.core, repro.policies, repro.service"
     )
     for excluded in BUDGETS.values():

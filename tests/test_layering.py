@@ -65,8 +65,8 @@ LAYER_RULES = (
     # The kernel absorbs sim's *state* layers; the drivers and the
     # reference oracle stay strictly above it.
     ("repro.kernel", (
-        "repro.sim.scheduler", "repro.sim.runner", "repro.sim.grid",
-        "repro.sim.workloads", "repro.sim.reference", "repro.sim.artifacts",
+        "repro.sim.scheduler", "repro.sim.runner", "repro.sim.workloads",
+        "repro.sim.reference", "repro.sim.artifacts",
         "repro.service", "repro.enumeration", "repro.verify", "repro.viz",
         "repro.bench",
     )),

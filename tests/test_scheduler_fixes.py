@@ -22,6 +22,8 @@ plus direct unit coverage of the deadlock machinery
 (``find_cycle`` / ``pick_victim``) and the livelock error path.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.core import LockMode, Operation, Step, StructuralState
@@ -38,7 +40,13 @@ from repro.policies.base import (
     ScriptedSession,
     access_steps,
 )
-from repro.sim import LockTable, Simulator, WorkloadItem, run_cell
+from repro.sim import (
+    LockTable,
+    Simulator,
+    WorkloadItem,
+    grid_factory,
+    run_cell,
+)
 from repro.sim.deadlock import find_cycle, pick_victim
 from repro.sim.event_log import EventLog
 from repro.sim.live import LiveEntry
@@ -295,7 +303,7 @@ class TestRunCellZeroRuns:
                 WorkloadItem("T1", [Access("a"), Access("b")]),
                 WorkloadItem("T2", [Access("b"), Access("a")]),
             ]
-            return items, StructuralState.of("a", "b")
+            return items, StructuralState.of("a", "b"), {}
 
         cell = run_cell(
             TwoPhasePolicy(), "doomed", factory, seeds=range(3), max_ticks=2
@@ -311,11 +319,9 @@ class TestRunCellZeroRuns:
 
 class TestRowSurfacesStdevs:
     def test_row_includes_sd_columns(self):
-        from repro.sim import long_transaction_workload
-
-        def factory(seed):
-            return long_transaction_workload(5, 2, seed=seed)
-
+        factory = partial(
+            grid_factory("long_transaction"), num_entities=5, num_short=2,
+        )
         cell = run_cell(TwoPhasePolicy(), "long", factory, seeds=range(4))
         row = cell.row()
         for k, v in cell.stdevs.items():

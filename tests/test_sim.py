@@ -1,5 +1,7 @@
 """Tests for the concurrency simulator substrate."""
 
+from functools import partial
+
 import pytest
 
 from repro.core import LockMode, StructuralState, is_serializable
@@ -10,6 +12,7 @@ from repro.sim import (
     Simulator,
     WorkloadItem,
     format_table,
+    grid_factory,
     long_transaction_workload,
     run_cell,
 )
@@ -102,9 +105,9 @@ class TestSimulator:
 
 class TestRunner:
     def test_run_cell_aggregates(self):
-        def factory(seed):
-            return long_transaction_workload(5, 2, seed=seed)
-
+        factory = partial(
+            grid_factory("long_transaction"), num_entities=5, num_short=2,
+        )
         cell = run_cell(TwoPhasePolicy(), "long", factory, seeds=range(4))
         assert cell.runs == 4 and cell.failures == 0
         assert cell.all_serializable
@@ -118,7 +121,7 @@ class TestRunner:
                 WorkloadItem("T1", [Access("a"), Access("b")]),
                 WorkloadItem("T2", [Access("b"), Access("a")]),
             ]
-            return items, StructuralState.of("a", "b")
+            return items, StructuralState.of("a", "b"), {}
 
         cell = run_cell(FreeForAllPolicy(), "race", factory, seeds=range(30))
         assert not cell.all_serializable

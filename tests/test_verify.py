@@ -1,5 +1,7 @@
 """Tests for the policy verifier."""
 
+from functools import partial
+
 from repro.core import StructuralState
 from repro.policies import (
     Access,
@@ -9,12 +11,12 @@ from repro.policies import (
     TwoPhasePolicy,
     check_altruistic_schedule,
 )
-from repro.sim import WorkloadItem, long_transaction_workload
+from repro.sim import WorkloadItem, grid_factory
 from repro.verify import verify_policy, verify_system
 
-
-def _long_factory(seed):
-    return long_transaction_workload(6, 2, seed=seed)
+_long_factory = partial(
+    grid_factory("long_transaction"), num_entities=6, num_short=2,
+)
 
 
 def _race_factory(seed):
@@ -22,7 +24,7 @@ def _race_factory(seed):
         WorkloadItem("T1", [Access("a"), Access("b")]),
         WorkloadItem("T2", [Access("b"), Access("a")]),
     ]
-    return items, StructuralState.of("a", "b")
+    return items, StructuralState.of("a", "b"), {}
 
 
 class TestVerifyPolicy:
@@ -57,7 +59,7 @@ class TestVerifyPolicy:
                 WorkloadItem("LONG", [Access("a"), Access("b"), Access("c")]),
                 WorkloadItem("S", [Access("c"), Access("a")]),
             ]
-            return items, StructuralState.of("a", "b", "c")
+            return items, StructuralState.of("a", "b", "c"), {}
 
         report = verify_policy(BrokenAltruisticPolicy(), factory, seeds=range(60))
         assert not report.ok
