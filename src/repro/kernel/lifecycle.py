@@ -27,8 +27,11 @@ where the events that decide it happen, never in the classify phase:
   of that entity's queue (blocked waiters' edges extend; runnable
   sessions whose queued mode now conflicts block in place, sharing one
   blocker query per wanted mode), and every release — an unlock, a
-  commit, an abort — hands its wake-up set to ``Classifier.wake``
-  (blocked waiters become runnable in place; runnable ones are skipped).
+  commit, an abort — hands its wake-up set, when it is not empty, to
+  ``Classifier.wake`` (blocked waiters become runnable in place;
+  runnable ones are skipped).  An unlock asks
+  ``LockTable.would_weaken`` once, before the release; the release
+  reads the same rule off the grant it removes.
 
 Sessions whose verdict needs the policy are marked dirty for the next
 classify phase instead; their own step leaves them RUNNABLE and in the
@@ -153,8 +156,8 @@ class KernelRun:
         # A policy that commits while still holding locks used to leak them
         # forever (later sessions then livelocked with a SimulationError);
         # commit now implies strictness for whatever is still held.
-        released, woken = self.table.release_all_wake(name)
-        if released:
+        _, woken = self.table.release_all_wake(name)
+        if woken:
             self.classifier.wake(woken)
 
     def abort(self, victim: LiveEntry, reason: str) -> None:
@@ -164,7 +167,8 @@ class KernelRun:
         victim.session.on_abort()
         self._forget(victim)
         _, woken = self.table.release_all_wake(name)
-        self.classifier.wake(woken)
+        if woken:
+            self.classifier.wake(woken)
         self.log.erase(name)
 
         def drop() -> None:
@@ -216,7 +220,9 @@ class KernelRun:
             classifier.acquired(name, step.entity)
         elif op.is_unlock and mode is not None:
             weakened = self.table.would_weaken(name, step.entity, mode)
-            classifier.wake(self.table.release(name, step.entity, mode))
+            woken = self.table.release(name, step.entity, mode)
+            if woken:
+                classifier.wake(woken)
             if weakened:
                 classifier.refresh_lock_edges(name, step.entity)
         self.log.record(name, Event(name, entry.step_count, step))

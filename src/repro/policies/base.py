@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple, Union
 
 from ..core.operations import Operation
 from ..core.steps import Entity, Step
@@ -308,8 +308,12 @@ class ScriptedSession(PolicySession):
     dynamic = False
 
     def __init__(self, name: str, steps: Sequence[Step]):
-        super().__init__(name)
-        self._steps: List[Step] = list(steps)
+        # The script is kept, not copied (the caller built it for this
+        # session, and nothing here writes to it), and ``name`` is stored
+        # directly: a session per admitted transaction is built on the
+        # simulator's hot path.
+        self.name = name
+        self._steps = steps
         self._cursor = 0
         self._structural = False
 

@@ -11,7 +11,7 @@ which is precisely the problem altruistic locking attacks).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.operations import Operation
 from ..core.steps import Entity, Step
@@ -28,74 +28,33 @@ from .base import (
     Read,
     ScriptedSession,
     Write,
-    access_steps,
     edge_entity,
 )
 
-
-def _classify(intents: Sequence[Intent], use_shared: bool) -> Tuple[List[Entity], List[Entity]]:
-    """Split touched entities into (exclusive, shared) lock lists, in first
-    use order (membership is tested on a set beside each list)."""
-    exclusive: List[Entity] = []
-    shared: List[Entity] = []
-    exclusive_set: Set[Entity] = set()
-    shared_set: Set[Entity] = set()
-
-    def need_x(e: Entity) -> None:
-        if e in shared_set:
-            shared_set.discard(e)
-            shared.remove(e)
-        if e not in exclusive_set:
-            exclusive_set.add(e)
-            exclusive.append(e)
-
-    def need_s(e: Entity) -> None:
-        if e not in shared_set and e not in exclusive_set:
-            shared_set.add(e)
-            shared.append(e)
-
-    for intent in intents:
-        if isinstance(intent, Read):
-            (need_s if use_shared else need_x)(intent.entity)
-        elif isinstance(intent, (Access, Write)):
-            need_x(intent.entity)
-        elif isinstance(intent, InsertNode):
-            need_x(intent.node)
-            for p in intent.parents:
-                need_x(edge_entity(p, intent.node))
-                need_x(p)
-        elif isinstance(intent, DeleteNode):
-            need_x(intent.node)
-        elif isinstance(intent, (InsertEdge, DeleteEdge)):
-            need_x(edge_entity(intent.u, intent.v))
-            need_x(intent.u)
-            need_x(intent.v)
-        else:
-            raise TypeError(f"unknown intent {intent!r}")
-    return exclusive, shared
+_LX = Operation.LOCK_EXCLUSIVE
+_LS = Operation.LOCK_SHARED
+_UX = Operation.UNLOCK_EXCLUSIVE
+_US = Operation.UNLOCK_SHARED
+_READ = Operation.READ
+_WRITE = Operation.WRITE
+_INSERT = Operation.INSERT
+_DELETE = Operation.DELETE
 
 
-def _data_steps(intent: Intent) -> Tuple[Step, ...]:
-    """The data steps realising one intent."""
-    if isinstance(intent, Access):
-        return access_steps(intent.entity)
-    if isinstance(intent, Read):
-        return (Step(Operation.READ, intent.entity),)
-    if isinstance(intent, Write):
-        return (Step(Operation.WRITE, intent.entity),)
-    if isinstance(intent, InsertNode):
-        steps = [Step(Operation.INSERT, intent.node)]
-        steps.extend(
-            Step(Operation.INSERT, edge_entity(p, intent.node)) for p in intent.parents
-        )
-        return tuple(steps)
-    if isinstance(intent, DeleteNode):
-        return (Step(Operation.DELETE, intent.node),)
-    if isinstance(intent, InsertEdge):
-        return (Step(Operation.INSERT, edge_entity(intent.u, intent.v)),)
-    if isinstance(intent, DeleteEdge):
-        return (Step(Operation.DELETE, edge_entity(intent.u, intent.v)),)
-    raise TypeError(f"unknown intent {intent!r}")
+def _upgrade(
+    steps: List[Step],
+    held: Dict[Entity, Optional[Operation]],
+    entity: Entity,
+    incremental: bool,
+) -> None:
+    """An exclusive need of an entity the script so far locks shared: its
+    lock is exclusive from the start (a lock's mode is the strongest the
+    script needs), and its unlock moves to the exclusive ones, after those
+    needed exclusively before it."""
+    del held[entity]
+    held[entity] = _LX
+    if incremental:
+        steps[steps.index(Step(_LS, entity))] = Step(_LX, entity)
 
 
 class TwoPhaseContext(PolicyContext):
@@ -106,33 +65,95 @@ class TwoPhaseContext(PolicyContext):
         self.conservative = conservative
 
     def begin(self, name: str, intents: Sequence[Intent]) -> PolicySession:
-        exclusive, shared = _classify(intents, self.use_shared_locks)
+        """Script the locked transaction in one pass over ``intents``.
+
+        Every intent names one entity its data steps act on (an edge
+        intent's edge entity, an inserted node) and may need exclusive
+        locks on more: an edge's endpoints, and an inserted node's parents
+        and its edges to them.  ``held`` maps each entity the script locks
+        to its lock operation in first-need order (an upgrade moves the
+        entity to the end), and the unlocks are read from it: the
+        exclusive ones, then the shared ones.  In the incremental
+        variants ``None`` marks an inserted node's edge between its need
+        and its insert.  The incremental variant (the default, the classic
+        baseline whose long-transaction blocking the altruistic policy was
+        designed to relieve) locks an entity just before its first data
+        step, and an edge's endpoints and an inserted node's parents just
+        before the intent's first data step; the conservative
+        (deadlock-averse) variant takes every lock up front.  Either way
+        every lock is held to commit."""
+        incremental = not self.conservative
+        read_lock = _LS if self.use_shared_locks else _LX
         steps: List[Step] = []
-        if self.conservative:
-            # Acquire everything up front (deadlock-averse variant).
-            steps.extend(Step(Operation.LOCK_EXCLUSIVE, e) for e in exclusive)
-            steps.extend(Step(Operation.LOCK_SHARED, e) for e in shared)
-            for intent in intents:
-                steps.extend(_data_steps(intent))
+        append = steps.append
+        held: Dict[Entity, Optional[Operation]] = {}
+        for intent in intents:
+            kind = type(intent)
+            second: Optional[Operation] = None
+            also: Sequence[Entity] = ()
+            if kind is Access:
+                entity, lock, first, second = intent.entity, _LX, _READ, _WRITE
+            elif kind is Read:
+                entity, lock, first = intent.entity, read_lock, _READ
+            elif kind is Write:
+                entity, lock, first = intent.entity, _LX, _WRITE
+            elif kind is DeleteNode:
+                entity, lock, first = intent.node, _LX, _DELETE
+            elif kind is InsertNode:
+                entity, lock, first, also = intent.node, _LX, _INSERT, intent.parents
+            elif kind is InsertEdge or kind is DeleteEdge:
+                u, v = intent.u, intent.v
+                entity, lock, also = edge_entity(u, v), _LX, (u, v)
+                first = _INSERT if kind is InsertEdge else _DELETE
+            else:
+                raise TypeError(f"unknown intent {intent!r}")
+            have = held.get(entity)
+            if have is None:
+                held[entity] = lock
+                if incremental:
+                    append(Step(lock, entity))
+            elif have is not lock and lock is _LX:
+                _upgrade(steps, held, entity, incremental)
+            if also:  # empty for most intents: no iterator to build
+                for other in also:
+                    if kind is InsertNode:
+                        edge = edge_entity(other, entity)
+                        if edge not in held:
+                            held[edge] = None if incremental else _LX
+                        elif held[edge] is _LS:
+                            _upgrade(steps, held, edge, incremental)
+                    have = held.get(other)
+                    if have is None:
+                        held[other] = _LX
+                        if incremental:
+                            append(Step(_LX, other))
+                    elif have is _LS:
+                        _upgrade(steps, held, other, incremental)
+            append(Step(first, entity))
+            if second is not None:
+                append(Step(second, entity))
+            if also and kind is InsertNode:
+                for parent in also:
+                    edge = edge_entity(parent, entity)
+                    if held[edge] is None:
+                        held[edge] = _LX
+                        append(Step(_LX, edge))
+                    append(Step(_INSERT, edge))
+        if not incremental:
+            locks = [Step(_LX, e) for e, op in held.items() if op is _LX]
+            if read_lock is _LS:
+                locks.extend(Step(_LS, e) for e, op in held.items() if op is _LS)
+            steps[:0] = locks
+        if read_lock is _LX:
+            for e in held:
+                append(Step(_UX, e))
         else:
-            # Incremental strict 2PL: lock at first use, hold to commit —
-            # the classic baseline whose long-transaction blocking the
-            # altruistic policy was designed to relieve.
-            shared_set = set(shared)
-            locked: Set[Entity] = set()
-            for intent in intents:
-                for data in _data_steps(intent):
-                    if data.entity not in locked:
-                        mode = (
-                            Operation.LOCK_SHARED
-                            if data.entity in shared_set
-                            else Operation.LOCK_EXCLUSIVE
-                        )
-                        steps.append(Step(mode, data.entity))
-                        locked.add(data.entity)
-                    steps.append(data)
-        steps.extend(Step(Operation.UNLOCK_EXCLUSIVE, e) for e in exclusive)
-        steps.extend(Step(Operation.UNLOCK_SHARED, e) for e in shared)
+            for e, op in held.items():
+                if op is _LX:
+                    append(Step(_UX, e))
+            for e, op in held.items():
+                if op is _LS:
+                    append(Step(_US, e))
         return ScriptedSession(name, steps)
 
 

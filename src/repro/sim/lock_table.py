@@ -147,14 +147,14 @@ class LockTable:
         """Remove one mode grant; True only if ``txn``'s *effective* hold on
         ``entity`` weakened (holder gone, or EXCLUSIVE downgraded to
         SHARED) — releasing the SHARED half of an upgrade changes nothing a
-        waiter could be granted on, so it must not produce wake-ups.  The
-        weaken rule itself lives in :meth:`would_weaken`."""
-        weakened = self.would_weaken(txn, entity, mode)
+        waiter could be granted on, so it must not produce wake-ups.  This
+        is :meth:`would_weaken`'s rule, read off the grant just removed."""
         current = self._holders.get(entity)
         modes = current.get(txn) if current is not None else None
         if modes is None or mode not in modes:
             return False
         modes.discard(mode)
+        weakened = mode is LockMode.EXCLUSIVE or not modes
         if mode is LockMode.EXCLUSIVE:
             self._unindex_exclusive(txn, entity)
         if not modes:
@@ -176,16 +176,15 @@ class LockTable:
 
     def would_weaken(self, txn: str, entity: Entity, mode: LockMode) -> bool:
         """Whether releasing ``mode`` would weaken ``txn``'s effective hold
-        on ``entity``.  The single home of the weaken rule: :meth:`_drop`
-        returns this predicate after mutating, and the scheduler queries it
-        up front to skip waits-for edge maintenance for releases that
-        change nothing a waiter could be granted on."""
+        on ``entity``: the grant is held and is the last one, or it is the
+        EXCLUSIVE half of an upgrade.  The kernel asks it up front to skip
+        waits-for edge maintenance for releases that change nothing a
+        waiter could be granted on; :meth:`_drop` applies the same rule to
+        the grant it removes instead of asking again."""
         modes = self._holders.get(entity, {}).get(txn)
         if not modes or mode not in modes:
             return False
-        if len(modes) == 1:
-            return True
-        return self._effective(modes) is not self._effective(modes - {mode})
+        return len(modes) == 1 or mode is LockMode.EXCLUSIVE
 
     def release(self, txn: str, entity: Entity, mode: LockMode) -> List[str]:
         """Release one mode grant; returns the wake-up set — the waiters on
