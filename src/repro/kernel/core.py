@@ -451,8 +451,11 @@ class LockKernel:
         seen: Set[str] = set()
         # SHARED before EXCLUSIVE: dropping the weaker half of an upgrade
         # first keeps the strongest-mode view monotone while we unwind.
+        # That half weakens nothing (``None``); the last grant to go
+        # always weakens the hold, so the waiters are re-derived once,
+        # after it.
         for mode in sorted(modes, key=lambda m: m is LockMode.EXCLUSIVE):
-            for w in self.table.release(txn, entity, mode):
+            for w in self.table.release(txn, entity, mode) or ():
                 if w not in seen:
                     seen.add(w)
                     woken.append(w)

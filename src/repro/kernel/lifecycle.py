@@ -29,9 +29,18 @@ where the events that decide it happen, never in the classify phase:
   blocker query per wanted mode), and every release — an unlock, a
   commit, an abort — hands its wake-up set, when it is not empty, to
   ``Classifier.wake`` (blocked waiters become runnable in place;
-  runnable ones are skipped).  An unlock asks
-  ``LockTable.would_weaken`` once, before the release; the release
-  reads the same rule off the grant it removes.
+  runnable ones are skipped).  Only an unlock whose release weakened
+  the hold (not ``None``) refreshes the remaining waiters' edges.
+
+A commit and an abort leave through one teardown, ``_depart``, which
+clears each structure once: ``Classifier.clear`` (nothing for a drained
+script, which ``settle`` cleared; edges only for a blocked session, the
+only kind with any), the edges aimed at the leaver
+(``WaitsForGraph.remove_inbound``), its routing state and its locks.
+Blocked ticks are credited only where a wait ends (a wake, a
+re-derivation, a victim pick): accrual is an idempotent catch-up
+(``through - accrued_to``) and every transition out of a wait accrues
+first, so a catch-up at a blocker's departure would change no total.
 
 Sessions whose verdict needs the policy are marked dirty for the next
 classify phase instead; their own step leaves them RUNNABLE and in the
@@ -152,23 +161,14 @@ class KernelRun:
         m.committed += 1
         self.committed.append(name)
         del self.live[name]
-        self._forget(entry)
-        # A policy that commits while still holding locks used to leak them
-        # forever (later sessions then livelocked with a SimulationError);
-        # commit now implies strictness for whatever is still held.
-        _, woken = self.table.release_all_wake(name)
-        if woken:
-            self.classifier.wake(woken)
+        self._depart(entry)
 
     def abort(self, victim: LiveEntry, reason: str) -> None:
         m = self.metrics
         name = victim.item.name
         m.aborted += 1
         victim.session.on_abort()
-        self._forget(victim)
-        _, woken = self.table.release_all_wake(name)
-        if woken:
-            self.classifier.wake(woken)
+        self._depart(victim)
         self.log.erase(name)
 
         def drop() -> None:
@@ -219,11 +219,10 @@ class KernelRun:
             # waiters' edges extend.
             classifier.acquired(name, step.entity)
         elif op.is_unlock and mode is not None:
-            weakened = self.table.would_weaken(name, step.entity, mode)
             woken = self.table.release(name, step.entity, mode)
-            if woken:
-                classifier.wake(woken)
-            if weakened:
+            if woken is not None:  # the hold weakened
+                if woken:
+                    classifier.wake(woken)
                 classifier.refresh_lock_edges(name, step.entity)
         self.log.record(name, Event(name, entry.step_count, step))
         entry.step_count += 1
@@ -249,20 +248,19 @@ class KernelRun:
             self.cache.dirty.add(name)
         # A dynamic session is re-examined every tick anyway.
 
-    def _forget(self, entry: LiveEntry) -> None:
-        """Drop every piece of engine bookkeeping for this incarnation."""
+    def _depart(self, entry: LiveEntry) -> None:
+        """Tear this incarnation down, each structure once (see the module
+        docstring): whatever it still holds is released, so a commit
+        implies strictness, and the wake-up set is woken."""
         name = entry.item.name
         self.classifier.clear(entry)
-        # Eagerly prune inbound waits-for edges: a departed session blocks
-        # nobody, and a restarted incarnation under the same name must not
-        # inherit edges aimed at its predecessor.  The waiters' lazy
-        # accounting is caught up through the previous tick first (if this
-        # departure is their wake-up, re-classification will cover the
-        # current tick; if it is not, a later accrual point will).
-        waiters = self.graph.forget(name)
-        if waiters:
-            self.classifier.accrue_many(waiters, self.metrics.ticks - 1)
+        # A restarted incarnation under the same name must not inherit
+        # edges aimed at its predecessor.
+        self.graph.remove_inbound(name)
         self.cache.forget(name)
+        _, woken = self.table.release_all_wake(name)
+        if woken:
+            self.classifier.wake(woken)
 
 
 class _Unclassified:

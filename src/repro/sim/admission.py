@@ -79,8 +79,10 @@ of this is exact because acquires happen only in phase 3 and a session's
 own acquire comes before its own classification: from each event to the
 next classify phase the table can only weaken, and the release that
 weakens it wakes whoever it unblocks, so no verdict can flip back before
-the naive engine would observe it.  Blocked ticks are credited through
-the last tick the naive engine observed (:attr:`Classifier.observed`):
+the naive engine would observe it.  Blocked ticks are credited where a
+wait ends (a wake, a re-derivation, a victim pick; never at a blocker's
+departure), through the last tick the naive engine observed
+(:attr:`Classifier.observed`):
 ``ticks - 1`` from the start of a tick (arrivals, phase 1), ``ticks``
 from phase 2 on (its aborts, the deadlock phase, phase 3); a session
 that enters LOCK_WAIT starts accruing right after it.
@@ -304,12 +306,13 @@ class AdmissionCache:
             self.dynamic.add(name)
 
     def forget(self, name: str) -> None:
-        """Drop every piece of routing state for a departed session."""
+        """Drop every piece of routing state for a departed session (its
+        runnable-index entry goes with its classification:
+        :meth:`Classifier.clear`)."""
         self.dirty.discard(name)
         self.dynamic.discard(name)
         self.complete.discard(name)
         self.phase1.discard(name)
-        self.runnable.discard(name)
         self.subscribe(name, ())
 
     # ------------------------------------------------------------------
@@ -430,42 +433,25 @@ class Classifier:
             self.metrics.accrue_blocked(entry.record, lock_wait, skipped)
             entry.accrued_to = through
 
-    def accrue_many(self, names: Iterable[str], through: int) -> None:
-        """:meth:`accrue` for each live one of ``names`` — a departed
-        blocker's waiters — in one loop, crediting the metrics once."""
-        live = self.live
-        lock_ticks = policy_ticks = 0
-        for name in names:
-            entry = live.get(name)
-            if entry is None:
-                continue
-            skipped = through - entry.accrued_to
-            if skipped <= 0:
-                continue
-            state = entry.state
-            if state == LOCK_WAIT:
-                lock_ticks += skipped
-            elif state == POLICY_WAIT:
-                policy_ticks += skipped
-            else:
-                continue
-            entry.record.blocked_ticks += skipped
-            entry.accrued_to = through
-        m = self.metrics
-        m.lock_wait_observations += lock_ticks
-        m.policy_wait_observations += policy_ticks
-
     # ------------------------------------------------------------------
     # Classification transitions
     # ------------------------------------------------------------------
 
     def clear(self, entry: LiveEntry) -> None:
-        """Tear down the session's cached classification: runnable flag,
-        outgoing waits-for edges, pending-lock registration."""
+        """Tear down the session's cached classification: the runnable
+        index for a RUNNABLE entry, the outgoing waits-for edges for a
+        blocked one (only a blocked session has any), and the
+        pending-lock registration.  A NEW entry has none of these — it is
+        unclassified, or already cleared (a drained script, by
+        :meth:`settle`) — so it returns at once."""
+        state = entry.state
+        if state == NEW:
+            return
         name = entry.item.name
-        if entry.state == RUNNABLE:
+        if state == RUNNABLE:
             self.cache.runnable.discard(name)
-        self.graph.drop_edges(name)
+        else:
+            self.graph.drop_edges(name)
         self.table.remove_waiter(name)
         entry.state = NEW
 

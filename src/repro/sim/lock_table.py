@@ -18,7 +18,8 @@ kernel:
   engine every pending lock, blocked or not, from its classification until
   it is cleared; :meth:`release` and :meth:`release_all_wake` return the
   *wake-up set* — the queued names whose requested mode is grantable on an
-  entity whose holder set weakened — so the scheduler re-examines exactly
+  entity whose holder set weakened (:meth:`release` returns ``None``
+  when the hold did not weaken) — so the scheduler re-examines exactly
   the sessions a release might have unblocked instead of rescanning every
   live session each tick.  When the release leaves the entity with no
   holder, the wake-up set is the whole queue, read without a conflict
@@ -147,8 +148,7 @@ class LockTable:
         """Remove one mode grant; True only if ``txn``'s *effective* hold on
         ``entity`` weakened (holder gone, or EXCLUSIVE downgraded to
         SHARED) — releasing the SHARED half of an upgrade changes nothing a
-        waiter could be granted on, so it must not produce wake-ups.  This
-        is :meth:`would_weaken`'s rule, read off the grant just removed."""
+        waiter could be granted on, so it must not produce wake-ups."""
         current = self._holders.get(entity)
         modes = current.get(txn) if current is not None else None
         if modes is None or mode not in modes:
@@ -174,26 +174,19 @@ class LockTable:
         if not exclusive:
             del self._exclusive[entity]
 
-    def would_weaken(self, txn: str, entity: Entity, mode: LockMode) -> bool:
-        """Whether releasing ``mode`` would weaken ``txn``'s effective hold
-        on ``entity``: the grant is held and is the last one, or it is the
-        EXCLUSIVE half of an upgrade.  The kernel asks it up front to skip
-        waits-for edge maintenance for releases that change nothing a
-        waiter could be granted on; :meth:`_drop` applies the same rule to
-        the grant it removes instead of asking again."""
-        modes = self._holders.get(entity, {}).get(txn)
-        if not modes or mode not in modes:
-            return False
-        return len(modes) == 1 or mode is LockMode.EXCLUSIVE
-
-    def release(self, txn: str, entity: Entity, mode: LockMode) -> List[str]:
-        """Release one mode grant; returns the wake-up set — the waiters on
-        ``entity`` (in arrival order) whose requested mode is grantable now
-        that the holder set weakened.  Waiters that still conflict with the
-        remaining holders are left queued and unwoken."""
+    def release(
+        self, txn: str, entity: Entity, mode: LockMode
+    ) -> Optional[List[str]]:
+        """Release one mode grant.  Returns ``None`` when ``txn``'s
+        effective hold did not weaken (the grant was not held, or it was
+        the SHARED half of an upgrade), so no waiter's blockers changed;
+        otherwise the wake-up set — the waiters on ``entity`` (in arrival
+        order) whose requested mode is grantable now, possibly none.
+        Waiters that still conflict with the remaining holders are left
+        queued and unwoken."""
         if self._drop(txn, entity, mode):
             return self._wake_set(txn, entity)
-        return []
+        return None
 
     def release_all_wake(self, txn: str) -> Tuple[List[Tuple[Entity, LockMode]], List[str]]:
         """Release every lock of ``txn`` and drop its queued request

@@ -94,9 +94,9 @@ class Metrics:
         """Credit ``ticks`` blocked-tick observations to ``record`` in one
         step — the event engine's accrue-on-demand accounting.  The naive
         engine adds +1 per blocked session per tick; the event engine skips
-        untouched sessions and catches their accounting up lazily (at
-        re-classification, when a blocker departs, and for cycle members at
-        victim-pick time), so the totals of both engines match exactly."""
+        untouched sessions and catches their accounting up lazily where a
+        wait ends (a wake, a re-classification, a victim pick), so the
+        totals of both engines match exactly."""
         if ticks <= 0:
             return
         record.blocked_ticks += ticks

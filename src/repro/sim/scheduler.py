@@ -321,14 +321,12 @@ class _Run(KernelRun):
         victim_name = pick_victim(cycle, live)
         m.deadlocks += 1
         m.deadlock_victims.append(victim_name)
-        # The cycle members' lazy accounting must be as fresh as the
-        # naive engine's every-blocked-session classification here
-        # (the victim's record is final after the abort).
-        for member in cycle:
-            entry = live.get(member)
-            if entry is not None:
-                self.classifier.accrue(entry, m.ticks)
-        self.abort(live[victim_name], "deadlock victim")
+        victim = live[victim_name]
+        # The abort ends the victim's wait, so its blocked ticks are
+        # credited through this tick, which the naive engine observed;
+        # the other members are credited where their waits end.
+        self.classifier.accrue(victim, m.ticks)
+        self.abort(victim, "deadlock victim")
 
     def _phase_execute(self) -> None:
         """Phase 3 — execute one step of one runnable session, seeded

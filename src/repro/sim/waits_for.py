@@ -145,8 +145,8 @@ class WaitsForGraph:
 
     def remove_inbound(self, name: str) -> Set[str]:
         """Eagerly prune every edge aimed *at* ``name`` (a departing
-        blocker blocks nobody); returns the waiters that held such an edge
-        so the caller can catch up their accounting."""
+        blocker blocks nobody); returns the waiters that held such an
+        edge."""
         waiters = self.blocked_by.pop(name, None)
         if not waiters:
             return set()
@@ -157,9 +157,11 @@ class WaitsForGraph:
         return waiters
 
     def forget(self, name: str) -> Set[str]:
-        """Drop every trace of ``name`` (departure/restart): outgoing and
-        inbound edges.  Returns the waiters whose edge at ``name`` was
-        pruned."""
+        """Drop every trace of ``name``: outgoing and inbound edges (the
+        service kernel's departure; the simulator's drops the leaver's
+        own edges with its classification and calls
+        :meth:`remove_inbound` alone).  Returns the waiters whose edge at
+        ``name`` was pruned."""
         self.drop_edges(name)
         return self.remove_inbound(name)
 

@@ -17,7 +17,7 @@ from repro.sim import (
     WaitsForGraph,
     WorkloadItem,
 )
-from repro.sim.admission import Classifier, LiveEntry
+from repro.sim.admission import NEW, Classifier, LiveEntry, OrderedNames
 
 
 def make_cache(live_names=("A", "B", "C")):
@@ -44,12 +44,13 @@ class TestRegistration:
         assert "A" not in cache.dirty
 
     def test_forget_clears_every_route(self):
+        # The runnable index goes with the classification
+        # (TestPendingLockRegistration::test_clear_undoes_what_the_state_holds).
         cache, _, _ = make_cache()
         cache.register("A", tracks_deps=True)
         cache.subscribe("A", ["ch1"])
-        cache.runnable.add("A")
         cache.forget("A")
-        assert not cache.dirty and not cache.phase1 and not cache.runnable
+        assert not cache.dirty and not cache.phase1
         assert cache.channel_subs == {} and cache.session_subs == {}
 
 
@@ -116,6 +117,47 @@ class TestPendingLockRegistration:
         assert list(table.queue("e1").items()) == []
         assert table.waiting_entity("A") is None
         assert not cache.runnable
+
+    def test_clear_undoes_what_the_state_holds(self, monkeypatch):
+        # R is RUNNABLE and queued on e2; W is LOCK_WAIT on H's e1 grant;
+        # N was never classified.  Each clear touches only what its
+        # entry's state holds.
+        live, metrics, table, graph = {}, Metrics(), LockTable(), WaitsForGraph()
+        cache = AdmissionCache(live, metrics)
+        classifier = Classifier(live, metrics, table, graph, cache)
+        table.acquire("H", "e1", LockMode.EXCLUSIVE)
+        for name, entity in (("H", "e3"), ("R", "e2"), ("W", "e1"), ("N", "e2")):
+            steps = [Step(Operation.LOCK_EXCLUSIVE, entity)]
+            live[name] = LiveEntry(
+                WorkloadItem(name, steps),
+                ScriptedSession(name, steps),
+                TxnRecord(name, start_tick=0),
+            )
+        classifier.settle(live["R"])
+        classifier.settle(live["W"])
+        assert graph.waits_for == {"W": {"H"}}
+        calls = []
+        for cls, method in (
+            (OrderedNames, "discard"),
+            (WaitsForGraph, "drop_edges"),
+            (LockTable, "remove_waiter"),
+        ):
+            def spy(self, name, _m=getattr(cls, method), _k=method):
+                calls.append((_k, name))
+                return _m(self, name)
+
+            monkeypatch.setattr(cls, method, spy)
+        classifier.clear(live["N"])
+        assert calls == [] and live["N"].state == NEW
+        classifier.clear(live["R"])
+        assert calls == [("discard", "R"), ("remove_waiter", "R")]
+        assert not cache.runnable and table.waiting_entity("R") is None
+        calls.clear()
+        classifier.clear(live["W"])
+        assert calls == [("drop_edges", "W"), ("remove_waiter", "W")]
+        assert graph.waits_for == {} and graph.blocked_by == {}
+        assert table.waiting_entity("W") is None
+        assert live["R"].state == live["W"].state == NEW
 
 
 class TestTickQueries:

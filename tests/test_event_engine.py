@@ -421,7 +421,7 @@ class TestWaitQueues:
         t = LockTable()
         t.acquire("T1", "a", LockMode.EXCLUSIVE)
         t.add_waiter("T2", "a", LockMode.EXCLUSIVE)
-        assert t.release("T1", "a", LockMode.SHARED) == []
+        assert t.release("T1", "a", LockMode.SHARED) is None
 
     def test_partial_upgrade_release_wakes_nobody(self):
         # Dropping the SHARED half of an upgrade leaves the EXCLUSIVE grant
@@ -431,7 +431,7 @@ class TestWaitQueues:
         t.acquire("T1", "a", LockMode.SHARED)
         t.acquire("T1", "a", LockMode.EXCLUSIVE)
         t.add_waiter("T2", "a", LockMode.SHARED)
-        assert t.release("T1", "a", LockMode.SHARED) == []
+        assert t.release("T1", "a", LockMode.SHARED) is None
         # Downgrading EXCLUSIVE -> SHARED is a real weakening: wake.
         t.acquire("T1", "a", LockMode.SHARED)
         assert t.release("T1", "a", LockMode.EXCLUSIVE) == ["T2"]
@@ -468,18 +468,25 @@ class TestWaitQueues:
         # T3 still conflicts with T2 on "a"; only T4 can actually go.
         assert woken == ["T4"]
 
-    def test_would_weaken_mirrors_release(self):
+    @pytest.mark.parametrize("held, released, weakens", [
+        ((), LockMode.SHARED, False),  # nothing held
+        ((LockMode.SHARED, LockMode.EXCLUSIVE), LockMode.SHARED, False),
+        ((LockMode.SHARED, LockMode.EXCLUSIVE), LockMode.EXCLUSIVE, True),
+        ((LockMode.SHARED,), LockMode.SHARED, True),
+        ((LockMode.SHARED,), LockMode.EXCLUSIVE, False),  # not held
+    ])
+    def test_release_says_whether_the_hold_weakened(
+        self, held, released, weakens
+    ):
+        # None when the hold did not weaken (the SHARED half of an
+        # upgrade, or a mode not held): the caller then skips the
+        # waiters' edge maintenance.  Otherwise the wake-up set, here
+        # empty: nobody is queued.
         t = LockTable()
-        assert not t.would_weaken("T1", "a", LockMode.SHARED)
-        t.acquire("T1", "a", LockMode.SHARED)
-        t.acquire("T1", "a", LockMode.EXCLUSIVE)
-        # Dropping the SHARED half of the upgrade changes nothing...
-        assert not t.would_weaken("T1", "a", LockMode.SHARED)
-        # ...dropping the EXCLUSIVE half is a real downgrade.
-        assert t.would_weaken("T1", "a", LockMode.EXCLUSIVE)
-        t.release("T1", "a", LockMode.EXCLUSIVE)
-        assert t.would_weaken("T1", "a", LockMode.SHARED)
-        assert not t.would_weaken("T1", "a", LockMode.EXCLUSIVE)
+        for mode in held:
+            t.acquire("T1", "a", mode)
+        woken = t.release("T1", "a", released)
+        assert woken == ([] if weakens else None)
 
     def test_waiter_modes_reports_requests(self):
         t = LockTable()

@@ -2,7 +2,8 @@
 
 :class:`repro.sim.LockTable` is checked op by op against
 :class:`ModelTable`, a deliberately naive restatement of its contract:
-every return value (wake-up sets, ``release_all_wake``'s released list
+every return value (wake-up sets, ``None`` for a release that weakens
+no hold, ``release_all_wake``'s released list
 and its order), every conflict answer (``blockers`` in holder order,
 ``grantable``), every view (``holders``, ``queue``, ``held_by``,
 ``waiting_entity``, ``locked_entities``) and the exclusive-holder index
@@ -73,10 +74,10 @@ class ModelTable:
 
     def release(self, txn, entity, mode):
         if mode not in self.held.get(entity, {}).get(txn, ()):
-            return []
+            return None
         before = self._drop(txn, entity, {mode})
         weakened = self.strongest(txn, entity) is not before
-        return self._wakes(txn, entity) if weakened else []
+        return self._wakes(txn, entity) if weakened else None
 
     def release_all_wake(self, txn):
         self.remove_waiter(txn)
@@ -193,7 +194,7 @@ def test_upgrade_release_semantics():
     t.acquire("T1", "a", S)
     t.acquire("T1", "a", X)
     t.add_waiter("T2", "a", S)
-    assert t.release("T1", "a", S) == []
+    assert t.release("T1", "a", S) is None
     assert t.release("T1", "a", X) == ["T2"]
 
 

@@ -262,7 +262,7 @@ class TestLockUpgrade:
         t.acquire("T1", "a", LockMode.SHARED)
         t.acquire("T1", "a", LockMode.EXCLUSIVE)  # self-upgrade
         assert t.modes_held("T1", "a") == {LockMode.SHARED, LockMode.EXCLUSIVE}
-        assert t.release("T1", "a", LockMode.SHARED) == []
+        assert t.release("T1", "a", LockMode.SHARED) is None
         # The exclusive grant must survive the shared release...
         assert t.mode_held("T1", "a") is LockMode.EXCLUSIVE
         assert t.blockers("T2", "a", LockMode.SHARED) == ["T1"]
