@@ -1,8 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Each bench module reproduces one figure/theorem of the paper: it prints the
-paper-vs-measured comparison (captured into EXPERIMENTS.md) and times a
-representative kernel with pytest-benchmark.
+paper-vs-measured comparison and asserts the shape the paper predicts.
 """
 
 from __future__ import annotations

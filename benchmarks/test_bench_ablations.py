@@ -95,16 +95,12 @@ def test_ablation_altruistic_donation():
           "policy behaves like 2PL")
 
 
-def test_bench_ablation_ddag_no_release(benchmark):
-    """Kernel: one hold-to-commit DDAG traversal run."""
-
-    def run():
-        dag = random_rooted_dag(10, 0.25, seed=3)
-        items, init = traversal_workload(dag, 6, 5, seed=3)
-        return Simulator(
-            DdagPolicy(auto_release=False), seed=3,
-            context_kwargs={"dag": dag.snapshot()},
-        ).run(items, init)
-
-    result = benchmark(run)
+def test_ablation_ddag_hold_to_commit_traversals_serializable():
+    """Without crab release, random-DAG traversals stay serializable."""
+    dag = random_rooted_dag(10, 0.25, seed=3)
+    items, init = traversal_workload(dag, 6, 5, seed=3)
+    result = Simulator(
+        DdagPolicy(auto_release=False), seed=3,
+        context_kwargs={"dag": dag.snapshot()},
+    ).run(items, init)
     assert is_serializable(result.schedule)

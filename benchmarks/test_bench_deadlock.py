@@ -29,33 +29,18 @@ small hot set, staggered arrivals) through **both** engines and asserts:
   counters and the victim sequences must be equal; a maintained graph
   that drifted from the per-tick rebuild can show up here.
 
-``BENCH_SMOKE_SCALE`` (a float in ``(0, 1]``, default 1) shrinks the
-transaction counts for CI smoke runs.  Results are written to
-``BENCH_deadlock_stress.json`` (the unified artifact schema — see
-benchmarks/README.md) in pytest's base temporary directory, so a run
-leaves nothing in the checkout; CI passes ``--basetemp`` and uploads it
-from there.
-
 Workloads are built through the registered grid factories
-(:data:`repro.sim.GRID_FACTORIES`) — the same by-name specs the parallel
-grid runner pickles — so this bench and the grid harness exercise one
-construction path.
+(:data:`repro.sim.GRID_FACTORIES`) — the same by-name specs
+``test_bench_grid.py`` hands to ``run_cell`` — so this bench and the grid
+harness exercise one construction path.
 """
 
-import os
 import time
 
 from conftest import banner
 
 from repro.policies import AltruisticPolicy, TwoPhasePolicy
-from repro.sim import Simulator, format_table, grid_factory, write_bench_artifact
-
-SCALE = float(os.environ.get("BENCH_SMOKE_SCALE", "1"))
-RESULTS_NAME = "BENCH_deadlock_stress.json"
-
-
-def _scaled(n: int) -> int:
-    return max(50, int(n * SCALE))
+from repro.sim import Simulator, format_table, grid_factory
 
 
 def _run_cell(name, policy_factory, build, structural_bound=False):
@@ -76,7 +61,7 @@ def _run_cell(name, policy_factory, build, structural_bound=False):
         start = time.perf_counter()
         result = sim.run(items, initial, validate=False)
         wall = time.perf_counter() - start
-        results[engine] = (result, wall)
+        results[engine] = result
         m = result.metrics
         rows.append({
             "workload": name,
@@ -95,7 +80,7 @@ def _run_cell(name, policy_factory, build, structural_bound=False):
          "classify_checks", "lock_transitions", "cycle_visits", "wall_s"],
     ))
 
-    naive, event = results["naive"][0], results["event"][0]
+    naive, event = results["naive"], results["event"]
     assert naive.schedule.events == event.schedule.events, (
         f"{name}: engines must produce identical schedules"
     )
@@ -118,7 +103,7 @@ def _run_cell(name, policy_factory, build, structural_bound=False):
     # A storm that does not storm proves nothing.
     assert naive.metrics.deadlocks > 0, f"{name}: expected waits-for cycles"
 
-    checks = {e: r.metrics.classify_checks for e, (r, _) in results.items()}
+    checks = {e: r.metrics.classify_checks for e, r in results.items()}
     ratio = checks["naive"] / max(1, checks["event"])
     em = event.metrics
     # One full re-derivation per executed step, admission and restart:
@@ -150,7 +135,6 @@ def _run_cell(name, policy_factory, build, structural_bound=False):
         "txns": num_txns,
         "ticks": naive.metrics.ticks,
         "deadlocks": naive.metrics.deadlocks,
-        "committed": naive.metrics.committed,
         "naive_checks": checks["naive"],
         "event_checks": checks["event"],
         "event_check_bound": bound if structural_bound else None,
@@ -158,18 +142,15 @@ def _run_cell(name, policy_factory, build, structural_bound=False):
         "ratio": round(ratio, 2),
         "cycle_detections": nm.cycle_detections,
         "cycle_visits": nm.cycle_visits,
-        "naive_wall_s": round(results["naive"][1], 3),
-        "event_wall_s": round(results["event"][1], 3),
     }
 
 
-def test_deadlock_storm_stress(tmp_path_factory):
+def test_deadlock_storm_stress():
     banner(
         "[scheduler] always-fresh waits-for graph: deadlock storms at "
-        f"{_scaled(1200)}/{_scaled(150)} txns (scale={SCALE:g})"
+        "1200/150 txns"
     )
     cells = []
-    suite_start = time.perf_counter()
 
     # 2PL storm: unordered two-access transactions, half the traffic on an
     # 8-entity hot set, arrivals just above service capacity.  Most ticks
@@ -180,7 +161,7 @@ def test_deadlock_storm_stress(tmp_path_factory):
         "2pl-deadlock-storm",
         TwoPhasePolicy,
         lambda: grid_factory("deadlock_storm")(
-            0, num_entities=600, num_txns=_scaled(1200), accesses_per_txn=2,
+            0, num_entities=600, num_txns=1200, accesses_per_txn=2,
             arrival_rate=0.4, hot_set_size=8, hot_traffic=0.5,
         ),
         structural_bound=True,
@@ -188,50 +169,39 @@ def test_deadlock_storm_stress(tmp_path_factory):
 
     # Altruistic storm: the same shape through a dynamic
     # (dependency-declaring) policy, so policy-wait edges and lock-wait
-    # edges mix in the cycles being detected.  The entity space scales
-    # with the transaction count to keep the contention density — and the
-    # storm — intact at smoke scale (the naive engine's O(live·donors)
-    # admission work is why this cell stays smaller than the 2PL one).
-    n = _scaled(150)
+    # edges mix in the cycles being detected.  The naive engine's
+    # O(live·donors) admission work is why this cell stays smaller than
+    # the 2PL one.
     cells.append(_run_cell(
         "altruistic-deadlock-storm",
         AltruisticPolicy,
         lambda: grid_factory("deadlock_storm")(
-            0, num_entities=n, num_txns=n, accesses_per_txn=2,
+            0, num_entities=150, num_txns=150, accesses_per_txn=2,
             arrival_rate=0.15, hot_set_size=8, hot_traffic=0.45,
         ),
     ))
 
-    results_path = tmp_path_factory.getbasetemp() / RESULTS_NAME
-    write_bench_artifact(
-        results_path, "deadlock_stress", cells, scale=SCALE,
-        wall_s=time.perf_counter() - suite_start,
-    )
     print(format_table(
         cells,
         ["workload", "txns", "ticks", "deadlocks", "naive_checks",
          "event_checks", "event_check_bound", "lock_transitions", "ratio",
          "cycle_detections", "cycle_visits"],
     ))
-    print(f"\nshape: no-runnable ticks no longer rescan the live set, lock "
-          f"events move the sessions they decide in place, and detections "
-          f"walk the maintained graph exactly as the naive engine walks "
-          f"its rebuild; results in {results_path}")
+    print("\nshape: no-runnable ticks no longer rescan the live set, lock "
+          "events move the sessions they decide in place, and detections "
+          "walk the maintained graph exactly as the naive engine walks "
+          "its rebuild")
 
 
-def test_bench_deadlock_kernel(benchmark):
-    """Kernel: one 200-transaction 2PL deadlock storm, event engine."""
+def test_2pl_deadlock_storm_ends_every_transaction():
+    """A 200-transaction 2PL deadlock storm, event engine."""
     items, initial, _ = grid_factory("deadlock_storm")(
         0, num_entities=100, num_txns=200, accesses_per_txn=2,
         arrival_rate=0.4, hot_set_size=6, hot_traffic=0.5,
     )
-
-    def run():
-        return Simulator(TwoPhasePolicy(), seed=0, max_ticks=500_000).run(
-            items, initial, validate=False
-        )
-
-    result = benchmark(run)
+    result = Simulator(TwoPhasePolicy(), seed=0, max_ticks=500_000).run(
+        items, initial, validate=False
+    )
     # Storm victims may exhaust their restart budget and drop; everything
     # else must commit, and cycles must actually have formed.
     assert result.metrics.committed + len(result.aborted) == 200

@@ -8,12 +8,8 @@ one :func:`repro.sim.run_cell` per cell over a registered workload factory
 every seed of every cell ran and that every row carries a real verdict:
 each seed's schedule is serializability-checked at this scale too, and
 every row says ``True``.
-
-``BENCH_SMOKE_SCALE`` (a float in ``(0, 1]``, default 1) shrinks the
-transaction counts for CI smoke runs.
 """
 
-import os
 from functools import partial
 
 from conftest import banner
@@ -21,12 +17,7 @@ from conftest import banner
 from repro.policies import AltruisticPolicy, TwoPhasePolicy
 from repro.sim import format_table, grid_factory, run_cell
 
-SCALE = float(os.environ.get("BENCH_SMOKE_SCALE", "1"))
 SEEDS = (0, 1, 2)
-
-
-def _scaled(n: int) -> int:
-    return max(50, int(n * SCALE))
 
 
 def _cells():
@@ -35,11 +26,11 @@ def _cells():
     not a cross product — the altruistic deadlock storm needs its own
     (smaller) tuning and is already covered by test_bench_deadlock.py."""
     open_stress = {
-        "num_entities": 2000, "num_txns": _scaled(1200),
+        "num_entities": 2000, "num_txns": 1200,
         "arrival_rate": 0.085, "hot_fraction": 0.0,
     }
     storm = {
-        "num_entities": 600, "num_txns": _scaled(1200),
+        "num_entities": 600, "num_txns": 1200,
         "accesses_per_txn": 2, "arrival_rate": 0.4,
         "hot_set_size": 8, "hot_traffic": 0.5,
     }
@@ -52,8 +43,8 @@ def _cells():
 
 def test_stress_grid_rows_carry_real_verdicts():
     banner(
-        f"[harness] stress grid at {_scaled(1200)} txns/cell, seeds "
-        f"{SEEDS[0]}-{SEEDS[-1]} (scale={SCALE:g})"
+        "[harness] stress grid at 1200 txns/cell, seeds "
+        f"{SEEDS[0]}-{SEEDS[-1]}"
     )
     cells = [
         run_cell(
@@ -76,18 +67,14 @@ def test_stress_grid_rows_carry_real_verdicts():
           "verified serializable")
 
 
-def test_bench_grid_kernel(benchmark):
-    """Kernel: one small grid (2 policies × 1 workload × 2 seeds)."""
+def test_small_grid_cells_have_no_failures():
+    """A small grid (2 policies x 1 workload x 2 seeds) fails no seed."""
     factory = partial(
         grid_factory("stress"),
         num_entities=200, num_txns=60, arrival_rate=0.5,
     )
-
-    def grid():
-        return [
-            run_cell(policy, "stress", factory, (0, 1), max_ticks=500_000)
-            for policy in (TwoPhasePolicy(), AltruisticPolicy())
-        ]
-
-    cells = benchmark(grid)
+    cells = [
+        run_cell(policy, "stress", factory, (0, 1), max_ticks=500_000)
+        for policy in (TwoPhasePolicy(), AltruisticPolicy())
+    ]
     assert all(c.failures == 0 for c in cells)

@@ -177,41 +177,29 @@ def test_event_engine_thousand_transaction_stress():
           "classification work independent of the live population")
 
 
-def test_bench_perf_stress_event_engine(benchmark):
-    """Kernel: one 300-transaction stress run under the event engine."""
+def test_stress_event_engine_commits_every_transaction():
+    """A 300-transaction 2PL stress run on the event engine commits all."""
     items, initial = stress_workload(100, 300, arrival_rate=2.0, seed=0)
-
-    def run():
-        return Simulator(TwoPhasePolicy(), seed=0).run(
-            items, initial, validate=False
-        )
-
-    result = benchmark(run)
+    result = Simulator(TwoPhasePolicy(), seed=0).run(
+        items, initial, validate=False
+    )
     assert result.metrics.committed == 300
 
 
-def test_bench_perf_altruistic_cell(benchmark):
-    """Kernel: one altruistic long-transaction run (sweep 16)."""
-
-    def run():
-        items, init = long_transaction_workload(
-            16, 5, short_length=2, seed=3, region="leading", short_start=40
-        )
-        return Simulator(AltruisticPolicy(), seed=3).run(items, init)
-
-    result = benchmark(run)
+def test_altruistic_long_transaction_run_serializable():
+    """One altruistic long-transaction run (sweep 16) is serializable."""
+    items, init = long_transaction_workload(
+        16, 5, short_length=2, seed=3, region="leading", short_start=40
+    )
+    result = Simulator(AltruisticPolicy(), seed=3).run(items, init)
     assert is_serializable(result.schedule)
 
 
-def test_bench_perf_ddag_cell(benchmark):
-    """Kernel: one DDAG traversal run (10-node DAG, 6 transactions)."""
-
-    def run():
-        dag = random_rooted_dag(10, 0.25, seed=3)
-        items, init = traversal_workload(dag, 6, 5, seed=3)
-        return Simulator(
-            DdagPolicy(), seed=3, context_kwargs={"dag": dag.snapshot()}
-        ).run(items, init)
-
-    result = benchmark(run)
+def test_ddag_traversal_run_serializable():
+    """One DDAG traversal run (10-node DAG, 6 transactions) is serializable."""
+    dag = random_rooted_dag(10, 0.25, seed=3)
+    items, init = traversal_workload(dag, 6, 5, seed=3)
+    result = Simulator(
+        DdagPolicy(), seed=3, context_kwargs={"dag": dag.snapshot()}
+    ).run(items, init)
     assert is_serializable(result.schedule)

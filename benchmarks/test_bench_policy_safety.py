@@ -111,6 +111,6 @@ def test_controls_flagged_unsafe():
         assert report.counterexample is not None
 
 
-def test_bench_policy_verification(benchmark):
-    """Kernel: one DDAG verification run (simulate + validate)."""
-    benchmark(lambda: verify_policy(DdagPolicy(), _ddag_factory, range(2)))
+def test_ddag_verification_run_passes():
+    """One DDAG verification run (simulate + validate, two seeds) is clean."""
+    assert verify_policy(DdagPolicy(), _ddag_factory, range(2)).ok

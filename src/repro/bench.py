@@ -11,16 +11,16 @@ must stay flat while the live population grows.  Examples::
     # CI smoke: reduced and overloaded
     python -m repro.bench scaling --scale 0.1 --arrival-rate 0.25 --out BENCH_x.json
 
-``--scale`` shrinks the transaction counts exactly like the benches'
-``BENCH_SMOKE_SCALE``; non-positive values are rejected at parse time.
+``--scale`` multiplies the transaction counts (floor 50); non-positive
+values are rejected at parse time.
 
 ``--compare OLD.json NEW.json`` diffs two artifacts of the same bench
-row by row (every numeric column, nested work counters included) and —
-with ``--max-wall-regression FRAC`` — exits non-zero when any wall
-clock grew past the allowance; CI uses it as the regression gate
-instead of ad-hoc inline wall checks.  The comparable experiment grids
-(2PL against altruistic locking, DDAG against 2PL) are run and asserted
-by the tier-1 benches under ``benchmarks/``, not by this CLI.
+row by row (every numeric column) and — with ``--max-wall-regression
+FRAC`` — exits non-zero when any wall clock grew past the allowance; CI
+uses it as the regression gate instead of ad-hoc inline wall checks.
+The comparable experiment grids (2PL against altruistic locking, DDAG
+against 2PL) are run and asserted by the tier-1 benches under
+``benchmarks/``, not by this CLI.
 """
 
 from __future__ import annotations
@@ -199,18 +199,13 @@ def _row_label(row: Dict[str, object]) -> str:
     return " ".join(parts) if parts else "<row>"
 
 
-def _flatten_numeric(row: Dict[str, object], prefix: str = "") -> Dict[str, float]:
-    """Numeric leaves of a row (descending into the nested ``work``
-    counter dict), keyed ``name`` / ``work.name``; bools excluded."""
-    out: Dict[str, float] = {}
-    for key, value in row.items():
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            out[prefix + key] = float(value)
-        elif isinstance(value, dict):
-            out.update(_flatten_numeric(value, prefix=f"{prefix}{key}."))
-    return out
+def _flatten_numeric(row: Dict[str, object]) -> Dict[str, float]:
+    """The numeric columns of a (flat) row; bools excluded."""
+    return {
+        key: float(value)
+        for key, value in row.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
 
 
 def _load_artifact(path: str) -> Optional[Dict[str, object]]:
@@ -239,12 +234,11 @@ def _run_compare(args: argparse.Namespace) -> int:
     """``--compare OLD.json NEW.json``: the artifact-diff mode CI uses as
     its regression gate instead of ad-hoc wall-clock guards.  Asserts the
     two artifacts describe the same bench and row identities, prints
-    per-row deltas (absolute and %) for every shared numeric column —
-    including the nested work counters — and fails (exit 1) when any
-    row's ``wall_s`` regressed by more than ``--max-wall-regression``
-    (a fraction: 0.5 allows +50%).  Without the threshold the diff is
-    report-only and exits 0; an input that is not an artifact, like any
-    mismatch between the two, exits 2."""
+    per-row deltas (absolute and %) for every shared numeric column, and
+    fails (exit 1) when any row's ``wall_s`` regressed by more than
+    ``--max-wall-regression`` (a fraction: 0.5 allows +50%).  Without the
+    threshold the diff is report-only and exits 0; an input that is not
+    an artifact, like any mismatch between the two, exits 2."""
     old_path, new_path = args.compare
     old, new = _load_artifact(old_path), _load_artifact(new_path)
     if old is None or new is None:
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale", type=_positive_float, default=1.0,
-        help="shrink transaction counts (like BENCH_SMOKE_SCALE); must be > 0",
+        help="multiply transaction counts (floor 50); must be > 0",
     )
     parser.add_argument(
         "--arrival-rate", type=_positive_float, default=None,

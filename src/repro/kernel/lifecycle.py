@@ -36,11 +36,13 @@ A commit and an abort leave through one teardown, ``_depart``, which
 clears each structure once: ``Classifier.clear`` (nothing for a drained
 script, which ``settle`` cleared; edges only for a blocked session, the
 only kind with any), the edges aimed at the leaver
-(``WaitsForGraph.remove_inbound``), its routing state and its locks.
-Blocked ticks are credited only where a wait ends (a wake, a
-re-derivation, a victim pick): accrual is an idempotent catch-up
-(``through - accrued_to``) and every transition out of a wait accrues
-first, so a catch-up at a blocker's departure would change no total.
+(``WaitsForGraph.remove_inbound``), its routing state, and its locks
+with its queued request (``LockTable.release_all_wake``, the one owner
+of a departing name's queue entry on both engines).  Blocked ticks are
+credited only where a wait ends (a wake, a re-derivation, a victim
+pick): accrual is an idempotent catch-up (``through - accrued_to``) and
+every transition out of a wait accrues first, so a catch-up at a
+blocker's departure would change no total.
 
 Sessions whose verdict needs the policy are marked dirty for the next
 classify phase instead; their own step leaves them RUNNABLE and in the

@@ -20,7 +20,6 @@ _EXPORTS = {
     "WorkloadItem": ".scheduler",
     "aggregate_outcomes": ".runner",
     "bench_artifact": ".artifacts",
-    "cell_rows_with_work": ".artifacts",
     "dag_structural_state": ".workloads",
     "ddag_cone_intents": ".workloads",
     "ddag_restart_from_cone": ".workloads",

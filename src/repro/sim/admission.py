@@ -440,10 +440,12 @@ class Classifier:
     def clear(self, entry: LiveEntry) -> None:
         """Tear down the session's cached classification: the runnable
         index for a RUNNABLE entry, the outgoing waits-for edges for a
-        blocked one (only a blocked session has any), and the
-        pending-lock registration.  A NEW entry has none of these — it is
-        unclassified, or already cleared (a drained script, by
-        :meth:`settle`) — so it returns at once."""
+        blocked one (only a blocked session has any).  A NEW entry has
+        neither — it is unclassified, or already cleared (a drained
+        script, by :meth:`settle`) — so it returns at once.  The queued
+        pending lock is not touched: the caller that re-queues
+        (:meth:`settle`, :meth:`apply`) drops it first, and a departure's
+        ``LockTable.release_all_wake`` drops it with the locks."""
         state = entry.state
         if state == NEW:
             return
@@ -452,7 +454,6 @@ class Classifier:
             self.cache.runnable.discard(name)
         else:
             self.graph.drop_edges(name)
-        self.table.remove_waiter(name)
         entry.state = NEW
 
     def derive(self, entry: LiveEntry) -> Decision:
@@ -536,6 +537,8 @@ class Classifier:
         index) with no further lookups.  A LOCK_WAIT installed here starts
         accruing after :attr:`observed`."""
         name = entry.item.name
+        if entry.state != NEW:  # a NEW entry has nothing queued
+            self.table.remove_waiter(name)
         step = entry.peek()
         if step is None:
             self.clear(entry)
@@ -543,7 +546,6 @@ class Classifier:
             return
         m = self.metrics
         m.classify_checks += 1
-        self.table.remove_waiter(name)
         if not step.op.is_lock:
             if entry.state != RUNNABLE:
                 entry.state = RUNNABLE
@@ -578,8 +580,9 @@ class Classifier:
         if decision.blockers_queried:
             m.blocker_queries += 1
         kind = decision.kind
-        if kind == RUNNABLE and entry.state == RUNNABLE:
+        if entry.state != NEW:
             self.table.remove_waiter(name)
+        if kind == RUNNABLE and entry.state == RUNNABLE:
             self._install(entry, decision.entity, decision.mode, None)
             return
         self.clear(entry)
@@ -606,7 +609,8 @@ class Classifier:
         """Install a :meth:`_pending_lock` verdict on an entry that is
         NEW (cleared) or RUNNABLE with no waits-for edges and nothing
         queued: the pending lock, if any, is queued on its entity, where
-        it stays — through every wake and block — until :meth:`clear`."""
+        it stays — through every wake and block — until the session's
+        next derivation is installed or it departs."""
         if entity is not None:
             assert mode is not None
             self.table.add_waiter(entry.item.name, entity, mode)

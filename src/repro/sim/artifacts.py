@@ -1,23 +1,17 @@
 """Unified BENCH_*.json artifact writer.
 
-The stress benches used to each hand-roll their own ``json.dumps`` payload,
-so the uploaded artifacts drifted apart (different key names, no schema
-marker, no record of the wall clock).  Every bench — and
-the ``python -m repro.bench`` CLI — now writes through
-:func:`write_bench_artifact`, so the perf trajectory is machine-comparable
-across PRs:
+The ``python -m repro.bench`` CLI writes through
+:func:`write_bench_artifact`, and ``--compare`` diffs two such files row
+by row, so one payload layout serves every artifact:
 
 .. code-block:: json
 
     {
       "bench": "<bench name>",
       "schema": 1,
-      "scale": 1.0,            // BENCH_SMOKE_SCALE the run used
+      "scale": 1.0,            // the --scale the run used
       "wall_s": 12.34,         // harness wall clock, if measured
-      "rows": [ ... ],         // per-cell dict rows (CellResult.row() or
-                               //  bench-specific comparison rows); grid
-                               //  rows carry engine work counters under
-                               //  rows[*]["work"] (cell_rows_with_work)
+      "rows": [ ... ],         // per-cell dict rows, one shared key set
       "extra": { ... }         // optional bench-specific payload
     }
 """
@@ -27,15 +21,15 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 #: Bump when the payload layout changes incompatibly.
 SCHEMA_VERSION = 1
 
 #: Row keys that may legitimately be absent from some rows of one
-#: artifact: work counters exist only for cells that measured them, and
-#: ``CellResult.row()`` lists ``failed_seeds`` only when a seed failed.
-OPTIONAL_ROW_KEYS = frozenset({"work", "failed_seeds"})
+#: artifact: ``CellResult.row()`` lists ``failed_seeds`` only when a seed
+#: failed.
+OPTIONAL_ROW_KEYS = frozenset({"failed_seeds"})
 
 
 def _validate_rows(rows: Sequence[Dict[str, object]]) -> None:
@@ -102,15 +96,3 @@ def write_bench_artifact(
     target.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
-
-def cell_rows_with_work(cells) -> List[Dict[str, object]]:
-    """Render ``CellResult`` objects as artifact rows with their mean work
-    counters attached under ``"work"`` (kept out of the printable
-    ``row()`` — work counters measure the engine, not the workload)."""
-    rows: List[Dict[str, object]] = []
-    for cell in cells:
-        row = cell.row()
-        if cell.work_means:
-            row["work"] = {k: round(v, 2) for k, v in cell.work_means.items()}
-        rows.append(row)
-    return rows

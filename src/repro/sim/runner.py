@@ -16,7 +16,7 @@ is a cell's workload.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.schedules import Schedule
@@ -54,9 +54,6 @@ class SeedOutcome:
     seed: int
     #: ``metrics.summary()`` of a successful run; ``None`` if it failed.
     summary: Optional[Dict[str, float]] = None
-    #: ``metrics.work_summary()`` of a successful run (engine work
-    #: counters — what the BENCH artifacts track across PRs).
-    work: Optional[Dict[str, float]] = None
     #: Serializability verdict of a successful run; ``None`` if it failed.
     serializable: Optional[bool] = None
     #: How many findings the ``rule_check`` given to :func:`run_seed`
@@ -88,10 +85,6 @@ class CellResult:
     #: :data:`FAILED_SEEDS_LIMIT` (``failures`` is the true count), so a red
     #: cell in BENCH output is diagnosable without a rerun.
     failed_seeds: Tuple[Tuple[int, str], ...] = ()
-    #: Mean engine work counters over the successful runs (not part of
-    #: ``row()`` — they measure the engine, not the workload — but recorded
-    #: in the unified BENCH artifacts).
-    work_means: Dict[str, float] = field(default_factory=dict)
 
     def row(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -135,7 +128,6 @@ def run_seed(
     return SeedOutcome(
         seed=seed,
         summary=result.metrics.summary(),
-        work=result.metrics.work_summary(),
         serializable=is_serializable(result.schedule),
         rule_violations=(
             None if rule_check is None else len(rule_check(result.schedule))
@@ -175,8 +167,6 @@ def aggregate_outcomes(
         k: (statistics.pstdev([s[k] for s in summaries]) if len(summaries) > 1 else 0.0)
         for k in keys
     }
-    works = [o.work for o in outcomes if not o.failed and o.work is not None]
-    work_means = {k: statistics.fmean(w[k] for w in works) for k in _mean_keys(works)}
     return CellResult(
         policy=policy_name,
         workload=workload_name,
@@ -186,7 +176,6 @@ def aggregate_outcomes(
         stdevs=stdevs,
         all_serializable=all_srz,
         failed_seeds=tuple(failed[:FAILED_SEEDS_LIMIT]),
-        work_means=work_means,
     )
 
 

@@ -110,10 +110,15 @@ class TestPendingLockRegistration:
         S = LockMode.SHARED
         assert list(cache.runnable) == ["A", "B"]
         assert list(table.queue("e1").items()) == [("B", S), ("A", S)]
+        # clear drops the cached classification; the queue entry goes
+        # with the departure's locks.
         classifier.clear(live["B"])
+        assert list(cache.runnable) == ["A"]
+        table.release_all_wake("B")
         assert list(table.queue("e1").items()) == [("A", S)]
         assert table.waiting_entity("B") is None
         classifier.clear(live["A"])
+        table.release_all_wake("A")
         assert list(table.queue("e1").items()) == []
         assert table.waiting_entity("A") is None
         assert not cache.runnable
@@ -121,7 +126,7 @@ class TestPendingLockRegistration:
     def test_clear_undoes_what_the_state_holds(self, monkeypatch):
         # R is RUNNABLE and queued on e2; W is LOCK_WAIT on H's e1 grant;
         # N was never classified.  Each clear touches only what its
-        # entry's state holds.
+        # entry's state holds, and no clear touches the lock queue.
         live, metrics, table, graph = {}, Metrics(), LockTable(), WaitsForGraph()
         cache = AdmissionCache(live, metrics)
         classifier = Classifier(live, metrics, table, graph, cache)
@@ -150,13 +155,13 @@ class TestPendingLockRegistration:
         classifier.clear(live["N"])
         assert calls == [] and live["N"].state == NEW
         classifier.clear(live["R"])
-        assert calls == [("discard", "R"), ("remove_waiter", "R")]
-        assert not cache.runnable and table.waiting_entity("R") is None
+        assert calls == [("discard", "R")]
+        assert not cache.runnable and table.waiting_entity("R") == "e2"
         calls.clear()
         classifier.clear(live["W"])
-        assert calls == [("drop_edges", "W"), ("remove_waiter", "W")]
+        assert calls == [("drop_edges", "W")]
         assert graph.waits_for == {} and graph.blocked_by == {}
-        assert table.waiting_entity("W") is None
+        assert table.waiting_entity("W") == "e1"
         assert live["R"].state == live["W"].state == NEW
 
 

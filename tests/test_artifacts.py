@@ -12,7 +12,6 @@ import pytest
 from repro.sim.artifacts import (
     SCHEMA_VERSION,
     bench_artifact,
-    cell_rows_with_work,
     write_bench_artifact,
 )
 from repro.sim.runner import SeedOutcome, aggregate_outcomes
@@ -86,11 +85,11 @@ class TestRowValidation:
         with pytest.raises(TypeError, match="non-string key"):
             bench_artifact("unit", [{1: "a"}])
 
-    def test_work_key_is_optional_per_row(self):
+    def test_failed_seeds_key_is_optional_per_row(self):
         payload = bench_artifact(
             "unit",
             [
-                {"workload": "a", "txns": 1, "work": {"checks": 2.0}},
+                {"workload": "a", "txns": 1, "failed_seeds": [[1, "boom"]]},
                 {"workload": "b", "txns": 2},
             ],
         )
@@ -100,44 +99,21 @@ class TestRowValidation:
         assert bench_artifact("unit", [])["rows"] == []
 
 
-class _Cell:
-    def __init__(self, row, work_means):
-        self._row = row
-        self.work_means = work_means
-
-    def row(self):
-        return dict(self._row)
-
-
 class TestCellRows:
-    def test_work_counters_attach_only_when_measured(self):
-        cells = [
-            _Cell({"workload": "a"}, {"checks": 2.004}),
-            _Cell({"workload": "b"}, {}),
-        ]
-        rows = cell_rows_with_work(cells)
-        assert rows[0]["work"] == {"checks": 2.0}
-        assert "work" not in rows[1]
-        # The result must itself be a valid artifact table.
-        bench_artifact("unit", rows)
-
     def test_a_cell_with_a_failed_seed_is_written_beside_a_green_one(
         self, tmp_path
     ):
         """``CellResult.row()`` lists ``failed_seeds`` only when a seed
         failed, so the red cell's row has one key more than the green
         one's; the artifact must still take both."""
-        ran = SeedOutcome(
-            seed=0, summary={"ticks": 10.0}, work={"checks": 4.0},
-            serializable=True,
-        )
+        ran = SeedOutcome(seed=0, summary={"ticks": 10.0}, serializable=True)
         green = aggregate_outcomes("2PL", "w", [ran])
         red = aggregate_outcomes(
             "2PL", "w", [ran, SeedOutcome(seed=1, error="exceeded 2 ticks")],
         )
         path = tmp_path / "BENCH_unit.json"
         write_bench_artifact(
-            path, "unit", cell_rows_with_work([green, red]), wall_s=0.1,
+            path, "unit", [green.row(), red.row()], wall_s=0.1,
         )
         rows = json.loads(path.read_text())["rows"]
         assert "failed_seeds" not in rows[0]

@@ -2,13 +2,14 @@
 
 A commit and an abort leave through the same teardown, which clears each
 structure once: the departing session's cached classification (runnable
-index, its own waits-for edges, its queue entry — nothing for a drained
-script, which ``settle`` cleared when it drained), the edges aimed at it,
-its routing state, and its locks.  Three contracts:
+index or its own waits-for edges — nothing for a drained script, which
+``settle`` cleared when it drained), the edges aimed at it, its routing
+state, and its locks with its queue entry.  Three contracts:
 
 1. **Nothing twice.**  Committing a drained 2PL script makes no graph
    edge drop, no runnable-index discard and one queue removal (the one
-   ``release_all_wake`` makes for every departure).
+   ``release_all_wake`` makes for every departure); an abort, restart
+   included, makes the queue removals the naive engine makes.
 2. **No residue.**  After each commit, deadlock-victim abort and phase-2
    policy abort, on both engines, the departed name is in no wait queue,
    waiting-on or held index, on neither side of the waits-for graph, and
@@ -64,11 +65,11 @@ TEARDOWN_CALLS = (
 )
 
 
-@pytest.fixture
-def commit_calls(monkeypatch):
-    """The :data:`TEARDOWN_CALLS` made inside each ``KernelRun.commit``:
-    one ``{"Class.method": calls}`` dict per commit."""
-    open_calls, per_commit = [], []
+def spy_teardown(monkeypatch, departure):
+    """The :data:`TEARDOWN_CALLS` made inside each call of
+    ``KernelRun.<departure>``: one ``{"Class.method": calls}`` dict per
+    call, appended to the returned list."""
+    open_calls, per_call = [], []
     for cls, method in TEARDOWN_CALLS:
         def spy(self, *args, _method=getattr(cls, method),
                 _key=f"{cls.__name__}.{method}"):
@@ -77,17 +78,22 @@ def commit_calls(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(cls, method, spy)
-    commit = KernelRun.commit
+    leave = getattr(KernelRun, departure)
 
-    def counted(self, entry):
+    def counted(self, *args):
         open_calls.append({})
         try:
-            return commit(self, entry)
+            return leave(self, *args)
         finally:
-            per_commit.append(open_calls.pop())
+            per_call.append(open_calls.pop())
 
-    monkeypatch.setattr(KernelRun, "commit", counted)
-    return per_commit
+    monkeypatch.setattr(KernelRun, departure, counted)
+    return per_call
+
+
+@pytest.fixture
+def commit_calls(monkeypatch):
+    return spy_teardown(monkeypatch, "commit")
 
 
 class TestNothingTwice:
@@ -108,6 +114,27 @@ class TestNothingTwice:
         assert commit_calls == (
             [{"LockTable.remove_waiter": 1}] * result.metrics.committed
         )
+
+    def test_an_abort_leaves_its_lock_queue_once(self, monkeypatch):
+        # A 2PL storm's victims are blocked, so each is queued: the
+        # abort's teardown and its restart's admission must not drop that
+        # entry again, so the event engine makes the naive engine's calls.
+        items, initial, _ = grid_factory("deadlock_storm")(
+            0, num_entities=60, num_txns=120
+        )
+        removals = {}
+        for engine in ("naive", "event"):
+            with monkeypatch.context() as patch:
+                abort_calls = spy_teardown(patch, "abort")
+                result = Simulator(TwoPhasePolicy(), engine=engine).run(
+                    items, initial, validate=False
+                )
+            assert len(abort_calls) == result.metrics.aborted > 0
+            removals[engine] = [
+                calls.get("LockTable.remove_waiter", 0)
+                for calls in abort_calls
+            ]
+        assert removals["event"] == removals["naive"]
 
 
 # ----------------------------------------------------------------------
