@@ -1,17 +1,17 @@
-"""Deadlock-storm stress benchmark — the always-fresh waits-for graph and
-lock events that carry their verdict.
+"""Deadlock-storm stress benchmark — cycle search without a per-tick
+rebuild and lock events that carry their verdict.
 
 The paper's D-policies trade deadlock-freedom for concurrency (DDAG and
 altruistic runs resolve contention through waits-for cycle detection, not
 avoidance), so deadlock-heavy workloads are exactly where the reproduction
-must scale.  The waits-for graph is maintained always fresh (reverse
-blocker→waiters index, eager inbound-edge pruning at departure, edge
-refresh across grantability-filtered releases), so cycle detection runs
-directly on it; and a lock event that already decides a session's next
-classification applies it in place — a woken waiter becomes runnable, a
-watcher of an entity just acquired in a conflicting mode becomes blocked —
-so the event engine re-derives a 2PL session only when it executes, is
-admitted, or restarts.
+must scale.  The search walks policy-wait edges the engine stores
+(reverse blocker→waiters index, eager inbound-edge pruning at departure)
+and lock-wait edges read from the lock table as it reaches them, so no
+graph is rebuilt per tick; and a lock event that already decides a
+session's next classification applies it in place — a woken waiter
+becomes runnable, a watcher of an entity just acquired in a conflicting
+mode becomes blocked — so the event engine re-derives a 2PL session only
+when it executes, is admitted, or restarts.
 
 This bench runs deadlock-storm workloads (unordered access sets over a
 small hot set, staggered arrivals) through **both** engines and asserts:
@@ -24,10 +24,10 @@ small hot set, staggered arrivals) through **both** engines and asserts:
   lock event moves (the moves are counted as ``lock_transitions``);
 * the altruistic storm's saving — ``classify_checks`` drop ≥ 2× versus
   the naive rescan (dependency-declaring sessions keep the dirty route);
-* one detector — the event engine walks its maintained graph with the
+* one detector — the event engine walks its detection view with the
   naive engine's DFS, so the detection counts, the ``cycle_visits`` work
-  counters and the victim sequences must be equal; a maintained graph
-  that drifted from the per-tick rebuild can show up here.
+  counters and the victim sequences must be equal; a view that drifted
+  from the per-tick rebuild can show up here.
 
 Workloads are built through the registered grid factories
 (:data:`repro.sim.GRID_FACTORIES`) — the same by-name specs
@@ -147,7 +147,7 @@ def _run_cell(name, policy_factory, build, structural_bound=False):
 
 def test_deadlock_storm_stress():
     banner(
-        "[scheduler] always-fresh waits-for graph: deadlock storms at "
+        "[scheduler] table-backed waits-for search: deadlock storms at "
         "1200/150 txns"
     )
     cells = []

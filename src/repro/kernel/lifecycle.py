@@ -2,8 +2,8 @@
 
 :class:`KernelRun` is the kernel half of the old ``sim/scheduler.py``
 ``_Run`` monolith: it composes the state layers — the
-:class:`~repro.sim.lock_table.LockTable`, the always-fresh
-:class:`~repro.sim.waits_for.WaitsForGraph`, the
+:class:`~repro.sim.lock_table.LockTable`, the
+:class:`~repro.sim.waits_for.WaitsForGraph` of policy-wait edges, the
 :class:`~repro.sim.admission.AdmissionCache`/``Classifier`` pair, the
 :class:`~repro.sim.event_log.EventLog`, and :class:`~repro.sim.metrics.Metrics`
 — and owns the transaction lifecycle transitions every driver needs:
@@ -24,18 +24,18 @@ where the events that decide it happen, never in the classify phase:
   blocks or drains;
 * its admission and its restart — ``_register`` calls the same;
 * a grant hands the acquired entity to ``Classifier.acquired``, one walk
-  of that entity's queue (blocked waiters' edges extend; runnable
-  sessions whose queued mode now conflicts block in place, sharing one
-  blocker query per wanted mode), and every release — an unlock, a
-  commit, an abort — hands its wake-up set, when it is not empty, to
-  ``Classifier.wake`` (blocked waiters become runnable in place;
-  runnable ones are skipped).  Only an unlock whose release weakened
-  the hold (not ``None``) refreshes the remaining waiters' edges.
+  of that entity's queue (blocked waiters are skipped; runnable sessions
+  whose queued mode now conflicts block in place), and every release —
+  an unlock, a commit, an abort — hands its wake-up set, when it is not
+  empty, to ``Classifier.wake`` (blocked waiters become runnable in
+  place; runnable ones are skipped).  Neither touches the waits-for
+  graph: a LOCK_WAIT session's edges are read from the lock table when
+  a cycle is searched (``Classifier.view``).
 
 A commit and an abort leave through one teardown, ``_depart``, which
 clears each structure once: ``Classifier.clear`` (nothing for a drained
-script, which ``settle`` cleared; edges only for a blocked session, the
-only kind with any), the edges aimed at the leaver
+script, which ``settle`` cleared; stored edges only for a POLICY_WAIT
+session, the only kind with any), the edges aimed at the leaver
 (``WaitsForGraph.remove_inbound``), its routing state, and its locks
 with its queued request (``LockTable.release_all_wake``, the one owner
 of a departing name's queue entry on both engines).  Blocked ticks are
@@ -51,7 +51,9 @@ runnable index (only the executed lock's queue entry goes), since phase
 ``LiveEntry.peek`` caches the pending step from the first peek after an
 admission or a step, and ``_execute_step`` resets it right after
 ``executed()``.  The step and release paths test no engine flag: the
-naive engine's run holds a no-op classifier stand-in, built once.
+naive engine marks every session as needing the policy, so none is
+settled in place, nothing is queued, and a grant or release finds no
+one to move.
 
 One driver sits on top: the tick simulator (``repro.sim.scheduler._Run``
 subclasses this and adds the seeded per-tick loop, batched arrivals, and
@@ -71,10 +73,9 @@ absorbs (``sim/lock_table``, ``sim/admission``, ``sim/waits_for``,
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.schedules import Event
-from ..core.steps import Entity
 from ..exceptions import PolicyViolation
 from ..policies.base import Intent, PolicyContext, PolicySession
 from ..sim.admission import AdmissionCache, Classifier
@@ -112,15 +113,11 @@ class KernelRun:
         self.graph = WaitsForGraph()
         self.live: Dict[str, LiveEntry] = {}
         self.cache = AdmissionCache(self.live, self.metrics)
+        self.classifier = Classifier(
+            self.live, self.metrics, self.table, self.graph, self.cache
+        )
         if event_engine:
-            self.classifier = Classifier(
-                self.live, self.metrics, self.table, self.graph, self.cache
-            )
             self.context.set_change_listener(self.cache.policy_changed)
-        else:
-            # The naive engine classifies every session from scratch each
-            # tick, so the events that classify in place do nothing.
-            self.classifier = _Unclassified()  # type: ignore[assignment]
         #: Walks the classify phase's check set (:mod:`repro.sim.executor`).
         self.executor = SerialExecutor()
         self.log = EventLog()
@@ -138,12 +135,16 @@ class KernelRun:
         name = entry.item.name
         session = entry.session
         self.live[name] = entry
+        if not self.event_engine:
+            # The naive engine asks every session's verdict every tick:
+            # none is settled in place, nothing is queued, and the lock
+            # events that classify in place find no one to move.
+            entry.needs_admission = True
+            return
         entry.needs_admission = (
             session.dynamic
             or type(session).admission is not PolicySession.admission
         )
-        if not self.event_engine:
-            return
         if entry.needs_admission:
             # Policy-aware invalidation when the session can declare what
             # its verdict depends on; the conservative every-tick fallback
@@ -222,10 +223,8 @@ class KernelRun:
             classifier.acquired(name, step.entity)
         elif op.is_unlock and mode is not None:
             woken = self.table.release(name, step.entity, mode)
-            if woken is not None:  # the hold weakened
-                if woken:
-                    classifier.wake(woken)
-                classifier.refresh_lock_edges(name, step.entity)
+            if woken:
+                classifier.wake(woken)
         self.log.record(name, Event(name, entry.step_count, step))
         entry.step_count += 1
         entry.session.executed()
@@ -263,28 +262,3 @@ class KernelRun:
         _, woken = self.table.release_all_wake(name)
         if woken:
             self.classifier.wake(woken)
-
-
-class _Unclassified:
-    """The naive engine's stand-in for :class:`Classifier`: it classifies
-    every live session from scratch each tick (:mod:`repro.sim.reference`),
-    so the lifecycle's in-place classification hooks are no-ops and the
-    step path carries no engine flag."""
-
-    #: Written by the tick loop; read by nothing.
-    observed = 0
-
-    def settle(self, entry: LiveEntry) -> None:
-        pass
-
-    def acquired(self, holder: str, entity: Entity) -> None:
-        pass
-
-    def wake(self, names: Iterable[str]) -> None:
-        pass
-
-    def refresh_lock_edges(self, releaser: str, entity: Entity) -> None:
-        pass
-
-    def clear(self, entry: LiveEntry) -> None:
-        pass

@@ -27,10 +27,12 @@ decides *who gets re-examined when*:
 
 :class:`Classifier` is the "what do they become" half: it re-derives one
 session's cached classification (one iteration of the naive engine's
-Phase-2 loop) against the lock table and the waits-for graph, maintains
-the lazy blocked-tick accounting around cache hits, and keeps blocked
-waiters' waits-for edges fresh across grants and grantability-filtered
-releases without re-classifying them.
+Phase-2 loop) against the lock table and the waits-for graph and
+maintains the lazy blocked-tick accounting around cache hits.  It
+stores waits-for edges for POLICY_WAIT sessions only: a LOCK_WAIT
+session's edges are the live holders that conflict with its queued
+request, read from the lock table when a cycle is searched
+(:class:`DetectionView`, :attr:`Classifier.view`).
 
 A pending lock is registered once: from its classification until
 :meth:`Classifier.clear` or until its own step executes it (then the
@@ -55,23 +57,18 @@ the classify phase:
   only what its next step changes: the runnable index only when it
   blocks or drains, the queue only when a lock is involved;
 * **wake** (:meth:`Classifier.wake`) — a LOCK_WAIT waiter in a release's
-  wake-up set goes RUNNABLE: edges dropped, still queued (runnable names
-  in the set are skipped);
+  wake-up set goes RUNNABLE, still queued (runnable names in the set are
+  skipped);
 * **block** (:meth:`Classifier.acquired`) — one walk of the acquired
   entity's queue: a runnable session whose queued mode conflicts with the
   holder's new effective mode goes LOCK_WAIT in place, keeping its queue
-  place, with the conflicting live holders as edges — one
-  ``LockTable.blockers`` query per wanted mode, shared by the herd — and
-  compatible ones are left alone.
+  place, and compatible ones are left alone.
 
 Each of those lock events moves its herd as one batch, whatever the herd
 size: the walk writes each member's state, ``accrued_to`` and blocked
-ticks inline, then makes one graph call for the herd's edges
-(:meth:`WaitsForGraph.drop_edges_many` on a wake,
-:meth:`WaitsForGraph.set_new_edges` on a block), one runnable-index call
-(:meth:`OrderedNames.add_many` / :meth:`OrderedNames.discard_many`) and
-one update per counter.  A block needs no diff against old edges: only a
-blocked session has a waits-for entry, so a RUNNABLE one has none.
+ticks inline, then makes one runnable-index call
+(:meth:`OrderedNames.add_many` / :meth:`OrderedNames.discard_many`), one
+update per counter, and no lock-table query or waits-for graph call.
 
 Wakes and blocks are counted as ``Metrics.lock_transitions``.
 Dependency-declaring and dynamic sessions stay on the dirty route.  All
@@ -95,14 +92,14 @@ A classification in the classify phase is read, then written:
   package the outcome as a :class:`Decision` without mutating any
   scheduler state;
 * :meth:`Classifier.apply` — the write half: install the decision
-  (accounting, counters, queue registration, waits-for edges, runnable
-  bookkeeping).  A session that was RUNNABLE and stays RUNNABLE keeps
-  its place in the runnable index; only a verdict that leaves RUNNABLE
-  clears it.  That is the common case of a dependency-declaring or
-  dynamic session re-derived after its own step: the kernel leaves it
-  RUNNABLE and in the index through the step (dropping only the executed
-  lock's queue entry), because phase 2 re-derives it before anything
-  reads either.
+  (accounting, counters, queue registration, a policy wait's waits-for
+  edges, runnable bookkeeping).  A session that was RUNNABLE and stays
+  RUNNABLE keeps its place in the runnable index; only a verdict that
+  leaves RUNNABLE clears it.  That is the common case of a
+  dependency-declaring or dynamic session re-derived after its own step:
+  the kernel leaves it RUNNABLE and in the index through the step
+  (dropping only the executed lock's queue entry), because phase 2
+  re-derives it before anything reads either.
 
 :meth:`Classifier.classify` is ``apply(entry, derive(entry))``; the
 classify phase calls it once per name of the sorted check set
@@ -116,6 +113,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import (
     AbstractSet,
     Collection,
@@ -147,6 +146,7 @@ __all__ = [
     "AdmissionCache",
     "Classifier",
     "Decision",
+    "DetectionView",
     "LiveEntry",
     "OrderedNames",
     "NEW",
@@ -167,7 +167,8 @@ class Decision:
     kind: str
     #: Abort reason (ABORT decisions only).
     reason: Optional[str] = None
-    #: Waits-for edges to install (wait decisions only).
+    #: Waits-for edges (wait decisions only): stored for POLICY_WAIT;
+    #: for LOCK_WAIT, what :class:`DetectionView` reads from the table.
     edges: Optional[Set[str]] = None
     #: Pending lock's entity and requested mode: the session's entry on
     #: the lock table's queue (LOCK_WAIT, or RUNNABLE with a pending lock).
@@ -387,10 +388,72 @@ class AdmissionCache:
         return check
 
 
+#: The states a :class:`DetectionView` maps, and the field they are read
+#: from.
+_BLOCKED = frozenset((LOCK_WAIT, POLICY_WAIT))
+_state = attrgetter("state")
+
+
+class DetectionView:
+    """The waits-for graph a cycle search walks, read-only: every blocked
+    session, mapped to the sessions it waits on.  A POLICY_WAIT session's
+    edges are the stored ones (:class:`WaitsForGraph`); a LOCK_WAIT
+    session's are read from the lock table when asked — the live holders
+    that conflict with its queued request, exactly what the naive
+    engine's per-tick rebuild reads — so no lock event has to keep them.
+
+    It answers only what :func:`~repro.sim.deadlock.find_cycle_counted`
+    asks — iteration over the blocked names, one pass over the live
+    table, and ``get``, one table read per node the search visits — plus
+    ``[]`` and :meth:`snapshot`.  It has no ``len``: ``sorted`` would
+    take it as a length hint and walk the live table twice."""
+
+    __slots__ = ("_live", "_table", "_stored")
+
+    def __init__(
+        self, live: Dict[str, LiveEntry], table: LockTable, graph: WaitsForGraph
+    ) -> None:
+        self._live = live
+        self._table = table
+        self._stored = graph.waits_for
+
+    def get(self, name: str, default=None):
+        live = self._live
+        entry = live.get(name)
+        if entry is None:
+            return default
+        state = entry.state
+        if state == LOCK_WAIT:
+            table = self._table
+            entity = table.waiting_entity(name)
+            wanted = table.queue(entity)[name]
+            return {b for b in table.blockers(name, entity, wanted) if b in live}
+        if state == POLICY_WAIT:
+            return self._stored[name]
+        return default
+
+    def __getitem__(self, name: str) -> Set[str]:
+        edges = self.get(name)
+        if edges is None:
+            raise KeyError(name)
+        return edges
+
+    def __iter__(self) -> Iterator[str]:
+        # The live names whose state is blocked, filtered without a
+        # Python-level step per session (a deadlock phase sees every
+        # live session).
+        live = self._live
+        return compress(live, map(_BLOCKED.__contains__, map(_state, live.values())))
+
+    def snapshot(self) -> Dict[str, Set[str]]:
+        """Every blocked session's edges, as a plain dict."""
+        return {n: self[n] for n in self}
+
+
 class Classifier:
     """Re-derives cached classifications against the sibling layers (lock
     table, waits-for graph) and keeps their bookkeeping — queue
-    registrations, waits-for edges, lazy blocked-tick accounting —
+    registrations, policy-wait edges, lazy blocked-tick accounting —
     consistent with every transition (see the module docstring)."""
 
     def __init__(
@@ -406,6 +469,8 @@ class Classifier:
         self.table = table
         self.graph = graph
         self.cache = cache
+        #: What a cycle search walks (:meth:`WaitsForGraph.find_cycle`).
+        self.view = DetectionView(live, table, graph)
         #: Last tick the naive engine has classified — its blocked-tick
         #: observation point: ``ticks - 1`` from the start of a tick (set
         #: by the tick loop before arrivals), ``ticks`` once phase 2
@@ -439,8 +504,8 @@ class Classifier:
 
     def clear(self, entry: LiveEntry) -> None:
         """Tear down the session's cached classification: the runnable
-        index for a RUNNABLE entry, the outgoing waits-for edges for a
-        blocked one (only a blocked session has any).  A NEW entry has
+        index for a RUNNABLE entry, the stored waits-for edges for a
+        POLICY_WAIT one (the only kind with any).  A NEW entry has
         neither — it is unclassified, or already cleared (a drained
         script, by :meth:`settle`) — so it returns at once.  The queued
         pending lock is not touched: the caller that re-queues
@@ -452,7 +517,7 @@ class Classifier:
         name = entry.item.name
         if state == RUNNABLE:
             self.cache.runnable.discard(name)
-        else:
+        elif state == POLICY_WAIT:
             self.graph.drop_edges(name)
         entry.state = NEW
 
@@ -617,17 +682,16 @@ class Classifier:
         if edges is None:
             self._enter_runnable(entry)
         else:
-            self._enter_lock_wait(entry, edges)
+            self._enter_lock_wait(entry)
 
-    def _enter_lock_wait(self, entry: LiveEntry, edges: Set[str]) -> None:
+    def _enter_lock_wait(self, entry: LiveEntry) -> None:
         """Enter LOCK_WAIT: out of the runnable index if it was there,
-        waits-for ``edges``, accounting recorded through the last observed
-        tick."""
+        accounting recorded through the last observed tick.  Its edges are
+        the table's to answer (:class:`DetectionView`)."""
         if entry.state == RUNNABLE:
             self.cache.runnable.discard(entry.item.name)
         entry.state = LOCK_WAIT
         entry.accrued_to = self.observed
-        self.graph.set_edges(entry.item.name, edges)
 
     def _enter_runnable(self, entry: LiveEntry) -> None:
         """Enter RUNNABLE: into the runnable index unless already there."""
@@ -647,36 +711,6 @@ class Classifier:
         self.apply(entry, self.derive(entry), aborts)
 
     # ------------------------------------------------------------------
-    # Lock-wait edge maintenance (no re-classification)
-    # ------------------------------------------------------------------
-
-    def refresh_lock_edges(self, releaser: str, entity: Entity) -> None:
-        """A release by ``releaser`` may have dropped it from ``entity``'s
-        conflicting holders without unblocking the remaining waiters (the
-        wake-up set is grantability-filtered).  Their cached waits-for
-        edges must not keep pointing at the releaser — the maintained
-        graph would diverge from the naive engine's fresh rebuild at the
-        next cycle search — so re-derive each still-blocked waiter's edge
-        set from the table, without re-classifying the session: one walk
-        of the queue, one graph call for the herd."""
-        table = self.table
-        live = self.live
-        dirty = self.cache.dirty
-        pairs: List[Tuple[str, Set[str]]] = []
-        for waiter, wanted in table.queue(entity).items():
-            if waiter == releaser or waiter in dirty:
-                continue  # dirty waiters are fully re-classified anyway
-            entry = live.get(waiter)
-            if entry is None or entry.state != LOCK_WAIT:
-                continue
-            pairs.append((waiter, {
-                b for b in table.blockers(waiter, entity, wanted) if b in live
-            }))
-        if pairs:
-            self.metrics.blocker_queries += len(pairs)
-            self.graph.set_edges_many(pairs)
-
-    # ------------------------------------------------------------------
     # Lock events that decide a classification (applied in place)
     # ------------------------------------------------------------------
 
@@ -688,9 +722,8 @@ class Classifier:
         verdict needs nothing but the lock table goes LOCK_WAIT → RUNNABLE
         here — still queued, with its blocked ticks credited through
         :attr:`observed` — and the others are marked dirty for a full
-        re-derivation.  The woken herd moves as one batch: its edges are
-        dropped in one graph call and its names enter the runnable index
-        in one call."""
+        re-derivation.  The woken names enter the runnable index in one
+        call."""
         m = self.metrics
         live = self.live
         dirty = self.cache.dirty
@@ -716,74 +749,51 @@ class Classifier:
         m.lock_wait_observations += lock_ticks
         if woken:
             m.lock_transitions += len(woken)
-            self.graph.drop_edges_many(woken)
             self.cache.runnable.add_many(woken)
 
     def acquired(self, holder: str, entity: Entity) -> None:
         """``holder`` just acquired a grant on ``entity`` (phase 3).
 
         One walk of ``entity``'s queue, read in place.  LOCK_WAIT waiters
-        stay blocked — a fresh grant can only extend their blocker sets —
-        so a conflicting one gains the holder edge.  A runnable one whose
-        verdict needs the policy is marked dirty; any other runnable one
-        whose queued mode conflicts with the holder's new effective mode
-        goes RUNNABLE → LOCK_WAIT in place, keeping its queue place,
-        accruing from the next tick (it was runnable at this tick's
-        observation); a compatible one is left alone.  The blocked ones'
-        edges come from one :meth:`LockTable.blockers` query per wanted
-        mode — the conflicting live holders — each taking its own copy
-        without itself (an S holder waiting to upgrade).  The herd moves
-        as one batch: one graph call extends the blocked waiters' edges,
-        one installs the re-blocked ones' (they were RUNNABLE, so they
-        have none to diff against), and one takes their names out of the
-        runnable index."""
-        table = self.table
-        queue = table.queue(entity)
-        if len(queue) == 1 and holder in queue:
+        stay blocked — a fresh grant can only add to the holders they
+        conflict with, which the table answers at the next cycle search —
+        so they are skipped.  A runnable one whose verdict needs the
+        policy is marked dirty; any other runnable one whose queued mode
+        conflicts with the holder's new effective mode goes RUNNABLE →
+        LOCK_WAIT in place, keeping its queue place, accruing from the
+        next tick (it was runnable at this tick's observation), and is
+        counted as a blocker derivation; a compatible one is left alone.
+        The re-blocked names leave the runnable index in one call."""
+        queue = self.table.queue(entity)
+        if not queue or (len(queue) == 1 and holder in queue):
             return  # nobody else wants the entity
         live = self.live
         dirty = self.cache.dirty
-        effective = table.mode_held(holder, entity)
+        effective = self.table.mode_held(holder, entity)
         assert effective is not None
         observed = self.observed
-        # Per wanted mode, indexed by ``wanted is EXCLUSIVE``: whether it
-        # conflicts with the holder's effective mode, and the conflicting
-        # live holders, queried on first need.
+        # Whether a wanted mode conflicts with the holder's effective
+        # mode, indexed by ``wanted is EXCLUSIVE``.
         exclusive_mode = LockMode.EXCLUSIVE
         conflicts = (
             LockMode.SHARED.conflicts_with(effective),
             exclusive_mode.conflicts_with(effective),
         )
-        conflicting: List[Optional[Set[str]]] = [None, None]
-        extended: List[str] = []
-        blocked: List[Tuple[str, Set[str]]] = []
+        blocked: Set[str] = set()
         for waiter, wanted in queue.items():
             if waiter == holder or waiter in dirty:
                 continue  # dirty waiters are fully re-classified anyway
             entry = live.get(waiter)
-            if entry is None:
+            if entry is None or entry.state == LOCK_WAIT:
                 continue
-            exclusive = wanted is exclusive_mode
-            if entry.state == LOCK_WAIT:
-                if conflicts[exclusive]:
-                    extended.append(waiter)
-            elif entry.needs_admission:
+            if entry.needs_admission:
                 dirty.add(waiter)
-            elif conflicts[exclusive]:
-                holders = conflicting[exclusive]
-                if holders is None:
-                    holders = conflicting[exclusive] = {
-                        b for b in table.blockers(None, entity, wanted) if b in live
-                    }
+            elif conflicts[wanted is exclusive_mode]:
                 entry.state = LOCK_WAIT
                 entry.accrued_to = observed
-                blocked.append((waiter, holders - {waiter}))
-        graph = self.graph
-        if extended:
-            graph.add_edges_if_tracked(extended, holder)
+                blocked.add(waiter)
         if blocked:
             m = self.metrics
             m.blocker_queries += len(blocked)
             m.lock_transitions += len(blocked)
-            graph.set_new_edges(blocked)
-            self.cache.runnable.discard_many({w for w, _ in blocked})
+            self.cache.runnable.discard_many(blocked)

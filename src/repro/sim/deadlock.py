@@ -3,9 +3,10 @@ scheduler kernel.
 
 The naive engine rebuilds the waits-for graph from scratch every tick and
 calls :func:`find_cycle_counted` on it (the executable specification); the
-event engine maintains the graph incrementally
-(:class:`repro.sim.waits_for.WaitsForGraph`) and runs the same DFS on
-that.  Both hand the found cycle to :func:`pick_victim`, so the engines'
+event engine runs the same DFS on its stored policy-wait edges
+(:class:`repro.sim.waits_for.WaitsForGraph`) and lock-wait edges read from
+the lock table as the search reaches them
+(:class:`repro.sim.admission.DetectionView`).  Both hand the found cycle to :func:`pick_victim`, so the engines'
 deadlock-victim sequences are comparable element by element.
 
 **Victim tie-break (deterministic).**  The victim is the cycle member with
@@ -18,8 +19,8 @@ the minimum :func:`victim_cost` triple, compared lexicographically:
 2. ``step_count`` (fewer first) — abort the transaction that loses the
    least executed work;
 3. ``name`` (lexicographically smallest first) — a total order, so victim
-   selection is deterministic across engines, seeds, worker processes,
-   and Python hash randomization.
+   selection is deterministic across engines, seeds and Python hash
+   randomization.
 
 Because the cycle itself is found deterministically (sorted roots, sorted
 neighbours, first back edge) and the cost triple is a total order, the

@@ -66,10 +66,10 @@ class Metrics:
     #: Policy admission() evaluations.
     admission_checks: int = 0
     #: Blocker derivations: one per derivation whose pending step locks
-    #: (wherever it runs), per edge refresh after a release, and per
-    #: in-place block transition.  A grant that blocks several watchers
-    #: derives their edges from one ``LockTable.blockers`` call per wanted
-    #: mode, so the calls can be fewer than this count.
+    #: (wherever it runs) and per in-place block transition.  A grant
+    #: that blocks several watchers makes no ``LockTable.blockers`` call:
+    #: their edges are read from the table at a cycle search, which
+    #: counts no derivation.
     blocker_queries: int = 0
     #: Waiters a lock release/commit/abort woke (moved to runnable in
     #: place, or marked dirty when their verdict needs the policy).

@@ -4,8 +4,9 @@ One tick re-classifies every live session from scratch — peek, admission
 verdict, lock-table conflict query — and rebuilds the waits-for graph as
 it goes.  O(live × footprint) per tick, which is exactly why the event
 engine exists; it is kept verbatim because every optimization in the
-event-driven layers (cached classifications, invalidation channels, the
-always-fresh waits-for graph) is equivalence-tested against the
+event-driven layers (cached classifications, invalidation channels,
+lock-wait edges read from the lock table only at a cycle search) is
+equivalence-tested against the
 schedules, summaries, per-transaction records, and deadlock-victim
 sequences this loop produces on the same seed.
 """

@@ -28,7 +28,8 @@ the transaction-lifecycle state machine (grant/block/wake/deadlock/
 commit/abort) lives in :class:`repro.kernel.lifecycle.KernelRun`, which
 composes the state layers — :mod:`repro.sim.admission` (classification
 cache, invalidation channels, classifier), :mod:`repro.sim.waits_for`
-(always-fresh graph walked by the reference detector),
+(stored policy-wait edges, walked with the lock table's by the
+reference detector),
 :mod:`repro.sim.deadlock` (oracle detector, victim costing),
 :mod:`repro.sim.lock_table` (holder maps and wait queues), and
 :mod:`repro.sim.event_log` (O(own events) abort erasure) — all documented
@@ -306,11 +307,13 @@ class _Run(KernelRun):
         return bool(aborts)
 
     def _phase_deadlock(self) -> None:
-        """Deadlock path.  The graph is maintained always-fresh, so the
-        reference DFS runs directly on it, with no per-tick rebuild."""
+        """Deadlock path.  The reference DFS walks the classifier's
+        detection view — stored POLICY_WAIT edges, LOCK_WAIT edges read
+        from the lock table as the search reaches them — with no
+        per-tick rebuild."""
         m = self.metrics
         live = self.live
-        cycle = self.graph.find_cycle()
+        cycle = self.graph.find_cycle(self.classifier.view)
         m.cycle_detections += 1
         m.cycle_visits += self.graph.last_visits
         if cycle is None:

@@ -1,38 +1,35 @@
 """The waits-for graph layer of the scheduler kernel.
 
-:class:`WaitsForGraph` owns both sides of the waits-for relation — the
-forward edges (``waits_for``: blocked session → the sessions it waits on)
-and the reverse index (``blocked_by``: blocker → the waiters with an edge
-to it) — and keeps them exactly in sync through every edge update, so the
-event engine can prune a departing blocker's inbound edges eagerly and run
-cycle detection directly on the maintained graph instead of rebuilding it
-from the lock table every tick.
+:class:`WaitsForGraph` stores waits-for edges — the forward edges
+(``waits_for``: blocked session → the sessions it waits on) and the
+reverse index (``blocked_by``: blocker → the waiters with an edge to it)
+— and keeps both sides exactly in sync through every edge update, so a
+departing blocker's inbound edges are pruned eagerly.
 
-A lock event can move a whole herd of waiters at once — a release wakes
-an entity's queue, the next grant re-blocks it — so every edge update
-also comes as one call for the whole herd (:meth:`~WaitsForGraph.set_new_edges`,
-:meth:`~WaitsForGraph.set_edges_many`,
-:meth:`~WaitsForGraph.add_edges_if_tracked`,
-:meth:`~WaitsForGraph.drop_edges_many`): the same per-member edge changes,
-without a method call per member.  :meth:`~WaitsForGraph.set_new_edges`
-relies on the invariant that only a blocked session has a
-:attr:`~WaitsForGraph.waits_for` entry, so a session entering LOCK_WAIT
-from RUNNABLE has no old edges to diff against.  The single-member
-methods keep bodies of their own rather than calling a batch of one:
-every classification calls them, and that wrapping measurably slowed
-the policy workloads, whose herds never move in place.
+The two kernels store different edges in it:
+
+* the service kernel (:class:`repro.kernel.core.LockKernel`) stores every
+  parked waiter's edges, since it asks :meth:`~WaitsForGraph.closes_cycle`
+  on every block;
+* the simulator stores POLICY_WAIT edges only, since the lock table
+  cannot recompute a policy's ``waiting_on``.  A LOCK_WAIT session's edges
+  are the live holders that conflict with its queued request, which the
+  lock table records anyway, so they are read from the table when a cycle
+  is searched (:class:`repro.sim.admission.DetectionView`) and a lock
+  event moves its herd of waiters without touching this graph.
 
 Detection is the reference detector itself:
 :func:`repro.sim.deadlock.find_cycle_counted` (sorted roots, sorted
-neighbours, first back edge) walked over :attr:`WaitsForGraph.waits_for`.
-What the event engine saves over the naive one is the per-tick rebuild,
-not the walk, so its cycles, victims and visit counts equal the naive
-engine's on the same seed.
+neighbours, first back edge), walked over :attr:`WaitsForGraph.waits_for`
+or over the mapping handed to :meth:`~WaitsForGraph.find_cycle`.  What the
+event engine saves over the naive one is the per-tick rebuild, not the
+walk, so its cycles, victims and visit counts equal the naive engine's on
+the same seed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set
 
 from .deadlock import find_cycle_counted
 
@@ -83,65 +80,6 @@ class WaitsForGraph:
         if old is not None:
             for b in old:  # independent per-edge removals from the reverse index
                 self._drop_reverse(b, name)
-
-    # ------------------------------------------------------------------
-    # Herd moves: one call per lock event, whatever the herd size
-    # ------------------------------------------------------------------
-
-    def set_edges_many(self, pairs: Iterable[Tuple[str, Set[str]]]) -> None:
-        """:meth:`set_edges` for each ``(name, blockers)`` pair."""
-        waits_for = self.waits_for
-        blocked_by = self.blocked_by
-        for name, blockers in pairs:
-            old = waits_for.get(name)
-            waits_for[name] = blockers
-            added = blockers
-            if old:
-                for b in old - blockers:  # independent per-edge removals from the reverse index
-                    self._drop_reverse(b, name)
-                added = blockers - old
-            for b in added:  # independent per-edge inserts into the reverse index
-                blocked_by.setdefault(b, set()).add(name)
-
-    def set_new_edges(self, pairs: Iterable[Tuple[str, Set[str]]]) -> None:
-        """:meth:`set_edges_many` for names with no edge set yet — sessions
-        entering LOCK_WAIT from RUNNABLE: only a blocked session has a
-        :attr:`waits_for` entry, so there are no old edges to diff
-        against.  The caller keeps that invariant."""
-        waits_for = self.waits_for
-        blocked_by = self.blocked_by
-        for name, blockers in pairs:
-            waits_for[name] = blockers
-            for b in blockers:  # independent per-edge inserts into the reverse index
-                blocked_by.setdefault(b, set()).add(name)
-
-    def add_edges_if_tracked(self, waiters: Iterable[str], blocker: str) -> None:
-        """:meth:`add_edge_if_tracked` for each of ``waiters`` (a fresh
-        grant by ``blocker`` extends the blocked herd's edge sets)."""
-        waits_for = self.waits_for
-        waiting: Optional[Set[str]] = None
-        for w in waiters:
-            edges = waits_for.get(w)
-            if edges is not None and blocker not in edges:
-                edges.add(blocker)
-                if waiting is None:
-                    waiting = self.blocked_by.setdefault(blocker, set())
-                waiting.add(w)
-
-    def drop_edges_many(self, names: Iterable[str]) -> None:
-        """:meth:`drop_edges` for each of ``names``."""
-        waits_for = self.waits_for
-        blocked_by = self.blocked_by
-        for name in names:
-            old = waits_for.pop(name, None)
-            if not old:
-                continue
-            for b in old:  # independent per-edge removals from the reverse index
-                waiters = blocked_by.get(b)
-                if waiters is not None:
-                    waiters.discard(name)
-                    if not waiters:
-                        del blocked_by[b]
 
     def remove_inbound(self, name: str) -> Set[str]:
         """Eagerly prune every edge aimed *at* ``name`` (a departing
@@ -195,10 +133,14 @@ class WaitsForGraph:
                 work.extend(graph.get(n, ()))  # pure-reachability worklist; result is a boolean
         return False
 
-    def find_cycle(self) -> Optional[List[str]]:
-        """The reference detector on the maintained graph; records its
-        visit count in :attr:`last_visits`."""
-        cycle, self.last_visits = find_cycle_counted(self.waits_for)
+    def find_cycle(
+        self, graph: Optional[Mapping[str, Set[str]]] = None
+    ) -> Optional[List[str]]:
+        """The reference detector on ``graph`` — the stored edges when it
+        is ``None`` — recording its visit count in :attr:`last_visits`."""
+        cycle, self.last_visits = find_cycle_counted(
+            self.waits_for if graph is None else graph
+        )
         return cycle
 
     # ------------------------------------------------------------------

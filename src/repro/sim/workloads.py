@@ -344,10 +344,10 @@ def deadlock_storm_workload(
     ``hot_traffic`` the probability each access lands in it — a small hot
     set with most of the traffic keeps several live transactions holding
     one hot entity while waiting for another, which is what breeds
-    waits-for cycles.  This is the scale scenario for the always-fresh
-    waits-for graph: most ticks find no runnable session and go down the
-    deadlock path, which in the naive engine (and the event engine before
-    the incremental graph) re-classified every live session.
+    waits-for cycles.  This is the scale scenario for deadlock handling:
+    most ticks find no runnable session and go down the deadlock path,
+    which in the naive engine (and the event engine before it searched
+    without a per-tick rebuild) re-classified every live session.
     """
     if arrival_rate <= 0:
         raise ValueError("arrival_rate must be positive")

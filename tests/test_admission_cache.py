@@ -17,7 +17,14 @@ from repro.sim import (
     WaitsForGraph,
     WorkloadItem,
 )
-from repro.sim.admission import NEW, Classifier, LiveEntry, OrderedNames
+from repro.sim.admission import (
+    NEW,
+    POLICY_WAIT,
+    Classifier,
+    Decision,
+    LiveEntry,
+    OrderedNames,
+)
 
 
 def make_cache(live_names=("A", "B", "C")):
@@ -125,13 +132,16 @@ class TestPendingLockRegistration:
 
     def test_clear_undoes_what_the_state_holds(self, monkeypatch):
         # R is RUNNABLE and queued on e2; W is LOCK_WAIT on H's e1 grant;
-        # N was never classified.  Each clear touches only what its
-        # entry's state holds, and no clear touches the lock queue.
+        # P is POLICY_WAIT on H; N was never classified.  Each clear
+        # touches only what its entry's state holds, and no clear touches
+        # the lock queue.
         live, metrics, table, graph = {}, Metrics(), LockTable(), WaitsForGraph()
         cache = AdmissionCache(live, metrics)
         classifier = Classifier(live, metrics, table, graph, cache)
         table.acquire("H", "e1", LockMode.EXCLUSIVE)
-        for name, entity in (("H", "e3"), ("R", "e2"), ("W", "e1"), ("N", "e2")):
+        for name, entity in (
+            ("H", "e3"), ("R", "e2"), ("W", "e1"), ("P", "e2"), ("N", "e2"),
+        ):
             steps = [Step(Operation.LOCK_EXCLUSIVE, entity)]
             live[name] = LiveEntry(
                 WorkloadItem(name, steps),
@@ -140,7 +150,10 @@ class TestPendingLockRegistration:
             )
         classifier.settle(live["R"])
         classifier.settle(live["W"])
-        assert graph.waits_for == {"W": {"H"}}
+        classifier.apply(live["P"], Decision("P", POLICY_WAIT, edges={"H"}), [])
+        # Only the policy wait is stored; the lock wait is the table's.
+        assert graph.waits_for == {"P": {"H"}}
+        assert classifier.view.snapshot() == {"W": {"H"}, "P": {"H"}}
         calls = []
         for cls, method in (
             (OrderedNames, "discard"),
@@ -159,10 +172,12 @@ class TestPendingLockRegistration:
         assert not cache.runnable and table.waiting_entity("R") == "e2"
         calls.clear()
         classifier.clear(live["W"])
-        assert calls == [("drop_edges", "W")]
+        assert calls == [] and table.waiting_entity("W") == "e1"
+        classifier.clear(live["P"])
+        assert calls == [("drop_edges", "P")]
         assert graph.waits_for == {} and graph.blocked_by == {}
-        assert table.waiting_entity("W") == "e1"
-        assert live["R"].state == live["W"].state == NEW
+        assert not classifier.view.snapshot()
+        assert live["R"].state == live["W"].state == live["P"].state == NEW
 
 
 class TestTickQueries:

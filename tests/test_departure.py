@@ -2,7 +2,7 @@
 
 A commit and an abort leave through the same teardown, which clears each
 structure once: the departing session's cached classification (runnable
-index or its own waits-for edges — nothing for a drained script, which
+index or its stored policy-wait edges — nothing for a drained script, which
 ``settle`` cleared when it drained), the edges aimed at it, its routing
 state, and its locks with its queue entry.  Three contracts:
 
@@ -291,7 +291,7 @@ def deadlocks(monkeypatch):
     phase = _Run._phase_deadlock
 
     def spy(run):
-        cycle, _ = find_cycle_counted(run.graph.waits_for)
+        cycle, _ = find_cycle_counted(run.classifier.view)
         states = {n: run.live[n].state for n in cycle}
         phase(run)
         victim = run.metrics.deadlock_victims[-1]

@@ -332,8 +332,8 @@ class TestEventEngineWins:
 
     def test_no_runnable_ticks_do_not_rescan_live(self):
         """Deadlock storms: most ticks hit the no-runnable path, which used
-        to re-classify every live session as a safety net.  With the
-        always-fresh waits-for graph the event engine's classification work
+        to re-classify every live session as a safety net.  Searching the
+        table-backed detection view, the event engine's classification work
         must stay a small fraction of the naive rescan even here."""
         items, initial = deadlock_storm_workload(
             100, 200, accesses_per_txn=2, arrival_rate=0.5,
@@ -354,9 +354,9 @@ class TestEventEngineWins:
         )
 
     def test_waits_for_indexes_drain(self):
-        """After a deadlock-heavy run completes, both sides of the waits-for
-        graph (forward edges and the reverse blocker index) must be empty —
-        every block/wake/commit/abort kept them in sync."""
+        """After a deadlock-heavy run completes, both sides of the stored
+        waits-for graph (forward edges and the reverse blocker index) must
+        be empty — every block/wake/commit/abort kept them in sync."""
         from repro.sim.scheduler import _Run
 
         items, initial = deadlock_storm_workload(
@@ -370,6 +370,31 @@ class TestEventEngineWins:
         assert run.graph.blocked_by == {}
         # Nothing is left queued on the lock table either.
         assert all(run.table.waiting_entity(i.name) is None for i in items)
+
+    def test_policy_wait_edges_drain(self, monkeypatch):
+        """A 2PL run stores no edge (its waits are lock waits, read from
+        the table at a search); an altruistic storm stores policy-wait
+        edges, and every departure and re-derivation removes them."""
+        from repro.sim.scheduler import _Run
+        from repro.sim.waits_for import WaitsForGraph
+
+        stored = []
+        set_edges = WaitsForGraph.set_edges
+
+        def counted(self, name, blockers):
+            stored.append(name)
+            return set_edges(self, name, blockers)
+
+        monkeypatch.setattr(WaitsForGraph, "set_edges", counted)
+        items, initial = deadlock_storm_workload(
+            60, 60, accesses_per_txn=2, arrival_rate=0.15,
+            hot_set_size=8, hot_traffic=0.45, seed=0,
+        )
+        run = _Run(Simulator(AltruisticPolicy(), seed=0), items)
+        run.execute()
+        assert run.metrics.deadlocks > 0 and stored
+        assert run.graph.waits_for == {}
+        assert run.graph.blocked_by == {}
 
     def test_arrivals_admitted_only_on_arrival_ticks(self, monkeypatch):
         """The tick loop enters admission only on a tick an arrival is

@@ -9,8 +9,9 @@ re-derived on the next tick.  Four contracts:
 1. **Coherence oracle.**  At every event-engine tick, right before the
    phase-3 draw or the deadlock phase, every live session that is neither
    dirty nor dynamic (nor a drained script waiting to commit) has a cached
-   state a fresh ``derive`` agrees with: same kind, same entity, same
-   waits-for edges, same queue entry, same watch — for every registered
+   state a fresh ``derive`` agrees with: same kind, same entity, the same
+   waits-for edges in the detection view (``Classifier.view``), same
+   queue entry, same watch — for every registered
    grid factory under every policy that accepts it, with the run itself
    byte-identical to the naive engine's (schedule, summary, victims,
    per-transaction records).  The hand-driven :func:`tick` checks the
@@ -29,14 +30,14 @@ re-derived on the next tick.  Four contracts:
    blocked watcher keeps the queue place it registered at classification:
    a pending lock is queued once, blocked or runnable, until the session
    is cleared.
-4. **Herd batches.**  The runnable index is strictly sorted and holds
-   exactly the RUNNABLE sessions, no RUNNABLE or NEW session has a
-   waits-for entry (so a re-blocked session's fresh edges need no diff),
-   and the graph's reverse index mirrors its edges — before every draw
-   and deadlock phase of the oracle's runs, and after every tick of
-   contended 2PL runs.  A wake or a grant moves its whole herd with one
-   graph call and one runnable-index call, and no per-member call of
-   either.
+4. **Herd moves.**  The runnable index is strictly sorted and holds
+   exactly the RUNNABLE sessions, the stored waits-for graph holds edges
+   for exactly the POLICY_WAIT sessions (a LOCK_WAIT session's are read
+   from the lock table at a cycle search), and its reverse index mirrors
+   its edges — before every draw and deadlock phase of the oracle's
+   runs, and after every tick of contended 2PL runs.  A wake or a grant
+   moves its whole herd with one runnable-index call, no per-member
+   call, and no waits-for graph call at all.
 """
 
 import pytest
@@ -53,7 +54,7 @@ from repro.policies.base import LockingPolicy, PolicyContext, ScriptedSession
 from repro.sim import LockTable, Simulator, grid_factory
 from repro.sim.admission import (
     LOCK_WAIT,
-    NEW,
+    POLICY_WAIT,
     RUNNABLE,
     Classifier,
     OrderedNames,
@@ -80,11 +81,12 @@ def assert_herd_invariants(run) -> None:
     assert set(names) == {
         n for n, e in run.live.items() if e.state == RUNNABLE
     }, f"{where}: runnable index != the RUNNABLE sessions"
-    edged = [
-        n for n, e in run.live.items()
-        if e.state in (RUNNABLE, NEW) and n in run.graph.waits_for
-    ]
-    assert not edged, f"{where}: RUNNABLE/NEW sessions with edges: {edged}"
+    stored = set(run.graph.waits_for)
+    policy_waits = {n for n, e in run.live.items() if e.state == POLICY_WAIT}
+    assert stored == policy_waits, (
+        f"{where}: stored edges for {sorted(stored)}, "
+        f"POLICY_WAIT sessions {sorted(policy_waits)}"
+    )
     run.graph.check_consistency()
 
 
@@ -100,8 +102,9 @@ def assert_coherent(run) -> int:
         d = run.classifier.derive(entry)
         where = f"tick {run.metrics.ticks}, {name}"
         assert entry.state == d.kind, f"{where}: cached {entry.state}, derived {d.kind}"
-        assert run.graph.waits_for.get(name, set()) == (d.edges or set()), (
-            f"{where}: edges {run.graph.waits_for.get(name)} != {d.edges}"
+        edges = run.classifier.view.get(name)
+        assert (edges or set()) == (d.edges or set()), (
+            f"{where}: edges {edges} != {d.edges}"
         )
         queued = table.waiting_entity(name)
         if d.entity is not None:  # LOCK_WAIT, or RUNNABLE with a pending lock
@@ -376,7 +379,7 @@ class TestSettleRouting:
         entry = run.live["P"]
         assert entry.state == LOCK_WAIT
         assert run.table.waiting_entity("P") == "a"
-        assert run.graph.waits_for.get("P", set()) == set()
+        assert run.classifier.view["P"] == set()
         assert_coherent(run)
 
     def test_a_policy_verdict_takes_the_dirty_route(self, monkeypatch):
@@ -449,7 +452,7 @@ class TestBlockTransition:
         run = manual_run({"H": [ls("a"), r("a")], "S": [ls("a"), r("a")]})
         tick(run, "H")
         entry = run.live["S"]
-        assert entry.state == RUNNABLE and "S" not in run.graph.waits_for
+        assert entry.state == RUNNABLE and "S" not in run.classifier.view
         assert "S" in run.cache.runnable and "S" not in run.cache.dirty
         assert list(run.table.queue("a").items()) == [("S", LockMode.SHARED)]
         assert run.metrics.lock_transitions == 0
@@ -463,7 +466,7 @@ class TestBlockTransition:
         entry = run.live["S"]
         assert entry.state == LOCK_WAIT
         assert "S" not in run.cache.runnable and "S" not in run.cache.dirty
-        assert run.graph.waits_for["S"] == {"H"}
+        assert run.classifier.view["S"] == {"H"}
         assert list(run.table.queue("a").items()) == [("S", LockMode.SHARED)]
         assert run.metrics.lock_transitions == 1
         # Tick 1 classified only H's next step (a write: no query), in
@@ -482,7 +485,7 @@ class TestBlockTransition:
         tick(run, "H")  # the upgrade: H's effective mode is X now
         entry = run.live["S"]
         assert entry.state == LOCK_WAIT
-        assert run.graph.waits_for["S"] == {"H"}
+        assert run.classifier.view["S"] == {"H"}
         assert run.metrics.lock_transitions == 1
 
     def test_a_blocked_watcher_keeps_its_registration_place(self):
@@ -523,7 +526,7 @@ class TestWakeRouting:
         assert m.wakeups == 2
         assert m.lock_transitions == moved + 1
         assert run.live["P"].state == RUNNABLE and "P" not in run.cache.dirty
-        assert "P" not in run.graph.waits_for
+        assert "P" not in run.classifier.view
         # A woken waiter stays queued on its entity, in its place.
         assert list(run.table.queue("a").items()) == [
             ("P", LockMode.EXCLUSIVE), ("Q", LockMode.EXCLUSIVE)
@@ -562,14 +565,13 @@ def acquire_queries(monkeypatch):
     return blocker_calls_inside(monkeypatch, Classifier, "acquired")
 
 
-#: The runnable-index and waits-for-graph updates a herd move may make,
-#: per member or as one batch.
+#: The runnable-index updates a herd move may make, per member or as one
+#: batch, and every public waits-for-graph method (a herd move calls none).
 HERD_UPDATES = (
     (OrderedNames, ("add", "discard", "add_many", "discard_many")),
-    (WaitsForGraph, (
-        "set_edges", "drop_edges", "add_edge_if_tracked",
-        "set_new_edges", "set_edges_many", "drop_edges_many",
-        "add_edges_if_tracked",
+    (WaitsForGraph, tuple(
+        name for name, member in vars(WaitsForGraph).items()
+        if callable(member) and not name.startswith("_")
     )),
 )
 
@@ -581,9 +583,6 @@ def herd_updates(monkeypatch):
     open_calls, per_call = [], {"wake": [], "acquired": []}
     for cls, updates in HERD_UPDATES:
         for update in updates:
-            if not hasattr(cls, update):
-                continue  # an engine without that batch: nothing to count
-
             def spy(self, *args, _update=getattr(cls, update),
                     _key=f"{cls.__name__}.{update}"):
                 if open_calls:
@@ -607,8 +606,9 @@ def herd_updates(monkeypatch):
 class TestHerd:
     """A hot entity with N X-waiters and some S watchers.  A release that
     frees it wakes the whole herd in one pass, and the next grant
-    re-blocks whoever now conflicts with one blocker query per wanted
-    mode, everyone keeping their queue place."""
+    re-blocks whoever now conflicts without a blocker query, everyone
+    keeping their queue place; the detection view reads each blocked
+    member's edges from the table."""
 
     XS = [f"X{i}" for i in range(5)]
     SS = ["S0", "S1", "S2"]
@@ -640,7 +640,7 @@ class TestHerd:
         assert m.wakeups == wakeups + len(herd)
         assert m.lock_transitions == moved + len(herd)
         assert all(run.live[n].state == RUNNABLE for n in herd)
-        assert not run.graph.waits_for
+        assert not list(run.classifier.view)
         # Every woken waiter is still queued, in its registration place,
         # and the wake-up set was read without a conflict query.
         assert list(run.table.queue("a")) == sorted(herd)
@@ -654,41 +654,36 @@ class TestHerd:
         rest = [n for n in self.XS + self.SS if n != "X0"]
         for n in rest:
             assert run.live[n].state == LOCK_WAIT, n
-            assert run.graph.waits_for[n] == {"X0"}, n
+            assert run.classifier.view[n] == {"X0"}, n
         assert list(run.table.queue("a")) == sorted(rest)
         assert m.lock_transitions == moved + len(rest)
+        # Each re-block counts as a blocker derivation, made without a
+        # table query: the view answers the edges when a cycle is searched.
         assert m.blocker_queries == queries + len(rest)
-        # One query per wanted mode, shared by the herd.
-        assert sorted(acquire_queries[-1], key=str) == [
-            (None, "a", LockMode.EXCLUSIVE), (None, "a", LockMode.SHARED),
-        ]
+        assert acquire_queries[-1] == []
 
     def test_a_herd_moves_as_one_batch(self, herd_updates):
         # Eight watchers: the release wakes them all, X0's grant re-blocks
-        # the other seven; each move is one graph call and one index call.
+        # the other seven; each move is one index call and no graph call.
         run = self.herd()
         tick(run, "H")  # H unlocks a
-        assert herd_updates["wake"][-1] == {
-            "WaitsForGraph.drop_edges_many": 1, "OrderedNames.add_many": 1,
-        }
+        assert herd_updates["wake"][-1] == {"OrderedNames.add_many": 1}
         tick(run, "X0")
         assert herd_updates["acquired"][-1] == {
-            "WaitsForGraph.set_new_edges": 1, "OrderedNames.discard_many": 1,
+            "OrderedNames.discard_many": 1,
         }
         rest = [n for n in self.XS + self.SS if n != "X0"]
         assert all(run.live[n].state == LOCK_WAIT for n in rest)
-        # A grant on an entity whose herd is already blocked extends
-        # every conflicting waiter's edges in one call: S0's S grant
-        # blocks the X watchers, S1's extends their edges.
+        # A grant on an entity whose herd is already blocked makes no
+        # call at all, and the view sees the new holder: S0's S grant
+        # blocks the X watchers, S1's joins their blockers.
         herd_updates["acquired"].clear()
         run = self.woken_herd()
         tick(run, "S0")
         tick(run, "S1")
-        assert herd_updates["acquired"][-1] == {
-            "WaitsForGraph.add_edges_if_tracked": 1,
-        }
+        assert herd_updates["acquired"][-1] == {}
         for n in self.XS:
-            assert run.graph.waits_for[n] == {"S0", "S1"}, n
+            assert run.classifier.view[n] == {"S0", "S1"}, n
 
     def test_an_s_grant_leaves_s_watchers_alone(self, acquire_queries):
         run = self.woken_herd()
@@ -696,12 +691,12 @@ class TestHerd:
         tick(run, "S0")
         for n in ("S1", "S2"):
             assert run.live[n].state == RUNNABLE and n in run.cache.runnable
-            assert n not in run.graph.waits_for
+            assert n not in run.classifier.view
         for n in self.XS:
             assert run.live[n].state == LOCK_WAIT
-            assert run.graph.waits_for[n] == {"S0"}
+            assert run.classifier.view[n] == {"S0"}
         assert run.metrics.lock_transitions == moved + len(self.XS)
-        assert acquire_queries[-1] == [(None, "a", LockMode.EXCLUSIVE)]
+        assert acquire_queries[-1] == []
 
     def test_an_s_holder_waiting_to_upgrade_is_not_its_own_blocker(
         self, acquire_queries
@@ -716,12 +711,12 @@ class TestHerd:
         tick(run, "U")
         assert run.live["U"].state == RUNNABLE
         tick(run, "W")  # W's next step: X on a, blocked by U at once
-        assert run.graph.waits_for["W"] == {"U"}
+        assert run.classifier.view["W"] == {"U"}
         tick(run, "V")
         assert run.live["U"].state == LOCK_WAIT
-        assert run.graph.waits_for["U"] == {"V"}
-        assert run.graph.waits_for["W"] == {"U", "V"}
-        assert acquire_queries[-1] == [(None, "a", LockMode.EXCLUSIVE)]
+        assert run.classifier.view["U"] == {"V"}
+        assert run.classifier.view["W"] == {"U", "V"}
+        assert acquire_queries[-1] == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_the_naive_engine_agrees_on_a_herd_storm(self, seed):

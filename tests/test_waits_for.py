@@ -1,15 +1,19 @@
-"""The waits-for subsystem: the maintained graph against the lock table
-and the from-scratch oracle.
+"""The waits-for subsystem: the stored graph and the detection view
+against the lock table and the from-scratch oracle.
 
 :class:`repro.sim.WaitsForGraph` keeps the forward edges and the reverse
 blocker index in sync through every edge update and detects cycles with
 the reference DFS (:func:`repro.sim.deadlock.find_cycle_counted`) on its
-maintained edges.  The detector cannot diverge from the naive engine's, so
-what carries the weight is the graph: these tests drive it through
-randomized churn (the mutation mix the scheduler performs: block,
-re-derive, extend, departure) checking the index invariant and the oracle
-after every step, and check inside running deadlock storms that the
-maintained edges equal a rebuild from the live table at every detection.
+stored edges or on a view handed to it.  The simulator stores POLICY_WAIT
+edges only; its searches walk :class:`repro.sim.admission.DetectionView`,
+which reads a LOCK_WAIT session's edges from the lock table.  The
+detector cannot diverge from the naive engine's, so what carries the
+weight is the graph it walks: these tests drive the stored graph through
+randomized churn (block, re-derive, extend, departure) checking the index
+invariant and the oracle after every step, check the view against an
+independent rebuild over randomized lock tables, and check inside
+running deadlock storms that the view equals a rebuild from the live
+table at every detection.
 """
 
 import random
@@ -19,13 +23,15 @@ import pytest
 from repro.core import LockMode, Operation, Step, StructuralState
 from repro.policies import AltruisticPolicy, TwoPhasePolicy
 from repro.sim import (
+    LockTable,
     Simulator,
     WaitsForGraph,
     WorkloadItem,
     deadlock_storm_workload,
 )
+from repro.sim.admission import DetectionView
 from repro.sim.deadlock import find_cycle, find_cycle_counted
-from repro.sim.live import LOCK_WAIT, POLICY_WAIT
+from repro.sim.live import LOCK_WAIT, POLICY_WAIT, RUNNABLE
 from repro.sim.scheduler import _Run
 
 from test_lock_transitions import ScriptPolicy
@@ -245,53 +251,81 @@ class TestOracleEquality:
         assert_oracle(g)
 
 
-class TestHerdBatches:
-    """Each batch update leaves the graph exactly as the single-member
-    calls it stands for, one per member, would."""
+class _Entry:
+    """A live-table entry as far as the view reads one: its state."""
+
+    def __init__(self, state):
+        self.state = state
+
+
+class TestDetectionView:
+    """The view maps exactly the blocked sessions: a LOCK_WAIT one to the
+    live holders whose effective mode conflicts with its queued request,
+    a POLICY_WAIT one to its stored edges; and a detection on it equals
+    the oracle's on a snapshot."""
 
     @staticmethod
-    def assert_same(batched, single):
-        assert batched.waits_for == single.waits_for
-        assert batched.blocked_by == single.blocked_by
-        batched.check_consistency()
+    def rebuild(live, table, stored):
+        """The view's contract from the holder map and the conflict rule,
+        without ``LockTable.blockers``."""
+        graph = {}
+        for name, entry in live.items():
+            if entry.state == POLICY_WAIT:
+                graph[name] = stored[name]
+            elif entry.state == LOCK_WAIT:
+                entity = table.waiting_entity(name)
+                wanted = table.queue(entity)[name]
+                graph[name] = {
+                    h for h, held in table.holders(entity).items()
+                    if h != name and h in live and wanted.conflicts_with(held)
+                }
+        return graph
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_batches_equal_their_single_calls(self, seed):
+    def test_view_equals_a_rebuild_from_the_table(self, seed):
         rng = random.Random(seed)
-        names = [f"T{i:02d}" for i in range(14)]
-        batched, single = WaitsForGraph(), WaitsForGraph()
-
-        def edges(name):
-            return {b for b in rng.sample(names, k=rng.randrange(0, 3)) if b != name}
-
+        names = [f"T{i:02d}" for i in range(12)]
+        entities = ["a", "b", "c"]
+        modes = (LockMode.SHARED, LockMode.EXCLUSIVE)
+        live, table, graph = {}, LockTable(), WaitsForGraph()
+        view = DetectionView(live, table, graph)
         for _ in range(200):
-            herd = rng.sample(names, k=rng.randrange(0, 5))
+            name = rng.choice(names)
             op = rng.random()
-            if op < 0.3:
-                # set_new_edges installs edge sets for edge-less names only.
-                pairs = [(n, edges(n)) for n in herd if n not in single.waits_for]
-                batched.set_new_edges([(n, set(bs)) for n, bs in pairs])
-                for n, bs in pairs:
-                    single.set_edges(n, set(bs))
-            elif op < 0.5:
-                pairs = [(n, edges(n)) for n in herd]
-                batched.set_edges_many([(n, set(bs)) for n, bs in pairs])
-                for n, bs in pairs:
-                    single.set_edges(n, set(bs))
-            elif op < 0.7:
-                blocker = rng.choice(names)
-                waiters = [n for n in herd if n != blocker]
-                batched.add_edges_if_tracked(waiters, blocker)
-                for n in waiters:
-                    single.add_edge_if_tracked(n, blocker)
-            elif op < 0.9:
-                batched.drop_edges_many(herd)
-                for n in herd:
-                    single.drop_edges(n)
+            entry = live.get(name)
+            if entry is None:
+                live[name] = _Entry(RUNNABLE)
+            elif op < 0.3:
+                entity, mode = rng.choice(entities), rng.choice(modes)
+                if table.grantable(name, entity, mode):
+                    table.acquire(name, entity, mode)
+            elif op < 0.5 and entry.state != POLICY_WAIT:
+                # Queue a request; it blocks when something conflicts.
+                entity, mode = rng.choice(entities), rng.choice(modes)
+                table.add_waiter(name, entity, mode)
+                if not table.grantable(name, entity, mode):
+                    entry.state = LOCK_WAIT
+            elif op < 0.6 and entry.state == RUNNABLE:
+                table.remove_waiter(name)
+                entry.state = POLICY_WAIT
+                graph.set_edges(name, set(rng.sample(names, k=2)) - {name})
+            elif op < 0.75:
+                held = sorted(table.held_by(name).items())
+                if held:
+                    entity, mode = rng.choice(held)
+                    table.release(name, entity, mode)
             else:
-                for g in (batched, single):
-                    g.forget(herd[0] if herd else names[0])
-            self.assert_same(batched, single)
+                # Departure: no longer live, no locks, no edges at it.
+                del live[name]
+                table.release_all_wake(name)
+                graph.forget(name)
+            expected = self.rebuild(live, table, graph.waits_for)
+            assert view.snapshot() == expected
+            assert sorted(view) == sorted(expected)
+            assert all(view.get(n) == expected.get(n) for n in names)
+            got = graph.find_cycle(view)
+            visits = graph.last_visits
+            assert (got, visits) == find_cycle_counted(expected)
 
 
 def table_rebuild(run):
@@ -357,13 +391,14 @@ class TestInSimulationOracle:
     def test_every_detection_matches_oracle_in_storm(self, monkeypatch):
         """Run a deadlock storm under the event engine with every
         detection checked against the from-scratch oracle on a snapshot of
-        the maintained graph."""
+        the graph it walks."""
         checked = {"detections": 0}
         orig = WaitsForGraph.find_cycle
 
-        def checking(self):
-            expected = find_cycle(self.snapshot())
-            got = orig(self)
+        def checking(self, graph=None):
+            walked = self.waits_for if graph is None else graph
+            expected = find_cycle({n: set(walked[n]) for n in walked})
+            got = orig(self, graph)
             assert got == expected
             checked["detections"] += 1
             return got
@@ -381,18 +416,24 @@ class TestInSimulationOracle:
 
     @pytest.mark.parametrize("storm", sorted(STORMS))
     def test_maintained_graph_equals_table_rebuild(self, monkeypatch, storm):
-        """At every deadlock phase the maintained edges equal a rebuild
-        from the live table.  The detector walks them as given, so this is
-        what keeps it equal to the naive engine's; a stale edge fails here
-        even where it happens not to change a cycle (skipping
-        ``Classifier.refresh_lock_edges`` leaves such edges in the
-        early-shared-release storm and changes no victim)."""
+        """At every deadlock phase the detection view equals a rebuild
+        from the live table, and the stored edges are its POLICY_WAIT
+        part.  The detector walks the view as given, so this is what
+        keeps it equal to the naive engine's; a stale edge fails here even
+        where it happens not to change a cycle (a shared release leaves
+        exclusive waiters blocked by the other readers in the
+        early-shared-release storm)."""
         policy, build = STORMS[storm]
         checked = {"detections": 0, "policy_waits": 0}
         orig = _Run._phase_deadlock
 
         def checking(run):
-            assert run.graph.waits_for == table_rebuild(run)
+            rebuilt = table_rebuild(run)
+            assert run.classifier.view.snapshot() == rebuilt
+            assert run.graph.waits_for == {
+                n: edges for n, edges in rebuilt.items()
+                if run.live[n].state == POLICY_WAIT
+            }
             checked["detections"] += 1
             checked["policy_waits"] += sum(
                 e.state == POLICY_WAIT for e in run.live.values()
