@@ -44,14 +44,21 @@ pick): accrual is an idempotent catch-up (``through - accrued_to``) and
 every transition out of a wait accrues first, so a catch-up at a
 blocker's departure would change no total.
 
-Sessions whose verdict needs the policy are marked dirty for the next
-classify phase instead; their own step leaves them RUNNABLE and in the
-runnable index (only the executed lock's queue entry goes), since phase
-2 re-derives them before anything reads either.  A step is peeked once:
-``LiveEntry.peek`` caches the pending step from the first peek after an
-admission or a step, and ``_execute_step`` resets it right after
-``executed()``.  The step and release paths test no engine flag: the
-naive engine marks every session as needing the policy, so none is
+A session that declares invalidation channels (``tracks_deps``: DDAG,
+altruistic) takes the same ``settle`` after its own step: a next verdict
+that declares no channel and proceeds is settled there (unsubscribed,
+out of ``dirty``), a drained script or a peek that raised
+``PolicyViolation`` (kept on the entry) goes to ``complete`` for the
+next tick's phase 1, and any other verdict is marked dirty for the next
+classify phase.  Dynamic sessions, and the lock events of any session
+whose verdict needs the policy, take that dirty route too; a step leaves
+such a session RUNNABLE and in the runnable index (only the executed
+lock's queue entry goes), since phase 2 re-derives it before anything
+reads either.  A step is peeked once: ``LiveEntry.peek`` caches the
+pending step from the first peek after an admission or a step, and
+``_execute_step`` resets it right after ``executed()``.  The step and
+release paths test no engine flag: the naive engine marks every session
+as needing the policy and none as declaring channels, so none is
 settled in place, nothing is queued, and a grant or release finds no
 one to move.
 
@@ -231,23 +238,18 @@ class KernelRun:
         entry.peeked = UNPEEKED
         m.events_executed += 1
         entry.record.steps_executed += 1
-        if not entry.needs_admission:
-            # Its own acquire and wake-ups are done, so the verdict of its
-            # next step is decided now; it is still RUNNABLE, and settle
-            # moves only what that next step changes.
+        if not entry.needs_admission or entry.tracks_deps:
+            # Its own acquire and wake-ups are done, and no step runs
+            # before the next tick's phases read its pending step, so that
+            # step is peeked now; it is still RUNNABLE, and settle moves
+            # only what that step changes (a verdict that may still flip
+            # is left dirty, a drained or refused script to phase 1).
             classifier.settle(entry)
             return
-        # It stays RUNNABLE and in the runnable index until its phase-2
-        # re-derivation, which comes before anything reads either; only
-        # the executed lock's queue entry goes.
+        # A dynamic session is re-examined every tick: it stays RUNNABLE
+        # and in the runnable index until then, and only the executed
+        # lock's queue entry goes.
         self.table.remove_waiter(name)
-        if entry.tracks_deps:
-            # Defer the replanning peek to next tick's phase 1 (it may
-            # raise or drain to None — commit/abort are phase-1 business,
-            # exactly when the naive engine sees them).
-            self.cache.phase1.add(name)
-            self.cache.dirty.add(name)
-        # A dynamic session is re-examined every tick anyway.
 
     def _depart(self, entry: LiveEntry) -> None:
         """Tear this incarnation down, each structure once (see the module

@@ -174,9 +174,13 @@ class PolicySession(ABC):
         Contract: ``peek()`` is idempotent between two :meth:`executed`
         calls — k peeks return equal steps and leave the session (and
         the step :meth:`executed` then performs) as one peek does.  The
-        first peek may plan (expand an intent, read shared state, raise
-        ``PolicyViolation``); later ones must not re-plan.  The scheduler
-        relies on it to ask once per step and cache the answer."""
+        first peek may plan (expand an intent, raise ``PolicyViolation``)
+        and may read only shared state that :meth:`executed` alone
+        changes: the scheduler peeks right after the session's own step
+        and acts on the answer in later phases and ticks, across other
+        sessions' admissions, commits and aborts.  Later peeks must not
+        re-plan.  The scheduler relies on it to ask once per step and
+        cache the answer — a raised violation included."""
 
     @abstractmethod
     def executed(self) -> None:
@@ -206,6 +210,11 @@ class PolicySession(ABC):
           (:meth:`PolicyContext.notify_changed`),
         * a lock event touches the session (wake-up, watched acquire), or
         * the session executes a step of its own.
+
+        An empty set declares that nothing but the session's own next
+        step can flip the verdict: when it also proceeds, the scheduler
+        settles the session where its step executes, with no
+        classify-phase re-derivation.
 
         Contract: between two of the session's own executions, **every**
         shared-state mutation that can alter its verdict must be covered by

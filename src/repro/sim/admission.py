@@ -7,14 +7,16 @@ that can change it occurs.  :class:`AdmissionCache` owns the state that
 decides *who gets re-examined when*:
 
 * ``dirty`` — sessions whose verdict needs the policy and whose cached
-  classification must be re-derived on the next tick (executors, fresh
-  admissions, channel-notification hits, woken or invalidated sessions);
+  classification must be re-derived on the next tick (executors whose
+  next verdict declares a channel, fresh admissions, channel-notification
+  hits, woken or invalidated sessions);
 * ``dynamic`` — live dynamic sessions that declare no invalidation
   dependencies: the conservative fallback, re-examined every tick;
-* ``complete`` — non-dynamic sessions whose script drained (commit next
-  tick);
-* ``phase1`` — dependency-declaring sessions due a replanning peek (fresh
-  admission or just executed: the peek may commit or abort them);
+* ``complete`` — non-dynamic sessions whose script drained, or whose
+  peek after their own step raised ``PolicyViolation`` (commit or abort
+  next tick);
+* ``phase1`` — dependency-declaring sessions due their first peek after
+  an admission or a restart (the peek may commit or abort them);
 * ``runnable`` — names currently classified runnable, kept in sorted
   order (an :class:`OrderedNames`), so phase 3's seeded pick is a length
   and a k-th element rather than a per-tick sort of the population;
@@ -36,9 +38,8 @@ request, read from the lock table when a cycle is searched
 
 A pending lock is registered once: from its classification until
 :meth:`Classifier.clear` or until its own step executes it (then the
-settle that follows drops it, or, for a session whose verdict needs
-the policy, the kernel does), a session whose pending step locks sits
-on
+settle that follows drops it, or, for a dynamic session, the kernel
+does), a session whose pending step locks sits on
 :class:`LockTable`'s queue for that entity with its wanted mode, whether
 it is LOCK_WAIT or RUNNABLE.  The queue is the only index of who wants
 an entity — ``table.waiting_entity(name)`` is where it is read — so wake
@@ -55,7 +56,12 @@ the classify phase:
   RUNNABLE, a derivation counted like any other.  After its own step the
   session is still RUNNABLE and is not cleared first, so settle touches
   only what its next step changes: the runnable index only when it
-  blocks or drains, the queue only when a lock is involved;
+  blocks or drains, the queue only when a lock is involved.  A session
+  that declares invalidation channels (``tracks_deps``: DDAG,
+  altruistic) takes the same settle after its own step: its next
+  verdict is settled there when it declares no channel and proceeds
+  (nothing but its own next step can flip it), and is otherwise left to
+  the classify phase;
 * **wake** (:meth:`Classifier.wake`) — a LOCK_WAIT waiter in a release's
   wake-up set goes RUNNABLE, still queued (runnable names in the set are
   skipped);
@@ -70,8 +76,8 @@ ticks inline, then makes one runnable-index call
 (:meth:`OrderedNames.add_many` / :meth:`OrderedNames.discard_many`), one
 update per counter, and no lock-table query or waits-for graph call.
 
-Wakes and blocks are counted as ``Metrics.lock_transitions``.
-Dependency-declaring and dynamic sessions stay on the dirty route.  All
+Wakes and blocks are counted as ``Metrics.lock_transitions``; a wake or
+block of a session whose verdict needs the policy marks it dirty.  All
 of this is exact because acquires happen only in phase 3 and a session's
 own acquire comes before its own classification: from each event to the
 next classify phase the table can only weaken, and the release that
@@ -95,11 +101,11 @@ A classification in the classify phase is read, then written:
   (accounting, counters, queue registration, a policy wait's waits-for
   edges, runnable bookkeeping).  A session that was RUNNABLE and stays
   RUNNABLE keeps its place in the runnable index; only a verdict that
-  leaves RUNNABLE clears it.  That is the common case of a
-  dependency-declaring or dynamic session re-derived after its own step:
-  the kernel leaves it RUNNABLE and in the index through the step
-  (dropping only the executed lock's queue entry), because phase 2
-  re-derives it before anything reads either.
+  leaves RUNNABLE clears it.  That is the common case of a session
+  re-derived after its own step (a dynamic one, or one whose next
+  verdict declares a channel): the kernel leaves it RUNNABLE and in the
+  index through the step (dropping only the executed lock's queue
+  entry), because phase 2 re-derives it before anything reads either.
 
 :meth:`Classifier.classify` is ``apply(entry, derive(entry))``; the
 classify phase calls it once per name of the sorted check set
@@ -130,6 +136,7 @@ from typing import (
 
 from ..core.operations import LockMode
 from ..core.steps import Entity, Step
+from ..exceptions import PolicyViolation
 from ..policies.base import Admission
 from .lock_table import LockTable
 from .live import LOCK_WAIT, NEW, POLICY_WAIT, RUNNABLE, LiveEntry
@@ -299,7 +306,8 @@ class AdmissionCache:
         needs the policy: a dependency-declaring one gets a phase-1 peek
         plus an initial classification, any other joins the every-tick
         set.  (Sessions whose verdict needs no policy never come here:
-        :meth:`Classifier.settle` classifies them on the spot.)"""
+        :meth:`Classifier.settle` classifies them on the spot, as it does
+        a dependency-declaring one after each of its own steps.)"""
         if tracks_deps:
             self.phase1.add(name)
             self.dirty.add(name)
@@ -588,28 +596,53 @@ class Classifier:
         return entity, mode, {b for b in blockers if b in live}
 
     def settle(self, entry: LiveEntry) -> None:
-        """Classify a session whose verdict needs no policy at the event
-        that decides it — its admission or restart (a NEW entry) and its
-        own step (a RUNNABLE entry with no waits-for edges, whose queued
-        lock, if any, was the step just executed) — instead of in the next
-        classify phase.  Its next step is peeked once: a drained script is
-        cleared and waits in ``complete`` for its phase-1 commit; any other
-        step is a derivation like any other, counted in ``classify_checks``
-        (and in ``blocker_queries`` when it locks), and touches only what
-        it changes — the queue entry moves only when a lock is involved,
-        and the runnable index only when the session blocks.  A step that
-        locks nothing leaves the session RUNNABLE (a NEW one enters the
-        index) with no further lookups.  A LOCK_WAIT installed here starts
-        accruing after :attr:`observed`."""
+        """Classify a session at the event that decides it, instead of in
+        the next classify phase: the admission or restart of one whose
+        verdict needs no policy (a NEW entry), and the own step of one
+        whose verdict needs no policy or declares invalidation channels
+        (a RUNNABLE entry with no waits-for edges, whose queued lock, if
+        any, was the step just executed).  Its next step is peeked once:
+        a drained script, or a peek that raised ``PolicyViolation`` (kept
+        on the entry, re-raised by the phase-1 peek), is cleared and waits
+        in ``complete`` for phase 1 to commit or abort it.  A policy
+        verdict is settled here only when it declares no channel and
+        proceeds — nothing but the session's own next step can flip it —
+        and the session is unsubscribed; any other verdict is left
+        ``dirty`` for the classify phase.  Any other step is a derivation
+        like any other, counted in ``classify_checks`` (and in
+        ``admission_checks`` / ``blocker_queries`` when it asked the
+        policy / locks), and touches only what it changes — the queue
+        entry moves only when a lock is involved, and the runnable index
+        only when the session blocks.  A step that locks nothing leaves
+        the session RUNNABLE (a NEW one enters the index) with no further
+        lookups.  A LOCK_WAIT installed here starts accruing after
+        :attr:`observed`."""
         name = entry.item.name
         if entry.state != NEW:  # a NEW entry has nothing queued
             self.table.remove_waiter(name)
-        step = entry.peek()
+        try:
+            step = entry.peek()
+        except PolicyViolation:
+            step = None  # kept on the entry: phase 1 aborts it
         if step is None:
             self.clear(entry)
             self.cache.complete.add(name)
             return
         m = self.metrics
+        if entry.needs_admission:
+            # Only the session's own step can have dirtied it since its
+            # last derivation: this one has seen that step.
+            session = entry.session
+            cache = self.cache
+            if (
+                session.admission_dependencies()
+                or session.admission().verdict is not Admission.PROCEED
+            ):
+                cache.dirty.add(name)
+                return
+            cache.subscribe(name, ())
+            cache.dirty.discard(name)
+            m.admission_checks += 1
         m.classify_checks += 1
         if not step.op.is_lock:
             if entry.state != RUNNABLE:

@@ -11,7 +11,10 @@ internals it is the oracle for (``scheduler``/``admission``/``waits_for``
 It also caches the session's pending step (:meth:`LiveEntry.peek`):
 ``PolicySession.peek`` is idempotent between two ``executed()`` calls,
 so the first peek after an admission or a step answers every later one
-until the kernel executes that step and resets the cache.
+until the kernel executes that step and resets the cache.  A peek that
+raises ``PolicyViolation`` is kept too: the kernel peeks right after a
+step, and the phase-1 peek of the next tick re-raises it, which is where
+the naive engine aborts the session.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..core.steps import Step
+from ..exceptions import PolicyViolation
 from ..policies.base import PolicySession
 from .metrics import TxnRecord
 
@@ -63,13 +67,23 @@ class LiveEntry:
     #: The session's pending step as its last peek returned it, or
     #: :data:`UNPEEKED`; reset by the kernel right after ``executed()``.
     peeked: object = UNPEEKED
+    #: The ``PolicyViolation`` a peek raised (the session executes no
+    #: further step, so nothing resets it).
+    violation: Optional[PolicyViolation] = None
 
     def peek(self) -> Optional[Step]:
         """The session's pending step, peeked once per step: the first
         call after an admission or a step asks the session, later ones
-        read the cache.  A peek that raises ``PolicyViolation`` caches
-        nothing (the session is aborted)."""
+        read the cache.  A peek that raises ``PolicyViolation`` keeps it,
+        and every later peek re-raises it (the session has already planned
+        past the refused intent, so asking it again would not)."""
         step = self.peeked
         if step is UNPEEKED:
-            step = self.peeked = self.session.peek()
+            if self.violation is not None:
+                raise self.violation
+            try:
+                step = self.peeked = self.session.peek()
+            except PolicyViolation as exc:
+                self.violation = exc
+                raise
         return step  # type: ignore[return-value]

@@ -18,14 +18,15 @@ executable specification) and ``engine="event"`` (default) caches
 classifications and invalidates them only by the events that can change
 them.  In the event engine, a session whose verdict needs no policy (2PL,
 DTR, scripted) is classified where its own step, admission, restart or a
-lock event happens, so phases 1–2 walk only sessions whose verdict needs
-the policy (and drained scripts due to commit), and a tick enters a
-phase only when something is due in it: for a 2PL run the classify
-phase is never entered and the commit scan only to commit, so its
-classify walk never runs.  This module is the **driver layer** over the
-lock-manager kernel:
-the transaction-lifecycle state machine (grant/block/wake/deadlock/
-commit/abort) lives in :class:`repro.kernel.lifecycle.KernelRun`, which
+lock event happens, and a DDAG or altruistic session where its own step
+happens whenever its next verdict declares no invalidation channel.  So
+phase 1 walks only drained or refused scripts, dynamic sessions and
+fresh policy admissions, phase 2 only policy verdicts that may have
+flipped, and a tick enters a phase only when something is due in it:
+for a 2PL run the classify phase is never entered and the commit scan
+only to commit, so its classify walk never runs.  This module is the
+**driver layer** over the lock-manager kernel: the transaction-lifecycle
+state machine (grant/block/wake/deadlock/commit/abort) lives in :class:`repro.kernel.lifecycle.KernelRun`, which
 composes the state layers — :mod:`repro.sim.admission` (classification
 cache, invalidation channels, classifier), :mod:`repro.sim.waits_for`
 (stored policy-wait edges, walked with the lock table's by the
@@ -257,16 +258,17 @@ class _Run(KernelRun):
 
     def _phase_commit(self) -> bool:
         """Phase 1 — commit scan, entered only when a session can act
-        here (every-tick dynamic ones, finished scripted ones, and
-        dependency-declaring sessions due their replanning peek); those
-        are visited, in admission order (sorted by ``seq`` only when
-        there is more than one), matching the naive engine's
+        here (every-tick dynamic ones, drained scripts and scripts whose
+        peek after their own step raised, and dependency-declaring
+        sessions due their first peek after an admission or restart);
+        those are visited, in admission order (sorted by ``seq`` only
+        when there is more than one), matching the naive engine's
         insertion-order scan over all of live — for every other session
         the phase-1 peek is an observable no-op.  The peek is the
-        entry's cached one (:meth:`LiveEntry.peek`): a dependency-
-        declaring session's first after its step or admission fills it
-        for phase 2 and phase 3.  Returns whether any session survives
-        into phase 2."""
+        entry's cached one (:meth:`LiveEntry.peek`, which re-raises a
+        kept violation): a dependency-declaring session's first after
+        its admission fills it for phase 2 and phase 3.  Returns whether
+        any session survives into phase 2."""
         live = self.live
         candidates = self.cache.phase1_candidates()
         if len(candidates) > 1:
@@ -286,8 +288,9 @@ class _Run(KernelRun):
 
     def _phase_classify(self) -> bool:
         """Phase 2 — classify only sessions whose verdict needs the policy
-        and whose cached state may have changed: the dirty set (executors,
-        fresh admissions, channel hits, woken or invalidated sessions)
+        and whose cached state may have changed: the dirty set (executors
+        whose next verdict declares a channel, fresh admissions, channel
+        hits, woken or invalidated sessions)
         plus every dynamic session, in sorted name order.  Every other
         session was classified where its step, admission, restart or lock
         event happened, so a 2PL run never enters this phase.  Phase-2

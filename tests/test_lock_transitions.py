@@ -38,17 +38,33 @@ re-derived on the next tick.  Four contracts:
    runs, and after every tick of contended 2PL runs.  A wake or a grant
    moves its whole herd with one runnable-index call, no per-member
    call, and no waits-for graph call at all.
+5. **Post-step route.**  A DDAG or altruistic session is classified
+   where its own step executes: a next step whose verdict declares no
+   channel is settled in place (RUNNABLE, indexed, unsubscribed), one
+   that declares channels is left dirty, and a drained or refused script
+   waits in ``complete`` — the only executors phase 1 visits.  A refused
+   peek is aborted in the next tick's phase 1, as the naive engine does,
+   and an in-place verdict is the one a re-evaluation before the
+   session's next step returns.
 """
 
 import pytest
 
 from repro.core import LockMode, Operation, Step
 from repro.exceptions import PolicyViolation, SimulationError
+from repro.graphs import chain
+from repro.kernel.lifecycle import KernelRun
 from repro.policies import (
+    Access,
+    Admission,
     AltruisticPolicy,
+    BrokenAltruisticPolicy,
+    BrokenDdagPolicy,
     DdagPolicy,
+    DeleteEdge,
     DtrPolicy,
     TwoPhasePolicy,
+    Unlock,
 )
 from repro.policies.base import LockingPolicy, PolicyContext, ScriptedSession
 from repro.sim import LockTable, Simulator, grid_factory
@@ -56,11 +72,13 @@ from repro.sim.admission import (
     LOCK_WAIT,
     POLICY_WAIT,
     RUNNABLE,
+    AdmissionCache,
     Classifier,
     OrderedNames,
 )
 from repro.sim.scheduler import WorkloadItem, _Run
 from repro.sim.waits_for import WaitsForGraph
+from test_pinned_schedules import CELLS
 from test_runnable_index import FACTORY_CELLS
 
 POLICIES = (TwoPhasePolicy, DdagPolicy, DtrPolicy, AltruisticPolicy)
@@ -735,3 +753,255 @@ class TestHerd:
         m = run_both(scripts, seed=seed).metrics
         assert m.deadlocks > 0 and m.committed > 0
         assert m.wakeups > 0 and m.lock_transitions > m.wakeups
+
+
+# ----------------------------------------------------------------------
+# The post-step route of sessions whose verdict needs the policy
+# ----------------------------------------------------------------------
+
+
+#: One session per policy whose script meets every route: next steps that
+#: lock nothing, one lock that declares a channel, and a drain.
+ROUTE_CASES = {
+    "DdagPolicy": (
+        lambda: DdagPolicy(auto_release=False),
+        [Access(1), Access(2)],
+        {"dag": chain(2)},
+    ),
+    "AltruisticPolicy": (AltruisticPolicy, [Access("a"), Access("b")], {}),
+}
+
+
+def policy_run(case):
+    """The one-session run of ``ROUTE_CASES[case]``, admitted at tick 0,
+    whose ticks :func:`tick` drives by hand."""
+    make_policy, intents, context_kwargs = ROUTE_CASES[case]
+    run = _Run(
+        Simulator(make_policy(), context_kwargs=context_kwargs),
+        [WorkloadItem("T", intents)],
+    )
+    run.admit_arrivals()
+    return run
+
+
+class TestPostStepRoute:
+    @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+    def test_each_step_routes_its_executor_once(self, case):
+        run = policy_run(case)
+        cache, entry = run.cache, run.live["T"]
+        assert entry.tracks_deps
+        routes = []
+        while "T" not in cache.complete:
+            tick(run, "T")
+            step = entry.peek()
+            assert "T" not in cache.phase1, "a step made its executor due a phase-1 peek"
+            if step is None:
+                routes.append("complete")
+                assert "T" not in cache.dirty and "T" not in cache.runnable
+            elif tuple(entry.session.admission_dependencies()):
+                routes.append("dirty")
+                assert step.is_lock
+                assert "T" in cache.dirty and "T" not in cache.complete
+            else:
+                routes.append("place")
+                assert entry.state == RUNNABLE and "T" in cache.runnable
+                assert "T" not in cache.session_subs
+                assert "T" not in cache.dirty and "T" not in cache.complete
+        assert routes.count("dirty") == 1 and routes[-1] == "complete"
+        assert routes.count("place") == len(routes) - 2
+        # One derivation, policy asked, per step that left a next step (in
+        # place, or in phase 2 for the lock that declares a channel), plus
+        # the admission's.
+        m = run.metrics
+        assert m.classify_checks == m.admission_checks == len(routes)
+
+    @pytest.mark.parametrize("factory, policy", [
+        (factory, policy)
+        for factory in sorted(FACTORY_CELLS)
+        for policy in (AltruisticPolicy, DdagPolicy)
+        if policy is AltruisticPolicy
+        or "dag" in grid_factory(factory)(0, **FACTORY_CELLS[factory][1])[2]
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_an_executor_reaches_phase1_only_drained_or_refused(
+        self, factory, policy, monkeypatch
+    ):
+        """Spy on ``AdmissionCache.phase1_candidates``: the session that
+        executed last is a candidate exactly when its step drained or
+        refused its script, or a restart already made it due."""
+        last = {}
+        seen = {True: 0, False: 0}
+        candidates_of = AdmissionCache.phase1_candidates
+        execute = _Run._execute_step
+
+        def spied_execute(run, entry):
+            name = entry.item.name
+            due = name in run.cache.phase1  # restarted this tick, then drawn
+            execute(run, entry)
+            last.clear()
+            last[name] = (entry, due or name in run.cache.complete)
+
+        def spied_candidates(cache):
+            names = candidates_of(cache)
+            for name, (entry, owed) in last.items():
+                if cache._live.get(name) is entry:
+                    assert (name in names) == owed, (name, owed)
+                    seen[owed] += 1
+            last.clear()
+            return names
+
+        monkeypatch.setattr(_Run, "_execute_step", spied_execute)
+        monkeypatch.setattr(AdmissionCache, "phase1_candidates", spied_candidates)
+        for seed in range(2):
+            items, initial, context_kwargs = grid_factory(factory)(
+                seed, **FACTORY_CELLS[factory][1]
+            )
+            try:
+                Simulator(
+                    policy(), seed=seed, context_kwargs=context_kwargs
+                ).run(items, initial, validate=False)
+            except PolicyViolation as exc:
+                pytest.skip(f"the policy refuses this workload's intents: {exc}")
+        assert seen[True] > 0
+
+
+#: DDAG scripts whose peek right after a step raises: a node needed again
+#: after its unlock (L3), and the delete of an edge the graph lacks (L1).
+REFUSED_SCRIPTS = {
+    "L3": [Access(1), Unlock(1), Access(1)],
+    "L1": [Access(1), Access(2), Access(3), DeleteEdge(1, 3)],
+}
+
+
+class TestDeferredViolation:
+    @pytest.mark.parametrize("rule", sorted(REFUSED_SCRIPTS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_refused_peek_aborts_in_the_next_phase1(
+        self, rule, seed, monkeypatch
+    ):
+        aborts = []  # (event engine, tick, name, reason, in phase 1, last step's tick)
+        steps = {}  # name -> tick of its last step
+        phase = {"commit": False}
+        abort, commit_phase = KernelRun.abort, _Run._phase_commit
+        execute = _Run._execute_step
+
+        def spied_abort(run, victim, reason):
+            name = victim.item.name
+            aborts.append((
+                run.event_engine, run.metrics.ticks, name, reason,
+                phase["commit"], steps.get(name),
+            ))
+            abort(run, victim, reason)
+
+        def spied_commit_phase(run):
+            phase["commit"] = True
+            try:
+                return commit_phase(run)
+            finally:
+                phase["commit"] = False
+
+        def spied_execute(run, entry):
+            execute(run, entry)
+            steps[entry.item.name] = run.metrics.ticks
+
+        monkeypatch.setattr(KernelRun, "abort", spied_abort)
+        monkeypatch.setattr(_Run, "_phase_commit", spied_commit_phase)
+        monkeypatch.setattr(_Run, "_execute_step", spied_execute)
+        results = {}
+        for engine in ("naive", "event"):
+            steps.clear()
+            items = [
+                WorkloadItem("T", REFUSED_SCRIPTS[rule]),
+                WorkloadItem("U", [Access(2), Access(3)]),
+            ]
+            results[engine] = Simulator(
+                DdagPolicy(auto_release=False), seed=seed, engine=engine,
+                context_kwargs={"dag": chain(3)},
+            ).run(items, validate=False)
+            if engine == "event":
+                refusals = [a for a in aborts if a[0] and a[3] != "deadlock victim"]
+                assert refusals, "the refused peek never aborted its session"
+                for _, at, _, reason, in_phase1, stepped in refusals:
+                    assert in_phase1 and reason.startswith(f"[{rule}]")
+                    assert at == stepped + 1  # the tick after its step
+        assert_engines_agree(results["naive"], results["event"])
+        assert [a[1:4] for a in aborts if not a[0]] == [
+            a[1:4] for a in aborts if a[0]
+        ]
+        assert results["event"].metrics.aborted > 0
+
+
+def _verdict_cells():
+    """The pinned DDAG and altruistic cells, each also under its policy's
+    broken control: ``{id: (factory, kwargs, policy constructor, seed)}``."""
+    controls = {DdagPolicy: BrokenDdagPolicy, AltruisticPolicy: BrokenAltruisticPolicy}
+    out = {}
+    for cell, (factory, kwargs, make_policy, seed) in CELLS.items():
+        base = getattr(make_policy, "func", make_policy)
+        if base not in controls:
+            continue
+        out[cell] = (factory, kwargs, make_policy, seed)
+        out[f"{cell}/{controls[base].__name__}"] = (
+            factory, kwargs, controls[base], seed,
+        )
+    return out
+
+
+VERDICT_CELLS = _verdict_cells()
+
+
+class TestInPlaceVerdictOracle:
+    @pytest.mark.parametrize("cell", sorted(VERDICT_CELLS))
+    def test_an_in_place_verdict_holds_until_the_next_step(
+        self, cell, monkeypatch
+    ):
+        """At every in-place settle of a policy session, remember it; at
+        every later observation point — right after phase 2, before the
+        draw or the deadlock phase — re-evaluate ``admission()`` for each
+        one still live that has not stepped since: it must still
+        proceed, with no channel declared."""
+        settled = {}  # name -> (entry, step_count)
+        checked = []
+        settle = Classifier.settle
+
+        def spied_settle(classifier, entry):
+            settle(classifier, entry)
+            name = entry.item.name
+            if (
+                entry.needs_admission
+                and name not in classifier.cache.dirty
+                and name not in classifier.cache.complete
+            ):
+                settled[name] = (entry, entry.step_count)
+
+        def recheck(run):
+            for name, (entry, count) in list(settled.items()):
+                if run.live.get(name) is not entry or entry.step_count != count:
+                    del settled[name]
+                    continue
+                assert entry.session.admission().verdict is Admission.PROCEED, name
+                assert not tuple(entry.session.admission_dependencies()), name
+                checked.append(name)
+
+        execute, deadlock = _Run._phase_execute, _Run._phase_deadlock
+
+        def checked_execute(run):
+            recheck(run)
+            execute(run)
+
+        def checked_deadlock(run):
+            recheck(run)
+            deadlock(run)
+
+        monkeypatch.setattr(Classifier, "settle", spied_settle)
+        monkeypatch.setattr(_Run, "_phase_execute", checked_execute)
+        monkeypatch.setattr(_Run, "_phase_deadlock", checked_deadlock)
+        factory, kwargs, make_policy, seed = VERDICT_CELLS[cell]
+        items, initial, context_kwargs = grid_factory(factory)(seed, **kwargs)
+        try:
+            Simulator(
+                make_policy(), seed=seed, max_ticks=500_000,
+                context_kwargs=context_kwargs,
+            ).run(items, initial, validate=False)
+        except (PolicyViolation, SimulationError):
+            pass  # checked on every tick up to it
+        assert checked, "no in-place settle was re-evaluated"
