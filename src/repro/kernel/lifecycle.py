@@ -22,7 +22,8 @@ where the events that decide it happen, never in the classify phase:
   the executed lock leaves the queue and a pending lock is queued on its
   entity either way — so the runnable index moves only when the session
   blocks or drains;
-* its admission and its restart — ``_register`` calls the same;
+* its admission and its restart — ``_register`` calls the same, on a
+  NEW entry;
 * a grant hands the acquired entity to ``Classifier.acquired``, one walk
   of that entity's queue (blocked waiters are skipped; runnable sessions
   whose queued mode now conflicts block in place), and every release —
@@ -45,18 +46,20 @@ every transition out of a wait accrues first, so a catch-up at a
 blocker's departure would change no total.
 
 A session that declares invalidation channels (``tracks_deps``: DDAG,
-altruistic) takes the same ``settle`` after its own step: a next verdict
-that declares no channel and proceeds is settled there (unsubscribed,
-out of ``dirty``), a drained script or a peek that raised
-``PolicyViolation`` (kept on the entry) goes to ``complete`` for the
-next tick's phase 1, and any other verdict is marked dirty for the next
-classify phase.  Dynamic sessions, and the lock events of any session
-whose verdict needs the policy, take that dirty route too; a step leaves
-such a session RUNNABLE and in the runnable index (only the executed
-lock's queue entry goes), since phase 2 re-derives it before anything
-reads either.  A step is peeked once: ``LiveEntry.peek`` caches the
-pending step from the first peek after an admission or a step, and
-``_execute_step`` resets it right after ``executed()``.  The step and
+altruistic) takes the same ``settle`` at its admission, at its restart
+and after its own step: a verdict that declares no channel and proceeds
+is settled there (unsubscribed, out of ``dirty``), a drained script or a
+peek that raised ``PolicyViolation`` (kept on the entry) goes to
+``complete`` for the next tick's phase 1, and any other verdict is
+marked dirty for the next classify phase.  The lock events of any
+session whose verdict needs the policy take that dirty route too, and a
+dynamic session that declares no channel is re-examined every tick
+(``cache.dynamic``); a step leaves such a session RUNNABLE and in the
+runnable index (only the executed lock's queue entry goes), since
+phase 2 re-derives it before anything reads either.  A step is peeked
+once: ``LiveEntry.peek`` caches the pending step from the first peek
+after an admission or a step, and ``_execute_step`` resets it right
+after ``executed()``.  The step and
 release paths test no engine flag: the naive engine marks every session
 as needing the policy and none as declaring channels, so none is
 settled in place, nothing is queued, and a grant or release finds no
@@ -119,7 +122,7 @@ class KernelRun:
         self.table = LockTable()
         self.graph = WaitsForGraph()
         self.live: Dict[str, LiveEntry] = {}
-        self.cache = AdmissionCache(self.live, self.metrics)
+        self.cache = AdmissionCache(self.metrics)
         self.classifier = Classifier(
             self.live, self.metrics, self.table, self.graph, self.cache
         )
@@ -157,9 +160,10 @@ class KernelRun:
             # its verdict depends on; the conservative every-tick fallback
             # otherwise.
             entry.tracks_deps = session.admission_dependencies() is not None
-            self.cache.register(name, tracks_deps=entry.tracks_deps)
-        else:
-            self.classifier.settle(entry)
+            if not entry.tracks_deps:
+                self.cache.dynamic.add(name)
+                return
+        self.classifier.settle(entry)
 
     def commit(self, entry: LiveEntry) -> None:
         name = entry.item.name

@@ -176,9 +176,10 @@ class PolicySession(ABC):
         the step :meth:`executed` then performs) as one peek does.  The
         first peek may plan (expand an intent, raise ``PolicyViolation``)
         and may read only shared state that :meth:`executed` alone
-        changes: the scheduler peeks right after the session's own step
-        and acts on the answer in later phases and ticks, across other
-        sessions' admissions, commits and aborts.  Later peeks must not
+        changes: the scheduler peeks right after ``begin`` (an admission
+        or a restart) and right after the session's own step, and acts
+        on the answer in later phases and ticks, across other sessions'
+        admissions, commits and aborts.  Later peeks must not
         re-plan.  The scheduler relies on it to ask once per step and
         cache the answer — a raised violation included."""
 
@@ -213,8 +214,8 @@ class PolicySession(ABC):
 
         An empty set declares that nothing but the session's own next
         step can flip the verdict: when it also proceeds, the scheduler
-        settles the session where its step executes, with no
-        classify-phase re-derivation.
+        settles the session where it begins or its step executes, with
+        no classify-phase re-derivation.
 
         Contract: between two of the session's own executions, **every**
         shared-state mutation that can alter its verdict must be covered by

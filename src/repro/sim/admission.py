@@ -7,16 +7,15 @@ that can change it occurs.  :class:`AdmissionCache` owns the state that
 decides *who gets re-examined when*:
 
 * ``dirty`` — sessions whose verdict needs the policy and whose cached
-  classification must be re-derived on the next tick (executors whose
-  next verdict declares a channel, fresh admissions, channel-notification
-  hits, woken or invalidated sessions);
+  classification must be re-derived on the next tick (admissions,
+  restarts and executors whose verdict declares a channel or does not
+  proceed, channel-notification hits, woken or invalidated sessions);
 * ``dynamic`` — live dynamic sessions that declare no invalidation
   dependencies: the conservative fallback, re-examined every tick;
 * ``complete`` — non-dynamic sessions whose script drained, or whose
-  peek after their own step raised ``PolicyViolation`` (commit or abort
-  next tick);
-* ``phase1`` — dependency-declaring sessions due their first peek after
-  an admission or a restart (the peek may commit or abort them);
+  peek at their admission, restart or own step raised
+  ``PolicyViolation`` (commit or abort next tick; a restart refused
+  during phase 1 moves to ``dirty`` instead, see ``_Run._phase_commit``);
 * ``runnable`` — names currently classified runnable, kept in sorted
   order (an :class:`OrderedNames`), so phase 3's seeded pick is a length
   and a k-th element rather than a per-tick sort of the population;
@@ -58,7 +57,7 @@ the classify phase:
   only what its next step changes: the runnable index only when it
   blocks or drains, the queue only when a lock is involved.  A session
   that declares invalidation channels (``tracks_deps``: DDAG,
-  altruistic) takes the same settle after its own step: its next
+  altruistic) takes the same settle at the same three events: its
   verdict is settled there when it declares no channel and proceeds
   (nothing but its own next step can flip it), and is otherwise left to
   the classify phase;
@@ -280,39 +279,21 @@ class OrderedNames:
 
 class AdmissionCache:
     """Who-to-re-examine bookkeeping of the event engine (see the module
-    docstring).  Holds references to the run's live table and metrics so
-    routing can filter departed sessions and count invalidations.
+    docstring).  Every name it holds is live: a departure drops it from
+    every set and subscription (:meth:`forget`).  Holds the run's metrics
+    to count invalidations.
     """
 
-    def __init__(self, live: Dict[str, object], metrics: Metrics) -> None:
-        self._live = live
+    def __init__(self, metrics: Metrics) -> None:
         self._metrics = metrics
         self.dirty: Set[str] = set()
         self.dynamic: Set[str] = set()
         self.complete: Set[str] = set()
-        self.phase1: Set[str] = set()
         self.runnable = OrderedNames()
         #: Invalidation-channel subscriptions: channel -> subscribed names,
         #: and the reverse index used to re-subscribe/unsubscribe.
         self.channel_subs: Dict[Hashable, Set[str]] = {}
         self.session_subs: Dict[str, Tuple[Hashable, ...]] = {}
-
-    # ------------------------------------------------------------------
-    # Registration and teardown
-    # ------------------------------------------------------------------
-
-    def register(self, name: str, *, tracks_deps: bool) -> None:
-        """Route a freshly admitted (or restarted) session whose verdict
-        needs the policy: a dependency-declaring one gets a phase-1 peek
-        plus an initial classification, any other joins the every-tick
-        set.  (Sessions whose verdict needs no policy never come here:
-        :meth:`Classifier.settle` classifies them on the spot, as it does
-        a dependency-declaring one after each of its own steps.)"""
-        if tracks_deps:
-            self.phase1.add(name)
-            self.dirty.add(name)
-        else:
-            self.dynamic.add(name)
 
     def forget(self, name: str) -> None:
         """Drop every piece of routing state for a departed session (its
@@ -321,7 +302,6 @@ class AdmissionCache:
         self.dirty.discard(name)
         self.dynamic.discard(name)
         self.complete.discard(name)
-        self.phase1.discard(name)
         self.subscribe(name, ())
 
     # ------------------------------------------------------------------
@@ -354,45 +334,33 @@ class AdmissionCache:
     def policy_changed(self, channels: Tuple[Hashable, ...]) -> None:
         """Context-emitted change notification: mark every subscriber of a
         changed channel dirty, so the next tick re-derives exactly the
-        cached verdicts this mutation can flip."""
-        m = self._metrics
+        cached verdicts this mutation can flip; each newly dirty one is
+        an invalidation."""
+        dirty = self.dirty
+        before = len(dirty)
         for ch in channels:
             subs = self.channel_subs.get(ch)
-            if not subs:
-                continue
-            for n in subs:  # set-membership adds plus a counter; order-insensitive
-                if n in self._live and n not in self.dirty:
-                    self.dirty.add(n)
-                    m.invalidations += 1
+            if subs:
+                dirty |= subs
+        self._metrics.invalidations += len(dirty) - before
 
     # ------------------------------------------------------------------
     # Tick queries
     # ------------------------------------------------------------------
 
     def phase1_candidates(self) -> List[str]:
-        """Sessions phase 1 must peek this tick (drains ``phase1``); the
+        """Sessions phase 1 must peek this tick: drained or refused
+        scripts and every-tick dynamic sessions (two disjoint sets:
+        :meth:`Classifier.settle` never sees a dynamic session).  The
         caller sorts by admission order."""
-        live = self._live
-        due = self.phase1
-        if self.complete or self.dynamic:
-            due = self.complete | self.dynamic | due
-        candidates = [  # the caller sorts candidates by admission seq
-            n for n in due if n in live
-        ]
-        self.phase1.clear()
-        return candidates
+        return [*self.complete, *self.dynamic]
 
     def take_check_slices(self) -> List[str]:
         """Sessions phase 2 must re-classify this tick, sorted (drains
         ``dirty``; every-tick dynamic sessions are always included)."""
-        live = self._live
-        complete = self.complete
         due = self.dirty | self.dynamic if self.dynamic else self.dirty
-        check = [  # sorted before return
-            n for n in due if n in live and n not in complete
-        ]
+        check = sorted(due - self.complete if self.complete else due)
         self.dirty.clear()
-        check.sort()
         return check
 
 
@@ -597,26 +565,26 @@ class Classifier:
 
     def settle(self, entry: LiveEntry) -> None:
         """Classify a session at the event that decides it, instead of in
-        the next classify phase: the admission or restart of one whose
-        verdict needs no policy (a NEW entry), and the own step of one
-        whose verdict needs no policy or declares invalidation channels
-        (a RUNNABLE entry with no waits-for edges, whose queued lock, if
-        any, was the step just executed).  Its next step is peeked once:
-        a drained script, or a peek that raised ``PolicyViolation`` (kept
-        on the entry, re-raised by the phase-1 peek), is cleared and waits
-        in ``complete`` for phase 1 to commit or abort it.  A policy
-        verdict is settled here only when it declares no channel and
-        proceeds — nothing but the session's own next step can flip it —
-        and the session is unsubscribed; any other verdict is left
-        ``dirty`` for the classify phase.  Any other step is a derivation
-        like any other, counted in ``classify_checks`` (and in
-        ``admission_checks`` / ``blocker_queries`` when it asked the
-        policy / locks), and touches only what it changes — the queue
-        entry moves only when a lock is involved, and the runnable index
-        only when the session blocks.  A step that locks nothing leaves
-        the session RUNNABLE (a NEW one enters the index) with no further
-        lookups.  A LOCK_WAIT installed here starts accruing after
-        :attr:`observed`."""
+        the next classify phase: the admission or restart (a NEW entry)
+        and the own step (a RUNNABLE entry with no waits-for edges, whose
+        queued lock, if any, was the step just executed) of one whose
+        verdict needs no policy or declares invalidation channels — every
+        session but a dynamic one that declares none.  Its next step is
+        peeked once: a drained script, or a peek that raised
+        ``PolicyViolation`` (kept on the entry, re-raised by the phase-1
+        peek), is cleared and waits in ``complete`` for phase 1 to commit
+        or abort it.  A policy verdict is settled here only when it
+        declares no channel and proceeds — nothing but the session's own
+        next step can flip it — and the session is unsubscribed; any
+        other verdict is left ``dirty`` for the classify phase.  Any
+        other step is a derivation like any other, counted in
+        ``classify_checks`` (and in ``admission_checks`` /
+        ``blocker_queries`` when it asked the policy / locks), and
+        touches only what it changes — the queue entry moves only when a
+        lock is involved, and the runnable index only when the session
+        blocks.  A step that locks nothing leaves the session RUNNABLE (a
+        NEW one enters the index) with no further lookups.  A LOCK_WAIT
+        installed here starts accruing after :attr:`observed`."""
         name = entry.item.name
         if entry.state != NEW:  # a NEW entry has nothing queued
             self.table.remove_waiter(name)

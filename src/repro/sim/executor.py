@@ -15,10 +15,10 @@ per classifying tick, 2 CPUs, on the tree of commit 7796ff7): the best
 process configuration ran at 0.79× serial, the thread pool at 0.50×.
 Batches are far smaller now.  A 2PL run never enters the classify
 phase, and only sessions whose verdict needs the policy and may have
-flipped are walked (a DDAG session whose next verdict declares no
-channel is settled where its step runs): a traced ``ddag_churn`` run of
-the e2e benchmark, at its default scale, makes 3,600 derivations here
-over 1,934 classifying ticks.  Derivations are
+flipped are walked (a DDAG session whose verdict declares no channel
+is settled where it begins or its step runs): a traced ``ddag_churn``
+run of the e2e benchmark, at its default scale, makes 2,600 derivations
+here over 1,080 classifying ticks.  Derivations are
 a few microseconds of pure Python each, which neither a GIL-bound pool
 nor a pipe round trip can amortize; docs/ARCHITECTURE.md records the
 table.

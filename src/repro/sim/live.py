@@ -12,9 +12,9 @@ It also caches the session's pending step (:meth:`LiveEntry.peek`):
 ``PolicySession.peek`` is idempotent between two ``executed()`` calls,
 so the first peek after an admission or a step answers every later one
 until the kernel executes that step and resets the cache.  A peek that
-raises ``PolicyViolation`` is kept too: the kernel peeks right after a
-step, and the phase-1 peek of the next tick re-raises it, which is where
-the naive engine aborts the session.
+raises ``PolicyViolation`` is kept too: the kernel peeks right after an
+admission, a restart or a step, and the phase-1 peek of the next tick
+re-raises it, which is where the naive engine aborts the session.
 """
 
 from __future__ import annotations

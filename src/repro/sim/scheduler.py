@@ -18,10 +18,10 @@ executable specification) and ``engine="event"`` (default) caches
 classifications and invalidates them only by the events that can change
 them.  In the event engine, a session whose verdict needs no policy (2PL,
 DTR, scripted) is classified where its own step, admission, restart or a
-lock event happens, and a DDAG or altruistic session where its own step
-happens whenever its next verdict declares no invalidation channel.  So
-phase 1 walks only drained or refused scripts, dynamic sessions and
-fresh policy admissions, phase 2 only policy verdicts that may have
+lock event happens, and a DDAG or altruistic session where its own step,
+admission or restart happens whenever its verdict declares no
+invalidation channel.  So phase 1 walks only drained or refused scripts
+and dynamic sessions, phase 2 only policy verdicts that may have
 flipped, and a tick enters a phase only when something is due in it:
 for a 2PL run the classify phase is never entered and the commit scan
 only to commit, so its classify walk never runs.  This module is the
@@ -244,7 +244,7 @@ class _Run(KernelRun):
         a session is due a re-derivation — in a 2PL run, neither ever is —
         but every tick reaches the classify phase's observation point."""
         cache = self.cache
-        if cache.complete or cache.dynamic or cache.phase1:
+        if cache.complete or cache.dynamic:
             if not self._phase_commit():
                 return
         self.classifier.observed = self.metrics.ticks
@@ -258,29 +258,33 @@ class _Run(KernelRun):
 
     def _phase_commit(self) -> bool:
         """Phase 1 — commit scan, entered only when a session can act
-        here (every-tick dynamic ones, drained scripts and scripts whose
-        peek after their own step raised, and dependency-declaring
-        sessions due their first peek after an admission or restart);
+        here (every-tick dynamic ones, and drained scripts and scripts
+        whose peek at their admission, restart or own step raised);
         those are visited, in admission order (sorted by ``seq`` only
         when there is more than one), matching the naive engine's
         insertion-order scan over all of live — for every other session
         the phase-1 peek is an observable no-op.  The peek is the
         entry's cached one (:meth:`LiveEntry.peek`, which re-raises a
-        kept violation): a dependency-declaring session's first after
-        its admission fills it for phase 2 and phase 3.  Returns whether
-        any session survives into phase 2."""
+        kept violation).  A session restarted here is not visited again
+        this tick: the naive engine's next peek of it is phase 2's, which
+        catches no refusal, so a successor whose first peek was refused
+        goes to ``dirty``, where the classify walk re-raises it.  Returns
+        whether any session survives into phase 2."""
         live = self.live
-        candidates = self.cache.phase1_candidates()
+        cache = self.cache
+        candidates = cache.phase1_candidates()
         if len(candidates) > 1:
             candidates.sort(key=lambda n: live[n].seq)
         for name in candidates:
-            entry = live.get(name)
-            if entry is None:
-                continue
+            entry = live[name]
             try:
                 step = entry.peek()
             except PolicyViolation as exc:
                 self.abort(entry, str(exc))
+                successor = live.get(name)
+                if successor is not None and successor.violation is not None:
+                    cache.complete.discard(name)
+                    cache.dirty.add(name)
                 continue
             if step is None:
                 self.commit(entry)
@@ -288,10 +292,10 @@ class _Run(KernelRun):
 
     def _phase_classify(self) -> bool:
         """Phase 2 — classify only sessions whose verdict needs the policy
-        and whose cached state may have changed: the dirty set (executors
-        whose next verdict declares a channel, fresh admissions, channel
-        hits, woken or invalidated sessions)
-        plus every dynamic session, in sorted name order.  Every other
+        and whose cached state may have changed: the dirty set
+        (admissions, restarts and executors whose verdict declares a
+        channel or does not proceed, channel hits, woken or invalidated
+        sessions) plus every dynamic session, in sorted name order.  Every other
         session was classified where its step, admission, restart or lock
         event happened, so a 2PL run never enters this phase.  Phase-2
         policy aborts are collected in walk order and processed after it;

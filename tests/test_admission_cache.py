@@ -1,5 +1,5 @@
 """Direct unit coverage of the admission layer
-(:class:`repro.sim.AdmissionCache`): registration routing, the
+(:class:`repro.sim.AdmissionCache`): the routing of an admission, the
 invalidation-channel subscription index, the pending-lock registration
 the Classifier keeps on the lock table's queue, and the tick queries.
 The full classification semantics are covered end to end by the
@@ -8,7 +8,13 @@ isolation.
 """
 
 from repro.core import LockMode, Operation, Step
-from repro.policies.base import ScriptedSession
+from repro.kernel.lifecycle import KernelRun
+from repro.policies.base import (
+    Admission,
+    AdmissionResult,
+    PROCEED,
+    ScriptedSession,
+)
 from repro.sim import (
     AdmissionCache,
     LockTable,
@@ -20,50 +26,105 @@ from repro.sim import (
 from repro.sim.admission import (
     NEW,
     POLICY_WAIT,
+    RUNNABLE,
     Classifier,
     Decision,
     LiveEntry,
     OrderedNames,
 )
+from repro.sim.live import UNPEEKED
+from test_lock_transitions import ScriptPolicy
 
 
-def make_cache(live_names=("A", "B", "C")):
-    live = {n: object() for n in live_names}
+def make_cache():
     metrics = Metrics()
-    return AdmissionCache(live, metrics), live, metrics
+    return AdmissionCache(metrics), metrics
+
+
+class _DeclaringSession(ScriptedSession):
+    """A scripted session whose verdict needs the policy: it declares
+    ``deps`` and answers ``verdict`` at every check."""
+
+    dynamic = True
+
+    def __init__(self, name, steps, deps, verdict):
+        super().__init__(name, steps)
+        self.deps, self.verdict = deps, verdict
+
+    def admission_dependencies(self):
+        return self.deps
+
+    def admission(self):
+        return self.verdict
+
+
+def admitted(deps, verdict=PROCEED, steps=(Step(Operation.READ, "a"),)):
+    """A one-session event-engine kernel that has just admitted ``A``."""
+    run = KernelRun(ScriptPolicy().create_context())
+    steps = list(steps)
+    entry = LiveEntry(
+        WorkloadItem("A", steps),
+        _DeclaringSession("A", steps, deps, verdict),
+        TxnRecord("A", start_tick=0),
+    )
+    run._register(entry)
+    return run, entry
 
 
 class TestRegistration:
-    # Only sessions whose verdict needs the policy register here; the
-    # others are classified at admission (tests/test_lock_transitions.py
-    # ::TestSettleRouting).
+    # An admission takes the route a session's own step takes
+    # (Classifier.settle), unless the session is dynamic and declares no
+    # channel; sessions whose verdict needs no policy are covered by
+    # tests/test_lock_transitions.py::TestSettleRouting.
 
-    def test_tracks_deps_gets_phase1_and_dirty(self):
-        cache, _, _ = make_cache()
-        cache.register("A", tracks_deps=True)
-        assert "A" in cache.phase1 and "A" in cache.dirty
-        assert "A" not in cache.dynamic
+    def test_a_channel_declaring_admission_is_left_dirty(self):
+        run, entry = admitted(["ch1"])
+        cache = run.cache
+        assert entry.tracks_deps and cache.dirty == {"A"}
+        assert not cache.dynamic and not cache.complete and not cache.runnable
+        assert entry.state == NEW and entry.peeked is not UNPEEKED
+        # Phase 2 derives it, and subscribes it then.
+        assert cache.session_subs == {} and run.metrics.classify_checks == 0
+
+    def test_a_waiting_admission_is_left_dirty(self):
+        run, entry = admitted([], AdmissionResult(Admission.WAIT))
+        assert run.cache.dirty == {"A"} and entry.state == NEW
+        assert run.metrics.classify_checks == 0
+
+    def test_a_proceeding_admission_with_no_channel_settles_in_place(self):
+        run, entry = admitted([])
+        cache, m = run.cache, run.metrics
+        assert entry.state == RUNNABLE and list(cache.runnable) == ["A"]
+        assert not cache.dirty and not cache.dynamic and not cache.complete
+        assert m.classify_checks == m.admission_checks == 1
+
+    def test_a_drained_admission_goes_complete(self):
+        run, entry = admitted([], steps=())
+        assert run.cache.complete == {"A"} and not run.cache.dirty
+        assert entry.state == NEW and run.metrics.classify_checks == 0
 
     def test_no_declaration_dynamic_joins_every_tick_set(self):
-        cache, _, _ = make_cache()
-        cache.register("A", tracks_deps=False)
-        assert "A" in cache.dynamic
-        assert "A" not in cache.dirty
+        run, entry = admitted(None)
+        cache = run.cache
+        assert not entry.tracks_deps and cache.dynamic == {"A"}
+        assert not cache.dirty and not cache.complete
+        assert entry.peeked is UNPEEKED  # phase 1 peeks it
 
     def test_forget_clears_every_route(self):
         # The runnable index goes with the classification
         # (TestPendingLockRegistration::test_clear_undoes_what_the_state_holds).
-        cache, _, _ = make_cache()
-        cache.register("A", tracks_deps=True)
+        cache, _ = make_cache()
+        for route in (cache.dirty, cache.dynamic, cache.complete):
+            route.add("A")
         cache.subscribe("A", ["ch1"])
         cache.forget("A")
-        assert not cache.dirty and not cache.phase1
+        assert not cache.dirty and not cache.dynamic and not cache.complete
         assert cache.channel_subs == {} and cache.session_subs == {}
 
 
 class TestChannels:
     def test_policy_changed_marks_only_subscribers_dirty(self):
-        cache, _, metrics = make_cache()
+        cache, metrics = make_cache()
         cache.subscribe("A", ["ch1", "ch2"])
         cache.subscribe("B", ["ch2"])
         cache.policy_changed(("ch2",))
@@ -73,7 +134,7 @@ class TestChannels:
         assert metrics.invalidations == 2
 
     def test_resubscribe_moves_channels(self):
-        cache, _, _ = make_cache()
+        cache, _ = make_cache()
         cache.subscribe("A", ["ch1", "ch2"])
         cache.subscribe("A", ["ch2", "ch3"])
         assert cache.channel_subs == {"ch2": {"A"}, "ch3": {"A"}}
@@ -82,15 +143,19 @@ class TestChannels:
         assert cache.channel_subs == {} and cache.session_subs == {}
 
     def test_departed_subscriber_is_not_marked(self):
-        cache, live, metrics = make_cache()
+        # A departure unsubscribes the name, so no later change reaches it.
+        cache, metrics = make_cache()
         cache.subscribe("A", ["ch1"])
-        del live["A"]
+        cache.subscribe("B", ["ch1"])
+        cache.forget("A")
+        assert cache.channel_subs == {"ch1": {"B"}}
+        assert "A" not in cache.session_subs
         cache.policy_changed(("ch1",))
-        assert cache.dirty == set()
-        assert metrics.invalidations == 0
+        assert cache.dirty == {"B"}
+        assert metrics.invalidations == 1
 
     def test_already_dirty_subscriber_counts_once(self):
-        cache, _, metrics = make_cache()
+        cache, metrics = make_cache()
         cache.subscribe("A", ["ch1"])
         cache.dirty.add("A")
         cache.policy_changed(("ch1",))
@@ -104,7 +169,7 @@ class TestPendingLockRegistration:
 
     def test_register_clear_round_trip(self):
         live, metrics, table = {}, Metrics(), LockTable()
-        cache = AdmissionCache(live, metrics)
+        cache = AdmissionCache(metrics)
         classifier = Classifier(live, metrics, table, WaitsForGraph(), cache)
         for name in ("B", "A"):
             steps = [Step(Operation.LOCK_SHARED, "e1")]
@@ -136,7 +201,7 @@ class TestPendingLockRegistration:
         # touches only what its entry's state holds, and no clear touches
         # the lock queue.
         live, metrics, table, graph = {}, Metrics(), LockTable(), WaitsForGraph()
-        cache = AdmissionCache(live, metrics)
+        cache = AdmissionCache(metrics)
         classifier = Classifier(live, metrics, table, graph, cache)
         table.acquire("H", "e1", LockMode.EXCLUSIVE)
         for name, entity in (
@@ -181,24 +246,26 @@ class TestPendingLockRegistration:
 
 
 class TestTickQueries:
-    def test_phase1_candidates_drains_phase1_keeps_standing_sets(self):
-        cache, live, _ = make_cache(("A", "B", "C"))
+    def test_phase1_candidates_are_the_standing_sets(self):
+        # Drained or refused scripts and every-tick dynamic sessions, and
+        # nothing else: a dirty admission is phase 2's.
+        cache, _ = make_cache()
         cache.complete.add("A")
         cache.dynamic.add("B")
-        cache.phase1.add("C")
-        cache.phase1.add("GONE")
-        first = set(cache.phase1_candidates())
-        assert first == {"A", "B", "C"}
-        assert cache.phase1 == set()
+        cache.dirty.add("C")
+        assert sorted(cache.phase1_candidates()) == ["A", "B"]
         # complete/dynamic are standing: they come back next tick.
-        assert set(cache.phase1_candidates()) == {"A", "B"}
+        assert sorted(cache.phase1_candidates()) == ["A", "B"]
+        cache.forget("A")
+        assert cache.phase1_candidates() == ["B"]
 
     def test_take_check_slices_is_sorted_filtered_and_draining(self):
-        cache, live, _ = make_cache(("A", "B", "C", "D"))
+        cache, _ = make_cache()
         cache.dirty.update({"C", "A", "GONE"})
         cache.dynamic.add("B")
         cache.complete.add("D")
         cache.dirty.add("D")  # complete sessions are never re-classified
+        cache.forget("GONE")  # a departure leaves no name behind
         assert cache.take_check_slices() == ["A", "B", "C"]
         # dirty drained; dynamic remains standing.
         assert cache.take_check_slices() == ["B"]

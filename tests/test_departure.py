@@ -13,7 +13,8 @@ state, and its locks with its queue entry.  Three contracts:
 2. **No residue.**  After each commit, deadlock-victim abort and phase-2
    policy abort, on both engines, the departed name is in no wait queue,
    waiting-on or held index, on neither side of the waits-for graph, and
-   in no routing set, subscription or runnable index.
+   in no routing set, subscription or runnable index; after every commit
+   and abort, every routing set and every subscriber is live.
 3. **Blocked time is credited where a wait ends.**  A departing blocker's
    remaining waiters and a deadlock's non-victims are not caught up on
    the spot: each is credited when its own wait ends (a wake, a
@@ -43,6 +44,7 @@ from repro.sim.waits_for import WaitsForGraph
 from test_lock_transitions import (
     ScriptPolicy,
     assert_engines_agree,
+    assert_routes_live,
     items_of,
     ls,
     lx,
@@ -155,7 +157,7 @@ def assert_departed(run, name):
     assert all(name not in edges for edges in graph.waits_for.values())
     assert all(name not in waiters for waiters in graph.blocked_by.values())
     graph.check_consistency()
-    for route in (cache.dirty, cache.dynamic, cache.complete, cache.phase1):
+    for route in (cache.dirty, cache.dynamic, cache.complete):
         assert name not in route
     assert name not in cache.runnable
     assert name not in cache.session_subs
@@ -173,10 +175,12 @@ def departures(monkeypatch):
     def checked_commit(self, entry):
         commit(self, entry)
         assert_departed(self, entry.item.name)
+        assert_routes_live(self)
         checked.setdefault("commit", []).append(entry.item.name)
 
     def checked_abort(self, victim, reason):
         abort(self, victim, reason)
+        assert_routes_live(self)
         name = victim.item.name
         if name not in self.live:  # dropped, not restarted
             assert_departed(self, name)

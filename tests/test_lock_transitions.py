@@ -39,13 +39,14 @@ re-derived on the next tick.  Four contracts:
    moves its whole herd with one runnable-index call, no per-member
    call, and no waits-for graph call at all.
 5. **Post-step route.**  A DDAG or altruistic session is classified
-   where its own step executes: a next step whose verdict declares no
-   channel is settled in place (RUNNABLE, indexed, unsubscribed), one
-   that declares channels is left dirty, and a drained or refused script
-   waits in ``complete`` — the only executors phase 1 visits.  A refused
-   peek is aborted in the next tick's phase 1, as the naive engine does,
-   and an in-place verdict is the one a re-evaluation before the
-   session's next step returns.
+   where it is admitted or restarted and where its own step executes: a
+   step whose verdict declares no channel and proceeds is settled in
+   place (RUNNABLE, indexed, unsubscribed), any other verdict is left
+   dirty, and a drained or refused script waits in ``complete`` — the
+   only such sessions phase 1 visits.  A refused peek is aborted in the
+   next tick's phase 1, as the naive engine does, and an in-place
+   verdict is the one a re-evaluation before the session's next step
+   returns.  Every routing set and every subscriber is live.
 """
 
 import pytest
@@ -63,6 +64,7 @@ from repro.policies import (
     DdagPolicy,
     DeleteEdge,
     DtrPolicy,
+    InsertEdge,
     TwoPhasePolicy,
     Unlock,
 )
@@ -70,6 +72,7 @@ from repro.policies.base import LockingPolicy, PolicyContext, ScriptedSession
 from repro.sim import LockTable, Simulator, grid_factory
 from repro.sim.admission import (
     LOCK_WAIT,
+    NEW,
     POLICY_WAIT,
     RUNNABLE,
     AdmissionCache,
@@ -108,10 +111,27 @@ def assert_herd_invariants(run) -> None:
     run.graph.check_consistency()
 
 
+def assert_routes_live(run) -> None:
+    """Every routing set and every subscriber is live (a departure's
+    ``AdmissionCache.forget`` drops the name from each), and no session
+    is both drained and dynamic."""
+    cache, live = run.cache, run.live.keys()
+    where = f"tick {run.metrics.ticks}"
+    for route in ("dirty", "dynamic", "complete"):
+        gone = getattr(cache, route) - live
+        assert not gone, f"{where}: departed {sorted(gone)} in {route}"
+    subscribers = set(cache.session_subs).union(*cache.channel_subs.values())
+    assert subscribers <= live, (
+        f"{where}: departed subscribers {sorted(subscribers - live)}"
+    )
+    assert not cache.complete & cache.dynamic, where
+
+
 def assert_coherent(run) -> int:
     """Fresh ``derive`` == cached state for every live session that is
     neither dirty, dynamic nor complete; returns how many were checked."""
     assert_herd_invariants(run)
+    assert_routes_live(run)
     cache, table = run.cache, run.table
     checked = 0
     for name, entry in run.live.items():
@@ -373,7 +393,7 @@ class TestSettleRouting:
     def test_admission_settles_a_plain_session_in_place(self):
         run = manual_run({"H": [lx("a"), w("a")], "R": [r("b")]})
         cache = run.cache
-        assert not cache.dirty and not cache.dynamic and not cache.phase1
+        assert not cache.dirty and not cache.dynamic and not cache.complete
         assert list(cache.runnable) == ["H", "R"]
         assert list(run.table.queue("a").items()) == [("H", LockMode.EXCLUSIVE)]
         assert run.table.waiting_entity("R") is None  # nothing to lock
@@ -771,6 +791,10 @@ ROUTE_CASES = {
     "AltruisticPolicy": (AltruisticPolicy, [Access("a"), Access("b")], {}),
 }
 
+#: The route each case's admission takes: DDAG's lock of the root declares
+#: no channel, the altruistic first lock declares its item's.
+ADMISSION_ROUTES = {"DdagPolicy": "place", "AltruisticPolicy": "dirty"}
+
 
 def policy_run(case):
     """The one-session run of ``ROUTE_CASES[case]``, admitted at tick 0,
@@ -787,30 +811,36 @@ def policy_run(case):
 class TestPostStepRoute:
     @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
     def test_each_step_routes_its_executor_once(self, case):
+        """The admission and each step settle the session once: in place,
+        dirty, or (drained) complete — the only route phase 1 visits."""
         run = policy_run(case)
         cache, entry = run.cache, run.live["T"]
         assert entry.tracks_deps
+
+        def route():
+            step = entry.peek()
+            assert ("T" in cache.phase1_candidates()) == (step is None)
+            if step is None:
+                assert "T" not in cache.dirty and "T" not in cache.runnable
+                return "complete"
+            if tuple(entry.session.admission_dependencies()):
+                assert step.is_lock
+                assert "T" in cache.dirty and "T" not in cache.complete
+                return "dirty"
+            assert entry.state == RUNNABLE and "T" in cache.runnable
+            assert "T" not in cache.session_subs
+            assert "T" not in cache.dirty and "T" not in cache.complete
+            return "place"
+
+        assert route() == ADMISSION_ROUTES[case]
         routes = []
         while "T" not in cache.complete:
             tick(run, "T")
-            step = entry.peek()
-            assert "T" not in cache.phase1, "a step made its executor due a phase-1 peek"
-            if step is None:
-                routes.append("complete")
-                assert "T" not in cache.dirty and "T" not in cache.runnable
-            elif tuple(entry.session.admission_dependencies()):
-                routes.append("dirty")
-                assert step.is_lock
-                assert "T" in cache.dirty and "T" not in cache.complete
-            else:
-                routes.append("place")
-                assert entry.state == RUNNABLE and "T" in cache.runnable
-                assert "T" not in cache.session_subs
-                assert "T" not in cache.dirty and "T" not in cache.complete
+            routes.append(route())
         assert routes.count("dirty") == 1 and routes[-1] == "complete"
         assert routes.count("place") == len(routes) - 2
         # One derivation, policy asked, per step that left a next step (in
-        # place, or in phase 2 for the lock that declares a channel), plus
+        # place, or in phase 2 for a lock that declares a channel), plus
         # the admission's.
         m = run.metrics
         assert m.classify_checks == m.admission_checks == len(routes)
@@ -825,31 +855,38 @@ class TestPostStepRoute:
     def test_an_executor_reaches_phase1_only_drained_or_refused(
         self, factory, policy, monkeypatch
     ):
-        """Spy on ``AdmissionCache.phase1_candidates``: the session that
-        executed last is a candidate exactly when its step drained or
-        refused its script, or a restart already made it due."""
-        last = {}
-        seen = {True: 0, False: 0}
+        """Spy on ``AdmissionCache.phase1_candidates``: a session that
+        was admitted, restarted or executed a step since the last commit
+        scan is a candidate of the next exactly when that event drained
+        or refused its script (or it is dynamic)."""
+        due = {}  # name -> (run, entry, owed, event) since the last scan
+        seen = {"register": 0, "step": 0, "owed": 0}
         candidates_of = AdmissionCache.phase1_candidates
-        execute = _Run._execute_step
 
-        def spied_execute(run, entry):
-            name = entry.item.name
-            due = name in run.cache.phase1  # restarted this tick, then drawn
-            execute(run, entry)
-            last.clear()
-            last[name] = (entry, due or name in run.cache.complete)
+        def spied(method, event):
+            def spy(run, entry):
+                method(run, entry)
+                name = entry.item.name
+                cache = run.cache
+                owed = name in cache.complete or name in cache.dynamic
+                due[name] = (run, entry, owed, event)
+
+            return spy
 
         def spied_candidates(cache):
             names = candidates_of(cache)
-            for name, (entry, owed) in last.items():
-                if cache._live.get(name) is entry:
-                    assert (name in names) == owed, (name, owed)
-                    seen[owed] += 1
-            last.clear()
+            for name, (run, entry, owed, event) in due.items():
+                if run.live.get(name) is entry:
+                    assert (name in names) == owed, (name, event, owed)
+                    seen[event] += 1
+                    seen["owed"] += owed
+            due.clear()
             return names
 
-        monkeypatch.setattr(_Run, "_execute_step", spied_execute)
+        for method, event in (("_register", "register"), ("_execute_step", "step")):
+            monkeypatch.setattr(
+                KernelRun, method, spied(getattr(KernelRun, method), event)
+            )
         monkeypatch.setattr(AdmissionCache, "phase1_candidates", spied_candidates)
         for seed in range(2):
             items, initial, context_kwargs = grid_factory(factory)(
@@ -861,7 +898,7 @@ class TestPostStepRoute:
                 ).run(items, initial, validate=False)
             except PolicyViolation as exc:
                 pytest.skip(f"the policy refuses this workload's intents: {exc}")
-        assert seen[True] > 0
+        assert seen["owed"] > 0 and seen["register"] > 0 and seen["step"] > 0
 
 
 #: DDAG scripts whose peek right after a step raises: a node needed again
@@ -930,6 +967,60 @@ class TestDeferredViolation:
         assert results["event"].metrics.aborted > 0
 
 
+#: Scripts refused at their first peek (an edge insert neither policy's
+#: planner serves here), under DDAG and altruistic locking.
+FIRST_PEEK_REFUSALS = {
+    "ddag-L1": (lambda: DdagPolicy(auto_release=False), {"dag": chain(3)}),
+    "altruistic-AL1": (AltruisticPolicy, {}),
+}
+
+
+class TestFirstPeekRefusal:
+    """A script refused at its first peek: the admission's settle leaves
+    it for the same tick's phase 1, whose abort restarts it.  The naive
+    engine next peeks that successor in phase 2, which catches no
+    refusal; the event engine must agree whichever way it ends."""
+
+    @staticmethod
+    def _items(restart=None):
+        return [
+            WorkloadItem("T", [InsertEdge(1, 3)], restart),
+            WorkloadItem("U", [Access(2), Access(3)]),
+        ]
+
+    @pytest.mark.parametrize("case", sorted(FIRST_PEEK_REFUSALS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_refused_successor_escapes_both_engines(self, case, seed):
+        policy, context_kwargs = FIRST_PEEK_REFUSALS[case]
+        raised = {}
+        for engine in ("naive", "event"):
+            with pytest.raises(PolicyViolation) as exc:
+                Simulator(
+                    policy(), seed=seed, engine=engine,
+                    context_kwargs=dict(context_kwargs),
+                ).run(self._items(), validate=False)
+            raised[engine] = str(exc.value)
+        assert raised["naive"] == raised["event"]
+
+    @pytest.mark.parametrize("case", sorted(FIRST_PEEK_REFUSALS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_replanned_successor_runs_alike(self, case, seed):
+        policy, context_kwargs = FIRST_PEEK_REFUSALS[case]
+        results = {
+            engine: Simulator(
+                policy(), seed=seed, engine=engine,
+                context_kwargs=dict(context_kwargs),
+            ).run(
+                self._items(lambda name, attempt, ctx: [Access(1), Access(2)]),
+                validate=False,
+            )
+            for engine in ("naive", "event")
+        }
+        assert_engines_agree(results["naive"], results["event"])
+        event = results["event"]
+        assert event.metrics.restarts == 1 and "T" in event.committed
+
+
 def _verdict_cells():
     """The pinned DDAG and altruistic cells, each also under its policy's
     broken control: ``{id: (factory, kwargs, policy constructor, seed)}``."""
@@ -954,17 +1045,23 @@ class TestInPlaceVerdictOracle:
     def test_an_in_place_verdict_holds_until_the_next_step(
         self, cell, monkeypatch
     ):
-        """At every in-place settle of a policy session, remember it; at
+        """At every in-place settle of a policy session — at its
+        admission, at its restart, after its own step — remember it; at
         every later observation point — right after phase 2, before the
         draw or the deadlock phase — re-evaluate ``admission()`` for each
         one still live that has not stepped since: it must still
         proceed, with no channel declared."""
         settled = {}  # name -> (entry, step_count)
         checked = []
+        #: Policy sessions settled at an admission or a restart, and how
+        #: many of them in place.
+        begun = {"settled": 0, "in place": 0}
         settle = Classifier.settle
 
         def spied_settle(classifier, entry):
+            at_begin = entry.state == NEW and entry.needs_admission
             settle(classifier, entry)
+            begun["settled"] += at_begin
             name = entry.item.name
             if (
                 entry.needs_admission
@@ -972,6 +1069,7 @@ class TestInPlaceVerdictOracle:
                 and name not in classifier.cache.complete
             ):
                 settled[name] = (entry, entry.step_count)
+                begun["in place"] += at_begin
 
         def recheck(run):
             for name, (entry, count) in list(settled.items()):
@@ -1005,3 +1103,8 @@ class TestInPlaceVerdictOracle:
         except (PolicyViolation, SimulationError):
             pass  # checked on every tick up to it
         assert checked, "no in-place settle was re-evaluated"
+        assert begun["settled"], "no admission or restart was settled"
+        # An altruistic session's every begin locks an item, which
+        # declares the item's channel: only DDAG begins settle in place.
+        if issubclass(getattr(make_policy, "func", make_policy), DdagPolicy):
+            assert begun["in place"], "no admission or restart settled in place"
